@@ -51,6 +51,7 @@ from .ensemble import (
 from .errors import (
     ConfigurationError,
     DimensionError,
+    DivergenceError,
     EvaluationError,
     FedKdError,
     FormatError,
@@ -63,12 +64,10 @@ from .numkit import (
     MlpModel,
     RandomStream,
     cosine_lr,
-    gauss_sample,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
-    uniform_sample,
 )
 from .protocol import (
     BandwidthLedger,

@@ -22,14 +22,15 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
-from .errors import ConfigurationError, DimensionError, EvaluationError
+from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from .numkit import (
     CosineSchedule,
     MlpModel,
     RandomStream,
+    _backprop,
+    _forward_trace,
     check_matrix,
     cosine_lr,
-    mlp_backward,
     mlp_forward,
     sgd_step,
 )
@@ -106,22 +107,23 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise p * log(p / q) with 0*log(0) taken as 0."""
+    return np.where(p > 0, p * (_safe_log(p) - _safe_log(q)), 0.0)
+
+
 def kl_loss(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) for discrete distributions, 0*log(0) taken as 0."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    terms = np.where(p > 0, p * (_safe_log(p) - _safe_log(q)), 0.0)
-    return float(terms.sum())
+    return float(_kl_terms(p, q).sum())
 
 
 def binary_kl_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Elementwise KL between Bernoulli(p) and Bernoulli(q)."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    t1 = np.where(p > 0, p * (_safe_log(p) - _safe_log(q)), 0.0)
-    pc, qc = 1.0 - p, 1.0 - q
-    t2 = np.where(pc > 0, pc * (_safe_log(pc) - _safe_log(qc)), 0.0)
-    return t1 + t2
+    return _kl_terms(p, q) + _kl_terms(1.0 - p, 1.0 - q)
 
 
 def logit_l2_loss(
@@ -131,36 +133,37 @@ def logit_l2_loss(
 
     loss = (1/B) sum of squared differences; grad = (2/B)(student - teacher).
     """
-    student = check_matrix(student, "student logits")
-    teacher = check_matrix(teacher, "teacher logits")
-    if student.shape != teacher.shape:
-        raise DimensionError("student and teacher logit shapes differ")
+    return distill_loss_grad(student, teacher, DistillConfig(loss_mode=LOGIT_L2))
+
+
+def _distill_loss_grad(student: np.ndarray, teacher: np.ndarray, cfg: DistillConfig):
+    """Unchecked :func:`distill_loss_grad`, the kernel the trainer calls."""
     b = student.shape[0]
-    d = student - teacher
-    return float((d * d).sum() / b), (2.0 / b) * d
+    if cfg.loss_mode == LOGIT_L2:
+        d = student - teacher
+        return float((d * d).sum() / b), (2.0 / b) * d
+    tau = cfg.tau
+    if cfg.task == SINGLE_LABEL:
+        p = softmax_tau(teacher, tau)
+        q = softmax_tau(student, tau)
+        # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
+        loss = (tau * tau / b) * sum(_kl_terms(p, q).sum(axis=1).tolist())
+    else:
+        p = sigmoid(teacher / tau)
+        q = sigmoid(student / tau)
+        loss = (tau * tau / b) * float(binary_kl_loss(p, q).sum())
+    return loss, (tau / b) * (q - p)
 
 
 def distill_loss_grad(
     student: np.ndarray, teacher: np.ndarray, cfg: DistillConfig
 ) -> tuple[float, np.ndarray]:
     """Batch loss and its gradient w.r.t. the student logits."""
-    if cfg.loss_mode == LOGIT_L2:
-        return logit_l2_loss(student, teacher)
     student = check_matrix(student, "student logits")
     teacher = check_matrix(teacher, "teacher logits")
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
-    b = student.shape[0]
-    tau = cfg.tau
-    if cfg.task == SINGLE_LABEL:
-        p = softmax_tau(teacher, tau)
-        q = softmax_tau(student, tau)
-        loss = (tau * tau / b) * sum(kl_loss(p[i], q[i]) for i in range(b))
-    else:
-        p = sigmoid(teacher / tau)
-        q = sigmoid(student / tau)
-        loss = (tau * tau / b) * float(binary_kl_loss(p, q).sum())
-    return loss, (tau / b) * (q - p)
+    return _distill_loss_grad(student, teacher, cfg)
 
 
 def distill(
@@ -174,37 +177,34 @@ def distill(
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher logits are indexed by the
-    same permutation, so no node is ever re-queried here.
+    same permutation, so no node is ever re-queried here. Trains a copy of
+    ``model``; a non-finite result raises DivergenceError.
     """
-    features = check_matrix(features, "features")
-    teacher_logits = check_matrix(teacher_logits, "teacher logits")
+    features = check_matrix(features, "features", model.input_dim)
+    teacher_logits = check_matrix(teacher_logits, "teacher logits", model.output_dim)
     n = features.shape[0]
     if teacher_logits.shape[0] != n:
         raise DimensionError("teacher logits and features row counts differ")
-    if features.shape[1] != model.input_dim:
-        raise DimensionError("feature dim does not match model input")
-    if teacher_logits.shape[1] != model.output_dim:
-        raise DimensionError("teacher logit dim does not match model output")
     if cfg.batch_size > n:
         raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
 
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
     per_epoch = n // cfg.batch_size
+    model = model.copy()
     trace = []
-    step = 0
-    while step < cfg.steps:
-        order = rs.permutation(n)
-        for j in range(per_epoch):
-            if step >= cfg.steps:
-                break
+    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
+        for step in range(cfg.steps):
+            j = step % per_epoch
+            if j == 0:
+                order = rs.permutation(n)
             idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
-            logits = mlp_forward(model, features[idx])
-            loss, gz = distill_loss_grad(logits, teacher_logits[idx], cfg)
-            grads = mlp_backward(model, features[idx], gz)
+            acts = _forward_trace(model, features[idx])
+            loss, gz = _distill_loss_grad(acts[-1], teacher_logits[idx], cfg)
             lr = cosine_lr(sched, step)
-            model = sgd_step(model, grads, lr, cfg.weight_decay)
+            model = sgd_step(model, _backprop(model, acts, gz), lr, cfg.weight_decay)
             trace.append({"step": step, "loss": loss, "lr": lr})
-            step += 1
+    if not np.isfinite(model.flatten()).all():
+        raise DivergenceError("distillation")
     return model, trace
 
 

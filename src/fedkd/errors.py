@@ -27,3 +27,13 @@ class ValidationError(FedKdError):
 
 class EvaluationError(FedKdError):
     """A metric is undefined for the given data."""
+
+
+class DivergenceError(FedKdError):
+    """Training ended with non-finite parameters. They stay non-finite under
+    SGD, so one check after the training loop catches a divergence at any step."""
+
+    def __init__(self, phase: str, node_id: int | None = None):
+        self.phase, self.node_id = phase, node_id
+        where = "the central model" if node_id is None else f"node {node_id}"
+        super().__init__(f"{phase} diverged on {where}: non-finite parameters")

@@ -2,8 +2,8 @@
 MLP with manual backpropagation, plain SGD with a cosine-annealed learning
 rate, and counter-keyed random streams.
 
-All operations are pure functions over immutable inputs; nothing here keeps
-shared mutable state, so concurrent use on disjoint values is safe.
+Nothing here keeps shared mutable state: a RandomStream advances only
+itself, and :func:`sgd_step` updates the model it is given, in place.
 """
 from __future__ import annotations
 
@@ -16,12 +16,9 @@ from .errors import DimensionError, RangeError
 
 __all__ = [
     "RandomStream",
-    "uniform_sample",
-    "gauss_sample",
     "CosineSchedule",
     "MlpModel",
     "MlpGrads",
-    "as_matrix",
     "check_matrix",
     "init_mlp",
     "mlp_forward",
@@ -78,31 +75,16 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def uniform_sample(rs: RandomStream) -> float:
-    """One uniform draw in [0, 1) from the stream."""
-    return float(rs.uniform())
-
-
-def gauss_sample(rs: RandomStream) -> float:
-    """One standard-normal draw from the stream."""
-    return float(rs.gauss())
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D float64 array (the package-wide matrix carrier)."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
 
-
-def check_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate the matrix invariants: 2-D float64, all entries finite."""
+def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None) -> np.ndarray:
+    """Validate the matrix invariants: 2-D float64, finite, ``cols`` columns if given."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array")
+    if cols is not None and a.shape[1] != cols:
+        raise DimensionError(f"{name}: expected {cols} columns, got {a.shape[1]}")
     if a.dtype != np.float64:
         a = a.astype(np.float64)
     if a.size and not np.isfinite(a).all():
@@ -146,8 +128,8 @@ class MlpModel:
     """Fully connected net: ReLU hidden layers, raw logits out.
 
     weights[i] has shape (layer_dims[i], layer_dims[i+1]); biases[i] is a
-    (1, layer_dims[i+1]) row. Treat instances as immutable once shared;
-    updates go through :func:`sgd_step`, which returns a new model.
+    (1, layer_dims[i+1]) row. :func:`sgd_step` updates the arrays in place,
+    so whoever trains a model owns it; use :meth:`copy` to keep the input.
     """
 
     layer_dims: list[int]
@@ -215,8 +197,8 @@ def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
     return MlpModel(list(layer_dims), weights, biases)
 
 
-def _forward_trace(model: MlpModel, batch: np.ndarray):
-    """Forward pass keeping post-activation values per layer for backprop."""
+def _forward_trace(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
+    """Unchecked forward pass keeping post-activation values per layer for backprop."""
     acts = [batch]
     h = batch
     last = model.num_layers - 1
@@ -230,27 +212,11 @@ def _forward_trace(model: MlpModel, batch: np.ndarray):
 
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Logits (B x C) for a batch (B x input_dim)."""
-    batch = check_matrix(batch, "batch")
-    if batch.shape[1] != model.input_dim:
-        raise DimensionError(f"batch has {batch.shape[1]} features, model expects {model.input_dim}")
-    return _forward_trace(model, batch)[-1]
+    return _forward_trace(model, check_matrix(batch, "batch", model.input_dim))[-1]
 
 
-def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpGrads:
-    """Parameter gradients for a loss whose logit-gradient is grad_logits.
-
-    Whatever batch scaling the upstream loss applies is inherited unchanged;
-    this routine only chains through the network.
-    """
-    batch = check_matrix(batch, "batch")
-    grad_logits = check_matrix(grad_logits, "grad_logits")
-    if batch.shape[1] != model.input_dim:
-        raise DimensionError(f"batch has {batch.shape[1]} features, model expects {model.input_dim}")
-    if grad_logits.shape != (batch.shape[0], model.output_dim):
-        raise DimensionError(
-            f"grad_logits shape {grad_logits.shape}, expected {(batch.shape[0], model.output_dim)}"
-        )
-    acts = _forward_trace(model, batch)
+def _backprop(model: MlpModel, acts: list[np.ndarray], grad_logits: np.ndarray) -> MlpGrads:
+    """Chain grad_logits back through the activations of one forward trace."""
     gw = [None] * model.num_layers
     gb = [None] * model.num_layers
     delta = grad_logits
@@ -263,10 +229,23 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
     return MlpGrads(gw, gb)
 
 
+def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpGrads:
+    """Parameter gradients for a loss whose logit-gradient is grad_logits.
+
+    Whatever batch scaling the upstream loss applies is inherited unchanged;
+    this routine only chains through the network.
+    """
+    batch = check_matrix(batch, "batch", model.input_dim)
+    grad_logits = check_matrix(grad_logits, "grad_logits", model.output_dim)
+    if grad_logits.shape[0] != batch.shape[0]:
+        raise DimensionError(f"grad_logits has {grad_logits.shape[0]} rows, batch {batch.shape[0]}")
+    return _backprop(model, _forward_trace(model, batch), grad_logits)
+
+
 def sgd_step(model: MlpModel, grads: MlpGrads, lr: float, weight_decay: float = 0.0) -> MlpModel:
-    """theta <- theta - lr * (grad + weight_decay * theta); returns a new model."""
+    """theta <- theta - lr * (grad + weight_decay * theta) in place; returns model."""
     if lr < 0 or weight_decay < 0:
         raise RangeError("lr and weight_decay must be >= 0")
-    weights = [w - lr * (g + weight_decay * w) for w, g in zip(model.weights, grads.weights)]
-    biases = [b - lr * (g + weight_decay * b) for b, g in zip(model.biases, grads.biases)]
-    return MlpModel(list(model.layer_dims), weights, biases, model.activation)
+    for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
+        p -= lr * (g + weight_decay * p)
+    return model

@@ -45,15 +45,16 @@ from .ensemble import (
     importance_weights,
     packed_payload_bytes,
 )
-from .errors import ConfigurationError, DimensionError, RangeError
+from .errors import ConfigurationError, DimensionError, DivergenceError, RangeError
 from .numkit import (
     CosineSchedule,
     MlpModel,
     RandomStream,
+    _backprop,
+    _forward_trace,
     check_matrix,
     cosine_lr,
     init_mlp,
-    mlp_backward,
     mlp_forward,
     sgd_step,
 )
@@ -163,15 +164,23 @@ class TrainConfig:
             raise ConfigurationError("epochs and batch_size must be >= 1")
 
 
+def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Batch-mean cross-entropy logit gradient from the softmax p (overwritten)."""
+    p[np.arange(p.shape[0]), labels] -= 1.0
+    return p / p.shape[0]
+
+
+def _bce_dlogits(q: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Masked sigmoid cross-entropy logit gradient from the sigmoid q."""
+    mask = labels != -1
+    return np.where(mask, q - np.where(mask, labels, 0).astype(np.float64), 0.0) / q.shape[0]
+
+
 def softmax_xent_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its logit gradient."""
     p = softmax_tau(logits, 1.0)
-    b = logits.shape[0]
-    rows = np.arange(b)
-    loss = float(-_safe_log(p[rows, labels]).mean())
-    g = p.copy()
-    g[rows, labels] -= 1.0
-    return loss, g / b
+    loss = float(-_safe_log(p[np.arange(p.shape[0]), labels]).mean())
+    return loss, _xent_dlogits(p, labels)
 
 
 def masked_bce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -179,9 +188,8 @@ def masked_bce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     mask = labels != -1
     y = np.where(mask, labels, 0).astype(np.float64)
     q = sigmoid(logits)
-    b = logits.shape[0]
-    loss = float(-(mask * (y * _safe_log(q) + (1.0 - y) * _safe_log(1.0 - q))).sum() / b)
-    return loss, np.where(mask, q - y, 0.0) / b
+    loss = float(-(mask * (y * _safe_log(q) + (1.0 - y) * _safe_log(1.0 - q))).sum() / q.shape[0])
+    return loss, _bce_dlogits(q, labels)
 
 
 def train_supervised(
@@ -192,33 +200,39 @@ def train_supervised(
     *,
     total_steps: int | None = None,
     step_offset: int = 0,
+    node_id: int | None = None,
 ) -> MlpModel:
-    """SGD with a cosine schedule; batches are consecutive slices of a fresh
-    per-epoch permutation, trailing remainder dropped.
+    """SGD with a cosine schedule on a copy of model; batches are consecutive
+    slices of a fresh per-epoch permutation, trailing remainder dropped.
 
     ``total_steps``/``step_offset`` let a caller spread one cosine horizon
-    over several calls (round-based training resumes mid-schedule).
+    over several calls (round-based training resumes mid-schedule). A
+    non-finite result raises DivergenceError naming ``node_id``.
     """
     if ds.n == 0:
         raise ConfigurationError("cannot train on an empty dataset")
+    features = check_matrix(ds.features, "features", model.input_dim)
+    if ds.task == SINGLE_LABEL:
+        link, dlogits, labels = softmax_tau, _xent_dlogits, ds.labels[:, 0]
+    else:
+        link, dlogits, labels = sigmoid, _bce_dlogits, ds.labels
     b = min(cfg.batch_size, ds.n)
     per_epoch = ds.n // b
     horizon = cfg.epochs * per_epoch if total_steps is None else total_steps
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, horizon)
-    step = step_offset
-    for _ in range(cfg.epochs):
-        order = batch_rs.permutation(ds.n)
-        for j in range(per_epoch):
+    model = model.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
+        for step in range(cfg.epochs * per_epoch):
+            j = step % per_epoch
+            if j == 0:
+                order = batch_rs.permutation(ds.n)
             idx = order[j * b : (j + 1) * b]
-            x = ds.features[idx]
-            z = mlp_forward(model, x)
-            if ds.task == SINGLE_LABEL:
-                _, gz = softmax_xent_grad(z, ds.labels[idx, 0])
-            else:
-                _, gz = masked_bce_grad(z, ds.labels[idx])
-            grads = mlp_backward(model, x, gz)
-            model = sgd_step(model, grads, cosine_lr(sched, step), cfg.weight_decay)
-            step += 1
+            acts = _forward_trace(model, features[idx])
+            gz = dlogits(link(acts[-1]), labels[idx])
+            lr = cosine_lr(sched, step_offset + step)
+            model = sgd_step(model, _backprop(model, acts, gz), lr, cfg.weight_decay)
+    if not np.isfinite(model.flatten()).all():
+        raise DivergenceError("node training", node_id)
     return model
 
 
@@ -268,7 +282,7 @@ def train_locals(
             continue
         model = init_mlp(cfg.layer_dims, _node_stream(seed, node_seeds, k, STREAM_INIT))
         model = train_supervised(
-            model, shard, cfg, _node_stream(seed, node_seeds, k, STREAM_BATCH, 0)
+            model, shard, cfg, _node_stream(seed, node_seeds, k, STREAM_BATCH, 0), node_id=k
         )
         handles.append(NodeHandle(k, shard, model))
     return handles
@@ -459,12 +473,13 @@ def run_fedavg(
         for k in active:
             ledger.add("params_down", k, pbytes)
             model = train_supervised(
-                global_model.copy(),
+                global_model,
                 shards[k],
                 cfgs[k],
                 _node_stream(seed, node_seeds, k, STREAM_BATCH, r),
                 total_steps=rounds * cfgs[k].epochs * per_epoch[k],
                 step_offset=r * cfgs[k].epochs * per_epoch[k],
+                node_id=k,
             )
             ledger.add("params_up", k, pbytes)
             locals_.append(model)

@@ -208,6 +208,14 @@ class TestAblate:
         assert rows[0]["error"] == "" and rows[0]["accuracy"] != ""
         assert rows[1]["error"] != "" and rows[1]["accuracy"] == ""
 
+    def test_diverging_cell_records_the_typed_error(self, tmp_path):
+        cfg = parse_dict(tiny_doc(node={"hidden_dims": [16], "epochs": 5, "lr_start": 50},
+                                  sweep={"param": "S", "values": [50], "seeds": [0]}))
+        path = cmd_ablate(cfg, tmp_path, force=False)
+        rows = list(csv.DictReader(path.open()))
+        assert rows[0]["error"].startswith("DivergenceError: distillation diverged")
+        assert rows[0]["accuracy"] == ""
+
     def test_d0_sweep_needs_synthetic_task(self, tmp_path):
         doc = tiny_doc(sweep={"param": "d0", "values": [30], "seeds": [0]})
         doc["task"] = {"kind": "csv", "private": "x.csv", "public": "x.csv",
@@ -337,6 +345,15 @@ class TestMainExitCodes:
                        "feature_cols": ["a"], "label_cols": ["y"]}
         p = write_config(tmp_path, doc)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+
+    def test_diverging_run_is_a_one_line_runtime_error(self, tmp_path, capsys):
+        # node lr 50 blows the ensemble up and the distilled model with it
+        p = write_config(tmp_path, tiny_doc(
+            node={"hidden_dims": [16], "epochs": 5, "lr_start": 50}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime error: distillation diverged on the central model")
 
     def test_fedavg_subcommand(self, tmp_path):
         p = write_config(tmp_path, tiny_doc())

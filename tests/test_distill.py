@@ -1,5 +1,6 @@
 """Activations, distillation losses, the offline trainer, and evaluation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,16 @@ from fedkd.distill import (
     sigmoid,
     softmax_tau,
 )
-from fedkd.errors import ConfigurationError, DimensionError, EvaluationError
-from fedkd.numkit import MlpModel, RandomStream, init_mlp, mlp_forward
+from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
+from fedkd.numkit import (
+    CosineSchedule,
+    MlpModel,
+    RandomStream,
+    cosine_lr,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+)
 
 
 class TestSoftmaxTau:
@@ -170,6 +179,62 @@ class TestKlMode:
         assert cos >= 0.999
 
 
+class TestBatchKl:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        classes=st.sampled_from([2, 3, 5, 7, 8, 9, 10, 16, 31]),
+        rows=st.integers(1, 40),
+        tau=st.sampled_from([0.5, 1.0, 2.0, 4.0, 7.5]),
+        seed=st.integers(0, 2**20),
+    )
+    def test_equals_the_scaled_sum_of_row_kl_losses(self, classes, rows, tau, seed):
+        rs = RandomStream(seed, (60,))
+        student = 4.0 * rs.gauss((rows, classes))
+        teacher = 4.0 * rs.gauss((rows, classes))
+        # logits far below the row max soften to probability exactly 0
+        far = rs.uniform((rows, classes)) < 0.3
+        far[:, -1] = False
+        far[0, 0] = True
+        teacher[far] = -1e6
+        p, q = softmax_tau(teacher, tau), softmax_tau(student, tau)
+        assert (p[0] == 0.0).any()
+        cfg = DistillConfig(steps=1, batch_size=1, tau=tau, loss_mode=KL)
+        loss, _ = distill_loss_grad(student, teacher, cfg)
+        assert loss == (tau * tau / rows) * sum(kl_loss(p[i], q[i]) for i in range(rows))
+
+
+def copying_sgd(model, grads, lr, wd):
+    return MlpModel(
+        model.layer_dims,
+        [w - lr * (g + wd * w) for w, g in zip(model.weights, grads.weights)],
+        [b - lr * (g + wd * b) for b, g in zip(model.biases, grads.biases)],
+    )
+
+
+def reference_distill(model, x, teacher, cfg, rs):
+    """distill as the per-step chain of checked public calls with a copying
+    SGD update; the single-label KL loss is summed row by row with kl_loss."""
+    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
+    per_epoch = x.shape[0] // cfg.batch_size
+    trace, step = [], 0
+    while step < cfg.steps:
+        order = rs.permutation(x.shape[0])
+        for j in range(per_epoch):
+            if step >= cfg.steps:
+                break
+            idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
+            z = mlp_forward(model, x[idx])
+            loss, gz = distill_loss_grad(z, teacher[idx], cfg)
+            if cfg.loss_mode == KL and cfg.task == SINGLE_LABEL:
+                p, q = softmax_tau(teacher[idx], cfg.tau), softmax_tau(z, cfg.tau)
+                loss = (cfg.tau ** 2 / len(idx)) * sum(kl_loss(p[i], q[i]) for i in range(len(idx)))
+            lr = cosine_lr(sched, step)
+            model = copying_sgd(model, mlp_backward(model, x[idx], gz), lr, cfg.weight_decay)
+            trace.append({"step": step, "loss": loss, "lr": lr})
+            step += 1
+    return model, trace
+
+
 def public_features(n=400, dim=6, seed=0):
     return RandomStream(seed, (44,)).gauss((n, dim))
 
@@ -222,6 +287,39 @@ class TestDistillTrainer:
         with pytest.raises(ConfigurationError):
             distill(model, public_features(n=10), np.zeros((10, 3)),
                     DistillConfig(steps=1, batch_size=11), RandomStream(0, (46,)))
+
+    @pytest.mark.parametrize("mode,task,tau", [
+        (LOGIT_L2, SINGLE_LABEL, math.inf),
+        (KL, SINGLE_LABEL, 3.0),
+        (KL, SINGLE_LABEL, 0.7),
+        (KL, MULTI_LABEL, 2.0),
+    ])
+    def test_bit_identical_to_the_public_per_step_chain(self, mode, task, tau):
+        model = init_mlp([6, 9, 5], RandomStream(2, (45,)))
+        before = model.copy()
+        x = public_features(n=200, seed=2)
+        teacher = 3.0 * RandomStream(2, (47,)).gauss((200, 5))
+        cfg = DistillConfig(steps=40, batch_size=32, lr_start=0.1, lr_end=0.01,
+                            weight_decay=1e-3, tau=tau, loss_mode=mode, task=task)
+        out, trace = distill(model, x, teacher, cfg, RandomStream(2, (46,)))
+        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(2, (46,)))
+        assert [r["loss"] for r in trace] == [r["loss"] for r in ref_trace]
+        assert trace == ref_trace
+        for a, b in zip(out.weights + out.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+        # the caller's model is untouched
+        for a, b in zip(model.weights + model.biases, before.weights + before.biases):
+            assert np.array_equal(a, b)
+
+    def test_divergence_is_a_typed_error_without_warnings(self):
+        model = init_mlp([6, 8, 3], RandomStream(0, (45,)))
+        cfg = DistillConfig(steps=20, batch_size=16, lr_start=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="distillation diverged") as exc:
+                distill(model, public_features(n=64), 5.0 * np.ones((64, 3)), cfg,
+                        RandomStream(0, (46,)))
+        assert (exc.value.phase, exc.value.node_id) == ("distillation", None)
 
     def test_trace_records_step_loss_lr(self):
         model = init_mlp([6, 3], RandomStream(0, (45,)))

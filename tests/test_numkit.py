@@ -11,12 +11,10 @@ from fedkd.numkit import (
     MlpModel,
     RandomStream,
     cosine_lr,
-    gauss_sample,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
-    uniform_sample,
 )
 
 
@@ -72,10 +70,10 @@ class TestRandomStream:
         assert sorted(p.tolist()) == list(range(500))
 
     def test_scalar_draw_helpers_pull_from_the_stream(self):
-        u = uniform_sample(RandomStream(5, (13,)))
+        u = RandomStream(5, (13,)).uniform()
         assert isinstance(u, float) and 0.0 <= u < 1.0
         assert u == float(RandomStream(5, (13,)).uniform())
-        g = gauss_sample(RandomStream(5, (14,)))
+        g = RandomStream(5, (14,)).gauss()
         assert isinstance(g, float)
         assert g == float(RandomStream(5, (14,)).gauss())
 
@@ -191,6 +189,20 @@ class TestSgd:
         grads = MlpGrads([np.zeros((1, 1))], [np.zeros((1, 1))])
         out = sgd_step(model, grads, 1.0, weight_decay=1.0)
         assert out.weights[0][0, 0] == 0.0
+
+    def test_updates_the_given_model_in_place(self):
+        model = make_model([3, 4, 2], seed=4)
+        before = model.copy()
+        arrays = model.weights + model.biases
+        rs = RandomStream(4, (70,))
+        grads = MlpGrads([rs.gauss(w.shape) for w in model.weights],
+                         [rs.gauss(b.shape) for b in model.biases])
+        out = sgd_step(model, grads, 0.1, weight_decay=0.01)
+        assert out is model
+        assert all(a is b for a, b in zip(out.weights + out.biases, arrays))
+        for new, old, g in zip(out.weights + out.biases, before.weights + before.biases,
+                               grads.weights + grads.biases):
+            assert np.array_equal(new, old - 0.1 * (g + 0.01 * old))
 
     def test_negative_lr_rejected(self):
         model = make_model([2, 2])

@@ -5,6 +5,7 @@ import pytest
 from fedkd.datasets import (
     Dataset,
     GaussianTaskSpec,
+    MULTI_LABEL,
     PartitionPlan,
     SINGLE_LABEL,
     dirichlet_partition,
@@ -12,8 +13,16 @@ from fedkd.datasets import (
 )
 from fedkd.distill import DistillConfig, evaluate_single
 from fedkd.ensemble import EnsembleConfig, UNIFORM
-from fedkd.errors import ConfigurationError, DimensionError, RangeError
-from fedkd.numkit import MlpModel, RandomStream, init_mlp, mlp_forward
+from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, RangeError
+from fedkd.numkit import (
+    CosineSchedule,
+    MlpModel,
+    RandomStream,
+    cosine_lr,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+)
 from fedkd.protocol import (
     BandwidthLedger,
     FedKdRun,
@@ -447,3 +456,83 @@ class TestTrainSupervised:
         cfg = TrainConfig([16, 32, 4], epochs=10, batch_size=32)
         out = train_supervised(model.copy(), train, cfg, RandomStream(2, (46,)))
         assert evaluate_single(out, test) > before
+
+
+def reference_train(model, ds, cfg, batch_rs, total_steps=None, step_offset=0):
+    """train_supervised as the per-step chain of checked public calls, with a
+    copying SGD update: the oracle for the fused, in-place trainer."""
+    b = min(cfg.batch_size, ds.n)
+    per_epoch = ds.n // b
+    horizon = cfg.epochs * per_epoch if total_steps is None else total_steps
+    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, horizon)
+    step = step_offset
+    for _ in range(cfg.epochs):
+        order = batch_rs.permutation(ds.n)
+        for j in range(per_epoch):
+            idx = order[j * b : (j + 1) * b]
+            x = ds.features[idx]
+            z = mlp_forward(model, x)
+            if ds.task == SINGLE_LABEL:
+                _, gz = softmax_xent_grad(z, ds.labels[idx, 0])
+            else:
+                _, gz = masked_bce_grad(z, ds.labels[idx])
+            g = mlp_backward(model, x, gz)
+            lr, wd = cosine_lr(sched, step), cfg.weight_decay
+            model = MlpModel(
+                model.layer_dims,
+                [w - lr * (gw + wd * w) for w, gw in zip(model.weights, g.weights)],
+                [b_ - lr * (gb + wd * b_) for b_, gb in zip(model.biases, g.biases)],
+            )
+            step += 1
+    return model
+
+
+def multi_label_fixture(seed=0, n=150, dim=16, classes=4):
+    rs = RandomStream(seed, (905,))
+    labels = rs.integers(3, (n, classes)) - 1  # -1 marks an unknown cell
+    features = rs.gauss((n, dim)) + labels @ rs.gauss((classes, dim))
+    return Dataset(features, labels, MULTI_LABEL, classes)
+
+
+class TestFusedTrainingStep:
+    @pytest.mark.parametrize("task", [SINGLE_LABEL, MULTI_LABEL])
+    @pytest.mark.parametrize("resume", [None, (50, 12)])
+    def test_bit_identical_to_the_public_per_step_chain(self, task, resume):
+        if task == SINGLE_LABEL:
+            ds = make_fixture()[0].subset(np.arange(150))
+        else:
+            ds = multi_label_fixture()
+        cfg = TrainConfig([16, 12, 8, 4], epochs=3, batch_size=16, lr_start=0.1,
+                          lr_end=0.01, weight_decay=1e-3)
+        kw = {} if resume is None else dict(total_steps=resume[0], step_offset=resume[1])
+        model = init_mlp(cfg.layer_dims, RandomStream(3, (45,)))
+        before = model.copy()
+        out = train_supervised(model, ds, cfg, RandomStream(3, (46,)), **kw)
+        ref = reference_train(model.copy(), ds, cfg, RandomStream(3, (46,)),
+                              kw.get("total_steps"), kw.get("step_offset", 0))
+        assert params_equal(out, ref)
+        assert params_equal(model, before)  # the caller's model is untouched
+        assert not params_equal(out, before)
+
+    def test_divergence_is_a_typed_error_naming_the_node(self):
+        train, _, _, _ = make_fixture()
+        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=1e300)
+        model = init_mlp(cfg.layer_dims, RandomStream(0, (45,)))
+        with pytest.raises(DivergenceError, match="node training diverged on node 3") as exc:
+            train_supervised(model, train.subset(np.arange(64)), cfg,
+                             RandomStream(0, (46,)), node_id=3)
+        assert (exc.value.phase, exc.value.node_id) == ("node training", 3)
+
+    def test_non_finite_features_rejected_on_entry(self):
+        train, _, _, _ = make_fixture()
+        bad = train.subset(np.arange(32))
+        bad.features[5, 2] = np.nan
+        model = init_mlp([16, 4], RandomStream(0, (45,)))
+        with pytest.raises(ValueError, match="features"):
+            train_supervised(model, bad, TrainConfig([16, 4], epochs=1), RandomStream(0, (46,)))
+
+    def test_feature_width_checked_on_entry(self):
+        train, _, _, _ = make_fixture()
+        model = init_mlp([8, 4], RandomStream(0, (45,)))
+        with pytest.raises(DimensionError):
+            train_supervised(model, train, TrainConfig([8, 4], epochs=1), RandomStream(0, (46,)))
