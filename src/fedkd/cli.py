@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -163,113 +163,142 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
 
 
-def _off_or(value, kind, where):
-    """null / "off" disable a knob; otherwise coerce to the given type."""
-    if value is None or value == "off":
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where} must be a number or \"off\"") from None
+# Field coercers: each takes (value, key path) and returns the typed value or
+# raises a ConfigurationError naming the key.
 
 
-def _parse_tau(value):
-    if value is None or value == "inf":
+def _as_int(value, where: str) -> int:
+    """A JSON integer; an integral float such as 5.0 is accepted too."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer")
+    return value
+
+
+def _as_float(value, where: str) -> float:
+    # the bound also rejects NaN and JSON integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigurationError(f"{where} must be a finite number")
+    return float(value)
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where} must be true or false")
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string")
+    return value
+
+
+def _list_of(item):
+    def coerce(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where} must be a list")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return coerce
+
+
+def _off_or(kind):
+    """null / "off" disable a knob; any other value must pass ``kind``."""
+    def coerce(value, where: str):
+        return None if value is None or value == "off" else kind(value, where)
+    return coerce
+
+
+def _parse_tau(value, where: str) -> float:
+    if value is None or value == "inf" or value == math.inf:
         return math.inf
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError('distill.tau must be a number or "inf"') from None
+        return _as_float(value, where)
+    except ConfigurationError:
+        raise ConfigurationError(f'{where} must be a number or "inf"') from None
 
 
-def _section(doc, key, cls, extra=None):
-    raw = doc.get(key, {})
+_COERCE = {
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "str": _as_str,
+    "list": _list_of(lambda v, where: v),  # sweep values; each cell checks its own
+    "list[int]": _list_of(_as_int),
+    "list[str]": _list_of(_as_str),
+    "int | None": _off_or(_as_int),
+    "float | None": _off_or(_as_float),
+}
+
+
+def _build(cls, raw, where: str, special: dict | None = None):
+    """Construct section ``cls`` from a raw mapping, coercing each key by its
+    field annotation (or by ``special``); unknown, missing and wrong-typed keys
+    are ConfigurationErrors that name the key."""
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"{key!r} must be an object")
-    fields = {f for f in cls.__dataclass_fields__}
-    _reject_unknown(raw, fields, key)
-    merged = dict(raw)
-    if extra:
-        merged.update(extra)
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {key} section: {exc}") from None
+        raise ConfigurationError(f"{where!r} must be an object")
+    fields = cls.__dataclass_fields__
+    _reject_unknown(raw, fields, where)
+    special = special or {}
+    kwargs = {}
+    for key, value in raw.items():
+        path = key if where == "config" else f"{where}.{key}"
+        coerce = special[key] if key in special else _COERCE[fields[key].type]
+        kwargs[key] = coerce(value, path)
+    missing = [k for k, f in fields.items() if k not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{where} is missing {', '.join(map(repr, missing))}")
+    return cls(**kwargs)
 
 
-def parse_dict(doc: dict) -> ExperimentConfig:
-    """Validate a raw config mapping and fill defaults."""
-    top_keys = {
-        "task", "num_nodes", "alpha", "seed", "node", "ensemble", "distill",
-        "central_hidden_dims", "repeats", "query_noise", "labeled_public",
-        "rounds", "sweep",
-    }
-    _reject_unknown(doc, top_keys, "config")
-    if "task" not in doc or not isinstance(doc["task"], dict):
+def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
+    if not isinstance(raw, dict):
         raise ConfigurationError("config needs a 'task' object")
-    task_raw = dict(doc["task"])
-    kind = task_raw.pop("kind", None)
+    raw = dict(raw)
+    kind = raw.pop("kind", None)
     if kind == "synthetic":
-        _reject_unknown(task_raw, SyntheticTask.__dataclass_fields__, "task")
-        task = SyntheticTask(**task_raw)
+        task = _build(SyntheticTask, raw, where)
         if task.num_classes < 2 or task.dim < 1:
             raise ConfigurationError("task.num_classes >= 2 and task.dim >= 1 required")
         for key in ("train_per_class", "test_per_class", "public_per_class"):
             if getattr(task, key) < 1:
                 raise ConfigurationError(f"task.{key} must be >= 1")
     elif kind == "csv":
-        _reject_unknown(task_raw, CsvTask.__dataclass_fields__, "task")
-        try:
-            task = CsvTask(**task_raw)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad task section: {exc}") from None
+        task = _build(CsvTask, raw, where)
         if task.task_type not in (SINGLE_LABEL, MULTI_LABEL):
             raise ConfigurationError(f"unknown task.task_type {task.task_type!r}")
     else:
         raise ConfigurationError("task.kind must be 'synthetic' or 'csv'")
+    return task
 
-    ens_raw = doc.get("ensemble", {})
-    if not isinstance(ens_raw, dict):
-        raise ConfigurationError("'ensemble' must be an object")
-    _reject_unknown(ens_raw, EnsembleSection.__dataclass_fields__, "ensemble")
-    ens = EnsembleSection(
-        quant_scale=_off_or(ens_raw.get("quant_scale", 200), int, "ensemble.quant_scale"),
-        gamma=_off_or(ens_raw.get("gamma", 1.0), float, "ensemble.gamma"),
-        weight_mode=ens_raw.get("weight_mode", PER_CLASS),
-    )
-    if ens.weight_mode not in (PER_CLASS, UNIFORM):
-        raise ConfigurationError(f"unknown ensemble.weight_mode {ens.weight_mode!r}")
 
-    dis_raw = dict(doc.get("distill", {}))
-    if not isinstance(dis_raw, dict):
-        raise ConfigurationError("'distill' must be an object")
-    dis_raw["tau"] = _parse_tau(dis_raw.get("tau"))
-    dis = _section({"distill": dis_raw}, "distill", DistillSection)
+_TOP_LEVEL = {
+    "task": _parse_task,
+    "node": lambda raw, where: _build(NodeSection, raw, where),
+    "ensemble": lambda raw, where: _build(EnsembleSection, raw, where),
+    "distill": lambda raw, where: _build(DistillSection, raw, where, {"tau": _parse_tau}),
+    "sweep": lambda raw, where: None if raw is None else _build(SweepSection, raw, where),
+}
 
-    sweep = None
-    if doc.get("sweep") is not None:
-        sw = _section(doc, "sweep", SweepSection)
-        if sw.param not in SWEEP_AXES:
+
+def parse_dict(doc: dict) -> ExperimentConfig:
+    """Validate a raw config mapping and fill defaults. Every failure is a
+    ConfigurationError, so a bad config exits 2."""
+    cfg = _build(ExperimentConfig, doc, "config", _TOP_LEVEL)
+    if cfg.ensemble.weight_mode not in (PER_CLASS, UNIFORM):
+        raise ConfigurationError(f"unknown ensemble.weight_mode {cfg.ensemble.weight_mode!r}")
+    if cfg.sweep is not None:
+        if cfg.sweep.param not in SWEEP_AXES:
             raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
-        if not sw.values or not sw.seeds:
+        if not cfg.sweep.values or not cfg.sweep.seeds:
             raise ConfigurationError("sweep.values and sweep.seeds must be non-empty")
-        sweep = sw
-
-    cfg = ExperimentConfig(
-        task=task,
-        num_nodes=int(doc.get("num_nodes", 5)),
-        alpha=float(doc.get("alpha", 1.0)),
-        seed=int(doc.get("seed", 0)),
-        node=_section(doc, "node", NodeSection),
-        ensemble=ens,
-        distill=dis,
-        central_hidden_dims=list(doc.get("central_hidden_dims", [64])),
-        repeats=int(doc.get("repeats", 1)),
-        query_noise=float(doc.get("query_noise", 0.0)),
-        labeled_public=bool(doc.get("labeled_public", False)),
-        rounds=int(doc.get("rounds", 30)),
-        sweep=sweep,
-    )
+        if min(cfg.sweep.seeds) < 0:
+            raise ConfigurationError("sweep.seeds must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigurationError("seed must be >= 0")
     if cfg.num_nodes < 1:
         raise ConfigurationError("num_nodes must be >= 1")
     if cfg.alpha <= 0:
@@ -280,11 +309,16 @@ def parse_dict(doc: dict) -> ExperimentConfig:
         raise ConfigurationError("query_noise must be >= 0")
     if cfg.rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
+    for key, dims in (("node.hidden_dims", cfg.node.hidden_dims),
+                      ("central_hidden_dims", cfg.central_hidden_dims)):
+        if any(h < 1 for h in dims):
+            raise ConfigurationError(f"{key} entries must be >= 1")
     # constructing the runtime configs surfaces their own validation now
+    _node_train_config(cfg)
+    ens, dis = cfg.ensemble, cfg.distill
     EnsembleConfig(ens.quant_scale, ens.gamma, ens.weight_mode)
     DistillConfig(dis.steps, dis.batch_size, dis.lr_start, dis.lr_end,
-                  dis.weight_decay, dis.tau, dis.loss_mode,
-                  task.task_type if isinstance(task, CsvTask) else SINGLE_LABEL)
+                  dis.weight_decay, dis.tau, dis.loss_mode, _task_type(cfg))
     return cfg
 
 
@@ -465,25 +499,25 @@ def _apply_sweep_value(cfg: ExperimentConfig, param: str, value) -> ExperimentCo
     cell = copy.deepcopy(cfg)
     cell.sweep = None
     if param == "gamma":
-        cell.ensemble.gamma = _off_or(value, float, "sweep value")
+        cell.ensemble.gamma = _off_or(_as_float)(value, "sweep value")
     elif param == "S":
-        cell.ensemble.quant_scale = _off_or(value, int, "sweep value")
+        cell.ensemble.quant_scale = _off_or(_as_int)(value, "sweep value")
     elif param == "alpha":
-        cell.alpha = float(value)
+        cell.alpha = _as_float(value, "sweep value")
         if cell.alpha <= 0:
             raise ConfigurationError("alpha sweep values must be > 0")
     elif param == "K":
-        cell.num_nodes = int(value)
+        cell.num_nodes = _as_int(value, "sweep value")
         if cell.num_nodes < 1:
             raise ConfigurationError("K sweep values must be >= 1")
     elif param == "R":
-        cell.repeats = int(value)
+        cell.repeats = _as_int(value, "sweep value")
         if cell.repeats < 1:
             raise ConfigurationError("R sweep values must be >= 1")
     elif param == "d0":
         if not isinstance(cell.task, SyntheticTask):
             raise ConfigurationError("d0 sweep requires a synthetic task")
-        size = int(value)
+        size = _as_int(value, "sweep value")
         c = cell.task.num_classes
         if size < c or size % c:
             raise ConfigurationError(f"d0 sweep value {size} must be a positive multiple of {c}")
@@ -570,6 +604,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = parse_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
+        if seed < 0:
+            raise ConfigurationError("--seed must be >= 0")
         if args.command == "run":
             cmd_run(cfg, out, seed, args.force)
         elif args.command == "fedavg":

@@ -1,6 +1,6 @@
 """Offline distillation of aggregated teacher logits into a central model,
 plus the evaluation metrics used throughout (top-1 accuracy and rank-based
-AUC with unknown-label exclusion).
+AUC with unknown-label exclusion; the AUC's midranks are computed in numpy).
 
 Two distillation objectives:
 
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
 from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
@@ -225,7 +224,8 @@ def evaluate_single(model: MlpModel, ds: Dataset) -> float:
 
 def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-sum AUC over one class column; label -1 marks unknown and is
-    excluded before ranking. Needs at least one positive and one negative.
+    excluded before ranking. Needs at least one positive and one negative;
+    a NaN score makes the AUC NaN.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
@@ -237,7 +237,16 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC undefined without both a positive and a negative")
-    ranks = rankdata(scores)  # midranks, so ties contribute 1/2
+    if np.isnan(scores).any():
+        return math.nan
+    # midranks, so ties contribute 1/2: a tie group spanning sorted positions
+    # [start, end) gets the exact half-integer (start + end + 1) / 2
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     r_pos = ranks[labels == 1].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -53,19 +53,19 @@ class LogitBlock:
 
     node_id: int
     logits: np.ndarray  # |D0| x C
-    local_max_abs: float
+    local_max_abs: float | None = None  # None: take the actual max
 
     def __post_init__(self):
         self.logits = check_matrix(self.logits, "logits")
-        expect = float(np.max(np.abs(self.logits))) if self.logits.size else 0.0
-        if self.local_max_abs != expect:
-            raise ValueError(f"local_max_abs {self.local_max_abs} != actual max {expect}")
+        actual = float(np.max(np.abs(self.logits))) if self.logits.size else 0.0
+        if self.local_max_abs is None:
+            self.local_max_abs = actual
+        elif self.local_max_abs != actual:
+            raise ValueError(f"local_max_abs {self.local_max_abs} != actual max {actual}")
 
     @classmethod
     def from_logits(cls, node_id: int, logits: np.ndarray) -> "LogitBlock":
-        logits = check_matrix(logits, "logits")
-        m = float(np.max(np.abs(logits))) if logits.size else 0.0
-        return cls(node_id, logits, m)
+        return cls(node_id, logits)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -1,9 +1,15 @@
 """Config parsing, run artifacts, sweeps, reporting, and exit codes."""
+import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedkd.cli import (
     CsvTask,
@@ -355,6 +361,24 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("runtime error: distillation diverged on the central model")
 
+    @pytest.mark.parametrize("over, key", [
+        ({"distill": [1]}, "'distill' must be an object"),
+        ({"num_nodes": "abc"}, "num_nodes must be an integer"),
+        ({"task": {"kind": "synthetic", "num_classes": "4"}}, "task.num_classes must be an integer"),
+        ({"central_hidden_dims": 5}, "central_hidden_dims must be a list"),
+    ])
+    def test_wrong_typed_field_is_a_one_line_config_error(self, tmp_path, capsys, over, key):
+        p = write_config(tmp_path, tiny_doc(**over))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: {key}")
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        p = write_config(tmp_path, tiny_doc())
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+
     def test_fedavg_subcommand(self, tmp_path):
         p = write_config(tmp_path, tiny_doc())
         assert main(["fedavg", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
@@ -364,3 +388,69 @@ class TestMainExitCodes:
             sweep={"param": "S", "values": [50], "seeds": [0]}))
         assert main(["ablate", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "ablation.csv").exists()
+
+
+# Every field of a valid document, each to be replaced by a wrong-typed value.
+FULL_DOC = tiny_doc(
+    task={"kind": "synthetic", "num_classes": 3, "dim": 8, "train_per_class": 40,
+          "test_per_class": 30, "public_per_class": 40, "cov_scale": 1.0,
+          "class_sep": 4.0, "domain_shift": 1.0},
+    alpha=1.0, seed=0,
+    node={"hidden_dims": [16], "epochs": 5, "batch_size": 32, "lr_start": 0.05,
+          "lr_end": 0.0, "weight_decay": 0.0},
+    ensemble={"quant_scale": 200, "gamma": 1.0, "weight_mode": "per_class"},
+    distill={"steps": 60, "batch_size": 32, "lr_start": 0.05, "lr_end": 0.0,
+             "weight_decay": 0.0, "tau": 4.0, "loss_mode": "kl"},
+    central_hidden_dims=[16], repeats=1, query_noise=0.0, labeled_public=False,
+    sweep={"param": "gamma", "values": [None, 1.0], "seeds": [0, 1]},
+)
+CSV_DOC = tiny_doc(task={"kind": "csv", "private": "a.csv", "public": "b.csv",
+                         "test": "c.csv", "task_type": "single_label", "num_classes": 2,
+                         "feature_cols": ["x0", "x1"], "label_cols": ["y"]})
+
+
+def _field_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELDS = [(doc, path) for doc in (FULL_DOC, CSV_DOC) for path in _field_paths(doc)]
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.sampled_from(["4", "off", "inf", ""]),
+    st.integers(), st.sampled_from([10**400, -10**400]), st.floats(width=64),
+    st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=2), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+class TestParseDictTyping:
+    def test_full_documents_parse(self):
+        parse_dict(copy.deepcopy(FULL_DOC))
+        parse_dict(copy.deepcopy(CSV_DOC))
+
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(FIELDS), value=WRONG_VALUES)
+    def test_one_wrong_field_raises_only_configuration_error(self, field, value):
+        doc, path = field
+        doc = copy.deepcopy(doc)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            parse_dict(doc)
+        except ConfigurationError:
+            pass
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package runs on numpy alone; a cold `import fedkd.cli` pulls in no
+    scipy even where scipy is installed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import fedkd.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

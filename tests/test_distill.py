@@ -389,6 +389,33 @@ class TestAuc:
         with pytest.raises(EvaluationError):
             mann_whitney_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(mann_whitney_auc(np.array([0.1, np.nan, 0.3]), np.array([1, 0, 0])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-3, 3).map(float),  # many ties
+                st.sampled_from([-0.0, 0.0]),
+                st.floats(allow_nan=False, width=64),
+            ),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        min_size=2, max_size=60,
+    ))
+    def test_equals_the_pair_count_exactly(self, rows):
+        """(#{s_pos > s_neg} + 1/2 #{s_pos == s_neg}) / (n_pos n_neg), with
+        label -1 rows dropped; -0.0 and 0.0 tie."""
+        pos = [s for s, y in rows if y == 1]
+        neg = [s for s, y in rows if y == 0]
+        if not pos or not neg:
+            return
+        wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
+        scores = np.array([s for s, _ in rows])
+        labels = np.array([y for _, y in rows])
+        assert mann_whitney_auc(scores, labels) == wins / (len(pos) * len(neg))
+
 
 class TestEvaluateMulti:
     def test_per_class_and_mean(self):

@@ -1,4 +1,5 @@
 """Importance weights, quantizer, Laplace noise, ensemble, wire frames."""
+import importlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from fedkd.ensemble import (
     quantize_array,
 )
 from fedkd.errors import ConfigurationError, DimensionError, RangeError
-from fedkd.numkit import RandomStream
+from fedkd.numkit import RandomStream, check_matrix
 
 
 def block(node_id, values):
@@ -82,6 +83,19 @@ class TestGlobalMaxAbs:
     def test_local_max_must_be_exact(self):
         with pytest.raises(ValueError):
             LogitBlock(0, np.array([[1.0, 2.0]]), 3.0)
+
+    def test_block_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(a, name="matrix", cols=None):
+            calls.append(name)
+            return check_matrix(a, name, cols)
+
+        # the package re-exports the ensemble() function under the module's name
+        monkeypatch.setattr(importlib.import_module("fedkd.ensemble"), "check_matrix", counting)
+        b = block(0, [[1.0, -4.0], [2.0, 3.0]])
+        assert calls == ["logits"]
+        assert b.local_max_abs == 4.0
 
 
 class TestQuantize:
