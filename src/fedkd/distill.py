@@ -24,6 +24,7 @@ from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
 from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from .numkit import (
     CosineSchedule,
+    MlpGrads,
     MlpModel,
     RandomStream,
     _backprop,
@@ -87,12 +88,17 @@ class DistillConfig:
             raise ConfigurationError("kl loss needs a finite tau")
 
 
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction, computed in (and returning) z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def softmax_tau(z: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Row-wise tempered softmax with max subtraction."""
-    z = np.asarray(z, dtype=np.float64) / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_rows(np.asarray(z, dtype=np.float64) / tau)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -106,9 +112,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise p * log(p / q) with 0*log(0) taken as 0."""
-    return np.where(p > 0, p * (_safe_log(p) - _safe_log(q)), 0.0)
+def _kl_terms(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise p * log(p / q) with 0*log(0) taken as 0; ``log_p`` is
+    _safe_log(p) when the caller already has it."""
+    if log_p is None:
+        log_p = _safe_log(p)
+    return np.where(p > 0, p * (log_p - _safe_log(q)), 0.0)
 
 
 def kl_loss(p: np.ndarray, q: np.ndarray) -> float:
@@ -135,20 +144,30 @@ def logit_l2_loss(
     return distill_loss_grad(student, teacher, DistillConfig(loss_mode=LOGIT_L2))
 
 
-def _distill_loss_grad(student: np.ndarray, teacher: np.ndarray, cfg: DistillConfig):
-    """Unchecked :func:`distill_loss_grad`, the kernel the trainer calls."""
+def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig) -> tuple[np.ndarray, ...]:
+    """Per-row teacher inputs of the loss: the logits (``logit_l2``), the tempered
+    softmax and its safe log (single-label ``kl``) or tempered sigmoid (multi-label)."""
+    if cfg.loss_mode == LOGIT_L2:
+        return (teacher,)
+    if cfg.task == SINGLE_LABEL:
+        p = softmax_tau(teacher, cfg.tau)
+        return p, _safe_log(p)
+    return (sigmoid(teacher / cfg.tau),)
+
+
+def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig):
+    """Unchecked :func:`distill_loss_grad` given _teacher_targets; the trainer's kernel."""
     b = student.shape[0]
     if cfg.loss_mode == LOGIT_L2:
-        d = student - teacher
+        d = student - targets[0]
         return float((d * d).sum() / b), (2.0 / b) * d
     tau = cfg.tau
+    p = targets[0]
     if cfg.task == SINGLE_LABEL:
-        p = softmax_tau(teacher, tau)
         q = softmax_tau(student, tau)
         # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
-        loss = (tau * tau / b) * sum(_kl_terms(p, q).sum(axis=1).tolist())
+        loss = (tau * tau / b) * sum(_kl_terms(p, q, targets[1]).sum(axis=1).tolist())
     else:
-        p = sigmoid(teacher / tau)
         q = sigmoid(student / tau)
         loss = (tau * tau / b) * float(binary_kl_loss(p, q).sum())
     return loss, (tau / b) * (q - p)
@@ -162,7 +181,7 @@ def distill_loss_grad(
     teacher = check_matrix(teacher, "teacher logits")
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
-    return _distill_loss_grad(student, teacher, cfg)
+    return _distill_loss_grad(student, _teacher_targets(teacher, cfg), cfg)
 
 
 def distill(
@@ -188,21 +207,24 @@ def distill(
         raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
 
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
-    per_epoch = n // cfg.batch_size
+    b = cfg.batch_size
+    per_epoch = n // b
     model = model.copy()
+    grads = MlpGrads(model.weights, model.biases)  # reused buffer, overwritten each step
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
         for step in range(cfg.steps):
             j = step % per_epoch
             if j == 0:
-                order = rs.permutation(n)
-            idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
-            acts = _forward_trace(model, features[idx])
-            loss, gz = _distill_loss_grad(acts[-1], teacher_logits[idx], cfg)
+                order = rs.permutation(n)[: per_epoch * b]
+                xs, targets = features[order], _teacher_targets(teacher_logits[order], cfg)
+            rows = slice(j * b, (j + 1) * b)
+            acts = _forward_trace(model, xs[rows])
+            loss, gz = _distill_loss_grad(acts[-1], tuple(t[rows] for t in targets), cfg)
             lr = cosine_lr(sched, step)
-            model = sgd_step(model, _backprop(model, acts, gz), lr, cfg.weight_decay)
+            model = sgd_step(model, _backprop(model, acts, gz, grads), lr, cfg.weight_decay)
             trace.append({"step": step, "loss": loss, "lr": lr})
-    if not np.isfinite(model.flatten()).all():
+    if not np.isfinite(model.flat).all():
         raise DivergenceError("distillation")
     return model, trace
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RangeError
+from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
 from .numkit import RandomStream, check_matrix
 
 PER_CLASS = "per_class"
@@ -61,7 +61,7 @@ class LogitBlock:
         if self.local_max_abs is None:
             self.local_max_abs = actual
         elif self.local_max_abs != actual:
-            raise ValueError(f"local_max_abs {self.local_max_abs} != actual max {actual}")
+            raise ValidationError(f"local_max_abs {self.local_max_abs} != actual max {actual}")
 
     @classmethod
     def from_logits(cls, node_id: int, logits: np.ndarray) -> "LogitBlock":
@@ -100,10 +100,10 @@ class WeightTable:
     def __post_init__(self):
         self.omega = check_matrix(self.omega, "omega")
         if (self.omega < 0).any():
-            raise ValueError("weights must be non-negative")
+            raise ValidationError("weights must be non-negative")
         col = self.omega.sum(axis=0)
         if self.omega.shape[0] and np.abs(col - 1.0).max() > 1e-12:
-            raise ValueError("each class column must sum to 1")
+            raise ValidationError("each class column must sum to 1")
 
 
 def importance_weights(profiles: list) -> WeightTable:

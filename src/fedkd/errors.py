@@ -21,8 +21,9 @@ class FormatError(FedKdError):
     """An input file could not be parsed."""
 
 
-class ValidationError(FedKdError):
-    """Parsed data violates a schema or value constraint."""
+class ValidationError(FedKdError, ValueError):
+    """Data violates a schema or value constraint, such as non-finite
+    entries; a ValueError too, so handlers of bad values still catch it."""
 
 
 class EvaluationError(FedKdError):

@@ -2,8 +2,11 @@
 MLP with manual backpropagation, plain SGD with a cosine-annealed learning
 rate, and counter-keyed random streams.
 
-Nothing here keeps shared mutable state: a RandomStream advances only
-itself, and :func:`sgd_step` updates the model it is given, in place.
+A model keeps all its parameters in one float64 vector ``flat`` (w0, b0, w1,
+b1, ...); its weight and bias arrays are views into it, and its constructor
+copies the arrays it is given. Nothing here keeps shared mutable state: a
+RandomStream advances only itself, and :func:`sgd_step` updates the model it
+is given, in place, as one vector update.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, RangeError
+from .errors import DimensionError, RangeError, ValidationError
 
 __all__ = [
     "RandomStream",
@@ -88,7 +91,7 @@ def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None) -
     if a.dtype != np.float64:
         a = a.astype(np.float64)
     if a.size and not np.isfinite(a).all():
-        raise ValueError(f"{name}: non-finite entries")
+        raise ValidationError(f"{name}: non-finite entries")
     return a
 
 
@@ -123,19 +126,40 @@ def cosine_lr(schedule: CosineSchedule, step: int) -> float:
 # MLP
 
 
+def _layer_views(dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias views into ``flat``, laid out w0, b0, w1, b1, ..."""
+    weights, biases, off = [], [], 0
+    for fi, fo in zip(dims[:-1], dims[1:]):
+        weights.append(flat[off : off + fi * fo].reshape(fi, fo))
+        off += fi * fo
+        biases.append(flat[off : off + fo].reshape(1, fo))
+        off += fo
+    return weights, biases
+
+
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """A new float64 vector holding every array, laid out w0, b0, w1, b1, ..."""
+    return np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb], dtype=np.float64)
+
+
 @dataclass
 class MlpModel:
     """Fully connected net: ReLU hidden layers, raw logits out.
 
-    weights[i] has shape (layer_dims[i], layer_dims[i+1]); biases[i] is a
-    (1, layer_dims[i+1]) row. :func:`sgd_step` updates the arrays in place,
-    so whoever trains a model owns it; use :meth:`copy` to keep the input.
+    All parameters live in one contiguous float64 vector ``flat``, laid out
+    w0, b0, w1, b1, ... (the :func:`~fedkd.protocol.encode_params` frame
+    order). weights[i] is a (layer_dims[i], layer_dims[i+1]) view into it and
+    biases[i] a (1, layer_dims[i+1]) view. The constructor validates the
+    shapes and copies the given arrays into ``flat``, so it never aliases
+    them. :func:`sgd_step` updates ``flat`` in place, so whoever trains a
+    model owns it; use :meth:`copy` to keep the input.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activation: str = "relu"
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.layer_dims
@@ -150,6 +174,8 @@ class MlpModel:
                 raise DimensionError(f"biases[{i}]: expected {(1, dims[i+1])}, got {b.shape}")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation {self.activation!r}")
+        self.flat = _pack(self.weights, self.biases)
+        self.weights, self.biases = _layer_views(dims, self.flat)
 
     @property
     def num_layers(self) -> int:
@@ -167,24 +193,26 @@ class MlpModel:
         return sum((fi + 1) * fo for fi, fo in zip(self.layer_dims[:-1], self.layer_dims[1:]))
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return MlpModel(list(self.layer_dims), self.weights, self.biases, self.activation)
 
     def flatten(self) -> np.ndarray:
-        """All parameters as one float64 vector (weights then bias per layer)."""
-        return np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in zip(self.weights, self.biases)])
+        """All parameters as one new float64 vector (weights then bias per layer)."""
+        return self.flat.copy()
 
 
 @dataclass
 class MlpGrads:
-    """Parameter gradients with the same shapes as the owning model."""
+    """Parameter gradients with the shapes and the ``flat`` layout of the
+    owning model; the constructor copies the given arrays into ``flat``."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        self.flat = _pack(self.weights, self.biases)
+        self.weights, self.biases = _layer_views(dims, self.flat)
 
 
 def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
@@ -203,9 +231,10 @@ def _forward_trace(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
     h = batch
     last = model.num_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
@@ -215,18 +244,20 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return _forward_trace(model, check_matrix(batch, "batch", model.input_dim))[-1]
 
 
-def _backprop(model: MlpModel, acts: list[np.ndarray], grad_logits: np.ndarray) -> MlpGrads:
-    """Chain grad_logits back through the activations of one forward trace."""
-    gw = [None] * model.num_layers
-    gb = [None] * model.num_layers
+def _backprop(
+    model: MlpModel, acts: list[np.ndarray], grad_logits: np.ndarray, out: MlpGrads | None = None
+) -> MlpGrads:
+    """Chain grad_logits back through the activations of one forward trace,
+    writing into ``out`` (a fresh buffer if None)."""
+    grads = MlpGrads(model.weights, model.biases) if out is None else out  # values overwritten
     delta = grad_logits
     for i in range(model.num_layers - 1, -1, -1):
-        gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0, keepdims=True)
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=0, keepdims=True, out=grads.biases[i])
         if i > 0:
-            # ReLU subgradient: 0 at exactly 0
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0.0)
-    return MlpGrads(gw, gb)
+            delta = delta @ model.weights[i].T
+            delta *= acts[i] > 0.0  # ReLU subgradient: 0 at exactly 0
+    return grads
 
 
 def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpGrads:
@@ -243,9 +274,14 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
 
 
 def sgd_step(model: MlpModel, grads: MlpGrads, lr: float, weight_decay: float = 0.0) -> MlpModel:
-    """theta <- theta - lr * (grad + weight_decay * theta) in place; returns model."""
+    """theta <- theta - lr * (grad + weight_decay * theta), one in-place update
+    of ``model.flat``; returns model. Without decay the update is ``theta -
+    lr * grad``, bit-identical to adding 0 * theta when theta is finite."""
     if lr < 0 or weight_decay < 0:
         raise RangeError("lr and weight_decay must be >= 0")
-    for p, g in zip(model.weights + model.biases, grads.weights + grads.biases):
-        p -= lr * (g + weight_decay * p)
+    p = model.flat
+    if weight_decay:
+        p -= lr * (grads.flat + weight_decay * p)
+    else:
+        p -= lr * grads.flat
     return model

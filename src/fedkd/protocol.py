@@ -34,6 +34,7 @@ from .distill import (
     sigmoid,
     softmax_tau,
     _safe_log,
+    _softmax_rows,
 )
 from .ensemble import (
     EnsembleConfig,
@@ -48,10 +49,12 @@ from .ensemble import (
 from .errors import ConfigurationError, DimensionError, DivergenceError, RangeError
 from .numkit import (
     CosineSchedule,
+    MlpGrads,
     MlpModel,
     RandomStream,
     _backprop,
     _forward_trace,
+    _layer_views,
     check_matrix,
     cosine_lr,
     init_mlp,
@@ -165,9 +168,10 @@ class TrainConfig:
 
 
 def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Batch-mean cross-entropy logit gradient from the softmax p (overwritten)."""
+    """Batch-mean cross-entropy logit gradient, computed in the softmax p."""
     p[np.arange(p.shape[0]), labels] -= 1.0
-    return p / p.shape[0]
+    p /= p.shape[0]
+    return p
 
 
 def _bce_dlogits(q: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -213,7 +217,7 @@ def train_supervised(
         raise ConfigurationError("cannot train on an empty dataset")
     features = check_matrix(ds.features, "features", model.input_dim)
     if ds.task == SINGLE_LABEL:
-        link, dlogits, labels = softmax_tau, _xent_dlogits, ds.labels[:, 0]
+        link, dlogits, labels = _softmax_rows, _xent_dlogits, ds.labels[:, 0]
     else:
         link, dlogits, labels = sigmoid, _bce_dlogits, ds.labels
     b = min(cfg.batch_size, ds.n)
@@ -221,17 +225,19 @@ def train_supervised(
     horizon = cfg.epochs * per_epoch if total_steps is None else total_steps
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, horizon)
     model = model.copy()
+    grads = MlpGrads(model.weights, model.biases)  # reused buffer, overwritten each step
     with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
         for step in range(cfg.epochs * per_epoch):
             j = step % per_epoch
             if j == 0:
-                order = batch_rs.permutation(ds.n)
-            idx = order[j * b : (j + 1) * b]
-            acts = _forward_trace(model, features[idx])
-            gz = dlogits(link(acts[-1]), labels[idx])
+                order = batch_rs.permutation(ds.n)[: per_epoch * b]
+                xs, ys = features[order], labels[order]
+            rows = slice(j * b, (j + 1) * b)
+            acts = _forward_trace(model, xs[rows])
+            gz = dlogits(link(acts[-1]), ys[rows])
             lr = cosine_lr(sched, step_offset + step)
-            model = sgd_step(model, _backprop(model, acts, gz), lr, cfg.weight_decay)
-    if not np.isfinite(model.flatten()).all():
+            model = sgd_step(model, _backprop(model, acts, gz, grads), lr, cfg.weight_decay)
+    if not np.isfinite(model.flat).all():
         raise DivergenceError("node training", node_id)
     return model
 
@@ -483,9 +489,7 @@ def run_fedavg(
             )
             ledger.add("params_up", k, pbytes)
             locals_.append(model)
-        new_w = [sum(c * m.weights[i] for c, m in zip(coef, locals_)) for i in range(len(dims) - 1)]
-        new_b = [sum(c * m.biases[i] for c, m in zip(coef, locals_)) for i in range(len(dims) - 1)]
-        global_model = MlpModel(dims, new_w, new_b)
+        global_model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
 
     metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
     metrics = {
@@ -517,22 +521,12 @@ def param_payload_bytes(model: MlpModel) -> int:
 
 
 def encode_params(model: MlpModel) -> bytes:
-    """Row-major float64 dump of all weights then biases, layer by layer."""
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.astype("<f8").tobytes())
-        parts.append(b.astype("<f8").tobytes())
-    return b"".join(parts)
+    """Row-major float64 dump of all weights then biases, layer by layer
+    (the layout of ``model.flat``)."""
+    return model.flat.astype("<f8").tobytes()
 
 
 def decode_params(layer_dims: list[int], buf: bytes) -> MlpModel:
     if len(buf) != 8 * sum((layer_dims[i] + 1) * layer_dims[i + 1] for i in range(len(layer_dims) - 1)):
         raise DimensionError("parameter frame length does not match layer dims")
-    weights, biases = [], []
-    off = 0
-    for fi, fo in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(np.frombuffer(buf, "<f8", fi * fo, off).reshape(fi, fo).copy())
-        off += 8 * fi * fo
-        biases.append(np.frombuffer(buf, "<f8", fo, off).reshape(1, fo).copy())
-        off += 8 * fo
-    return MlpModel(layer_dims, weights, biases)
+    return MlpModel(layer_dims, *_layer_views(layer_dims, np.frombuffer(buf, "<f8")))

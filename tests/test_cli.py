@@ -361,6 +361,32 @@ class TestMainExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("runtime error: distillation diverged on the central model")
 
+    @pytest.mark.parametrize("case, message", [
+        ("csv_nan", "features: non-finite entries"),
+        ("gamma", "teacher logits: non-finite entries"),
+        ("cov_scale", "logits: non-finite entries"),
+    ])
+    def test_non_finite_data_is_a_one_line_runtime_error(self, tmp_path, capsys, case, message):
+        if case == "csv_nan":
+            doc = tiny_doc(num_nodes=2)
+            doc["task"] = write_csv_task(tmp_path)
+            private = Path(doc["task"]["private"])
+            lines = private.read_text().splitlines()
+            lines[3] = "nan," + lines[3].split(",", 1)[1]
+            private.write_text("\n".join(lines) + "\n")
+        elif case == "gamma":
+            # Laplace noise at scale 1e320 overflows the teacher logits
+            doc = tiny_doc(num_nodes=2, ensemble={"gamma": 1e-320})
+        else:
+            # one SGD step on 1e300-scale features leaves finite but huge
+            # weights, so the public query overflows
+            doc = tiny_doc(num_nodes=2, node={"hidden_dims": [16], "epochs": 1,
+                                              "batch_size": 1000})
+            doc["task"]["cov_scale"] = 1e300
+        p = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
+
     @pytest.mark.parametrize("over, key", [
         ({"distill": [1]}, "'distill' must be an object"),
         ({"num_nodes": "abc"}, "num_nodes must be an integer"),

@@ -311,6 +311,24 @@ class TestDistillTrainer:
         for a, b in zip(model.weights + model.biases, before.weights + before.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode,task,tau", [
+        (LOGIT_L2, SINGLE_LABEL, math.inf),
+        (KL, SINGLE_LABEL, 2.0),
+        (KL, MULTI_LABEL, 2.0),
+    ])
+    def test_bit_identical_with_a_dropped_tail_and_no_weight_decay(self, mode, task, tau):
+        # 203 rows in batches of 25: 8 batches an epoch and 3 rows dropped; 30
+        # steps end part-way through the fourth epoch
+        model = init_mlp([6, 9, 5], RandomStream(3, (45,)))
+        x = public_features(n=203, seed=3)
+        teacher = 3.0 * RandomStream(3, (47,)).gauss((203, 5))
+        cfg = DistillConfig(steps=30, batch_size=25, lr_start=0.2, lr_end=0.0,
+                            tau=tau, loss_mode=mode, task=task)
+        out, trace = distill(model, x, teacher, cfg, RandomStream(3, (46,)))
+        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(3, (46,)))
+        assert trace == ref_trace
+        assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
+
     def test_divergence_is_a_typed_error_without_warnings(self):
         model = init_mlp([6, 8, 3], RandomStream(0, (45,)))
         cfg = DistillConfig(steps=20, batch_size=16, lr_start=1e300)

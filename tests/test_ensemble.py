@@ -25,7 +25,7 @@ from fedkd.ensemble import (
     quantize,
     quantize_array,
 )
-from fedkd.errors import ConfigurationError, DimensionError, RangeError
+from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
 from fedkd.numkit import RandomStream, check_matrix
 
 
@@ -60,6 +60,18 @@ class TestImportanceWeights:
             WeightTable(np.array([[0.4], [0.4]]))
         with pytest.raises(ValueError):
             WeightTable(np.array([[1.5], [-0.5]]))
+
+    def test_invalid_tables_and_blocks_are_validation_errors(self):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            WeightTable(np.array([[0.4], [0.4]]))
+        with pytest.raises(ValidationError, match="non-negative"):
+            WeightTable(np.array([[1.5], [-0.5]]))
+        with pytest.raises(ValidationError, match="omega: non-finite"):
+            WeightTable(np.array([[np.nan], [1.0]]))
+        with pytest.raises(ValidationError, match="logits: non-finite"):
+            LogitBlock(0, np.array([[1.0, np.inf]]))
+        with pytest.raises(ValidationError, match="local_max_abs"):
+            LogitBlock(0, np.array([[1.0, 2.0]]), 3.0)
 
 
 class TestGlobalMaxAbs:

@@ -3,19 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedkd.errors import DimensionError, RangeError
+from fedkd.errors import DimensionError, FedKdError, RangeError, ValidationError
 from fedkd.numkit import (
     CosineSchedule,
     MlpGrads,
     MlpModel,
     RandomStream,
+    check_matrix,
     cosine_lr,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
 )
+from fedkd.protocol import encode_params
 
 
 def naive_forward(model, batch):
@@ -210,6 +213,30 @@ class TestSgd:
         with pytest.raises(RangeError):
             sgd_step(model, grads, -0.1)
 
+    # values of a [2, 3, 1] model: signed zeros, any finite magnitude, mixed signs
+    _params = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False,
+                       allow_infinity=False)), min_size=13, max_size=13)
+
+    @given(p=_params, g=_params,
+           lr=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           wd=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_vector_update_equals_the_per_array_update_bit_for_bit(self, p, g, lr, wd):
+        def split(v):  # the flat layout: w0 (2x3), b0, w1 (3x1), b1
+            v = np.array(v)
+            weights = [v[:6].reshape(2, 3), v[9:12].reshape(3, 1)]
+            biases = [v[6:9].reshape(1, 3), v[12:].reshape(1, 1)]
+            return weights, biases
+
+        model = MlpModel([2, 3, 1], *split(p))
+        grads = MlpGrads(*split(g))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = [a - lr * (ga + wd * a) for a, ga in zip(model.weights + model.biases,
+                                                            grads.weights + grads.biases)]
+            sgd_step(model, grads, lr, wd)
+        ref_flat = np.concatenate([a.ravel() for a in (ref[0], ref[2], ref[1], ref[3])])
+        assert np.array_equal(model.flat.view(np.int64), ref_flat.view(np.int64))
+
 
 class TestModel:
     def test_parameter_count_formula(self):
@@ -231,3 +258,40 @@ class TestModel:
     def test_flatten_length_matches_parameter_count(self):
         model = make_model([4, 6, 2])
         assert model.flatten().shape == (model.parameter_count(),)
+
+    def test_constructor_copies_into_one_vector_in_frame_order(self):
+        rs = RandomStream(0, (71,))
+        weights, biases = [rs.gauss((2, 3)), rs.gauss((3, 4))], [rs.gauss((1, 3)), rs.gauss((1, 4))]
+        given_arrays = [a.copy() for a in weights + biases]
+        model = MlpModel([2, 3, 4], weights, biases)
+        frame = np.concatenate([weights[0].ravel(), biases[0].ravel(),
+                                weights[1].ravel(), biases[1].ravel()])
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert np.array_equal(model.flat, frame)
+        assert encode_params(model) == frame.astype("<f8").tobytes()
+        # the given arrays are copied, not aliased
+        assert not any(np.shares_memory(model.flat, a) for a in weights + biases)
+        model.flat += 1.0
+        assert all(np.array_equal(a, b) for a, b in zip(weights + biases, given_arrays))
+        # weights/biases are views into flat, so writes through either side agree
+        assert all(np.shares_memory(a, model.flat) for a in model.weights + model.biases)
+        model.weights[1][2, 3] = 7.0
+        assert model.flat[6 + 3 + 11] == 7.0
+        model.flat[6:9] = [1.0, 2.0, 3.0]
+        assert np.array_equal(model.biases[0], [[1.0, 2.0, 3.0]])
+        # copy, flatten and MlpGrads own their own buffers
+        copied, flat = model.copy(), model.flatten()
+        assert not np.shares_memory(copied.flat, model.flat)
+        assert not np.shares_memory(flat, model.flat)
+        assert np.array_equal(copied.flat, model.flat) and np.array_equal(flat, model.flat)
+        grads = MlpGrads(model.weights, model.biases)
+        assert not np.shares_memory(grads.flat, model.flat)
+        assert np.array_equal(grads.flat, model.flat)
+        assert all(np.shares_memory(a, grads.flat) for a in grads.weights + grads.biases)
+
+
+class TestCheckMatrix:
+    def test_non_finite_entries_are_a_validation_error(self):
+        with pytest.raises(ValidationError, match="x: non-finite entries") as exc:
+            check_matrix(np.array([[1.0, np.inf]]), "x")
+        assert isinstance(exc.value, FedKdError) and isinstance(exc.value, ValueError)

@@ -514,6 +514,20 @@ class TestFusedTrainingStep:
         assert params_equal(model, before)  # the caller's model is untouched
         assert not params_equal(out, before)
 
+    @pytest.mark.parametrize("task", [SINGLE_LABEL, MULTI_LABEL])
+    def test_bit_identical_without_weight_decay(self, task):
+        # batches of 20 leave a tail of 7 (single-label) or 10 (multi-label)
+        # rows; every 8th row spans all four classes
+        if task == SINGLE_LABEL:
+            ds = make_fixture()[0].subset(np.arange(0, 1176, 8))
+        else:
+            ds = multi_label_fixture()
+        cfg = TrainConfig([16, 12, 4], epochs=4, batch_size=20, lr_start=0.2)
+        model = init_mlp(cfg.layer_dims, RandomStream(4, (45,)))
+        out = train_supervised(model, ds, cfg, RandomStream(4, (46,)))
+        ref = reference_train(model.copy(), ds, cfg, RandomStream(4, (46,)))
+        assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
+
     def test_divergence_is_a_typed_error_naming_the_node(self):
         train, _, _, _ = make_fixture()
         cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=1e300)
