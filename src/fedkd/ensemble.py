@@ -63,10 +63,6 @@ class LogitBlock:
         elif self.local_max_abs != actual:
             raise ValidationError(f"local_max_abs {self.local_max_abs} != actual max {actual}")
 
-    @classmethod
-    def from_logits(cls, node_id: int, logits: np.ndarray) -> "LogitBlock":
-        return cls(node_id, logits)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.logits.shape
@@ -138,20 +134,24 @@ def _check_quant_args(z_max: float, scale: int) -> None:
 
 
 def quantize(z: float, z_max: float, scale: int) -> float:
-    """Snap one logit to the uniform grid defined by z_max and scale."""
-    _check_quant_args(z_max, scale)
-    if abs(z) > z_max:
-        raise RangeError(f"|z|={abs(z)} exceeds z_max={z_max} (stale z_max?)")
-    return math.ceil(scale * z / (2.0 * z_max)) * (2.0 * z_max / scale)
+    """Scalar :func:`quantize_array`."""
+    return float(quantize_array(z, z_max, scale))
+
+
+def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked grid levels ceil(S*z / (2*z_max)), written into ``out`` (a new array if None)."""
+    out = np.multiply(scale, z, out=np.empty(np.shape(z)) if out is None else out)
+    out /= 2.0 * z_max
+    return np.ceil(out, out=out)
 
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
-    """Vectorized :func:`quantize` over an array of logits."""
+    """Snap every logit to the uniform grid defined by z_max and scale."""
     _check_quant_args(z_max, scale)
     z = np.asarray(z, dtype=np.float64)
     if z.size and np.max(np.abs(z)) > z_max:
-        raise RangeError("array contains |z| > z_max (stale z_max?)")
-    return np.ceil(scale * z / (2.0 * z_max)) * (2.0 * z_max / scale)
+        raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
+    return _levels(z, z_max, scale) * (2.0 * z_max / scale)
 
 
 def laplace_sample(gamma: float, rs: RandomStream, size=None):
@@ -178,9 +178,9 @@ def ensemble(
     """Aggregate per Eq-style weighted sum of quantized blocks plus one fresh
     Laplace draw per (sample, class) cell.
 
-    The noise matrix is materialized row-major from the given stream before any
-    weighting, so the result is identical under any parallel schedule of the
-    per-sample work.
+    Blocks fold into one accumulator in list (node) order through one reused
+    buffer, so memory does not grow with the block count; no block is written.
+    The noise is drawn row-major from the given stream after the fold.
     """
     if not blocks:
         raise ConfigurationError("need at least one logit block")
@@ -188,32 +188,28 @@ def ensemble(
     for b in blocks:
         if b.shape != shape:
             raise DimensionError(f"block {b.node_id} has shape {b.shape}, expected {shape}")
-    rows, cols = shape
+    # Each local_max_abs was checked when its block was built, so no block exceeds
+    # z_max: levels are taken unchecked. z_max = 0: quantization off, or all-zero blocks.
+    z_max = global_max_abs(blocks) if cfg.quant_scale is not None else 0.0
+    weighted = cfg.weight_mode != UNIFORM and weights is not None
+    if weighted and weights.omega.shape[1] != shape[1]:
+        raise DimensionError("weight table class count does not match blocks")
 
-    if cfg.quant_scale is not None:
-        z_max = global_max_abs(blocks)
+    acc = np.zeros(shape)
+    buf = np.empty(shape)
+    for b in blocks:
+        q = b.logits
         if z_max > 0:
-            quantized = [quantize_array(b.logits, z_max, cfg.quant_scale) for b in blocks]
-        else:
-            quantized = [b.logits for b in blocks]  # all-zero blocks: grid point 0
-    else:
-        quantized = [b.logits for b in blocks]
-
-    if cfg.weight_mode == UNIFORM or weights is None:
-        # sum-then-divide so the no-op configuration is exactly the mean
-        acc = np.zeros(shape)
-        for q in quantized:
-            acc += q
-        acc /= len(blocks)
-    else:
-        if weights.omega.shape[1] != cols:
-            raise DimensionError("weight table class count does not match blocks")
-        acc = np.zeros(shape)
-        for b, q in zip(blocks, quantized):
-            acc += q * weights.omega[b.node_id][None, :]
+            q = _levels(q, z_max, cfg.quant_scale, out=buf)
+            q *= 2.0 * z_max / cfg.quant_scale
+        if weighted:
+            q = np.multiply(q, weights.omega[b.node_id][None, :], out=buf)
+        acc += q
+    if not weighted:
+        acc /= len(blocks)  # sum-then-divide so the no-op configuration is exactly the mean
 
     if cfg.gamma is not None:
-        acc = acc + laplace_sample(cfg.gamma, rs, size=shape)
+        acc += laplace_sample(cfg.gamma, rs, size=shape)
     return acc
 
 
@@ -263,7 +259,7 @@ def encode_block(block: LogitBlock) -> bytes:
 def encode_block_packed(block: LogitBlock, z_max: float, scale: int) -> bytes:
     """Compressed frame: quantization level indices at quant_level_bits each."""
     _check_quant_args(z_max, scale)
-    levels = np.ceil(scale * block.logits / (2.0 * z_max)).astype(np.int64)
+    levels = _levels(block.logits, z_max, scale).astype(np.int64)
     min_level = -(scale // 2)  # ceil(-S/2)
     idx = (levels - min_level).ravel()
     if idx.size and (idx.min() < 0 or idx.max() > scale):
@@ -281,7 +277,7 @@ def decode_block(frame: bytes) -> tuple[LogitBlock, dict]:
     off = _HEADER.size
     if mode == _MODE_FLOAT:
         logits = np.frombuffer(frame, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-        return LogitBlock.from_logits(node_id, logits.copy()), {"mode": "float64"}
+        return LogitBlock(node_id, logits.copy()), {"mode": "float64"}
     if mode == _MODE_PACKED:
         (scale,) = _SCALE_FIELD.unpack_from(frame, off)
         off += _SCALE_FIELD.size
@@ -292,5 +288,5 @@ def decode_block(frame: bytes) -> tuple[LogitBlock, dict]:
         idx = (bitstream.astype(np.int64) << np.arange(bits - 1, -1, -1)).sum(axis=1)
         levels = idx - (scale // 2)
         logits = (levels * (2.0 * scale_value / scale)).reshape(rows, cols)
-        return LogitBlock.from_logits(node_id, logits), {"mode": "packed", "quant_scale": scale, "z_max": scale_value}
+        return LogitBlock(node_id, logits), {"mode": "packed", "quant_scale": scale, "z_max": scale_value}
     raise RangeError(f"unknown frame mode {mode}")

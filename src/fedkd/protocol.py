@@ -58,7 +58,6 @@ from .numkit import (
     check_matrix,
     cosine_lr,
     init_mlp,
-    mlp_forward,
     sgd_step,
 )
 
@@ -309,21 +308,24 @@ def collect_logits(
     public_features = check_matrix(public_features, "public features")
     if repeats < 1:
         raise ConfigurationError("repeats must be >= 1")
-    rows = public_features.shape[0]
+    rows, cols = public_features.shape
     blocks = []
     for h in handles:
         if h.model is None:
             continue
+        if h.model.input_dim != cols:
+            raise DimensionError(f"public features: expected {h.model.input_dim} columns, got {cols}")
         acc = None
         for r in range(repeats):
             x = public_features
             if noise_scale:
                 qrs = _node_stream(seed, node_seeds, h.node_id, STREAM_QUERY, r)
                 x = public_features + noise_scale * qrs.gauss(public_features.shape)
-            z = mlp_forward(h.model, x)
+            with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
+                z = _forward_trace(h.model, x)[-1]
             h.query_rows += rows
             acc = z if acc is None else acc + z
-        block = LogitBlock.from_logits(h.node_id, acc / repeats)
+        block = LogitBlock(h.node_id, acc / repeats)
         blocks.append(block)
         if ledger is not None:
             ledger.add("logits_up", h.node_id, repeats * float_payload_bytes(*block.shape))
@@ -367,6 +369,22 @@ def _evaluate(model: MlpModel, test: Dataset) -> float:
     return evaluate_multi(model, test).mean_auc
 
 
+def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger):
+    """(teacher, weights, block count) from one query of every trained node; the
+    logit blocks die on return, so none is held through distillation."""
+    blocks = collect_logits(
+        handles, public_x, run.repeats, run.query_noise, run.seed, run.node_seeds, ledger
+    )
+    if not blocks:
+        raise ConfigurationError("every shard was empty; nothing to aggregate")
+    for b in blocks:
+        ledger.add("scalar_max_up", b.node_id, 8)
+
+    weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
+    teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
+    return teacher, weights, len(blocks)
+
+
 def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdResult:
     """Local training, one-shot weighted/quantized/noisy logit aggregation,
     then offline distillation into a fresh central model.
@@ -376,7 +394,6 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
     count the combined set, since weights reflect the data actually trained
     on).
     """
-    k = run.plan.num_nodes
     shards = [private.subset(a) for a in run.plan.assignments]
     if run.labeled_public:
         if not isinstance(public, Dataset):
@@ -390,18 +407,7 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
 
     handles = train_locals(shards, run.node_cfg, run.seed, run.node_seeds)
     ledger = BandwidthLedger()
-    blocks = collect_logits(
-        handles, public_x, run.repeats, run.query_noise, run.seed, run.node_seeds, ledger
-    )
-    if not blocks:
-        raise ConfigurationError("every shard was empty; nothing to aggregate")
-    for b in blocks:
-        ledger.add("scalar_max_up", b.node_id, 8)
-
-    weights = None
-    if run.ensemble_cfg.weight_mode == PER_CLASS:
-        weights = importance_weights(profiles)
-    teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
+    teacher, weights, senders = _teacher(run, handles, profiles, public_x, ledger)
 
     central = init_mlp(run.central_dims, RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
     central, trace = distill(
@@ -416,17 +422,15 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
         "central": _evaluate(central, test),
         "standalone": standalone,
         "standalone_mean": float(np.mean(present)),
-        "num_nodes": k,
+        "num_nodes": run.plan.num_nodes,
         "public_rows": int(public_x.shape[0]),
         "repeats": run.repeats,
         "query_rows": [h.query_rows for h in handles],
         "bandwidth": ledger_report(ledger),
     }
     if run.ensemble_cfg.quant_scale is not None:
-        rows, cols = blocks[0].shape
-        metrics["packed_logits_bytes"] = sum(
-            run.repeats * packed_payload_bytes(rows, cols, run.ensemble_cfg.quant_scale)
-            for _ in blocks
+        metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
+            *teacher.shape, run.ensemble_cfg.quant_scale
         )
     return FedKdResult(central, handles, teacher, weights, metrics, ledger, trace)
 

@@ -471,6 +471,21 @@ class TestParseDictTyping:
             pass
 
 
+def test_non_finite_query_prints_one_stderr_line(tmp_path):
+    """Outside pytest's warning capture: no numpy RuntimeWarning reaches
+    stderr ahead of the one-line runtime error."""
+    doc = tiny_doc(num_nodes=2, node={"hidden_dims": [16], "epochs": 1, "batch_size": 1000})
+    doc["task"]["cov_scale"] = 1e300
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "fedkd.cli", "run", "--config", str(write_config(tmp_path, doc)),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert out.returncode == 3
+    assert out.stderr == "runtime error: logits: non-finite entries\n"
+
+
 def test_import_leaves_scipy_unloaded():
     """The package runs on numpy alone; a cold `import fedkd.cli` pulls in no
     scipy even where scipy is installed."""

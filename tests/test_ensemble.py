@@ -1,6 +1,7 @@
 """Importance weights, quantizer, Laplace noise, ensemble, wire frames."""
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fedkd.datasets import NodeProfile
 from fedkd.ensemble import (
     EnsembleConfig,
     LogitBlock,
+    PER_CLASS,
     UNIFORM,
     WeightTable,
     decode_block,
@@ -30,7 +32,7 @@ from fedkd.numkit import RandomStream, check_matrix
 
 
 def block(node_id, values):
-    return LogitBlock.from_logits(node_id, np.asarray(values, dtype=np.float64))
+    return LogitBlock(node_id, np.asarray(values, dtype=np.float64))
 
 
 class TestImportanceWeights:
@@ -260,6 +262,79 @@ class TestEnsemble:
         with pytest.raises(ConfigurationError):
             EnsembleConfig(weight_mode="weird")
         assert EnsembleConfig(weight_mode=UNIFORM).gamma == 1.0
+
+
+def list_then_sum(blocks, weights, cfg, rs):
+    """The ensemble as first written: quantize every block into a list, then
+    sum the list; the oracle for the streamed fold."""
+    shape = blocks[0].shape
+    quantized = [b.logits for b in blocks]
+    if cfg.quant_scale is not None:
+        z_max, s = max(b.local_max_abs for b in blocks), cfg.quant_scale
+        if z_max > 0:
+            quantized = [np.ceil(s * q / (2.0 * z_max)) * (2.0 * z_max / s) for q in quantized]
+    acc = np.zeros(shape)
+    if cfg.weight_mode == UNIFORM or weights is None:
+        for q in quantized:
+            acc += q
+        acc /= len(blocks)
+    else:
+        for b, q in zip(blocks, quantized):
+            acc += q * weights.omega[b.node_id][None, :]
+    if cfg.gamma is not None:
+        acc = acc + laplace_sample(cfg.gamma, rs, size=shape)
+    return acc
+
+
+@st.composite
+def ensemble_cases(draw):
+    """K in 1..6 blocks under node ids with gaps, quantized, unquantized or
+    all-zero (signed zeros included), weighted or uniform, noise on or off."""
+    k = draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["quantized", "unquantized", "zero"]))
+    values = st.sampled_from([0.0, -0.0]) if kind == "zero" else st.floats(-1e6, 1e6)
+    node_ids = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k)))
+    blocks = [LogitBlock(i, np.array(draw(st.lists(values, min_size=rows * cols,
+                                                   max_size=rows * cols))).reshape(rows, cols))
+              for i in node_ids]
+    counts = draw(st.lists(st.lists(st.integers(0, 9), min_size=cols, max_size=cols),
+                           min_size=8, max_size=8))
+    weights = draw(st.sampled_from([None, importance_weights([NodeProfile(c) for c in counts])]))
+    cfg = EnsembleConfig(
+        quant_scale=None if kind == "unquantized" else draw(st.integers(2, 400)),
+        gamma=draw(st.none() | st.floats(0.1, 10.0)),
+        weight_mode=draw(st.sampled_from([PER_CLASS, UNIFORM])),
+    )
+    return blocks, weights, cfg, draw(st.integers(0, 2**16))
+
+
+class TestStreamedEnsemble:
+    @given(ensemble_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_list_then_sum(self, case):
+        blocks, weights, cfg, seed = case
+        before = [b.logits.tobytes() for b in blocks]
+        out = ensemble(blocks, weights, cfg, RandomStream(seed, (4,)))
+        ref = list_then_sum(blocks, weights, cfg, RandomStream(seed, (4,)))
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert [b.logits.tobytes() for b in blocks] == before  # no block is written
+
+    def test_peak_memory_does_not_grow_with_the_block_count(self):
+        rs = RandomStream(0, (7,))
+        blocks = [LogitBlock(k, rs.gauss((20000, 10))) for k in range(20)]
+        weights = importance_weights([NodeProfile(np.arange(1, 11) + k) for k in range(20)])
+        cfg = EnsembleConfig(quant_scale=200, gamma=1.0)
+
+        def peak(k):
+            tracemalloc.start()
+            try:
+                ensemble(blocks[:k], weights, cfg, RandomStream(0, (4,)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(20) - peak(4)) < blocks[0].logits.nbytes
 
 
 class TestWireFrames:

@@ -1,6 +1,11 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
+import weakref
+
 import numpy as np
 import pytest
+
+import fedkd.numkit
+import fedkd.protocol
 
 from fedkd.datasets import (
     Dataset,
@@ -254,6 +259,19 @@ class TestCollectLogits:
         with pytest.raises(ConfigurationError):
             collect_logits(self.make_handles(1), np.zeros((4, 16)), repeats=0)
 
+    def test_public_matrix_is_checked_once(self, monkeypatch):
+        calls = []
+        for mod in (fedkd.protocol, fedkd.numkit):
+            real = mod.check_matrix
+            monkeypatch.setattr(mod, "check_matrix",
+                                lambda a, *args, real=real: calls.append(1) or real(a, *args))
+        blocks = collect_logits(self.make_handles(3), np.zeros((10, 16)))
+        assert len(blocks) == 3 and len(calls) == 1
+
+    def test_public_width_must_match_every_model(self):
+        with pytest.raises(DimensionError, match="expected 16 columns, got 8"):
+            collect_logits(self.make_handles(2), np.zeros((10, 8)))
+
 
 # ---------------------------------------------------------------------------
 # full aggregation run
@@ -330,6 +348,26 @@ class TestRunFedkd:
             assert h.train_set.n >= public.n
         # weights now count the shared rows, so every class column is defined
         assert np.isfinite(res.weights.omega).all()
+
+    def test_logit_blocks_are_freed_before_distillation(self, monkeypatch):
+        train, test, public, plan = make_fixture()
+        refs, alive = [], []
+        real_collect, real_distill = fedkd.protocol.collect_logits, fedkd.protocol.distill
+
+        def collect(*args, **kwargs):
+            blocks = real_collect(*args, **kwargs)
+            refs.extend(weakref.ref(b) for b in blocks)
+            return blocks
+
+        def distill(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            return real_distill(*args, **kwargs)
+
+        monkeypatch.setattr(fedkd.protocol, "collect_logits", collect)
+        monkeypatch.setattr(fedkd.protocol, "distill", distill)
+        run_fedkd(base_run(plan, distill_cfg=DistillConfig(steps=20, batch_size=64)),
+                  train, public, test)
+        assert len(refs) == plan.num_nodes and alive == [0]
 
     def test_all_empty_rejected(self):
         _, test, public, _ = make_fixture()
@@ -499,7 +537,7 @@ class TestFusedTrainingStep:
     @pytest.mark.parametrize("resume", [None, (50, 12)])
     def test_bit_identical_to_the_public_per_step_chain(self, task, resume):
         if task == SINGLE_LABEL:
-            ds = make_fixture()[0].subset(np.arange(150))
+            ds = make_fixture()[0].subset(np.arange(0, 1200, 8))  # all four classes
         else:
             ds = multi_label_fixture()
         cfg = TrainConfig([16, 12, 8, 4], epochs=3, batch_size=16, lr_start=0.1,
