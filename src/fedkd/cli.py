@@ -25,14 +25,13 @@ Config layout (JSON; unknown keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import datetime
 import hashlib
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +46,8 @@ from .datasets import (
     gen_gaussian_task,
     load_csv,
 )
-from .distill import DistillConfig, LOGIT_L2
-from .ensemble import EnsembleConfig, PER_CLASS, UNIFORM
+from .distill import DistillConfig
+from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, FedKdError
 from .numkit import RandomStream
 from .protocol import (
@@ -66,7 +65,12 @@ STREAM_TEST = 12
 STREAM_PUBLIC = 13
 STREAM_PARTITION = 14
 
-SWEEP_AXES = ("gamma", "S", "d0", "alpha", "K", "R")
+# the config field each sweep axis sets; d0 is the public-set size |D0|, which
+# sets public_per_class = d0 / num_classes
+SWEEP_FIELDS = {"gamma": "ensemble.gamma", "S": "ensemble.quant_scale",
+                "d0": "task.public_per_class", "alpha": "alpha", "K": "num_nodes",
+                "R": "repeats"}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 __all__ = [
     "ExperimentConfig",
@@ -116,24 +120,6 @@ class NodeSection:
 
 
 @dataclass
-class EnsembleSection:
-    quant_scale: int | None = 200
-    gamma: float | None = 1.0
-    weight_mode: str = PER_CLASS
-
-
-@dataclass
-class DistillSection:
-    steps: int = 2000
-    batch_size: int = 64
-    lr_start: float = 0.05
-    lr_end: float = 0.0
-    weight_decay: float = 0.0
-    tau: float = math.inf
-    loss_mode: str = LOGIT_L2
-
-
-@dataclass
 class SweepSection:
     param: str
     values: list
@@ -147,8 +133,8 @@ class ExperimentConfig:
     alpha: float = 1.0
     seed: int = 0
     node: NodeSection = field(default_factory=NodeSection)
-    ensemble: EnsembleSection = field(default_factory=EnsembleSection)
-    distill: DistillSection = field(default_factory=DistillSection)
+    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
+    distill: DistillConfig = field(default_factory=DistillConfig)
     central_hidden_dims: list[int] = field(default_factory=lambda: [64])
     repeats: int = 1
     query_noise: float = 0.0
@@ -233,13 +219,14 @@ _COERCE = {
 }
 
 
-def _build(cls, raw, where: str, special: dict | None = None):
+def _build(cls, raw, where: str, special: dict | None = None, derived: tuple = ()):
     """Construct section ``cls`` from a raw mapping, coercing each key by its
     field annotation (or by ``special``); unknown, missing and wrong-typed keys
-    are ConfigurationErrors that name the key."""
+    are ConfigurationErrors that name the key. ``derived`` fields are filled in
+    after the parse, so they are not config keys."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where!r} must be an object")
-    fields = cls.__dataclass_fields__
+    fields = {k: f for k, f in cls.__dataclass_fields__.items() if k not in derived}
     _reject_unknown(raw, fields, where)
     special = special or {}
     kwargs = {}
@@ -278,8 +265,9 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
 _TOP_LEVEL = {
     "task": _parse_task,
     "node": lambda raw, where: _build(NodeSection, raw, where),
-    "ensemble": lambda raw, where: _build(EnsembleSection, raw, where),
-    "distill": lambda raw, where: _build(DistillSection, raw, where, {"tau": _parse_tau}),
+    "ensemble": lambda raw, where: _build(EnsembleConfig, raw, where),
+    "distill": lambda raw, where: _build(DistillConfig, raw, where, {"tau": _parse_tau},
+                                         derived=("task",)),
     "sweep": lambda raw, where: None if raw is None else _build(SweepSection, raw, where),
 }
 
@@ -288,8 +276,6 @@ def parse_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw config mapping and fill defaults. Every failure is a
     ConfigurationError, so a bad config exits 2."""
     cfg = _build(ExperimentConfig, doc, "config", _TOP_LEVEL)
-    if cfg.ensemble.weight_mode not in (PER_CLASS, UNIFORM):
-        raise ConfigurationError(f"unknown ensemble.weight_mode {cfg.ensemble.weight_mode!r}")
     if cfg.sweep is not None:
         if cfg.sweep.param not in SWEEP_AXES:
             raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
@@ -313,12 +299,9 @@ def parse_dict(doc: dict) -> ExperimentConfig:
                       ("central_hidden_dims", cfg.central_hidden_dims)):
         if any(h < 1 for h in dims):
             raise ConfigurationError(f"{key} entries must be >= 1")
-    # constructing the runtime configs surfaces their own validation now
-    _node_train_config(cfg)
-    ens, dis = cfg.ensemble, cfg.distill
-    EnsembleConfig(ens.quant_scale, ens.gamma, ens.weight_mode)
-    DistillConfig(dis.steps, dis.batch_size, dis.lr_start, dis.lr_end,
-                  dis.weight_decay, dis.tau, dis.loss_mode, _task_type(cfg))
+    _node_train_config(cfg)  # TrainConfig checks the node section
+    # the distilled student's label type is the task's; replace re-runs the checks
+    cfg.distill = replace(cfg.distill, task=getattr(cfg.task, "task_type", SINGLE_LABEL))
     return cfg
 
 
@@ -338,6 +321,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Round-trippable plain mapping; tau serializes as the string \"inf\"."""
     doc = asdict(cfg)
+    doc["distill"].pop("task")  # derived from the task section
     doc["task"] = {"kind": "synthetic" if isinstance(cfg.task, SyntheticTask) else "csv",
                    **asdict(cfg.task)}
     if math.isinf(cfg.distill.tau):
@@ -403,20 +387,13 @@ def _node_train_config(cfg: ExperimentConfig) -> TrainConfig:
                        n.lr_start, n.lr_end, n.weight_decay)
 
 
-def _task_type(cfg: ExperimentConfig) -> str:
-    return cfg.task.task_type if isinstance(cfg.task, CsvTask) else SINGLE_LABEL
-
-
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
     private, public, test, plan = build_data(cfg, seed)
-    d = cfg.distill
     run = FedKdRun(
         plan=plan,
         node_cfg=_node_train_config(cfg),
-        ensemble_cfg=EnsembleConfig(cfg.ensemble.quant_scale, cfg.ensemble.gamma,
-                                    cfg.ensemble.weight_mode),
-        distill_cfg=DistillConfig(d.steps, d.batch_size, d.lr_start, d.lr_end,
-                                  d.weight_decay, d.tau, d.loss_mode, _task_type(cfg)),
+        ensemble_cfg=cfg.ensemble,
+        distill_cfg=cfg.distill,
         central_dims=_layer_dims(cfg, cfg.central_hidden_dims),
         seed=seed,
         repeats=cfg.repeats,
@@ -437,15 +414,17 @@ def execute_fedavg(cfg: ExperimentConfig, seed: int):
 
 
 def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm: str) -> Path:
+    """The run's directory, checked for a collision before any work is done;
+    it is created only once the run has succeeded."""
     rd = out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}"
     if rd.exists() and not force:
         raise ConfigurationError(f"run directory {rd} exists (use --force to overwrite)")
-    rd.mkdir(parents=True, exist_ok=True)
     return rd
 
 
 def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
                          metrics: dict, ledger, trace) -> None:
+    rd.mkdir(parents=True, exist_ok=True)
     resolved = config_to_dict(cfg)
     resolved["seed"] = seed
     (rd / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -495,34 +474,23 @@ def cmd_fedavg(cfg: ExperimentConfig, out: Path, seed: int, force: bool) -> Path
     return rd
 
 
-def _apply_sweep_value(cfg: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    cell = copy.deepcopy(cfg)
-    cell.sweep = None
-    if param == "gamma":
-        cell.ensemble.gamma = _off_or(_as_float)(value, "sweep value")
-    elif param == "S":
-        cell.ensemble.quant_scale = _off_or(_as_int)(value, "sweep value")
-    elif param == "alpha":
-        cell.alpha = _as_float(value, "sweep value")
-        if cell.alpha <= 0:
-            raise ConfigurationError("alpha sweep values must be > 0")
-    elif param == "K":
-        cell.num_nodes = _as_int(value, "sweep value")
-        if cell.num_nodes < 1:
-            raise ConfigurationError("K sweep values must be >= 1")
-    elif param == "R":
-        cell.repeats = _as_int(value, "sweep value")
-        if cell.repeats < 1:
-            raise ConfigurationError("R sweep values must be >= 1")
-    elif param == "d0":
-        if not isinstance(cell.task, SyntheticTask):
+def _sweep_cell(cfg: ExperimentConfig, value) -> ExperimentConfig:
+    """One cell's config: the document re-parsed with the swept field set, so
+    a cell gets every check a parsed config gets."""
+    param = cfg.sweep.param
+    if param == "d0":
+        if not isinstance(cfg.task, SyntheticTask):
             raise ConfigurationError("d0 sweep requires a synthetic task")
-        size = _as_int(value, "sweep value")
-        c = cell.task.num_classes
-        if size < c or size % c:
-            raise ConfigurationError(f"d0 sweep value {size} must be a positive multiple of {c}")
-        cell.task.public_per_class = size // c
-    return cell
+        c = cfg.task.num_classes
+        value = _as_int(value, "d0")
+        if value < c or value % c:
+            raise ConfigurationError(f"d0 sweep value {value} must be a positive multiple of {c}")
+        value //= c
+    doc = config_to_dict(cfg)
+    del doc["sweep"]
+    *section, key = SWEEP_FIELDS[param].split(".")
+    (doc[section[0]] if section else doc)[key] = value
+    return parse_dict(doc)
 
 
 def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
@@ -538,7 +506,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
             row = {"param": cfg.sweep.param, "value": "off" if value is None else value,
                    "seed": seed, "accuracy": "", "bandwidth": "", "error": ""}
             try:
-                cell = _apply_sweep_value(cfg, cfg.sweep.param, value)
+                cell = _sweep_cell(cfg, value)
                 result = execute_fedkd(cell, int(seed))
                 row["accuracy"] = f"{result.metrics['central']:.6f}"
                 row["bandwidth"] = result.ledger.total()
@@ -616,10 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FedKdError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FedKdError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -78,6 +78,9 @@ class DistillConfig:
             raise ConfigurationError("steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if not self.lr_start >= self.lr_end >= 0:
+            raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
+                                     f"{self.lr_start} and lr_end={self.lr_end}")
         if self.loss_mode not in (LOGIT_L2, KL):
             raise ConfigurationError(f"unknown loss_mode {self.loss_mode!r}")
         if self.task not in (SINGLE_LABEL, MULTI_LABEL):

@@ -164,6 +164,9 @@ class TrainConfig:
             raise ConfigurationError("layer_dims needs at least input and output")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
+        if not self.lr_start >= self.lr_end >= 0:
+            raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
+                                     f"{self.lr_start} and lr_end={self.lr_end}")
 
 
 def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -325,7 +328,8 @@ def collect_logits(
                 z = _forward_trace(h.model, x)[-1]
             h.query_rows += rows
             acc = z if acc is None else acc + z
-        block = LogitBlock(h.node_id, acc / repeats)
+        acc /= repeats  # acc is this node's own forward output
+        block = LogitBlock(h.node_id, acc)
         blocks.append(block)
         if ledger is not None:
             ledger.add("logits_up", h.node_id, repeats * float_payload_bytes(*block.shape))

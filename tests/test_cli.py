@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedkd.cli import (
+    SWEEP_AXES,
     CsvTask,
     cmd_ablate,
     cmd_fedavg,
@@ -19,6 +20,7 @@ from fedkd.cli import (
     cmd_run,
     config_digest,
     config_to_dict,
+    execute_fedkd,
     main,
     parse_config,
     parse_dict,
@@ -495,3 +497,99 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# A valid value per sweep axis, and the document field it sets by hand.
+SWEEP_EDITS = {
+    "gamma": (None, ("ensemble", "gamma"), None),
+    "S": (50, ("ensemble", "quant_scale"), 50),
+    "d0": (60, ("task", "public_per_class"), 20),  # 60 public rows over 3 classes
+    "alpha": (0.3, ("alpha",), 0.3),
+    "K": (2, ("num_nodes",), 2),
+    "R": (2, ("repeats",), 2),
+}
+
+
+def _ablate_rows(tmp_path, param, value, seed=1):
+    cfg = parse_dict(tiny_doc(sweep={"param": param, "values": [value], "seeds": [seed]}))
+    return list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+
+
+class TestSweepCells:
+    @pytest.mark.parametrize("param", SWEEP_AXES)
+    def test_cell_matches_the_hand_edited_document(self, tmp_path, param):
+        value, path, field_value = SWEEP_EDITS[param]
+        (row,) = _ablate_rows(tmp_path, param, value)
+        doc = tiny_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = field_value
+        result = execute_fedkd(parse_dict(doc), 1)
+        assert row["error"] == ""
+        assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+        assert int(row["bandwidth"]) == result.ledger.total()
+
+    @pytest.mark.parametrize("param, value, key", [
+        ("S", 1, "quant_scale"),
+        ("gamma", -1, "gamma"),
+        ("alpha", 0, "alpha"),
+        ("K", 0, "num_nodes"),
+        ("R", 0, "repeats"),
+        ("d0", 31, "d0"),
+    ])
+    def test_invalid_value_is_a_configuration_error_naming_the_key(self, tmp_path, param,
+                                                                   value, key):
+        (row,) = _ablate_rows(tmp_path, param, value)
+        assert row["error"].startswith("ConfigurationError: ")
+        assert key in row["error"]
+        assert row["accuracy"] == "" and row["bandwidth"] == ""
+
+
+class TestDistillTask:
+    def test_not_a_config_key(self):
+        with pytest.raises(ConfigurationError, match="unknown key 'task' in distill"):
+            parse_dict(tiny_doc(distill={"task": "multi_label"}))
+        assert "task" not in config_to_dict(parse_dict(tiny_doc()))["distill"]
+
+    def test_follows_the_csv_task_type(self):
+        doc = copy.deepcopy(CSV_DOC)
+        doc["task"].update(task_type="multi_label", label_cols=["a", "b"])
+        assert parse_dict(doc).distill.task == "multi_label"
+        assert parse_dict(copy.deepcopy(CSV_DOC)).distill.task == "single_label"
+
+
+class TestFailedRunLeavesNoRunDirectory:
+    @pytest.mark.parametrize("over, code, message", [
+        ({"node": {"hidden_dims": [16], "epochs": 5, "lr_start": 0.01, "lr_end": 0.05}},
+         2, "config error: require lr_start >= lr_end >= 0"),
+        ({"distill": {"steps": 60, "batch_size": 32, "lr_start": 0.01, "lr_end": 0.05}},
+         2, "config error: require lr_start >= lr_end >= 0"),
+        ({"node": {"hidden_dims": [16], "epochs": 5, "lr_end": -0.01}},
+         2, "config error: require lr_start >= lr_end >= 0"),
+        # 568 PiB: more than any address space maps, so the first draw fails
+        # before anything is allocated
+        ({"task": {"kind": "synthetic", "num_classes": 3, "dim": 8, "train_per_class": 1e16}},
+         3, "runtime error: Unable to allocate"),
+        ({"node": {"hidden_dims": [16], "epochs": 5, "lr_start": 50}},
+         3, "runtime error: distillation diverged"),
+    ])
+    def test_one_line_exit_and_no_directory(self, tmp_path, capsys, over, code, message):
+        p = write_config(tmp_path, tiny_doc(**over))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(message)
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_quick_start_beats_the_standalone_nodes(tmp_path):
+    """The README's first JSON config parses and runs, and the distilled
+    model beats the mean standalone node, as the README says it does."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_dict(json.loads(block))
+    rd = cmd_run(cfg, tmp_path, seed=cfg.seed, force=False)
+    metrics = json.loads((rd / "metrics.json").read_text())
+    assert metrics["central"] > metrics["standalone_mean"]
