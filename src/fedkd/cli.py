@@ -25,6 +25,7 @@ Config layout (JSON; unknown keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -143,6 +144,16 @@ class ExperimentConfig:
     sweep: SweepSection | None = None
 
 
+@contextlib.contextmanager
+def _section(where: str):
+    """Name the config section in a ConfigurationError that a runtime
+    config's constructor raises, as a suffix: ``... (in node)``."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc} (in {where})") from None
+
+
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
@@ -238,7 +249,8 @@ def _build(cls, raw, where: str, special: dict | None = None, derived: tuple = (
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"{where} is missing {', '.join(map(repr, missing))}")
-    return cls(**kwargs)
+    with _section(where):
+        return cls(**kwargs)
 
 
 def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
@@ -299,6 +311,11 @@ def parse_dict(doc: dict) -> ExperimentConfig:
                       ("central_hidden_dims", cfg.central_hidden_dims)):
         if any(h < 1 for h in dims):
             raise ConfigurationError(f"{key} entries must be >= 1")
+    if isinstance(cfg.task, SyntheticTask):  # a CSV public set is sized by distill
+        public = cfg.task.num_classes * cfg.task.public_per_class
+        if cfg.distill.batch_size > public:
+            raise ConfigurationError(f"distill.batch_size {cfg.distill.batch_size} exceeds "
+                                     f"the public set size {public}")
     _node_train_config(cfg)  # TrainConfig checks the node section
     # the distilled student's label type is the task's; replace re-runs the checks
     cfg.distill = replace(cfg.distill, task=getattr(cfg.task, "task_type", SINGLE_LABEL))
@@ -383,8 +400,9 @@ def _layer_dims(cfg: ExperimentConfig, hidden: list[int]) -> list[int]:
 
 def _node_train_config(cfg: ExperimentConfig) -> TrainConfig:
     n = cfg.node
-    return TrainConfig(_layer_dims(cfg, n.hidden_dims), n.epochs, n.batch_size,
-                       n.lr_start, n.lr_end, n.weight_decay)
+    with _section("node"):
+        return TrainConfig(_layer_dims(cfg, n.hidden_dims), n.epochs, n.batch_size,
+                           n.lr_start, n.lr_end, n.weight_decay)
 
 
 def execute_fedkd(cfg: ExperimentConfig, seed: int):

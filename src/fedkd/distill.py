@@ -222,10 +222,11 @@ def distill(
                 order = rs.permutation(n)[: per_epoch * b]
                 xs, targets = features[order], _teacher_targets(teacher_logits[order], cfg)
             rows = slice(j * b, (j + 1) * b)
-            acts = _forward_trace(model, xs[rows])
+            acts = _forward_trace(model.weights, model.biases, xs[rows])
             loss, gz = _distill_loss_grad(acts[-1], tuple(t[rows] for t in targets), cfg)
             lr = cosine_lr(sched, step)
-            model = sgd_step(model, _backprop(model, acts, gz, grads), lr, cfg.weight_decay)
+            _backprop(model.weights, acts, gz, grads)
+            model = sgd_step(model, grads, lr, cfg.weight_decay)
             trace.append({"step": step, "loss": loss, "lr": lr})
     if not np.isfinite(model.flat).all():
         raise DivergenceError("distillation")
@@ -236,13 +237,23 @@ def distill(
 # evaluation
 
 
+def _test_logits(model: MlpModel, ds: Dataset) -> np.ndarray:
+    """The model's logits on ``ds``; a model that overflows there gives no
+    metric, but an EvaluationError instead of numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = mlp_forward(model, ds.features)
+    if not np.isfinite(logits).all():
+        raise EvaluationError("non-finite model logits on the evaluation set")
+    return logits
+
+
 def evaluate_single(model: MlpModel, ds: Dataset) -> float:
     """Top-1 accuracy; argmax ties go to the lowest class index."""
     if ds.task != SINGLE_LABEL:
         raise ConfigurationError("evaluate_single needs a single-label dataset")
     if ds.n == 0:
         raise EvaluationError("empty evaluation set")
-    logits = mlp_forward(model, ds.features)
+    logits = _test_logits(model, ds)
     pred = logits.argmax(axis=1)
     return float((pred == ds.labels[:, 0]).mean())
 
@@ -288,7 +299,7 @@ def evaluate_multi(model: MlpModel, ds: Dataset) -> MultiLabelEval:
         raise ConfigurationError("evaluate_multi needs a multi-label dataset")
     if ds.n == 0:
         raise EvaluationError("empty evaluation set")
-    logits = mlp_forward(model, ds.features)
+    logits = _test_logits(model, ds)
     per_class = np.full(ds.num_classes, np.nan)
     for c in range(ds.num_classes):
         try:

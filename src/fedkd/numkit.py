@@ -4,9 +4,12 @@ rate, and counter-keyed random streams.
 
 A model keeps all its parameters in one float64 vector ``flat`` (w0, b0, w1,
 b1, ...); its weight and bias arrays are views into it, and its constructor
-copies the arrays it is given. Nothing here keeps shared mutable state: a
-RandomStream advances only itself, and :func:`sgd_step` updates the model it
-is given, in place, as one vector update.
+copies the arrays it is given (``aliasing`` is the one path that does not).
+The forward and backward kernels run one model, or a stack of K models whose
+``[K, P]`` parameter matrix holds one ``flat`` per row, in the same calls.
+Nothing here keeps shared mutable state: a RandomStream advances only itself,
+and :func:`sgd_step` updates the model it is given, in place, as one vector
+update.
 """
 from __future__ import annotations
 
@@ -127,12 +130,14 @@ def cosine_lr(schedule: CosineSchedule, step: int) -> float:
 
 
 def _layer_views(dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weight and bias views into ``flat``, laid out w0, b0, w1, b1, ..."""
+    """Weight and bias views into ``flat``, laid out w0, b0, w1, b1, ...; a
+    ``[K, P]`` stack of vectors gives ``[K, fi, fo]`` and ``[K, 1, fo]`` views."""
+    lead = flat.shape[:-1]
     weights, biases, off = [], [], 0
     for fi, fo in zip(dims[:-1], dims[1:]):
-        weights.append(flat[off : off + fi * fo].reshape(fi, fo))
+        weights.append(flat[..., off : off + fi * fo].reshape(*lead, fi, fo))
         off += fi * fo
-        biases.append(flat[off : off + fo].reshape(1, fo))
+        biases.append(flat[..., off : off + fo].reshape(*lead, 1, fo))
         off += fo
     return weights, biases
 
@@ -192,6 +197,16 @@ class MlpModel:
     def parameter_count(self) -> int:
         return sum((fi + 1) * fo for fi, fo in zip(self.layer_dims[:-1], self.layer_dims[1:]))
 
+    @classmethod
+    def aliasing(cls, layer_dims: list[int], flat: np.ndarray) -> "MlpModel":
+        """A model whose ``flat`` is the given float64 vector itself: the one
+        construction path that does not copy. A stacked trainer hands each
+        row of its ``[K, P]`` parameter matrix to :func:`sgd_step` this way."""
+        model = object.__new__(cls)
+        model.layer_dims, model.activation, model.flat = list(layer_dims), "relu", flat
+        model.weights, model.biases = _layer_views(layer_dims, flat)
+        return model
+
     def copy(self) -> "MlpModel":
         return MlpModel(list(self.layer_dims), self.weights, self.biases, self.activation)
 
@@ -214,6 +229,16 @@ class MlpGrads:
         self.flat = _pack(self.weights, self.biases)
         self.weights, self.biases = _layer_views(dims, self.flat)
 
+    @classmethod
+    def aliasing(cls, layer_dims: list[int], flat: np.ndarray) -> "MlpGrads":
+        """Gradients whose ``flat`` is the given vector itself, as
+        :meth:`MlpModel.aliasing`; over a ``[K, P]`` stack, the views are the
+        ``[K, fi, fo]``/``[K, 1, fo]`` stacks a lockstep backward pass fills."""
+        grads = object.__new__(cls)
+        grads.flat = flat
+        grads.weights, grads.biases = _layer_views(layer_dims, flat)
+        return grads
+
 
 def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
     """Glorot-uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
@@ -225,12 +250,16 @@ def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
     return MlpModel(list(layer_dims), weights, biases)
 
 
-def _forward_trace(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
-    """Unchecked forward pass keeping post-activation values per layer for backprop."""
+def _forward_trace(weights: list[np.ndarray], biases: list[np.ndarray],
+                   batch: np.ndarray) -> list[np.ndarray]:
+    """Unchecked forward pass keeping post-activation values per layer for
+    backprop. ``weights``/``biases`` are one model's arrays and ``batch`` is
+    (rows, in), or they are ``[K, fi, fo]``/``[K, 1, fo]`` stacks and
+    ``batch`` is (K, rows, in): each model's slice is the same BLAS call."""
     acts = [batch]
     h = batch
-    last = model.num_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w
         h += b
         if i != last:
@@ -241,23 +270,23 @@ def _forward_trace(model: MlpModel, batch: np.ndarray) -> list[np.ndarray]:
 
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Logits (B x C) for a batch (B x input_dim)."""
-    return _forward_trace(model, check_matrix(batch, "batch", model.input_dim))[-1]
+    return _forward_trace(model.weights, model.biases,
+                          check_matrix(batch, "batch", model.input_dim))[-1]
 
 
-def _backprop(
-    model: MlpModel, acts: list[np.ndarray], grad_logits: np.ndarray, out: MlpGrads | None = None
-) -> MlpGrads:
+def _backprop(weights: list[np.ndarray], acts: list[np.ndarray], grad_logits: np.ndarray,
+              out: MlpGrads) -> MlpGrads:
     """Chain grad_logits back through the activations of one forward trace,
-    writing into ``out`` (a fresh buffer if None)."""
-    grads = MlpGrads(model.weights, model.biases) if out is None else out  # values overwritten
+    overwriting ``out``; stacked operands as in :func:`_forward_trace`, with
+    ``out`` then over the ``[K, P]`` gradient matrix."""
     delta = grad_logits
-    for i in range(model.num_layers - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads.weights[i])
-        np.add.reduce(delta, axis=0, keepdims=True, out=grads.biases[i])
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=out.weights[i])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=out.biases[i])
         if i > 0:
-            delta = delta @ model.weights[i].T
+            delta = delta @ np.swapaxes(weights[i], -1, -2)
             delta *= acts[i] > 0.0  # ReLU subgradient: 0 at exactly 0
-    return grads
+    return out
 
 
 def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpGrads:
@@ -270,7 +299,8 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
     grad_logits = check_matrix(grad_logits, "grad_logits", model.output_dim)
     if grad_logits.shape[0] != batch.shape[0]:
         raise DimensionError(f"grad_logits has {grad_logits.shape[0]} rows, batch {batch.shape[0]}")
-    return _backprop(model, _forward_trace(model, batch), grad_logits)
+    acts = _forward_trace(model.weights, model.biases, batch)
+    return _backprop(model.weights, acts, grad_logits, MlpGrads(model.weights, model.biases))
 
 
 def sgd_step(model: MlpModel, grads: MlpGrads, lr: float, weight_decay: float = 0.0) -> MlpModel:

@@ -2,9 +2,16 @@
 into a distilled central model, the parameter-averaging baseline, and exact
 byte accounting for everything that crosses the wire.
 
+Local training runs the nodes in lockstep (:func:`train_lockstep`): nodes
+that share a layout and batch size train as one stack, with one stacked
+forward and backward pass per step for every node still training.
+
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
-identical under any scheduling of the per-node work. With ``node_seeds`` the
+identical under any scheduling of the per-node work. Lockstep training keeps
+it: each node permutes its own shard from its own stream, and its slice of
+every stacked call is the call it would make alone, so a node trains to the
+same bits alone, in any stack and in any order. With ``node_seeds`` the
 node index is dropped from the key, which makes "same shard, same seed, same
 parameters" hold across nodes.
 
@@ -83,6 +90,7 @@ __all__ = [
     "FedAvgResult",
     "softmax_xent_grad",
     "masked_bce_grad",
+    "train_lockstep",
     "train_supervised",
     "train_locals",
     "collect_logits",
@@ -170,16 +178,19 @@ class TrainConfig:
 
 
 def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Batch-mean cross-entropy logit gradient, computed in the softmax p."""
-    p[np.arange(p.shape[0]), labels] -= 1.0
-    p /= p.shape[0]
+    """Batch-mean cross-entropy logit gradient, computed in the softmax p:
+    (rows, C) with (rows,) labels, or a (K, rows, C) stack with (K, rows)."""
+    cells = p.reshape(-1, p.shape[-1])  # a view: p is a fresh contiguous array
+    cells[np.arange(cells.shape[0]), labels.ravel()] -= 1.0
+    p /= p.shape[-2]
     return p
 
 
 def _bce_dlogits(q: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Masked sigmoid cross-entropy logit gradient from the sigmoid q."""
+    """Masked sigmoid cross-entropy logit gradient from the sigmoid q, (rows, C)
+    or a (K, rows, C) stack."""
     mask = labels != -1
-    return np.where(mask, q - np.where(mask, labels, 0).astype(np.float64), 0.0) / q.shape[0]
+    return np.where(mask, q - np.where(mask, labels, 0).astype(np.float64), 0.0) / q.shape[-2]
 
 
 def softmax_xent_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -198,6 +209,115 @@ def masked_bce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
     return loss, _bce_dlogits(q, labels)
 
 
+def train_lockstep(
+    models: list[MlpModel],
+    shards: list[Dataset],
+    cfgs: list[TrainConfig],
+    streams: list[RandomStream],
+    *,
+    total_steps: list[int | None] | None = None,
+    step_offsets: list[int] | None = None,
+    node_ids: list[int | None] | None = None,
+) -> list[MlpModel]:
+    """SGD with a cosine schedule for every model on its own shard, on copies
+    of the models. Node k's batches are consecutive slices of a fresh
+    permutation per epoch from ``streams[k]``, trailing remainder dropped.
+
+    ``total_steps[k]``/``step_offsets[k]`` spread one cosine horizon over
+    several calls (round-based training resumes mid-schedule); by default a
+    node's horizon is its own step count. Nodes that share layer dims, label
+    type and batch size ``min(batch_size, n)`` train in lockstep as one
+    stack. That changes no result: each node keeps its own stream, schedule
+    and weight decay, and its slice of every stacked call is the call it
+    would make alone. After every stack has finished, the lowest-index node
+    with non-finite parameters raises DivergenceError naming ``node_ids[k]``.
+    """
+    count = len(models)
+    total_steps = [None] * count if total_steps is None else total_steps
+    step_offsets = [0] * count if step_offsets is None else step_offsets
+    node_ids = [None] * count if node_ids is None else node_ids
+    per_node = (shards, cfgs, streams, total_steps, step_offsets, node_ids)
+    if any(len(v) != count for v in per_node):
+        raise ConfigurationError("train_lockstep needs one entry per model in every list")
+
+    stacks: dict[tuple, list[int]] = {}
+    jobs = []
+    for k, (model, ds, cfg) in enumerate(zip(models, shards, cfgs)):
+        if ds.n == 0:
+            raise ConfigurationError("cannot train on an empty dataset")
+        x = check_matrix(ds.features, "features", model.input_dim)
+        y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
+        jobs.append((model, x, y, cfg, streams[k], total_steps[k], step_offsets[k]))
+        key = (tuple(model.layer_dims), ds.task, min(cfg.batch_size, ds.n))
+        stacks.setdefault(key, []).append(k)
+
+    trained: list[MlpModel] = [None] * count
+    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
+        for (dims, task, b), members in stacks.items():
+            stack = _train_stack(list(dims), task, b, [jobs[k] for k in members])
+            for k, model in zip(members, stack):
+                trained[k] = model
+    for k, model in enumerate(trained):
+        if not np.isfinite(model.flat).all():
+            raise DivergenceError("node training", node_ids[k])
+    return trained
+
+
+def _train_stack(dims: list[int], task: str, b: int, jobs: list[tuple]) -> list[MlpModel]:
+    """Lockstep SGD for the ``(model, x, y, cfg, stream, total_steps, offset)``
+    jobs of one layout and batch size b; returns new models in job order.
+
+    The nodes are held longest first, so the ones still training are a
+    prefix of the [K, P] parameter matrix. Each step gathers their batches,
+    runs one stacked forward and backward pass, then one sgd_step per node on
+    its row of the matrix.
+    """
+    steps = [cfg.epochs * (x.shape[0] // b) for _, x, _, cfg, *_ in jobs]
+    order = sorted(range(len(jobs)), key=lambda i: -steps[i])  # stable: ties keep job order
+    params = np.stack([jobs[i][0].flat for i in order])
+    grads = np.empty_like(params)
+    y0 = jobs[0][2]
+    xb = np.empty((len(jobs), b, dims[0]))
+    yb = np.empty((len(jobs), b, *y0.shape[1:]), dtype=y0.dtype)
+    link, dlogits = _softmax_rows, _xent_dlogits
+    if task != SINGLE_LABEL:
+        link, dlogits = sigmoid, _bce_dlogits
+
+    gather, update = [], []  # per node, longest first
+    for row, i in enumerate(order):
+        _, x, y, cfg, rs, horizon, offset = jobs[i]
+        sched = CosineSchedule(cfg.lr_start, cfg.lr_end, steps[i] if horizon is None else horizon)
+        gather.append([x, y, xb[row], yb[row], rs, x.shape[0] // b, None])
+        update.append((MlpModel.aliasing(dims, params[row]), MlpGrads.aliasing(dims, grads[row]),
+                       sched, offset, cfg.weight_decay))
+    ends = [steps[i] for i in order]
+    active = len(jobs)
+    weights, biases = _layer_views(dims, params)
+    out = MlpGrads.aliasing(dims, grads)
+    for step in range(ends[0]):
+        if ends[active - 1] == step:  # the shortest nodes are done: shrink the prefix
+            while ends[active - 1] == step:
+                active -= 1
+            weights, biases = _layer_views(dims, params[:active])
+            out = MlpGrads.aliasing(dims, grads[:active])
+        for node in gather[:active]:
+            x, y, x_out, y_out, rs, per_epoch, perm = node
+            j = step % per_epoch
+            if j == 0:
+                node[-1] = perm = rs.permutation(x.shape[0])
+            rows = perm[j * b : (j + 1) * b]
+            x.take(rows, 0, x_out, "clip")  # rows are in range; "clip" skips a buffered copy
+            y.take(rows, 0, y_out, "clip")
+        acts = _forward_trace(weights, biases, xb[:active])
+        _backprop(weights, acts, dlogits(link(acts[-1]), yb[:active]), out)
+        for model, g, sched, offset, wd in update[:active]:
+            sgd_step(model, g, cosine_lr(sched, offset + step), wd)
+    trained = [None] * len(jobs)
+    for row, i in enumerate(order):
+        trained[i] = update[row][0].copy()
+    return trained
+
+
 def train_supervised(
     model: MlpModel,
     ds: Dataset,
@@ -208,40 +328,10 @@ def train_supervised(
     step_offset: int = 0,
     node_id: int | None = None,
 ) -> MlpModel:
-    """SGD with a cosine schedule on a copy of model; batches are consecutive
-    slices of a fresh per-epoch permutation, trailing remainder dropped.
-
-    ``total_steps``/``step_offset`` let a caller spread one cosine horizon
-    over several calls (round-based training resumes mid-schedule). A
-    non-finite result raises DivergenceError naming ``node_id``.
-    """
-    if ds.n == 0:
-        raise ConfigurationError("cannot train on an empty dataset")
-    features = check_matrix(ds.features, "features", model.input_dim)
-    if ds.task == SINGLE_LABEL:
-        link, dlogits, labels = _softmax_rows, _xent_dlogits, ds.labels[:, 0]
-    else:
-        link, dlogits, labels = sigmoid, _bce_dlogits, ds.labels
-    b = min(cfg.batch_size, ds.n)
-    per_epoch = ds.n // b
-    horizon = cfg.epochs * per_epoch if total_steps is None else total_steps
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, horizon)
-    model = model.copy()
-    grads = MlpGrads(model.weights, model.biases)  # reused buffer, overwritten each step
-    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
-        for step in range(cfg.epochs * per_epoch):
-            j = step % per_epoch
-            if j == 0:
-                order = batch_rs.permutation(ds.n)[: per_epoch * b]
-                xs, ys = features[order], labels[order]
-            rows = slice(j * b, (j + 1) * b)
-            acts = _forward_trace(model, xs[rows])
-            gz = dlogits(link(acts[-1]), ys[rows])
-            lr = cosine_lr(sched, step_offset + step)
-            model = sgd_step(model, _backprop(model, acts, gz, grads), lr, cfg.weight_decay)
-    if not np.isfinite(model.flat).all():
-        raise DivergenceError("node training", node_id)
-    return model
+    """One node's :func:`train_lockstep`: SGD with a cosine schedule on a copy
+    of model. A non-finite result raises DivergenceError naming ``node_id``."""
+    return train_lockstep([model], [ds], [cfg], [batch_rs], total_steps=[total_steps],
+                          step_offsets=[step_offset], node_ids=[node_id])[0]
 
 
 @dataclass
@@ -278,22 +368,23 @@ def train_locals(
     seed: int,
     node_seeds: list[int] | None = None,
 ) -> list[NodeHandle]:
-    """Train every non-empty shard independently; empty shards yield a handle
-    with no model so their zero profile drops them from the ensemble."""
+    """Train every non-empty shard independently, all in one lockstep call;
+    empty shards yield a handle with no model so their zero profile drops
+    them from the ensemble."""
     cfgs = _as_cfg_list(node_cfg, len(shards))
     if node_seeds is not None and len(node_seeds) != len(shards):
         raise ConfigurationError("node_seeds length must match shard count")
-    handles = []
-    for k, (shard, cfg) in enumerate(zip(shards, cfgs)):
-        if shard.n == 0:
-            handles.append(NodeHandle(k, shard, None))
-            continue
-        model = init_mlp(cfg.layer_dims, _node_stream(seed, node_seeds, k, STREAM_INIT))
-        model = train_supervised(
-            model, shard, cfg, _node_stream(seed, node_seeds, k, STREAM_BATCH, 0), node_id=k
-        )
-        handles.append(NodeHandle(k, shard, model))
-    return handles
+    live = [k for k, shard in enumerate(shards) if shard.n > 0]
+    models = train_lockstep(
+        [init_mlp(cfgs[k].layer_dims, _node_stream(seed, node_seeds, k, STREAM_INIT))
+         for k in live],
+        [shards[k] for k in live],
+        [cfgs[k] for k in live],
+        [_node_stream(seed, node_seeds, k, STREAM_BATCH, 0) for k in live],
+        node_ids=live,
+    )
+    trained = dict(zip(live, models))
+    return [NodeHandle(k, shard, trained.get(k)) for k, shard in enumerate(shards)]
 
 
 def collect_logits(
@@ -325,7 +416,7 @@ def collect_logits(
                 qrs = _node_stream(seed, node_seeds, h.node_id, STREAM_QUERY, r)
                 x = public_features + noise_scale * qrs.gauss(public_features.shape)
             with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
-                z = _forward_trace(h.model, x)[-1]
+                z = _forward_trace(h.model.weights, h.model.biases, x)[-1]
             h.query_rows += rows
             acc = z if acc is None else acc + z
         acc /= repeats  # acc is this node's own forward output
@@ -483,20 +574,18 @@ def run_fedavg(
     per_epoch = {k: shards[k].n // min(cfgs[k].batch_size, shards[k].n) for k in active}
 
     for r in range(rounds):
-        locals_ = []
+        locals_ = train_lockstep(
+            [global_model] * len(active),
+            [shards[k] for k in active],
+            [cfgs[k] for k in active],
+            [_node_stream(seed, node_seeds, k, STREAM_BATCH, r) for k in active],
+            total_steps=[rounds * cfgs[k].epochs * per_epoch[k] for k in active],
+            step_offsets=[r * cfgs[k].epochs * per_epoch[k] for k in active],
+            node_ids=active,
+        )
         for k in active:
             ledger.add("params_down", k, pbytes)
-            model = train_supervised(
-                global_model,
-                shards[k],
-                cfgs[k],
-                _node_stream(seed, node_seeds, k, STREAM_BATCH, r),
-                total_steps=rounds * cfgs[k].epochs * per_epoch[k],
-                step_offset=r * cfgs[k].epochs * per_epoch[k],
-                node_id=k,
-            )
             ledger.add("params_up", k, pbytes)
-            locals_.append(model)
         global_model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
 
     metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"

@@ -1,11 +1,14 @@
 """Config parsing, run artifacts, sweeps, reporting, and exit codes."""
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from fedkd.cli import (
     parse_config,
     parse_dict,
 )
+import fedkd.protocol
 from fedkd.distill import LOGIT_L2
 from fedkd.ensemble import PER_CLASS
 from fedkd.errors import ConfigurationError
@@ -593,3 +597,127 @@ def test_readme_quick_start_beats_the_standalone_nodes(tmp_path):
     rd = cmd_run(cfg, tmp_path, seed=cfg.seed, force=False)
     metrics = json.loads((rd / "metrics.json").read_text())
     assert metrics["central"] > metrics["standalone_mean"]
+
+
+class TestParseTimeChecks:
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        calls = []
+
+        def train(*args, **kwargs):
+            calls.append(1)
+            raise AssertionError("node training ran")
+
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", train)
+        return calls
+
+    def test_distill_batch_above_the_public_set_exits_2_before_training(self, tmp_path, capsys,
+                                                                        no_training):
+        p = write_config(tmp_path, tiny_doc(distill={"steps": 60, "batch_size": 121}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: distill.batch_size 121 exceeds the public set size 120\n")
+        assert no_training == []
+
+    def test_too_small_d0_cell_gets_its_error_row_without_training(self, tmp_path, no_training):
+        (row,) = _ablate_rows(tmp_path, "d0", 30)  # 30 public rows, distill batches of 32
+        assert row["error"] == (
+            "ConfigurationError: distill.batch_size 32 exceeds the public set size 30")
+        assert no_training == []
+
+    @pytest.mark.parametrize("section, over", [
+        ("node", {"node": {"hidden_dims": [16], "lr_start": 0.01, "lr_end": 0.05}}),
+        ("node", {"node": {"batch_size": 0}}),
+        ("distill", {"distill": {"steps": 0}}),
+        ("distill", {"distill": {"loss_mode": "kl"}}),
+        ("ensemble", {"ensemble": {"quant_scale": 1}}),
+    ])
+    def test_constructor_errors_name_their_section(self, section, over):
+        with pytest.raises(ConfigurationError, match=rf"\(in {section}\)$"):
+            parse_dict(tiny_doc(**over))
+
+
+def test_overflowing_model_evaluation_is_a_one_line_runtime_error(tmp_path, capsys):
+    """Found by the fuzz below: a node trained at lr 1e300 stays finite, so
+    the student distilled from it does too, but its test logits overflow."""
+    doc = tiny_doc(num_nodes=1, node={"hidden_dims": [], "epochs": 1, "batch_size": 1,
+                                      "lr_start": 1e300},
+                   distill={"steps": 1, "batch_size": 1}, central_hidden_dims=[2],
+                   ensemble={"quant_scale": None, "gamma": None})
+    doc["task"].update(num_classes=2, dim=1, train_per_class=1, test_per_class=1,
+                       public_per_class=1, class_sep=0.0, domain_shift=0.0)
+    p = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: non-finite model logits on the evaluation set\n")
+
+
+# One field set out of its range: each is a config error (exit 2) or, for
+# values that only blow up numerically, a runtime error (exit 3).
+OUT_OF_RANGE = [
+    (("num_nodes",), 0), (("alpha",), 0.0), (("seed",), -1), (("repeats",), 0),
+    (("query_noise",), -0.5), (("rounds",), 0), (("central_hidden_dims",), [0]),
+    (("task", "num_classes"), 1), (("task", "dim"), 0), (("task", "train_per_class"), 0),
+    (("task", "public_per_class"), 0), (("task", "cov_scale"), 1e300),
+    (("node", "epochs"), 0), (("node", "batch_size"), 0), (("node", "lr_end"), 1.0),
+    (("node", "lr_start"), 1e300), (("node", "hidden_dims"), [0]),
+    (("ensemble", "quant_scale"), 1), (("ensemble", "gamma"), 0.0),
+    (("ensemble", "gamma"), 1e-320), (("ensemble", "weight_mode"), "loudest"),
+    (("distill", "steps"), 0), (("distill", "batch_size"), 10**6), (("distill", "tau"), 0.0),
+    (("distill", "lr_start"), 1e300),
+]
+
+
+@st.composite
+def small_documents(draw):
+    """A small synthetic config (at most 40 rows per class and split), maybe
+    with one field out of range."""
+    rows = st.integers(1, 40)
+    doc = {
+        "task": {"kind": "synthetic", "num_classes": draw(st.integers(2, 4)),
+                 "dim": draw(st.integers(1, 6)), "train_per_class": draw(rows),
+                 "test_per_class": draw(st.integers(1, 10)), "public_per_class": draw(rows),
+                 "class_sep": draw(st.floats(0.0, 8.0)),
+                 "domain_shift": draw(st.floats(0.0, 2.0))},
+        "num_nodes": draw(st.integers(1, 6)),
+        "alpha": draw(st.floats(0.05, 5.0)),
+        "seed": draw(st.integers(0, 2**31)),
+        "node": {"hidden_dims": draw(st.lists(st.integers(1, 8), max_size=2)),
+                 "epochs": draw(st.integers(1, 3)), "batch_size": draw(st.integers(1, 48)),
+                 "lr_start": draw(st.floats(0.0, 0.5)),
+                 "weight_decay": draw(st.sampled_from([0.0, 1e-3]))},
+        "ensemble": {"quant_scale": draw(st.sampled_from([None, 2, 200])),
+                     "gamma": draw(st.sampled_from([None, 0.25, 4.0])),
+                     "weight_mode": draw(st.sampled_from(["per_class", "uniform"]))},
+        "distill": {"steps": draw(st.integers(1, 20)), "batch_size": draw(st.integers(1, 64)),
+                    "loss_mode": draw(st.sampled_from(["logit_l2", "kl"])),
+                    "tau": draw(st.sampled_from(["inf", 0.5, 4.0]))},
+        "central_hidden_dims": draw(st.lists(st.integers(1, 8), max_size=2)),
+        "repeats": draw(st.integers(1, 2)),
+        "query_noise": draw(st.sampled_from([0.0, 0.1])),
+        "labeled_public": draw(st.booleans()),
+        "rounds": draw(st.integers(1, 3)),
+    }
+    if draw(st.booleans()):
+        path, value = draw(st.sampled_from(OUT_OF_RANGE))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(doc=small_documents(), command=st.sampled_from(["run", "fedavg"]))
+def test_fuzzed_documents_keep_the_exit_code_contract(doc, command):
+    """Exit 0, 2 or 3, one stderr line exactly when the exit is not 0, and no
+    exception; uneven Dirichlet shards give stacks of several sizes, tiny
+    and empty shards."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0)

@@ -289,6 +289,25 @@ class TestModel:
         assert np.array_equal(grads.flat, model.flat)
         assert all(np.shares_memory(a, grads.flat) for a in grads.weights + grads.biases)
 
+    def test_aliasing_rows_of_a_stack_share_its_memory(self):
+        dims = [3, 4, 2]
+        stack = RandomStream(0, (72,)).gauss((3, make_model(dims).parameter_count()))
+        before = stack.copy()
+        model = MlpModel.aliasing(dims, stack[1])
+        grads = MlpGrads.aliasing(dims, np.ones_like(stack[1]))
+        # same values and layout as the copying constructor, but no copy
+        copied = MlpModel(dims, model.weights, model.biases)
+        assert np.array_equal(copied.flat, stack[1])
+        assert np.shares_memory(model.flat, stack)
+        sgd_step(model, grads, 0.5)
+        assert np.array_equal(stack[1], before[1] - 0.5)
+        assert np.array_equal(stack[[0, 2]], before[[0, 2]])  # other rows untouched
+        # over a whole [K, P] stack, [K, fi, fo] / [K, 1, fo] views of the same rows
+        stacked = MlpGrads.aliasing(dims, stack)
+        assert stacked.weights[1].shape == (3, 4, 2) and stacked.biases[0].shape == (3, 1, 4)
+        assert np.array_equal(stacked.weights[1][1], model.weights[1])
+        assert all(np.shares_memory(a, stack) for a in stacked.weights + stacked.biases)
+
 
 class TestCheckMatrix:
     def test_non_finite_entries_are_a_validation_error(self):

@@ -45,6 +45,7 @@ from fedkd.protocol import (
     run_fedkd,
     softmax_xent_grad,
     train_locals,
+    train_lockstep,
     train_supervised,
 )
 
@@ -588,3 +589,144 @@ class TestFusedTrainingStep:
         model = init_mlp([8, 4], RandomStream(0, (45,)))
         with pytest.raises(DimensionError):
             train_supervised(model, train, TrainConfig([8, 4], epochs=1), RandomStream(0, (46,)))
+
+
+# ---------------------------------------------------------------------------
+# lockstep training: every node against the per-step oracle
+
+
+def bits_equal(a: MlpModel, b: MlpModel) -> bool:
+    return np.array_equal(a.flat.view(np.int64), b.flat.view(np.int64))
+
+
+class TestLockstepTrainer:
+    def mixed_jobs(self):
+        """Shards of several sizes (one below the batch size), both label
+        types, per-node epochs / learning rates / weight decay, and two
+        FedAvg-style resumes: three stacks in one call."""
+        single = make_fixture()[0]
+        multi = multi_label_fixture(n=150)
+        dims = [16, 12, 4]
+        cfg = lambda e, lr, wd: TrainConfig(dims, epochs=e, batch_size=16, lr_start=lr,
+                                           lr_end=0.01 * lr, weight_decay=wd)
+        jobs = [  # (shard, cfg, total_steps, step_offset)
+            (single.subset(np.arange(0, 1200, 8)), cfg(3, 0.1, 1e-3), None, 0),
+            (single.subset(np.arange(3, 1200, 13)), cfg(2, 0.05, 0.0), None, 0),
+            (single.subset(np.arange(5, 1200, 120)), cfg(4, 0.2, 0.0), None, 0),  # 10 rows
+            (multi, cfg(2, 0.1, 1e-3), None, 0),
+            (single.subset(np.arange(1, 1200, 10)), cfg(1, 0.1, 0.0), 40, 7),
+            (multi.subset(np.arange(60)), cfg(3, 0.05, 1e-2), None, 0),
+            (multi.subset(np.arange(60, 130)), cfg(1, 0.1, 0.0), 30, 4),
+        ]
+        models = [init_mlp(dims, RandomStream(8, (45, k))) for k in range(len(jobs))]
+        return jobs, models
+
+    def test_mixed_stacks_match_the_oracle_bit_for_bit(self):
+        jobs, models = self.mixed_jobs()
+        before = [m.copy() for m in models]
+        out = train_lockstep(
+            models, [j[0] for j in jobs], [j[1] for j in jobs],
+            [RandomStream(8, (46, k)) for k in range(len(jobs))],
+            total_steps=[j[2] for j in jobs], step_offsets=[j[3] for j in jobs],
+        )
+        for k, (ds, cfg, total, offset) in enumerate(jobs):
+            ref = reference_train(before[k].copy(), ds, cfg, RandomStream(8, (46, k)),
+                                  total, offset)
+            assert bits_equal(out[k], ref), f"node {k}"
+            assert bits_equal(models[k], before[k])  # the callers' models are untouched
+
+    def test_train_locals_with_an_empty_shard_matches_the_oracle(self):
+        train = make_fixture()[0]
+        shards = [train.subset(np.arange(0, 1200, 8)), train.subset([]),
+                  train.subset(np.arange(7, 1200, 150)), train.subset(np.arange(2, 1200, 11))]
+        cfgs = [TrainConfig([16, 8, 4], epochs=e, batch_size=16, lr_start=lr, weight_decay=wd)
+                for e, lr, wd in ((2, 0.1, 0.0), (2, 0.1, 0.0), (3, 0.05, 1e-3), (1, 0.2, 0.0))]
+        handles = train_locals(shards, cfgs, 5)
+        assert handles[1].model is None
+        for k in (0, 2, 3):
+            model = init_mlp(cfgs[k].layer_dims, RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
+            ref = reference_train(model, shards[k], cfgs[k],
+                                  RandomStream(5, (fedkd.protocol.STREAM_BATCH, k, 0)))
+            assert bits_equal(handles[k].model, ref), f"node {k}"
+
+    def test_fedavg_matches_a_per_round_oracle_loop(self):
+        train, test, _, _ = make_fixture()
+        plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
+                              np.arange(1, 1200, 100), np.arange(2, 600, 3)], 1.0)
+        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1,
+                          weight_decay=1e-3)
+        rounds = 3
+        res = run_fedavg(train, test, plan, cfg, rounds=rounds, seed=4)
+
+        shards = [train.subset(a) for a in plan.assignments]
+        active = [k for k, s in enumerate(shards) if s.n]
+        sizes = np.array([shards[k].n for k in active], dtype=np.float64)
+        coef = sizes / sizes.sum()
+        model = init_mlp(cfg.layer_dims, RandomStream(4, (fedkd.protocol.STREAM_INIT, 0)))
+        for r in range(rounds):
+            locals_ = []
+            for k in active:
+                steps = cfg.epochs * (shards[k].n // min(cfg.batch_size, shards[k].n))
+                locals_.append(reference_train(
+                    model.copy(), shards[k], cfg,
+                    RandomStream(4, (fedkd.protocol.STREAM_BATCH, k, r)),
+                    rounds * steps, r * steps))
+            model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
+        assert bits_equal(res.model, model)
+
+    def test_empty_shard_and_length_mismatch_rejected(self):
+        train = make_fixture()[0]
+        model = init_mlp([16, 4], RandomStream(0, (45,)))
+        cfg = TrainConfig([16, 4], epochs=1)
+        with pytest.raises(ConfigurationError, match="empty dataset"):
+            train_lockstep([model], [train.subset([])], [cfg], [RandomStream(0, (46,))])
+        with pytest.raises(ConfigurationError, match="one entry per model"):
+            train_lockstep([model], [train], [cfg], [RandomStream(0, (46,))],
+                           total_steps=[None, None])
+
+
+# ---------------------------------------------------------------------------
+# the scheduling half of the determinism contract
+
+
+def twenty_node_shards():
+    train, _, _, plan = make_fixture(seed=2, nodes=20, alpha=0.3)
+    return [train.subset(a) for a in plan.assignments]
+
+
+SCHED_CFG = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1)
+
+
+class TestSchedulingDeterminism:
+    def test_node_alone_equals_the_node_inside_a_20_node_stack(self):
+        shards = twenty_node_shards()
+        seeds = list(range(100, 120))
+        stacked = train_locals(shards, SCHED_CFG, 0, node_seeds=seeds)
+        # an empty shard, shards below the batch size (stacks of their own) and
+        # a stack of uneven shards that finish at different steps
+        assert sorted(s.n for s in shards)[:4] == [0, 1, 5, 7]
+        for k, shard in enumerate(shards):
+            (alone,) = train_locals([shard], SCHED_CFG, 0, node_seeds=[seeds[k]])
+            if shard.n == 0:
+                assert alone.model is None and stacked[k].model is None
+            else:
+                assert bits_equal(alone.model, stacked[k].model), f"node {k}"
+
+    def test_reversed_shard_order_gives_identical_models(self):
+        shards = twenty_node_shards()
+        seeds = list(range(200, 220))
+        forward = train_locals(shards, SCHED_CFG, 0, node_seeds=seeds)
+        backward = train_locals(shards[::-1], SCHED_CFG, 0, node_seeds=seeds[::-1])
+        for h, g in zip(forward, backward[::-1]):
+            assert (h.model is None) == (g.model is None)
+            if h.model is not None:
+                assert bits_equal(h.model, g.model)
+
+    def test_lowest_diverging_node_is_named(self):
+        train = make_fixture()[0]
+        shards = [train.subset(np.arange(k, 1200, 10)) for k in range(5)]  # one stack
+        cfgs = [TrainConfig([16, 8, 4], epochs=1, batch_size=16,
+                            lr_start=1e300 if k in (1, 3) else 0.1) for k in range(5)]
+        with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
+            train_locals(shards, cfgs, 0)
+        assert exc.value.node_id == 1
