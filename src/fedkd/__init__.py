@@ -45,7 +45,6 @@ from .ensemble import (
     global_max_abs,
     importance_weights,
     laplace_sample,
-    quantize,
     quantize_array,
 )
 from .errors import (
@@ -77,7 +76,6 @@ from .protocol import (
     NodeHandle,
     TrainConfig,
     collect_logits,
-    fedavg_bandwidth_bytes,
     ledger_report,
     run_centralized,
     run_fedavg,

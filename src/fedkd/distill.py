@@ -12,6 +12,9 @@ Two distillation objectives:
 
 At large tau the tau^2-scaled KL gradient approaches a positive multiple of
 the L2 gradient on mean-centered logits, which the tests pin down.
+
+:func:`distill` is one job of :func:`~fedkd.numkit.train_sgd`, the SGD loop
+of node training too; this module supplies only the loss.
 """
 from __future__ import annotations
 
@@ -21,18 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
-from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
+from .errors import ConfigurationError, DimensionError, EvaluationError
 from .numkit import (
     CosineSchedule,
-    MlpGrads,
     MlpModel,
     RandomStream,
-    _backprop,
-    _forward_trace,
+    SgdJob,
     check_matrix,
     cosine_lr,
     mlp_forward,
-    sgd_step,
+    train_sgd,
 )
 
 LOGIT_L2 = "logit_l2"
@@ -197,7 +198,7 @@ def distill(
     """Run cfg.steps SGD steps against frozen teacher logits.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
-    trailing partial batch is dropped. Teacher logits are indexed by the
+    trailing partial batch is dropped. Teacher targets are indexed by the
     same permutation, so no node is ever re-queried here. Trains a copy of
     ``model``; a non-finite result raises DivergenceError.
     """
@@ -210,26 +211,17 @@ def distill(
         raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
 
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
-    b = cfg.batch_size
-    per_epoch = n // b
-    model = model.copy()
-    grads = MlpGrads(model.weights, model.biases)  # reused buffer, overwritten each step
     trace = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
-        for step in range(cfg.steps):
-            j = step % per_epoch
-            if j == 0:
-                order = rs.permutation(n)[: per_epoch * b]
-                xs, targets = features[order], _teacher_targets(teacher_logits[order], cfg)
-            rows = slice(j * b, (j + 1) * b)
-            acts = _forward_trace(model.weights, model.biases, xs[rows])
-            loss, gz = _distill_loss_grad(acts[-1], tuple(t[rows] for t in targets), cfg)
-            lr = cosine_lr(sched, step)
-            _backprop(model.weights, acts, gz, grads)
-            model = sgd_step(model, grads, lr, cfg.weight_decay)
-            trace.append({"step": step, "loss": loss, "lr": lr})
-    if not np.isfinite(model.flat).all():
-        raise DivergenceError("distillation")
+
+    def dlogits(z, batches):  # a stack of one: z is [1, b, C]
+        loss, gz = _distill_loss_grad(z[0], tuple(t[0] for t in batches), cfg)
+        trace.append({"step": len(trace), "loss": loss, "lr": cosine_lr(sched, len(trace))})
+        return gz[None]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
+        targets = _teacher_targets(teacher_logits, cfg)
+    job = SgdJob(model, features, targets, rs, cfg.steps, sched, weight_decay=cfg.weight_decay)
+    (model,) = train_sgd(model.layer_dims, cfg.batch_size, [job], dlogits, "distillation", [None])
     return model, trace
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "WeightTable",
     "importance_weights",
     "global_max_abs",
-    "quantize",
     "quantize_array",
     "laplace_sample",
     "ensemble",
@@ -131,11 +130,6 @@ def _check_quant_args(z_max: float, scale: int) -> None:
         raise RangeError("z_max must be > 0")
     if scale < 2:
         raise RangeError("quantization scale must be >= 2")
-
-
-def quantize(z: float, z_max: float, scale: int) -> float:
-    """Scalar :func:`quantize_array`."""
-    return float(quantize_array(z, z_max, scale))
 
 
 def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:

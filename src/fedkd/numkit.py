@@ -7,9 +7,11 @@ b1, ...); its weight and bias arrays are views into it, and its constructor
 copies the arrays it is given (``aliasing`` is the one path that does not).
 The forward and backward kernels run one model, or a stack of K models whose
 ``[K, P]`` parameter matrix holds one ``flat`` per row, in the same calls.
-Nothing here keeps shared mutable state: a RandomStream advances only itself,
-and :func:`sgd_step` updates the model it is given, in place, as one vector
-update.
+:func:`train_sgd` is the package's one SGD loop: node training, FedAvg
+rounds and distillation all run through it, and only the loss gradient they
+pass in differs. Nothing here keeps shared mutable state: a RandomStream
+advances only itself, and :func:`sgd_step` updates the model it is given, in
+place, as one vector update.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, ValidationError
+from .errors import DimensionError, DivergenceError, RangeError, ValidationError
 
 __all__ = [
     "RandomStream",
@@ -31,6 +33,8 @@ __all__ = [
     "mlp_backward",
     "sgd_step",
     "cosine_lr",
+    "SgdJob",
+    "train_sgd",
 ]
 
 
@@ -315,3 +319,84 @@ def sgd_step(model: MlpModel, grads: MlpGrads, lr: float, weight_decay: float = 
     else:
         p -= lr * grads.flat
     return model
+
+
+# ---------------------------------------------------------------------------
+# the SGD loop
+
+
+@dataclass(frozen=True)
+class SgdJob:
+    """One model's part of a :func:`train_sgd` call: ``steps`` steps on the
+    rows of ``x`` and of each ``targets`` array, at the rates of ``schedule``
+    from step ``offset`` on."""
+
+    model: MlpModel
+    x: np.ndarray
+    targets: tuple[np.ndarray, ...]
+    stream: RandomStream
+    steps: int
+    schedule: CosineSchedule
+    offset: int = 0
+    weight_decay: float = 0.0
+
+
+def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
+              node_ids: list[int | None]) -> list[MlpModel]:
+    """Minibatch SGD for every job in lockstep, on copies of their models
+    (layer dims ``dims``); returns the trained models in job order.
+
+    A job's batches are consecutive b-row slices of a fresh permutation of
+    its rows per epoch from its own stream, the remainder dropped; it may stop
+    mid-epoch. Each step gathers the rows of ``x`` and of every target array
+    into reused [K, b, ...] buffers, takes the gradient w.r.t. the [K, b, C]
+    logits z from ``dlogits(z, target_batches)`` (it may overwrite z), runs
+    one stacked backward pass, then one sgd_step per job at its rate for step
+    ``offset + step``. Jobs are held longest first, so the ones still training
+    are a prefix of the [K, P] parameter matrix; a job's slice of each stacked
+    call is the call it would make alone, so a stack changes none of its bits.
+    On exit the lowest-index job with non-finite parameters raises
+    DivergenceError(phase, its node_ids entry).
+    """
+    count = len(jobs)
+    order = sorted(range(count), key=lambda i: -jobs[i].steps)  # stable: ties keep job order
+    held = [jobs[i] for i in order]
+    params = np.stack([job.model.flat for job in held])
+    grads = np.empty_like(params)
+    xb = np.empty((count, b, dims[0]))
+    tbs = [np.empty((count, b, *t.shape[1:]), t.dtype) for t in held[0].targets]
+    feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream,
+              job.x.shape[0] // b, None] for r, job in enumerate(held)]
+    updates = [(MlpModel.aliasing(dims, params[r]), MlpGrads.aliasing(dims, grads[r]),
+                job.schedule, job.offset, job.weight_decay) for r, job in enumerate(held)]
+
+    def prefix(k):  # the stacked operands of the first k jobs
+        return (*_layer_views(dims, params[:k]), MlpGrads.aliasing(dims, grads[:k]),
+                xb[:k], tuple(t[:k] for t in tbs))
+
+    active = count
+    weights, biases, out, xs, ts = prefix(active)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
+        for step in range(held[0].steps):
+            if held[active - 1].steps == step:  # the shortest jobs are done: shrink the prefix
+                while held[active - 1].steps == step:
+                    active -= 1
+                weights, biases, out, xs, ts = prefix(active)
+            for feed in feeds[:active]:
+                arrays, bufs, rs, per_epoch, perm = feed
+                j = step % per_epoch
+                if j == 0:
+                    feed[-1] = perm = rs.permutation(arrays[0].shape[0])
+                rows = perm[j * b : (j + 1) * b]
+                for a, buf in zip(arrays, bufs):
+                    a.take(rows, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
+            acts = _forward_trace(weights, biases, xs)
+            _backprop(weights, acts, dlogits(acts[-1], ts), out)
+            for model, g, sched, offset, wd in updates[:active]:
+                sgd_step(model, g, cosine_lr(sched, offset + step), wd)
+
+    diverged = [order[r] for r in np.flatnonzero(~np.isfinite(params).all(axis=1))]
+    if diverged:
+        raise DivergenceError(phase, node_ids[min(diverged)])
+    row = {i: r for r, i in enumerate(order)}
+    return [updates[row[i]][0].copy() for i in range(count)]

@@ -2,18 +2,17 @@
 into a distilled central model, the parameter-averaging baseline, and exact
 byte accounting for everything that crosses the wire.
 
-Local training runs the nodes in lockstep (:func:`train_lockstep`): nodes
-that share a layout and batch size train as one stack, with one stacked
-forward and backward pass per step for every node still training.
+Local training and every FedAvg round group the nodes into lockstep stacks
+(:func:`train_lockstep`): nodes that share a layout, label type and batch
+size are the jobs of one :func:`~fedkd.numkit.train_sgd` call, the SGD loop
+distillation runs through too. This module only picks each stack's loss.
 
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
 identical under any scheduling of the per-node work. Lockstep training keeps
 it: each node permutes its own shard from its own stream, and its slice of
 every stacked call is the call it would make alone, so a node trains to the
-same bits alone, in any stack and in any order. With ``node_seeds`` the
-node index is dropped from the key, which makes "same shard, same seed, same
-parameters" hold across nodes.
+same bits alone, in any stack and in any order.
 
 Ledger convention: an entry's bytes are the serialized payload a frame
 carries (logits at 8 bytes each, the max-abs scalar at 8, parameters at 8P);
@@ -53,19 +52,17 @@ from .ensemble import (
     importance_weights,
     packed_payload_bytes,
 )
-from .errors import ConfigurationError, DimensionError, DivergenceError, RangeError
+from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError, RangeError
 from .numkit import (
     CosineSchedule,
-    MlpGrads,
     MlpModel,
     RandomStream,
-    _backprop,
+    SgdJob,
     _forward_trace,
     _layer_views,
     check_matrix,
-    cosine_lr,
     init_mlp,
-    sgd_step,
+    train_sgd,
 )
 
 # stream purpose tags (second element of every stream id)
@@ -97,7 +94,6 @@ __all__ = [
     "run_fedkd",
     "run_fedavg",
     "run_centralized",
-    "fedavg_bandwidth_bytes",
     "encode_params",
     "decode_params",
     "param_payload_bytes",
@@ -146,12 +142,6 @@ def ledger_report(ledger: BandwidthLedger) -> dict:
         "total_gb_decimal": total / 1e9,
         "total_gib_binary": total / 2**30,
     }
-
-
-def fedavg_bandwidth_bytes(rounds: int, num_nodes: int, param_count: int) -> int:
-    """Closed form for full-participation parameter exchange: each round every
-    node downloads and uploads all P parameters as float64."""
-    return rounds * num_nodes * 2 * 8 * param_count
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +209,16 @@ def train_lockstep(
     step_offsets: list[int] | None = None,
     node_ids: list[int | None] | None = None,
 ) -> list[MlpModel]:
-    """SGD with a cosine schedule for every model on its own shard, on copies
-    of the models. Node k's batches are consecutive slices of a fresh
-    permutation per epoch from ``streams[k]``, trailing remainder dropped.
+    """SGD with a cosine schedule for every model on its own shard and batch
+    stream ``streams[k]``, on copies of the models.
 
     ``total_steps[k]``/``step_offsets[k]`` spread one cosine horizon over
     several calls (round-based training resumes mid-schedule); by default a
     node's horizon is its own step count. Nodes that share layer dims, label
-    type and batch size ``min(batch_size, n)`` train in lockstep as one
-    stack. That changes no result: each node keeps its own stream, schedule
-    and weight decay, and its slice of every stacked call is the call it
-    would make alone. After every stack has finished, the lowest-index node
-    with non-finite parameters raises DivergenceError naming ``node_ids[k]``.
+    type and batch size ``min(batch_size, n)`` are the jobs of one
+    :func:`~fedkd.numkit.train_sgd` call, on softmax or masked sigmoid
+    cross-entropy. After every stack has finished, the lowest-index node with
+    non-finite parameters raises DivergenceError naming ``node_ids[k]``.
     """
     count = len(models)
     total_steps = [None] * count if total_steps is None else total_steps
@@ -247,75 +235,26 @@ def train_lockstep(
             raise ConfigurationError("cannot train on an empty dataset")
         x = check_matrix(ds.features, "features", model.input_dim)
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
-        jobs.append((model, x, y, cfg, streams[k], total_steps[k], step_offsets[k]))
-        key = (tuple(model.layer_dims), ds.task, min(cfg.batch_size, ds.n))
-        stacks.setdefault(key, []).append(k)
+        b = min(cfg.batch_size, ds.n)
+        steps = cfg.epochs * (ds.n // b)
+        sched = CosineSchedule(cfg.lr_start, cfg.lr_end,
+                               steps if total_steps[k] is None else total_steps[k])
+        jobs.append(SgdJob(model, x, (y,), streams[k], steps, sched, step_offsets[k],
+                           cfg.weight_decay))
+        stacks.setdefault((tuple(model.layer_dims), ds.task, b), []).append(k)
 
-    trained: list[MlpModel] = [None] * count
-    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
-        for (dims, task, b), members in stacks.items():
-            stack = _train_stack(list(dims), task, b, [jobs[k] for k in members])
-            for k, model in zip(members, stack):
-                trained[k] = model
-    for k, model in enumerate(trained):
-        if not np.isfinite(model.flat).all():
-            raise DivergenceError("node training", node_ids[k])
-    return trained
-
-
-def _train_stack(dims: list[int], task: str, b: int, jobs: list[tuple]) -> list[MlpModel]:
-    """Lockstep SGD for the ``(model, x, y, cfg, stream, total_steps, offset)``
-    jobs of one layout and batch size b; returns new models in job order.
-
-    The nodes are held longest first, so the ones still training are a
-    prefix of the [K, P] parameter matrix. Each step gathers their batches,
-    runs one stacked forward and backward pass, then one sgd_step per node on
-    its row of the matrix.
-    """
-    steps = [cfg.epochs * (x.shape[0] // b) for _, x, _, cfg, *_ in jobs]
-    order = sorted(range(len(jobs)), key=lambda i: -steps[i])  # stable: ties keep job order
-    params = np.stack([jobs[i][0].flat for i in order])
-    grads = np.empty_like(params)
-    y0 = jobs[0][2]
-    xb = np.empty((len(jobs), b, dims[0]))
-    yb = np.empty((len(jobs), b, *y0.shape[1:]), dtype=y0.dtype)
-    link, dlogits = _softmax_rows, _xent_dlogits
-    if task != SINGLE_LABEL:
-        link, dlogits = sigmoid, _bce_dlogits
-
-    gather, update = [], []  # per node, longest first
-    for row, i in enumerate(order):
-        _, x, y, cfg, rs, horizon, offset = jobs[i]
-        sched = CosineSchedule(cfg.lr_start, cfg.lr_end, steps[i] if horizon is None else horizon)
-        gather.append([x, y, xb[row], yb[row], rs, x.shape[0] // b, None])
-        update.append((MlpModel.aliasing(dims, params[row]), MlpGrads.aliasing(dims, grads[row]),
-                       sched, offset, cfg.weight_decay))
-    ends = [steps[i] for i in order]
-    active = len(jobs)
-    weights, biases = _layer_views(dims, params)
-    out = MlpGrads.aliasing(dims, grads)
-    for step in range(ends[0]):
-        if ends[active - 1] == step:  # the shortest nodes are done: shrink the prefix
-            while ends[active - 1] == step:
-                active -= 1
-            weights, biases = _layer_views(dims, params[:active])
-            out = MlpGrads.aliasing(dims, grads[:active])
-        for node in gather[:active]:
-            x, y, x_out, y_out, rs, per_epoch, perm = node
-            j = step % per_epoch
-            if j == 0:
-                node[-1] = perm = rs.permutation(x.shape[0])
-            rows = perm[j * b : (j + 1) * b]
-            x.take(rows, 0, x_out, "clip")  # rows are in range; "clip" skips a buffered copy
-            y.take(rows, 0, y_out, "clip")
-        acts = _forward_trace(weights, biases, xb[:active])
-        _backprop(weights, acts, dlogits(link(acts[-1]), yb[:active]), out)
-        for model, g, sched, offset, wd in update[:active]:
-            sgd_step(model, g, cosine_lr(sched, offset + step), wd)
-    trained = [None] * len(jobs)
-    for row, i in enumerate(order):
-        trained[i] = update[row][0].copy()
-    return trained
+    trained, diverged = {}, []
+    for (dims, task, b), members in stacks.items():
+        dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
+                   else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
+        try:
+            trained.update(zip(members, train_sgd(list(dims), b, [jobs[k] for k in members],
+                                                  dlogits, "node training", members)))
+        except DivergenceError as err:
+            diverged.append(err.node_id)
+    if diverged:
+        raise DivergenceError("node training", node_ids[min(diverged)])
+    return [trained[k] for k in range(count)]
 
 
 def train_supervised(
@@ -349,12 +288,6 @@ class NodeHandle:
     query_rows: int = 0
 
 
-def _node_stream(seed, node_seeds, k: int, tag: int, *extra: int) -> RandomStream:
-    if node_seeds is not None:
-        return RandomStream(node_seeds[k], (tag, *extra))
-    return RandomStream(seed, (tag, k, *extra))
-
-
 def _as_cfg_list(node_cfg, count: int) -> list[TrainConfig]:
     cfgs = list(node_cfg) if isinstance(node_cfg, (list, tuple)) else [node_cfg] * count
     if len(cfgs) != count:
@@ -366,21 +299,17 @@ def train_locals(
     shards: list[Dataset],
     node_cfg,
     seed: int,
-    node_seeds: list[int] | None = None,
 ) -> list[NodeHandle]:
     """Train every non-empty shard independently, all in one lockstep call;
     empty shards yield a handle with no model so their zero profile drops
     them from the ensemble."""
     cfgs = _as_cfg_list(node_cfg, len(shards))
-    if node_seeds is not None and len(node_seeds) != len(shards):
-        raise ConfigurationError("node_seeds length must match shard count")
     live = [k for k, shard in enumerate(shards) if shard.n > 0]
     models = train_lockstep(
-        [init_mlp(cfgs[k].layer_dims, _node_stream(seed, node_seeds, k, STREAM_INIT))
-         for k in live],
+        [init_mlp(cfgs[k].layer_dims, RandomStream(seed, (STREAM_INIT, k))) for k in live],
         [shards[k] for k in live],
         [cfgs[k] for k in live],
-        [_node_stream(seed, node_seeds, k, STREAM_BATCH, 0) for k in live],
+        [RandomStream(seed, (STREAM_BATCH, k, 0)) for k in live],
         node_ids=live,
     )
     trained = dict(zip(live, models))
@@ -393,7 +322,6 @@ def collect_logits(
     repeats: int = 1,
     noise_scale: float | None = None,
     seed: int = 0,
-    node_seeds: list[int] | None = None,
     ledger: BandwidthLedger | None = None,
 ) -> list[LogitBlock]:
     """One logit block per trained node; repeats > 1 averages that many passes
@@ -413,7 +341,7 @@ def collect_logits(
         for r in range(repeats):
             x = public_features
             if noise_scale:
-                qrs = _node_stream(seed, node_seeds, h.node_id, STREAM_QUERY, r)
+                qrs = RandomStream(seed, (STREAM_QUERY, h.node_id, r))
                 x = public_features + noise_scale * qrs.gauss(public_features.shape)
             with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
                 z = _forward_trace(h.model.weights, h.model.biases, x)[-1]
@@ -444,7 +372,6 @@ class FedKdRun:
     repeats: int = 1
     query_noise: float | None = None
     labeled_public: bool = False
-    node_seeds: list[int] | None = None
 
 
 @dataclass
@@ -458,18 +385,20 @@ class FedKdResult:
     trace: list[dict]
 
 
-def _evaluate(model: MlpModel, test: Dataset) -> float:
-    if test.task == SINGLE_LABEL:
-        return evaluate_single(model, test)
-    return evaluate_multi(model, test).mean_auc
+def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
+    """The test metric of ``model``; an EvaluationError names ``who`` it was."""
+    try:
+        if test.task == SINGLE_LABEL:
+            return evaluate_single(model, test)
+        return evaluate_multi(model, test).mean_auc
+    except EvaluationError as err:
+        raise EvaluationError(f"evaluating {who}: {err}") from None
 
 
 def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger):
     """(teacher, weights, block count) from one query of every trained node; the
     logit blocks die on return, so none is held through distillation."""
-    blocks = collect_logits(
-        handles, public_x, run.repeats, run.query_noise, run.seed, run.node_seeds, ledger
-    )
+    blocks = collect_logits(handles, public_x, run.repeats, run.query_noise, run.seed, ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
     for b in blocks:
@@ -500,7 +429,7 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
         profiles = profile(private, run.plan)
         public_x = public.features if isinstance(public, Dataset) else public
 
-    handles = train_locals(shards, run.node_cfg, run.seed, run.node_seeds)
+    handles = train_locals(shards, run.node_cfg, run.seed)
     ledger = BandwidthLedger()
     teacher, weights, senders = _teacher(run, handles, profiles, public_x, ledger)
 
@@ -510,11 +439,12 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
     )
 
     metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
-    standalone = [None if h.model is None else _evaluate(h.model, test) for h in handles]
+    standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
+                  for h in handles]
     present = [v for v in standalone if v is not None]
     metrics = {
         "metric": metric,
-        "central": _evaluate(central, test),
+        "central": _evaluate(central, test, "the central model"),
         "standalone": standalone,
         "standalone_mean": float(np.mean(present)),
         "num_nodes": run.plan.num_nodes,
@@ -544,7 +474,6 @@ def run_fedavg(
     node_cfg,
     rounds: int,
     seed: int,
-    node_seeds: list[int] | None = None,
 ) -> FedAvgResult:
     """Round-based parameter averaging with full participation.
 
@@ -568,7 +497,7 @@ def run_fedavg(
     sizes = np.array([shards[k].n for k in active], dtype=np.float64)
     coef = sizes / sizes.sum()
 
-    global_model = init_mlp(dims, _node_stream(seed, node_seeds, 0, STREAM_INIT))
+    global_model = init_mlp(dims, RandomStream(seed, (STREAM_INIT, 0)))
     pbytes = param_payload_bytes(global_model)
     ledger = BandwidthLedger()
     per_epoch = {k: shards[k].n // min(cfgs[k].batch_size, shards[k].n) for k in active}
@@ -578,7 +507,7 @@ def run_fedavg(
             [global_model] * len(active),
             [shards[k] for k in active],
             [cfgs[k] for k in active],
-            [_node_stream(seed, node_seeds, k, STREAM_BATCH, r) for k in active],
+            [RandomStream(seed, (STREAM_BATCH, k, r)) for k in active],
             total_steps=[rounds * cfgs[k].epochs * per_epoch[k] for k in active],
             step_offsets=[r * cfgs[k].epochs * per_epoch[k] for k in active],
             node_ids=active,
@@ -591,7 +520,7 @@ def run_fedavg(
     metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
     metrics = {
         "metric": metric,
-        "central": _evaluate(global_model, test),
+        "central": _evaluate(global_model, test, "the central model"),
         "rounds": rounds,
         "num_nodes": plan.num_nodes,
         "param_count": global_model.parameter_count(),
@@ -606,7 +535,7 @@ def run_centralized(
     """Single-site training on the pooled data; the upper reference line."""
     model = init_mlp(cfg.layer_dims, RandomStream(seed, (STREAM_INIT, 0)))
     model = train_supervised(model, train, cfg, RandomStream(seed, (STREAM_BATCH, 0, 0)))
-    return model, _evaluate(model, test)
+    return model, _evaluate(model, test, "the centralized model")
 
 
 # ---------------------------------------------------------------------------

@@ -649,7 +649,31 @@ def test_overflowing_model_evaluation_is_a_one_line_runtime_error(tmp_path, caps
     p = write_config(tmp_path, doc)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
-        "runtime error: non-finite model logits on the evaluation set\n")
+        "runtime error: evaluating the central model: non-finite model logits on the "
+        "evaluation set\n")
+
+
+def test_overflowing_node_evaluation_names_the_node(tmp_path, capsys):
+    """A node trained at lr 1e300 answers the all-zero public rows with finite
+    logits, so the query and distillation pass, but its logits on the far-out
+    test rows overflow: the one stderr line says which model it was."""
+    task = {"kind": "csv", "task_type": "single_label", "num_classes": 2,
+            "feature_cols": ["x"], "label_cols": ["y"]}
+    splits = {"private": [(1.0, 0)], "public": [(0.0, 0), (0.0, 1)],
+              "test": [(1e10, 0), (1e10, 1)]}
+    for split, rows in splits.items():
+        path = tmp_path / f"{split}.csv"
+        path.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows))
+        task[split] = str(path)
+    doc = tiny_doc(task=task, num_nodes=1, central_hidden_dims=[],
+                   node={"hidden_dims": [], "epochs": 1, "batch_size": 1, "lr_start": 1e300},
+                   distill={"steps": 1, "batch_size": 1},
+                   ensemble={"quant_scale": None, "gamma": None})
+    p = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: evaluating node 0: non-finite model logits on the evaluation set\n")
+    assert not (tmp_path / "o").exists()
 
 
 # One field set out of its range: each is a config error (exit 2) or, for

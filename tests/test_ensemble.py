@@ -24,7 +24,6 @@ from fedkd.ensemble import (
     laplace_sample,
     packed_payload_bytes,
     quant_level_bits,
-    quantize,
     quantize_array,
 )
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
@@ -114,42 +113,42 @@ class TestGlobalMaxAbs:
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):
-        assert quantize(0.0, 1.0, 4) == 0.0
+        assert quantize_array(np.array([[0.0]]), 1.0, 4)[0, 0] == 0.0
 
     def test_hand_positive(self):
-        assert quantize(0.3, 1.0, 4) == pytest.approx(0.5, rel=1e-15)
+        assert quantize_array(np.array([[0.3]]), 1.0, 4)[0, 0] == pytest.approx(0.5, rel=1e-15)
 
     def test_hand_negative_ceils_toward_zero(self):
-        assert quantize(-0.3, 1.0, 4) == 0.0
+        assert quantize_array(np.array([[-0.3]]), 1.0, 4)[0, 0] == 0.0
 
     def test_max_maps_to_max(self):
-        assert quantize(1.0, 1.0, 4) == pytest.approx(1.0, rel=1e-15)
+        assert quantize_array(np.array([[1.0]]), 1.0, 4)[0, 0] == pytest.approx(1.0, rel=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeError):
-            quantize(1.5, 1.0, 4)
+            quantize_array(np.array([[1.5]]), 1.0, 4)
         with pytest.raises(RangeError):
             quantize_array(np.array([[0.2, -1.01]]), 1.0, 4)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(RangeError):
-            quantize(0.1, 1.0, 1)
+            quantize_array(np.array([[0.1]]), 1.0, 1)
         with pytest.raises(RangeError):
-            quantize(0.1, 0.0, 4)
+            quantize_array(np.array([[0.1]]), 0.0, 4)
 
     @given(st.floats(-1.0, 1.0), st.floats(1e-3, 1e3), st.integers(2, 5000))
     @settings(max_examples=500, deadline=None)
     def test_error_bound_property(self, frac, z_max, scale):
         z = frac * z_max
         step = 2.0 * z_max / scale
-        assert abs(quantize(z, z_max, scale) - z) <= step * (1 + 1e-12)
+        assert abs(quantize_array(np.array([[z]]), z_max, scale)[0, 0] - z) <= step * (1 + 1e-12)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
            st.floats(1e-3, 1e3), st.integers(2, 5000))
     @settings(max_examples=500, deadline=None)
     def test_monotone_property(self, f1, f2, z_max, scale):
-        lo, hi = sorted((f1 * z_max, f2 * z_max))
-        assert quantize(lo, z_max, scale) <= quantize(hi, z_max, scale)
+        lo, hi = quantize_array(np.array([sorted((f1 * z_max, f2 * z_max))]), z_max, scale)[0]
+        assert lo <= hi
 
     def test_grid_cardinality(self):
         for scale in (2, 3, 4, 7, 200):

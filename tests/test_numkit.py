@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedkd.errors import DimensionError, FedKdError, RangeError, ValidationError
+from fedkd.errors import DimensionError, DivergenceError, FedKdError, RangeError, ValidationError
 from fedkd.numkit import (
     CosineSchedule,
     MlpGrads,
     MlpModel,
     RandomStream,
+    SgdJob,
     check_matrix,
     cosine_lr,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
+    train_sgd,
 )
 from fedkd.protocol import encode_params
 
@@ -314,3 +316,92 @@ class TestCheckMatrix:
         with pytest.raises(ValidationError, match="x: non-finite entries") as exc:
             check_matrix(np.array([[1.0, np.inf]]), "x")
         assert isinstance(exc.value, FedKdError) and isinstance(exc.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the SGD loop
+
+SGD_DIMS = [5, 7, 3]
+SGD_B = 4
+# (rows, steps, lr_start, offset, weight decay) at 4 rows per batch: 13 steps
+# of 10 per epoch and 7 of 5 end mid-epoch, 12 of 6 at an epoch boundary, 2 of
+# 4 inside the first epoch
+SGD_SPEC = [(40, 13, 0.1, 0, 0.0), (23, 7, 0.05, 2, 1e-3), (24, 12, 0.2, 0, 0.0),
+            (16, 2, 0.1, 5, 1e-2)]
+
+
+def sgd_jobs(lr_scale=(1.0, 1.0, 1.0, 1.0)):
+    """Fresh jobs (their streams unused) of one layout with two target arrays:
+    per-row teacher logits and a per-row weight."""
+    data = RandomStream(3, (70,))
+    jobs = []
+    for k, ((n, steps, lr, offset, wd), scale) in enumerate(zip(SGD_SPEC, lr_scale)):
+        x = data.gauss((n, SGD_DIMS[0]))
+        targets = (data.gauss((n, SGD_DIMS[-1])), 0.5 + data.uniform(n))
+        sched = CosineSchedule(scale * lr, 0.01 * lr, offset + steps)
+        jobs.append(SgdJob(make_model(SGD_DIMS, k), x, targets, RandomStream(3, (71, k)),
+                           steps, sched, offset, wd))
+    return jobs
+
+
+def weighted_l2_dlogits(z, targets):
+    """Logit gradient of (1/b) sum_i w_i ||z_i - t_i||^2, for a stack or one model."""
+    t, w = targets
+    return (2.0 / z.shape[-2]) * w[..., None] * (z - t)
+
+
+def reference_sgd(job, b, dlogits):
+    """One job as the per-step chain of checked public calls."""
+    model, x = job.model.copy(), job.x
+    per_epoch = x.shape[0] // b
+    for step in range(job.steps):
+        j = step % per_epoch
+        if j == 0:
+            perm = job.stream.permutation(x.shape[0])
+        idx = perm[j * b : (j + 1) * b]
+        gz = dlogits(mlp_forward(model, x[idx]), tuple(t[idx] for t in job.targets))
+        lr = cosine_lr(job.schedule, job.offset + step)
+        model = sgd_step(model, mlp_backward(model, x[idx], gz), lr, job.weight_decay)
+    return model
+
+
+def bits(model):
+    return model.flat.view(np.int64)
+
+
+class TestTrainSgd:
+    def test_a_stack_gives_every_job_the_bits_it_gets_alone(self):
+        stacked = train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), weighted_l2_dlogits, "t", [0, 1, 2, 3])
+        reversed_ = train_sgd(SGD_DIMS, SGD_B, sgd_jobs()[::-1], weighted_l2_dlogits, "t",
+                              [3, 2, 1, 0])[::-1]
+        for k in range(len(SGD_SPEC)):
+            (alone,) = train_sgd(SGD_DIMS, SGD_B, [sgd_jobs()[k]], weighted_l2_dlogits, "t", [k])
+            assert np.array_equal(bits(stacked[k]), bits(alone)), f"job {k}"
+            assert np.array_equal(bits(reversed_[k]), bits(alone)), f"job {k}"
+
+    def test_every_job_follows_the_per_step_oracle(self):
+        jobs = sgd_jobs()
+        before = [job.model.copy() for job in jobs]
+        out = train_sgd(SGD_DIMS, SGD_B, jobs, weighted_l2_dlogits, "t", [0, 1, 2, 3])
+        for k, job in enumerate(sgd_jobs()):
+            ref = reference_sgd(job, SGD_B, weighted_l2_dlogits)
+            assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
+            assert np.array_equal(bits(jobs[k].model), bits(before[k]))  # inputs untouched
+
+    def test_dlogits_sees_only_the_jobs_still_training(self):
+        shapes = []
+
+        def recording(z, targets):
+            shapes.append((z.shape, targets[0].shape, targets[1].shape))
+            return weighted_l2_dlogits(z, targets)
+
+        train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), recording, "t", [0, 1, 2, 3])
+        steps = [spec[1] for spec in SGD_SPEC]
+        live = [sum(n > step for n in steps) for step in range(max(steps))]
+        assert shapes == [((k, SGD_B, 3), (k, SGD_B, 3), (k, SGD_B)) for k in live]
+
+    def test_lowest_index_diverging_job_is_named(self):
+        jobs = sgd_jobs(lr_scale=(1.0, 1e300, 1.0, 1e300))
+        with pytest.raises(DivergenceError, match="phase x diverged on node 11") as exc:
+            train_sgd(SGD_DIMS, SGD_B, jobs, weighted_l2_dlogits, "phase x", [10, 11, 12, 13])
+        assert (exc.value.phase, exc.value.node_id) == ("phase x", 11)
