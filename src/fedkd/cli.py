@@ -415,11 +415,10 @@ def execute_fedkd(cfg: ExperimentConfig, seed: int):
         central_dims=_layer_dims(cfg, cfg.central_hidden_dims),
         seed=seed,
         repeats=cfg.repeats,
-        query_noise=cfg.query_noise or None,
+        query_noise=cfg.query_noise,
         labeled_public=cfg.labeled_public,
     )
-    public_arg = public if cfg.labeled_public else public.features
-    return run_fedkd(run, private, public_arg, test)
+    return run_fedkd(run, private, public, test)
 
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
@@ -459,8 +458,6 @@ def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: 
             for rec in trace:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    body = dict(metrics)
-    body.pop("bandwidth", None)  # the same report lands under "ledger"
     doc = {
         "algorithm": algorithm,
         "config_digest": config_digest(cfg),
@@ -468,7 +465,7 @@ def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: 
         "trace_path": trace_path,
         "ledger": ledger_report(ledger),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **body,
+        **metrics,
     }
     (rd / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -289,26 +289,23 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
     return plan
 
 
+def _class_counts(ds: Dataset, rows) -> NodeProfile:
+    """Class counts of ``ds.labels[rows]``: label occurrences (single) or
+    positives (multi); no rows give all zeros."""
+    if ds.task == SINGLE_LABEL:
+        return NodeProfile(np.bincount(ds.labels[rows, 0], minlength=ds.num_classes))
+    return NodeProfile((ds.labels[rows] == 1).sum(axis=0))
+
+
 def profile(ds: Dataset, plan: PartitionPlan) -> list[NodeProfile]:
-    """Per-node class counts: label occurrences (single) or positives (multi)."""
+    """Per-node class counts over the partition of ``ds``."""
     plan.validate_for(ds)
-    profiles = []
-    for idx in plan.assignments:
-        if ds.task == SINGLE_LABEL:
-            counts = np.bincount(ds.labels[idx, 0], minlength=ds.num_classes)
-        else:
-            counts = (ds.labels[idx] == 1).sum(axis=0)
-        profiles.append(NodeProfile(counts))
-    return profiles
+    return [_class_counts(ds, idx) for idx in plan.assignments]
 
 
 def profile_of(ds: Dataset) -> NodeProfile:
     """Class counts of a whole dataset (a node's actual training set)."""
-    if ds.task == SINGLE_LABEL:
-        counts = np.bincount(ds.labels[:, 0], minlength=ds.num_classes) if ds.n else np.zeros(ds.num_classes, dtype=np.int64)
-    else:
-        counts = (ds.labels == 1).sum(axis=0)
-    return NodeProfile(counts)
+    return _class_counts(ds, slice(None))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ quantization against a global scale, Laplace perturbation, and the weighted
 noisy ensemble of per-node logit blocks.
 
 The quantizer follows the closed form Q(z) = ceil(S*z / (2*z_max)) * 2*z_max/S,
-so the emitted grid has at most S+1 distinct levels on [-z_max, z_max] and the
+with the level clamped to ceil(S/2) against rounding at z = z_max, so the
+emitted grid has at most S+1 distinct levels on [-z_max, z_max] and the
 per-value error is bounded by 2*z_max/S.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,15 +53,11 @@ class LogitBlock:
 
     node_id: int
     logits: np.ndarray  # |D0| x C
-    local_max_abs: float | None = None  # None: take the actual max
+    local_max_abs: float = field(init=False)  # the actual max of |logits|
 
     def __post_init__(self):
         self.logits = check_matrix(self.logits, "logits")
-        actual = float(np.max(np.abs(self.logits))) if self.logits.size else 0.0
-        if self.local_max_abs is None:
-            self.local_max_abs = actual
-        elif self.local_max_abs != actual:
-            raise ValidationError(f"local_max_abs {self.local_max_abs} != actual max {actual}")
+        self.local_max_abs = float(np.max(np.abs(self.logits))) if self.logits.size else 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,10 +130,13 @@ def _check_quant_args(z_max: float, scale: int) -> None:
 
 
 def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Unchecked grid levels ceil(S*z / (2*z_max)), written into ``out`` (a new array if None)."""
+    """Unchecked grid levels ceil(S*z / (2*z_max)), clamped to ceil(S/2): at
+    z = z_max the quotient can round to just above S/2, whose ceiling is a
+    level past the grid. Written into ``out`` (a new array if None)."""
     out = np.multiply(scale, z, out=np.empty(np.shape(z)) if out is None else out)
     out /= 2.0 * z_max
-    return np.ceil(out, out=out)
+    np.ceil(out, out=out)
+    return np.minimum(out, -(-scale // 2), out=out)
 
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
@@ -170,7 +170,8 @@ def ensemble(
     rs: RandomStream,
 ) -> np.ndarray:
     """Aggregate per Eq-style weighted sum of quantized blocks plus one fresh
-    Laplace draw per (sample, class) cell.
+    Laplace draw per (sample, class) cell. The blocks are weighted if and only
+    if ``weights`` is given; without it they are averaged.
 
     Blocks fold into one accumulator in list (node) order through one reused
     buffer, so memory does not grow with the block count; no block is written.
@@ -182,10 +183,10 @@ def ensemble(
     for b in blocks:
         if b.shape != shape:
             raise DimensionError(f"block {b.node_id} has shape {b.shape}, expected {shape}")
-    # Each local_max_abs was checked when its block was built, so no block exceeds
-    # z_max: levels are taken unchecked. z_max = 0: quantization off, or all-zero blocks.
+    # Each local_max_abs is its block's own max, so no block exceeds z_max: levels
+    # are taken unchecked. z_max = 0: quantization off, or all-zero blocks.
     z_max = global_max_abs(blocks) if cfg.quant_scale is not None else 0.0
-    weighted = cfg.weight_mode != UNIFORM and weights is not None
+    weighted = weights is not None
     if weighted and weights.omega.shape[1] != shape[1]:
         raise DimensionError("weight table class count does not match blocks")
 
@@ -253,11 +254,10 @@ def encode_block(block: LogitBlock) -> bytes:
 def encode_block_packed(block: LogitBlock, z_max: float, scale: int) -> bytes:
     """Compressed frame: quantization level indices at quant_level_bits each."""
     _check_quant_args(z_max, scale)
-    levels = _levels(block.logits, z_max, scale).astype(np.int64)
-    min_level = -(scale // 2)  # ceil(-S/2)
-    idx = (levels - min_level).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() > scale):
+    if block.local_max_abs > z_max:
         raise RangeError("logits outside the quantization grid (stale z_max?)")
+    levels = _levels(block.logits, z_max, scale).astype(np.int64)
+    idx = (levels + scale // 2).ravel()  # the lowest level is ceil(-S/2)
     bits = quant_level_bits(scale)
     bitmat = ((idx[:, None] >> np.arange(bits - 1, -1, -1)) & 1).astype(np.uint8)
     payload = np.packbits(bitmat.ravel()).tobytes()

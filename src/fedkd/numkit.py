@@ -167,7 +167,6 @@ class MlpModel:
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -181,8 +180,6 @@ class MlpModel:
                 raise DimensionError(f"weights[{i}]: expected {(dims[i], dims[i+1])}, got {w.shape}")
             if b.shape != (1, dims[i + 1]):
                 raise DimensionError(f"biases[{i}]: expected {(1, dims[i+1])}, got {b.shape}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         self.flat = _pack(self.weights, self.biases)
         self.weights, self.biases = _layer_views(dims, self.flat)
 
@@ -207,12 +204,12 @@ class MlpModel:
         construction path that does not copy. A stacked trainer hands each
         row of its ``[K, P]`` parameter matrix to :func:`sgd_step` this way."""
         model = object.__new__(cls)
-        model.layer_dims, model.activation, model.flat = list(layer_dims), "relu", flat
+        model.layer_dims, model.flat = list(layer_dims), flat
         model.weights, model.biases = _layer_views(layer_dims, flat)
         return model
 
     def copy(self) -> "MlpModel":
-        return MlpModel(list(self.layer_dims), self.weights, self.biases, self.activation)
+        return MlpModel(list(self.layer_dims), self.weights, self.biases)
 
     def flatten(self) -> np.ndarray:
         """All parameters as one new float64 vector (weights then bias per layer)."""

@@ -2,10 +2,12 @@
 into a distilled central model, the parameter-averaging baseline, and exact
 byte accounting for everything that crosses the wire.
 
-Local training and every FedAvg round group the nodes into lockstep stacks
-(:func:`train_lockstep`): nodes that share a layout, label type and batch
-size are the jobs of one :func:`~fedkd.numkit.train_sgd` call, the SGD loop
-distillation runs through too. This module only picks each stack's loss.
+A run takes one :class:`TrainConfig` for every node and the public set as a
+:class:`~fedkd.datasets.Dataset`. Local training and every FedAvg round group
+the nodes into lockstep stacks (:func:`train_lockstep`): nodes that share a
+label type and batch size are the jobs of one
+:func:`~fedkd.numkit.train_sgd` call, the SGD loop distillation runs through
+too. This module only picks each stack's loss.
 
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
@@ -52,7 +54,14 @@ from .ensemble import (
     importance_weights,
     packed_payload_bytes,
 )
-from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError, RangeError
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    DivergenceError,
+    EvaluationError,
+    RangeError,
+    ValidationError,
+)
 from .numkit import (
     CosineSchedule,
     MlpModel,
@@ -202,53 +211,53 @@ def masked_bce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
 def train_lockstep(
     models: list[MlpModel],
     shards: list[Dataset],
-    cfgs: list[TrainConfig],
+    cfg: TrainConfig,
     streams: list[RandomStream],
     *,
-    total_steps: list[int | None] | None = None,
-    step_offsets: list[int] | None = None,
+    rounds: int = 1,
+    round_index: int = 0,
     node_ids: list[int | None] | None = None,
 ) -> list[MlpModel]:
-    """SGD with a cosine schedule for every model on its own shard and batch
-    stream ``streams[k]``, on copies of the models.
+    """SGD with the cosine schedule of ``cfg`` for every model on its own
+    shard and batch stream ``streams[k]``, on copies of the models.
 
-    ``total_steps[k]``/``step_offsets[k]`` spread one cosine horizon over
-    several calls (round-based training resumes mid-schedule); by default a
-    node's horizon is its own step count. Nodes that share layer dims, label
-    type and batch size ``min(batch_size, n)`` are the jobs of one
+    A node runs ``cfg.epochs`` epochs of ``steps`` steps in all. Its cosine
+    horizon is ``rounds * steps`` and this call starts at step ``round_index
+    * steps``, so round-based training resumes mid-schedule. Nodes that share
+    a label type and batch size ``min(batch_size, n)`` are the jobs of one
     :func:`~fedkd.numkit.train_sgd` call, on softmax or masked sigmoid
     cross-entropy. After every stack has finished, the lowest-index node with
     non-finite parameters raises DivergenceError naming ``node_ids[k]``.
     """
     count = len(models)
-    total_steps = [None] * count if total_steps is None else total_steps
-    step_offsets = [0] * count if step_offsets is None else step_offsets
     node_ids = [None] * count if node_ids is None else node_ids
-    per_node = (shards, cfgs, streams, total_steps, step_offsets, node_ids)
-    if any(len(v) != count for v in per_node):
+    if any(len(v) != count for v in (shards, streams, node_ids)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
+    for model in models:
+        if model.layer_dims != cfg.layer_dims:
+            raise DimensionError(f"model layer dims {model.layer_dims} differ from the "
+                                 f"config's {cfg.layer_dims}")
 
     stacks: dict[tuple, list[int]] = {}
     jobs = []
-    for k, (model, ds, cfg) in enumerate(zip(models, shards, cfgs)):
+    for k, (model, ds) in enumerate(zip(models, shards)):
         if ds.n == 0:
             raise ConfigurationError("cannot train on an empty dataset")
         x = check_matrix(ds.features, "features", model.input_dim)
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
         b = min(cfg.batch_size, ds.n)
         steps = cfg.epochs * (ds.n // b)
-        sched = CosineSchedule(cfg.lr_start, cfg.lr_end,
-                               steps if total_steps[k] is None else total_steps[k])
-        jobs.append(SgdJob(model, x, (y,), streams[k], steps, sched, step_offsets[k],
+        sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
+        jobs.append(SgdJob(model, x, (y,), streams[k], steps, sched, round_index * steps,
                            cfg.weight_decay))
-        stacks.setdefault((tuple(model.layer_dims), ds.task, b), []).append(k)
+        stacks.setdefault((ds.task, b), []).append(k)
 
     trained, diverged = {}, []
-    for (dims, task, b), members in stacks.items():
+    for (task, b), members in stacks.items():
         dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
                    else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
         try:
-            trained.update(zip(members, train_sgd(list(dims), b, [jobs[k] for k in members],
+            trained.update(zip(members, train_sgd(cfg.layer_dims, b, [jobs[k] for k in members],
                                                   dlogits, "node training", members)))
         except DivergenceError as err:
             diverged.append(err.node_id)
@@ -263,14 +272,14 @@ def train_supervised(
     cfg: TrainConfig,
     batch_rs: RandomStream,
     *,
-    total_steps: int | None = None,
-    step_offset: int = 0,
+    rounds: int = 1,
+    round_index: int = 0,
     node_id: int | None = None,
 ) -> MlpModel:
     """One node's :func:`train_lockstep`: SGD with a cosine schedule on a copy
     of model. A non-finite result raises DivergenceError naming ``node_id``."""
-    return train_lockstep([model], [ds], [cfg], [batch_rs], total_steps=[total_steps],
-                          step_offsets=[step_offset], node_ids=[node_id])[0]
+    return train_lockstep([model], [ds], cfg, [batch_rs], rounds=rounds,
+                          round_index=round_index, node_ids=[node_id])[0]
 
 
 @dataclass
@@ -288,27 +297,15 @@ class NodeHandle:
     query_rows: int = 0
 
 
-def _as_cfg_list(node_cfg, count: int) -> list[TrainConfig]:
-    cfgs = list(node_cfg) if isinstance(node_cfg, (list, tuple)) else [node_cfg] * count
-    if len(cfgs) != count:
-        raise ConfigurationError(f"got {len(cfgs)} node configs for {count} nodes")
-    return cfgs
-
-
-def train_locals(
-    shards: list[Dataset],
-    node_cfg,
-    seed: int,
-) -> list[NodeHandle]:
+def train_locals(shards: list[Dataset], node_cfg: TrainConfig, seed: int) -> list[NodeHandle]:
     """Train every non-empty shard independently, all in one lockstep call;
     empty shards yield a handle with no model so their zero profile drops
     them from the ensemble."""
-    cfgs = _as_cfg_list(node_cfg, len(shards))
     live = [k for k, shard in enumerate(shards) if shard.n > 0]
     models = train_lockstep(
-        [init_mlp(cfgs[k].layer_dims, RandomStream(seed, (STREAM_INIT, k))) for k in live],
+        [init_mlp(node_cfg.layer_dims, RandomStream(seed, (STREAM_INIT, k))) for k in live],
         [shards[k] for k in live],
-        [cfgs[k] for k in live],
+        node_cfg,
         [RandomStream(seed, (STREAM_BATCH, k, 0)) for k in live],
         node_ids=live,
     )
@@ -320,13 +317,14 @@ def collect_logits(
     handles: list[NodeHandle],
     public_features: np.ndarray,
     repeats: int = 1,
-    noise_scale: float | None = None,
+    noise_scale: float = 0.0,
     seed: int = 0,
     ledger: BandwidthLedger | None = None,
 ) -> list[LogitBlock]:
     """One logit block per trained node; repeats > 1 averages that many passes
-    over Gaussian-perturbed copies of the public features and bills repeats
-    times the upstream bytes."""
+    over Gaussian-perturbed copies of the public features (no noise at
+    ``noise_scale`` 0) and bills repeats times the upstream bytes. A block
+    that is not finite is a ValidationError naming its node."""
     public_features = check_matrix(public_features, "public features")
     if repeats < 1:
         raise ConfigurationError("repeats must be >= 1")
@@ -348,7 +346,10 @@ def collect_logits(
             h.query_rows += rows
             acc = z if acc is None else acc + z
         acc /= repeats  # acc is this node's own forward output
-        block = LogitBlock(h.node_id, acc)
+        try:
+            block = LogitBlock(h.node_id, acc)
+        except ValidationError as err:
+            raise ValidationError(f"querying node {h.node_id}: {err}") from None
         blocks.append(block)
         if ledger is not None:
             ledger.add("logits_up", h.node_id, repeats * float_payload_bytes(*block.shape))
@@ -364,13 +365,13 @@ class FedKdRun:
     """Everything one aggregation run needs besides the data itself."""
 
     plan: PartitionPlan
-    node_cfg: TrainConfig | list[TrainConfig]
+    node_cfg: TrainConfig
     ensemble_cfg: EnsembleConfig
     distill_cfg: DistillConfig
     central_dims: list[int]
     seed: int
     repeats: int = 1
-    query_noise: float | None = None
+    query_noise: float = 0.0  # 0: every query pass sees the clean features
     labeled_public: bool = False
 
 
@@ -397,7 +398,8 @@ def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
 
 def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger):
     """(teacher, weights, block count) from one query of every trained node; the
-    logit blocks die on return, so none is held through distillation."""
+    logit blocks die on return, so none is held through distillation. The
+    weight mode is decided here: a uniform ensemble gets no weight table."""
     blocks = collect_logits(handles, public_x, run.repeats, run.query_noise, run.seed, ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
@@ -409,25 +411,22 @@ def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger
     return teacher, weights, len(blocks)
 
 
-def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdResult:
+def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
     """Local training, one-shot weighted/quantized/noisy logit aggregation,
     then offline distillation into a fresh central model.
 
-    ``public`` is a feature matrix, or a Dataset when ``labeled_public`` asks
-    for the public set to join every node's training shard (profiles then
-    count the combined set, since weights reflect the data actually trained
-    on).
+    Only the public features are queried and distilled on. When
+    ``labeled_public`` is set, the public set also joins every node's
+    training shard, and profiles count the combined set, since weights
+    reflect the data actually trained on.
     """
     shards = [private.subset(a) for a in run.plan.assignments]
     if run.labeled_public:
-        if not isinstance(public, Dataset):
-            raise ConfigurationError("labeled_public needs the public set as a Dataset")
         shards = [s.concat(public) for s in shards]
         profiles = [profile_of(s) for s in shards]
-        public_x = public.features
     else:
         profiles = profile(private, run.plan)
-        public_x = public.features if isinstance(public, Dataset) else public
+    public_x = public.features
 
     handles = train_locals(shards, run.node_cfg, run.seed)
     ledger = BandwidthLedger()
@@ -451,7 +450,6 @@ def run_fedkd(run: FedKdRun, private: Dataset, public, test: Dataset) -> FedKdRe
         "public_rows": int(public_x.shape[0]),
         "repeats": run.repeats,
         "query_rows": [h.query_rows for h in handles],
-        "bandwidth": ledger_report(ledger),
     }
     if run.ensemble_cfg.quant_scale is not None:
         metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
@@ -471,7 +469,7 @@ def run_fedavg(
     private: Dataset,
     test: Dataset,
     plan: PartitionPlan,
-    node_cfg,
+    node_cfg: TrainConfig,
     rounds: int,
     seed: int,
 ) -> FedAvgResult:
@@ -485,31 +483,24 @@ def run_fedavg(
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
     shards = [private.subset(a) for a in plan.assignments]
-    cfgs = _as_cfg_list(node_cfg, len(shards))
-    dims = cfgs[0].layer_dims
-    for c in cfgs[1:]:
-        if c.layer_dims != dims:
-            raise ConfigurationError("parameter averaging needs identical layer dims")
-
     active = [k for k, s in enumerate(shards) if s.n > 0]
     if not active:
         raise ConfigurationError("every shard was empty")
     sizes = np.array([shards[k].n for k in active], dtype=np.float64)
     coef = sizes / sizes.sum()
 
-    global_model = init_mlp(dims, RandomStream(seed, (STREAM_INIT, 0)))
+    global_model = init_mlp(node_cfg.layer_dims, RandomStream(seed, (STREAM_INIT, 0)))
     pbytes = param_payload_bytes(global_model)
     ledger = BandwidthLedger()
-    per_epoch = {k: shards[k].n // min(cfgs[k].batch_size, shards[k].n) for k in active}
 
     for r in range(rounds):
         locals_ = train_lockstep(
             [global_model] * len(active),
             [shards[k] for k in active],
-            [cfgs[k] for k in active],
+            node_cfg,
             [RandomStream(seed, (STREAM_BATCH, k, r)) for k in active],
-            total_steps=[rounds * cfgs[k].epochs * per_epoch[k] for k in active],
-            step_offsets=[r * cfgs[k].epochs * per_epoch[k] for k in active],
+            rounds=rounds,
+            round_index=r,
             node_ids=active,
         )
         for k in active:
@@ -524,7 +515,6 @@ def run_fedavg(
         "rounds": rounds,
         "num_nodes": plan.num_nodes,
         "param_count": global_model.parameter_count(),
-        "bandwidth": ledger_report(ledger),
     }
     return FedAvgResult(global_model, metrics, ledger)
 

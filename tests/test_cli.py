@@ -370,7 +370,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("case, message", [
         ("csv_nan", "features: non-finite entries"),
         ("gamma", "teacher logits: non-finite entries"),
-        ("cov_scale", "logits: non-finite entries"),
+        ("cov_scale", "querying node 0: logits: non-finite entries"),
     ])
     def test_non_finite_data_is_a_one_line_runtime_error(self, tmp_path, capsys, case, message):
         if case == "csv_nan":
@@ -489,7 +489,7 @@ def test_non_finite_query_prints_one_stderr_line(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
     assert out.returncode == 3
-    assert out.stderr == "runtime error: logits: non-finite entries\n"
+    assert out.stderr == "runtime error: querying node 0: logits: non-finite entries\n"
 
 
 def test_import_leaves_scipy_unloaded():
@@ -599,6 +599,17 @@ def test_readme_quick_start_beats_the_standalone_nodes(tmp_path):
     assert metrics["central"] > metrics["standalone_mean"]
 
 
+def test_readme_library_use_runs():
+    """The README's "Library use" block runs as written, and its distilled
+    model beats the mean standalone node."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(code, "README.md", "exec"), ns)
+    assert ns["result"].metrics["central"] > ns["result"].metrics["standalone_mean"]
+
+
 class TestParseTimeChecks:
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -674,6 +685,20 @@ def test_overflowing_node_evaluation_names_the_node(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "runtime error: evaluating node 0: non-finite model logits on the evaluation set\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_public_query_names_the_node(tmp_path, capsys):
+    """A node trained at lr 1e300 keeps finite parameters, but its logits on
+    the public set overflow: the one stderr line says which node it was."""
+    doc = tiny_doc(num_nodes=1, node={"hidden_dims": [3], "epochs": 1, "batch_size": 1,
+                                      "lr_start": 1e300},
+                   distill={"steps": 1, "batch_size": 1}, seed=0)
+    doc["task"].update(num_classes=2, dim=2, train_per_class=1, test_per_class=1,
+                       public_per_class=1)
+    p = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: querying node 0: logits: non-finite entries\n")
 
 
 # One field set out of its range: each is a config error (exit 2) or, for

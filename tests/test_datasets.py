@@ -215,6 +215,18 @@ class TestProfile:
         ds = balanced_single(10, 3)
         assert profile_of(ds.subset(np.arange(5))).total == 5
 
+    def test_multi_label_empty_node_all_zero(self):
+        ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
+        plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)], alpha=1.0)
+        profiles = profile(ds, plan)
+        assert profiles[1].counts.tolist() == [0, 0]
+        for prof, idx in zip(profiles, plan.assignments):  # the two counts agree
+            assert profile_of(ds.subset(idx)).counts.tolist() == prof.counts.tolist()
+
+    def test_profile_of_an_empty_set_is_all_zero(self):
+        ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
+        assert profile_of(ds).counts.tolist() == [0, 0, 0]
+
 
 class TestPlanJson:
     def test_round_trip(self):

@@ -71,8 +71,6 @@ class TestImportanceWeights:
             WeightTable(np.array([[np.nan], [1.0]]))
         with pytest.raises(ValidationError, match="logits: non-finite"):
             LogitBlock(0, np.array([[1.0, np.inf]]))
-        with pytest.raises(ValidationError, match="local_max_abs"):
-            LogitBlock(0, np.array([[1.0, 2.0]]), 3.0)
 
 
 class TestGlobalMaxAbs:
@@ -94,7 +92,10 @@ class TestGlobalMaxAbs:
             global_max_abs([])
 
     def test_local_max_must_be_exact(self):
-        with pytest.raises(ValueError):
+        # derived from the logits, never given
+        assert block(0, [[1.0, -2.0]]).local_max_abs == 2.0
+        assert block(0, np.zeros((0, 3))).local_max_abs == 0.0
+        with pytest.raises(TypeError):
             LogitBlock(0, np.array([[1.0, 2.0]]), 3.0)
 
     def test_block_is_validated_once(self, monkeypatch):
@@ -164,6 +165,22 @@ class TestQuantize:
         z = np.linspace(-1.0, 1.0, 4001).reshape(1, -1)
         q = quantize_array(z, 1.0, 7)
         assert np.abs(q).max() <= 1.0 + 2.0 / 7 + 1e-12
+
+    def test_max_does_not_overshoot_the_grid(self):
+        # S*z_max / (2*z_max) rounds to just above 100, whose ceiling is 101
+        z_max = 0.6480681684638473
+        assert quantize_array(np.array([[z_max]]), z_max, 200)[0, 0] <= z_max
+
+    @given(st.integers(1, 500), st.floats(1e-300, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_a_block_holding_its_max_stays_on_the_grid(self, half, z_max):
+        scale = 2 * half
+        # the top level S/2 times the step 2*z_max/S may round one ulp past z_max
+        q = quantize_array(np.array([[z_max, -z_max]]), z_max, scale)
+        assert q.max() <= np.nextafter(z_max, np.inf)
+        b = block(0, [[z_max, -z_max, 0.5 * z_max]])
+        back, _ = decode_block(encode_block_packed(b, b.local_max_abs, scale))
+        assert np.array_equal(back.logits, quantize_array(b.logits, z_max, scale))
 
 
 class _StubStream:
@@ -265,15 +282,18 @@ class TestEnsemble:
 
 def list_then_sum(blocks, weights, cfg, rs):
     """The ensemble as first written: quantize every block into a list, then
-    sum the list; the oracle for the streamed fold."""
+    sum the list; the oracle for the streamed fold. A weight table, when
+    given, weights the blocks whatever ``cfg.weight_mode`` says."""
     shape = blocks[0].shape
     quantized = [b.logits for b in blocks]
     if cfg.quant_scale is not None:
         z_max, s = max(b.local_max_abs for b in blocks), cfg.quant_scale
         if z_max > 0:
-            quantized = [np.ceil(s * q / (2.0 * z_max)) * (2.0 * z_max / s) for q in quantized]
+            top = math.ceil(s / 2)  # the grid's highest level
+            quantized = [np.minimum(np.ceil(s * q / (2.0 * z_max)), top) * (2.0 * z_max / s)
+                         for q in quantized]
     acc = np.zeros(shape)
-    if cfg.weight_mode == UNIFORM or weights is None:
+    if weights is None:
         for q in quantized:
             acc += q
         acc /= len(blocks)

@@ -333,8 +333,7 @@ class TestRunFedkd:
         assert 0.0 <= m["central"] <= 1.0
         assert m["num_nodes"] == 5
         assert m["public_rows"] == public.n
-        assert m["bandwidth"]["total_bytes"] == res.ledger.total()
-        assert m["packed_logits_bytes"] < m["bandwidth"]["per_phase"]["logits_up"]
+        assert m["packed_logits_bytes"] < res.ledger.total("logits_up")
 
     def test_labeled_public_joins_training_shards(self):
         train, test, public, plan = make_fixture()
@@ -407,13 +406,6 @@ class TestRunFedavg:
         three = run_fedavg(train, test, plan, cfg, rounds=3, seed=0)
         assert three.ledger.total() == 3 * one.ledger.total()
 
-    def test_heterogeneous_architectures_rejected(self):
-        train, test, _, _ = make_fixture()
-        plan = PartitionPlan([np.arange(100), np.arange(100, 200)], 1.0)
-        cfgs = [TrainConfig([16, 32, 4]), TrainConfig([16, 16, 4])]
-        with pytest.raises(ConfigurationError):
-            run_fedavg(train, test, plan, cfgs, rounds=1, seed=0)
-
     def test_empty_shards_skipped(self):
         train, test, _, _ = make_fixture()
         plan = PartitionPlan([np.arange(300), np.array([], dtype=int)], 1.0)
@@ -480,14 +472,16 @@ class TestTrainSupervised:
         assert evaluate_single(out, test) > before
 
 
-def reference_train(model, ds, cfg, batch_rs, total_steps=None, step_offset=0):
+def reference_train(model, ds, cfg, batch_rs, rounds=1, round_index=0):
     """train_supervised as the per-step chain of checked public calls, with a
-    copying SGD update: the oracle for the fused, in-place trainer."""
+    copying SGD update: the oracle for the fused, in-place trainer. Round
+    ``round_index`` of ``rounds`` runs its steps on one cosine horizon over
+    all rounds."""
     b = min(cfg.batch_size, ds.n)
     per_epoch = ds.n // b
-    horizon = cfg.epochs * per_epoch if total_steps is None else total_steps
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, horizon)
-    step = step_offset
+    steps = cfg.epochs * per_epoch
+    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
+    step = round_index * steps
     for _ in range(cfg.epochs):
         order = batch_rs.permutation(ds.n)
         for j in range(per_epoch):
@@ -518,7 +512,7 @@ def multi_label_fixture(seed=0, n=150, dim=16, classes=4):
 
 class TestFusedTrainingStep:
     @pytest.mark.parametrize("task", [SINGLE_LABEL, MULTI_LABEL])
-    @pytest.mark.parametrize("resume", [None, (50, 12)])
+    @pytest.mark.parametrize("resume", [None, (4, 1)])  # (rounds, round_index)
     def test_bit_identical_to_the_public_per_step_chain(self, task, resume):
         if task == SINGLE_LABEL:
             ds = make_fixture()[0].subset(np.arange(0, 1200, 8))  # all four classes
@@ -526,12 +520,11 @@ class TestFusedTrainingStep:
             ds = multi_label_fixture()
         cfg = TrainConfig([16, 12, 8, 4], epochs=3, batch_size=16, lr_start=0.1,
                           lr_end=0.01, weight_decay=1e-3)
-        kw = {} if resume is None else dict(total_steps=resume[0], step_offset=resume[1])
+        kw = {} if resume is None else dict(rounds=resume[0], round_index=resume[1])
         model = init_mlp(cfg.layer_dims, RandomStream(3, (45,)))
         before = model.copy()
         out = train_supervised(model, ds, cfg, RandomStream(3, (46,)), **kw)
-        ref = reference_train(model.copy(), ds, cfg, RandomStream(3, (46,)),
-                              kw.get("total_steps"), kw.get("step_offset", 0))
+        ref = reference_train(model.copy(), ds, cfg, RandomStream(3, (46,)), **kw)
         assert params_equal(out, ref)
         assert params_equal(model, before)  # the caller's model is untouched
         assert not params_equal(out, before)
@@ -583,52 +576,49 @@ def bits_equal(a: MlpModel, b: MlpModel) -> bool:
 
 
 class TestLockstepTrainer:
-    def mixed_jobs(self):
-        """Shards of several sizes (one below the batch size), both label
-        types, per-node epochs / learning rates / weight decay, and two
-        FedAvg-style resumes: three stacks in one call."""
+    def mixed_shards(self):
+        """Shards of several sizes (one below the batch size, so the nodes
+        finish at different steps) and both label types: three stacks in
+        one call."""
         single = make_fixture()[0]
         multi = multi_label_fixture(n=150)
-        dims = [16, 12, 4]
-        cfg = lambda e, lr, wd: TrainConfig(dims, epochs=e, batch_size=16, lr_start=lr,
-                                           lr_end=0.01 * lr, weight_decay=wd)
-        jobs = [  # (shard, cfg, total_steps, step_offset)
-            (single.subset(np.arange(0, 1200, 8)), cfg(3, 0.1, 1e-3), None, 0),
-            (single.subset(np.arange(3, 1200, 13)), cfg(2, 0.05, 0.0), None, 0),
-            (single.subset(np.arange(5, 1200, 120)), cfg(4, 0.2, 0.0), None, 0),  # 10 rows
-            (multi, cfg(2, 0.1, 1e-3), None, 0),
-            (single.subset(np.arange(1, 1200, 10)), cfg(1, 0.1, 0.0), 40, 7),
-            (multi.subset(np.arange(60)), cfg(3, 0.05, 1e-2), None, 0),
-            (multi.subset(np.arange(60, 130)), cfg(1, 0.1, 0.0), 30, 4),
+        return [
+            single.subset(np.arange(0, 1200, 8)),
+            single.subset(np.arange(3, 1200, 13)),
+            single.subset(np.arange(5, 1200, 120)),  # 10 rows
+            multi,
+            single.subset(np.arange(1, 1200, 10)),
+            multi.subset(np.arange(60)),
+            multi.subset(np.arange(60, 130)),
         ]
-        models = [init_mlp(dims, RandomStream(8, (45, k))) for k in range(len(jobs))]
-        return jobs, models
 
     def test_mixed_stacks_match_the_oracle_bit_for_bit(self):
-        jobs, models = self.mixed_jobs()
-        before = [m.copy() for m in models]
-        out = train_lockstep(
-            models, [j[0] for j in jobs], [j[1] for j in jobs],
-            [RandomStream(8, (46, k)) for k in range(len(jobs))],
-            total_steps=[j[2] for j in jobs], step_offsets=[j[3] for j in jobs],
-        )
-        for k, (ds, cfg, total, offset) in enumerate(jobs):
-            ref = reference_train(before[k].copy(), ds, cfg, RandomStream(8, (46, k)),
-                                  total, offset)
-            assert bits_equal(out[k], ref), f"node {k}"
-            assert bits_equal(models[k], before[k])  # the callers' models are untouched
+        shards = self.mixed_shards()
+        cfg = TrainConfig([16, 12, 4], epochs=2, batch_size=16, lr_start=0.1, lr_end=0.001,
+                          weight_decay=1e-3)
+        for rounds, round_index in ((1, 0), (3, 2)):  # a fresh schedule and a FedAvg resume
+            models = [init_mlp(cfg.layer_dims, RandomStream(8, (45, k)))
+                      for k in range(len(shards))]
+            before = [m.copy() for m in models]
+            out = train_lockstep(models, shards, cfg,
+                                 [RandomStream(8, (46, k)) for k in range(len(shards))],
+                                 rounds=rounds, round_index=round_index)
+            for k, ds in enumerate(shards):
+                ref = reference_train(before[k].copy(), ds, cfg, RandomStream(8, (46, k)),
+                                      rounds, round_index)
+                assert bits_equal(out[k], ref), f"node {k}, round {round_index} of {rounds}"
+                assert bits_equal(models[k], before[k])  # the callers' models are untouched
 
     def test_train_locals_with_an_empty_shard_matches_the_oracle(self):
         train = make_fixture()[0]
         shards = [train.subset(np.arange(0, 1200, 8)), train.subset([]),
                   train.subset(np.arange(7, 1200, 150)), train.subset(np.arange(2, 1200, 11))]
-        cfgs = [TrainConfig([16, 8, 4], epochs=e, batch_size=16, lr_start=lr, weight_decay=wd)
-                for e, lr, wd in ((2, 0.1, 0.0), (2, 0.1, 0.0), (3, 0.05, 1e-3), (1, 0.2, 0.0))]
-        handles = train_locals(shards, cfgs, 5)
+        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1, weight_decay=1e-3)
+        handles = train_locals(shards, cfg, 5)
         assert handles[1].model is None
         for k in (0, 2, 3):
-            model = init_mlp(cfgs[k].layer_dims, RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
-            ref = reference_train(model, shards[k], cfgs[k],
+            model = init_mlp(cfg.layer_dims, RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
+            ref = reference_train(model, shards[k], cfg,
                                   RandomStream(5, (fedkd.protocol.STREAM_BATCH, k, 0)))
             assert bits_equal(handles[k].model, ref), f"node {k}"
 
@@ -647,13 +637,10 @@ class TestLockstepTrainer:
         coef = sizes / sizes.sum()
         model = init_mlp(cfg.layer_dims, RandomStream(4, (fedkd.protocol.STREAM_INIT, 0)))
         for r in range(rounds):
-            locals_ = []
-            for k in active:
-                steps = cfg.epochs * (shards[k].n // min(cfg.batch_size, shards[k].n))
-                locals_.append(reference_train(
-                    model.copy(), shards[k], cfg,
-                    RandomStream(4, (fedkd.protocol.STREAM_BATCH, k, r)),
-                    rounds * steps, r * steps))
+            locals_ = [reference_train(model.copy(), shards[k], cfg,
+                                       RandomStream(4, (fedkd.protocol.STREAM_BATCH, k, r)),
+                                       rounds, r)
+                       for k in active]
             model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
         assert bits_equal(res.model, model)
 
@@ -662,10 +649,17 @@ class TestLockstepTrainer:
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         cfg = TrainConfig([16, 4], epochs=1)
         with pytest.raises(ConfigurationError, match="empty dataset"):
-            train_lockstep([model], [train.subset([])], [cfg], [RandomStream(0, (46,))])
+            train_lockstep([model], [train.subset([])], cfg, [RandomStream(0, (46,))])
         with pytest.raises(ConfigurationError, match="one entry per model"):
-            train_lockstep([model], [train], [cfg], [RandomStream(0, (46,))],
-                           total_steps=[None, None])
+            train_lockstep([model], [train], cfg, [RandomStream(0, (46,))] * 2)
+
+    def test_model_dims_must_match_the_config(self):
+        train = make_fixture()[0]
+        models = [init_mlp([16, 4], RandomStream(0, (45,))),
+                  init_mlp([16, 8, 4], RandomStream(1, (45,)))]
+        with pytest.raises(DimensionError, match=r"\[16, 8, 4\] differ from the config's \[16, 4\]"):
+            train_lockstep(models, [train, train], TrainConfig([16, 4], epochs=1),
+                           [RandomStream(k, (46,)) for k in range(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +679,7 @@ def lockstep_by_seed(shards, seeds):
     stream keyed by its own seed."""
     return train_lockstep(
         [init_mlp(SCHED_CFG.layer_dims, RandomStream(s, (45,))) for s in seeds],
-        shards, [SCHED_CFG] * len(shards), [RandomStream(s, (46,)) for s in seeds])
+        shards, SCHED_CFG, [RandomStream(s, (46,)) for s in seeds])
 
 
 class TestSchedulingDeterminism:
@@ -712,8 +706,9 @@ class TestSchedulingDeterminism:
     def test_lowest_diverging_node_is_named(self):
         train = make_fixture()[0]
         shards = [train.subset(np.arange(k, 1200, 10)) for k in range(5)]  # one stack
-        cfgs = [TrainConfig([16, 8, 4], epochs=1, batch_size=16,
-                            lr_start=1e300 if k in (1, 3) else 0.1) for k in range(5)]
+        for k in (1, 3):  # features at 1e100 overflow the first updates
+            shards[k] = Dataset(1e100 * shards[k].features, shards[k].labels, SINGLE_LABEL, 4)
+        cfg = TrainConfig([16, 8, 4], epochs=1, batch_size=16, lr_start=0.1)
         with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
-            train_locals(shards, cfgs, 0)
+            train_locals(shards, cfg, 0)
         assert exc.value.node_id == 1
