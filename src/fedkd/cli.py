@@ -25,14 +25,13 @@ Config layout (JSON; unknown keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import datetime
 import hashlib
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,16 +110,6 @@ class CsvTask:
 
 
 @dataclass
-class NodeSection:
-    hidden_dims: list[int] = field(default_factory=lambda: [64])
-    epochs: int = 30
-    batch_size: int = 32
-    lr_start: float = 0.05
-    lr_end: float = 0.0
-    weight_decay: float = 0.0
-
-
-@dataclass
 class SweepSection:
     param: str
     values: list
@@ -133,7 +122,7 @@ class ExperimentConfig:
     num_nodes: int = 5
     alpha: float = 1.0
     seed: int = 0
-    node: NodeSection = field(default_factory=NodeSection)
+    node: TrainConfig = field(default_factory=TrainConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
     central_hidden_dims: list[int] = field(default_factory=lambda: [64])
@@ -142,22 +131,6 @@ class ExperimentConfig:
     labeled_public: bool = False
     rounds: int = 30
     sweep: SweepSection | None = None
-
-
-@contextlib.contextmanager
-def _section(where: str):
-    """Name the config section in a ConfigurationError that a runtime
-    config's constructor raises, as a suffix: ``... (in node)``."""
-    try:
-        yield
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{exc} (in {where})") from None
-
-
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {where}")
 
 
 # Field coercers: each takes (value, key path) and returns the typed value or
@@ -230,18 +203,19 @@ _COERCE = {
 }
 
 
-def _build(cls, raw, where: str, special: dict | None = None, derived: tuple = ()):
+def _build(cls, raw, where: str, special: dict | None = None):
     """Construct section ``cls`` from a raw mapping, coercing each key by its
     field annotation (or by ``special``); unknown, missing and wrong-typed keys
-    are ConfigurationErrors that name the key. ``derived`` fields are filled in
-    after the parse, so they are not config keys."""
+    are ConfigurationErrors that name the key, and one that the constructor's
+    checks raise names the section as a suffix: ``... (in node)``."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where!r} must be an object")
-    fields = {k: f for k, f in cls.__dataclass_fields__.items() if k not in derived}
-    _reject_unknown(raw, fields, where)
+    fields = cls.__dataclass_fields__
     special = special or {}
     kwargs = {}
     for key, value in raw.items():
+        if key not in fields:
+            raise ConfigurationError(f"unknown key {key!r} in {where}")
         path = key if where == "config" else f"{where}.{key}"
         coerce = special[key] if key in special else _COERCE[fields[key].type]
         kwargs[key] = coerce(value, path)
@@ -249,8 +223,10 @@ def _build(cls, raw, where: str, special: dict | None = None, derived: tuple = (
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"{where} is missing {', '.join(map(repr, missing))}")
-    with _section(where):
+    try:
         return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc} (in {where})") from None
 
 
 def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
@@ -276,10 +252,9 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
 
 _TOP_LEVEL = {
     "task": _parse_task,
-    "node": lambda raw, where: _build(NodeSection, raw, where),
+    "node": lambda raw, where: _build(TrainConfig, raw, where),
     "ensemble": lambda raw, where: _build(EnsembleConfig, raw, where),
-    "distill": lambda raw, where: _build(DistillConfig, raw, where, {"tau": _parse_tau},
-                                         derived=("task",)),
+    "distill": lambda raw, where: _build(DistillConfig, raw, where, {"tau": _parse_tau}),
     "sweep": lambda raw, where: None if raw is None else _build(SweepSection, raw, where),
 }
 
@@ -307,18 +282,13 @@ def parse_dict(doc: dict) -> ExperimentConfig:
         raise ConfigurationError("query_noise must be >= 0")
     if cfg.rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
-    for key, dims in (("node.hidden_dims", cfg.node.hidden_dims),
-                      ("central_hidden_dims", cfg.central_hidden_dims)):
-        if any(h < 1 for h in dims):
-            raise ConfigurationError(f"{key} entries must be >= 1")
+    if any(h < 1 for h in cfg.central_hidden_dims):
+        raise ConfigurationError("central_hidden_dims entries must be >= 1")
     if isinstance(cfg.task, SyntheticTask):  # a CSV public set is sized by distill
         public = cfg.task.num_classes * cfg.task.public_per_class
         if cfg.distill.batch_size > public:
             raise ConfigurationError(f"distill.batch_size {cfg.distill.batch_size} exceeds "
                                      f"the public set size {public}")
-    _node_train_config(cfg)  # TrainConfig checks the node section
-    # the distilled student's label type is the task's; replace re-runs the checks
-    cfg.distill = replace(cfg.distill, task=getattr(cfg.task, "task_type", SINGLE_LABEL))
     return cfg
 
 
@@ -338,7 +308,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Round-trippable plain mapping; tau serializes as the string \"inf\"."""
     doc = asdict(cfg)
-    doc["distill"].pop("task")  # derived from the task section
     doc["task"] = {"kind": "synthetic" if isinstance(cfg.task, SyntheticTask) else "csv",
                    **asdict(cfg.task)}
     if math.isinf(cfg.distill.tau):
@@ -390,29 +359,14 @@ def _gen_split(per_class: int, shift, seed: int, tag: int, base: dict) -> Datase
     return gen_gaussian_task(spec, RandomStream(seed, (tag,)))
 
 
-def _layer_dims(cfg: ExperimentConfig, hidden: list[int]) -> list[int]:
-    if isinstance(cfg.task, SyntheticTask):
-        d, c = cfg.task.dim, cfg.task.num_classes
-    else:
-        d, c = len(cfg.task.feature_cols), cfg.task.num_classes
-    return [d, *hidden, c]
-
-
-def _node_train_config(cfg: ExperimentConfig) -> TrainConfig:
-    n = cfg.node
-    with _section("node"):
-        return TrainConfig(_layer_dims(cfg, n.hidden_dims), n.epochs, n.batch_size,
-                           n.lr_start, n.lr_end, n.weight_decay)
-
-
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
     private, public, test, plan = build_data(cfg, seed)
     run = FedKdRun(
         plan=plan,
-        node_cfg=_node_train_config(cfg),
+        node_cfg=cfg.node,
         ensemble_cfg=cfg.ensemble,
         distill_cfg=cfg.distill,
-        central_dims=_layer_dims(cfg, cfg.central_hidden_dims),
+        central_hidden_dims=cfg.central_hidden_dims,
         seed=seed,
         repeats=cfg.repeats,
         query_noise=cfg.query_noise,
@@ -423,7 +377,7 @@ def execute_fedkd(cfg: ExperimentConfig, seed: int):
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
     private, public, test, plan = build_data(cfg, seed)
-    return run_fedavg(private, test, plan, _node_train_config(cfg), cfg.rounds, seed)
+    return run_fedavg(private, test, plan, cfg.node, cfg.rounds, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Two distillation objectives:
   for any output head since it never normalizes.
 * ``kl``: temperature-softened KL(teacher || student) scaled by tau^2 so the
   gradient magnitude stays O(1) as tau grows. Multi-label heads use
-  per-class binary distributions from a tempered sigmoid.
+  per-class binary distributions from a tempered sigmoid; a run passes its
+  data's label type as ``task``.
 
 At large tau the tau^2-scaled KL gradient approaches a positive multiple of
 the L2 gradient on mean-centered logits, which the tests pin down.
@@ -72,7 +73,6 @@ class DistillConfig:
     weight_decay: float = 0.0
     tau: float = math.inf
     loss_mode: str = LOGIT_L2
-    task: str = SINGLE_LABEL
 
     def __post_init__(self):
         if self.steps < 1:
@@ -82,10 +82,10 @@ class DistillConfig:
         if not self.lr_start >= self.lr_end >= 0:
             raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
                                      f"{self.lr_start} and lr_end={self.lr_end}")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
         if self.loss_mode not in (LOGIT_L2, KL):
             raise ConfigurationError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.task not in (SINGLE_LABEL, MULTI_LABEL):
-            raise ConfigurationError(f"unknown task {self.task!r}")
         if not self.tau > 0:
             raise ConfigurationError("tau must be > 0")
         if self.loss_mode == KL and math.isinf(self.tau):
@@ -148,18 +148,21 @@ def logit_l2_loss(
     return distill_loss_grad(student, teacher, DistillConfig(loss_mode=LOGIT_L2))
 
 
-def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig) -> tuple[np.ndarray, ...]:
+def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str) -> tuple[np.ndarray, ...]:
     """Per-row teacher inputs of the loss: the logits (``logit_l2``), the tempered
     softmax and its safe log (single-label ``kl``) or tempered sigmoid (multi-label)."""
+    if task not in (SINGLE_LABEL, MULTI_LABEL):
+        raise ConfigurationError(f"unknown task {task!r}")
     if cfg.loss_mode == LOGIT_L2:
         return (teacher,)
-    if cfg.task == SINGLE_LABEL:
+    if task == SINGLE_LABEL:
         p = softmax_tau(teacher, cfg.tau)
         return p, _safe_log(p)
     return (sigmoid(teacher / cfg.tau),)
 
 
-def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig):
+def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
+                       task: str):
     """Unchecked :func:`distill_loss_grad` given _teacher_targets; the trainer's kernel."""
     b = student.shape[0]
     if cfg.loss_mode == LOGIT_L2:
@@ -167,7 +170,7 @@ def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg
         return float((d * d).sum() / b), (2.0 / b) * d
     tau = cfg.tau
     p = targets[0]
-    if cfg.task == SINGLE_LABEL:
+    if task == SINGLE_LABEL:
         q = softmax_tau(student, tau)
         # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
         loss = (tau * tau / b) * sum(_kl_terms(p, q, targets[1]).sum(axis=1).tolist())
@@ -178,14 +181,14 @@ def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg
 
 
 def distill_loss_grad(
-    student: np.ndarray, teacher: np.ndarray, cfg: DistillConfig
+    student: np.ndarray, teacher: np.ndarray, cfg: DistillConfig, *, task: str = SINGLE_LABEL
 ) -> tuple[float, np.ndarray]:
-    """Batch loss and its gradient w.r.t. the student logits."""
+    """Batch loss and its gradient w.r.t. the student logits, for ``task`` labels."""
     student = check_matrix(student, "student logits")
     teacher = check_matrix(teacher, "teacher logits")
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
-    return _distill_loss_grad(student, _teacher_targets(teacher, cfg), cfg)
+    return _distill_loss_grad(student, _teacher_targets(teacher, cfg, task), cfg, task)
 
 
 def distill(
@@ -194,8 +197,10 @@ def distill(
     teacher_logits: np.ndarray,
     cfg: DistillConfig,
     rs: RandomStream,
+    *,
+    task: str = SINGLE_LABEL,
 ) -> tuple[MlpModel, list[dict]]:
-    """Run cfg.steps SGD steps against frozen teacher logits.
+    """Run cfg.steps SGD steps against frozen teacher logits of ``task`` labels.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher targets are indexed by the
@@ -214,12 +219,12 @@ def distill(
     trace = []
 
     def dlogits(z, batches):  # a stack of one: z is [1, b, C]
-        loss, gz = _distill_loss_grad(z[0], tuple(t[0] for t in batches), cfg)
+        loss, gz = _distill_loss_grad(z[0], tuple(t[0] for t in batches), cfg, task)
         trace.append({"step": len(trace), "loss": loss, "lr": cosine_lr(sched, len(trace))})
         return gz[None]
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
-        targets = _teacher_targets(teacher_logits, cfg)
+        targets = _teacher_targets(teacher_logits, cfg, task)
     job = SgdJob(model, features, targets, rs, cfg.steps, sched, weight_decay=cfg.weight_decay)
     (model,) = train_sgd(model.layer_dims, cfg.batch_size, [job], dlogits, "distillation", [None])
     return model, trace

@@ -5,7 +5,9 @@ noisy ensemble of per-node logit blocks.
 The quantizer follows the closed form Q(z) = ceil(S*z / (2*z_max)) * 2*z_max/S,
 with the level clamped to ceil(S/2) against rounding at z = z_max, so the
 emitted grid has at most S+1 distinct levels on [-z_max, z_max] and the
-per-value error is bounded by 2*z_max/S.
+per-value error is bounded by 2*z_max/S. Where S*z_max overflows, the level
+is ceil(z/z_max * S/2), clamped to floor(S/2), and its value level/(S/2) *
+z_max, so no step of the arithmetic can overflow.
 """
 from __future__ import annotations
 
@@ -129,14 +131,39 @@ def _check_quant_args(z_max: float, scale: int) -> None:
         raise RangeError("quantization scale must be >= 2")
 
 
+def _overflows(z_max: float, scale: int) -> bool:
+    """Whether S*z for some |z| <= z_max is past the float range."""
+    return not math.isfinite(scale * float(z_max))
+
+
 def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unchecked grid levels ceil(S*z / (2*z_max)), clamped to ceil(S/2): at
     z = z_max the quotient can round to just above S/2, whose ceiling is a
-    level past the grid. Written into ``out`` (a new array if None)."""
-    out = np.multiply(scale, z, out=np.empty(np.shape(z)) if out is None else out)
-    out /= 2.0 * z_max
+    level past the grid. Where S*z_max overflows, the levels are
+    ceil(z/z_max * S/2), clamped to floor(S/2). Written into ``out`` (a new
+    array if None)."""
+    out = np.empty(np.shape(z)) if out is None else out
+    if _overflows(z_max, scale):
+        np.divide(z, z_max, out=out)
+        out *= scale / 2
+        top = scale // 2
+    else:
+        np.multiply(scale, z, out=out)
+        out /= 2.0 * z_max
+        top = -(-scale // 2)
     np.ceil(out, out=out)
-    return np.minimum(out, -(-scale // 2), out=out)
+    return np.minimum(out, top, out=out)
+
+
+def _grid_values(levels: np.ndarray, z_max: float, scale: int) -> np.ndarray:
+    """The grid values of float ``levels``, in place: times the step 2*z_max/S,
+    or where S*z_max overflows, over S/2 and then times z_max."""
+    if _overflows(z_max, scale):
+        levels /= scale / 2
+        levels *= z_max
+    else:
+        levels *= 2.0 * z_max / scale
+    return levels
 
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
@@ -145,7 +172,7 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.size and np.max(np.abs(z)) > z_max:
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
-    return _levels(z, z_max, scale) * (2.0 * z_max / scale)
+    return _grid_values(_levels(z, z_max, scale), z_max, scale)
 
 
 def laplace_sample(gamma: float, rs: RandomStream, size=None):
@@ -195,8 +222,8 @@ def ensemble(
     for b in blocks:
         q = b.logits
         if z_max > 0:
-            q = _levels(q, z_max, cfg.quant_scale, out=buf)
-            q *= 2.0 * z_max / cfg.quant_scale
+            q = _grid_values(_levels(q, z_max, cfg.quant_scale, out=buf), z_max,
+                             cfg.quant_scale)
         if weighted:
             q = np.multiply(q, weights.omega[b.node_id][None, :], out=buf)
         acc += q
@@ -221,10 +248,7 @@ def ensemble(
 #   payload:     row-major float64s, or level indices of
 #                ceil(log2(S+1)) bits each, bit-packed big-endian
 #
-# Bandwidth accounting counts the payload plus the separately-gathered
-# max-abs scalar; the addressing fields (mode, node_id, dims) are known to
-# both ends and are excluded, which keeps ledger totals equal to the plain
-# bytes-per-logit arithmetic.
+# The ledger bills a frame by the convention in the protocol module docstring.
 
 _MODE_FLOAT = 0
 _MODE_PACKED = 1
@@ -280,7 +304,7 @@ def decode_block(frame: bytes) -> tuple[LogitBlock, dict]:
         raw = np.frombuffer(frame, dtype=np.uint8, offset=off)
         bitstream = np.unpackbits(raw)[: n * bits].reshape(n, bits)
         idx = (bitstream.astype(np.int64) << np.arange(bits - 1, -1, -1)).sum(axis=1)
-        levels = idx - (scale // 2)
-        logits = (levels * (2.0 * scale_value / scale)).reshape(rows, cols)
+        levels = (idx - (scale // 2)).astype(np.float64)
+        logits = _grid_values(levels, scale_value, scale).reshape(rows, cols)
         return LogitBlock(node_id, logits), {"mode": "packed", "quant_scale": scale, "z_max": scale_value}
     raise RangeError(f"unknown frame mode {mode}")

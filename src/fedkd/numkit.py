@@ -29,6 +29,7 @@ __all__ = [
     "MlpGrads",
     "check_matrix",
     "init_mlp",
+    "mlp_parameter_count",
     "mlp_forward",
     "mlp_backward",
     "sgd_step",
@@ -184,10 +185,6 @@ class MlpModel:
         self.weights, self.biases = _layer_views(dims, self.flat)
 
     @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
@@ -196,7 +193,7 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def parameter_count(self) -> int:
-        return sum((fi + 1) * fo for fi, fo in zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        return mlp_parameter_count(self.layer_dims)
 
     @classmethod
     def aliasing(cls, layer_dims: list[int], flat: np.ndarray) -> "MlpModel":
@@ -239,6 +236,11 @@ class MlpGrads:
         grads.flat = flat
         grads.weights, grads.biases = _layer_views(layer_dims, flat)
         return grads
+
+
+def mlp_parameter_count(layer_dims: list[int]) -> int:
+    """Weights and biases of an MLP with ``layer_dims``: the length of its ``flat``."""
+    return sum((fi + 1) * fo for fi, fo in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:

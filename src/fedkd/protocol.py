@@ -3,11 +3,12 @@ into a distilled central model, the parameter-averaging baseline, and exact
 byte accounting for everything that crosses the wire.
 
 A run takes one :class:`TrainConfig` for every node and the public set as a
-:class:`~fedkd.datasets.Dataset`. Local training and every FedAvg round group
-the nodes into lockstep stacks (:func:`train_lockstep`): nodes that share a
-label type and batch size are the jobs of one
-:func:`~fedkd.numkit.train_sgd` call, the SGD loop distillation runs through
-too. This module only picks each stack's loss.
+:class:`~fedkd.datasets.Dataset`; a model's input width, class count and
+label type come from the data it trains on, and a config gives only its
+hidden widths. Local training and every FedAvg round group the nodes into
+lockstep stacks (:func:`train_lockstep`): nodes that share a label type and
+batch size are the jobs of one :func:`~fedkd.numkit.train_sgd` call, the SGD
+loop distillation runs through too. This module only picks each stack's loss.
 
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
@@ -16,10 +17,10 @@ it: each node permutes its own shard from its own stream, and its slice of
 every stacked call is the call it would make alone, so a node trains to the
 same bits alone, in any stack and in any order.
 
-Ledger convention: an entry's bytes are the serialized payload a frame
-carries (logits at 8 bytes each, the max-abs scalar at 8, parameters at 8P);
-fixed addressing fields both ends already know are not billed, so totals match
-the plain bytes-per-value arithmetic.
+Ledger convention: an entry's bytes are the payload a frame carries (logits
+at 8 bytes each, the separately gathered max-abs scalar at 8, parameters at
+8P); the addressing fields both ends know (a logit frame's mode, node id and
+dims) are not billed, so totals match the plain bytes-per-value arithmetic.
 """
 from __future__ import annotations
 
@@ -71,6 +72,7 @@ from .numkit import (
     _layer_views,
     check_matrix,
     init_mlp,
+    mlp_parameter_count,
     train_sgd,
 )
 
@@ -159,21 +161,30 @@ def ledger_report(ledger: BandwidthLedger) -> dict:
 
 @dataclass
 class TrainConfig:
-    layer_dims: list[int]
-    epochs: int = 20
+    """The ``node`` config section: hidden widths and the SGD schedule."""
+
+    hidden_dims: list[int] = field(default_factory=lambda: [64])
+    epochs: int = 30
     batch_size: int = 32
     lr_start: float = 0.05
     lr_end: float = 0.0
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise ConfigurationError("layer_dims needs at least input and output")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigurationError("hidden_dims entries must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if not self.lr_start >= self.lr_end >= 0:
             raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
                                      f"{self.lr_start} and lr_end={self.lr_end}")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
+
+
+def _dims(ds: Dataset, hidden_dims: list[int]) -> list[int]:
+    """The layer dims of a model trained on ``ds``: its features in, its classes out."""
+    return [ds.dim, *hidden_dims, ds.num_classes]
 
 
 def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -219,7 +230,8 @@ def train_lockstep(
     node_ids: list[int | None] | None = None,
 ) -> list[MlpModel]:
     """SGD with the cosine schedule of ``cfg`` for every model on its own
-    shard and batch stream ``streams[k]``, on copies of the models.
+    shard and batch stream ``streams[k]``, on copies of the models. A model
+    whose layer dims are not its shard's (:func:`_dims`) is a DimensionError.
 
     A node runs ``cfg.epochs`` epochs of ``steps`` steps in all. Its cosine
     horizon is ``rounds * steps`` and this call starts at step ``round_index
@@ -233,31 +245,31 @@ def train_lockstep(
     node_ids = [None] * count if node_ids is None else node_ids
     if any(len(v) != count for v in (shards, streams, node_ids)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
-    for model in models:
-        if model.layer_dims != cfg.layer_dims:
-            raise DimensionError(f"model layer dims {model.layer_dims} differ from the "
-                                 f"config's {cfg.layer_dims}")
 
     stacks: dict[tuple, list[int]] = {}
     jobs = []
     for k, (model, ds) in enumerate(zip(models, shards)):
+        dims = _dims(ds, cfg.hidden_dims)
+        if model.layer_dims != dims:
+            raise DimensionError(f"model layer dims {model.layer_dims} differ from the "
+                                 f"data's {dims}")
         if ds.n == 0:
             raise ConfigurationError("cannot train on an empty dataset")
-        x = check_matrix(ds.features, "features", model.input_dim)
+        x = check_matrix(ds.features, "features")
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
         b = min(cfg.batch_size, ds.n)
         steps = cfg.epochs * (ds.n // b)
         sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
         jobs.append(SgdJob(model, x, (y,), streams[k], steps, sched, round_index * steps,
                            cfg.weight_decay))
-        stacks.setdefault((ds.task, b), []).append(k)
+        stacks.setdefault((ds.task, b, *dims), []).append(k)
 
     trained, diverged = {}, []
-    for (task, b), members in stacks.items():
+    for (task, b, *dims), members in stacks.items():
         dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
                    else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
         try:
-            trained.update(zip(members, train_sgd(cfg.layer_dims, b, [jobs[k] for k in members],
+            trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members],
                                                   dlogits, "node training", members)))
         except DivergenceError as err:
             diverged.append(err.node_id)
@@ -303,7 +315,8 @@ def train_locals(shards: list[Dataset], node_cfg: TrainConfig, seed: int) -> lis
     them from the ensemble."""
     live = [k for k, shard in enumerate(shards) if shard.n > 0]
     models = train_lockstep(
-        [init_mlp(node_cfg.layer_dims, RandomStream(seed, (STREAM_INIT, k))) for k in live],
+        [init_mlp(_dims(shards[k], node_cfg.hidden_dims), RandomStream(seed, (STREAM_INIT, k)))
+         for k in live],
         [shards[k] for k in live],
         node_cfg,
         [RandomStream(seed, (STREAM_BATCH, k, 0)) for k in live],
@@ -368,7 +381,7 @@ class FedKdRun:
     node_cfg: TrainConfig
     ensemble_cfg: EnsembleConfig
     distill_cfg: DistillConfig
-    central_dims: list[int]
+    central_hidden_dims: list[int]
     seed: int
     repeats: int = 1
     query_noise: float = 0.0  # 0: every query pass sees the clean features
@@ -432,10 +445,10 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
     ledger = BandwidthLedger()
     teacher, weights, senders = _teacher(run, handles, profiles, public_x, ledger)
 
-    central = init_mlp(run.central_dims, RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
-    central, trace = distill(
-        central, public_x, teacher, run.distill_cfg, RandomStream(run.seed, (STREAM_DISTILL_BATCH,))
-    )
+    central = init_mlp(_dims(public, run.central_hidden_dims),
+                       RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
+    central, trace = distill(central, public_x, teacher, run.distill_cfg,
+                             RandomStream(run.seed, (STREAM_DISTILL_BATCH,)), task=public.task)
 
     metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
     standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
@@ -489,7 +502,8 @@ def run_fedavg(
     sizes = np.array([shards[k].n for k in active], dtype=np.float64)
     coef = sizes / sizes.sum()
 
-    global_model = init_mlp(node_cfg.layer_dims, RandomStream(seed, (STREAM_INIT, 0)))
+    global_model = init_mlp(_dims(private, node_cfg.hidden_dims),
+                            RandomStream(seed, (STREAM_INIT, 0)))
     pbytes = param_payload_bytes(global_model)
     ledger = BandwidthLedger()
 
@@ -523,7 +537,7 @@ def run_centralized(
     train: Dataset, test: Dataset, cfg: TrainConfig, seed: int
 ) -> tuple[MlpModel, float]:
     """Single-site training on the pooled data; the upper reference line."""
-    model = init_mlp(cfg.layer_dims, RandomStream(seed, (STREAM_INIT, 0)))
+    model = init_mlp(_dims(train, cfg.hidden_dims), RandomStream(seed, (STREAM_INIT, 0)))
     model = train_supervised(model, train, cfg, RandomStream(seed, (STREAM_BATCH, 0, 0)))
     return model, _evaluate(model, test, "the centralized model")
 
@@ -543,6 +557,6 @@ def encode_params(model: MlpModel) -> bytes:
 
 
 def decode_params(layer_dims: list[int], buf: bytes) -> MlpModel:
-    if len(buf) != 8 * sum((layer_dims[i] + 1) * layer_dims[i + 1] for i in range(len(layer_dims) - 1)):
+    if len(buf) != 8 * mlp_parameter_count(layer_dims):
         raise DimensionError("parameter frame length does not match layer dims")
     return MlpModel(layer_dims, *_layer_views(layer_dims, np.frombuffer(buf, "<f8")))

@@ -6,7 +6,6 @@ import numpy as np
 
 from fedkd.cli import (
     ExperimentConfig,
-    _node_train_config,
     build_data,
     execute_fedkd,
     parse_dict,
@@ -60,6 +59,6 @@ def centralized_accuracies(overrides: dict | None, seeds) -> np.ndarray:
     out = []
     for s in seeds:
         private, _, test, _ = build_data(cfg, s)
-        _, acc = run_centralized(private, test, _node_train_config(cfg), s)
+        _, acc = run_centralized(private, test, cfg.node, s)
         out.append(acc)
     return np.array(out)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fedkd.cli import (
     SWEEP_AXES,
     CsvTask,
+    build_data,
     cmd_ablate,
     cmd_fedavg,
     cmd_report,
@@ -29,9 +30,11 @@ from fedkd.cli import (
     parse_dict,
 )
 import fedkd.protocol
-from fedkd.distill import LOGIT_L2
-from fedkd.ensemble import PER_CLASS
+from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
+from fedkd.ensemble import PER_CLASS, EnsembleConfig
 from fedkd.errors import ConfigurationError
+from fedkd.numkit import RandomStream, init_mlp
+from fedkd.protocol import FedKdRun, TrainConfig, run_fedkd
 
 
 def tiny_doc(**over):
@@ -45,6 +48,10 @@ def tiny_doc(**over):
     }
     doc.update(over)
     return doc
+
+
+def bits(model):
+    return model.flat.view("i8").tolist()
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -65,6 +72,7 @@ class TestParsing:
         assert cfg.alpha == 1.0
         assert cfg.rounds == 30
         assert cfg.sweep is None
+        assert (cfg.node.hidden_dims, cfg.node.epochs) == ([64], 30)
 
     def test_missing_task_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -556,11 +564,26 @@ class TestDistillTask:
             parse_dict(tiny_doc(distill={"task": "multi_label"}))
         assert "task" not in config_to_dict(parse_dict(tiny_doc()))["distill"]
 
-    def test_follows_the_csv_task_type(self):
-        doc = copy.deepcopy(CSV_DOC)
-        doc["task"].update(task_type="multi_label", label_cols=["a", "b"])
-        assert parse_dict(doc).distill.task == "multi_label"
-        assert parse_dict(copy.deepcopy(CSV_DOC)).distill.task == "single_label"
+    def test_follows_the_csv_task_type(self, tmp_path):
+        """A library run_fedkd distills a multi-label task through the
+        multi-label KL loss without being told the label type, so its student
+        is bit-identical to the CLI's; the single-label loss gives another."""
+        doc = tiny_doc(num_nodes=2, distill={"steps": 60, "batch_size": 32,
+                                             "loss_mode": "kl", "tau": 2.0})
+        doc["task"] = write_csv_task(tmp_path, multi=True)
+        cfg = parse_dict(doc)
+        cli_student = execute_fedkd(cfg, 0).central_model
+        private, public, test, plan = build_data(cfg, 0)
+        distill_cfg = DistillConfig(steps=60, batch_size=32, loss_mode=KL, tau=2.0)
+        run = FedKdRun(plan, TrainConfig([16], epochs=5), EnsembleConfig(), distill_cfg,
+                       central_hidden_dims=[64], seed=0)
+        result = run_fedkd(run, private, public, test)
+        assert bits(result.central_model) == bits(cli_student)
+
+        student = init_mlp([2, 64, 2], RandomStream(0, (fedkd.protocol.STREAM_DISTILL_INIT,)))
+        single, _ = distill(student, public.features, result.teacher_logits, distill_cfg,
+                            RandomStream(0, (fedkd.protocol.STREAM_DISTILL_BATCH,)))
+        assert bits(single) != bits(cli_student)
 
 
 class TestFailedRunLeavesNoRunDirectory:
@@ -577,6 +600,10 @@ class TestFailedRunLeavesNoRunDirectory:
          3, "runtime error: Unable to allocate"),
         ({"node": {"hidden_dims": [16], "epochs": 5, "lr_start": 50}},
          3, "runtime error: distillation diverged"),
+        ({"node": {"hidden_dims": [16], "epochs": 5, "weight_decay": -0.5}},
+         2, "config error: weight_decay must be >= 0 (in node)"),
+        ({"distill": {"steps": 60, "batch_size": 32, "weight_decay": -0.5}},
+         2, "config error: weight_decay must be >= 0 (in distill)"),
     ])
     def test_one_line_exit_and_no_directory(self, tmp_path, capsys, over, code, message):
         p = write_config(tmp_path, tiny_doc(**over))
@@ -699,6 +726,17 @@ def test_overflowing_public_query_names_the_node(tmp_path, capsys):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
         "runtime error: querying node 0: logits: non-finite entries\n")
+
+
+def test_quantizing_near_the_float_limit_prints_one_stderr_line(tmp_path, capsys):
+    """A node trained at lr 1e305 answers with logits so large that S*z_max
+    overflows; the teacher is still quantized to finite values without a
+    numpy warning, so the run fails on one line, in distillation."""
+    doc = tiny_doc(num_nodes=1, node={"hidden_dims": [], "epochs": 5, "lr_start": 1e305})
+    p = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: distillation diverged on the central model: non-finite parameters\n")
 
 
 # One field set out of its range: each is a config error (exit 2) or, for

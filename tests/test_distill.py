@@ -135,6 +135,11 @@ class TestKlMode:
         with pytest.raises(ConfigurationError):
             DistillConfig(loss_mode=KL)
 
+    def test_unknown_task_rejected(self):
+        cfg = DistillConfig(steps=1, batch_size=1, tau=2.0, loss_mode=KL)
+        with pytest.raises(ConfigurationError, match="unknown task"):
+            distill_loss_grad(np.zeros((1, 2)), np.zeros((1, 2)), cfg, task="multi")
+
     def test_single_label_gradient_matches_finite_differences(self):
         cfg = DistillConfig(steps=1, batch_size=1, tau=2.0, loss_mode=KL)
         rs = RandomStream(1, (41,))
@@ -150,18 +155,17 @@ class TestKlMode:
             assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(grad[idx]))
 
     def test_multi_label_gradient_matches_finite_differences(self):
-        cfg = DistillConfig(steps=1, batch_size=1, tau=1.5, loss_mode=KL,
-                            task=MULTI_LABEL)
+        cfg = DistillConfig(steps=1, batch_size=1, tau=1.5, loss_mode=KL)
         rs = RandomStream(2, (42,))
         student, teacher = rs.gauss((2, 3)), rs.gauss((2, 3))
-        _, grad = distill_loss_grad(student, teacher, cfg)
+        _, grad = distill_loss_grad(student, teacher, cfg, task=MULTI_LABEL)
         h = 1e-6
         for idx in [(0, 0), (1, 2)]:
             sp, sm = student.copy(), student.copy()
             sp[idx] += h
             sm[idx] -= h
-            fd = (distill_loss_grad(sp, teacher, cfg)[0]
-                  - distill_loss_grad(sm, teacher, cfg)[0]) / (2 * h)
+            fd = (distill_loss_grad(sp, teacher, cfg, task=MULTI_LABEL)[0]
+                  - distill_loss_grad(sm, teacher, cfg, task=MULTI_LABEL)[0]) / (2 * h)
             assert abs(fd - grad[idx]) <= 1e-5 * max(1.0, abs(grad[idx]))
 
     def test_high_temperature_gradient_aligns_with_l2(self):
@@ -211,7 +215,7 @@ def copying_sgd(model, grads, lr, wd):
     )
 
 
-def reference_distill(model, x, teacher, cfg, rs):
+def reference_distill(model, x, teacher, cfg, rs, task):
     """distill as the per-step chain of checked public calls with a copying
     SGD update; the single-label KL loss is summed row by row with kl_loss."""
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
@@ -224,8 +228,8 @@ def reference_distill(model, x, teacher, cfg, rs):
                 break
             idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
             z = mlp_forward(model, x[idx])
-            loss, gz = distill_loss_grad(z, teacher[idx], cfg)
-            if cfg.loss_mode == KL and cfg.task == SINGLE_LABEL:
+            loss, gz = distill_loss_grad(z, teacher[idx], cfg, task=task)
+            if cfg.loss_mode == KL and task == SINGLE_LABEL:
                 p, q = softmax_tau(teacher[idx], cfg.tau), softmax_tau(z, cfg.tau)
                 loss = (cfg.tau ** 2 / len(idx)) * sum(kl_loss(p[i], q[i]) for i in range(len(idx)))
             lr = cosine_lr(sched, step)
@@ -267,7 +271,7 @@ class TestDistillTrainer:
 
         teacher_model = init_mlp([6, 16, 3], RandomStream(5, (45,)))
         teacher_model = train_supervised(teacher_model, ref_data,
-                                         TrainConfig([6, 16, 3], epochs=20),
+                                         TrainConfig([16], epochs=20),
                                          RandomStream(5, (49,)))
         x = gen_gaussian_task(spec, RandomStream(6, (48,))).features
         teacher = mlp_forward(teacher_model, x)
@@ -300,9 +304,10 @@ class TestDistillTrainer:
         x = public_features(n=200, seed=2)
         teacher = 3.0 * RandomStream(2, (47,)).gauss((200, 5))
         cfg = DistillConfig(steps=40, batch_size=32, lr_start=0.1, lr_end=0.01,
-                            weight_decay=1e-3, tau=tau, loss_mode=mode, task=task)
-        out, trace = distill(model, x, teacher, cfg, RandomStream(2, (46,)))
-        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(2, (46,)))
+                            weight_decay=1e-3, tau=tau, loss_mode=mode)
+        out, trace = distill(model, x, teacher, cfg, RandomStream(2, (46,)), task=task)
+        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(2, (46,)),
+                                           task)
         assert [r["loss"] for r in trace] == [r["loss"] for r in ref_trace]
         assert trace == ref_trace
         for a, b in zip(out.weights + out.biases, ref.weights + ref.biases):
@@ -323,9 +328,10 @@ class TestDistillTrainer:
         x = public_features(n=203, seed=3)
         teacher = 3.0 * RandomStream(3, (47,)).gauss((203, 5))
         cfg = DistillConfig(steps=30, batch_size=25, lr_start=0.2, lr_end=0.0,
-                            tau=tau, loss_mode=mode, task=task)
-        out, trace = distill(model, x, teacher, cfg, RandomStream(3, (46,)))
-        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(3, (46,)))
+                            tau=tau, loss_mode=mode)
+        out, trace = distill(model, x, teacher, cfg, RandomStream(3, (46,)), task=task)
+        ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(3, (46,)),
+                                           task)
         assert trace == ref_trace
         assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
 

@@ -30,6 +30,9 @@ from fedkd.errors import ConfigurationError, DimensionError, RangeError, Validat
 from fedkd.numkit import RandomStream, check_matrix
 
 
+DBL_MAX = np.finfo(np.float64).max
+
+
 def block(node_id, values):
     return LogitBlock(node_id, np.asarray(values, dtype=np.float64))
 
@@ -181,6 +184,23 @@ class TestQuantize:
         b = block(0, [[z_max, -z_max, 0.5 * z_max]])
         back, _ = decode_block(encode_block_packed(b, b.local_max_abs, scale))
         assert np.array_equal(back.logits, quantize_array(b.logits, z_max, scale))
+
+    def test_values_past_the_float_range_over_s_keep_their_level(self):
+        # S*z overflows for |z| > DBL_MAX/S; 5e306 is on the grid of step 1e305
+        q = quantize_array(np.array([[1e307, -1e307, 5e306]]), 1e307, 200)
+        assert q.tolist() == [[1e307, -1e307, 5e306]]
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+           st.floats(DBL_MAX / 4, DBL_MAX), st.integers(2, 5000))
+    @settings(max_examples=300, deadline=None)
+    def test_error_bound_near_the_float_limit(self, fracs, z_max, scale):
+        z = np.sort(np.array([fracs]) * z_max)
+        q = quantize_array(z, z_max, scale)
+        assert np.isfinite(q).all()
+        assert np.abs(q - z).max() <= z_max / scale * 2.0 * (1 + 1e-12)
+        assert (q[:, 1:] >= q[:, :-1]).all()  # np.diff could overflow
+        back, _ = decode_block(encode_block_packed(block(0, z), z_max, scale))
+        assert np.array_equal(back.logits, q)
 
 
 class _StubStream:

@@ -164,7 +164,7 @@ class TestBackward:
 
             analytic = mlp_backward(model, x, 2.0 * mlp_forward(model, x))
             h = 1e-5
-            for li in range(model.num_layers):
+            for li in range(len(model.weights)):
                 w = model.weights[li]
                 for idx in [(0, 0), (w.shape[0] - 1, w.shape[1] - 1)]:
                     mp, mm = model.copy(), model.copy()

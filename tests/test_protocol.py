@@ -1,4 +1,5 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
+import re
 import weakref
 
 import numpy as np
@@ -70,7 +71,7 @@ def make_fixture(seed=0, nodes=5, alpha=1.0):
     return train, test, public, plan
 
 
-NODE_CFG = TrainConfig([16, 32, 4], epochs=30, batch_size=32, lr_start=0.05)
+NODE_CFG = TrainConfig([32], epochs=30, batch_size=32, lr_start=0.05)
 
 
 def whole_plan(ds):
@@ -83,7 +84,7 @@ def base_run(plan, seed=0, **overrides):
         node_cfg=NODE_CFG,
         ensemble_cfg=EnsembleConfig(),
         distill_cfg=DistillConfig(steps=300, batch_size=64, lr_start=0.05),
-        central_dims=[16, 32, 4],
+        central_hidden_dims=[32],
         seed=seed,
     )
     kw.update(overrides)
@@ -385,14 +386,14 @@ class TestRunFedavg:
 
     def test_reaches_near_centralized_accuracy(self):
         train, test, _, plan = make_fixture()
-        cfg = TrainConfig([16, 32, 4], epochs=3, batch_size=32, lr_start=0.05)
+        cfg = TrainConfig([32], epochs=3, batch_size=32, lr_start=0.05)
         res = run_fedavg(train, test, plan, cfg, rounds=10, seed=0)
         _, central_acc = run_centralized(train, test, NODE_CFG, 0)
         assert res.metrics["central"] >= central_acc - 0.03
 
     def test_ledger_matches_closed_form(self):
         train, test, _, plan = make_fixture()
-        cfg = TrainConfig([16, 32, 4], epochs=1, batch_size=32, lr_start=0.05)
+        cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
         res = run_fedavg(train, test, plan, cfg, rounds=4, seed=0)
         p = res.model.parameter_count()
         active = sum(1 for a in plan.assignments if len(a) > 0)
@@ -401,7 +402,7 @@ class TestRunFedavg:
 
     def test_ledger_linear_in_rounds(self):
         train, test, _, plan = make_fixture()
-        cfg = TrainConfig([16, 32, 4], epochs=1, batch_size=32, lr_start=0.05)
+        cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
         one = run_fedavg(train, test, plan, cfg, rounds=1, seed=0)
         three = run_fedavg(train, test, plan, cfg, rounds=3, seed=0)
         assert three.ledger.total() == 3 * one.ledger.total()
@@ -409,7 +410,7 @@ class TestRunFedavg:
     def test_empty_shards_skipped(self):
         train, test, _, _ = make_fixture()
         plan = PartitionPlan([np.arange(300), np.array([], dtype=int)], 1.0)
-        cfg = TrainConfig([16, 32, 4], epochs=1, batch_size=32, lr_start=0.05)
+        cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
         res = run_fedavg(train, test, plan, cfg, rounds=2, seed=0)
         assert {r[1] for r in res.ledger.rows()} == {0}
 
@@ -445,10 +446,15 @@ class TestParamFrames:
 
 
 class TestTrainSupervised:
+    def test_hidden_layer_without_units_rejected(self):
+        for hidden in ([0], [8, -1]):
+            with pytest.raises(ConfigurationError, match="hidden_dims"):
+                TrainConfig(hidden_dims=hidden)
+
     def test_batch_size_clamped_to_dataset(self):
         train, _, _, _ = make_fixture()
         small = train.subset(np.arange(10))
-        cfg = TrainConfig([16, 4], epochs=2, batch_size=32)
+        cfg = TrainConfig([], epochs=2, batch_size=32)
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         out = train_supervised(model.copy(), small, cfg, RandomStream(0, (46,)))
         assert not params_equal(out, model)
@@ -456,7 +462,7 @@ class TestTrainSupervised:
     def test_deterministic_given_streams(self):
         train, _, _, _ = make_fixture()
         shard = train.subset(np.arange(100))
-        cfg = TrainConfig([16, 8, 4], epochs=3, batch_size=16)
+        cfg = TrainConfig([8], epochs=3, batch_size=16)
         outs = []
         for _ in range(2):
             model = init_mlp([16, 8, 4], RandomStream(1, (45,)))
@@ -467,7 +473,7 @@ class TestTrainSupervised:
         train, test, _, _ = make_fixture()
         model = init_mlp([16, 32, 4], RandomStream(2, (45,)))
         before = evaluate_single(model, test)
-        cfg = TrainConfig([16, 32, 4], epochs=10, batch_size=32)
+        cfg = TrainConfig([32], epochs=10, batch_size=32)
         out = train_supervised(model.copy(), train, cfg, RandomStream(2, (46,)))
         assert evaluate_single(out, test) > before
 
@@ -518,10 +524,10 @@ class TestFusedTrainingStep:
             ds = make_fixture()[0].subset(np.arange(0, 1200, 8))  # all four classes
         else:
             ds = multi_label_fixture()
-        cfg = TrainConfig([16, 12, 8, 4], epochs=3, batch_size=16, lr_start=0.1,
+        cfg = TrainConfig([12, 8], epochs=3, batch_size=16, lr_start=0.1,
                           lr_end=0.01, weight_decay=1e-3)
         kw = {} if resume is None else dict(rounds=resume[0], round_index=resume[1])
-        model = init_mlp(cfg.layer_dims, RandomStream(3, (45,)))
+        model = init_mlp([16, 12, 8, 4], RandomStream(3, (45,)))
         before = model.copy()
         out = train_supervised(model, ds, cfg, RandomStream(3, (46,)), **kw)
         ref = reference_train(model.copy(), ds, cfg, RandomStream(3, (46,)), **kw)
@@ -537,16 +543,16 @@ class TestFusedTrainingStep:
             ds = make_fixture()[0].subset(np.arange(0, 1176, 8))
         else:
             ds = multi_label_fixture()
-        cfg = TrainConfig([16, 12, 4], epochs=4, batch_size=20, lr_start=0.2)
-        model = init_mlp(cfg.layer_dims, RandomStream(4, (45,)))
+        cfg = TrainConfig([12], epochs=4, batch_size=20, lr_start=0.2)
+        model = init_mlp([16, 12, 4], RandomStream(4, (45,)))
         out = train_supervised(model, ds, cfg, RandomStream(4, (46,)))
         ref = reference_train(model.copy(), ds, cfg, RandomStream(4, (46,)))
         assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
 
     def test_divergence_is_a_typed_error_naming_the_node(self):
         train, _, _, _ = make_fixture()
-        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=1e300)
-        model = init_mlp(cfg.layer_dims, RandomStream(0, (45,)))
+        cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=1e300)
+        model = init_mlp([16, 8, 4], RandomStream(0, (45,)))
         with pytest.raises(DivergenceError, match="node training diverged on node 3") as exc:
             train_supervised(model, train.subset(np.arange(64)), cfg,
                              RandomStream(0, (46,)), node_id=3)
@@ -558,13 +564,13 @@ class TestFusedTrainingStep:
         bad.features[5, 2] = np.nan
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         with pytest.raises(ValueError, match="features"):
-            train_supervised(model, bad, TrainConfig([16, 4], epochs=1), RandomStream(0, (46,)))
+            train_supervised(model, bad, TrainConfig([], epochs=1), RandomStream(0, (46,)))
 
     def test_feature_width_checked_on_entry(self):
         train, _, _, _ = make_fixture()
         model = init_mlp([8, 4], RandomStream(0, (45,)))
         with pytest.raises(DimensionError):
-            train_supervised(model, train, TrainConfig([8, 4], epochs=1), RandomStream(0, (46,)))
+            train_supervised(model, train, TrainConfig([], epochs=1), RandomStream(0, (46,)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +600,10 @@ class TestLockstepTrainer:
 
     def test_mixed_stacks_match_the_oracle_bit_for_bit(self):
         shards = self.mixed_shards()
-        cfg = TrainConfig([16, 12, 4], epochs=2, batch_size=16, lr_start=0.1, lr_end=0.001,
+        cfg = TrainConfig([12], epochs=2, batch_size=16, lr_start=0.1, lr_end=0.001,
                           weight_decay=1e-3)
         for rounds, round_index in ((1, 0), (3, 2)):  # a fresh schedule and a FedAvg resume
-            models = [init_mlp(cfg.layer_dims, RandomStream(8, (45, k)))
+            models = [init_mlp([16, 12, 4], RandomStream(8, (45, k)))
                       for k in range(len(shards))]
             before = [m.copy() for m in models]
             out = train_lockstep(models, shards, cfg,
@@ -613,11 +619,11 @@ class TestLockstepTrainer:
         train = make_fixture()[0]
         shards = [train.subset(np.arange(0, 1200, 8)), train.subset([]),
                   train.subset(np.arange(7, 1200, 150)), train.subset(np.arange(2, 1200, 11))]
-        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1, weight_decay=1e-3)
+        cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1, weight_decay=1e-3)
         handles = train_locals(shards, cfg, 5)
         assert handles[1].model is None
         for k in (0, 2, 3):
-            model = init_mlp(cfg.layer_dims, RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
+            model = init_mlp([16, 8, 4], RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
             ref = reference_train(model, shards[k], cfg,
                                   RandomStream(5, (fedkd.protocol.STREAM_BATCH, k, 0)))
             assert bits_equal(handles[k].model, ref), f"node {k}"
@@ -626,7 +632,7 @@ class TestLockstepTrainer:
         train, test, _, _ = make_fixture()
         plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
                               np.arange(1, 1200, 100), np.arange(2, 600, 3)], 1.0)
-        cfg = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1,
+        cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1,
                           weight_decay=1e-3)
         rounds = 3
         res = run_fedavg(train, test, plan, cfg, rounds=rounds, seed=4)
@@ -635,7 +641,7 @@ class TestLockstepTrainer:
         active = [k for k, s in enumerate(shards) if s.n]
         sizes = np.array([shards[k].n for k in active], dtype=np.float64)
         coef = sizes / sizes.sum()
-        model = init_mlp(cfg.layer_dims, RandomStream(4, (fedkd.protocol.STREAM_INIT, 0)))
+        model = init_mlp([16, 8, 4], RandomStream(4, (fedkd.protocol.STREAM_INIT, 0)))
         for r in range(rounds):
             locals_ = [reference_train(model.copy(), shards[k], cfg,
                                        RandomStream(4, (fedkd.protocol.STREAM_BATCH, k, r)),
@@ -647,19 +653,22 @@ class TestLockstepTrainer:
     def test_empty_shard_and_length_mismatch_rejected(self):
         train = make_fixture()[0]
         model = init_mlp([16, 4], RandomStream(0, (45,)))
-        cfg = TrainConfig([16, 4], epochs=1)
+        cfg = TrainConfig([], epochs=1)
         with pytest.raises(ConfigurationError, match="empty dataset"):
             train_lockstep([model], [train.subset([])], cfg, [RandomStream(0, (46,))])
         with pytest.raises(ConfigurationError, match="one entry per model"):
             train_lockstep([model], [train], cfg, [RandomStream(0, (46,))] * 2)
 
-    def test_model_dims_must_match_the_config(self):
-        train = make_fixture()[0]
-        models = [init_mlp([16, 4], RandomStream(0, (45,))),
-                  init_mlp([16, 8, 4], RandomStream(1, (45,)))]
-        with pytest.raises(DimensionError, match=r"\[16, 8, 4\] differ from the config's \[16, 4\]"):
-            train_lockstep(models, [train, train], TrainConfig([16, 4], epochs=1),
-                           [RandomStream(k, (46,)) for k in range(2)])
+    def test_model_dims_must_match_the_data(self):
+        train = make_fixture()[0]  # 16 features, 4 classes
+        cfg = TrainConfig([8], epochs=1)
+        for dims in ([16, 8, 3], [15, 8, 4], [16, 4], [16, 9, 4]):
+            models = [init_mlp([16, 8, 4], RandomStream(0, (45,))),
+                      init_mlp(dims, RandomStream(1, (45,)))]
+            with pytest.raises(DimensionError,
+                               match=re.escape(f"{dims} differ from the data's [16, 8, 4]")):
+                train_lockstep(models, [train, train], cfg,
+                               [RandomStream(k, (46,)) for k in range(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +680,14 @@ def twenty_node_shards():
     return [train.subset(a) for a in plan.assignments]
 
 
-SCHED_CFG = TrainConfig([16, 8, 4], epochs=2, batch_size=16, lr_start=0.1)
+SCHED_CFG = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1)
 
 
 def lockstep_by_seed(shards, seeds):
     """train_lockstep over the given shards, each with its model and batch
     stream keyed by its own seed."""
     return train_lockstep(
-        [init_mlp(SCHED_CFG.layer_dims, RandomStream(s, (45,))) for s in seeds],
+        [init_mlp([16, 8, 4], RandomStream(s, (45,))) for s in seeds],
         shards, SCHED_CFG, [RandomStream(s, (46,)) for s in seeds])
 
 
@@ -708,7 +717,7 @@ class TestSchedulingDeterminism:
         shards = [train.subset(np.arange(k, 1200, 10)) for k in range(5)]  # one stack
         for k in (1, 3):  # features at 1e100 overflow the first updates
             shards[k] = Dataset(1e100 * shards[k].features, shards[k].labels, SINGLE_LABEL, 4)
-        cfg = TrainConfig([16, 8, 4], epochs=1, batch_size=16, lr_start=0.1)
+        cfg = TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1)
         with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
             train_locals(shards, cfg, 0)
         assert exc.value.node_id == 1
