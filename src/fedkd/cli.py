@@ -30,6 +30,8 @@ import datetime
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
 from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
@@ -53,9 +55,10 @@ from .numkit import RandomStream
 from .protocol import (
     FedKdRun,
     TrainConfig,
+    _grouped,
     ledger_report,
     run_fedavg,
-    run_fedkd,
+    run_fedkd_batch,
 )
 
 # stream tags for data generation; disjoint from the protocol module's tags
@@ -78,6 +81,8 @@ __all__ = [
     "config_to_dict",
     "config_digest",
     "build_data",
+    "execute_fedkd",
+    "execute_fedkd_batch",
     "cmd_run",
     "cmd_fedavg",
     "cmd_ablate",
@@ -360,19 +365,45 @@ def _gen_split(per_class: int, shift, seed: int, tag: int, base: dict) -> Datase
 
 
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
-    private, public, test, plan = build_data(cfg, seed)
-    run = FedKdRun(
-        plan=plan,
-        node_cfg=cfg.node,
-        ensemble_cfg=cfg.ensemble,
-        distill_cfg=cfg.distill,
-        central_hidden_dims=cfg.central_hidden_dims,
-        seed=seed,
-        repeats=cfg.repeats,
-        query_noise=cfg.query_noise,
-        labeled_public=cfg.labeled_public,
-    )
-    return run_fedkd(run, private, public, test)
+    (result,) = execute_fedkd_batch([cfg], seed)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def execute_fedkd_batch(cells: list[ExperimentConfig], seed: int) -> list:
+    """Every cell's fedkd run at ``seed`` as one staged
+    :func:`~fedkd.protocol.run_fedkd_batch`, with one build_data per distinct
+    task, num_nodes and alpha. A cell that fails gets its exception in place
+    of its result."""
+    out: list = [None] * len(cells)
+    batch, where = [], []
+    for group in _grouped(range(len(cells)),
+                          lambda i: (cells[i].task, cells[i].num_nodes, cells[i].alpha)):
+        try:
+            private, public, test, plan = build_data(cells[group[0]], seed)
+        except Exception as exc:
+            for i in group:
+                out[i] = exc
+            continue
+        for i in group:
+            cfg = cells[i]
+            run = FedKdRun(
+                plan=plan,
+                node_cfg=cfg.node,
+                ensemble_cfg=cfg.ensemble,
+                distill_cfg=cfg.distill,
+                central_hidden_dims=cfg.central_hidden_dims,
+                seed=seed,
+                repeats=cfg.repeats,
+                query_noise=cfg.query_noise,
+                labeled_public=cfg.labeled_public,
+            )
+            batch.append((run, private, public, test))
+            where.append(i)
+    for i, result in zip(where, run_fedkd_batch(batch)):
+        out[i] = result
+    return out
 
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
@@ -395,7 +426,29 @@ def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm
 
 def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
                          metrics: dict, ledger, trace) -> None:
-    rd.mkdir(parents=True, exist_ok=True)
+    """Write the run's files into a temporary sibling of ``rd``, then move it
+    into place, so a failure leaves neither a partial run directory nor the
+    sibling. An existing ``rd`` (under --force) is moved aside first, since a
+    non-empty directory cannot be replaced, and deleted after."""
+    tmp = rd.with_name(f".{rd.name}.{os.getpid()}.tmp")  # no live process owns a stale one
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    try:
+        _write_run_files(tmp, cfg, seed, algorithm, metrics, ledger, trace)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if rd.exists():
+        old = tmp.with_suffix(".old")
+        os.replace(rd, old)
+        os.replace(tmp, rd)
+        shutil.rmtree(old)
+    else:
+        os.replace(tmp, rd)
+
+
+def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
+                     metrics: dict, ledger, trace) -> None:
     resolved = config_to_dict(cfg)
     resolved["seed"] = seed
     (rd / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -462,6 +515,13 @@ def _sweep_cell(cfg: ExperimentConfig, value) -> ExperimentConfig:
     return parse_dict(doc)
 
 
+def _row_fields(outcome) -> dict:
+    """An ablation row's accuracy and bandwidth, or its error, from one cell's outcome."""
+    if isinstance(outcome, Exception):
+        return {"error": f"{type(outcome).__name__}: {outcome}"}
+    return {"accuracy": f"{outcome.metrics['central']:.6f}", "bandwidth": outcome.ledger.total()}
+
+
 def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     if cfg.sweep is None:
         raise ConfigurationError("ablate needs a 'sweep' section in the config")
@@ -469,19 +529,23 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     path = out / "ablation.csv"
     if path.exists() and not force:
         raise ConfigurationError(f"{path} exists (use --force to overwrite)")
-    rows = []
+    cells = []
     for value in cfg.sweep.values:
-        for seed in cfg.sweep.seeds:
-            row = {"param": cfg.sweep.param, "value": "off" if value is None else value,
-                   "seed": seed, "accuracy": "", "bandwidth": "", "error": ""}
-            try:
-                cell = _sweep_cell(cfg, value)
-                result = execute_fedkd(cell, int(seed))
-                row["accuracy"] = f"{result.metrics['central']:.6f}"
-                row["bandwidth"] = result.ledger.total()
-            except Exception as exc:  # a failed cell still gets its row
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+        try:
+            cells.append(_sweep_cell(cfg, value))
+        except Exception as exc:  # a failed cell still gets its row
+            cells.append(exc)
+    runnable = [cell for cell in cells if isinstance(cell, ExperimentConfig)]
+    outcomes = {}  # (value index, seed index) -> row fields
+    for s, seed in enumerate(cfg.sweep.seeds):  # one batch per seed, reduced to its rows
+        fields = iter([_row_fields(r) for r in execute_fedkd_batch(runnable, int(seed))])
+        for v, cell in enumerate(cells):
+            outcomes[v, s] = (next(fields) if isinstance(cell, ExperimentConfig)
+                              else _row_fields(cell))
+    rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value,
+             "seed": seed, "accuracy": "", "bandwidth": "", "error": "", **outcomes[v, s]}
+            for v, value in enumerate(cfg.sweep.values)
+            for s, seed in enumerate(cfg.sweep.seeds)]
     with path.open("w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["param", "value", "seed", "accuracy",
                                            "bandwidth", "error"])

@@ -14,8 +14,9 @@ Two distillation objectives:
 At large tau the tau^2-scaled KL gradient approaches a positive multiple of
 the L2 gradient on mean-centered logits, which the tests pin down.
 
-:func:`distill` is one job of :func:`~fedkd.numkit.train_sgd`, the SGD loop
-of node training too; this module supplies only the loss.
+:func:`distill` runs one student, or a stack of students, as the jobs of
+one :func:`~fedkd.numkit.train_sgd` call, the SGD loop of node training
+too; this module supplies only the loss.
 """
 from __future__ import annotations
 
@@ -162,22 +163,26 @@ def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str) -> tupl
 
 
 def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
-                       task: str):
-    """Unchecked :func:`distill_loss_grad` given _teacher_targets; the trainer's kernel."""
-    b = student.shape[0]
+                       task: str) -> tuple[list[float], np.ndarray]:
+    """Unchecked :func:`distill_loss_grad` over a [J, b, C] stack of student
+    logits and the matching rows of _teacher_targets: each job's batch loss,
+    summed over its own slice as a lone job's is, and the [J, b, C] gradient.
+    The trainer's kernel."""
+    b = student.shape[-2]
     if cfg.loss_mode == LOGIT_L2:
         d = student - targets[0]
-        return float((d * d).sum() / b), (2.0 / b) * d
+        return [float(sq.sum() / b) for sq in d * d], (2.0 / b) * d
     tau = cfg.tau
     p = targets[0]
     if task == SINGLE_LABEL:
         q = softmax_tau(student, tau)
         # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
-        loss = (tau * tau / b) * sum(_kl_terms(p, q, targets[1]).sum(axis=1).tolist())
+        rows = _kl_terms(p, q, targets[1]).sum(axis=-1)
+        losses = [(tau * tau / b) * sum(r.tolist()) for r in rows]
     else:
         q = sigmoid(student / tau)
-        loss = (tau * tau / b) * float(binary_kl_loss(p, q).sum())
-    return loss, (tau / b) * (q - p)
+        losses = [(tau * tau / b) * float(t.sum()) for t in binary_kl_loss(p, q)]
+    return losses, (tau / b) * (q - p)
 
 
 def distill_loss_grad(
@@ -188,46 +193,61 @@ def distill_loss_grad(
     teacher = check_matrix(teacher, "teacher logits")
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
-    return _distill_loss_grad(student, _teacher_targets(teacher, cfg, task), cfg, task)
+    targets = tuple(t[None] for t in _teacher_targets(teacher, cfg, task))
+    (loss,), grad = _distill_loss_grad(student[None], targets, cfg, task)
+    return loss, grad[0]
 
 
-def distill(
-    model: MlpModel,
-    features: np.ndarray,
-    teacher_logits: np.ndarray,
-    cfg: DistillConfig,
-    rs: RandomStream,
-    *,
-    task: str = SINGLE_LABEL,
-) -> tuple[MlpModel, list[dict]]:
-    """Run cfg.steps SGD steps against frozen teacher logits of ``task`` labels.
+def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: str = SINGLE_LABEL):
+    """Run cfg.steps SGD steps against frozen teacher logits of ``task`` labels;
+    returns the trained copy of ``model`` and its per-step trace.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher targets are indexed by the
-    same permutation, so no node is ever re-queried here. Trains a copy of
-    ``model``; a non-finite result raises DivergenceError.
+    same permutation, so no node is ever re-queried here. A non-finite result
+    raises DivergenceError.
+
+    Given equal-length lists of models (of one layer dims), feature matrices,
+    teacher logits and streams instead, every model is a job of one stacked
+    :func:`~fedkd.numkit.train_sgd` call and a list of (model, trace) pairs
+    comes back; a job's slice of every stacked call is the call it would make
+    alone, so each pair is bit-identical to its lone call's.
     """
-    features = check_matrix(features, "features", model.input_dim)
-    teacher_logits = check_matrix(teacher_logits, "teacher logits", model.output_dim)
-    n = features.shape[0]
-    if teacher_logits.shape[0] != n:
-        raise DimensionError("teacher logits and features row counts differ")
-    if cfg.batch_size > n:
-        raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
-
+    single = isinstance(model, MlpModel)
+    models, features, teacher_logits, streams = (
+        ([model], [features], [teacher_logits], [rs]) if single
+        else (model, features, teacher_logits, rs))
+    if not len(models) == len(features) == len(teacher_logits) == len(streams):
+        raise ConfigurationError("distill needs one feature matrix, teacher and stream per model")
+    dims = models[0].layer_dims
     sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
-    trace = []
+    jobs = []
+    for student, x, teacher, stream in zip(models, features, teacher_logits, streams):
+        if student.layer_dims != dims:
+            raise DimensionError(f"stacked students have dims {dims} and {student.layer_dims}")
+        x = check_matrix(x, "features", student.input_dim)
+        teacher = check_matrix(teacher, "teacher logits", student.output_dim)
+        n = x.shape[0]
+        if teacher.shape[0] != n:
+            raise DimensionError("teacher logits and features row counts differ")
+        if cfg.batch_size > n:
+            raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
+            targets = _teacher_targets(teacher, cfg, task)
+        jobs.append(SgdJob(student, x, targets, stream, cfg.steps, sched,
+                           weight_decay=cfg.weight_decay))
+    traces = [[] for _ in jobs]
 
-    def dlogits(z, batches):  # a stack of one: z is [1, b, C]
-        loss, gz = _distill_loss_grad(z[0], tuple(t[0] for t in batches), cfg, task)
-        trace.append({"step": len(trace), "loss": loss, "lr": cosine_lr(sched, len(trace))})
-        return gz[None]
+    def dlogits(z, batches):  # every job runs cfg.steps steps, so z stacks them all, in order
+        losses, gz = _distill_loss_grad(z, batches, cfg, task)
+        step = len(traces[0])
+        lr = cosine_lr(sched, step)
+        for trace, loss in zip(traces, losses):
+            trace.append({"step": step, "loss": loss, "lr": lr})
+        return gz
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
-        targets = _teacher_targets(teacher_logits, cfg, task)
-    job = SgdJob(model, features, targets, rs, cfg.steps, sched, weight_decay=cfg.weight_decay)
-    (model,) = train_sgd(model.layer_dims, cfg.batch_size, [job], dlogits, "distillation", [None])
-    return model, trace
+    trained = train_sgd(dims, cfg.batch_size, jobs, dlogits, "distillation", [None] * len(jobs))
+    return (trained[0], traces[0]) if single else list(zip(trained, traces))
 
 
 # ---------------------------------------------------------------------------

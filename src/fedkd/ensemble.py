@@ -24,6 +24,7 @@ PER_CLASS = "per_class"
 UNIFORM = "uniform"
 
 _TINY = np.finfo(np.float64).tiny
+_DBL_MAX = np.finfo(np.float64).max
 
 __all__ = [
     "PER_CLASS",
@@ -217,18 +218,31 @@ def ensemble(
     if weighted and weights.omega.shape[1] != shape[1]:
         raise DimensionError("weight table class count does not match blocks")
 
+    # The uniform mean sums the blocks, then divides, so the no-op
+    # configuration is exactly the mean. Where 2K times the largest value
+    # summed (a logit, or a grid value of at most z_max*(1 + 1/S)) overflows,
+    # each block is divided by K first; only the last rounding of that sum can
+    # then pass the float range, and the mean is clamped back into it.
+    k = len(blocks)
+    top = max(b.local_max_abs for b in blocks) * (1 + 1 / cfg.quant_scale if z_max else 1)
+    divide_first = not weighted and not math.isfinite(2 * k * top)
     acc = np.zeros(shape)
     buf = np.empty(shape)
-    for b in blocks:
-        q = b.logits
-        if z_max > 0:
-            q = _grid_values(_levels(q, z_max, cfg.quant_scale, out=buf), z_max,
-                             cfg.quant_scale)
-        if weighted:
-            q = np.multiply(q, weights.omega[b.node_id][None, :], out=buf)
-        acc += q
-    if not weighted:
-        acc /= len(blocks)  # sum-then-divide so the no-op configuration is exactly the mean
+    with np.errstate(over="ignore"):  # only a divided-first sum can, and it is clamped below
+        for b in blocks:
+            q = b.logits
+            if z_max > 0:
+                q = _grid_values(_levels(q, z_max, cfg.quant_scale, out=buf), z_max,
+                                 cfg.quant_scale)
+            if weighted:
+                q = np.multiply(q, weights.omega[b.node_id][None, :], out=buf)
+            elif divide_first:
+                q = np.divide(q, k, out=buf)
+            acc += q
+    if divide_first:
+        np.clip(acc, -_DBL_MAX, _DBL_MAX, out=acc)
+    elif not weighted:
+        acc /= k
 
     if cfg.gamma is not None:
         acc += laplace_sample(cfg.gamma, rs, size=shape)

@@ -9,6 +9,9 @@ hidden widths. Local training and every FedAvg round group the nodes into
 lockstep stacks (:func:`train_lockstep`): nodes that share a label type and
 batch size are the jobs of one :func:`~fedkd.numkit.train_sgd` call, the SGD
 loop distillation runs through too. This module only picks each stack's loss.
+:func:`run_fedkd_batch` runs several aggregation runs (a sweep's cells) in
+stages, so their node training and their distillations stack across runs;
+:func:`run_fedkd` is a batch of one.
 
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
@@ -103,6 +106,7 @@ __all__ = [
     "train_locals",
     "collect_logits",
     "run_fedkd",
+    "run_fedkd_batch",
     "run_fedavg",
     "run_centralized",
     "encode_params",
@@ -313,17 +317,27 @@ def train_locals(shards: list[Dataset], node_cfg: TrainConfig, seed: int) -> lis
     """Train every non-empty shard independently, all in one lockstep call;
     empty shards yield a handle with no model so their zero profile drops
     them from the ensemble."""
-    live = [k for k, shard in enumerate(shards) if shard.n > 0]
+    return _train_cells([shards], node_cfg, [seed])[0]
+
+
+def _train_cells(cells: list[list[Dataset]], node_cfg: TrainConfig,
+                 seeds: list[int]) -> list[list[NodeHandle]]:
+    """:func:`train_locals` for several runs' shards, with run c at
+    ``seeds[c]``: every live node of every run is a job of one
+    :func:`train_lockstep` call."""
+    live = [(c, k) for c, shards in enumerate(cells) for k, shard in enumerate(shards)
+            if shard.n > 0]
     models = train_lockstep(
-        [init_mlp(_dims(shards[k], node_cfg.hidden_dims), RandomStream(seed, (STREAM_INIT, k)))
-         for k in live],
-        [shards[k] for k in live],
+        [init_mlp(_dims(cells[c][k], node_cfg.hidden_dims),
+                  RandomStream(seeds[c], (STREAM_INIT, k))) for c, k in live],
+        [cells[c][k] for c, k in live],
         node_cfg,
-        [RandomStream(seed, (STREAM_BATCH, k, 0)) for k in live],
-        node_ids=live,
+        [RandomStream(seeds[c], (STREAM_BATCH, k, 0)) for c, k in live],
+        node_ids=[k for _, k in live],
     )
     trained = dict(zip(live, models))
-    return [NodeHandle(k, shard, trained.get(k)) for k, shard in enumerate(shards)]
+    return [[NodeHandle(k, shard, trained.get((c, k))) for k, shard in enumerate(shards)]
+            for c, shards in enumerate(cells)]
 
 
 def collect_logits(
@@ -409,10 +423,12 @@ def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
         raise EvaluationError(f"evaluating {who}: {err}") from None
 
 
-def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger):
-    """(teacher, weights, block count) from one query of every trained node; the
-    logit blocks die on return, so none is held through distillation. The
-    weight mode is decided here: a uniform ensemble gets no weight table."""
+def _teacher(run: FedKdRun, handles, profiles, public_x):
+    """(teacher, weights, block count, ledger) from one query of every trained
+    node; the logit blocks die on return, so none is held through
+    distillation. The weight mode is decided here: a uniform ensemble gets no
+    weight table."""
+    ledger = BandwidthLedger()
     blocks = collect_logits(handles, public_x, run.repeats, run.query_noise, run.seed, ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
@@ -421,54 +437,141 @@ def _teacher(run: FedKdRun, handles, profiles, public_x, ledger: BandwidthLedger
 
     weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
     teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
-    return teacher, weights, len(blocks)
+    return teacher, weights, len(blocks), ledger
+
+
+def _grouped(members: list[int], key) -> list[list[int]]:
+    """``members`` grouped by equal ``key(i)``, groups and members in first-seen
+    order; configs are dataclasses, so they compare by value."""
+    keys, groups = [], []
+    for i in members:
+        k = key(i)
+        if k in keys:
+            groups[keys.index(k)].append(i)
+        else:
+            keys.append(k)
+            groups.append([i])
+    return groups
+
+
+def _stage(call, groups: list[list[int]], out: dict, errors: dict) -> None:
+    """``out[i]`` for every cell i of every group from ``call(group)``, which
+    gives one result per member. A group whose call raises runs again one
+    member at a time, so an error lands only on the cells that raise it (a
+    job alone gives the same bits as inside its stack), in ``errors[i]``."""
+    for group in groups:
+        try:
+            out.update(zip(group, call(group)))
+        except Exception as err:
+            if len(group) == 1:
+                errors[group[0]] = err
+            else:
+                _stage(call, [[i] for i in group], out, errors)
 
 
 def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
     """Local training, one-shot weighted/quantized/noisy logit aggregation,
-    then offline distillation into a fresh central model.
+    then offline distillation into a fresh central model: a
+    :func:`run_fedkd_batch` of one.
 
     Only the public features are queried and distilled on. When
     ``labeled_public`` is set, the public set also joins every node's
     training shard, and profiles count the combined set, since weights
     reflect the data actually trained on.
     """
-    shards = [private.subset(a) for a in run.plan.assignments]
-    if run.labeled_public:
-        shards = [s.concat(public) for s in shards]
-        profiles = [profile_of(s) for s in shards]
-    else:
-        profiles = profile(private, run.plan)
-    public_x = public.features
+    (result,) = run_fedkd_batch([(run, private, public, test)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    handles = train_locals(shards, run.node_cfg, run.seed)
-    ledger = BandwidthLedger()
-    teacher, weights, senders = _teacher(run, handles, profiles, public_x, ledger)
 
-    central = init_mlp(_dims(public, run.central_hidden_dims),
-                       RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
-    central, trace = distill(central, public_x, teacher, run.distill_cfg,
-                             RandomStream(run.seed, (STREAM_DISTILL_BATCH,)), task=public.task)
+def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]]) -> list:
+    """:func:`run_fedkd` for every (run, private, public, test) cell, in stages:
+    one :func:`train_lockstep` call trains the nodes of all cells that share a
+    node config, the teacher is built per cell, one stacked :func:`distill`
+    call trains the students of all cells that share student dims, label type
+    and distill config, and evaluation is per cell.
 
-    metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
-    standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
-                  for h in handles]
-    present = [v for v in standalone if v is not None]
-    metrics = {
-        "metric": metric,
-        "central": _evaluate(central, test, "the central model"),
-        "standalone": standalone,
-        "standalone_mean": float(np.mean(present)),
-        "num_nodes": run.plan.num_nodes,
-        "public_rows": int(public_x.shape[0]),
-        "repeats": run.repeats,
-        "query_rows": [h.query_rows for h in handles],
-    }
-    if run.ensemble_cfg.quant_scale is not None:
-        metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
-            *teacher.shape, run.ensemble_cfg.quant_scale
+    A cell's slice of every stacked call is the call it would make alone, so
+    its result is bit-identical to its own run_fedkd. A cell that fails gets
+    the exception run_fedkd raises for it in place of its result; see
+    :func:`_stage`.
+    """
+    runs = [run for run, *_ in cells]
+    errors: dict[int, Exception] = {}
+
+    def groups(key=None):  # the cells without an error, by ``key`` or one each
+        live = [i for i in range(len(cells)) if i not in errors]
+        return [[i] for i in live] if key is None else _grouped(live, key)
+
+    def shards_and_profiles(i):
+        run, private, public, _ = cells[i]
+        shards = [private.subset(a) for a in run.plan.assignments]
+        if run.labeled_public:
+            shards = [s.concat(public) for s in shards]
+            return shards, [profile_of(s) for s in shards]
+        return shards, profile(private, run.plan)
+
+    data = {}  # cells that split the same data the same way share one copy of the shards
+    _stage(lambda group: [shards_and_profiles(group[0])] * len(group),
+           groups(lambda i: (id(cells[i][1]), id(runs[i].plan), runs[i].labeled_public,
+                             id(cells[i][2]))), data, errors)
+
+    handles = {}
+    _stage(lambda group: _train_cells([data[i][0] for i in group], runs[group[0]].node_cfg,
+                                      [runs[i].seed for i in group]),
+           groups(lambda i: runs[i].node_cfg), handles, errors)
+
+    teachers = {}
+    _stage(lambda group: [_teacher(runs[i], handles[i], data[i][1], cells[i][2].features)
+                          for i in group], groups(), teachers, errors)
+
+    def student_dims(i):
+        return _dims(cells[i][2], runs[i].central_hidden_dims)
+
+    def distill_cells(group):
+        cfg, task = runs[group[0]].distill_cfg, cells[group[0]][2].task
+        return distill(
+            [init_mlp(student_dims(i), RandomStream(runs[i].seed, (STREAM_DISTILL_INIT,)))
+             for i in group],
+            [cells[i][2].features for i in group],
+            [teachers[i][0] for i in group],
+            cfg,
+            [RandomStream(runs[i].seed, (STREAM_DISTILL_BATCH,)) for i in group],
+            task=task,
         )
-    return FedKdResult(central, handles, teacher, weights, metrics, ledger, trace)
+
+    students = {}
+    _stage(distill_cells, groups(lambda i: (student_dims(i), cells[i][2].task,
+                                            runs[i].distill_cfg)), students, errors)
+
+    def evaluate(i):
+        run, _, public, test = cells[i]
+        teacher, weights, senders, ledger = teachers[i]
+        central, trace = students[i]
+        metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
+        standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
+                      for h in handles[i]]
+        present = [v for v in standalone if v is not None]
+        metrics = {
+            "metric": metric,
+            "central": _evaluate(central, test, "the central model"),
+            "standalone": standalone,
+            "standalone_mean": float(np.mean(present)),
+            "num_nodes": run.plan.num_nodes,
+            "public_rows": int(public.features.shape[0]),
+            "repeats": run.repeats,
+            "query_rows": [h.query_rows for h in handles[i]],
+        }
+        if run.ensemble_cfg.quant_scale is not None:
+            metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
+                *teacher.shape, run.ensemble_cfg.quant_scale
+            )
+        return FedKdResult(central, handles[i], teacher, weights, metrics, ledger, trace)
+
+    results = {}
+    _stage(lambda group: [evaluate(i) for i in group], groups(), results, errors)
+    return [errors[i] if i in errors else results[i] for i in range(len(cells))]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
-the end-to-end tests, plus runners over seed lists."""
+the end-to-end tests, runners over seed lists, and the per-step oracle of
+distillation."""
 import copy
 
 import numpy as np
@@ -10,6 +11,9 @@ from fedkd.cli import (
     execute_fedkd,
     parse_dict,
 )
+from fedkd.datasets import SINGLE_LABEL
+from fedkd.distill import KL, distill_loss_grad, kl_loss, softmax_tau
+from fedkd.numkit import CosineSchedule, MlpModel, cosine_lr, mlp_backward, mlp_forward
 from fedkd.protocol import run_centralized
 
 # Tuned so local shards are learnable in seconds while the central model's
@@ -62,3 +66,35 @@ def centralized_accuracies(overrides: dict | None, seeds) -> np.ndarray:
         _, acc = run_centralized(private, test, cfg.node, s)
         out.append(acc)
     return np.array(out)
+
+
+def copying_sgd(model, grads, lr, wd):
+    return MlpModel(
+        model.layer_dims,
+        [w - lr * (g + wd * w) for w, g in zip(model.weights, grads.weights)],
+        [b - lr * (g + wd * b) for b, g in zip(model.biases, grads.biases)],
+    )
+
+
+def reference_distill(model, x, teacher, cfg, rs, task):
+    """distill as the per-step chain of checked public calls with a copying
+    SGD update; the single-label KL loss is summed row by row with kl_loss."""
+    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
+    per_epoch = x.shape[0] // cfg.batch_size
+    trace, step = [], 0
+    while step < cfg.steps:
+        order = rs.permutation(x.shape[0])
+        for j in range(per_epoch):
+            if step >= cfg.steps:
+                break
+            idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
+            z = mlp_forward(model, x[idx])
+            loss, gz = distill_loss_grad(z, teacher[idx], cfg, task=task)
+            if cfg.loss_mode == KL and task == SINGLE_LABEL:
+                p, q = softmax_tau(teacher[idx], cfg.tau), softmax_tau(z, cfg.tau)
+                loss = (cfg.tau ** 2 / len(idx)) * sum(kl_loss(p[i], q[i]) for i in range(len(idx)))
+            lr = cosine_lr(sched, step)
+            model = copying_sgd(model, mlp_backward(model, x[idx], gz), lr, cfg.weight_decay)
+            trace.append({"step": step, "loss": loss, "lr": lr})
+            step += 1
+    return model, trace

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,16 +26,20 @@ from fedkd.cli import (
     config_digest,
     config_to_dict,
     execute_fedkd,
+    execute_fedkd_batch,
     main,
     parse_config,
     parse_dict,
 )
+import fedkd.cli
 import fedkd.protocol
 from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
 from fedkd.ensemble import PER_CLASS, EnsembleConfig
 from fedkd.errors import ConfigurationError
-from fedkd.numkit import RandomStream, init_mlp
+from fedkd.numkit import RandomStream, init_mlp, mlp_forward
 from fedkd.protocol import FedKdRun, TrainConfig, run_fedkd
+
+from conftest import reference_distill
 
 
 def tiny_doc(**over):
@@ -171,6 +176,43 @@ class TestRunArtifacts:
             first = json.loads(fh.readline())
         assert set(first) == {"step", "loss", "lr"}
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_failure_while_writing_leaves_no_partial_directory(self, tmp_path, monkeypatch,
+                                                              capsys, forced):
+        """A write that fails after some files are out leaves the out directory
+        as it was: no new run directory, no temporary sibling, and under
+        --force the earlier run's files untouched."""
+        p = write_config(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        if forced:
+            assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+            (next(out.iterdir()) / "ledger.csv").write_text("the earlier run's\n")
+
+        def contents():
+            return {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+
+        before = contents() if forced else {}
+
+        def fail(ledger):  # runs after config.json, ledger.csv and trace.jsonl are written
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fedkd.cli, "ledger_report", fail)
+        capsys.readouterr()
+        args = ["run", "--config", str(p), "--out", str(out)] + ["--force"] * forced
+        assert main(args) == 3
+        assert capsys.readouterr().err == "runtime error: disk full\n"
+        assert contents() == before
+        assert len(list(out.iterdir())) == forced
+
+    def test_forced_rerun_replaces_the_directory(self, tmp_path):
+        cfg = parse_dict(tiny_doc())
+        rd = cmd_run(cfg, tmp_path, seed=0, force=False)
+        (rd / "stale.txt").write_text("from an earlier run")
+        assert cmd_run(cfg, tmp_path, seed=0, force=True) == rd
+        assert sorted(f.name for f in rd.iterdir()) == [
+            "config.json", "ledger.csv", "metrics.json", "trace.jsonl"]
+        assert list(tmp_path.iterdir()) == [rd]
+
     def test_rerun_collides_unless_forced(self, tmp_path):
         cfg = parse_dict(tiny_doc())
         cmd_run(cfg, tmp_path, seed=0, force=False)
@@ -278,8 +320,6 @@ class TestReport:
 
 def write_csv_task(tmp_path, multi=False):
     """Two separable 2-d blobs as CSV splits; multi adds a masked second label."""
-    import numpy as np
-
     rng = np.random.default_rng(0)
     paths = {}
     for split, n in (("private", 80), ("public", 80), ("test", 40)):
@@ -558,6 +598,88 @@ class TestSweepCells:
         assert row["accuracy"] == "" and row["bandwidth"] == ""
 
 
+# Two valid values per sweep axis, and the document field each sets by hand.
+BATCH_EDITS = {
+    "gamma": ([None, 0.5], [None, 0.5]),
+    "S": ([50, None], [50, None]),
+    "d0": ([60, 90], [20, 30]),  # |D0| over 3 classes
+    "alpha": ([0.3, 1.0], [0.3, 1.0]),
+    "K": ([2, 3], [2, 3]),
+    "R": ([1, 2], [1, 2]),
+}
+
+
+class TestSweepBatch:
+    """A seed's cells run as one staged batch; every row and student is the
+    one the cell's own run gives."""
+
+    @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
+    @pytest.mark.parametrize("param", SWEEP_AXES)
+    def test_rows_and_students_match_each_cells_own_run(self, tmp_path, param, loss):
+        values, field_values = BATCH_EDITS[param]
+        distill_doc = {"steps": 60, "batch_size": 32, "loss_mode": loss,
+                       **({"tau": 2.0} if loss == KL else {})}
+        cfg = parse_dict(tiny_doc(distill=distill_doc,
+                                  sweep={"param": param, "values": values, "seeds": [0, 3]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert [(r["value"], r["seed"]) for r in rows] == [
+            ("off" if v is None else str(v), s) for v in values for s in ("0", "3")]
+
+        path = SWEEP_EDITS[param][1]
+        cells = []
+        for field_value in field_values:
+            doc = tiny_doc(distill=distill_doc)
+            target = doc
+            for key in path[:-1]:
+                target = target.setdefault(key, {})
+            target[path[-1]] = field_value
+            cells.append(parse_dict(doc))
+        alone = {(v, seed): execute_fedkd(cell, seed)
+                 for v, cell in enumerate(cells) for seed in (0, 3)}
+        for row, ((v, seed), result) in zip(rows, alone.items()):
+            assert row["error"] == ""
+            assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+            assert int(row["bandwidth"]) == result.ledger.total()
+        for seed in (0, 3):
+            for v, result in enumerate(execute_fedkd_batch(cells, seed)):
+                assert bits(result.central_model) == bits(alone[v, seed].central_model)
+                assert result.trace == alone[v, seed].trace
+
+    @pytest.mark.parametrize("gamma, error", [
+        (1e-300, "DivergenceError: distillation diverged on the central model: "
+                 "non-finite parameters"),
+        (1e-320, "ValidationError: teacher logits: non-finite entries"),
+    ])
+    def test_only_the_failing_cells_get_an_error_row(self, tmp_path, gamma, error):
+        cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, gamma],
+                                         "seeds": [0, 3]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert [r["error"] for r in rows] == ["", "", error, error]
+        assert all(r["accuracy"] == r["bandwidth"] == "" for r in rows[2:])
+        for row, seed in zip(rows[:2], (0, 3)):
+            result = execute_fedkd(parse_dict(tiny_doc(ensemble={"gamma": None})), seed)
+            assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+            assert int(row["bandwidth"]) == result.ledger.total()
+
+    @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
+    def test_run_trace_is_the_per_step_chain(self, tmp_path, loss):
+        """A paper_run-style run (per-class weights, S = 200, gamma = 1) writes
+        the trace.jsonl of the per-step oracle fed its own teacher."""
+        distill_doc = {"steps": 60, "batch_size": 32, "loss_mode": loss,
+                       **({"tau": 2.0} if loss == KL else {})}
+        cfg = parse_dict(tiny_doc(distill=distill_doc))
+        rd = cmd_run(cfg, tmp_path, seed=0, force=False)
+        result = execute_fedkd(cfg, 0)
+        public = build_data(cfg, 0)[1]
+        student = init_mlp([8, 64, 3], RandomStream(0, (fedkd.protocol.STREAM_DISTILL_INIT,)))
+        ref, ref_trace = reference_distill(
+            student, public.features, result.teacher_logits, cfg.distill,
+            RandomStream(0, (fedkd.protocol.STREAM_DISTILL_BATCH,)), public.task)
+        assert bits(ref) == bits(result.central_model)
+        assert (rd / "trace.jsonl").read_text() == "".join(
+            json.dumps(rec, sort_keys=True) + "\n" for rec in ref_trace)
+
+
 class TestDistillTask:
     def test_not_a_config_key(self):
         with pytest.raises(ConfigurationError, match="unknown key 'task' in distill"):
@@ -712,6 +834,37 @@ def test_overflowing_node_evaluation_names_the_node(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "runtime error: evaluating node 0: non-finite model logits on the evaluation set\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_uniform_ensemble_past_the_float_range_runs(tmp_path, capsys):
+    """Two linear nodes answer the public row at 1e308 with logits whose sum
+    overflows; the uniform ensemble averages them to a finite teacher with no
+    numpy warning, so the run succeeds (it failed on "teacher logits:
+    non-finite entries" when the blocks were summed before dividing)."""
+    task = {"kind": "csv", "task_type": "single_label", "num_classes": 2,
+            "feature_cols": ["x"], "label_cols": ["y"]}
+    splits = {"private": [(0.5, 0), (0.6, 1), (0.4, 0), (0.7, 1)],
+              "public": [(1e308, 0), (-1e308, 1)], "test": [(0.5, 0), (0.6, 1)]}
+    for split, rows in splits.items():
+        path = tmp_path / f"{split}.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{y}\n" for x, y in rows))
+        task[split] = str(path)
+    doc = tiny_doc(task=task, num_nodes=2, alpha=100.0, seed=0, central_hidden_dims=[],
+                   node={"hidden_dims": [], "epochs": 1, "batch_size": 1, "lr_start": 0.0},
+                   distill={"steps": 1, "batch_size": 1, "lr_start": 0.0, "loss_mode": "kl",
+                            "tau": 1.0},
+                   ensemble={"quant_scale": None, "gamma": None, "weight_mode": "uniform"})
+    cfg = parse_dict(doc)
+    result = execute_fedkd(cfg, 0)
+    assert len(result.handles) == 2 and all(h.model is not None for h in result.handles)
+    public = np.array([[1e308], [-1e308]])
+    z = [mlp_forward(h.model, public) for h in result.handles]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(z[0] + z[1]).all()
+    assert np.array_equal(result.teacher_logits, z[0] / 2 + z[1] / 2)
+    p = write_config(tmp_path, doc)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_public_query_names_the_node(tmp_path, capsys):

@@ -24,14 +24,13 @@ from fedkd.distill import (
 )
 from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from fedkd.numkit import (
-    CosineSchedule,
     MlpModel,
     RandomStream,
-    cosine_lr,
     init_mlp,
-    mlp_backward,
     mlp_forward,
 )
+
+from conftest import reference_distill
 
 
 class TestSoftmaxTau:
@@ -207,38 +206,6 @@ class TestBatchKl:
         assert loss == (tau * tau / rows) * sum(kl_loss(p[i], q[i]) for i in range(rows))
 
 
-def copying_sgd(model, grads, lr, wd):
-    return MlpModel(
-        model.layer_dims,
-        [w - lr * (g + wd * w) for w, g in zip(model.weights, grads.weights)],
-        [b - lr * (g + wd * b) for b, g in zip(model.biases, grads.biases)],
-    )
-
-
-def reference_distill(model, x, teacher, cfg, rs, task):
-    """distill as the per-step chain of checked public calls with a copying
-    SGD update; the single-label KL loss is summed row by row with kl_loss."""
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
-    per_epoch = x.shape[0] // cfg.batch_size
-    trace, step = [], 0
-    while step < cfg.steps:
-        order = rs.permutation(x.shape[0])
-        for j in range(per_epoch):
-            if step >= cfg.steps:
-                break
-            idx = order[j * cfg.batch_size : (j + 1) * cfg.batch_size]
-            z = mlp_forward(model, x[idx])
-            loss, gz = distill_loss_grad(z, teacher[idx], cfg, task=task)
-            if cfg.loss_mode == KL and task == SINGLE_LABEL:
-                p, q = softmax_tau(teacher[idx], cfg.tau), softmax_tau(z, cfg.tau)
-                loss = (cfg.tau ** 2 / len(idx)) * sum(kl_loss(p[i], q[i]) for i in range(len(idx)))
-            lr = cosine_lr(sched, step)
-            model = copying_sgd(model, mlp_backward(model, x[idx], gz), lr, cfg.weight_decay)
-            trace.append({"step": step, "loss": loss, "lr": lr})
-            step += 1
-    return model, trace
-
-
 def public_features(n=400, dim=6, seed=0):
     return RandomStream(seed, (44,)).gauss((n, dim))
 
@@ -334,6 +301,36 @@ class TestDistillTrainer:
                                            task)
         assert trace == ref_trace
         assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
+
+    @pytest.mark.parametrize("mode,task,tau", [
+        (LOGIT_L2, SINGLE_LABEL, math.inf),
+        (KL, SINGLE_LABEL, 3.0),
+        (KL, MULTI_LABEL, 2.0),
+    ])
+    def test_a_stack_matches_each_jobs_per_step_chain(self, mode, task, tau):
+        """Three students on public sets of 200, 203 and 64 rows, each with its
+        own teacher and stream, in one stacked call: every model and trace is
+        its own per-step chain's."""
+        cfg = DistillConfig(steps=40, batch_size=25, lr_start=0.1, lr_end=0.01,
+                            weight_decay=1e-3, tau=tau, loss_mode=mode)
+        models = [init_mlp([6, 9, 5], RandomStream(k, (45,))) for k in range(3)]
+        xs = [public_features(n=n, seed=k) for k, n in enumerate((200, 203, 64))]
+        teachers = [3.0 * RandomStream(k, (47,)).gauss((x.shape[0], 5)) for k, x in enumerate(xs)]
+        out = distill(models, xs, teachers, cfg, [RandomStream(k, (46,)) for k in range(3)],
+                      task=task)
+        assert len(out) == 3
+        for k, (model, trace) in enumerate(out):
+            ref, ref_trace = reference_distill(models[k].copy(), xs[k], teachers[k], cfg,
+                                               RandomStream(k, (46,)), task)
+            assert trace == ref_trace
+            assert np.array_equal(model.flat.view(np.int64), ref.flat.view(np.int64))
+
+    def test_a_stack_needs_one_layer_dims(self):
+        models = [init_mlp([6, h, 3], RandomStream(h, (45,))) for h in (8, 9)]
+        x = public_features(n=64)
+        with pytest.raises(DimensionError, match="stacked students have dims"):
+            distill(models, [x, x], [np.zeros((64, 3))] * 2, DistillConfig(steps=1, batch_size=16),
+                    [RandomStream(k, (46,)) for k in range(2)])
 
     def test_divergence_is_a_typed_error_without_warnings(self):
         model = init_mlp([6, 8, 3], RandomStream(0, (45,)))

@@ -271,6 +271,22 @@ class TestEnsemble:
         mean = np.stack([b.logits for b in blocks]).mean(axis=0)
         assert np.array_equal(out, mean)
 
+    def test_uniform_sum_past_the_float_range_divides_first(self):
+        """Two blocks whose sum overflows still average to their mean, with no
+        RuntimeWarning (the test config turns one into an error)."""
+        blocks = [block(0, [[1e308, -1e308]]), block(1, [[1e308, -1e308]])]
+        out = ensemble(blocks, None, no_op_cfg(), RandomStream(0, (1,)))
+        assert np.array_equal(out, [[1e308, -1e308]])
+
+    @pytest.mark.parametrize("scale", [None, 2, 3, 201])
+    def test_uniform_blocks_near_dbl_max_stay_finite(self, scale):
+        blocks = [block(k, [[DBL_MAX, -DBL_MAX, 0.5 * DBL_MAX]]) for k in range(3)]
+        cfg = EnsembleConfig(quant_scale=scale, gamma=None, weight_mode=UNIFORM)
+        out = ensemble(blocks, None, cfg, RandomStream(0, (1,)))
+        assert np.isfinite(out).all()
+        step = 0.0 if scale is None else 2 * (DBL_MAX / scale)  # |Q(z) - z| <= 2*z_max/S
+        assert (np.abs(out - blocks[0].logits) - step <= 1e-15 * DBL_MAX).all()
+
     def test_deterministic_per_stream(self):
         cfg = EnsembleConfig(quant_scale=200, gamma=0.5)
         blocks = [block(0, RandomStream(9, (4,)).gauss((6, 2)))]

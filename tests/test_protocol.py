@@ -372,6 +372,55 @@ class TestRunFedkd:
             run_fedkd(base_run(plan), empty, public, test)
 
 
+class TestRunFedkdBatch:
+    """Cells of one batch share the stacked calls their configs allow; each
+    result is its own run_fedkd's, bit for bit."""
+
+    def test_mixed_cells_match_their_own_runs(self):
+        train, test, public, plan = make_fixture()
+        short = DistillConfig(steps=40, batch_size=64, lr_start=0.05)
+        node = TrainConfig([32], epochs=5, batch_size=32, lr_start=0.05)
+        runs = [
+            base_run(plan, distill_cfg=short, node_cfg=node),
+            base_run(plan, seed=1, distill_cfg=short, node_cfg=node),
+            base_run(plan, distill_cfg=short, node_cfg=node,
+                     ensemble_cfg=EnsembleConfig(weight_mode=UNIFORM)),
+            base_run(plan, distill_cfg=short, node_cfg=node, labeled_public=True),
+            base_run(plan, distill_cfg=DistillConfig(steps=30, batch_size=32), node_cfg=node),
+            base_run(plan, distill_cfg=short, node_cfg=TrainConfig([8], epochs=3)),
+            base_run(plan, distill_cfg=short, node_cfg=node, central_hidden_dims=[16]),
+        ]
+        results = fedkd.protocol.run_fedkd_batch([(run, train, public, test) for run in runs])
+        for run, result in zip(runs, results):
+            alone = run_fedkd(run, train, public, test)
+            assert params_equal(result.central_model, alone.central_model)
+            for h, a in zip(result.handles, alone.handles):
+                assert params_equal(h.model, a.model)
+            assert np.array_equal(result.teacher_logits, alone.teacher_logits)
+            assert result.metrics == alone.metrics
+            assert result.ledger.rows() == alone.ledger.rows()
+            assert result.trace == alone.trace
+
+    def test_a_diverging_node_fails_only_its_cell(self):
+        """Both cells' nodes train in one lockstep call, which raises; rerun one
+        cell at a time, the healthy cell gets its own result and the other
+        the error its own run raises."""
+        train, test, public, _ = make_fixture()
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
+        bad.features[np.arange(3, 1200, 5)] *= 1e100  # node 3's shard overflows
+        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1),
+                       distill_cfg=DistillConfig(steps=20, batch_size=64))
+        good, failed = fedkd.protocol.run_fedkd_batch(
+            [(run, train, public, test), (run, bad, public, test)])
+        assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
+        with pytest.raises(DivergenceError) as exc:
+            run_fedkd(run, bad, public, test)
+        assert isinstance(failed, DivergenceError)
+        assert str(failed) == str(exc.value) == (
+            "node training diverged on node 3: non-finite parameters")
+
+
 # ---------------------------------------------------------------------------
 # parameter averaging baseline
 
