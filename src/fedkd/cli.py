@@ -43,6 +43,7 @@ from .datasets import (
     Dataset,
     GaussianTaskSpec,
     MULTI_LABEL,
+    PartitionPlan,
     SINGLE_LABEL,
     dirichlet_partition,
     gen_gaussian_task,
@@ -336,32 +337,35 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 def build_data(cfg: ExperimentConfig, seed: int):
     """Materialize (private, public, test, plan) for one run."""
-    if isinstance(cfg.task, SyntheticTask):
-        t = cfg.task
-        means = t.class_sep * RandomStream(seed, (STREAM_TASK_MEANS,)).gauss(
-            (t.num_classes, t.dim)
-        ) / math.sqrt(t.dim)
-        shift = np.full(t.dim, t.domain_shift / math.sqrt(t.dim))
-        base = dict(num_classes=t.num_classes, dim=t.dim, class_means=means,
-                    cov_scale=t.cov_scale)
-        private = _gen_split(t.train_per_class, None, seed, STREAM_PRIVATE, base)
-        test = _gen_split(t.test_per_class, None, seed, STREAM_TEST, base)
-        public = _gen_split(t.public_per_class, shift, seed, STREAM_PUBLIC, base)
-    else:
-        t = cfg.task
+    private, public, test = (_split(cfg, seed, name) for name in ("private", "public", "test"))
+    return private, public, test, _plan(cfg, private, seed)
+
+
+def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
+    """The task's ``name`` split: "private", "public" or "test". A synthetic
+    split draws from its own stream, so each can be built without the others."""
+    t = cfg.task
+    if isinstance(t, CsvTask):
         schema = CsvSchema(t.feature_cols, t.label_cols, t.task_type, t.num_classes)
-        private = load_csv(t.private, schema)
-        public = load_csv(t.public, schema)
-        test = load_csv(t.test, schema)
-    plan = dirichlet_partition(
+        return load_csv(getattr(t, name), schema)
+    means = t.class_sep * RandomStream(seed, (STREAM_TASK_MEANS,)).gauss(
+        (t.num_classes, t.dim)
+    ) / math.sqrt(t.dim)
+    per_class, shift, tag = {
+        "private": (t.train_per_class, None, STREAM_PRIVATE),
+        "public": (t.public_per_class, np.full(t.dim, t.domain_shift / math.sqrt(t.dim)),
+                   STREAM_PUBLIC),
+        "test": (t.test_per_class, None, STREAM_TEST),
+    }[name]
+    spec = GaussianTaskSpec(num_classes=t.num_classes, dim=t.dim, per_class_count=per_class,
+                            class_means=means, cov_scale=t.cov_scale, domain_shift=shift)
+    return gen_gaussian_task(spec, RandomStream(seed, (tag,)))
+
+
+def _plan(cfg: ExperimentConfig, private: Dataset, seed: int) -> PartitionPlan:
+    return dirichlet_partition(
         private, cfg.num_nodes, cfg.alpha, RandomStream(seed, (STREAM_PARTITION,))
     )
-    return private, public, test, plan
-
-
-def _gen_split(per_class: int, shift, seed: int, tag: int, base: dict) -> Dataset:
-    spec = GaussianTaskSpec(per_class_count=per_class, domain_shift=shift, **base)
-    return gen_gaussian_task(spec, RandomStream(seed, (tag,)))
 
 
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
@@ -371,11 +375,12 @@ def execute_fedkd(cfg: ExperimentConfig, seed: int):
     return result
 
 
-def execute_fedkd_batch(cells: list[ExperimentConfig], seed: int) -> list:
+def execute_fedkd_batch(cells: list[ExperimentConfig], seed: int, *,
+                        keep_trace: bool = True) -> list:
     """Every cell's fedkd run at ``seed`` as one staged
-    :func:`~fedkd.protocol.run_fedkd_batch`, with one build_data per distinct
-    task, num_nodes and alpha. A cell that fails gets its exception in place
-    of its result."""
+    :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on), with
+    one build_data per distinct task, num_nodes and alpha. A cell that fails
+    gets its exception in place of its result."""
     out: list = [None] * len(cells)
     batch, where = [], []
     for group in _grouped(range(len(cells)),
@@ -401,14 +406,15 @@ def execute_fedkd_batch(cells: list[ExperimentConfig], seed: int) -> list:
             )
             batch.append((run, private, public, test))
             where.append(i)
-    for i, result in zip(where, run_fedkd_batch(batch)):
+    for i, result in zip(where, run_fedkd_batch(batch, keep_trace=keep_trace)):
         out[i] = result
     return out
 
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
-    private, public, test, plan = build_data(cfg, seed)
-    return run_fedavg(private, test, plan, cfg.node, cfg.rounds, seed)
+    """build_data's run without the public split, which parameter averaging never reads."""
+    private, test = _split(cfg, seed, "private"), _split(cfg, seed, "test")
+    return run_fedavg(private, test, _plan(cfg, private, seed), cfg.node, cfg.rounds, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +544,8 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     runnable = [cell for cell in cells if isinstance(cell, ExperimentConfig)]
     outcomes = {}  # (value index, seed index) -> row fields
     for s, seed in enumerate(cfg.sweep.seeds):  # one batch per seed, reduced to its rows
-        fields = iter([_row_fields(r) for r in execute_fedkd_batch(runnable, int(seed))])
+        batch = execute_fedkd_batch(runnable, int(seed), keep_trace=False)  # rows hold no trace
+        fields = iter([_row_fields(r) for r in batch])
         for v, cell in enumerate(cells):
             outcomes[v, s] = (next(fields) if isinstance(cell, ExperimentConfig)
                               else _row_fields(cell))

@@ -94,8 +94,13 @@ class DistillConfig:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction, computed in (and returning) z."""
-    z -= z.max(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction, computed in (and returning) z.
+
+    The row max is reduced over a class-major copy of z, one elementwise
+    maximum per class, which numpy does far faster than a max along a short
+    last axis; the max is exact and NaN propagates alike, so only the sign
+    of a zero max can differ, and exp of either zero is 1."""
+    z -= np.maximum.reduce(np.moveaxis(z, -1, 0).copy(), axis=0)[..., None]
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -149,40 +154,50 @@ def logit_l2_loss(
     return distill_loss_grad(student, teacher, DistillConfig(loss_mode=LOGIT_L2))
 
 
-def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str) -> tuple[np.ndarray, ...]:
-    """Per-row teacher inputs of the loss: the logits (``logit_l2``), the tempered
-    softmax and its safe log (single-label ``kl``) or tempered sigmoid (multi-label)."""
+def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str, *,
+                     loss: bool = True) -> tuple[np.ndarray, ...]:
+    """Per-row teacher inputs of the gradient: the logits (``logit_l2``), the
+    tempered softmax (single-label ``kl``) or tempered sigmoid (multi-label);
+    with ``loss``, the single-label softmax's safe log follows, which only
+    the loss reads."""
     if task not in (SINGLE_LABEL, MULTI_LABEL):
         raise ConfigurationError(f"unknown task {task!r}")
     if cfg.loss_mode == LOGIT_L2:
         return (teacher,)
     if task == SINGLE_LABEL:
         p = softmax_tau(teacher, cfg.tau)
-        return p, _safe_log(p)
+        return (p, _safe_log(p)) if loss else (p,)
     return (sigmoid(teacher / cfg.tau),)
 
 
-def _distill_loss_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
-                       task: str) -> tuple[list[float], np.ndarray]:
-    """Unchecked :func:`distill_loss_grad` over a [J, b, C] stack of student
-    logits and the matching rows of _teacher_targets: each job's batch loss,
-    summed over its own slice as a lone job's is, and the [J, b, C] gradient.
-    The trainer's kernel."""
+def _distill_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
+                  task: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked gradient w.r.t. a [J, b, C] stack of student logits, against
+    the matching rows of _teacher_targets, and the student side ``s`` the loss
+    reads: the gradient is (2/b)·d with s = d = student - teacher for
+    ``logit_l2``, and (tau/b)·(q - p) with s = q, the student's tempered
+    softmax or sigmoid, for ``kl``. The trainer's kernel."""
     b = student.shape[-2]
     if cfg.loss_mode == LOGIT_L2:
         d = student - targets[0]
-        return [float(sq.sum() / b) for sq in d * d], (2.0 / b) * d
-    tau = cfg.tau
-    p = targets[0]
+        return (2.0 / b) * d, d
+    q = softmax_tau(student, cfg.tau) if task == SINGLE_LABEL else sigmoid(student / cfg.tau)
+    return (cfg.tau / b) * (q - targets[0]), q
+
+
+def _distill_losses(s: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
+                    task: str) -> list[float]:
+    """Each job's batch loss from _distill_grad's ``s`` and the full
+    _teacher_targets rows, summed over its own slice as a lone job's is."""
+    b = s.shape[-2]
+    if cfg.loss_mode == LOGIT_L2:
+        return [float(sq.sum() / b) for sq in s * s]
+    scale = cfg.tau * cfg.tau / b
     if task == SINGLE_LABEL:
-        q = softmax_tau(student, tau)
         # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
-        rows = _kl_terms(p, q, targets[1]).sum(axis=-1)
-        losses = [(tau * tau / b) * sum(r.tolist()) for r in rows]
-    else:
-        q = sigmoid(student / tau)
-        losses = [(tau * tau / b) * float(t.sum()) for t in binary_kl_loss(p, q)]
-    return losses, (tau / b) * (q - p)
+        rows = _kl_terms(targets[0], s, targets[1]).sum(axis=-1)
+        return [scale * sum(r.tolist()) for r in rows]
+    return [scale * float(t.sum()) for t in binary_kl_loss(targets[0], s)]
 
 
 def distill_loss_grad(
@@ -194,13 +209,18 @@ def distill_loss_grad(
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
     targets = tuple(t[None] for t in _teacher_targets(teacher, cfg, task))
-    (loss,), grad = _distill_loss_grad(student[None], targets, cfg, task)
+    grad, s = _distill_grad(student[None], targets, cfg, task)
+    (loss,) = _distill_losses(s, targets, cfg, task)
     return loss, grad[0]
 
 
-def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: str = SINGLE_LABEL):
+def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: str = SINGLE_LABEL,
+            keep_trace: bool = True):
     """Run cfg.steps SGD steps against frozen teacher logits of ``task`` labels;
-    returns the trained copy of ``model`` and its per-step trace.
+    returns the trained copy of ``model`` and its per-step trace of loss and
+    rate. Without ``keep_trace`` the trace is None, and no step computes the
+    loss or the log of the teacher's distribution, which only the trace
+    reads; the gradient, and so the model, keeps its bits.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher targets are indexed by the
@@ -233,17 +253,18 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
         if cfg.batch_size > n:
             raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
-            targets = _teacher_targets(teacher, cfg, task)
+            targets = _teacher_targets(teacher, cfg, task, loss=keep_trace)
         jobs.append(SgdJob(student, x, targets, stream, cfg.steps, sched,
                            weight_decay=cfg.weight_decay))
-    traces = [[] for _ in jobs]
+    traces = [[] for _ in jobs] if keep_trace else [None] * len(jobs)
 
     def dlogits(z, batches):  # every job runs cfg.steps steps, so z stacks them all, in order
-        losses, gz = _distill_loss_grad(z, batches, cfg, task)
-        step = len(traces[0])
-        lr = cosine_lr(sched, step)
-        for trace, loss in zip(traces, losses):
-            trace.append({"step": step, "loss": loss, "lr": lr})
+        gz, s = _distill_grad(z, batches, cfg, task)
+        if keep_trace:
+            step = len(traces[0])
+            lr = cosine_lr(sched, step)
+            for trace, loss in zip(traces, _distill_losses(s, batches, cfg, task)):
+                trace.append({"step": step, "loss": loss, "lr": lr})
         return gz
 
     trained = train_sgd(dims, cfg.batch_size, jobs, dlogits, "distillation", [None] * len(jobs))

@@ -351,9 +351,11 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
     into reused [K, b, ...] buffers, takes the gradient w.r.t. the [K, b, C]
     logits z from ``dlogits(z, target_batches)`` (it may overwrite z), runs
     one stacked backward pass, then one sgd_step per job at its rate for step
-    ``offset + step``. Jobs are held longest first, so the ones still training
-    are a prefix of the [K, P] parameter matrix; a job's slice of each stacked
-    call is the call it would make alone, so a stack changes none of its bits.
+    ``offset + step``, computed once per step for each distinct (schedule,
+    offset) still training. Jobs are held longest first, so the ones still
+    training are a prefix of the [K, P] parameter matrix; a job's slice of
+    each stacked call is the call it would make alone, so a stack changes none
+    of its bits.
     On exit the lowest-index job with non-finite parameters raises
     DivergenceError(phase, its node_ids entry).
     """
@@ -366,14 +368,17 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
     tbs = [np.empty((count, b, *t.shape[1:]), t.dtype) for t in held[0].targets]
     feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream,
               job.x.shape[0] // b, None] for r, job in enumerate(held)]
+    # distinct (schedule, offset) in first-use order, so a prefix of jobs uses a prefix of them
+    rate_keys = list(dict.fromkeys((job.schedule, job.offset) for job in held))
     updates = [(MlpModel.aliasing(dims, params[r]), MlpGrads.aliasing(dims, grads[r]),
-                job.schedule, job.offset, job.weight_decay) for r, job in enumerate(held)]
+                rate_keys.index((job.schedule, job.offset)), job.weight_decay)
+               for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
         return (*_layer_views(dims, params[:k]), MlpGrads.aliasing(dims, grads[:k]),
                 xb[:k], tuple(t[:k] for t in tbs))
 
-    active = count
+    active, n_keys = count, len(rate_keys)
     weights, biases, out, xs, ts = prefix(active)
     with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
         for step in range(held[0].steps):
@@ -381,6 +386,7 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
                 while held[active - 1].steps == step:
                     active -= 1
                 weights, biases, out, xs, ts = prefix(active)
+                n_keys = 1 + max(key for _, _, key, _ in updates[:active])
             for feed in feeds[:active]:
                 arrays, bufs, rs, per_epoch, perm = feed
                 j = step % per_epoch
@@ -391,8 +397,9 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
                     a.take(rows, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
             acts = _forward_trace(weights, biases, xs)
             _backprop(weights, acts, dlogits(acts[-1], ts), out)
-            for model, g, sched, offset, wd in updates[:active]:
-                sgd_step(model, g, cosine_lr(sched, offset + step), wd)
+            rates = [cosine_lr(sched, offset + step) for sched, offset in rate_keys[:n_keys]]
+            for model, g, key, wd in updates[:active]:
+                sgd_step(model, g, rates[key], wd)
 
     diverged = [order[r] for r in np.flatnonzero(~np.isfinite(params).all(axis=1))]
     if diverged:

@@ -410,7 +410,7 @@ class FedKdResult:
     weights: WeightTable | None
     metrics: dict
     ledger: BandwidthLedger
-    trace: list[dict]
+    trace: list[dict] | None  # None from a batch run without keep_trace
 
 
 def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
@@ -456,9 +456,10 @@ def _grouped(members: list[int], key) -> list[list[int]]:
 
 def _stage(call, groups: list[list[int]], out: dict, errors: dict) -> None:
     """``out[i]`` for every cell i of every group from ``call(group)``, which
-    gives one result per member. A group whose call raises runs again one
-    member at a time, so an error lands only on the cells that raise it (a
-    job alone gives the same bits as inside its stack), in ``errors[i]``."""
+    gives one result per member. A group whose call raises runs again as its
+    two halves, and so on down, so the healthy cells stay stacked and an
+    error lands only on a cell that raises it alone (a job alone gives the
+    same bits as inside its stack), in ``errors[i]``."""
     for group in groups:
         try:
             out.update(zip(group, call(group)))
@@ -466,7 +467,8 @@ def _stage(call, groups: list[list[int]], out: dict, errors: dict) -> None:
             if len(group) == 1:
                 errors[group[0]] = err
             else:
-                _stage(call, [[i] for i in group], out, errors)
+                half = len(group) // 2
+                _stage(call, [group[:half], group[half:]], out, errors)
 
 
 def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
@@ -485,12 +487,15 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
     return result
 
 
-def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]]) -> list:
+def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
+                    keep_trace: bool = True) -> list:
     """:func:`run_fedkd` for every (run, private, public, test) cell, in stages:
     one :func:`train_lockstep` call trains the nodes of all cells that share a
     node config, the teacher is built per cell, one stacked :func:`distill`
     call trains the students of all cells that share student dims, label type
-    and distill config, and evaluation is per cell.
+    and distill config, and evaluation is per cell. Without ``keep_trace``
+    (a sweep, which writes no trace) distillation computes no per-step loss
+    and every result's ``trace`` is None; nothing else changes.
 
     A cell's slice of every stacked call is the call it would make alone, so
     its result is bit-identical to its own run_fedkd. A cell that fails gets
@@ -539,6 +544,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]]) -> 
             cfg,
             [RandomStream(runs[i].seed, (STREAM_DISTILL_BATCH,)) for i in group],
             task=task,
+            keep_trace=keep_trace,
         )
 
     students = {}

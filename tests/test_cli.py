@@ -2,6 +2,7 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import math
@@ -37,9 +38,11 @@ from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
 from fedkd.ensemble import PER_CLASS, EnsembleConfig
 from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
-from fedkd.protocol import FedKdRun, TrainConfig, run_fedkd
+from fedkd.protocol import FedKdRun, TrainConfig, run_fedavg, run_fedkd
 
 from conftest import reference_distill
+
+DISTILL_MODULE = importlib.import_module("fedkd.distill")  # the package exports a `distill` function
 
 
 def tiny_doc(**over):
@@ -661,6 +664,40 @@ class TestSweepBatch:
             assert row["accuracy"] == f"{result.metrics['central']:.6f}"
             assert int(row["bandwidth"]) == result.ledger.total()
 
+    def test_a_failing_stack_reruns_as_halves(self, tmp_path, monkeypatch):
+        """The gamma 1e-320 cell fails its seed's stacked distillation; the
+        group is bisected, so the four healthy students distill as two stacks
+        of two, not one at a time, and every row is its cell's own run's."""
+        values = [None, 1.0, 1e-320, 2.0, 0.5]
+        calls = []  # [stacked students, call returned] per distill call
+        real = fedkd.protocol.distill
+
+        def recording(models, *args, **kwargs):
+            calls.append([len(models), False])
+            out = real(models, *args, **kwargs)
+            calls[-1][1] = True
+            return out
+
+        monkeypatch.setattr(fedkd.protocol, "distill", recording)
+        cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": values, "seeds": [0, 3]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        monkeypatch.setattr(fedkd.protocol, "distill", real)
+
+        per_seed = len(calls) // 2
+        for seed_calls in (calls[:per_seed], calls[per_seed:]):
+            assert seed_calls[0] == [5, False]
+            assert sorted(n for n, ok in seed_calls if ok) == [2, 2]
+        for row, (value, seed) in zip(rows, [(v, s) for v in values for s in (0, 3)]):
+            try:
+                result = execute_fedkd(parse_dict(tiny_doc(ensemble={"gamma": value})), seed)
+            except Exception as exc:  # the failing cell: its own run's error text
+                assert row["error"] == f"{type(exc).__name__}: {exc}"
+                assert value == 1e-320 and row["accuracy"] == row["bandwidth"] == ""
+                continue
+            assert row["error"] == ""
+            assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+            assert int(row["bandwidth"]) == result.ledger.total()
+
     @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
     def test_run_trace_is_the_per_step_chain(self, tmp_path, loss):
         """A paper_run-style run (per-class weights, S = 200, gamma = 1) writes
@@ -678,6 +715,58 @@ class TestSweepBatch:
         assert bits(ref) == bits(result.central_model)
         assert (rd / "trace.jsonl").read_text() == "".join(
             json.dumps(rec, sort_keys=True) + "\n" for rec in ref_trace)
+
+
+class TestSweepKeepsNoTrace:
+    """ablate writes no trace, so its distillations compute no per-step loss;
+    run still writes one record per step."""
+
+    @pytest.mark.parametrize("loss, multi", [(LOGIT_L2, False), (KL, False), (KL, True)])
+    def test_ablate_computes_no_distillation_loss(self, tmp_path, monkeypatch, loss, multi):
+        calls = []
+        for name in ("_distill_losses", "_kl_terms", "_safe_log"):
+            def counting(*args, _real=getattr(DISTILL_MODULE, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(DISTILL_MODULE, name, counting)
+        doc = tiny_doc(num_nodes=2, distill={"steps": 60, "batch_size": 32, "loss_mode": loss,
+                                             **({"tau": 2.0} if loss == KL else {})})
+        if multi:
+            doc["task"] = write_csv_task(tmp_path, multi=True)
+        sweep = {"param": "gamma", "values": [None, 1.0], "seeds": [0, 1]}
+        rows = list(csv.DictReader(
+            cmd_ablate(parse_dict({**doc, "sweep": sweep}), tmp_path / "sweep", force=False).open()))
+        assert len(rows) == 4 and all(r["error"] == "" for r in rows)
+        assert calls == []
+
+        rd = cmd_run(parse_dict(doc), tmp_path / "runs", seed=0, force=False)
+        assert calls.count("_distill_losses") == 60
+        assert len((rd / "trace.jsonl").read_text().splitlines()) == 60
+
+
+class TestFedavgData:
+    def test_fedavg_reads_no_public_csv(self, tmp_path):
+        """fedavg runs without the public split: its CSV may be gone, and the
+        result is run_fedavg's on build_data's splits."""
+        doc = tiny_doc(num_nodes=2)
+        doc["task"] = write_csv_task(tmp_path)
+        cfg = parse_dict(doc)
+        private, _, test, plan = build_data(cfg, 0)
+        expected = run_fedavg(private, test, plan, cfg.node, cfg.rounds, 0)
+        Path(doc["task"]["public"]).unlink()
+        rd = cmd_fedavg(cfg, tmp_path / "out", seed=0, force=False)
+        metrics = json.loads((rd / "metrics.json").read_text())
+        assert metrics["central"] == expected.metrics["central"]
+        assert metrics["ledger"]["total_bytes"] == expected.ledger.total()
+
+    def test_synthetic_fedavg_keeps_its_bits(self):
+        cfg = parse_dict(tiny_doc())
+        for seed in (0, 3):
+            private, _, test, plan = build_data(cfg, seed)
+            expected = run_fedavg(private, test, plan, cfg.node, cfg.rounds, seed)
+            result = fedkd.cli.execute_fedavg(cfg, seed)
+            assert bits(result.model) == bits(expected.model)
+            assert result.metrics == expected.metrics
 
 
 class TestDistillTask:

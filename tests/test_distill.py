@@ -21,6 +21,7 @@ from fedkd.distill import (
     mann_whitney_auc,
     sigmoid,
     softmax_tau,
+    _softmax_rows,
 )
 from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from fedkd.numkit import (
@@ -51,6 +52,37 @@ class TestSoftmaxTau:
         p = softmax_tau(np.array([logits]), 2.0)
         assert (p >= 0).all()
         assert abs(p.sum() - 1.0) <= 1e-12
+
+
+def old_softmax_rows(z):
+    """_softmax_rows with the row max taken along the last axis."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+class TestSoftmaxRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lead=st.sampled_from([(), (1,), (5,), (3, 4), (2, 1, 3)]),
+        classes=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_bit_identical_to_the_last_axis_max(self, lead, classes, data):
+        """1-D, 2-D and 3-D inputs with signed zeros, infinities and NaNs give
+        the bits of the last-axis max form, NaN payloads included."""
+        values = st.one_of(
+            st.floats(-50.0, 50.0),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+        )
+        n = classes * math.prod(lead)
+        z = np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
+                     dtype=np.float64).reshape(*lead, classes)
+        with np.errstate(all="ignore"):
+            new, old = _softmax_rows(z.copy()), old_softmax_rows(z.copy())
+        assert new.shape == old.shape == z.shape
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 class TestSigmoid:
@@ -324,6 +356,33 @@ class TestDistillTrainer:
                                                RandomStream(k, (46,)), task)
             assert trace == ref_trace
             assert np.array_equal(model.flat.view(np.int64), ref.flat.view(np.int64))
+
+    @pytest.mark.parametrize("mode,task,tau", [
+        (LOGIT_L2, SINGLE_LABEL, math.inf),
+        (KL, SINGLE_LABEL, 3.0),
+        (KL, MULTI_LABEL, 2.0),
+    ])
+    def test_without_a_trace_every_model_keeps_its_bits(self, mode, task, tau):
+        """keep_trace=False drops the trace, alone and stacked, and changes no
+        model bit."""
+        cfg = DistillConfig(steps=40, batch_size=25, lr_start=0.1, lr_end=0.01,
+                            weight_decay=1e-3, tau=tau, loss_mode=mode)
+        models = [init_mlp([6, 9, 5], RandomStream(k, (45,))) for k in range(3)]
+        xs = [public_features(n=n, seed=k) for k, n in enumerate((200, 203, 64))]
+        teachers = [3.0 * RandomStream(k, (47,)).gauss((x.shape[0], 5)) for k, x in enumerate(xs)]
+
+        def streams():
+            return [RandomStream(k, (46,)) for k in range(3)]
+
+        traced = distill(models, xs, teachers, cfg, streams(), task=task)
+        untraced = distill(models, xs, teachers, cfg, streams(), task=task, keep_trace=False)
+        for k, ((model, trace), (bare, no_trace)) in enumerate(zip(traced, untraced)):
+            assert len(trace) == 40 and no_trace is None
+            assert np.array_equal(bare.flat.view(np.int64), model.flat.view(np.int64))
+            alone, alone_trace = distill(models[k], xs[k], teachers[k], cfg, streams()[k],
+                                         task=task, keep_trace=False)
+            assert alone_trace is None
+            assert np.array_equal(alone.flat.view(np.int64), model.flat.view(np.int64))
 
     def test_a_stack_needs_one_layer_dims(self):
         models = [init_mlp([6, h, 3], RandomStream(h, (45,))) for h in (8, 9)]

@@ -1,10 +1,12 @@
 """Numeric kernel: streams, cosine schedule, MLP forward/backward, SGD."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedkd.numkit
 from fedkd.errors import DimensionError, DivergenceError, FedKdError, RangeError, ValidationError
 from fedkd.numkit import (
     CosineSchedule,
@@ -399,6 +401,34 @@ class TestTrainSgd:
         steps = [spec[1] for spec in SGD_SPEC]
         live = [sum(n > step for n in steps) for step in range(max(steps))]
         assert shapes == [((k, SGD_B, 3), (k, SGD_B, 3), (k, SGD_B)) for k in live]
+
+    def test_jobs_sharing_a_schedule_get_the_bits_they_get_alone(self):
+        """Jobs 0, 2 and 3 share one (schedule, offset), job 1 has its own: each
+        step computes one rate per pair still training, and every job keeps
+        the bits of its lone call and of the per-step oracle."""
+        shared = CosineSchedule(0.1, 0.001, 20)
+
+        def jobs():
+            return [dataclasses.replace(job, schedule=shared, offset=0) if k != 1 else job
+                    for k, job in enumerate(sgd_jobs())]
+
+        calls = []
+
+        def counting_lr(schedule, step):
+            calls.append((schedule, step))
+            return cosine_lr(schedule, step)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fedkd.numkit, "cosine_lr", counting_lr)
+            out = train_sgd(SGD_DIMS, SGD_B, jobs(), weighted_l2_dlogits, "t", [0, 1, 2, 3])
+        steps = max(job.steps for job in jobs())
+        assert len(calls) == sum(len({(job.schedule, job.offset) for job in jobs()
+                                      if job.steps > step}) for step in range(steps))
+        for k, job in enumerate(jobs()):
+            (alone,) = train_sgd(SGD_DIMS, SGD_B, [job], weighted_l2_dlogits, "t", [k])
+            assert np.array_equal(bits(out[k]), bits(alone)), f"job {k}"
+            ref = reference_sgd(jobs()[k], SGD_B, weighted_l2_dlogits)
+            assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
 
     def test_lowest_index_diverging_job_is_named(self):
         jobs = sgd_jobs(lr_scale=(1.0, 1e300, 1.0, 1e300))
