@@ -192,8 +192,9 @@ class CsvSchema:
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Read a UTF-8, header-first CSV into a Dataset.
 
-    Parse failures raise FormatError naming the 1-based data row; label values
-    outside the schema's range raise ValidationError naming the row.
+    Parse failures raise FormatError naming the 1-based data row; a NaN or
+    infinite feature or label value, or a label value outside the schema's
+    range, raises ValidationError naming the row.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -213,6 +214,10 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 
     features = np.asarray(feats, dtype=np.float64).reshape(len(feats), len(schema.feature_cols))
     raw = np.asarray(labs, dtype=np.float64).reshape(len(labs), len(schema.label_cols))
+    for what, values in (("feature", features), ("label", raw)):
+        bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad_rows.size:
+            raise ValidationError(f"{path}: row {int(bad_rows[0]) + 1}: non-finite {what} value")
     if raw.size and not np.array_equal(raw, np.round(raw)):
         bad = int(np.argwhere(raw != np.round(raw))[0][0]) + 1
         raise ValidationError(f"{path}: row {bad}: non-integer label value")
@@ -273,7 +278,7 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
 
     eff = _effective_labels(ds)
     assignments: list[list[int]] = [[] for _ in range(num_nodes)]
-    for c in np.unique(eff):
+    for c in np.flatnonzero(np.bincount(eff)):  # the classes present, ascending
         idx = np.flatnonzero(eff == c)
         idx = idx[rs.permutation(idx.size)]
         p = rs.dirichlet(np.full(num_nodes, float(alpha)))

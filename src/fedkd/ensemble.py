@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, check_matrix
+from .numkit import RandomStream, _clamp, _rowwise, check_matrix
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -59,8 +59,14 @@ class LogitBlock:
     local_max_abs: float = field(init=False)  # the actual max of |logits|
 
     def __post_init__(self):
-        self.logits = check_matrix(self.logits, "logits")
-        self.local_max_abs = float(np.max(np.abs(self.logits))) if self.logits.size else 0.0
+        # one max and one min give both the finiteness check (NaN propagates
+        # through either) and max |logits|, with no temporary array
+        logits = check_matrix(self.logits, "logits", finite=False)
+        hi, lo = (logits.max(), logits.min()) if logits.size else (0.0, 0.0)
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValidationError("logits: non-finite entries")
+        self.logits = logits
+        self.local_max_abs = float(max(abs(hi), abs(lo)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,7 +159,7 @@ def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = No
         out /= 2.0 * z_max
         top = -(-scale // 2)
     np.ceil(out, out=out)
-    return np.minimum(out, top, out=out)
+    return _clamp(np.minimum, out, float(top))
 
 
 def _grid_values(levels: np.ndarray, z_max: float, scale: int) -> np.ndarray:
@@ -186,7 +192,9 @@ def laplace_sample(gamma: float, rs: RandomStream, size=None):
     if gamma <= 0:
         raise RangeError("gamma must be > 0")
     u = rs.uniform(size) - 0.5
-    mag = np.maximum(1.0 - 2.0 * np.abs(u), _TINY)
+    mag = 1.0 - 2.0 * np.abs(u)
+    mag = (_clamp(np.maximum, mag, _TINY) if isinstance(mag, np.ndarray)
+           else np.maximum(mag, _TINY))
     x = -(1.0 / gamma) * np.sign(u) * np.log(mag)
     return float(x) if size is None else x
 
@@ -235,7 +243,7 @@ def ensemble(
                 q = _grid_values(_levels(q, z_max, cfg.quant_scale, out=buf), z_max,
                                  cfg.quant_scale)
             if weighted:
-                q = np.multiply(q, weights.omega[b.node_id][None, :], out=buf)
+                q = _rowwise(np.multiply, q, weights.omega[b.node_id][None, :], buf)
             elif divide_first:
                 q = np.divide(q, k, out=buf)
             acc += q

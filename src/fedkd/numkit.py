@@ -12,6 +12,26 @@ rounds and distillation all run through it, and only the loss gradient they
 pass in differs. Nothing here keeps shared mutable state: a RandomStream
 advances only itself, and :func:`sgd_step` updates the model it is given, in
 place, as one vector update.
+
+Hot elementwise passes stay on numpy's contiguous fast loops, with every
+output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
+excluded):
+
+* No scalar operand to ``maximum``/``minimum``/``clip`` on a hot path. numpy
+  runs ``np.maximum(h, 0.0)`` 3-4x slower than the same call against an
+  array of zeros, so ReLU (:func:`_relu`) and the quantizer and Laplace
+  clamps (:func:`_clamp`) take their constant from a block of copies, in
+  ``_BLOCK``-element chunks. A [20, 32, 64] ReLU drops from 16 to 4-5 us,
+  the [50000, 64] one from 1.42 to 0.70 ms.
+* Bias plus ReLU in row blocks for big forwards. A 2-D forward (the public
+  query, test evaluation) larger than one block adds its bias to blocks of
+  about ``_BLOCK`` elements against a tiled bias block, rather than as one
+  short broadcast loop per row, and applies the ReLU to each block while it
+  is in cache:
+  from 2.04 to 0.82 ms per [50000, 64] layer, and from 0.22 to 0.06 ms for
+  the [50000, 10] bias add. The ensemble's per-class weight multiply takes
+  the same :func:`_rowwise` path. Only these epilogues are blocked; a matmul
+  is never row-chunked, since that changes its last bits.
 """
 from __future__ import annotations
 
@@ -90,15 +110,18 @@ class RandomStream:
 # matrices
 
 
-def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None) -> np.ndarray:
-    """Validate the matrix invariants: 2-D float64, finite, ``cols`` columns if given."""
+def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None, *,
+                 finite: bool = True) -> np.ndarray:
+    """Validate the matrix invariants: 2-D float64, ``cols`` columns if given,
+    and finite unless ``finite`` is False (for a caller that checks it
+    itself)."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"{name}: expected {cols} columns, got {a.shape[1]}")
     if a.dtype != np.float64:
         a = a.astype(np.float64)
-    if a.size and not np.isfinite(a).all():
+    if finite and a.size and not np.isfinite(a).all():
         raise ValidationError(f"{name}: non-finite entries")
     return a
 
@@ -253,6 +276,68 @@ def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
     return MlpModel(list(layer_dims), weights, biases)
 
 
+# elementwise passes run in chunks of this many float64s (512 KiB)
+_BLOCK = 1 << 16
+_ZEROS = np.zeros(_BLOCK)
+_ZEROS.flags.writeable = False
+
+
+def _blockwise(op, a: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``op(a, c, out=a)`` for the constant c that fills ``block``: the
+    C-contiguous ``a`` is taken in ``block``-sized chunks, each against the
+    leading part of ``block``, so every call is a contiguous array-array
+    loop. Each element meets the same c, so the bits are those of the
+    scalar call. Returns ``a``."""
+    flat = a.reshape(-1)  # a view, as ``a`` is C-contiguous
+    n = block.size
+    for i in range(0, flat.size, n):
+        part = flat[i : i + n]
+        op(part, block[: part.size], out=part)
+    return a
+
+
+def _relu(a: np.ndarray) -> np.ndarray:
+    """``np.maximum(a, 0.0, out=a)`` on a C-contiguous array, against zeros."""
+    return _blockwise(np.maximum, a, _ZEROS)
+
+
+def _clamp(op, a: np.ndarray, value: float) -> np.ndarray:
+    """``op(a, value, out=a)`` (``np.maximum`` or ``np.minimum``) on a
+    C-contiguous array, against a block of ``value`` copies."""
+    return _blockwise(op, a, np.full(min(max(a.size, 1), _BLOCK), value))
+
+
+def _rowwise(op, a: np.ndarray, row: np.ndarray, out: np.ndarray, then=None) -> np.ndarray:
+    """``op(a, row, out=out)`` for a (n, C) array and a (1, C) row, in blocks
+    of about ``_BLOCK`` elements, each against a tiled copy of the row rather
+    than as one short broadcast loop per row; ``then(block)`` runs on each
+    written block of ``out`` while it is in cache. Each element meets the
+    same operands, so the bits are those of the broadcast call. An array of
+    one block or less takes the broadcast call itself: its tile would be a
+    fresh allocation as large as the array, which costs more than it saves."""
+    n, cols = a.shape
+    rows = max(1, _BLOCK // max(1, cols))
+    tile = np.tile(row, (rows, 1)) if n > rows else row  # row[:k] is row itself
+    for i in range(0, n, rows):
+        part = out[i : i + rows]
+        op(a[i : i + rows], tile[: part.shape[0]], out=part)
+        if then is not None:
+            then(part)
+    return out
+
+
+def _add_bias(h: np.ndarray, b: np.ndarray, relu: bool) -> None:
+    """``h += b``, then ReLU if ``relu``, in place on the C-contiguous output
+    of a layer's matmul: a (rows, fo) ``h`` row-blockwise (:func:`_rowwise`),
+    a (K, rows, fo) stack of small batches by the broadcast add."""
+    if h.ndim == 2:
+        _rowwise(np.add, h, b, h, _relu if relu else None)
+    else:
+        h += b
+        if relu:
+            _relu(h)
+
+
 def _forward_trace(weights: list[np.ndarray], biases: list[np.ndarray],
                    batch: np.ndarray) -> list[np.ndarray]:
     """Unchecked forward pass keeping post-activation values per layer for
@@ -264,9 +349,7 @@ def _forward_trace(weights: list[np.ndarray], biases: list[np.ndarray],
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w
-        h += b
-        if i != last:
-            np.maximum(h, 0.0, out=h)
+        _add_bias(h, b, relu=i != last)
         acts.append(h)
     return acts
 

@@ -193,9 +193,10 @@ def _dims(ds: Dataset, hidden_dims: list[int]) -> list[int]:
 
 def _xent_dlogits(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Batch-mean cross-entropy logit gradient, computed in the softmax p:
-    (rows, C) with (rows,) labels, or a (K, rows, C) stack with (K, rows)."""
-    cells = p.reshape(-1, p.shape[-1])  # a view: p is a fresh contiguous array
-    cells[np.arange(cells.shape[0]), labels.ravel()] -= 1.0
+    (rows, C) with (rows,) labels, or a (K, rows, C) stack with (K, rows).
+    The one-hot rows are gathered from an identity matrix and subtracted
+    whole: p - 0 is p, so only the label cells move."""
+    p -= np.eye(p.shape[-1]).take(labels, 0)
     p /= p.shape[-2]
     return p
 
@@ -372,7 +373,8 @@ def collect_logits(
                 z = _forward_trace(h.model.weights, h.model.biases, x)[-1]
             h.query_rows += rows
             acc = z if acc is None else acc + z
-        acc /= repeats  # acc is this node's own forward output
+        if repeats > 1:
+            acc /= repeats  # acc is this node's own sum of forward outputs
         try:
             block = LogitBlock(h.node_id, acc)
         except ValidationError as err:

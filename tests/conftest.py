@@ -1,6 +1,6 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
-the end-to-end tests, runners over seed lists, and the per-step oracle of
-distillation."""
+the end-to-end tests, runners over seed lists, the per-step oracle of
+distillation, and the arrays and bit comparison of the fast-path tests."""
 import copy
 
 import numpy as np
@@ -98,3 +98,23 @@ def reference_distill(model, x, teacher, cfg, rs, task):
             trace.append({"step": step, "loss": loss, "lr": lr})
             step += 1
     return model, trace
+
+
+DBL_MAX = np.finfo(np.float64).max
+# signed zeros, infinities, NaN, values near DBL_MAX and subnormals
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, DBL_MAX, -DBL_MAX,
+                     np.nextafter(DBL_MAX, 0.0), -DBL_MAX / 3, 5e-324, -5e-324])
+
+
+def mixed(seed: int, shape, special_share: float = 0.3) -> np.ndarray:
+    """Values over many magnitudes, a share of them drawn from SPECIALS."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    pick = rng.random(shape) < special_share
+    a[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    return a
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bit patterns: signbit and NaN payload included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -419,7 +419,7 @@ class TestMainExitCodes:
         assert err.startswith("runtime error: distillation diverged on the central model")
 
     @pytest.mark.parametrize("case, message", [
-        ("csv_nan", "features: non-finite entries"),
+        ("csv_nan", "private.csv: row 3: non-finite feature value"),
         ("gamma", "teacher logits: non-finite entries"),
         ("cov_scale", "querying node 0: logits: non-finite entries"),
     ])
@@ -431,6 +431,7 @@ class TestMainExitCodes:
             lines = private.read_text().splitlines()
             lines[3] = "nan," + lines[3].split(",", 1)[1]
             private.write_text("\n".join(lines) + "\n")
+            message = f"{tmp_path / message}"  # load_csv names the file by its path
         elif case == "gamma":
             # Laplace noise at scale 1e320 overflows the teacher logits
             doc = tiny_doc(num_nodes=2, ensemble={"gamma": 1e-320})
@@ -443,6 +444,46 @@ class TestMainExitCodes:
         p = write_config(tmp_path, doc)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+    @staticmethod
+    def csv_doc_with(tmp_path, split, value, row, **over):
+        """tiny_doc on write_csv_task's CSVs, with ``value`` as the second
+        feature of data row ``row`` of ``split``; returns (doc, that file)."""
+        doc = tiny_doc(num_nodes=2, **over)
+        doc["task"] = write_csv_task(tmp_path)
+        path = Path(doc["task"][split])
+        lines = path.read_text().splitlines()
+        x0, _, rest = lines[row].split(",", 2)
+        lines[row] = f"{x0},{value},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        return doc, path
+
+    @pytest.mark.parametrize("command, split, value, row", [
+        ("run", "public", "inf", 5), ("run", "test", "nan", 2), ("run", "test", "-inf", 40),
+        ("fedavg", "test", "nan", 7)])
+    def test_non_finite_csv_feature_fails_at_load(self, tmp_path, capsys, command, split,
+                                                  value, row):
+        """A NaN or infinite feature in any split exits 3 before training,
+        with one line naming the file and its 1-based data row, and leaves
+        no run directory."""
+        doc, path = self.csv_doc_with(tmp_path, split, value, row)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime error: {path}: row {row}: non-finite feature value\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_csv_feature_is_an_error_row_per_sweep_cell(self, tmp_path):
+        doc, path = self.csv_doc_with(tmp_path, "public", "nan", 9,
+                                      sweep={"param": "gamma", "values": [None, 1.0],
+                                             "seeds": [0]})
+        out = tmp_path / "o"
+        assert main(["ablate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "ablation.csv").open()))
+        assert [r["error"] for r in rows] == [
+            f"ValidationError: {path}: row 9: non-finite feature value"] * 2
 
     @pytest.mark.parametrize("over, key", [
         ({"distill": [1]}, "'distill' must be an object"),
@@ -552,6 +593,22 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+def test_commands_leave_numpy_ma_unloaded(tmp_path, command):
+    """No command imports numpy.ma (np.unique does, lazily): it costs every
+    run about 1.25 MiB of RSS and a few ms."""
+    doc = tiny_doc(sweep={"param": "gamma", "values": [None, 1.0], "seeds": [0]})
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; from fedkd.cli import main; "
+              "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", script, command, "--config", str(write_config(tmp_path, doc)),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 # A valid value per sweep axis, and the document field it sets by hand.

@@ -1,4 +1,6 @@
 """Dataset construction, CSV ingestion, Dirichlet partitioning, profiling."""
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         p.write_text("f0,label\n1,0\n")
         with pytest.raises(FormatError, match="f1"):
+            load_csv(p, self.SCHEMA)
+
+    @pytest.mark.parametrize("row, what", [
+        ("nan,1,0", "feature"), ("1,-inf,0", "feature"), ("1,1,inf", "label"),
+        ("1,1,nan", "label")])
+    def test_non_finite_value_names_row(self, tmp_path, row, what):
+        """Rejected at load, with no numpy warning from the label cast."""
+        p = tmp_path / "d.csv"
+        p.write_text(f"f0,f1,label\n1,1,0\n2,2,1\n{row}\n")
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(p))}: row 3: non-finite {what} value$"):
             load_csv(p, self.SCHEMA)
 
     def test_multi_label_entries_validated(self, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fedkd.datasets import NodeProfile
 from fedkd.ensemble import (
+    _TINY,
+    _levels,
     EnsembleConfig,
     LogitBlock,
     PER_CLASS,
@@ -27,10 +29,9 @@ from fedkd.ensemble import (
     quantize_array,
 )
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from fedkd.numkit import RandomStream, check_matrix
+from fedkd.numkit import _BLOCK, RandomStream, check_matrix
 
-
-DBL_MAX = np.finfo(np.float64).max
+from conftest import DBL_MAX, SPECIALS, mixed, same_bits
 
 
 def block(node_id, values):
@@ -104,9 +105,9 @@ class TestGlobalMaxAbs:
     def test_block_is_validated_once(self, monkeypatch):
         calls = []
 
-        def counting(a, name="matrix", cols=None):
+        def counting(a, name="matrix", cols=None, **kw):
             calls.append(name)
-            return check_matrix(a, name, cols)
+            return check_matrix(a, name, cols, **kw)
 
         # the package re-exports the ensemble() function under the module's name
         monkeypatch.setattr(importlib.import_module("fedkd.ensemble"), "check_matrix", counting)
@@ -234,6 +235,81 @@ class TestLaplace:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(RangeError):
             laplace_sample(0.0, RandomStream(0, (9,)))
+
+
+def old_levels(z, z_max, scale):
+    """_levels with the scalar clamp it had before the blocked one."""
+    out = np.empty(np.shape(z))
+    if not math.isfinite(scale * float(z_max)):
+        np.divide(z, z_max, out=out)
+        out *= scale / 2
+        top = scale // 2
+    else:
+        np.multiply(scale, z, out=out)
+        out /= 2.0 * z_max
+        top = -(-scale // 2)
+    np.ceil(out, out=out)
+    return np.minimum(out, top, out=out)
+
+
+def old_laplace(gamma, u):
+    """laplace_sample's formula with the scalar floor."""
+    return -(1.0 / gamma) * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), _TINY))
+
+
+class TestFastPathBits:
+    """The blocked clamps give the bits of the scalar calls they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([1, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]),
+           cols=st.sampled_from([1, 10]),
+           z_max=st.sampled_from([1.0, 0.6480681684638473, 3e5, 1e300, DBL_MAX / 4, DBL_MAX]),
+           scale=st.sampled_from([2, 3, 200, 255, 10**6]),
+           seed=st.integers(0, 2**20))
+    def test_levels_normal_and_overflow_branch(self, size, cols, z_max, scale, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, (max(size // cols, 1), cols)) * z_max
+        edge = rng.random(z.shape) < 0.2  # the grid's ends, signed zeros, non-finite
+        z[edge] = rng.choice([z_max, -z_max, np.nextafter(z_max, 0.0), 0.0, -0.0,
+                              np.inf, -np.inf, np.nan], int(edge.sum()))
+        with np.errstate(invalid="ignore"):
+            assert same_bits(_levels(z, z_max, scale), old_levels(z, z_max, scale))
+
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from([1, 5, _BLOCK, _BLOCK + 1, 3 * _BLOCK]),
+           gamma=st.sampled_from([1e-300, 0.5, 1.0, 7.0, 1e300]),
+           seed=st.integers(0, 2**20))
+    def test_laplace_floor(self, size, gamma, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.random(size)
+        edge = rng.random(size) < 0.2  # both endpoints, the median, near-endpoints
+        u[edge] = rng.choice([0.0, 0.5, 1.0 - 2**-53, 2**-53, 0.25], int(edge.sum()))
+        with np.errstate(over="ignore"):
+            got = laplace_sample(gamma, _StubStream(u), size=size)
+            want = old_laplace(gamma, u - 0.5)
+        assert same_bits(got, want)
+        assert laplace_sample(gamma, _StubStream(u[0])) == float(old_laplace(gamma, u[0] - 0.5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 12), finite=st.booleans(),
+           seed=st.integers(0, 2**20))
+    def test_block_max_abs_and_finiteness(self, rows, cols, finite, seed):
+        z = mixed(seed, (rows, cols), special_share=0.0 if finite else 0.3)
+        if not np.isfinite(z).all():
+            with pytest.raises(ValidationError, match="^logits: non-finite entries$"):
+                LogitBlock(0, z)
+            return
+        z[z == 0] = -0.0  # an all-zero block still reports +0.0
+        got = LogitBlock(0, z).local_max_abs
+        want = float(np.max(np.abs(z)))
+        assert same_bits(np.array(got), np.array(want))
+
+    def test_empty_input(self):
+        assert laplace_sample(1.0, RandomStream(0, (5,)), size=(0, 3)).shape == (0, 3)
+        assert _levels(np.empty((0, 3)), 1.0, 200).shape == (0, 3)
+
+    def test_all_negative_zero_block_reports_positive_zero(self):
+        assert math.copysign(1.0, LogitBlock(0, np.full((2, 3), -0.0)).local_max_abs) == 1.0
 
 
 def no_op_cfg():

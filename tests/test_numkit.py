@@ -24,6 +24,8 @@ from fedkd.numkit import (
 )
 from fedkd.protocol import encode_params
 
+from conftest import SPECIALS, mixed, same_bits
+
 
 def naive_forward(model, batch):
     """Straight-line loop reimplementation of the forward pass (oracle)."""
@@ -311,6 +313,115 @@ class TestModel:
         assert stacked.weights[1].shape == (3, 4, 2) and stacked.biases[0].shape == (3, 1, 4)
         assert np.array_equal(stacked.weights[1][1], model.weights[1])
         assert all(np.shares_memory(a, stack) for a in stacked.weights + stacked.biases)
+
+
+# ---------------------------------------------------------------------------
+# elementwise fast paths against the forms they replace
+
+BLOCK = fedkd.numkit._BLOCK
+
+
+@st.composite
+def block_rows(draw, max_cols=70):
+    """(rows, cols) of a 2-D array whose row count sits below, at or above
+    a multiple of the rows in one _BLOCK-element block."""
+    cols = draw(st.sampled_from([1, 3, 10, 64, max_cols]))
+    per_block = BLOCK // cols
+    rows = draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1,
+                                 2 * per_block + 3]))
+    return max(rows, 1), cols
+
+
+stacks = st.tuples(st.integers(1, 5), st.integers(1, 40), st.integers(1, 70))
+
+
+def old_forward_trace(weights, biases, batch):
+    """The forward pass with the broadcast bias add and scalar ReLU."""
+    acts, h = [batch], batch
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w
+        h += b
+        if i != len(weights) - 1:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
+
+
+class TestElementwiseFastPaths:
+    """Each blocked pass gives the bits of the scalar or broadcast call it
+    replaces, on non-finite, signed-zero and near-overflow values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.one_of(block_rows(), stacks), relu=st.booleans(), seed=st.integers(0, 2**20))
+    def test_bias_and_relu(self, shape, relu, seed):
+        h = mixed(seed, shape)
+        b = mixed(seed + 1, (*shape[:-2], 1, shape[-1]))
+        with np.errstate(all="ignore"):
+            want = h + b
+            if relu:
+                np.maximum(want, 0.0, out=want)
+            fedkd.numkit._add_bias(h, b, relu)
+        assert same_bits(h, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.one_of(block_rows(), stacks), seed=st.integers(0, 2**20))
+    def test_relu(self, shape, seed):
+        a = mixed(seed, shape)
+        want = np.maximum(a, 0.0)
+        assert same_bits(fedkd.numkit._relu(a), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
+           lead=st.sampled_from([(), (3,), (2, 5)]),
+           op=st.sampled_from([np.maximum, np.minimum]),
+           value=st.one_of(st.sampled_from(SPECIALS.tolist()), st.floats(-1e3, 1e3)),
+           seed=st.integers(0, 2**20))
+    def test_clamp(self, size, lead, op, value, seed):
+        a = mixed(seed, (*lead, size))
+        want = op(a, value)
+        assert same_bits(fedkd.numkit._clamp(op, a, value), want)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0, 4)])
+    def test_empty_arrays(self, shape):
+        a = np.empty(shape)
+        assert fedkd.numkit._relu(a).shape == shape
+        assert fedkd.numkit._clamp(np.minimum, a, 1.0).shape == shape
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=block_rows(), seed=st.integers(0, 2**20))
+    def test_rowwise_multiply(self, shape, seed):
+        a, row = mixed(seed, shape), mixed(seed + 1, (1, shape[1]))
+        out = np.empty_like(a)
+        with np.errstate(all="ignore"):
+            want = a * row
+            fedkd.numkit._rowwise(np.multiply, a, row, out)
+        assert same_bits(out, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=block_rows(max_cols=40), hidden=st.sampled_from([[8], [64], [5, 70]]),
+           seed=st.integers(0, 2**20))
+    def test_forward_trace_2d(self, shape, hidden, seed):
+        rows, cols = shape
+        model = make_model([cols, *hidden, 3], seed=seed % 97)
+        model.flat[:] += mixed(seed, model.flat.shape, special_share=0.0) * 1e-2
+        x = mixed(seed + 1, (rows, cols), special_share=0.02)
+        with np.errstate(all="ignore"):
+            new = fedkd.numkit._forward_trace(model.weights, model.biases, x)
+            old = old_forward_trace(model.weights, model.biases, x)
+        assert all(same_bits(a, b) for a, b in zip(new, old))
+
+    @settings(max_examples=25, deadline=None)
+    @given(stack=stacks, seed=st.integers(0, 2**20))
+    def test_forward_trace_stacked(self, stack, seed):
+        k, rows, cols = stack
+        dims = [cols, 9, 4]
+        params = mixed(seed, (k, fedkd.numkit.mlp_parameter_count(dims)), special_share=0.05)
+        weights, biases = fedkd.numkit._layer_views(dims, params)
+        x = mixed(seed + 1, (k, rows, cols), special_share=0.05)
+        with np.errstate(all="ignore"):
+            new = fedkd.numkit._forward_trace(weights, biases, x)
+            old = old_forward_trace(weights, biases, x)
+        assert all(same_bits(a, b) for a, b in zip(new, old))
 
 
 class TestCheckMatrix:

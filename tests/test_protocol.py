@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedkd.numkit
 import fedkd.protocol
@@ -17,7 +18,7 @@ from fedkd.datasets import (
     dirichlet_partition,
     gen_gaussian_task,
 )
-from fedkd.distill import DistillConfig, evaluate_single
+from fedkd.distill import DistillConfig, evaluate_single, softmax_tau
 from fedkd.ensemble import EnsembleConfig, UNIFORM
 from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, RangeError
 from fedkd.numkit import (
@@ -30,6 +31,7 @@ from fedkd.numkit import (
     mlp_forward,
 )
 from fedkd.protocol import (
+    _xent_dlogits,
     BandwidthLedger,
     FedKdRun,
     NodeHandle,
@@ -48,6 +50,8 @@ from fedkd.protocol import (
     train_lockstep,
     train_supervised,
 )
+
+from conftest import mixed, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,37 @@ class TestLedger:
 
 # ---------------------------------------------------------------------------
 # supervised losses
+
+
+def old_xent_dlogits(p, labels):
+    """_xent_dlogits with the fancy-index subtraction it had before."""
+    cells = p.reshape(-1, p.shape[-1])
+    cells[np.arange(cells.shape[0]), labels.ravel()] -= 1.0
+    p /= p.shape[-2]
+    return p
+
+
+class TestXentGradientBits:
+    """The gathered one-hot subtraction gives the bits of the fancy-index one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (4,), (20,)]), rows=st.integers(1, 40),
+           classes=st.integers(1, 12), seed=st.integers(0, 2**20))
+    def test_stacked(self, lead, rows, classes, seed):
+        p = mixed(seed, (*lead, rows, classes))
+        labels = np.random.default_rng(seed).integers(0, classes, (*lead, rows))
+        with np.errstate(all="ignore"):
+            assert same_bits(_xent_dlogits(p.copy(), labels), old_xent_dlogits(p.copy(), labels))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), classes=st.integers(1, 12), seed=st.integers(0, 2**20))
+    def test_through_softmax_xent_grad(self, rows, classes, seed):
+        z = mixed(seed, (rows, classes))
+        labels = np.random.default_rng(seed).integers(0, classes, rows)
+        with np.errstate(all="ignore"):
+            _, grad = softmax_xent_grad(z, labels)
+            want = old_xent_dlogits(softmax_tau(z, 1.0), labels)
+        assert same_bits(grad, want)
 
 
 class TestSupervisedLosses:
