@@ -18,7 +18,6 @@ from .datasets import (
     load_csv,
     profile,
     profile_of,
-    rarest_positive_label,
 )
 from .distill import (
     DistillConfig,
@@ -30,7 +29,6 @@ from .distill import (
     evaluate_single,
     kl_loss,
     binary_kl_loss,
-    logit_l2_loss,
     mann_whitney_auc,
     sigmoid,
     softmax_tau,
@@ -42,7 +40,6 @@ from .ensemble import (
     UNIFORM,
     WeightTable,
     ensemble,
-    global_max_abs,
     importance_weights,
     laplace_sample,
     quantize_array,
@@ -59,14 +56,12 @@ from .errors import (
 )
 from .numkit import (
     CosineSchedule,
-    MlpGrads,
     MlpModel,
     RandomStream,
     cosine_lr,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    sgd_step,
 )
 from .protocol import (
     BandwidthLedger,
@@ -77,7 +72,6 @@ from .protocol import (
     TrainConfig,
     collect_logits,
     ledger_report,
-    run_centralized,
     run_fedavg,
     run_fedkd,
     train_locals,

@@ -51,7 +51,7 @@ from .datasets import (
 )
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
-from .errors import ConfigurationError, FedKdError
+from .errors import ConfigurationError, FedKdError, FormatError
 from .numkit import RandomStream
 from .protocol import (
     FedKdRun,
@@ -304,7 +304,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -467,9 +467,10 @@ def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
     trace_path = None
     if trace is not None:
         trace_path = "trace.jsonl"
+        encode = json.JSONEncoder(sort_keys=True).encode
         with (rd / trace_path).open("w") as fh:
             for rec in trace:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.write(encode(rec) + "\n")
 
     doc = {
         "algorithm": algorithm,
@@ -562,11 +563,31 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     return path
 
 
+def _load_metrics(path: Path) -> dict:
+    """One run's metrics.json, checked for what the report reads: a JSON
+    object with a numeric ``central`` and an integer ``ledger.total_bytes``,
+    both in the float range, and string ``algorithm`` and ``metric`` where
+    present. Anything else is a FormatError naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: not a JSON object")
+    central, ledger = doc.get("central"), doc.get("ledger")
+    total = ledger.get("total_bytes") if isinstance(ledger, dict) else None
+    if (type(central) not in (int, float) or type(total) is not int
+            or abs(central) > sys.float_info.max or abs(total) > sys.float_info.max):
+        raise FormatError(f"{path}: needs a numeric 'central' and an integer "
+                          f"'ledger.total_bytes', both in the float range")
+    if not all(isinstance(doc.get(k, ""), str) for k in ("algorithm", "metric")):
+        raise FormatError(f"{path}: 'algorithm' and 'metric' must be strings")
+    return doc
+
+
 def cmd_report(out: Path) -> str:
     """Aggregate every run directory under ``out`` into a comparison table."""
-    docs = []
-    for metrics_path in sorted(out.glob("*/metrics.json")):
-        docs.append(json.loads(metrics_path.read_text()))
+    docs = [_load_metrics(p) for p in sorted(out.glob("*/metrics.json"))]
     if not docs:
         raise ConfigurationError(f"no run directories with metrics.json under {out}")
     groups: dict[str, list[dict]] = {}

@@ -55,7 +55,6 @@ __all__ = [
     "sigmoid",
     "kl_loss",
     "binary_kl_loss",
-    "logit_l2_loss",
     "distill_loss_grad",
     "distill",
     "evaluate_single",
@@ -142,16 +141,6 @@ def binary_kl_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return _kl_terms(p, q) + _kl_terms(1.0 - p, 1.0 - q)
-
-
-def logit_l2_loss(
-    student: np.ndarray, teacher: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Batch-mean squared logit mismatch and its gradient w.r.t. student.
-
-    loss = (1/B) sum of squared differences; grad = (2/B)(student - teacher).
-    """
-    return distill_loss_grad(student, teacher, DistillConfig(loss_mode=LOGIT_L2))
 
 
 def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str, *,

@@ -12,7 +12,6 @@ z_max, so no step of the arithmetic can overflow.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +36,6 @@ __all__ = [
     "quantize_array",
     "laplace_sample",
     "ensemble",
-    "encode_block",
-    "encode_block_packed",
-    "decode_block",
     "float_payload_bytes",
     "packed_payload_bytes",
     "quant_level_bits",
@@ -131,13 +127,6 @@ def global_max_abs(blocks: list[LogitBlock]) -> float:
     return max(b.local_max_abs for b in blocks)
 
 
-def _check_quant_args(z_max: float, scale: int) -> None:
-    if not z_max > 0:
-        raise RangeError("z_max must be > 0")
-    if scale < 2:
-        raise RangeError("quantization scale must be >= 2")
-
-
 def _overflows(z_max: float, scale: int) -> bool:
     """Whether S*z for some |z| <= z_max is past the float range."""
     return not math.isfinite(scale * float(z_max))
@@ -175,7 +164,10 @@ def _grid_values(levels: np.ndarray, z_max: float, scale: int) -> np.ndarray:
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     """Snap every logit to the uniform grid defined by z_max and scale."""
-    _check_quant_args(z_max, scale)
+    if not z_max > 0:
+        raise RangeError("z_max must be > 0")
+    if scale < 2:
+        raise RangeError("quantization scale must be >= 2")
     z = np.asarray(z, dtype=np.float64)
     if z.size and np.max(np.abs(z)) > z_max:
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
@@ -258,24 +250,9 @@ def ensemble(
 
 
 # ---------------------------------------------------------------------------
-# wire frames
-#
-# Frame layout (little-endian):
-#   mode:        uint8   (0 = float64 payload, 1 = packed quantization levels)
-#   node_id:     uint32
-#   rows, cols:  uint32 each
-#   scale_value: float64 (mode 0: the block's local max-abs;
-#                         mode 1: the global z_max the levels refer to)
-#   [mode 1 only] quant_scale: uint32
-#   payload:     row-major float64s, or level indices of
-#                ceil(log2(S+1)) bits each, bit-packed big-endian
-#
-# The ledger bills a frame by the convention in the protocol module docstring.
-
-_MODE_FLOAT = 0
-_MODE_PACKED = 1
-_HEADER = struct.Struct("<BIIId")
-_SCALE_FIELD = struct.Struct("<I")
+# payload sizes, the one source of logit bytes: float64 logits at 8 bytes each
+# (the ledger), and a bit-packed upload at ceil(log2(S+1)) bits per logit
+# (``packed_logits_bytes``), a computed size: no encoder builds that upload
 
 
 def quant_level_bits(scale: int) -> int:
@@ -289,44 +266,3 @@ def float_payload_bytes(rows: int, cols: int) -> int:
 
 def packed_payload_bytes(rows: int, cols: int, scale: int) -> int:
     return (rows * cols * quant_level_bits(scale) + 7) // 8
-
-
-def encode_block(block: LogitBlock) -> bytes:
-    """Raw float64 frame for one block."""
-    head = _HEADER.pack(_MODE_FLOAT, block.node_id, *block.shape, block.local_max_abs)
-    return head + block.logits.astype("<f8").tobytes()
-
-
-def encode_block_packed(block: LogitBlock, z_max: float, scale: int) -> bytes:
-    """Compressed frame: quantization level indices at quant_level_bits each."""
-    _check_quant_args(z_max, scale)
-    if block.local_max_abs > z_max:
-        raise RangeError("logits outside the quantization grid (stale z_max?)")
-    levels = _levels(block.logits, z_max, scale).astype(np.int64)
-    idx = (levels + scale // 2).ravel()  # the lowest level is ceil(-S/2)
-    bits = quant_level_bits(scale)
-    bitmat = ((idx[:, None] >> np.arange(bits - 1, -1, -1)) & 1).astype(np.uint8)
-    payload = np.packbits(bitmat.ravel()).tobytes()
-    head = _HEADER.pack(_MODE_PACKED, block.node_id, *block.shape, float(z_max))
-    return head + _SCALE_FIELD.pack(scale) + payload
-
-
-def decode_block(frame: bytes) -> tuple[LogitBlock, dict]:
-    """Inverse of the encoders; packed frames reconstruct the grid values."""
-    mode, node_id, rows, cols, scale_value = _HEADER.unpack_from(frame, 0)
-    off = _HEADER.size
-    if mode == _MODE_FLOAT:
-        logits = np.frombuffer(frame, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-        return LogitBlock(node_id, logits.copy()), {"mode": "float64"}
-    if mode == _MODE_PACKED:
-        (scale,) = _SCALE_FIELD.unpack_from(frame, off)
-        off += _SCALE_FIELD.size
-        bits = quant_level_bits(scale)
-        n = rows * cols
-        raw = np.frombuffer(frame, dtype=np.uint8, offset=off)
-        bitstream = np.unpackbits(raw)[: n * bits].reshape(n, bits)
-        idx = (bitstream.astype(np.int64) << np.arange(bits - 1, -1, -1)).sum(axis=1)
-        levels = (idx - (scale // 2)).astype(np.float64)
-        logits = _grid_values(levels, scale_value, scale).reshape(rows, cols)
-        return LogitBlock(node_id, logits), {"mode": "packed", "quant_scale": scale, "z_max": scale_value}
-    raise RangeError(f"unknown frame mode {mode}")

@@ -180,12 +180,11 @@ class MlpModel:
     """Fully connected net: ReLU hidden layers, raw logits out.
 
     All parameters live in one contiguous float64 vector ``flat``, laid out
-    w0, b0, w1, b1, ... (the :func:`~fedkd.protocol.encode_params` frame
-    order). weights[i] is a (layer_dims[i], layer_dims[i+1]) view into it and
-    biases[i] a (1, layer_dims[i+1]) view. The constructor validates the
-    shapes and copies the given arrays into ``flat``, so it never aliases
-    them. :func:`sgd_step` updates ``flat`` in place, so whoever trains a
-    model owns it; use :meth:`copy` to keep the input.
+    w0, b0, w1, b1, ...: weights[i] is a (layer_dims[i], layer_dims[i+1])
+    view into it and biases[i] a (1, layer_dims[i+1]) view. The constructor
+    validates the shapes and copies the given arrays into ``flat``, so it
+    never aliases them. :func:`sgd_step` updates ``flat`` in place, so
+    whoever trains a model owns it; use :meth:`copy` to keep the input.
     """
 
     layer_dims: list[int]
@@ -230,10 +229,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(list(self.layer_dims), self.weights, self.biases)
-
-    def flatten(self) -> np.ndarray:
-        """All parameters as one new float64 vector (weights then bias per layer)."""
-        return self.flat.copy()
 
 
 @dataclass

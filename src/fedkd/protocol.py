@@ -20,10 +20,11 @@ it: each node permutes its own shard from its own stream, and its slice of
 every stacked call is the call it would make alone, so a node trains to the
 same bits alone, in any stack and in any order.
 
-Ledger convention: an entry's bytes are the payload a frame carries (logits
-at 8 bytes each, the separately gathered max-abs scalar at 8, parameters at
-8P); the addressing fields both ends know (a logit frame's mode, node id and
-dims) are not billed, so totals match the plain bytes-per-value arithmetic.
+Ledger convention: an entry's bytes are its payload at 8 bytes per float64
+(a node's logits, its separately gathered max-abs scalar, or a model's P
+parameters), from the formulas :func:`~fedkd.ensemble.float_payload_bytes`
+and :func:`param_payload_bytes`; no addressing is billed, so totals match the
+plain bytes-per-value arithmetic.
 """
 from __future__ import annotations
 
@@ -72,10 +73,8 @@ from .numkit import (
     RandomStream,
     SgdJob,
     _forward_trace,
-    _layer_views,
     check_matrix,
     init_mlp,
-    mlp_parameter_count,
     train_sgd,
 )
 
@@ -108,9 +107,6 @@ __all__ = [
     "run_fedkd",
     "run_fedkd_batch",
     "run_fedavg",
-    "run_centralized",
-    "encode_params",
-    "decode_params",
     "param_payload_bytes",
 ]
 
@@ -157,6 +153,10 @@ def ledger_report(ledger: BandwidthLedger) -> dict:
         "total_gb_decimal": total / 1e9,
         "total_gib_binary": total / 2**30,
     }
+
+
+def param_payload_bytes(model: MlpModel) -> int:
+    return 8 * model.parameter_count()
 
 
 # ---------------------------------------------------------------------------
@@ -642,32 +642,3 @@ def run_fedavg(
         "param_count": global_model.parameter_count(),
     }
     return FedAvgResult(global_model, metrics, ledger)
-
-
-def run_centralized(
-    train: Dataset, test: Dataset, cfg: TrainConfig, seed: int
-) -> tuple[MlpModel, float]:
-    """Single-site training on the pooled data; the upper reference line."""
-    model = init_mlp(_dims(train, cfg.hidden_dims), RandomStream(seed, (STREAM_INIT, 0)))
-    model = train_supervised(model, train, cfg, RandomStream(seed, (STREAM_BATCH, 0, 0)))
-    return model, _evaluate(model, test, "the centralized model")
-
-
-# ---------------------------------------------------------------------------
-# parameter wire frames
-
-
-def param_payload_bytes(model: MlpModel) -> int:
-    return 8 * model.parameter_count()
-
-
-def encode_params(model: MlpModel) -> bytes:
-    """Row-major float64 dump of all weights then biases, layer by layer
-    (the layout of ``model.flat``)."""
-    return model.flat.astype("<f8").tobytes()
-
-
-def decode_params(layer_dims: list[int], buf: bytes) -> MlpModel:
-    if len(buf) != 8 * mlp_parameter_count(layer_dims):
-        raise DimensionError("parameter frame length does not match layer dims")
-    return MlpModel(layer_dims, *_layer_views(layer_dims, np.frombuffer(buf, "<f8")))

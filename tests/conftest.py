@@ -1,6 +1,7 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
-the end-to-end tests, runners over seed lists, the per-step oracle of
-distillation, and the arrays and bit comparison of the fast-path tests."""
+the end-to-end tests, runners over seed lists, centralized training on the
+pooled data, the per-step oracle of distillation, and the arrays and bit
+comparison of the fast-path tests."""
 import copy
 
 import numpy as np
@@ -13,8 +14,16 @@ from fedkd.cli import (
 )
 from fedkd.datasets import SINGLE_LABEL
 from fedkd.distill import KL, distill_loss_grad, kl_loss, softmax_tau
-from fedkd.numkit import CosineSchedule, MlpModel, cosine_lr, mlp_backward, mlp_forward
-from fedkd.protocol import run_centralized
+from fedkd.numkit import (
+    CosineSchedule,
+    MlpModel,
+    RandomStream,
+    cosine_lr,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+)
+from fedkd.protocol import STREAM_BATCH, STREAM_INIT, _dims, _evaluate, train_supervised
 
 # Tuned so local shards are learnable in seconds while the central model's
 # distillation lift and gap to centralized training stay clearly resolved.
@@ -56,6 +65,14 @@ def gauss4_config(overrides: dict | None = None) -> ExperimentConfig:
 def central_accuracies(overrides: dict | None, seeds) -> np.ndarray:
     cfg = gauss4_config(overrides)
     return np.array([execute_fedkd(cfg, s).metrics["central"] for s in seeds])
+
+
+def run_centralized(train, test, cfg, seed):
+    """Single-site training on the pooled data, the upper reference line:
+    (model, test metric), from node 0's init and batch streams of ``seed``."""
+    model = init_mlp(_dims(train, cfg.hidden_dims), RandomStream(seed, (STREAM_INIT, 0)))
+    model = train_supervised(model, train, cfg, RandomStream(seed, (STREAM_BATCH, 0, 0)))
+    return model, _evaluate(model, test, "the centralized model")
 
 
 def centralized_accuracies(overrides: dict | None, seeds) -> np.ndarray:

@@ -179,6 +179,13 @@ class TestRunArtifacts:
             first = json.loads(fh.readline())
         assert set(first) == {"step", "loss", "lr"}
 
+    def test_trace_lines_are_the_sorted_key_json_of_each_step(self, tmp_path):
+        cfg = parse_dict(tiny_doc())
+        rd = cmd_run(cfg, tmp_path, seed=0, force=False)
+        trace = execute_fedkd(cfg, 0).trace
+        assert (rd / "trace.jsonl").read_text() == "".join(
+            json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
+
     @pytest.mark.parametrize("forced", [False, True])
     def test_failure_while_writing_leaves_no_partial_directory(self, tmp_path, monkeypatch,
                                                               capsys, forced):
@@ -398,6 +405,39 @@ class TestMainExitCodes:
 
     def test_report_with_no_runs_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b"{}",
+        b"[]",
+        b'{"central": "a", "ledger": {"total_bytes": 1}}',
+        b'{"central": true, "ledger": {"total_bytes": 1}}',
+        b'{"central": 0.5, "ledger": {"total_bytes": 1.5}}',
+        b'{"central": 0.5, "ledger": {"total_bytes": 1' + b"0" * 400 + b"}}",
+        b'{"central": 0.5, "ledger": {"total_bytes": 1}, "algorithm": [1]}',
+        b"\xff\xfe{",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not_json", "empty", "array", "str_central", "bool_central", "float_bytes",
+            "huge_bytes", "list_algorithm", "not_utf8", "too_deep"])
+    def test_report_over_a_bad_metrics_file_is_a_one_line_format_error(self, tmp_path,
+                                                                      capsys, content):
+        path = tmp_path / "x" / "metrics.json"
+        path.parent.mkdir()
+        path.write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"runtime error: {path}: ")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not_utf8", "too_deep"])
+    def test_undecodable_config_is_a_one_line_config_error(self, tmp_path, capsys, content):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(content)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: config is not valid JSON: ")
 
     def test_missing_data_file_is_runtime_error(self, tmp_path):
         doc = tiny_doc()

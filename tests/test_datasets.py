@@ -22,7 +22,9 @@ from fedkd.datasets import (
 )
 from fedkd.errors import ConfigurationError, FormatError, ValidationError
 from fedkd.numkit import RandomStream
-from fedkd.protocol import TrainConfig, run_centralized
+from fedkd.protocol import TrainConfig
+
+from conftest import run_centralized
 
 # Monte-Carlo references computed from the generative/partition models alone,
 # before this implementation existed (100-seed draws of the raw proportions):

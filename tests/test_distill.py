@@ -17,7 +17,6 @@ from fedkd.distill import (
     evaluate_multi,
     evaluate_single,
     kl_loss,
-    logit_l2_loss,
     mann_whitney_auc,
     sigmoid,
     softmax_tau,
@@ -154,11 +153,14 @@ class TestLogitL2:
             distill_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)), self.CFG)
 
     def test_direct_function_matches_dispatch(self):
+        # the closed form (1/B)·sum (s - t)^2, (2/B)(s - t), and the default
+        # DistillConfig's logit_l2 loss, against the dispatch of self.CFG
         s, t = np.array([[1.0, 2.0], [0.0, -3.0]]), np.array([[0.5, -1.0], [2.0, 2.0]])
-        loss_a, grad_a = logit_l2_loss(s, t)
+        loss_a, grad_a = distill_loss_grad(s, t, DistillConfig(loss_mode=LOGIT_L2))
         loss_b, grad_b = distill_loss_grad(s, t, self.CFG)
-        assert loss_a == loss_b
+        assert loss_a == loss_b == ((s - t) ** 2).sum() / 2
         assert np.array_equal(grad_a, grad_b)
+        assert np.array_equal(grad_b, (2.0 / 2) * (s - t))
 
 
 class TestKlMode:
@@ -332,7 +334,7 @@ class TestDistillTrainer:
         ref, ref_trace = reference_distill(model.copy(), x, teacher, cfg, RandomStream(3, (46,)),
                                            task)
         assert trace == ref_trace
-        assert np.array_equal(out.flatten().view(np.int64), ref.flatten().view(np.int64))
+        assert np.array_equal(out.flat.view(np.int64), ref.flat.view(np.int64))
 
     @pytest.mark.parametrize("mode,task,tau", [
         (LOGIT_L2, SINGLE_LABEL, math.inf),

@@ -22,7 +22,6 @@ from fedkd.numkit import (
     sgd_step,
     train_sgd,
 )
-from fedkd.protocol import encode_params
 
 from conftest import SPECIALS, mixed, same_bits
 
@@ -263,7 +262,7 @@ class TestModel:
 
     def test_flatten_length_matches_parameter_count(self):
         model = make_model([4, 6, 2])
-        assert model.flatten().shape == (model.parameter_count(),)
+        assert model.flat.shape == (model.parameter_count(),)
 
     def test_constructor_copies_into_one_vector_in_frame_order(self):
         rs = RandomStream(0, (71,))
@@ -274,7 +273,7 @@ class TestModel:
                                 weights[1].ravel(), biases[1].ravel()])
         assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
         assert np.array_equal(model.flat, frame)
-        assert encode_params(model) == frame.astype("<f8").tobytes()
+        assert model.flat.astype("<f8").tobytes() == frame.astype("<f8").tobytes()
         # the given arrays are copied, not aliased
         assert not any(np.shares_memory(model.flat, a) for a in weights + biases)
         model.flat += 1.0
@@ -285,11 +284,10 @@ class TestModel:
         assert model.flat[6 + 3 + 11] == 7.0
         model.flat[6:9] = [1.0, 2.0, 3.0]
         assert np.array_equal(model.biases[0], [[1.0, 2.0, 3.0]])
-        # copy, flatten and MlpGrads own their own buffers
-        copied, flat = model.copy(), model.flatten()
+        # copy and MlpGrads own their own buffers
+        copied = model.copy()
         assert not np.shares_memory(copied.flat, model.flat)
-        assert not np.shares_memory(flat, model.flat)
-        assert np.array_equal(copied.flat, model.flat) and np.array_equal(flat, model.flat)
+        assert np.array_equal(copied.flat, model.flat)
         grads = MlpGrads(model.weights, model.biases)
         assert not np.shares_memory(grads.flat, model.flat)
         assert np.array_equal(grads.flat, model.flat)

@@ -1,0 +1,35 @@
+"""The names other code reaches fedkd through: every function the benchmark's
+tracer wraps (``SPANNED`` in perfbench/spans.py, read with ``ast`` and not
+imported) and every name the README's library example imports. Trimming one
+of them breaks the traced benchmark or the README, so it fails here first."""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fedkd
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def spanned() -> list[tuple[str, str]]:
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets)]
+    return sorted(ast.literal_eval(value))
+
+
+@pytest.mark.parametrize("module, name", spanned())
+def test_every_spanned_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(f"fedkd.{module}"), name, None))
+
+
+def test_every_readme_library_import_resolves():
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = [alias.name for node in ast.walk(ast.parse(code))
+             if isinstance(node, ast.ImportFrom) and node.module == "fedkd"
+             for alias in node.names]
+    assert names
+    assert [n for n in names if not hasattr(fedkd, n)] == []
