@@ -586,20 +586,22 @@ def _load_metrics(path: Path) -> dict:
 
 
 def cmd_report(out: Path) -> str:
-    """Aggregate every run directory under ``out`` into a comparison table."""
+    """Aggregate every run directory under ``out`` into a comparison table,
+    one row per (algorithm, metric)."""
     docs = [_load_metrics(p) for p in sorted(out.glob("*/metrics.json"))]
     if not docs:
         raise ConfigurationError(f"no run directories with metrics.json under {out}")
-    groups: dict[str, list[dict]] = {}
+    groups: dict[tuple[str, str], list[dict]] = {}
     for doc in docs:
-        groups.setdefault(doc.get("algorithm", "?"), []).append(doc)
+        groups.setdefault((doc.get("algorithm", "?"), doc.get("metric", "?")), []).append(doc)
     lines = [f"{'method':<10}{'runs':>6}{'metric':>10}{'mean':>10}{'std':>9}"
              f"{'GB (1e9)':>12}{'GiB (2^30)':>12}"]
-    for method in sorted(groups):
-        vals = np.array([d["central"] for d in groups[method]], dtype=np.float64)
-        total = np.mean([d["ledger"]["total_bytes"] for d in groups[method]])
+    for method, metric in sorted(groups):
+        runs = groups[method, metric]
+        vals = np.array([d["central"] for d in runs], dtype=np.float64)
+        total = np.mean([d["ledger"]["total_bytes"] for d in runs])
         lines.append(
-            f"{method:<10}{len(vals):>6}{groups[method][0].get('metric', '?'):>10}"
+            f"{method:<10}{len(vals):>6}{metric:>10}"
             f"{vals.mean():>10.4f}{vals.std():>9.4f}"
             f"{total / 1e9:>12.6f}{total / 2**30:>12.6f}"
         )

@@ -99,10 +99,6 @@ class NodeProfile:
         if self.counts.ndim != 1 or (self.counts < 0).any():
             raise ValidationError("counts must be a 1-D non-negative int array")
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class PartitionPlan:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
-from .errors import ConfigurationError, DimensionError, EvaluationError
+from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from .numkit import (
     CosineSchedule,
     MlpModel,
@@ -256,7 +256,9 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
                 trace.append({"step": step, "loss": loss, "lr": lr})
         return gz
 
-    trained = train_sgd(dims, cfg.batch_size, jobs, dlogits, "distillation", [None] * len(jobs))
+    trained = train_sgd(dims, cfg.batch_size, jobs, dlogits)
+    if None in trained:
+        raise DivergenceError("distillation")
     return (trained[0], traces[0]) if single else list(zip(trained, traces))
 
 

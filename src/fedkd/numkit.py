@@ -5,6 +5,7 @@ rate, and counter-keyed random streams.
 A model keeps all its parameters in one float64 vector ``flat`` (w0, b0, w1,
 b1, ...); its weight and bias arrays are views into it, and its constructor
 copies the arrays it is given (``aliasing`` is the one path that does not).
+Gradients are held in a model of the same dims.
 The forward and backward kernels run one model, or a stack of K models whose
 ``[K, P]`` parameter matrix holds one ``flat`` per row, in the same calls.
 :func:`train_sgd` is the package's one SGD loop: node training, FedAvg
@@ -40,13 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, RangeError, ValidationError
+from .errors import DimensionError, RangeError, ValidationError
 
 __all__ = [
     "RandomStream",
     "CosineSchedule",
     "MlpModel",
-    "MlpGrads",
     "check_matrix",
     "init_mlp",
     "mlp_parameter_count",
@@ -177,7 +177,8 @@ def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class MlpModel:
-    """Fully connected net: ReLU hidden layers, raw logits out.
+    """Fully connected net: ReLU hidden layers, raw logits out. The same
+    container holds a model's parameters or their gradients.
 
     All parameters live in one contiguous float64 vector ``flat``, laid out
     w0, b0, w1, b1, ...: weights[i] is a (layer_dims[i], layer_dims[i+1])
@@ -229,31 +230,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(list(self.layer_dims), self.weights, self.biases)
-
-
-@dataclass
-class MlpGrads:
-    """Parameter gradients with the shapes and the ``flat`` layout of the
-    owning model; the constructor copies the given arrays into ``flat``."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        dims = [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-        self.flat = _pack(self.weights, self.biases)
-        self.weights, self.biases = _layer_views(dims, self.flat)
-
-    @classmethod
-    def aliasing(cls, layer_dims: list[int], flat: np.ndarray) -> "MlpGrads":
-        """Gradients whose ``flat`` is the given vector itself, as
-        :meth:`MlpModel.aliasing`; over a ``[K, P]`` stack, the views are the
-        ``[K, fi, fo]``/``[K, 1, fo]`` stacks a lockstep backward pass fills."""
-        grads = object.__new__(cls)
-        grads.flat = flat
-        grads.weights, grads.biases = _layer_views(layer_dims, flat)
-        return grads
 
 
 def mlp_parameter_count(layer_dims: list[int]) -> int:
@@ -356,7 +332,7 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _backprop(weights: list[np.ndarray], acts: list[np.ndarray], grad_logits: np.ndarray,
-              out: MlpGrads) -> MlpGrads:
+              out: MlpModel) -> MlpModel:
     """Chain grad_logits back through the activations of one forward trace,
     overwriting ``out``; stacked operands as in :func:`_forward_trace`, with
     ``out`` then over the ``[K, P]`` gradient matrix."""
@@ -370,8 +346,9 @@ def _backprop(weights: list[np.ndarray], acts: list[np.ndarray], grad_logits: np
     return out
 
 
-def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpGrads:
-    """Parameter gradients for a loss whose logit-gradient is grad_logits.
+def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpModel:
+    """Parameter gradients, in a model of the same dims, for a loss whose
+    logit-gradient is grad_logits.
 
     Whatever batch scaling the upstream loss applies is inherited unchanged;
     this routine only chains through the network.
@@ -381,10 +358,11 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
     if grad_logits.shape[0] != batch.shape[0]:
         raise DimensionError(f"grad_logits has {grad_logits.shape[0]} rows, batch {batch.shape[0]}")
     acts = _forward_trace(model.weights, model.biases, batch)
-    return _backprop(model.weights, acts, grad_logits, MlpGrads(model.weights, model.biases))
+    grads = MlpModel.aliasing(model.layer_dims, np.empty_like(model.flat))
+    return _backprop(model.weights, acts, grad_logits, grads)
 
 
-def sgd_step(model: MlpModel, grads: MlpGrads, lr: float, weight_decay: float = 0.0) -> MlpModel:
+def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 0.0) -> MlpModel:
     """theta <- theta - lr * (grad + weight_decay * theta), one in-place update
     of ``model.flat``; returns model. Without decay the update is ``theta -
     lr * grad``, bit-identical to adding 0 * theta when theta is finite."""
@@ -418,10 +396,10 @@ class SgdJob:
     weight_decay: float = 0.0
 
 
-def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
-              node_ids: list[int | None]) -> list[MlpModel]:
+def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpModel | None]:
     """Minibatch SGD for every job in lockstep, on copies of their models
-    (layer dims ``dims``); returns the trained models in job order.
+    (layer dims ``dims``); returns the trained models in job order, with None
+    in place of each model whose parameters end non-finite.
 
     A job's batches are consecutive b-row slices of a fresh permutation of
     its rows per epoch from its own stream, the remainder dropped; it may stop
@@ -434,8 +412,6 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
     training are a prefix of the [K, P] parameter matrix; a job's slice of
     each stacked call is the call it would make alone, so a stack changes none
     of its bits.
-    On exit the lowest-index job with non-finite parameters raises
-    DivergenceError(phase, its node_ids entry).
     """
     count = len(jobs)
     order = sorted(range(count), key=lambda i: -jobs[i].steps)  # stable: ties keep job order
@@ -448,17 +424,17 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
               job.x.shape[0] // b, None] for r, job in enumerate(held)]
     # distinct (schedule, offset) in first-use order, so a prefix of jobs uses a prefix of them
     rate_keys = list(dict.fromkeys((job.schedule, job.offset) for job in held))
-    updates = [(MlpModel.aliasing(dims, params[r]), MlpGrads.aliasing(dims, grads[r]),
+    updates = [(MlpModel.aliasing(dims, params[r]), MlpModel.aliasing(dims, grads[r]),
                 rate_keys.index((job.schedule, job.offset)), job.weight_decay)
                for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
-        return (*_layer_views(dims, params[:k]), MlpGrads.aliasing(dims, grads[:k]),
+        return (*_layer_views(dims, params[:k]), MlpModel.aliasing(dims, grads[:k]),
                 xb[:k], tuple(t[:k] for t in tbs))
 
     active, n_keys = count, len(rate_keys)
     weights, biases, out, xs, ts = prefix(active)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported on exit instead
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite model comes back as None
         for step in range(held[0].steps):
             if held[active - 1].steps == step:  # the shortest jobs are done: shrink the prefix
                 while held[active - 1].steps == step:
@@ -479,8 +455,6 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits, phase: str,
             for model, g, key, wd in updates[:active]:
                 sgd_step(model, g, rates[key], wd)
 
-    diverged = [order[r] for r in np.flatnonzero(~np.isfinite(params).all(axis=1))]
-    if diverged:
-        raise DivergenceError(phase, node_ids[min(diverged)])
+    finite = np.isfinite(params).all(axis=1)
     row = {i: r for r, i in enumerate(order)}
-    return [updates[row[i]][0].copy() for i in range(count)]
+    return [updates[row[i]][0].copy() if finite[row[i]] else None for i in range(count)]

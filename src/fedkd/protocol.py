@@ -90,7 +90,6 @@ PHASES = ("scalar_max_up", "logits_up", "params_up", "params_down")
 
 __all__ = [
     "PHASES",
-    "LedgerEntry",
     "BandwidthLedger",
     "ledger_report",
     "TrainConfig",
@@ -102,7 +101,6 @@ __all__ = [
     "masked_bce_grad",
     "train_lockstep",
     "train_supervised",
-    "train_locals",
     "collect_logits",
     "run_fedkd",
     "run_fedkd_batch",
@@ -111,36 +109,28 @@ __all__ = [
 ]
 
 
-@dataclass
-class LedgerEntry:
-    phase: str
-    node_id: int
-    bytes: int
-
-
 class BandwidthLedger:
-    """Append-only record of every frame sent, one entry per frame."""
+    """Append-only record of every frame sent, one (phase, node_id, bytes)
+    entry per frame."""
 
     def __init__(self):
-        self.entries: list[LedgerEntry] = []
+        self.entries: list[tuple[str, int, int]] = []
 
     def add(self, phase: str, node_id: int, nbytes: int) -> None:
         if phase not in PHASES:
             raise ConfigurationError(f"unknown ledger phase {phase!r}")
         if nbytes < 0:
             raise RangeError("frame bytes must be >= 0")
-        self.entries.append(LedgerEntry(phase, int(node_id), int(nbytes)))
+        self.entries.append((phase, int(node_id), int(nbytes)))
 
     def total(self, phase: str | None = None) -> int:
-        if phase is None:
-            return sum(e.bytes for e in self.entries)
-        return sum(e.bytes for e in self.entries if e.phase == phase)
+        return sum(n for p, _, n in self.entries if phase is None or p == phase)
 
     def phase_totals(self) -> dict[str, int]:
         return {p: self.total(p) for p in PHASES}
 
     def rows(self) -> list[tuple[str, int, int]]:
-        return [(e.phase, e.node_id, e.bytes) for e in self.entries]
+        return list(self.entries)
 
 
 def ledger_report(ledger: BandwidthLedger) -> dict:
@@ -243,8 +233,8 @@ def train_lockstep(
     * steps``, so round-based training resumes mid-schedule. Nodes that share
     a label type and batch size ``min(batch_size, n)`` are the jobs of one
     :func:`~fedkd.numkit.train_sgd` call, on softmax or masked sigmoid
-    cross-entropy. After every stack has finished, the lowest-index node with
-    non-finite parameters raises DivergenceError naming ``node_ids[k]``.
+    cross-entropy. After every stack has finished, the lowest-index node k
+    with non-finite parameters raises DivergenceError naming ``node_ids[k]``.
     """
     count = len(models)
     node_ids = [None] * count if node_ids is None else node_ids
@@ -269,18 +259,15 @@ def train_lockstep(
                            cfg.weight_decay))
         stacks.setdefault((ds.task, b, *dims), []).append(k)
 
-    trained, diverged = {}, []
+    trained = {}
     for (task, b, *dims), members in stacks.items():
         dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
                    else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
-        try:
-            trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members],
-                                                  dlogits, "node training", members)))
-        except DivergenceError as err:
-            diverged.append(err.node_id)
-    if diverged:
-        raise DivergenceError("node training", node_ids[min(diverged)])
-    return [trained[k] for k in range(count)]
+        trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members], dlogits)))
+    out = [trained[k] for k in range(count)]
+    if None in out:
+        raise DivergenceError("node training", node_ids[out.index(None)])
+    return out
 
 
 def train_supervised(
@@ -314,18 +301,12 @@ class NodeHandle:
     query_rows: int = 0
 
 
-def train_locals(shards: list[Dataset], node_cfg: TrainConfig, seed: int) -> list[NodeHandle]:
-    """Train every non-empty shard independently, all in one lockstep call;
-    empty shards yield a handle with no model so their zero profile drops
-    them from the ensemble."""
-    return _train_cells([shards], node_cfg, [seed])[0]
-
-
 def _train_cells(cells: list[list[Dataset]], node_cfg: TrainConfig,
                  seeds: list[int]) -> list[list[NodeHandle]]:
-    """:func:`train_locals` for several runs' shards, with run c at
-    ``seeds[c]``: every live node of every run is a job of one
-    :func:`train_lockstep` call."""
+    """Train every non-empty shard of several runs independently, with run c
+    at ``seeds[c]``: every live node of every run is a job of one
+    :func:`train_lockstep` call. An empty shard yields a handle with no
+    model, so its zero profile drops it from the ensemble."""
     live = [(c, k) for c, shards in enumerate(cells) for k, shard in enumerate(shards)
             if shard.n > 0]
     models = train_lockstep(

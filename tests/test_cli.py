@@ -42,7 +42,7 @@ from fedkd.protocol import FedKdRun, TrainConfig, run_fedavg, run_fedkd
 
 from conftest import reference_distill
 
-DISTILL_MODULE = importlib.import_module("fedkd.distill")  # the package exports a `distill` function
+DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
 
 def tiny_doc(**over):
@@ -326,6 +326,16 @@ class TestReport:
     def test_empty_out_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             cmd_report(tmp_path)
+
+    def test_runs_of_different_metrics_get_a_row_each(self, tmp_path, capsys):
+        for name, metric, central in (("a", "accuracy", 0.9), ("b", "mean_auc", 0.7)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "metrics.json").write_text(json.dumps(
+                {"algorithm": "fedkd", "metric": metric, "central": central,
+                 "ledger": {"total_bytes": 1000}}))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        rows = [ln.split()[:4] for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["fedkd", "1", "accuracy", "0.9000"], ["fedkd", "1", "mean_auc", "0.7000"]]
 
 
 def write_csv_task(tmp_path, multi=False):

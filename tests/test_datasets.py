@@ -43,8 +43,8 @@ def max_class_share_mean(ds, num_nodes, alpha, seeds):
     for s in seeds:
         plan = dirichlet_partition(ds, num_nodes, alpha, RandomStream(s, (1,)))
         for prof in profile(ds, plan):
-            if prof.total > 0:
-                shares.append(prof.counts.max() / prof.total)
+            if prof.counts.sum() > 0:
+                shares.append(prof.counts.max() / prof.counts.sum())
     return float(np.mean(shares))
 
 
@@ -224,11 +224,11 @@ class TestProfile:
         ds = balanced_single(40, 3)
         plan = dirichlet_partition(ds, 4, 0.5, RandomStream(2, (1,)))
         for prof, idx in zip(profile(ds, plan), plan.assignments):
-            assert prof.total == len(idx)
+            assert prof.counts.sum() == len(idx)
 
     def test_profile_of_matches_subset(self):
         ds = balanced_single(10, 3)
-        assert profile_of(ds.subset(np.arange(5))).total == 5
+        assert profile_of(ds.subset(np.arange(5))).counts.sum() == 5
 
     def test_multi_label_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)

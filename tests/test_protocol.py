@@ -1,4 +1,6 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
+import importlib
+import pkgutil
 import re
 import weakref
 
@@ -31,6 +33,7 @@ from fedkd.numkit import (
     mlp_forward,
 )
 from fedkd.protocol import (
+    _train_cells,
     _xent_dlogits,
     BandwidthLedger,
     FedKdRun,
@@ -43,7 +46,6 @@ from fedkd.protocol import (
     run_fedavg,
     run_fedkd,
     softmax_xent_grad,
-    train_locals,
     train_lockstep,
     train_supervised,
 )
@@ -222,21 +224,22 @@ class TestSupervisedLosses:
 class TestTrainLocals:
     def test_every_node_fits_its_own_shard(self):
         train, _, _, plan = make_fixture()
-        handles = train_locals([train.subset(a) for a in plan.assignments], NODE_CFG, 0)
+        handles = _train_cells([[train.subset(a) for a in plan.assignments]], NODE_CFG, [0])[0]
         for h in handles:
             if h.model is not None:
                 assert evaluate_single(h.model, h.train_set) >= 0.90
 
     def test_empty_shard_yields_no_model(self):
         train, _, _, _ = make_fixture()
-        handles = train_locals([train.subset([]), train.subset(np.arange(50))], NODE_CFG, 0)
+        shards = [train.subset([]), train.subset(np.arange(50))]
+        handles = _train_cells([shards], NODE_CFG, [0])[0]
         assert handles[0].model is None
         assert handles[1].model is not None
 
     def test_default_streams_differ_per_node(self):
         train, _, _, _ = make_fixture()
         shard = train.subset(np.arange(200))
-        handles = train_locals([shard, shard], NODE_CFG, 0)
+        handles = _train_cells([[shard, shard]], NODE_CFG, [0])[0]
         assert not params_equal(handles[0].model, handles[1].model)
 
 
@@ -691,7 +694,7 @@ class TestLockstepTrainer:
         shards = [train.subset(np.arange(0, 1200, 8)), train.subset([]),
                   train.subset(np.arange(7, 1200, 150)), train.subset(np.arange(2, 1200, 11))]
         cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1, weight_decay=1e-3)
-        handles = train_locals(shards, cfg, 5)
+        handles = _train_cells([shards], cfg, [5])[0]
         assert handles[1].model is None
         for k in (0, 2, 3):
             model = init_mlp([16, 8, 4], RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
@@ -763,6 +766,16 @@ def lockstep_by_seed(shards, seeds):
 
 
 class TestSchedulingDeterminism:
+    def test_stream_tags_are_distinct_across_modules(self):
+        """Every stream id starts with a purpose tag, so two STREAM_* constants
+        of one value, in any fedkd module, would draw the same samples."""
+        tags = {f"{info.name}.{name}": value
+                for info in pkgutil.iter_modules(fedkd.__path__)
+                for name, value in vars(importlib.import_module(f"fedkd.{info.name}")).items()
+                if name.startswith("STREAM_")}
+        assert len(tags) >= 11  # protocol's six and cli's five
+        assert len(set(tags.values())) == len(tags), tags
+
     def test_node_alone_equals_the_node_inside_a_20_node_stack(self):
         shards = twenty_node_shards()
         # an empty shard (left out), shards below the batch size (stacks of their
@@ -790,5 +803,5 @@ class TestSchedulingDeterminism:
             shards[k] = Dataset(1e100 * shards[k].features, shards[k].labels, SINGLE_LABEL, 4)
         cfg = TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1)
         with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
-            train_locals(shards, cfg, 0)
+            _train_cells([shards], cfg, [0])[0]
         assert exc.value.node_id == 1
