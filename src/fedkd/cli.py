@@ -51,7 +51,7 @@ from .datasets import (
 )
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
-from .errors import ConfigurationError, FedKdError, FormatError
+from .errors import ConfigurationError, FedKdError, FormatError, ValidationError
 from .numkit import RandomStream
 from .protocol import (
     FedKdRun,
@@ -247,6 +247,8 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
         for key in ("train_per_class", "test_per_class", "public_per_class"):
             if getattr(task, key) < 1:
                 raise ConfigurationError(f"task.{key} must be >= 1")
+        if task.cov_scale < 0:
+            raise ConfigurationError("task.cov_scale must be >= 0")
     elif kind == "csv":
         task = _build(CsvTask, raw, where)
         if task.task_type not in (SINGLE_LABEL, MULTI_LABEL):
@@ -343,23 +345,33 @@ def build_data(cfg: ExperimentConfig, seed: int):
 
 def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
     """The task's ``name`` split: "private", "public" or "test". A synthetic
-    split draws from its own stream, so each can be built without the others."""
+    split draws from its own stream, so each can be built without the others;
+    one whose features overflow is a ValidationError naming the split and the
+    task key at fault."""
     t = cfg.task
     if isinstance(t, CsvTask):
         schema = CsvSchema(t.feature_cols, t.label_cols, t.task_type, t.num_classes)
         return load_csv(getattr(t, name), schema)
-    means = t.class_sep * RandomStream(seed, (STREAM_TASK_MEANS,)).gauss(
-        (t.num_classes, t.dim)
-    ) / math.sqrt(t.dim)
     per_class, shift, tag = {
         "private": (t.train_per_class, None, STREAM_PRIVATE),
         "public": (t.public_per_class, np.full(t.dim, t.domain_shift / math.sqrt(t.dim)),
                    STREAM_PUBLIC),
         "test": (t.test_per_class, None, STREAM_TEST),
     }[name]
-    spec = GaussianTaskSpec(num_classes=t.num_classes, dim=t.dim, per_class_count=per_class,
-                            class_means=means, cov_scale=t.cov_scale, domain_shift=shift)
-    return gen_gaussian_task(spec, RandomStream(seed, (tag,)))
+    with np.errstate(over="ignore", invalid="ignore"):  # named below instead of warned
+        means = t.class_sep * RandomStream(seed, (STREAM_TASK_MEANS,)).gauss(
+            (t.num_classes, t.dim)
+        ) / math.sqrt(t.dim)
+        spec = GaussianTaskSpec(num_classes=t.num_classes, dim=t.dim, per_class_count=per_class,
+                                class_means=means, cov_scale=t.cov_scale, domain_shift=shift)
+        ds = gen_gaussian_task(spec, RandomStream(seed, (tag,)))
+        # a finite sum has only finite terms, and it needs no [N, d] mask
+        if np.isfinite(ds.features.sum()) or np.isfinite(ds.features).all():
+            return ds
+        key = ("class_sep" if not np.isfinite(means).all()
+               else "domain_shift" if not np.isfinite(means + spec.domain_shift).all()
+               else "cov_scale")
+    raise ValidationError(f"task.{key} {getattr(t, key)!r} makes the {name} features non-finite")
 
 
 def _plan(cfg: ExperimentConfig, private: Dataset, seed: int) -> PartitionPlan:
@@ -369,30 +381,31 @@ def _plan(cfg: ExperimentConfig, private: Dataset, seed: int) -> PartitionPlan:
 
 
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
-    (result,) = execute_fedkd_batch([cfg], seed)
+    (result,) = execute_fedkd_batch([(cfg, seed)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def execute_fedkd_batch(cells: list[ExperimentConfig], seed: int, *,
+def execute_fedkd_batch(cells: list[tuple[ExperimentConfig, int]], *,
                         keep_trace: bool = True) -> list:
-    """Every cell's fedkd run at ``seed`` as one staged
+    """Every (config, seed) cell's fedkd run as one staged
     :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on), with
-    one build_data per distinct task, num_nodes and alpha. A cell that fails
-    gets its exception in place of its result."""
+    one build_data per distinct task, num_nodes, alpha and seed. A cell that
+    fails gets its exception in place of its result."""
     out: list = [None] * len(cells)
     batch, where = [], []
-    for group in _grouped(range(len(cells)),
-                          lambda i: (cells[i].task, cells[i].num_nodes, cells[i].alpha)):
+    for group in _grouped(range(len(cells)), lambda i: (cells[i][0].task, cells[i][0].num_nodes,
+                                                        cells[i][0].alpha, cells[i][1])):
+        cfg, seed = cells[group[0]]
         try:
-            private, public, test, plan = build_data(cells[group[0]], seed)
+            private, public, test, plan = build_data(cfg, seed)
         except Exception as exc:
             for i in group:
                 out[i] = exc
             continue
         for i in group:
-            cfg = cells[i]
+            cfg = cells[i][0]
             run = FedKdRun(
                 plan=plan,
                 node_cfg=cfg.node,
@@ -542,18 +555,17 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
             cells.append(_sweep_cell(cfg, value))
         except Exception as exc:  # a failed cell still gets its row
             cells.append(exc)
-    runnable = [cell for cell in cells if isinstance(cell, ExperimentConfig)]
-    outcomes = {}  # (value index, seed index) -> row fields
-    for s, seed in enumerate(cfg.sweep.seeds):  # one batch per seed, reduced to its rows
-        batch = execute_fedkd_batch(runnable, int(seed), keep_trace=False)  # rows hold no trace
-        fields = iter([_row_fields(r) for r in batch])
-        for v, cell in enumerate(cells):
-            outcomes[v, s] = (next(fields) if isinstance(cell, ExperimentConfig)
-                              else _row_fields(cell))
+    seeds = cfg.sweep.seeds
+    keys = [(v, s) for s in range(len(seeds)) for v, cell in enumerate(cells)
+            if isinstance(cell, ExperimentConfig)]  # (value index, seed index), seed by seed
+    # one batch over every seed's cells, reduced to its rows (which hold no trace)
+    batch = execute_fedkd_batch([(cells[v], seeds[s]) for v, s in keys], keep_trace=False)
+    outcomes = dict(zip(keys, map(_row_fields, batch)))
     rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value,
-             "seed": seed, "accuracy": "", "bandwidth": "", "error": "", **outcomes[v, s]}
+             "seed": seed, "accuracy": "", "bandwidth": "", "error": "",
+             **(outcomes[v, s] if (v, s) in outcomes else _row_fields(cells[v]))}
             for v, value in enumerate(cfg.sweep.values)
-            for s, seed in enumerate(cfg.sweep.seeds)]
+            for s, seed in enumerate(seeds)]
     with path.open("w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["param", "value", "seed", "accuracy",
                                            "bandwidth", "error"])

@@ -333,7 +333,8 @@ def collect_logits(
     """One logit block per trained node; repeats > 1 averages that many passes
     over Gaussian-perturbed copies of the public features (no noise at
     ``noise_scale`` 0) and bills repeats times the upstream bytes. A block
-    that is not finite is a ValidationError naming its node."""
+    that is not finite, or a noisy copy of the features that is not, is a
+    ValidationError naming its node."""
     public_features = check_matrix(public_features, "public features")
     if repeats < 1:
         raise ConfigurationError("repeats must be >= 1")
@@ -345,17 +346,21 @@ def collect_logits(
         if h.model.input_dim != cols:
             raise DimensionError(f"public features: expected {h.model.input_dim} columns, got {cols}")
         acc = None
-        for r in range(repeats):
-            x = public_features
-            if noise_scale:
-                qrs = RandomStream(seed, (STREAM_QUERY, h.node_id, r))
-                x = public_features + noise_scale * qrs.gauss(public_features.shape)
-            with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
+        with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
+            for r in range(repeats):
+                x = public_features
+                if noise_scale:
+                    qrs = RandomStream(seed, (STREAM_QUERY, h.node_id, r))
+                    x = public_features + noise_scale * qrs.gauss(public_features.shape)
+                    if not np.isfinite(x).all():
+                        raise ValidationError(f"querying node {h.node_id}: query_noise "
+                                              f"{noise_scale!r} makes the public features "
+                                              f"non-finite")
                 z = _forward_trace(h.model.weights, h.model.biases, x)[-1]
-            h.query_rows += rows
-            acc = z if acc is None else acc + z
-        if repeats > 1:
-            acc /= repeats  # acc is this node's own sum of forward outputs
+                h.query_rows += rows
+                acc = z if acc is None else acc + z
+            if repeats > 1:
+                acc /= repeats  # acc is this node's own sum of forward outputs
         try:
             block = LogitBlock(h.node_id, acc)
         except ValidationError as err:
@@ -420,6 +425,8 @@ def _teacher(run: FedKdRun, handles, profiles, public_x):
 
     weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
     teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
+    # checked here, per cell, so a stacked distill call gets only valid teachers
+    teacher = check_matrix(teacher, "teacher logits")
     return teacher, weights, len(blocks), ledger
 
 

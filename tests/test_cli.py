@@ -634,6 +634,42 @@ def test_non_finite_query_prints_one_stderr_line(tmp_path):
     assert out.stderr == "runtime error: querying node 0: logits: non-finite entries\n"
 
 
+@pytest.mark.parametrize("key, message", [
+    ("task.class_sep", "task.class_sep 1e+308 makes the private features non-finite"),
+    ("task.cov_scale", "task.cov_scale 1e+308 makes the private features non-finite"),
+    ("query_noise", "querying node 0: query_noise 1e+308 makes the public features non-finite"),
+])
+def test_overflowing_value_prints_one_line_naming_it(tmp_path, key, message):
+    """Outside pytest's warning capture, a value that overflows the features
+    prints no numpy RuntimeWarning: run exits 3 on one line naming the split
+    and the key, fedavg too where it reads the key, and an ablate exits 0
+    with nothing on stderr and the line's text in its rows."""
+    doc = tiny_doc(num_nodes=2)
+    *section, field = key.split(".")
+    (doc[section[0]] if section else doc)[field] = 1e308
+    sweep = {"param": "gamma", "values": [None, 1.0], "seeds": [0, 1]}
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cli(command, doc):
+        return subprocess.run(
+            [sys.executable, "-m", "fedkd.cli", command, "--config",
+             str(write_config(tmp_path, doc, f"{command}.json")),
+             "--out", str(tmp_path / command)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+
+    run = cli("run", doc)
+    assert (run.returncode, run.stderr) == (3, f"runtime error: {message}\n")
+    fedavg = cli("fedavg", doc)
+    assert (fedavg.returncode, fedavg.stderr) == (
+        (0, "") if key == "query_noise" else (3, f"runtime error: {message}\n"))
+    ablate = cli("ablate", {**doc, "sweep": sweep})
+    assert (ablate.returncode, ablate.stderr) == (0, "")
+    rows = list(csv.DictReader((tmp_path / "ablate" / "ablation.csv").open()))
+    assert [r["error"] for r in rows if r["seed"] == "0"] == [f"ValidationError: {message}"] * 2
+    assert all(r["error"] for r in rows)  # at seed 1 the class means may stay finite
+
+
 def test_import_leaves_scipy_unloaded():
     """The package runs on numpy alone; a cold `import fedkd.cli` pulls in no
     scipy even where scipy is installed."""
@@ -708,6 +744,9 @@ class TestSweepCells:
         assert row["accuracy"] == "" and row["bandwidth"] == ""
 
 
+# A value per sweep axis that its cell's parse rejects.
+INVALID_VALUES = {"gamma": -1, "S": 1, "d0": 31, "alpha": 0, "K": 0, "R": 0}
+
 # Two valid values per sweep axis, and the document field each sets by hand.
 BATCH_EDITS = {
     "gamma": ([None, 0.5], [None, 0.5]),
@@ -720,8 +759,8 @@ BATCH_EDITS = {
 
 
 class TestSweepBatch:
-    """A seed's cells run as one staged batch; every row and student is the
-    one the cell's own run gives."""
+    """A sweep's cells, at every seed, run as one staged batch; every row and
+    student is the one the cell's own run gives."""
 
     @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
     @pytest.mark.parametrize("param", SWEEP_AXES)
@@ -750,10 +789,49 @@ class TestSweepBatch:
             assert row["error"] == ""
             assert row["accuracy"] == f"{result.metrics['central']:.6f}"
             assert int(row["bandwidth"]) == result.ledger.total()
-        for seed in (0, 3):
-            for v, result in enumerate(execute_fedkd_batch(cells, seed)):
-                assert bits(result.central_model) == bits(alone[v, seed].central_model)
-                assert result.trace == alone[v, seed].trace
+        keys = [(v, seed) for seed in (0, 3) for v in range(len(cells))]
+        batch = execute_fedkd_batch([(cells[v], seed) for v, seed in keys])
+        for key, result in zip(keys, batch):
+            assert bits(result.central_model) == bits(alone[key].central_model)
+            assert result.trace == alone[key].trace
+
+    @pytest.mark.parametrize("node_lr", [0.05, 1e300], ids=["healthy", "diverging_nodes"])
+    @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
+    @pytest.mark.parametrize("param", SWEEP_AXES)
+    def test_one_batch_writes_the_rows_of_per_seed_batches(self, tmp_path, param, loss,
+                                                           node_lr):
+        """ablation.csv of one batch over seeds 0 and 3 is byte for byte the
+        rows of a one-seed ablate per seed, interleaved value by value; error
+        rows included: an invalid value per axis, the gamma 1e-320 teacher
+        and 1e-300 divergence, and, at node lr 1e300, node divergence."""
+        values = [*BATCH_EDITS[param][0], INVALID_VALUES[param]]
+        if param == "gamma":
+            values += [1e-320, 1e-300]
+        doc = tiny_doc(node={"hidden_dims": [16], "epochs": 5, "lr_start": node_lr},
+                       distill={"steps": 60, "batch_size": 32, "loss_mode": loss,
+                                **({"tau": 2.0} if loss == KL else {})})
+
+        def ablate(seeds, out):
+            cfg = parse_dict({**doc, "sweep": {"param": param, "values": values,
+                                               "seeds": seeds}})
+            return cmd_ablate(cfg, tmp_path / out, force=False)
+
+        both = ablate([0, 3], "both")
+        header, *rows = both.read_bytes().splitlines(True)
+        per_seed = [ablate([seed], f"s{seed}").read_bytes().splitlines(True) for seed in (0, 3)]
+        assert all(lines[0] == header for lines in per_seed)
+        assert rows == [line for pair in zip(*(lines[1:] for lines in per_seed))
+                        for line in pair]
+        errors = [r["error"] for r in csv.DictReader(both.open(newline=""))]
+        assert errors[4] == errors[5] and errors[4].startswith("ConfigurationError: ")
+        if node_lr > 1:
+            assert all(e.startswith("DivergenceError: node training") for e in errors[:4])
+            return
+        assert errors[:4] == [""] * 4
+        if param == "gamma":
+            assert errors[6:8] == ["ValidationError: teacher logits: non-finite entries"] * 2
+            if loss == LOGIT_L2:
+                assert all(e.startswith("DivergenceError: distillation") for e in errors[8:])
 
     @pytest.mark.parametrize("gamma, error", [
         (1e-300, "DivergenceError: distillation diverged on the central model: "
@@ -771,12 +849,13 @@ class TestSweepBatch:
             assert row["accuracy"] == f"{result.metrics['central']:.6f}"
             assert int(row["bandwidth"]) == result.ledger.total()
 
-    def test_a_failing_stack_reruns_as_halves(self, tmp_path, monkeypatch):
-        """The gamma 1e-320 cell fails its seed's stacked distillation; the
-        group is bisected, so the four healthy students distill as two stacks
-        of two, not one at a time, and every row is its cell's own run's."""
-        values = [None, 1.0, 1e-320, 2.0, 0.5]
-        calls = []  # [stacked students, call returned] per distill call
+    @staticmethod
+    def distill_calls_of_gamma_sweep(tmp_path, monkeypatch, values):
+        """[stacked students, call returned] per distill call of a logit_l2
+        gamma sweep of ``values`` at seeds 0 and 3, after checking that every
+        row is its cell's own run's, and that only ``values[2]`` fails, with
+        its own run's error text."""
+        calls = []
         real = fedkd.protocol.distill
 
         def recording(models, *args, **kwargs):
@@ -790,20 +869,53 @@ class TestSweepBatch:
         rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
         monkeypatch.setattr(fedkd.protocol, "distill", real)
 
-        per_seed = len(calls) // 2
-        for seed_calls in (calls[:per_seed], calls[per_seed:]):
-            assert seed_calls[0] == [5, False]
-            assert sorted(n for n, ok in seed_calls if ok) == [2, 2]
+        failed = []
         for row, (value, seed) in zip(rows, [(v, s) for v in values for s in (0, 3)]):
             try:
                 result = execute_fedkd(parse_dict(tiny_doc(ensemble={"gamma": value})), seed)
             except Exception as exc:  # the failing cell: its own run's error text
                 assert row["error"] == f"{type(exc).__name__}: {exc}"
-                assert value == 1e-320 and row["accuracy"] == row["bandwidth"] == ""
+                assert row["accuracy"] == row["bandwidth"] == ""
+                failed.append(value)
                 continue
             assert row["error"] == ""
             assert row["accuracy"] == f"{result.metrics['central']:.6f}"
             assert int(row["bandwidth"]) == result.ledger.total()
+        assert failed == [values[2]] * 2
+        return calls
+
+    def test_a_failing_stack_reruns_as_halves(self, tmp_path, monkeypatch):
+        """The gamma 1e-300 cell diverges in the sweep's one stacked
+        distillation of all ten students; the group is bisected, so the eight
+        healthy students distill as four stacks of two, not one at a time."""
+        calls = self.distill_calls_of_gamma_sweep(tmp_path, monkeypatch,
+                                                  [None, 1.0, 1e-300, 2.0, 0.5])
+        assert calls[0] == [10, False]
+        assert sorted(n for n, ok in calls if ok) == [2, 2, 2, 2]
+        assert sorted(n for n, ok in calls if not ok) == [1, 1, 3, 3, 5, 5, 10]
+
+    def test_a_rejected_teacher_leaves_the_distill_stack_whole(self, tmp_path, monkeypatch):
+        """The gamma 1e-320 teacher fails its own cell's teacher stage, so the
+        eight healthy students of both seeds distill in one call that returns."""
+        calls = self.distill_calls_of_gamma_sweep(tmp_path, monkeypatch,
+                                                  [None, 1.0, 1e-320, 2.0, 0.5])
+        assert calls == [[8, True]]
+
+    def test_a_healthy_sweep_trains_and_distills_once(self, tmp_path, monkeypatch):
+        """Three gamma values at two seeds: one train_lockstep call for all
+        eighteen nodes and one distill call for all six students."""
+        calls = []
+        for name in ("train_lockstep", "distill"):
+            def counting(models, *args, _real=getattr(fedkd.protocol, name), _name=name,
+                         **kwargs):
+                calls.append((_name, len(models)))
+                return _real(models, *args, **kwargs)
+            monkeypatch.setattr(fedkd.protocol, name, counting)
+        cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, 1.0, 0.5],
+                                         "seeds": [0, 1]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert len(rows) == 6 and all(r["error"] == "" for r in rows)
+        assert calls == [("train_lockstep", 18), ("distill", 6)]
 
     @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
     def test_run_trace_is_the_per_step_chain(self, tmp_path, loss):
@@ -973,6 +1085,16 @@ class TestParseTimeChecks:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "config error: distill.batch_size 121 exceeds the public set size 120\n")
+        assert no_training == []
+
+    @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+    def test_negative_cov_scale_exits_2_before_training(self, tmp_path, capsys, no_training,
+                                                        command):
+        doc = tiny_doc(sweep={"param": "gamma", "values": [None], "seeds": [0]})
+        doc["task"]["cov_scale"] = -1.0
+        p = write_config(tmp_path, doc)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: task.cov_scale must be >= 0\n"
         assert no_training == []
 
     def test_too_small_d0_cell_gets_its_error_row_without_training(self, tmp_path, no_training):
