@@ -35,7 +35,6 @@ __all__ = [
     "rarest_positive_label",
     "profile",
     "plan_to_json",
-    "plan_from_json",
 ]
 
 
@@ -320,15 +319,3 @@ def plan_to_json(plan: PartitionPlan) -> str:
         "assignments": [a.tolist() for a in plan.assignments],
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def plan_from_json(text: str) -> PartitionPlan:
-    try:
-        doc = json.loads(text)
-        return PartitionPlan(
-            [np.asarray(a, dtype=np.int64) for a in doc["assignments"]],
-            alpha=float(doc["alpha"]),
-            seed=doc.get("seed"),
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad partition plan document: {exc}") from exc

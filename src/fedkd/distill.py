@@ -53,7 +53,6 @@ __all__ = [
     "DistillConfig",
     "softmax_tau",
     "sigmoid",
-    "kl_loss",
     "binary_kl_loss",
     "distill_loss_grad",
     "distill",
@@ -129,13 +128,6 @@ def _kl_terms(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> 
     return np.where(p > 0, p * (log_p - _safe_log(q)), 0.0)
 
 
-def kl_loss(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) for discrete distributions, 0*log(0) taken as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    return float(_kl_terms(p, q).sum())
-
-
 def binary_kl_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Elementwise KL between Bernoulli(p) and Bernoulli(q)."""
     p = np.asarray(p, dtype=np.float64)
@@ -183,7 +175,7 @@ def _distill_losses(s: np.ndarray, targets: tuple[np.ndarray, ...], cfg: Distill
         return [float(sq.sum() / b) for sq in s * s]
     scale = cfg.tau * cfg.tau / b
     if task == SINGLE_LABEL:
-        # per-row KL sums added left to right, as sum(kl_loss(p[i], q[i])) does
+        # per-row KL sums added left to right, as a Python sum over the rows does
         rows = _kl_terms(targets[0], s, targets[1]).sum(axis=-1)
         return [scale * sum(r.tolist()) for r in rows]
     return [scale * float(t.sum()) for t in binary_kl_loss(targets[0], s)]
@@ -220,7 +212,9 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
     teacher logits and streams instead, every model is a job of one stacked
     :func:`~fedkd.numkit.train_sgd` call and a list of (model, trace) pairs
     comes back; a job's slice of every stacked call is the call it would make
-    alone, so each pair is bit-identical to its lone call's.
+    alone, so each pair is bit-identical to its lone call's. A student that
+    diverges comes back as None in place of its pair, and the others are
+    unaffected.
     """
     single = isinstance(model, MlpModel)
     models, features, teacher_logits, streams = (
@@ -257,9 +251,11 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
         return gz
 
     trained = train_sgd(dims, cfg.batch_size, jobs, dlogits)
-    if None in trained:
+    if not single:
+        return [None if m is None else (m, t) for m, t in zip(trained, traces)]
+    if trained[0] is None:
         raise DivergenceError("distillation")
-    return (trained[0], traces[0]) if single else list(zip(trained, traces))
+    return trained[0], traces[0]
 
 
 # ---------------------------------------------------------------------------

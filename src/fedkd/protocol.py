@@ -11,7 +11,8 @@ batch size are the jobs of one :func:`~fedkd.numkit.train_sgd` call, the SGD
 loop distillation runs through too. This module only picks each stack's loss.
 :func:`run_fedkd_batch` runs several aggregation runs (a sweep's cells) in
 stages, so their node training and their distillations stack across runs;
-:func:`run_fedkd` is a batch of one.
+:func:`run_fedkd` is a batch of one. A node or student that diverges is
+its own cell's DivergenceError, and no stacked call is ever rerun.
 
 Determinism contract: every random consumer draws from a stream keyed by
 (seed, purpose tag, node, round), never from shared state, so results are
@@ -222,8 +223,7 @@ def train_lockstep(
     *,
     rounds: int = 1,
     round_index: int = 0,
-    node_ids: list[int | None] | None = None,
-) -> list[MlpModel]:
+) -> list[MlpModel | None]:
     """SGD with the cosine schedule of ``cfg`` for every model on its own
     shard and batch stream ``streams[k]``, on copies of the models. A model
     whose layer dims are not its shard's (:func:`_dims`) is a DimensionError.
@@ -233,12 +233,12 @@ def train_lockstep(
     * steps``, so round-based training resumes mid-schedule. Nodes that share
     a label type and batch size ``min(batch_size, n)`` are the jobs of one
     :func:`~fedkd.numkit.train_sgd` call, on softmax or masked sigmoid
-    cross-entropy. After every stack has finished, the lowest-index node k
-    with non-finite parameters raises DivergenceError naming ``node_ids[k]``.
+    cross-entropy. A model whose parameters end non-finite comes back as None,
+    as from train_sgd, and the others are unaffected; the caller names the
+    diverged node.
     """
     count = len(models)
-    node_ids = [None] * count if node_ids is None else node_ids
-    if any(len(v) != count for v in (shards, streams, node_ids)):
+    if any(len(v) != count for v in (shards, streams)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
 
     stacks: dict[tuple, list[int]] = {}
@@ -264,10 +264,7 @@ def train_lockstep(
         dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
                    else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
         trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members], dlogits)))
-    out = [trained[k] for k in range(count)]
-    if None in out:
-        raise DivergenceError("node training", node_ids[out.index(None)])
-    return out
+    return [trained[k] for k in range(count)]
 
 
 def train_supervised(
@@ -282,8 +279,10 @@ def train_supervised(
 ) -> MlpModel:
     """One node's :func:`train_lockstep`: SGD with a cosine schedule on a copy
     of model. A non-finite result raises DivergenceError naming ``node_id``."""
-    return train_lockstep([model], [ds], cfg, [batch_rs], rounds=rounds,
-                          round_index=round_index, node_ids=[node_id])[0]
+    (out,) = train_lockstep([model], [ds], cfg, [batch_rs], rounds=rounds, round_index=round_index)
+    if out is None:
+        raise DivergenceError("node training", node_id)
+    return out
 
 
 @dataclass
@@ -302,11 +301,12 @@ class NodeHandle:
 
 
 def _train_cells(cells: list[list[Dataset]], node_cfg: TrainConfig,
-                 seeds: list[int]) -> list[list[NodeHandle]]:
+                 seeds: list[int]) -> list:
     """Train every non-empty shard of several runs independently, with run c
     at ``seeds[c]``: every live node of every run is a job of one
-    :func:`train_lockstep` call. An empty shard yields a handle with no
-    model, so its zero profile drops it from the ensemble."""
+    :func:`train_lockstep` call. Each run gets its node handles, or a
+    DivergenceError naming its lowest diverged node. An empty shard yields a
+    handle with no model, so its zero profile drops it from the ensemble."""
     live = [(c, k) for c, shards in enumerate(cells) for k, shard in enumerate(shards)
             if shard.n > 0]
     models = train_lockstep(
@@ -315,11 +315,14 @@ def _train_cells(cells: list[list[Dataset]], node_cfg: TrainConfig,
         [cells[c][k] for c, k in live],
         node_cfg,
         [RandomStream(seeds[c], (STREAM_BATCH, k, 0)) for c, k in live],
-        node_ids=[k for _, k in live],
     )
     trained = dict(zip(live, models))
-    return [[NodeHandle(k, shard, trained.get((c, k))) for k, shard in enumerate(shards)]
-            for c, shards in enumerate(cells)]
+    out = []
+    for c, shards in enumerate(cells):
+        handles = [NodeHandle(k, shard, trained.get((c, k))) for k, shard in enumerate(shards)]
+        diverged = [h.node_id for h in handles if h.model is None and h.train_set.n > 0]
+        out.append(DivergenceError("node training", diverged[0]) if diverged else handles)
+    return out
 
 
 def collect_logits(
@@ -411,13 +414,14 @@ def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
         raise EvaluationError(f"evaluating {who}: {err}") from None
 
 
-def _teacher(run: FedKdRun, handles, profiles, public_x):
+def _teacher(run: FedKdRun, handles, profiles, public: Dataset):
     """(teacher, weights, block count, ledger) from one query of every trained
     node; the logit blocks die on return, so none is held through
     distillation. The weight mode is decided here: a uniform ensemble gets no
     weight table."""
     ledger = BandwidthLedger()
-    blocks = collect_logits(handles, public_x, run.repeats, run.query_noise, run.seed, ledger)
+    blocks = collect_logits(handles, public.features, run.repeats, run.query_noise, run.seed,
+                            ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
     for b in blocks:
@@ -425,8 +429,11 @@ def _teacher(run: FedKdRun, handles, profiles, public_x):
 
     weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
     teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
-    # checked here, per cell, so a stacked distill call gets only valid teachers
+    # distill's checks, made here per cell so a stacked distill call gets only valid jobs
     teacher = check_matrix(teacher, "teacher logits")
+    if run.distill_cfg.batch_size > public.n:
+        raise ConfigurationError(f"batch_size {run.distill_cfg.batch_size} exceeds public set "
+                                 f"size {public.n}")
     return teacher, weights, len(blocks), ledger
 
 
@@ -445,20 +452,19 @@ def _grouped(members: list[int], key) -> list[list[int]]:
 
 
 def _stage(call, groups: list[list[int]], out: dict, errors: dict) -> None:
-    """``out[i]`` for every cell i of every group from ``call(group)``, which
-    gives one result per member. A group whose call raises runs again as its
-    two halves, and so on down, so the healthy cells stay stacked and an
-    error lands only on a cell that raises it alone (a job alone gives the
-    same bits as inside its stack), in ``errors[i]``."""
+    """``out[i]`` for every cell i of every group from one ``call(group)``,
+    which gives one result per member; a result that is an exception (a
+    cell's diverged node or student) goes to ``errors[i]`` instead. A call
+    that raises gives its error to every member of its group, with no retry:
+    the stacked stages get only jobs their per-cell stages have checked, so
+    that is a stack-wide failure such as a MemoryError."""
     for group in groups:
         try:
-            out.update(zip(group, call(group)))
+            results = call(group)
         except Exception as err:
-            if len(group) == 1:
-                errors[group[0]] = err
-            else:
-                half = len(group) // 2
-                _stage(call, [group[:half], group[half:]], out, errors)
+            results = [err] * len(group)
+        for i, result in zip(group, results):
+            (errors if isinstance(result, Exception) else out)[i] = result
 
 
 def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
@@ -489,8 +495,10 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
 
     A cell's slice of every stacked call is the call it would make alone, so
     its result is bit-identical to its own run_fedkd. A cell that fails gets
-    the exception run_fedkd raises for it in place of its result; see
-    :func:`_stage`.
+    the exception run_fedkd raises for it in place of its result: a diverged
+    node or student is its cell's DivergenceError and leaves the rest of its
+    stack alone. No call is retried, so a stack-wide failure such as a
+    MemoryError is the error of every cell in the stack (see :func:`_stage`).
     """
     runs = [run for run, *_ in cells]
     errors: dict[int, Exception] = {}
@@ -504,8 +512,12 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
         shards = [private.subset(a) for a in run.plan.assignments]
         if run.labeled_public:
             shards = [s.concat(public) for s in shards]
-            return shards, [profile_of(s) for s in shards]
-        return shards, profile(private, run.plan)
+            profiles = [profile_of(s) for s in shards]
+        else:
+            profiles = profile(private, run.plan)
+        for s in shards:  # train_lockstep's check, made per cell so its stack gets valid jobs
+            check_matrix(s.features, "features")
+        return shards, profiles
 
     data = {}  # cells that split the same data the same way share one copy of the shards
     _stage(lambda group: [shards_and_profiles(group[0])] * len(group),
@@ -518,7 +530,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
            groups(lambda i: runs[i].node_cfg), handles, errors)
 
     teachers = {}
-    _stage(lambda group: [_teacher(runs[i], handles[i], data[i][1], cells[i][2].features)
+    _stage(lambda group: [_teacher(runs[i], handles[i], data[i][1], cells[i][2])
                           for i in group], groups(), teachers, errors)
 
     def student_dims(i):
@@ -526,7 +538,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
 
     def distill_cells(group):
         cfg, task = runs[group[0]].distill_cfg, cells[group[0]][2].task
-        return distill(
+        pairs = distill(
             [init_mlp(student_dims(i), RandomStream(runs[i].seed, (STREAM_DISTILL_INIT,)))
              for i in group],
             [cells[i][2].features for i in group],
@@ -536,6 +548,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
             task=task,
             keep_trace=keep_trace,
         )
+        return [DivergenceError("distillation") if pair is None else pair for pair in pairs]
 
     students = {}
     _stage(distill_cells, groups(lambda i: (student_dims(i), cells[i][2].task,
@@ -614,8 +627,9 @@ def run_fedavg(
             [RandomStream(seed, (STREAM_BATCH, k, r)) for k in active],
             rounds=rounds,
             round_index=r,
-            node_ids=active,
         )
+        if None in locals_:
+            raise DivergenceError("node training", active[locals_.index(None)])
         for k in active:
             ledger.add("params_down", k, pbytes)
             ledger.add("params_up", k, pbytes)

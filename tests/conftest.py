@@ -1,7 +1,7 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
 the end-to-end tests, runners over seed lists, centralized training on the
-pooled data, the per-step oracle of distillation, and the arrays and bit
-comparison of the fast-path tests."""
+pooled data, the per-step oracle of distillation with its row-wise KL loss,
+and the arrays and bit comparison of the fast-path tests."""
 import copy
 
 import numpy as np
@@ -13,7 +13,7 @@ from fedkd.cli import (
     parse_dict,
 )
 from fedkd.datasets import SINGLE_LABEL
-from fedkd.distill import KL, distill_loss_grad, kl_loss, softmax_tau
+from fedkd.distill import KL, distill_loss_grad, softmax_tau
 from fedkd.numkit import (
     CosineSchedule,
     MlpModel,
@@ -91,6 +91,15 @@ def copying_sgd(model, grads, lr, wd):
         [w - lr * (g + wd * w) for w, g in zip(model.weights, grads.weights)],
         [b - lr * (g + wd * b) for b, g in zip(model.biases, grads.biases)],
     )
+
+
+def kl_loss(p, q) -> float:
+    """KL(p || q) for discrete distributions, 0*log(0) taken as 0, with each
+    probability clamped to [1e-12, 1] inside the logs as distill clamps it."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    log_ratio = np.log(np.clip(p, 1e-12, 1.0)) - np.log(np.clip(q, 1e-12, 1.0))
+    return float(np.where(p > 0, p * log_ratio, 0.0).sum())
 
 
 def reference_distill(model, x, teacher, cfg, rs, task):

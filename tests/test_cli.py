@@ -884,15 +884,13 @@ class TestSweepBatch:
         assert failed == [values[2]] * 2
         return calls
 
-    def test_a_failing_stack_reruns_as_halves(self, tmp_path, monkeypatch):
+    def test_a_diverging_student_fails_inside_the_one_stack(self, tmp_path, monkeypatch):
         """The gamma 1e-300 cell diverges in the sweep's one stacked
-        distillation of all ten students; the group is bisected, so the eight
-        healthy students distill as four stacks of two, not one at a time."""
+        distillation of all ten students; the call returns, with that cell's
+        student as its error and the eight healthy students as their own."""
         calls = self.distill_calls_of_gamma_sweep(tmp_path, monkeypatch,
                                                   [None, 1.0, 1e-300, 2.0, 0.5])
-        assert calls[0] == [10, False]
-        assert sorted(n for n, ok in calls if ok) == [2, 2, 2, 2]
-        assert sorted(n for n, ok in calls if not ok) == [1, 1, 3, 3, 5, 5, 10]
+        assert calls == [[10, True]]
 
     def test_a_rejected_teacher_leaves_the_distill_stack_whole(self, tmp_path, monkeypatch):
         """The gamma 1e-320 teacher fails its own cell's teacher stage, so the
@@ -901,9 +899,9 @@ class TestSweepBatch:
                                                   [None, 1.0, 1e-320, 2.0, 0.5])
         assert calls == [[8, True]]
 
-    def test_a_healthy_sweep_trains_and_distills_once(self, tmp_path, monkeypatch):
-        """Three gamma values at two seeds: one train_lockstep call for all
-        eighteen nodes and one distill call for all six students."""
+    @staticmethod
+    def count_stacked_calls(monkeypatch):
+        """(name, stacked jobs) per train_lockstep and distill call, from here on."""
         calls = []
         for name in ("train_lockstep", "distill"):
             def counting(models, *args, _real=getattr(fedkd.protocol, name), _name=name,
@@ -911,11 +909,44 @@ class TestSweepBatch:
                 calls.append((_name, len(models)))
                 return _real(models, *args, **kwargs)
             monkeypatch.setattr(fedkd.protocol, name, counting)
+        return calls
+
+    def test_a_healthy_sweep_trains_and_distills_once(self, tmp_path, monkeypatch):
+        """Three gamma values at two seeds: one train_lockstep call for all
+        eighteen nodes and one distill call for all six students."""
+        calls = self.count_stacked_calls(monkeypatch)
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, 1.0, 0.5],
                                          "seeds": [0, 1]}))
         rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
         assert len(rows) == 6 and all(r["error"] == "" for r in rows)
         assert calls == [("train_lockstep", 18), ("distill", 6)]
+
+    def test_a_failing_sweep_trains_and_distills_once(self, tmp_path, monkeypatch):
+        """Three gamma values at two seeds with a logit_l2 gamma 1e-300 cell,
+        whose students diverge: still one train_lockstep call for all
+        eighteen nodes and one distill call for all six students, and
+        ablation.csv is byte for byte the rows of each cell's own run."""
+        calls = self.count_stacked_calls(monkeypatch)
+        values = [None, 1e-300, 1.0]
+        cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": values, "seeds": [0, 1]}))
+        written = cmd_ablate(cfg, tmp_path / "sweep", force=False).read_bytes()
+        assert calls == [("train_lockstep", 18), ("distill", 6)]
+        monkeypatch.undo()
+
+        def row(value, seed):
+            head = ["gamma", "off" if value is None else value, seed]
+            try:
+                result = execute_fedkd(parse_dict(tiny_doc(ensemble={"gamma": value})), seed)
+            except Exception as exc:
+                return [*head, "", "", f"{type(exc).__name__}: {exc}"]
+            return [*head, f"{result.metrics['central']:.6f}", result.ledger.total(), ""]
+
+        text = io.StringIO(newline="")
+        out = csv.writer(text)
+        out.writerow(["param", "value", "seed", "accuracy", "bandwidth", "error"])
+        out.writerows(row(v, seed) for v in values for seed in (0, 1))
+        assert written == text.getvalue().encode()
+        assert written.count(b"DivergenceError: distillation diverged on the central model") == 2
 
     @pytest.mark.parametrize("loss", [LOGIT_L2, KL])
     def test_run_trace_is_the_per_step_chain(self, tmp_path, loss):

