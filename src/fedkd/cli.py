@@ -253,6 +253,8 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
         task = _build(CsvTask, raw, where)
         if task.task_type not in (SINGLE_LABEL, MULTI_LABEL):
             raise ConfigurationError(f"unknown task.task_type {task.task_type!r}")
+        if task.num_classes < 1:
+            raise ConfigurationError("task.num_classes must be >= 1")
     else:
         raise ConfigurationError("task.kind must be 'synthetic' or 'csv'")
     return task
@@ -566,11 +568,17 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
              **(outcomes[v, s] if (v, s) in outcomes else _row_fields(cells[v]))}
             for v, value in enumerate(cfg.sweep.values)
             for s, seed in enumerate(seeds)]
-    with path.open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["param", "value", "seed", "accuracy",
-                                           "bandwidth", "error"])
-        w.writeheader()
-        w.writerows(rows)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # moved into place once written
+    try:
+        with tmp.open("w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=["param", "value", "seed", "accuracy",
+                                               "bandwidth", "error"])
+            w.writeheader()
+            w.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"ablation sweep ({len(rows)} cells) written to {path}")
     return path
 

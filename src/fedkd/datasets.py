@@ -1,6 +1,6 @@
 """Dataset construction: synthetic Gaussian class clouds with optional domain
-shift, CSV ingestion, Dirichlet non-IID partitioning, and per-node class-count
-profiles.
+shift, CSV ingestion, Dirichlet non-IID partitioning, and class-count
+profiles: a [K, C] int64 count array per partition, a [C] one per dataset.
 
 Labels are an (N, 1) int array of class indices for single-label tasks, or an
 (N, C) array over {-1, 0, 1} (unknown / negative / positive) for multi-label
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +25,12 @@ __all__ = [
     "SINGLE_LABEL",
     "MULTI_LABEL",
     "Dataset",
-    "NodeProfile",
     "PartitionPlan",
     "GaussianTaskSpec",
     "CsvSchema",
     "gen_gaussian_task",
     "load_csv",
     "dirichlet_partition",
-    "rarest_positive_label",
     "profile",
     "plan_to_json",
 ]
@@ -85,18 +83,6 @@ class Dataset:
             self.task,
             self.num_classes,
         )
-
-
-@dataclass
-class NodeProfile:
-    """Per-class sample counts for one node's training data."""
-
-    counts: np.ndarray  # length C, non-negative ints
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or (self.counts < 0).any():
-            raise ValidationError("counts must be a 1-D non-negative int array")
 
 
 @dataclass
@@ -236,26 +222,17 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 # partitioning
 
 
-def rarest_positive_label(sample_labels: np.ndarray, global_positive_counts: np.ndarray) -> int:
-    """Effective class of a multi-label sample for partitioning purposes.
-
-    Among classes marked positive, picks the one with the fewest positives
-    globally (ties to the lowest index). A sample with no positives maps to
-    the pseudo-class C, which is partitioned as its own bucket.
-    """
-    v = np.asarray(sample_labels)
-    counts = np.asarray(global_positive_counts)
-    positives = np.flatnonzero(v == 1)
-    if positives.size == 0:
-        return int(counts.shape[0])  # all-negative pseudo-class
-    return int(positives[np.argmin(counts[positives])])
-
-
 def _effective_labels(ds: Dataset) -> np.ndarray:
+    """Each row's class for partitioning: its label (single-label), or its
+    positive class with the fewest positives globally, ties to the lowest
+    index; a row with no positive goes to the pseudo-class C, its own bucket."""
     if ds.task == SINGLE_LABEL:
         return ds.labels[:, 0]
-    global_pos = (ds.labels == 1).sum(axis=0)
-    return np.array([rarest_positive_label(row, global_pos) for row in ds.labels], dtype=np.int64)
+    pos = ds.labels == 1
+    # a positive cell ranks by its class's count (at most N), any other cell
+    # after column C's N; argmin takes the first of equal ranks
+    rank = np.where(pos, pos.sum(axis=0), ds.n + 1)
+    return np.column_stack([rank, np.full(ds.n, ds.n)]).argmin(axis=1)
 
 
 def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStream) -> PartitionPlan:
@@ -272,39 +249,35 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
         raise ConfigurationError(f"cannot split {ds.n} samples across {num_nodes} nodes")
 
     eff = _effective_labels(ds)
-    assignments: list[list[int]] = [[] for _ in range(num_nodes)]
+    owner = np.empty(ds.n, dtype=np.int64)  # each row's node
     for c in np.flatnonzero(np.bincount(eff)):  # the classes present, ascending
         idx = np.flatnonzero(eff == c)
         idx = idx[rs.permutation(idx.size)]
         p = rs.dirichlet(np.full(num_nodes, float(alpha)))
         edges = np.floor(np.cumsum(p) * idx.size).astype(np.int64)
         edges[-1] = idx.size  # guard against rounding shortfall
-        start = 0
-        for k in range(num_nodes):
-            assignments[k].extend(idx[start:edges[k]].tolist())
-            start = edges[k]
-    parts = [np.sort(np.asarray(a, dtype=np.int64)) for a in assignments]
-    plan = PartitionPlan(parts, alpha=float(alpha), seed=rs.seed)
-    plan.validate_for(ds)
-    return plan
+        owner[idx] = np.repeat(np.arange(num_nodes), np.diff(edges, prepend=0))
+    parts = [np.flatnonzero(owner == k) for k in range(num_nodes)]
+    return PartitionPlan(parts, alpha=float(alpha), seed=rs.seed)
 
 
-def _class_counts(ds: Dataset, rows) -> NodeProfile:
-    """Class counts of ``ds.labels[rows]``: label occurrences (single) or
-    positives (multi); no rows give all zeros."""
+def _class_counts(ds: Dataset, rows) -> np.ndarray:
+    """[C] int64 class counts of ``ds.labels[rows]``: label occurrences
+    (single) or positives (multi); no rows give all zeros."""
     if ds.task == SINGLE_LABEL:
-        return NodeProfile(np.bincount(ds.labels[rows, 0], minlength=ds.num_classes))
-    return NodeProfile((ds.labels[rows] == 1).sum(axis=0))
+        return np.bincount(ds.labels[rows, 0], minlength=ds.num_classes)
+    return (ds.labels[rows] == 1).sum(axis=0)
 
 
-def profile(ds: Dataset, plan: PartitionPlan) -> list[NodeProfile]:
-    """Per-node class counts over the partition of ``ds``."""
+def profile(ds: Dataset, plan: PartitionPlan) -> np.ndarray:
+    """[K, C] int64 class counts, row k over node k's part of ``ds``."""
     plan.validate_for(ds)
-    return [_class_counts(ds, idx) for idx in plan.assignments]
+    return np.array([_class_counts(ds, idx) for idx in plan.assignments],
+                    dtype=np.int64).reshape(plan.num_nodes, ds.num_classes)
 
 
-def profile_of(ds: Dataset) -> NodeProfile:
-    """Class counts of a whole dataset (a node's actual training set)."""
+def profile_of(ds: Dataset) -> np.ndarray:
+    """[C] class counts of a whole dataset (a node's actual training set)."""
     return _class_counts(ds, slice(None))
 
 

@@ -99,24 +99,27 @@ class WeightTable:
         if (self.omega < 0).any():
             raise ValidationError("weights must be non-negative")
         col = self.omega.sum(axis=0)
-        if self.omega.shape[0] and np.abs(col - 1.0).max() > 1e-12:
+        if self.omega.shape[0] and (np.abs(col - 1.0) > 1e-12).any():
             raise ValidationError("each class column must sum to 1")
 
 
-def importance_weights(profiles: list) -> WeightTable:
-    """Node k's share of class c: counts[k, c] / column total.
+def importance_weights(counts) -> WeightTable:
+    """Node k's share of class c: counts[k, c] / column total, from a [K, C]
+    count matrix read as int64.
 
     Classes no node has ever seen get uniform 1/K so the ensemble stays
     defined and symmetric.
     """
-    if not profiles:
-        raise ConfigurationError("need at least one profile")
-    counts = np.stack([np.asarray(p.counts, dtype=np.float64) for p in profiles])
-    if counts.ndim != 2:
-        raise DimensionError("profiles must share a class count")
-    k = counts.shape[0]
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+    except ValueError:  # a ragged nesting
+        raise DimensionError("counts must be a [K, C] matrix") from None
+    if counts.ndim != 2 or not counts.shape[0]:
+        raise DimensionError(f"counts must be a [K, C] matrix with K >= 1, got {counts.shape}")
+    if (counts < 0).any():
+        raise ValidationError("counts must be non-negative")
     col = counts.sum(axis=0)
-    omega = np.where(col > 0, counts / np.where(col > 0, col, 1.0), 1.0 / k)
+    omega = np.where(col > 0, counts / np.where(col > 0, col, 1.0), 1.0 / counts.shape[0])
     return WeightTable(omega)
 
 

@@ -407,11 +407,11 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     into reused [K, b, ...] buffers, takes the gradient w.r.t. the [K, b, C]
     logits z from ``dlogits(z, target_batches)`` (it may overwrite z), runs
     one stacked backward pass, then one sgd_step per job at its rate for step
-    ``offset + step``, computed once per step for each distinct (schedule,
-    offset) still training. Jobs are held longest first, so the ones still
-    training are a prefix of the [K, P] parameter matrix; a job's slice of
-    each stacked call is the call it would make alone, so a stack changes none
-    of its bits.
+    ``offset + step``, read from a table built before the loop for each
+    distinct (schedule, offset), as long as its longest job. Jobs are held
+    longest first, so the ones still training are a prefix of the [K, P]
+    parameter matrix; a job's slice of each stacked call is the call it would
+    make alone, so a stack changes none of its bits.
     """
     count = len(jobs)
     order = sorted(range(count), key=lambda i: -jobs[i].steps)  # stable: ties keep job order
@@ -422,17 +422,20 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     tbs = [np.empty((count, b, *t.shape[1:]), t.dtype) for t in held[0].targets]
     feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream,
               job.x.shape[0] // b, None] for r, job in enumerate(held)]
-    # distinct (schedule, offset) in first-use order, so a prefix of jobs uses a prefix of them
-    rate_keys = list(dict.fromkeys((job.schedule, job.offset) for job in held))
+    rates = {}  # (schedule, offset) -> its rate per step; a key's first job is its longest
+    for job in held:
+        if (job.schedule, job.offset) not in rates:
+            rates[job.schedule, job.offset] = [cosine_lr(job.schedule, job.offset + step)
+                                               for step in range(job.steps)]
     updates = [(MlpModel.aliasing(dims, params[r]), MlpModel.aliasing(dims, grads[r]),
-                rate_keys.index((job.schedule, job.offset)), job.weight_decay)
+                rates[job.schedule, job.offset], job.weight_decay)
                for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
         return (*_layer_views(dims, params[:k]), MlpModel.aliasing(dims, grads[:k]),
                 xb[:k], tuple(t[:k] for t in tbs))
 
-    active, n_keys = count, len(rate_keys)
+    active = count
     weights, biases, out, xs, ts = prefix(active)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite model comes back as None
         for step in range(held[0].steps):
@@ -440,7 +443,6 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                 while held[active - 1].steps == step:
                     active -= 1
                 weights, biases, out, xs, ts = prefix(active)
-                n_keys = 1 + max(key for _, _, key, _ in updates[:active])
             for feed in feeds[:active]:
                 arrays, bufs, rs, per_epoch, perm = feed
                 j = step % per_epoch
@@ -451,9 +453,8 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                     a.take(rows, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
             acts = _forward_trace(weights, biases, xs)
             _backprop(weights, acts, dlogits(acts[-1], ts), out)
-            rates = [cosine_lr(sched, offset + step) for sched, offset in rate_keys[:n_keys]]
-            for model, g, key, wd in updates[:active]:
-                sgd_step(model, g, rates[key], wd)
+            for model, g, table, wd in updates[:active]:
+                sgd_step(model, g, table[step], wd)
 
     finite = np.isfinite(params).all(axis=1)
     row = {i: r for r, i in enumerate(order)}

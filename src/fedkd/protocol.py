@@ -512,7 +512,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
         shards = [private.subset(a) for a in run.plan.assignments]
         if run.labeled_public:
             shards = [s.concat(public) for s in shards]
-            profiles = [profile_of(s) for s in shards]
+            profiles = np.stack([profile_of(s) for s in shards])
         else:
             profiles = profile(private, run.plan)
         for s in shards:  # train_lockstep's check, made per cell so its stack gets valid jobs

@@ -1,7 +1,8 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
 the end-to-end tests, runners over seed lists, centralized training on the
 pooled data, the per-step oracle of distillation with its row-wise KL loss,
-and the arrays and bit comparison of the fast-path tests."""
+the per-row rule of a multi-label row's partition class, and the arrays and
+bit comparison of the fast-path tests."""
 import copy
 
 import numpy as np
@@ -100,6 +101,18 @@ def kl_loss(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     log_ratio = np.log(np.clip(p, 1e-12, 1.0)) - np.log(np.clip(q, 1e-12, 1.0))
     return float(np.where(p > 0, p * log_ratio, 0.0).sum())
+
+
+def rarest_positive_label(sample_labels, global_positive_counts) -> int:
+    """Effective class of one multi-label row for partitioning: among the
+    classes marked positive, the one with the fewest positives globally (ties
+    to the lowest index); a row with no positive maps to the pseudo-class C."""
+    v = np.asarray(sample_labels)
+    counts = np.asarray(global_positive_counts)
+    positives = np.flatnonzero(v == 1)
+    if positives.size == 0:
+        return int(counts.shape[0])
+    return int(positives[np.argmin(counts[positives])])
 
 
 def reference_distill(model, x, teacher, cfg, rs, task):

@@ -307,6 +307,27 @@ class TestAblate:
         with pytest.raises(ConfigurationError):
             cmd_ablate(parse_dict(tiny_doc()), tmp_path, force=False)
 
+    def test_failure_while_writing_leaves_the_earlier_csv(self, tmp_path, monkeypatch, capsys):
+        """A write that fails after a row is out leaves ``--out`` as it was:
+        the earlier sweep's file byte for byte, and no temporary sibling."""
+        p = write_config(tmp_path, tiny_doc(sweep={"param": "S", "values": [50],
+                                                   "seeds": [0]}))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "ablation.csv").write_bytes(b"the earlier sweep's\n")
+
+        class FailingWriter(csv.DictWriter):
+            def writerows(self, rows):
+                super().writerows(rows[:1])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "DictWriter", FailingWriter)
+        args = ["ablate", "--config", str(p), "--out", str(out), "--force"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "runtime error: disk full\n"
+        assert [f.name for f in out.iterdir()] == ["ablation.csv"]
+        assert (out / "ablation.csv").read_bytes() == b"the earlier sweep's\n"
+
 
 class TestReport:
     def test_table_covers_both_methods_and_unit_bases(self, tmp_path, capsys):
@@ -1126,6 +1147,17 @@ class TestParseTimeChecks:
         p = write_config(tmp_path, doc)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: task.cov_scale must be >= 0\n"
+        assert no_training == []
+
+    @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+    def test_a_csv_task_with_no_classes_exits_2_before_training(self, tmp_path, capsys,
+                                                                no_training, command):
+        doc = tiny_doc(sweep={"param": "gamma", "values": [None], "seeds": [0]})
+        doc["task"] = {**write_csv_task(tmp_path, multi=True), "num_classes": 0,
+                       "label_cols": []}
+        p = write_config(tmp_path, doc)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: task.num_classes must be >= 1\n"
         assert no_training == []
 
     def test_too_small_d0_cell_gets_its_error_row_without_training(self, tmp_path, no_training):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedkd.datasets import (
     Dataset,
@@ -18,13 +19,13 @@ from fedkd.datasets import (
     plan_to_json,
     profile,
     profile_of,
-    rarest_positive_label,
 )
+from fedkd.datasets import _effective_labels
 from fedkd.errors import ConfigurationError, FormatError, ValidationError
 from fedkd.numkit import RandomStream
 from fedkd.protocol import TrainConfig
 
-from conftest import run_centralized
+from conftest import rarest_positive_label, run_centralized
 
 # Monte-Carlo references computed from the generative/partition models alone,
 # before this implementation existed (100-seed draws of the raw proportions):
@@ -42,9 +43,9 @@ def max_class_share_mean(ds, num_nodes, alpha, seeds):
     shares = []
     for s in seeds:
         plan = dirichlet_partition(ds, num_nodes, alpha, RandomStream(s, (1,)))
-        for prof in profile(ds, plan):
-            if prof.counts.sum() > 0:
-                shares.append(prof.counts.max() / prof.counts.sum())
+        for counts in profile(ds, plan):
+            if counts.sum() > 0:
+                shares.append(counts.max() / counts.sum())
     return float(np.mean(shares))
 
 
@@ -130,20 +131,73 @@ class TestLoadCsv:
             load_csv(p, schema)
 
 
+def effective_class(row, counts):
+    """The effective class of ``row`` in a set of it plus one-hot filler rows
+    that bring class c's global positives to ``counts[c]``."""
+    fill = np.asarray(counts) - (np.asarray(row) == 1)
+    labels = np.vstack([[row], np.repeat(np.eye(len(row), dtype=np.int64), fill, axis=0)])
+    ds = Dataset(np.zeros((len(labels), 1)), labels, MULTI_LABEL, len(row))
+    return int(_effective_labels(ds)[0])
+
+
 class TestRarestPositive:
     def test_single_positive_returns_it(self):
-        assert rarest_positive_label(np.array([0, 0, 1, -1]), np.array([9, 9, 9, 9])) == 2
+        assert effective_class([0, 0, 1, -1], [9, 9, 9, 9]) == 2
 
     def test_least_frequent_positive_wins(self):
-        counts = np.array([0, 500, 0, 0, 20])
-        assert rarest_positive_label(np.array([0, 1, 0, 0, 1]), counts) == 4
+        assert effective_class([0, 1, 0, 0, 1], [0, 500, 0, 0, 20]) == 4
 
     def test_tie_breaks_to_lowest_index(self):
-        counts = np.array([7, 7, 7, 7, 7])
-        assert rarest_positive_label(np.array([0, 1, 0, 0, 1]), counts) == 1
+        assert effective_class([0, 1, 0, 0, 1], [7, 7, 7, 7, 7]) == 1
 
     def test_all_negative_goes_to_pseudo_class(self):
-        assert rarest_positive_label(np.array([0, -1, 0]), np.array([1, 2, 3])) == 3
+        assert effective_class([0, -1, 0], [1, 2, 3]) == 3
+
+
+@st.composite
+def multi_label_sets(draw, max_rows=24):
+    """Small multi-label sets: rows with no positive, tied counts, unknown
+    cells, and a class no row marks positive are all common."""
+    c = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=c, max_size=c),
+                         max_size=max_rows))
+    labels = np.array(rows, dtype=np.int64).reshape(len(rows), c)
+    if c and draw(st.booleans()):
+        labels[:, draw(st.integers(0, c - 1))] = draw(st.sampled_from([-1, 0]))
+    return Dataset(np.zeros((len(rows), 1)), labels, MULTI_LABEL, c)
+
+
+class TestEffectiveLabels:
+    @given(multi_label_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_row_rule(self, ds):
+        global_pos = (ds.labels == 1).sum(axis=0)
+        ref = [rarest_positive_label(row, global_pos) for row in ds.labels]
+        eff = _effective_labels(ds)
+        assert eff.dtype == np.int64
+        assert eff.tolist() == ref
+
+
+def reference_partition(ds, num_nodes, alpha, rs):
+    """dirichlet_partition as per-class slicing: each class's shuffled indices
+    are cut at the Dirichlet draw's cumulative edges, node by node."""
+    if ds.task == SINGLE_LABEL:
+        eff = ds.labels[:, 0]
+    else:
+        global_pos = (ds.labels == 1).sum(axis=0)
+        eff = np.array([rarest_positive_label(row, global_pos) for row in ds.labels])
+    parts = [[] for _ in range(num_nodes)]
+    for c in sorted(set(eff.tolist())):
+        idx = np.flatnonzero(eff == c)
+        idx = idx[rs.permutation(idx.size)]
+        p = rs.dirichlet(np.full(num_nodes, float(alpha)))
+        edges = np.floor(np.cumsum(p) * idx.size).astype(np.int64)
+        edges[-1] = idx.size
+        start = 0
+        for k in range(num_nodes):
+            parts[k] += idx[start:edges[k]].tolist()
+            start = edges[k]
+    return [sorted(part) for part in parts]
 
 
 def balanced_single(n_per_class, num_classes, dim=2, seed=0):
@@ -161,8 +215,8 @@ class TestDirichletPartition:
     def test_huge_alpha_gives_uniform_histograms(self):
         ds = balanced_single(1000, 4)
         plan = dirichlet_partition(ds, 4, 1e6, RandomStream(0, (1,)))
-        for prof in profile(ds, plan):
-            rel = np.abs(prof.counts / prof.counts.mean() - 1.0)
+        for counts in profile(ds, plan):
+            rel = np.abs(counts / counts.mean() - 1.0)
             assert rel.max() <= 0.05
 
     def test_small_alpha_concentrates_classes(self):
@@ -203,44 +257,79 @@ class TestDirichletPartition:
         flat = np.concatenate(plan.assignments)
         assert sorted(flat.tolist()) == list(range(8))
 
+    @pytest.mark.parametrize("num_nodes", [1, 3, 9])
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 1e4])
+    def test_equals_per_class_slicing(self, num_nodes, alpha):
+        """Single- and multi-label sets whose rarest classes have fewer rows
+        than there are nodes."""
+        rng = np.random.default_rng(0)
+        for seed in range(4):
+            single = Dataset(np.zeros((60, 1)), rng.choice(5, (60, 1), p=[.6, .3, .05, .03, .02]),
+                             SINGLE_LABEL, 5)
+            multi = Dataset(np.zeros((60, 1)), rng.choice([-1, 0, 1], (60, 4), p=[.2, .7, .1]),
+                            MULTI_LABEL, 4)
+            for ds in (single, multi):
+                plan = dirichlet_partition(ds, num_nodes, alpha, RandomStream(seed, (1,)))
+                ref = reference_partition(ds, num_nodes, alpha, RandomStream(seed, (1,)))
+                assert [a.tolist() for a in plan.assignments] == ref
+                assert all(a.dtype == np.int64 for a in plan.assignments)
+
 
 class TestProfile:
     def test_single_label_counts(self):
         ds = Dataset(np.zeros((3, 1)), np.array([[0], [0], [1]]), SINGLE_LABEL, 2)
         plan = PartitionPlan([np.array([0, 1, 2])], alpha=1.0)
-        assert profile(ds, plan)[0].counts.tolist() == [2, 1]
+        assert profile(ds, plan)[0].tolist() == [2, 1]
 
     def test_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[0], [1]]), SINGLE_LABEL, 2)
         plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)], alpha=1.0)
-        assert profile(ds, plan)[1].counts.tolist() == [0, 0]
+        assert profile(ds, plan)[1].tolist() == [0, 0]
 
     def test_multi_label_counts_only_positives(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
         plan = PartitionPlan([np.array([0, 1])], alpha=1.0)
-        assert profile(ds, plan)[0].counts.tolist() == [1, 1]
+        assert profile(ds, plan)[0].tolist() == [1, 1]
 
     def test_profiles_sum_to_partition_sizes(self):
         ds = balanced_single(40, 3)
         plan = dirichlet_partition(ds, 4, 0.5, RandomStream(2, (1,)))
-        for prof, idx in zip(profile(ds, plan), plan.assignments):
-            assert prof.counts.sum() == len(idx)
+        for counts, idx in zip(profile(ds, plan), plan.assignments):
+            assert counts.sum() == len(idx)
 
     def test_profile_of_matches_subset(self):
         ds = balanced_single(10, 3)
-        assert profile_of(ds.subset(np.arange(5))).counts.sum() == 5
+        assert profile_of(ds.subset(np.arange(5))).sum() == 5
 
     def test_multi_label_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
         plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)], alpha=1.0)
         profiles = profile(ds, plan)
-        assert profiles[1].counts.tolist() == [0, 0]
-        for prof, idx in zip(profiles, plan.assignments):  # the two counts agree
-            assert profile_of(ds.subset(idx)).counts.tolist() == prof.counts.tolist()
+        assert profiles[1].tolist() == [0, 0]
+        for counts, idx in zip(profiles, plan.assignments):  # the two counts agree
+            assert profile_of(ds.subset(idx)).tolist() == counts.tolist()
 
     def test_profile_of_an_empty_set_is_all_zero(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
-        assert profile_of(ds).counts.tolist() == [0, 0, 0]
+        assert profile_of(ds).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_row_k_is_the_profile_of_node_k(self, multi):
+        rng = np.random.default_rng(3)
+        labels = (rng.choice([-1, 0, 1], size=(50, 3)) if multi
+                  else rng.integers(0, 3, size=(50, 1)))
+        ds = Dataset(np.zeros((50, 1)), labels, MULTI_LABEL if multi else SINGLE_LABEL, 3)
+        plan = dirichlet_partition(ds, 7, 0.3, RandomStream(1, (1,)))
+        counts = profile(ds, plan)
+        assert counts.shape == (7, 3) and counts.dtype == np.int64
+        for k, idx in enumerate(plan.assignments):
+            node = profile_of(ds.subset(idx))
+            assert node.dtype == np.int64
+            assert counts[k].tolist() == node.tolist()
+
+    def test_a_partition_of_an_empty_set(self):
+        ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
+        assert profile(ds, PartitionPlan([], alpha=1.0)).shape == (0, 3)
 
 
 class TestPlanJson:

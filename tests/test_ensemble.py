@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedkd.datasets import NodeProfile
 from fedkd.ensemble import (
     _TINY,
     _levels,
@@ -37,15 +36,15 @@ def block(node_id, values):
 
 class TestImportanceWeights:
     def test_share_of_column_total(self):
-        table = importance_weights([NodeProfile([30]), NodeProfile([10])])
+        table = importance_weights([[30], [10]])
         np.testing.assert_allclose(table.omega[:, 0], [0.75, 0.25], rtol=1e-15)
 
     def test_equal_counts_give_uniform_columns(self):
-        table = importance_weights([NodeProfile([5, 2])] * 4)
+        table = importance_weights([[5, 2]] * 4)
         np.testing.assert_allclose(table.omega, np.full((4, 2), 0.25), rtol=1e-15)
 
     def test_empty_class_falls_back_to_uniform(self):
-        table = importance_weights([NodeProfile([0, 3]), NodeProfile([0, 1])])
+        table = importance_weights([[0, 3], [0, 1]])
         np.testing.assert_allclose(table.omega[:, 0], [0.5, 0.5], rtol=1e-15)
         np.testing.assert_allclose(table.omega[:, 1], [0.75, 0.25], rtol=1e-15)
 
@@ -53,9 +52,31 @@ class TestImportanceWeights:
                     min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_columns_are_probability_vectors(self, counts):
-        table = importance_weights([NodeProfile(c) for c in counts])
+        table = importance_weights(np.array(counts))
         assert (table.omega >= 0).all()
         np.testing.assert_allclose(table.omega.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_counts_are_read_as_int64(self):
+        table = importance_weights(np.array([[3.0, 0.0], [1.0, 2.0]]))
+        ref = importance_weights(np.array([[3, 0], [1, 2]], dtype=np.int64))
+        assert np.array_equal(table.omega, ref.omega)
+        np.testing.assert_allclose(table.omega[:, 0], [0.75, 0.25], rtol=1e-15)
+
+    @pytest.mark.parametrize("counts", [[1, 2, 3], [[1, 2], [3]], [], np.zeros((0, 3)),
+                                        np.ones((2, 2, 2))],
+                             ids=["1-D", "ragged", "empty", "no-nodes", "3-D"])
+    def test_a_count_matrix_of_the_wrong_shape_is_a_dimension_error(self, counts):
+        with pytest.raises(DimensionError, match=r"\[K, C\] matrix"):
+            importance_weights(counts)
+
+    def test_a_negative_count_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            importance_weights(np.array([[1, -1], [0, 2]]))
+
+    def test_a_table_with_no_classes(self):
+        table = WeightTable(np.zeros((3, 0)))
+        assert table.omega.shape == (3, 0)
+        assert importance_weights(np.zeros((3, 0), dtype=np.int64)).omega.shape == (3, 0)
 
     def test_weight_table_validation(self):
         with pytest.raises(ValueError):
@@ -423,7 +444,7 @@ def ensemble_cases(draw):
               for i in node_ids]
     counts = draw(st.lists(st.lists(st.integers(0, 9), min_size=cols, max_size=cols),
                            min_size=8, max_size=8))
-    weights = draw(st.sampled_from([None, importance_weights([NodeProfile(c) for c in counts])]))
+    weights = draw(st.sampled_from([None, importance_weights(np.array(counts))]))
     cfg = EnsembleConfig(
         quant_scale=None if kind == "unquantized" else draw(st.integers(2, 400)),
         gamma=draw(st.none() | st.floats(0.1, 10.0)),
@@ -446,7 +467,7 @@ class TestStreamedEnsemble:
     def test_peak_memory_does_not_grow_with_the_block_count(self):
         rs = RandomStream(0, (7,))
         blocks = [LogitBlock(k, rs.gauss((20000, 10))) for k in range(20)]
-        weights = importance_weights([NodeProfile(np.arange(1, 11) + k) for k in range(20)])
+        weights = importance_weights(np.arange(1, 11) + np.arange(20)[:, None])
         cfg = EnsembleConfig(quant_scale=200, gamma=1.0)
 
         def peak(k):

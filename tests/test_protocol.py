@@ -22,7 +22,13 @@ from fedkd.datasets import (
 )
 from fedkd.distill import DistillConfig, evaluate_single, softmax_tau
 from fedkd.ensemble import EnsembleConfig, UNIFORM
-from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, RangeError
+from fedkd.errors import (
+    ConfigurationError,
+    DimensionError,
+    DivergenceError,
+    FedKdError,
+    RangeError,
+)
 from fedkd.numkit import (
     CosineSchedule,
     MlpModel,
@@ -326,6 +332,17 @@ class TestRunFedkd:
         res = run_fedkd(run, train, public, test)
         student = mlp_forward(res.central_model, public.features).argmax(1)
         assert (student == res.teacher_logits.argmax(1)).mean() >= 0.95
+
+    @pytest.mark.parametrize("labeled_public", [False, True])
+    def test_a_dataset_with_no_classes_is_a_typed_error(self, labeled_public):
+        rs = RandomStream(0, (905,))
+        train, public, test = (Dataset(rs.gauss((n, 3)), np.zeros((n, 0)), MULTI_LABEL, 0)
+                               for n in (40, 40, 20))
+        plan = dirichlet_partition(train, 2, 1.0, RandomStream(0, (904,)))
+        run = base_run(plan, labeled_public=labeled_public,
+                       distill_cfg=DistillConfig(steps=5, batch_size=8))
+        with pytest.raises(FedKdError):
+            run_fedkd(run, train, public, test)
 
     def test_ledger_has_one_scalar_and_one_matrix_per_node(self):
         train, test, public, plan = make_fixture()
