@@ -56,7 +56,7 @@ from .numkit import RandomStream
 from .protocol import (
     FedKdRun,
     TrainConfig,
-    _grouped,
+    _stage,
     ledger_report,
     run_fedavg,
     run_fedkd_batch,
@@ -255,9 +255,14 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
             raise ConfigurationError(f"unknown task.task_type {task.task_type!r}")
         if task.num_classes < 1:
             raise ConfigurationError("task.num_classes must be >= 1")
+        _csv_schema(task)  # its column checks, made at parse time
     else:
         raise ConfigurationError("task.kind must be 'synthetic' or 'csv'")
     return task
+
+
+def _csv_schema(t: CsvTask) -> CsvSchema:
+    return CsvSchema(t.feature_cols, t.label_cols, t.task_type, t.num_classes)
 
 
 _TOP_LEVEL = {
@@ -352,8 +357,7 @@ def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
     task key at fault."""
     t = cfg.task
     if isinstance(t, CsvTask):
-        schema = CsvSchema(t.feature_cols, t.label_cols, t.task_type, t.num_classes)
-        return load_csv(getattr(t, name), schema)
+        return load_csv(getattr(t, name), _csv_schema(t))
     per_class, shift, tag = {
         "private": (t.train_per_class, None, STREAM_PRIVATE),
         "public": (t.public_per_class, np.full(t.dim, t.domain_shift / math.sqrt(t.dim)),
@@ -389,41 +393,30 @@ def execute_fedkd(cfg: ExperimentConfig, seed: int):
     return result
 
 
-def execute_fedkd_batch(cells: list[tuple[ExperimentConfig, int]], *,
-                        keep_trace: bool = True) -> list:
-    """Every (config, seed) cell's fedkd run as one staged
-    :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on), with
-    one build_data per distinct task, num_nodes, alpha and seed. A cell that
-    fails gets its exception in place of its result."""
-    out: list = [None] * len(cells)
-    batch, where = [], []
-    for group in _grouped(range(len(cells)), lambda i: (cells[i][0].task, cells[i][0].num_nodes,
-                                                        cells[i][0].alpha, cells[i][1])):
-        cfg, seed = cells[group[0]]
-        try:
-            private, public, test, plan = build_data(cfg, seed)
-        except Exception as exc:
-            for i in group:
-                out[i] = exc
-            continue
-        for i in group:
-            cfg = cells[i][0]
-            run = FedKdRun(
-                plan=plan,
-                node_cfg=cfg.node,
-                ensemble_cfg=cfg.ensemble,
-                distill_cfg=cfg.distill,
-                central_hidden_dims=cfg.central_hidden_dims,
-                seed=seed,
-                repeats=cfg.repeats,
-                query_noise=cfg.query_noise,
-                labeled_public=cfg.labeled_public,
-            )
-            batch.append((run, private, public, test))
-            where.append(i)
-    for i, result in zip(where, run_fedkd_batch(batch, keep_trace=keep_trace)):
-        out[i] = result
-    return out
+def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
+    """Every (config, seed) cell's fedkd run in two stages (see
+    :func:`~fedkd.protocol._stage`): one build_data per distinct task,
+    num_nodes, alpha and seed, then one
+    :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on) over
+    every cell that built. Returns each cell's result or its exception; a
+    cell given as an exception comes back as itself."""
+    def build(group):
+        private, public, test, plan = build_data(*cells[group[0]])
+        return [(FedKdRun(
+            plan=plan,
+            node_cfg=cfg.node,
+            ensemble_cfg=cfg.ensemble,
+            distill_cfg=cfg.distill,
+            central_hidden_dims=cfg.central_hidden_dims,
+            seed=seed,
+            repeats=cfg.repeats,
+            query_noise=cfg.query_noise,
+            labeled_public=cfg.labeled_public,
+        ), private, public, test) for cfg, seed in (cells[i] for i in group)]
+
+    runs = _stage(cells, build, lambda i: (cells[i][0].task, cells[i][0].num_nodes,
+                                           cells[i][0].alpha, cells[i][1]))
+    return run_fedkd_batch(runs, keep_trace=keep_trace)
 
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
@@ -551,23 +544,20 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     path = out / "ablation.csv"
     if path.exists() and not force:
         raise ConfigurationError(f"{path} exists (use --force to overwrite)")
-    cells = []
-    for value in cfg.sweep.values:
-        try:
-            cells.append(_sweep_cell(cfg, value))
-        except Exception as exc:  # a failed cell still gets its row
-            cells.append(exc)
-    seeds = cfg.sweep.seeds
-    keys = [(v, s) for s in range(len(seeds)) for v, cell in enumerate(cells)
-            if isinstance(cell, ExperimentConfig)]  # (value index, seed index), seed by seed
-    # one batch over every seed's cells, reduced to its rows (which hold no trace)
-    batch = execute_fedkd_batch([(cells[v], seeds[s]) for v, s in keys], keep_trace=False)
-    outcomes = dict(zip(keys, map(_row_fields, batch)))
+    values, seeds = cfg.sweep.values, cfg.sweep.seeds
+    grid = [(value, seed) for value in values for seed in seeds]  # in row order
+
+    def parse(group):  # one value's seeds; a value that fails to parse is their error
+        cell = _sweep_cell(cfg, grid[group[0]][0])
+        return [(cell, grid[i][1]) for i in group]
+
+    # keyed by value index: 1, 1.0 and true compare equal but parse differently;
+    # one batch over every cell, reduced to its rows (which hold no trace)
+    outcomes = execute_fedkd_batch(_stage(grid, parse, lambda i: i // len(seeds)),
+                                   keep_trace=False)
     rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value,
-             "seed": seed, "accuracy": "", "bandwidth": "", "error": "",
-             **(outcomes[v, s] if (v, s) in outcomes else _row_fields(cells[v]))}
-            for v, value in enumerate(cfg.sweep.values)
-            for s, seed in enumerate(seeds)]
+             "seed": seed, "accuracy": "", "bandwidth": "", "error": "", **_row_fields(outcome)}
+            for (value, seed), outcome in zip(grid, outcomes)]
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # moved into place once written
     try:
         with tmp.open("w", newline="") as fh:
@@ -636,15 +626,15 @@ def main(argv: list[str] | None = None) -> int:
         description="one-shot federated distillation experiments on desk-scale tasks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("run", True), ("fedavg", True), ("ablate", True),
-                               ("report", False)):
+    for name in ("run", "fedavg", "ablate", "report"):
         p = sub.add_parser(name)
-        if needs_config:
+        if name != "report":
             p.add_argument("--config", required=True, help="path to a JSON config")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
             p.add_argument("--force", action="store_true",
                            help="overwrite an existing run directory")
+        if name in ("run", "fedavg"):  # ablate takes its seeds from sweep.seeds
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
     args = ap.parse_args(argv)
 
@@ -654,15 +644,13 @@ def main(argv: list[str] | None = None) -> int:
             cmd_report(out)
             return 0
         cfg = parse_config(args.config)
+        if args.command == "ablate":
+            cmd_ablate(cfg, out, args.force)
+            return 0
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigurationError("--seed must be >= 0")
-        if args.command == "run":
-            cmd_run(cfg, out, seed, args.force)
-        elif args.command == "fedavg":
-            cmd_fedavg(cfg, out, seed, args.force)
-        elif args.command == "ablate":
-            cmd_ablate(cfg, out, args.force)
+        (cmd_run if args.command == "run" else cmd_fedavg)(cfg, out, seed, args.force)
         return 0
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -195,8 +195,8 @@ class MlpModel:
 
     def __post_init__(self):
         dims = self.layer_dims
-        if len(dims) < 2:
-            raise DimensionError("need at least input and output dims")
+        if len(dims) < 2 or min(dims) < 1:
+            raise DimensionError(f"need input and output dims, each >= 1, got {dims}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise DimensionError("one weight/bias pair per layer required")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):

@@ -451,20 +451,26 @@ def _grouped(members: list[int], key) -> list[list[int]]:
     return groups
 
 
-def _stage(call, groups: list[list[int]], out: dict, errors: dict) -> None:
-    """``out[i]`` for every cell i of every group from one ``call(group)``,
-    which gives one result per member; a result that is an exception (a
-    cell's diverged node or student) goes to ``errors[i]`` instead. A call
-    that raises gives its error to every member of its group, with no retry:
-    the stacked stages get only jobs their per-cell stages have checked, so
-    that is a stack-wide failure such as a MemoryError."""
-    for group in groups:
+def _stage(prev: list, call, key=None) -> list:
+    """The next list of a staged batch, from ``prev``, which holds each cell's
+    latest result or its exception. The cells that hold no exception are
+    grouped by equal ``key(i)`` (:func:`_grouped`), or one group each without
+    a key, and ``call(group)`` gives one result per member: that cell's next
+    entry, even when it is an exception (a cell's diverged node or student).
+    A call that raises gives its error to every member of its group, with no
+    retry: the stacked stages get only jobs their per-cell stages have
+    checked, so that is a stack-wide failure such as a MemoryError. A cell
+    that already holds an exception keeps it."""
+    out = list(prev)
+    live = [i for i, entry in enumerate(prev) if not isinstance(entry, Exception)]
+    for group in [[i] for i in live] if key is None else _grouped(live, key):
         try:
             results = call(group)
         except Exception as err:
             results = [err] * len(group)
         for i, result in zip(group, results):
-            (errors if isinstance(result, Exception) else out)[i] = result
+            out[i] = result
+    return out
 
 
 def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
@@ -483,30 +489,23 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
     return result
 
 
-def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
-                    keep_trace: bool = True) -> list:
-    """:func:`run_fedkd` for every (run, private, public, test) cell, in stages:
-    one :func:`train_lockstep` call trains the nodes of all cells that share a
-    node config, the teacher is built per cell, one stacked :func:`distill`
-    call trains the students of all cells that share student dims, label type
-    and distill config, and evaluation is per cell. Without ``keep_trace``
-    (a sweep, which writes no trace) distillation computes no per-step loss
-    and every result's ``trace`` is None; nothing else changes.
+def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
+    """:func:`run_fedkd` for every (run, private, public, test) cell, as five
+    :func:`_stage` lists: each cell's shards and profiles, node handles,
+    teacher, student and result. One :func:`train_lockstep` call trains the
+    nodes of all cells that share a node config, the teacher is built per
+    cell, one stacked :func:`distill` call trains the students of all cells
+    that share student dims, label type and distill config, and evaluation
+    is per cell. Without ``keep_trace`` (a sweep, which writes no trace)
+    distillation computes no per-step loss and every result's ``trace`` is
+    None; nothing else changes.
 
-    A cell's slice of every stacked call is the call it would make alone, so
-    its result is bit-identical to its own run_fedkd. A cell that fails gets
-    the exception run_fedkd raises for it in place of its result: a diverged
-    node or student is its cell's DivergenceError and leaves the rest of its
-    stack alone. No call is retried, so a stack-wide failure such as a
-    MemoryError is the error of every cell in the stack (see :func:`_stage`).
+    Returns the last list: each cell's result, or the exception run_fedkd
+    raises for it; a cell given as an exception comes back as itself. A
+    cell's slice of every stacked call is the call it would make alone, so
+    its result is bit-identical to its own run_fedkd, and a diverged node or
+    student is its own cell's DivergenceError.
     """
-    runs = [run for run, *_ in cells]
-    errors: dict[int, Exception] = {}
-
-    def groups(key=None):  # the cells without an error, by ``key`` or one each
-        live = [i for i in range(len(cells)) if i not in errors]
-        return [[i] for i in live] if key is None else _grouped(live, key)
-
     def shards_and_profiles(i):
         run, private, public, _ = cells[i]
         shards = [private.subset(a) for a in run.plan.assignments]
@@ -519,40 +518,36 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
             check_matrix(s.features, "features")
         return shards, profiles
 
-    data = {}  # cells that split the same data the same way share one copy of the shards
-    _stage(lambda group: [shards_and_profiles(group[0])] * len(group),
-           groups(lambda i: (id(cells[i][1]), id(runs[i].plan), runs[i].labeled_public,
-                             id(cells[i][2]))), data, errors)
-
-    handles = {}
-    _stage(lambda group: _train_cells([data[i][0] for i in group], runs[group[0]].node_cfg,
-                                      [runs[i].seed for i in group]),
-           groups(lambda i: runs[i].node_cfg), handles, errors)
-
-    teachers = {}
-    _stage(lambda group: [_teacher(runs[i], handles[i], data[i][1], cells[i][2])
-                          for i in group], groups(), teachers, errors)
+    # cells that split the same data the same way share one copy of the shards
+    data = _stage(cells, lambda group: [shards_and_profiles(group[0])] * len(group),
+                  lambda i: (id(cells[i][1]), id(cells[i][0].plan), cells[i][0].labeled_public,
+                             id(cells[i][2])))
+    handles = _stage(data, lambda group: _train_cells([data[i][0] for i in group],
+                                                      cells[group[0]][0].node_cfg,
+                                                      [cells[i][0].seed for i in group]),
+                     lambda i: cells[i][0].node_cfg)
+    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], data[i][1],
+                                                       cells[i][2]) for i in group])
 
     def student_dims(i):
-        return _dims(cells[i][2], runs[i].central_hidden_dims)
+        return _dims(cells[i][2], cells[i][0].central_hidden_dims)
 
     def distill_cells(group):
-        cfg, task = runs[group[0]].distill_cfg, cells[group[0]][2].task
+        cfg, task = cells[group[0]][0].distill_cfg, cells[group[0]][2].task
         pairs = distill(
-            [init_mlp(student_dims(i), RandomStream(runs[i].seed, (STREAM_DISTILL_INIT,)))
+            [init_mlp(student_dims(i), RandomStream(cells[i][0].seed, (STREAM_DISTILL_INIT,)))
              for i in group],
             [cells[i][2].features for i in group],
             [teachers[i][0] for i in group],
             cfg,
-            [RandomStream(runs[i].seed, (STREAM_DISTILL_BATCH,)) for i in group],
+            [RandomStream(cells[i][0].seed, (STREAM_DISTILL_BATCH,)) for i in group],
             task=task,
             keep_trace=keep_trace,
         )
         return [DivergenceError("distillation") if pair is None else pair for pair in pairs]
 
-    students = {}
-    _stage(distill_cells, groups(lambda i: (student_dims(i), cells[i][2].task,
-                                            runs[i].distill_cfg)), students, errors)
+    students = _stage(teachers, distill_cells,
+                      lambda i: (student_dims(i), cells[i][2].task, cells[i][0].distill_cfg))
 
     def evaluate(i):
         run, _, public, test = cells[i]
@@ -578,9 +573,7 @@ def run_fedkd_batch(cells: list[tuple[FedKdRun, Dataset, Dataset, Dataset]], *,
             )
         return FedKdResult(central, handles[i], teacher, weights, metrics, ledger, trace)
 
-    results = {}
-    _stage(lambda group: [evaluate(i) for i in group], groups(), results, errors)
-    return [errors[i] if i in errors else results[i] for i in range(len(cells))]
+    return _stage(students, lambda group: [evaluate(i) for i in group])
 
 
 @dataclass

@@ -434,6 +434,16 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(p), "--out", str(out), "--seed", "7"]) == 0
         assert len(list(out.glob("fedkd-*-s7"))) == 1
 
+    def test_ablate_takes_no_seed_flag(self, tmp_path, capsys):
+        """ablate's seeds are sweep.seeds, so --seed is a usage error."""
+        p = write_config(tmp_path, tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]}))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(p), "--out", str(out), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_with_no_runs_is_config_error(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
 
@@ -988,6 +998,64 @@ class TestSweepBatch:
             json.dumps(rec, sort_keys=True) + "\n" for rec in ref_trace)
 
 
+class TestSweepStages:
+    """Each sweep value is parsed once for its seeds, the data once per
+    distinct task, node count, alpha and seed, and every outcome reaches the
+    row of its own (value, seed) cell."""
+
+    @pytest.mark.parametrize("param, values, builds", [
+        ("d0", [60, 90], 4),  # each value its own public set, at each seed
+        ("gamma", [None, 0.5, 1.0], 2),  # the same data for every value of a seed
+    ])
+    def test_one_data_build_per_distinct_task_nodes_alpha_and_seed(self, tmp_path, monkeypatch,
+                                                                    param, values, builds):
+        calls = []
+
+        def counting(cfg, seed, _real=build_data):
+            calls.append((cfg.task, cfg.num_nodes, cfg.alpha, seed))
+            return _real(cfg, seed)
+
+        monkeypatch.setattr(fedkd.cli, "build_data", counting)
+        cfg = parse_dict(tiny_doc(sweep={"param": param, "values": values, "seeds": [0, 3]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert len(rows) == 2 * len(values) and all(r["error"] == "" for r in rows)
+        assert len(calls) == builds
+        assert all(calls.count(c) == 1 for c in calls)
+
+    def test_each_invalid_value_fails_only_its_own_rows(self, tmp_path):
+        cfg = parse_dict(tiny_doc(sweep={"param": "K", "values": [0, 2, 0], "seeds": [0, 3]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert [(r["value"], r["seed"]) for r in rows] == [
+            (v, s) for v in ("0", "2", "0") for s in ("0", "3")]
+        for row in rows[:2] + rows[4:]:
+            assert row["error"] == "ConfigurationError: num_nodes must be >= 1"
+            assert row["accuracy"] == row["bandwidth"] == ""
+        for row, seed in zip(rows[2:4], (0, 3)):
+            result = execute_fedkd(parse_dict(tiny_doc(num_nodes=2)), seed)
+            assert row["error"] == ""
+            assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+            assert int(row["bandwidth"]) == result.ledger.total()
+
+    def test_values_that_compare_equal_are_parsed_apart(self, tmp_path):
+        """1 == 1.0 == true in Python, but true is no node count."""
+        cfg = parse_dict(tiny_doc(sweep={"param": "K", "values": [1, True, 1.0],
+                                         "seeds": [0]}))
+        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        assert [r["error"] for r in rows] == [
+            "", "ConfigurationError: num_nodes must be an integer", ""]
+        result = execute_fedkd(parse_dict(tiny_doc(num_nodes=1)), 0)
+        for row in (rows[0], rows[2]):
+            assert row["accuracy"] == f"{result.metrics['central']:.6f}"
+            assert int(row["bandwidth"]) == result.ledger.total()
+
+    def test_a_cell_given_as_an_exception_comes_back_as_itself(self):
+        failed = ConfigurationError("from an earlier stage")
+        cfg = parse_dict(tiny_doc())
+        result, passed = execute_fedkd_batch([(cfg, 0), failed])
+        assert passed is failed
+        assert bits(result.central_model) == bits(execute_fedkd(cfg, 0).central_model)
+
+
 class TestSweepKeepsNoTrace:
     """ablate writes no trace, so its distillations compute no per-step loss;
     run still writes one record per step."""
@@ -1159,6 +1227,21 @@ class TestParseTimeChecks:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: task.num_classes must be >= 1\n"
         assert no_training == []
+
+    @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+    @pytest.mark.parametrize("multi, over, message", [
+        (False, {"label_cols": ["y", "y"]}, "single-label schema needs exactly one label column"),
+        (True, {"num_classes": 3}, "multi-label schema needs one label column per class"),
+    ], ids=["single_label", "multi_label"])
+    def test_a_csv_schema_error_exits_2_before_training(self, tmp_path, capsys, no_training,
+                                                        command, multi, over, message):
+        doc = tiny_doc(sweep={"param": "gamma", "values": [None], "seeds": [0]})
+        doc["task"] = {**write_csv_task(tmp_path, multi=multi), **over}
+        p = write_config(tmp_path, doc)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert no_training == []
+        assert not (tmp_path / "o").exists()
 
     def test_too_small_d0_cell_gets_its_error_row_without_training(self, tmp_path, no_training):
         (row,) = _ablate_rows(tmp_path, "d0", 30)  # 30 public rows, distill batches of 32

@@ -1,6 +1,7 @@
 """Numeric kernel: streams, cosine schedule, MLP forward/backward, SGD."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,15 @@ class TestModel:
             MlpModel([3, 2], [np.zeros((2, 2))], [np.zeros((1, 2))])
         with pytest.raises(DimensionError):
             MlpModel([3, 2], [np.zeros((3, 2))], [np.zeros((2,))])
+
+    @pytest.mark.parametrize("dims", [[3, 0], [0, 2], [3, 0, 2]])
+    def test_a_layer_of_width_zero_is_rejected(self, dims):
+        message = f"need input and output dims, each >= 1, got {dims}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            init_mlp(dims, RandomStream(0, (73,)))
+        weights = [np.zeros((fi, fo)) for fi, fo in zip(dims[:-1], dims[1:])]
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            MlpModel(dims, weights, [np.zeros((1, fo)) for fo in dims[1:]])
 
     def test_init_within_glorot_bounds_and_zero_bias(self):
         model = make_model([30, 20], seed=5)

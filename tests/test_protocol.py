@@ -39,6 +39,7 @@ from fedkd.numkit import (
     mlp_forward,
 )
 from fedkd.protocol import (
+    _stage,
     _train_cells,
     _xent_dlogits,
     BandwidthLedger,
@@ -344,6 +345,30 @@ class TestRunFedkd:
         with pytest.raises(FedKdError):
             run_fedkd(run, train, public, test)
 
+    @pytest.mark.parametrize("algorithm", ["fedkd", "fedavg"])
+    def test_a_dataset_with_no_classes_fails_before_training(self, monkeypatch, algorithm):
+        """The zero-width output layer is rejected as the first model is
+        built, so no node ever trains."""
+        rs = RandomStream(0, (905,))
+        train, public, test = (Dataset(rs.gauss((n, 2)), np.zeros((n, 0)), MULTI_LABEL, 0)
+                               for n in (40, 40, 20))
+        plan = dirichlet_partition(train, 2, 1.0, RandomStream(0, (904,)))
+        calls = []
+
+        def counting(*args, _real=train_lockstep, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", counting)
+        node_cfg = TrainConfig([4], epochs=1)
+        with pytest.raises(DimensionError) as exc:
+            if algorithm == "fedkd":
+                run_fedkd(base_run(plan, node_cfg=node_cfg), train, public, test)
+            else:
+                run_fedavg(train, test, plan, node_cfg, rounds=2, seed=0)
+        assert str(exc.value) == "need input and output dims, each >= 1, got [2, 4, 0]"
+        assert calls == []
+
     def test_ledger_has_one_scalar_and_one_matrix_per_node(self):
         train, test, public, plan = make_fixture()
         res = run_fedkd(base_run(plan), train, public, test)
@@ -500,6 +525,60 @@ class TestRunFedkdBatch:
         assert isinstance(failed, DivergenceError)
         assert str(failed) == str(exc.value) == (
             "node training diverged on node 3: non-finite parameters")
+
+
+class TestStage:
+    """_stage maps each cell's latest result or exception to its next entry."""
+
+    def test_an_exception_entry_passes_through_unseen(self):
+        held = ValueError("from an earlier stage")
+        seen = []
+
+        def call(group):
+            seen.extend(group)
+            return [f"next {i}" for i in group]
+
+        out = _stage(["a", held, "c"], call)
+        assert out[0] == "next 0" and out[1] is held and out[2] == "next 2"
+        assert seen == [0, 2]
+        assert _stage([held], call)[0] is held
+
+    def test_a_raising_call_fails_only_its_own_group(self):
+        boom = MemoryError("stack too large")
+
+        def call(group):
+            if 1 in group:
+                raise boom
+            return [i * 10 for i in group]
+
+        out = _stage([0, 1, 2, 3], call, key=lambda i: i % 2)
+        assert out[0] == 0 and out[2] == 20
+        assert out[1] is boom and out[3] is boom
+
+    def test_a_returned_exception_lands_in_its_own_cell_only(self):
+        diverged = DivergenceError("distillation")
+        out = _stage(list("abcd"), lambda group: [diverged if i == 2 else i for i in group],
+                     key=lambda i: 0)
+        assert out == [0, 1, diverged, 3]
+
+    def test_groups_come_in_first_seen_order_with_members_in_order(self):
+        calls = []
+
+        def call(group):
+            calls.append(group)
+            return group
+
+        keys = ["x", "y", "x", "z", "y", "x"]
+        assert _stage(keys, call, key=lambda i: keys[i]) == [0, 1, 2, 3, 4, 5]
+        assert calls == [[0, 2, 5], [1, 4], [3]]
+        calls.clear()
+        _stage(keys, call)
+        assert calls == [[0], [1], [2], [3], [4], [5]]
+
+    def test_the_input_list_is_not_changed(self):
+        prev = [1, 2]
+        assert _stage(prev, lambda group: [None for _ in group]) == [None, None]
+        assert prev == [1, 2]
 
 
 # ---------------------------------------------------------------------------
