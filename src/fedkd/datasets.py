@@ -74,16 +74,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.task, self.num_classes)
 
-    def concat(self, other: "Dataset") -> "Dataset":
-        if other.task != self.task or other.num_classes != self.num_classes:
-            raise ConfigurationError("cannot concatenate datasets with different tasks")
-        return Dataset(
-            np.concatenate([self.features, other.features]),
-            np.concatenate([self.labels, other.labels]),
-            self.task,
-            self.num_classes,
-        )
-
 
 @dataclass
 class PartitionPlan:
@@ -140,14 +130,18 @@ class GaussianTaskSpec:
 
 
 def gen_gaussian_task(spec: GaussianTaskSpec, rs: RandomStream) -> Dataset:
-    """Sample per_class_count points per class; deterministic per stream."""
-    blocks, labels = [], []
+    """Sample per_class_count points per class, in class order; deterministic
+    per stream. Each class's block is drawn, scaled and shifted in place in
+    its slice of the one [C * n, d] feature matrix."""
+    n = spec.per_class_count
+    features = np.empty((spec.num_classes * n, spec.dim))
     for c in range(spec.num_classes):
-        center = spec.class_means[c] + spec.domain_shift
-        x = rs.gauss((spec.per_class_count, spec.dim)) * spec.cov_scale + center
-        blocks.append(x)
-        labels.append(np.full((spec.per_class_count, 1), c, dtype=np.int64))
-    return Dataset(np.concatenate(blocks), np.concatenate(labels), SINGLE_LABEL, spec.num_classes)
+        x = features[c * n : (c + 1) * n]
+        rs.gauss(out=x)
+        x *= spec.cov_scale
+        x += spec.class_means[c] + spec.domain_shift
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n).reshape(-1, 1)
+    return Dataset(features, labels, SINGLE_LABEL, spec.num_classes)
 
 
 # ---------------------------------------------------------------------------

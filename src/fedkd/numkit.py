@@ -89,9 +89,9 @@ class RandomStream:
         """Uniform float(s) in [0, 1)."""
         return self._gen.random(size)
 
-    def gauss(self, size=None):
-        """Standard normal float(s)."""
-        return self._gen.standard_normal(size)
+    def gauss(self, size=None, out=None):
+        """Standard normal float(s), written into the float64 array ``out`` if given."""
+        return self._gen.standard_normal(size, out=out)
 
     def integers(self, high: int, size=None):
         return self._gen.integers(0, high, size=size)
@@ -383,8 +383,9 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 
 @dataclass(frozen=True)
 class SgdJob:
     """One model's part of a :func:`train_sgd` call: ``steps`` steps on the
-    rows of ``x`` and of each ``targets`` array, at the rates of ``schedule``
-    from step ``offset`` on."""
+    rows of ``x`` and of each ``targets`` array given by the index array
+    ``rows`` (None: all rows), at the rates of ``schedule`` from step
+    ``offset`` on."""
 
     model: MlpModel
     x: np.ndarray
@@ -394,6 +395,7 @@ class SgdJob:
     schedule: CosineSchedule
     offset: int = 0
     weight_decay: float = 0.0
+    rows: np.ndarray | None = None
 
 
 def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpModel | None]:
@@ -403,15 +405,16 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
 
     A job's batches are consecutive b-row slices of a fresh permutation of
     its rows per epoch from its own stream, the remainder dropped; it may stop
-    mid-epoch. Each step gathers the rows of ``x`` and of every target array
-    into reused [K, b, ...] buffers, takes the gradient w.r.t. the [K, b, C]
-    logits z from ``dlogits(z, target_batches)`` (it may overwrite z), runs
-    one stacked backward pass, then one sgd_step per job at its rate for step
-    ``offset + step``, read from a table built before the loop for each
-    distinct (schedule, offset), as long as its longest job. Jobs are held
-    longest first, so the ones still training are a prefix of the [K, P]
-    parameter matrix; a job's slice of each stacked call is the call it would
-    make alone, so a stack changes none of its bits.
+    mid-epoch; a job on index ``rows`` maps each permutation through them, so
+    it trains as on a copy of those rows. Each step gathers the rows of ``x``
+    and of every target array into reused [K, b, ...] buffers, takes the
+    gradient w.r.t. the [K, b, C] logits z from ``dlogits(z, target_batches)``
+    (it may overwrite z), runs one stacked backward pass, then one sgd_step
+    per job at its rate for step ``offset + step``, read from a table built
+    before the loop for each distinct (schedule, offset), as long as its
+    longest job. Jobs are held longest first, so the ones still training are
+    a prefix of the [K, P] parameter matrix; a job's slice of each stacked
+    call is the call it would make alone, so a stack changes none of its bits.
     """
     count = len(jobs)
     order = sorted(range(count), key=lambda i: -jobs[i].steps)  # stable: ties keep job order
@@ -420,8 +423,9 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     grads = np.empty_like(params)
     xb = np.empty((count, b, dims[0]))
     tbs = [np.empty((count, b, *t.shape[1:]), t.dtype) for t in held[0].targets]
-    feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream,
-              job.x.shape[0] // b, None] for r, job in enumerate(held)]
+    feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream, job.rows,
+              job.x.shape[0] if job.rows is None else len(job.rows), None]
+             for r, job in enumerate(held)]
     rates = {}  # (schedule, offset) -> its rate per step; a key's first job is its longest
     for job in held:
         if (job.schedule, job.offset) not in rates:
@@ -444,13 +448,14 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                     active -= 1
                 weights, biases, out, xs, ts = prefix(active)
             for feed in feeds[:active]:
-                arrays, bufs, rs, per_epoch, perm = feed
-                j = step % per_epoch
+                arrays, bufs, rs, rows, n, perm = feed
+                j = step % (n // b)
                 if j == 0:
-                    feed[-1] = perm = rs.permutation(arrays[0].shape[0])
-                rows = perm[j * b : (j + 1) * b]
+                    perm = rs.permutation(n)
+                    feed[-1] = perm = perm if rows is None else rows.take(perm)
+                batch = perm[j * b : (j + 1) * b]
                 for a, buf in zip(arrays, bufs):
-                    a.take(rows, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
+                    a.take(batch, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
             acts = _forward_trace(weights, biases, xs)
             _backprop(weights, acts, dlogits(acts[-1], ts), out)
             for model, g, table, wd in updates[:active]:

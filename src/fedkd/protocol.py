@@ -217,16 +217,19 @@ def masked_bce_grad(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
 
 def train_lockstep(
     models: list[MlpModel],
-    shards: list[Dataset],
+    data: list[Dataset],
     cfg: TrainConfig,
     streams: list[RandomStream],
     *,
+    rows: list[np.ndarray] | None = None,
     rounds: int = 1,
     round_index: int = 0,
 ) -> list[MlpModel | None]:
     """SGD with the cosine schedule of ``cfg`` for every model on its own
-    shard and batch stream ``streams[k]``, on copies of the models. A model
-    whose layer dims are not its shard's (:func:`_dims`) is a DimensionError.
+    shard, the rows ``rows[k]`` of ``data[k]`` (all rows without ``rows``; no
+    shard is copied), and batch stream ``streams[k]``, on copies of the
+    models. A model whose layer dims are not its data's (:func:`_dims`) is a
+    DimensionError; the callers check each split's finiteness once.
 
     A node runs ``cfg.epochs`` epochs of ``steps`` steps in all. Its cosine
     horizon is ``rounds * steps`` and this call starts at step ``round_index
@@ -238,25 +241,28 @@ def train_lockstep(
     diverged node.
     """
     count = len(models)
-    if any(len(v) != count for v in (shards, streams)):
+    rows = [None] * count if rows is None else rows
+    if any(len(v) != count for v in (data, streams, rows)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
 
     stacks: dict[tuple, list[int]] = {}
     jobs = []
-    for k, (model, ds) in enumerate(zip(models, shards)):
+    for k, (model, ds, idx) in enumerate(zip(models, data, rows)):
         dims = _dims(ds, cfg.hidden_dims)
         if model.layer_dims != dims:
             raise DimensionError(f"model layer dims {model.layer_dims} differ from the "
                                  f"data's {dims}")
-        if ds.n == 0:
+        n = ds.n if idx is None else len(idx)
+        if n == 0:
             raise ConfigurationError("cannot train on an empty dataset")
-        x = check_matrix(ds.features, "features")
+        if idx is not None and not 0 <= idx.min() <= idx.max() < ds.n:  # gathered unchecked
+            raise ValidationError(f"shard rows outside the data's {ds.n} rows")
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
-        b = min(cfg.batch_size, ds.n)
-        steps = cfg.epochs * (ds.n // b)
+        b = min(cfg.batch_size, n)
+        steps = cfg.epochs * (n // b)
         sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
-        jobs.append(SgdJob(model, x, (y,), streams[k], steps, sched, round_index * steps,
-                           cfg.weight_decay))
+        jobs.append(SgdJob(model, ds.features, (y,), streams[k], steps, sched,
+                           round_index * steps, cfg.weight_decay, idx))
         stacks.setdefault((ds.task, b, *dims), []).append(k)
 
     trained = {}
@@ -277,8 +283,11 @@ def train_supervised(
     round_index: int = 0,
     node_id: int | None = None,
 ) -> MlpModel:
-    """One node's :func:`train_lockstep`: SGD with a cosine schedule on a copy
-    of model. A non-finite result raises DivergenceError naming ``node_id``."""
+    """One node's :func:`train_lockstep` on all rows of ``ds``: SGD with a
+    cosine schedule on a copy of model. Non-finite features are a
+    ValidationError; a non-finite result raises DivergenceError naming
+    ``node_id``."""
+    check_matrix(ds.features, "features")
     (out,) = train_lockstep([model], [ds], cfg, [batch_rs], rounds=rounds, round_index=round_index)
     if out is None:
         raise DivergenceError("node training", node_id)
@@ -287,7 +296,8 @@ def train_supervised(
 
 @dataclass
 class NodeHandle:
-    """A trained node plus its instrumented public-query counter.
+    """A trained node, its row indices into the split it trained on, and its
+    instrumented public-query counter.
 
     ``query_rows`` counts forward-pass rows served to the aggregator; the
     one-shot property says it ends at repeats * |public| and never moves
@@ -295,32 +305,34 @@ class NodeHandle:
     """
 
     node_id: int
-    train_set: Dataset
+    rows: np.ndarray
     model: MlpModel | None
     query_rows: int = 0
 
 
-def _train_cells(cells: list[list[Dataset]], node_cfg: TrainConfig,
+def _train_cells(cells: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainConfig,
                  seeds: list[int]) -> list:
     """Train every non-empty shard of several runs independently, with run c
-    at ``seeds[c]``: every live node of every run is a job of one
-    :func:`train_lockstep` call. Each run gets its node handles, or a
-    DivergenceError naming its lowest diverged node. An empty shard yields a
-    handle with no model, so its zero profile drops it from the ensemble."""
-    live = [(c, k) for c, shards in enumerate(cells) for k, shard in enumerate(shards)
-            if shard.n > 0]
+    at ``seeds[c]``; a run is its split and each node's row indices into it.
+    Every live node of every run is a job of one :func:`train_lockstep` call.
+    Each run gets its node handles, or a DivergenceError naming its lowest
+    diverged node. An empty shard yields a handle with no model, so its zero
+    profile drops it from the ensemble."""
+    live = [(c, k) for c, (_, shards) in enumerate(cells) for k, idx in enumerate(shards)
+            if len(idx)]
     models = train_lockstep(
-        [init_mlp(_dims(cells[c][k], node_cfg.hidden_dims),
+        [init_mlp(_dims(cells[c][0], node_cfg.hidden_dims),
                   RandomStream(seeds[c], (STREAM_INIT, k))) for c, k in live],
-        [cells[c][k] for c, k in live],
+        [cells[c][0] for c, k in live],
         node_cfg,
         [RandomStream(seeds[c], (STREAM_BATCH, k, 0)) for c, k in live],
+        rows=[cells[c][1][k] for c, k in live],
     )
     trained = dict(zip(live, models))
     out = []
-    for c, shards in enumerate(cells):
-        handles = [NodeHandle(k, shard, trained.get((c, k))) for k, shard in enumerate(shards)]
-        diverged = [h.node_id for h in handles if h.model is None and h.train_set.n > 0]
+    for c, (_, shards) in enumerate(cells):
+        handles = [NodeHandle(k, idx, trained.get((c, k))) for k, idx in enumerate(shards)]
+        diverged = [h.node_id for h in handles if h.model is None and len(h.rows)]
         out.append(DivergenceError("node training", diverged[0]) if diverged else handles)
     return out
 
@@ -480,8 +492,8 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
 
     Only the public features are queried and distilled on. When
     ``labeled_public`` is set, the public set also joins every node's
-    training shard, and profiles count the combined set, since weights
-    reflect the data actually trained on.
+    training rows through one joined [private; public] split, and profiles
+    count the joined rows, since weights reflect the data actually trained on.
     """
     (result,) = run_fedkd_batch([(run, private, public, test)])
     if isinstance(result, Exception):
@@ -506,27 +518,29 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     its result is bit-identical to its own run_fedkd, and a diverged node or
     student is its own cell's DivergenceError.
     """
-    def shards_and_profiles(i):
+    def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
         run, private, public, _ = cells[i]
-        shards = [private.subset(a) for a in run.plan.assignments]
+        split, rows, profiles = private, run.plan.assignments, profile(private, run.plan)
         if run.labeled_public:
-            shards = [s.concat(public) for s in shards]
-            profiles = np.stack([profile_of(s) for s in shards])
-        else:
-            profiles = profile(private, run.plan)
-        for s in shards:  # train_lockstep's check, made per cell so its stack gets valid jobs
-            check_matrix(s.features, "features")
-        return shards, profiles
+            if (public.task, public.num_classes) != (private.task, private.num_classes):
+                raise ConfigurationError("cannot join a public set of a different task")
+            split = Dataset(np.concatenate([private.features, public.features]),
+                            np.concatenate([private.labels, public.labels]),
+                            private.task, private.num_classes)
+            rows = [np.concatenate([a, np.arange(private.n, split.n)]) for a in rows]
+            profiles = profiles + profile_of(public)
+        check_matrix(split.features, "features")  # once per split, so every stack gets valid jobs
+        return split, rows, profiles
 
-    # cells that split the same data the same way share one copy of the shards
-    data = _stage(cells, lambda group: [shards_and_profiles(group[0])] * len(group),
+    # cells that split the same data the same way share one split and its rows
+    data = _stage(cells, lambda group: [split_rows_and_profiles(group[0])] * len(group),
                   lambda i: (id(cells[i][1]), id(cells[i][0].plan), cells[i][0].labeled_public,
                              id(cells[i][2])))
-    handles = _stage(data, lambda group: _train_cells([data[i][0] for i in group],
+    handles = _stage(data, lambda group: _train_cells([data[i][:2] for i in group],
                                                       cells[group[0]][0].node_cfg,
                                                       [cells[i][0].seed for i in group]),
                      lambda i: cells[i][0].node_cfg)
-    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], data[i][1],
+    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], data[i][2],
                                                        cells[i][2]) for i in group])
 
     def student_dims(i):
@@ -600,24 +614,25 @@ def run_fedavg(
     """
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
-    shards = [private.subset(a) for a in plan.assignments]
-    active = [k for k, s in enumerate(shards) if s.n > 0]
+    active = [k for k, a in enumerate(plan.assignments) if len(a)]
     if not active:
         raise ConfigurationError("every shard was empty")
-    sizes = np.array([shards[k].n for k in active], dtype=np.float64)
+    sizes = np.array([len(plan.assignments[k]) for k in active], dtype=np.float64)
     coef = sizes / sizes.sum()
 
     global_model = init_mlp(_dims(private, node_cfg.hidden_dims),
                             RandomStream(seed, (STREAM_INIT, 0)))
     pbytes = param_payload_bytes(global_model)
     ledger = BandwidthLedger()
+    check_matrix(private.features, "features")  # once, not once per round
 
     for r in range(rounds):
         locals_ = train_lockstep(
             [global_model] * len(active),
-            [shards[k] for k in active],
+            [private] * len(active),
             node_cfg,
             [RandomStream(seed, (STREAM_BATCH, k, r)) for k in active],
+            rows=[plan.assignments[k] for k in active],
             rounds=rounds,
             round_index=r,
         )

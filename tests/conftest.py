@@ -1,8 +1,9 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
 the end-to-end tests, runners over seed lists, centralized training on the
 pooled data, the per-step oracle of distillation with its row-wise KL loss,
-the per-row rule of a multi-label row's partition class, and the arrays and
-bit comparison of the fast-path tests."""
+the per-row rule of a multi-label row's partition class, the block-list
+formula of a synthetic split, and the arrays and bit comparison of the
+fast-path tests."""
 import copy
 
 import numpy as np
@@ -13,7 +14,7 @@ from fedkd.cli import (
     execute_fedkd,
     parse_dict,
 )
-from fedkd.datasets import SINGLE_LABEL
+from fedkd.datasets import SINGLE_LABEL, Dataset
 from fedkd.distill import KL, distill_loss_grad, softmax_tau
 from fedkd.numkit import (
     CosineSchedule,
@@ -113,6 +114,17 @@ def rarest_positive_label(sample_labels, global_positive_counts) -> int:
     if positives.size == 0:
         return int(counts.shape[0])
     return int(positives[np.argmin(counts[positives])])
+
+
+def reference_gaussian_task(spec, rs):
+    """A synthetic split as one fresh block per class, each ``gauss * cov_scale
+    + (mean + shift)``, concatenated with its labels in class order."""
+    blocks, labels = [], []
+    for c in range(spec.num_classes):
+        center = spec.class_means[c] + spec.domain_shift
+        blocks.append(rs.gauss((spec.per_class_count, spec.dim)) * spec.cov_scale + center)
+        labels.append(np.full((spec.per_class_count, 1), c, dtype=np.int64))
+    return Dataset(np.concatenate(blocks), np.concatenate(labels), SINGLE_LABEL, spec.num_classes)
 
 
 def reference_distill(model, x, teacher, cfg, rs, task):

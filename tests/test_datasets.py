@@ -25,7 +25,7 @@ from fedkd.errors import ConfigurationError, FormatError, ValidationError
 from fedkd.numkit import RandomStream
 from fedkd.protocol import TrainConfig
 
-from conftest import rarest_positive_label, run_centralized
+from conftest import rarest_positive_label, reference_gaussian_task, run_centralized
 
 # Monte-Carlo references computed from the generative/partition models alone,
 # before this implementation existed (100-seed draws of the raw proportions):
@@ -56,6 +56,25 @@ class TestGaussianTask:
         b = gen_gaussian_task(spec, RandomStream(4, (2,)))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("classes, dim, per_class, cov_scale, shift", [
+        (2, 2, 1000, 1.0, None),
+        (4, 16, 300, 0.7, np.full(16, 1.0 / 16.0)),  # a public split's shift
+        (3, 5, 1, 2.5, np.arange(5.0)),
+        (3, 4, 0, 1.0, None),  # no rows
+    ])
+    def test_bits_match_the_block_list_formula(self, classes, dim, per_class, cov_scale, shift):
+        """Each class drawn into its slice of one matrix and scaled and shifted
+        there gives the bits, labels and stream state of a fresh block per
+        class, concatenated."""
+        means = RandomStream(9, (1,)).gauss((classes, dim)) * 3.0
+        spec = GaussianTaskSpec(classes, dim, per_class, means, cov_scale, shift)
+        rs, ref_rs = RandomStream(9, (2,)), RandomStream(9, (2,))
+        ds, ref = gen_gaussian_task(spec, rs), reference_gaussian_task(spec, ref_rs)
+        assert ds.features.shape == (classes * per_class, dim)
+        assert np.array_equal(ds.features.view(np.int64), ref.features.view(np.int64))
+        assert ds.labels.dtype == ref.labels.dtype and np.array_equal(ds.labels, ref.labels)
+        assert rs.uniform() == ref_rs.uniform()  # both drew the same number of samples
 
     def test_separable_limit_reaches_perfect_accuracy(self):
         spec = two_class_spec(cov_scale=1e-6, per_class=200)

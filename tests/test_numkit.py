@@ -548,6 +548,30 @@ class TestTrainSgd:
             ref = reference_sgd(jobs()[k], SGD_B, weighted_l2_dlogits)
             assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
 
+    def test_index_rows_give_the_bits_of_copied_rows(self):
+        """Each job trains on index rows into one shared matrix (unsorted,
+        repeated, and as few as one batch) and gives the bits, and leaves the
+        stream, of the same job on a copy of those rows."""
+        data = RandomStream(3, (72,))
+        x = data.gauss((60, SGD_DIMS[0]))
+        targets = (data.gauss((60, SGD_DIMS[-1])), 0.5 + data.uniform(60))
+        picks = [np.arange(59, 19, -1), np.array([5, 5, 9, 1, 40, 33, 12, 7]),
+                 np.arange(0, 60, 3), np.arange(SGD_B)]
+
+        def jobs(on_rows):
+            return [SgdJob(make_model(SGD_DIMS, k), x if on_rows else x[idx],
+                           targets if on_rows else tuple(t[idx] for t in targets),
+                           RandomStream(3, (73, k)), steps, CosineSchedule(0.1, 0.001, 12),
+                           1, 1e-3, idx if on_rows else None)
+                    for k, (idx, steps) in enumerate(zip(picks, (11, 6, 9, 3)))]
+
+        indexed, copied = jobs(True), jobs(False)
+        out = train_sgd(SGD_DIMS, SGD_B, indexed, weighted_l2_dlogits)
+        ref = train_sgd(SGD_DIMS, SGD_B, copied, weighted_l2_dlogits)
+        for k in range(len(picks)):
+            assert np.array_equal(bits(out[k]), bits(ref[k])), f"job {k}"
+            assert indexed[k].stream.uniform() == copied[k].stream.uniform()
+
     def test_diverging_jobs_come_back_as_none(self):
         """Jobs 1 and 3 end non-finite and come back as None; the others keep
         the bits of their lone calls. Naming the failure is the caller's."""

@@ -1,7 +1,9 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
+import dataclasses
 import importlib
 import pkgutil
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,15 +21,17 @@ from fedkd.datasets import (
     SINGLE_LABEL,
     dirichlet_partition,
     gen_gaussian_task,
+    profile_of,
 )
 from fedkd.distill import DistillConfig, evaluate_single, softmax_tau
-from fedkd.ensemble import EnsembleConfig, UNIFORM
+from fedkd.ensemble import EnsembleConfig, UNIFORM, importance_weights
 from fedkd.errors import (
     ConfigurationError,
     DimensionError,
     DivergenceError,
     FedKdError,
     RangeError,
+    ValidationError,
 )
 from fedkd.numkit import (
     CosineSchedule,
@@ -231,22 +235,21 @@ class TestSupervisedLosses:
 class TestTrainLocals:
     def test_every_node_fits_its_own_shard(self):
         train, _, _, plan = make_fixture()
-        handles = _train_cells([[train.subset(a) for a in plan.assignments]], NODE_CFG, [0])[0]
+        handles = _train_cells([(train, plan.assignments)], NODE_CFG, [0])[0]
         for h in handles:
             if h.model is not None:
-                assert evaluate_single(h.model, h.train_set) >= 0.90
+                assert evaluate_single(h.model, train.subset(h.rows)) >= 0.90
 
     def test_empty_shard_yields_no_model(self):
         train, _, _, _ = make_fixture()
-        shards = [train.subset([]), train.subset(np.arange(50))]
-        handles = _train_cells([shards], NODE_CFG, [0])[0]
+        handles = _train_cells([(train, [np.arange(0), np.arange(50)])], NODE_CFG, [0])[0]
         assert handles[0].model is None
         assert handles[1].model is not None
 
     def test_default_streams_differ_per_node(self):
         train, _, _, _ = make_fixture()
-        shard = train.subset(np.arange(200))
-        handles = _train_cells([[shard, shard]], NODE_CFG, [0])[0]
+        shard = np.arange(200)
+        handles = _train_cells([(train, [shard, shard])], NODE_CFG, [0])[0]
         assert not params_equal(handles[0].model, handles[1].model)
 
 
@@ -257,8 +260,7 @@ class TestTrainLocals:
 class TestCollectLogits:
     def make_handles(self, k, seed=3):
         model = init_mlp([16, 8, 4], RandomStream(seed, (905,)))
-        empty = Dataset(np.zeros((0, 16)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 4)
-        return [NodeHandle(i, empty, model) for i in range(k)]
+        return [NodeHandle(i, np.arange(0), model) for i in range(k)]
 
     def test_bandwidth_is_nodes_times_matrix_bytes(self):
         handles = self.make_handles(10)
@@ -417,7 +419,7 @@ class TestRunFedkd:
         train, test, public, plan = make_fixture()
         res = run_fedkd(base_run(plan, labeled_public=True), train, public, test)
         for h in res.handles:
-            assert h.train_set.n >= public.n
+            assert len(h.rows) >= public.n
         # weights now count the shared rows, so every class column is defined
         assert np.isfinite(res.weights.omega).all()
 
@@ -816,14 +818,14 @@ class TestLockstepTrainer:
 
     def test_train_locals_with_an_empty_shard_matches_the_oracle(self):
         train = make_fixture()[0]
-        shards = [train.subset(np.arange(0, 1200, 8)), train.subset([]),
-                  train.subset(np.arange(7, 1200, 150)), train.subset(np.arange(2, 1200, 11))]
+        rows = [np.arange(0, 1200, 8), np.arange(0), np.arange(7, 1200, 150),
+                np.arange(2, 1200, 11)]
         cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1, weight_decay=1e-3)
-        handles = _train_cells([shards], cfg, [5])[0]
+        handles = _train_cells([(train, rows)], cfg, [5])[0]
         assert handles[1].model is None
-        for k in (0, 2, 3):
+        for k in (0, 2, 3):  # the oracle trains on a copy of the node's rows
             model = init_mlp([16, 8, 4], RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
-            ref = reference_train(model, shards[k], cfg,
+            ref = reference_train(model, train.subset(rows[k]), cfg,
                                   RandomStream(5, (fedkd.protocol.STREAM_BATCH, k, 0)))
             assert bits_equal(handles[k].model, ref), f"node {k}"
 
@@ -868,6 +870,144 @@ class TestLockstepTrainer:
                                match=re.escape(f"{dims} differ from the data's [16, 8, 4]")):
                 train_lockstep(models, [train, train], cfg,
                                [RandomStream(k, (46,)) for k in range(2)])
+
+
+# ---------------------------------------------------------------------------
+# nodes train on index rows into their split, never on a copied shard
+
+
+def joined(private: Dataset, rows: np.ndarray, public: Dataset) -> Dataset:
+    """A node's labeled_public training set as a copy: its private rows, then
+    every public row."""
+    shard = private.subset(rows)
+    return Dataset(np.concatenate([shard.features, public.features]),
+                   np.concatenate([shard.labels, public.labels]), shard.task, shard.num_classes)
+
+
+class TestIndexRows:
+    @pytest.mark.parametrize("resume", [(1, 0), (3, 2)])  # a fresh schedule and a FedAvg resume
+    def test_index_rows_train_the_bits_of_copied_shards(self, resume):
+        """Single- and multi-label nodes on index rows (unsorted ones, and a
+        shard below the batch size) give the bits of the same nodes trained
+        on copies of their shards."""
+        single, multi = make_fixture()[0], multi_label_fixture(n=150)
+        data = [single, single, single, multi, multi]
+        rows = [np.arange(1199, 0, -7), np.arange(5, 1200, 120), np.arange(3, 1200, 13),
+                np.arange(0, 150, 2), np.arange(149, 139, -1)]  # 10 rows each for nodes 1, 4
+        cfg = TrainConfig([12], epochs=2, batch_size=16, lr_start=0.1, lr_end=0.001,
+                          weight_decay=1e-3)
+
+        def train(datasets, **kw):
+            return train_lockstep(
+                [init_mlp([16, 12, 4], RandomStream(6, (45, k))) for k in range(len(rows))],
+                datasets, cfg, [RandomStream(6, (46, k)) for k in range(len(rows))],
+                rounds=resume[0], round_index=resume[1], **kw)
+
+        indexed = train(data, rows=rows)
+        copied = train([ds.subset(idx) for ds, idx in zip(data, rows)])
+        for k in range(len(rows)):
+            assert bits_equal(indexed[k], copied[k]), f"node {k}"
+
+    def test_labeled_public_nodes_train_the_bits_of_copied_joined_shards(self):
+        """Under labeled_public each node's rows are its private rows then
+        every public row of one joined split, and it trains to the bits of
+        its joined shard as a copy; an empty private shard still trains on
+        the public rows. The profiles count the joined shards."""
+        train, test, public, _ = make_fixture()
+        plan = PartitionPlan([np.arange(0, 1200, 2), np.array([], dtype=int),
+                              np.arange(1, 1200, 2)], 1.0)
+        cfg = TrainConfig([8], epochs=1, batch_size=32, lr_start=0.1)
+        res = run_fedkd(base_run(plan, node_cfg=cfg, distill_cfg=DistillConfig(steps=10),
+                                 labeled_public=True), train, public, test)
+        shards = [joined(train, a, public) for a in plan.assignments]
+        for k, (h, a, shard) in enumerate(zip(res.handles, plan.assignments, shards)):
+            assert np.array_equal(h.rows, np.concatenate([a, train.n + np.arange(public.n)]))
+            model = init_mlp([16, 8, 4], RandomStream(0, (fedkd.protocol.STREAM_INIT, k)))
+            ref = train_supervised(model, shard, cfg,
+                                   RandomStream(0, (fedkd.protocol.STREAM_BATCH, k, 0)))
+            assert bits_equal(h.model, ref), f"node {k}"
+        omega = importance_weights(np.stack([profile_of(s) for s in shards])).omega
+        assert np.array_equal(res.weights.omega, omega)
+
+    def test_labeled_public_needs_a_public_set_of_the_same_task(self):
+        train, test, _, plan = make_fixture()
+        public = multi_label_fixture(n=80)
+        with pytest.raises(ConfigurationError,
+                           match="^cannot join a public set of a different task$"):
+            run_fedkd(base_run(plan, labeled_public=True), train, public, test)
+
+    def test_rows_outside_the_data_are_rejected(self):
+        train = make_fixture()[0]
+        model = init_mlp([16, 4], RandomStream(0, (45,)))
+        for bad in ([0, train.n], [-1, 3]):
+            with pytest.raises(ValidationError, match="shard rows outside the data's 1200 rows"):
+                train_lockstep([model], [train], TrainConfig([], epochs=1),
+                               [RandomStream(0, (46,))], rows=[np.array(bad)])
+
+    @pytest.mark.parametrize("labeled_public", [False, True])
+    def test_no_run_copies_a_shard(self, monkeypatch, labeled_public):
+        train, test, public, plan = make_fixture()
+
+        def no_copy(self, indices):
+            raise AssertionError("a shard was copied")
+
+        monkeypatch.setattr(Dataset, "subset", no_copy)
+        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1),
+                       distill_cfg=DistillConfig(steps=10), labeled_public=labeled_public)
+        run_fedkd(run, train, public, test)
+        results = fedkd.protocol.run_fedkd_batch(
+            [(run, train, public, test), (dataclasses.replace(run, seed=1), train, public, test)])
+        assert not any(isinstance(r, Exception) for r in results)
+        run_fedavg(train, test, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
+
+    def test_features_are_checked_once_per_split(self, monkeypatch):
+        """run_fedavg checks its private features once, not once per round;
+        a batch checks each distinct split once, however many cells share it."""
+        train, test, public, plan = make_fixture()
+        checked = []
+
+        def counting(a, name="matrix", *args, _real=fedkd.protocol.check_matrix, **kwargs):
+            checked.extend([name] if name == "features" else [])
+            return _real(a, name, *args, **kwargs)
+
+        monkeypatch.setattr(fedkd.protocol, "check_matrix", counting)
+        run_fedavg(train, test, plan, TrainConfig([8], epochs=1), rounds=3, seed=0)
+        assert checked == ["features"]
+        del checked[:]
+        other = PartitionPlan(plan.assignments[::-1], 1.0)
+        short = dict(node_cfg=TrainConfig([8], epochs=1), distill_cfg=DistillConfig(steps=10))
+        fedkd.protocol.run_fedkd_batch([(base_run(plan, seed=s, **short), train, public, test)
+                                        for s in (0, 1, 2)]
+                                       + [(base_run(other, **short), train, public, test)])
+        assert checked == ["features"] * 2
+
+    def test_labeled_public_training_holds_one_public_copy_not_k(self, monkeypatch):
+        """With K = 8 nodes on a public set nine times the private split, the
+        traced peak from the run's start to the end of node training stays
+        below two copies of the public features (one joined split plus the
+        nodes' index rows); K copied joined shards would hold eight."""
+        means = 4.0 * RandomStream(0, (900,)).gauss((4, 64)) / 8.0
+        train, test, public = (
+            gen_gaussian_task(GaussianTaskSpec(4, 64, n, means), RandomStream(0, (tag,)))
+            for n, tag in ((100, 901), (50, 902), (900, 903)))
+        plan = dirichlet_partition(train, 8, 1.0, RandomStream(0, (904,)))
+        peaks = []
+
+        def traced(*args, _real=train_lockstep, **kwargs):
+            out = _real(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", traced)
+        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=64),
+                       distill_cfg=DistillConfig(steps=5), labeled_public=True)
+        tracemalloc.start()
+        try:
+            run_fedkd(run, train, public, test)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 2 * public.features.nbytes, (
+            peaks, public.features.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +1073,7 @@ class TestSchedulingDeterminism:
         shards = [bad.subset(a) for a in plan.assignments]  # one stack
         cfg = TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1)
 
-        (failed,) = _train_cells([shards], cfg, [0])
+        (failed,) = _train_cells([(bad, plan.assignments)], cfg, [0])
         assert isinstance(failed, DivergenceError) and failed.node_id == 1
         assert str(failed) == "node training diverged on node 1: non-finite parameters"
 
