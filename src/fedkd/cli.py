@@ -56,6 +56,7 @@ from .numkit import RandomStream
 from .protocol import (
     FedKdRun,
     TrainConfig,
+    _central_metrics,
     _stage,
     ledger_report,
     run_fedavg,
@@ -399,7 +400,10 @@ def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     num_nodes, alpha and seed, then one
     :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on) over
     every cell that built. Returns each cell's result or its exception; a
-    cell given as an exception comes back as itself."""
+    cell given as an exception comes back as itself. The built list goes
+    straight into the batch, bound to no name here, so the batch holds the
+    only reference to each private split and can drop it after node
+    training."""
     def build(group):
         private, public, test, plan = build_data(*cells[group[0]])
         return [(FedKdRun(
@@ -414,15 +418,24 @@ def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
             labeled_public=cfg.labeled_public,
         ), private, public, test) for cfg, seed in (cells[i] for i in group)]
 
-    runs = _stage(cells, build, lambda i: (cells[i][0].task, cells[i][0].num_nodes,
-                                           cells[i][0].alpha, cells[i][1]))
-    return run_fedkd_batch(runs, keep_trace=keep_trace)
+    def data_key(i):
+        cfg, seed = cells[i]
+        return cfg.task, cfg.num_nodes, cfg.alpha, seed
+
+    return run_fedkd_batch(_stage(cells, build, data_key), keep_trace=keep_trace)
 
 
 def execute_fedavg(cfg: ExperimentConfig, seed: int):
-    """build_data's run without the public split, which parameter averaging never reads."""
-    private, test = _split(cfg, seed, "private"), _split(cfg, seed, "test")
-    return run_fedavg(private, test, _plan(cfg, private, seed), cfg.node, cfg.rounds, seed)
+    """build_data's run without the public split, which parameter averaging
+    never reads: :func:`~fedkd.protocol.run_fedavg`'s rounds, then the test
+    metric of the global model in its ``metric`` and ``central`` keys. Each
+    split lives only while it is read: the private one is dropped after the
+    last round, and the test one is built only then."""
+    private = _split(cfg, seed, "private")
+    result = run_fedavg(private, _plan(cfg, private, seed), cfg.node, cfg.rounds, seed)
+    del private
+    result.metrics.update(_central_metrics(result.model, _split(cfg, seed, "test")))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,12 @@ def _evaluate(model: MlpModel, test: Dataset, who: str) -> float:
         raise EvaluationError(f"evaluating {who}: {err}") from None
 
 
+def _central_metrics(model: MlpModel, test: Dataset) -> dict:
+    """The ``metric`` a run reports on ``test`` and the ``central`` model's score."""
+    return {"metric": "accuracy" if test.task == SINGLE_LABEL else "mean_auc",
+            "central": _evaluate(model, test, "the central model")}
+
+
 def _teacher(run: FedKdRun, handles, profiles, public: Dataset):
     """(teacher, weights, block count, ledger) from one query of every trained
     node; the logit blocks die on return, so none is held through
@@ -516,7 +522,9 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     raises for it; a cell given as an exception comes back as itself. A
     cell's slice of every stacked call is the call it would make alone, so
     its result is bit-identical to its own run_fedkd, and a diverged node or
-    student is its own cell's DivergenceError.
+    student is its own cell's DivergenceError. The batch drops its hold on
+    each cell's private set and training split once the nodes have trained;
+    a split the caller still holds stays alive.
     """
     def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
         run, private, public, _ = cells[i]
@@ -540,7 +548,12 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
                                                       cells[group[0]][0].node_cfg,
                                                       [cells[i][0].seed for i in group]),
                      lambda i: cells[i][0].node_cfg)
-    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], data[i][2],
+    # the node stage was the last reader of every split and private set: the
+    # batch drops them here, so it holds none through the query
+    cells = [c if isinstance(c, Exception) else (c[0], None, *c[2:]) for c in cells]
+    profiles = [d if isinstance(d, Exception) else d[2] for d in data]
+    del data
+    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], profiles[i],
                                                        cells[i][2]) for i in group])
 
     def student_dims(i):
@@ -567,13 +580,11 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
         run, _, public, test = cells[i]
         teacher, weights, senders, ledger = teachers[i]
         central, trace = students[i]
-        metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
         standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
                       for h in handles[i]]
         present = [v for v in standalone if v is not None]
         metrics = {
-            "metric": metric,
-            "central": _evaluate(central, test, "the central model"),
+            **_central_metrics(central, test),
             "standalone": standalone,
             "standalone_mean": float(np.mean(present)),
             "num_nodes": run.plan.num_nodes,
@@ -599,21 +610,24 @@ class FedAvgResult:
 
 def run_fedavg(
     private: Dataset,
-    test: Dataset,
     plan: PartitionPlan,
     node_cfg: TrainConfig,
     rounds: int,
     seed: int,
 ) -> FedAvgResult:
-    """Round-based parameter averaging with full participation.
+    """Round-based parameter averaging with full participation: the rounds
+    alone, so the caller can drop ``private`` before it evaluates the
+    returned model (:func:`fedkd.cli.execute_fedavg` adds the test metric).
 
     Each round every non-empty node downloads the global parameters, runs
     cfg.epochs local epochs continuing a cosine schedule spanning all rounds,
     and uploads; the server takes the shard-size-weighted mean. Both transfer
-    directions are billed at 8 bytes per parameter.
+    directions are billed at 8 bytes per parameter. A plan that does not
+    cover ``private`` exactly once is a ValidationError, as in run_fedkd.
     """
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
+    plan.validate_for(private)
     active = [k for k, a in enumerate(plan.assignments) if len(a)]
     if not active:
         raise ConfigurationError("every shard was empty")
@@ -643,10 +657,7 @@ def run_fedavg(
             ledger.add("params_up", k, pbytes)
         global_model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
 
-    metric = "accuracy" if test.task == SINGLE_LABEL else "mean_auc"
     metrics = {
-        "metric": metric,
-        "central": _evaluate(global_model, test, "the central model"),
         "rounds": rounds,
         "num_nodes": plan.num_nodes,
         "param_count": global_model.parameter_count(),

@@ -2,9 +2,10 @@
 the end-to-end tests, runners over seed lists, centralized training on the
 pooled data, the per-step oracle of distillation with its row-wise KL loss,
 the per-row rule of a multi-label row's partition class, the block-list
-formula of a synthetic split, and the arrays and bit comparison of the
-fast-path tests."""
+formula of a synthetic split, a copy of a dataset's rows, the README's
+library example, and the arrays and bit comparison of the fast-path tests."""
 import copy
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from fedkd.numkit import (
     mlp_forward,
 )
 from fedkd.protocol import STREAM_BATCH, STREAM_INIT, _dims, _evaluate, train_supervised
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Tuned so local shards are learnable in seconds while the central model's
 # distillation lift and gap to centralized training stay clearly resolved.
@@ -125,6 +128,20 @@ def reference_gaussian_task(spec, rs):
         blocks.append(rs.gauss((spec.per_class_count, spec.dim)) * spec.cov_scale + center)
         labels.append(np.full((spec.per_class_count, 1), c, dtype=np.int64))
     return Dataset(np.concatenate(blocks), np.concatenate(labels), SINGLE_LABEL, spec.num_classes)
+
+
+def subset(ds: Dataset, indices) -> Dataset:
+    """A copy of the rows ``indices`` of ``ds``: a shard as a dataset of its own."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return Dataset(ds.features[idx], ds.labels[idx], ds.task, ds.num_classes)
+
+
+def readme_library_example() -> str:
+    """The Python block under "## Library use" in the README, cut out as CI
+    cuts it."""
+    fence = "`" * 3
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library use", 1)[1].split(fence + "python\n", 1)[1].split(fence, 1)[0]
 
 
 def reference_distill(model, x, teacher, cfg, rs, task):

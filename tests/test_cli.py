@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,9 @@ from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
 from fedkd.ensemble import PER_CLASS, EnsembleConfig
 from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
-from fedkd.protocol import FedKdRun, TrainConfig, run_fedavg, run_fedkd
+from fedkd.protocol import FedKdRun, TrainConfig, _central_metrics, run_fedavg, run_fedkd
 
-from conftest import reference_distill
+from conftest import readme_library_example, reference_distill
 
 DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
@@ -544,9 +545,10 @@ class TestMainExitCodes:
         ("fedavg", "test", "nan", 7)])
     def test_non_finite_csv_feature_fails_at_load(self, tmp_path, capsys, command, split,
                                                   value, row):
-        """A NaN or infinite feature in any split exits 3 before training,
-        with one line naming the file and its 1-based data row, and leaves
-        no run directory."""
+        """A NaN or infinite feature in any split exits 3 when the split is
+        loaded (before training, or for fedavg's test split after the last
+        round), with one line naming the file and its 1-based data row, and
+        leaves no run directory."""
         doc, path = self.csv_doc_with(tmp_path, split, value, row)
         out = tmp_path / "o"
         assert main([command, "--config", str(write_config(tmp_path, doc)),
@@ -699,6 +701,30 @@ def test_overflowing_value_prints_one_line_naming_it(tmp_path, key, message):
     rows = list(csv.DictReader((tmp_path / "ablate" / "ablation.csv").open()))
     assert [r["error"] for r in rows if r["seed"] == "0"] == [f"ValidationError: {message}"] * 2
     assert all(r["error"] for r in rows)  # at seed 1 the class means may stay finite
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"task": {**tiny_doc()["task"], "class_sep": 1e308}},
+     "node training diverged on node 1: non-finite parameters"),
+    ({"query_noise": 1e300, "repeats": 2},
+     "distillation diverged on the central model: non-finite parameters"),
+])
+def test_finite_but_huge_value_reaches_training(tmp_path, over, message):
+    """A value too large for training but not for the features is not named
+    by its key: at seed 1, class means of 1e308 stay finite and a node
+    diverges, and a query noise of 1e300 averaged over two passes stays
+    finite and the student diverges. run exits 3 with the one line the
+    README gives, outside pytest's warning capture, and leaves no run
+    directory."""
+    doc = tiny_doc(seed=1, **over)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
+         "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (3, f"runtime error: {message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_leaves_scipy_unloaded():
@@ -1091,21 +1117,79 @@ class TestFedavgData:
         doc["task"] = write_csv_task(tmp_path)
         cfg = parse_dict(doc)
         private, _, test, plan = build_data(cfg, 0)
-        expected = run_fedavg(private, test, plan, cfg.node, cfg.rounds, 0)
+        expected = run_fedavg(private, plan, cfg.node, cfg.rounds, 0)
         Path(doc["task"]["public"]).unlink()
         rd = cmd_fedavg(cfg, tmp_path / "out", seed=0, force=False)
         metrics = json.loads((rd / "metrics.json").read_text())
-        assert metrics["central"] == expected.metrics["central"]
+        assert metrics["central"] == _central_metrics(expected.model, test)["central"]
         assert metrics["ledger"]["total_bytes"] == expected.ledger.total()
 
     def test_synthetic_fedavg_keeps_its_bits(self):
         cfg = parse_dict(tiny_doc())
         for seed in (0, 3):
             private, _, test, plan = build_data(cfg, seed)
-            expected = run_fedavg(private, test, plan, cfg.node, cfg.rounds, seed)
+            expected = run_fedavg(private, plan, cfg.node, cfg.rounds, seed)
             result = fedkd.cli.execute_fedavg(cfg, seed)
             assert bits(result.model) == bits(expected.model)
-            assert result.metrics == expected.metrics
+            assert result.metrics == {**expected.metrics,
+                                      **_central_metrics(expected.model, test)}
+
+
+class TestSplitLifetimes:
+    """Each split is freed after its last reader, whatever still runs after it."""
+
+    def test_fedavg_evaluates_without_the_private_split(self, monkeypatch):
+        """The private split is dead when the global model is evaluated, and
+        the test split is built only after the last round."""
+        events, refs, alive = [], {}, []
+        real_split = fedkd.cli._split
+        real_lockstep, real_evaluate = fedkd.protocol.train_lockstep, fedkd.protocol._evaluate
+
+        def split(cfg, seed, name):
+            ds = real_split(cfg, seed, name)
+            refs[name] = weakref.ref(ds)
+            events.append(name)
+            return ds
+
+        def lockstep(*args, **kwargs):
+            events.append("round")
+            return real_lockstep(*args, **kwargs)
+
+        def evaluate(*args):
+            events.append("evaluate")
+            alive.append(refs["private"]() is not None)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(fedkd.cli, "_split", split)
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", lockstep)
+        monkeypatch.setattr(fedkd.protocol, "_evaluate", evaluate)
+        fedkd.cli.execute_fedavg(parse_dict(tiny_doc(rounds=3)), 0)
+        assert events == ["private", "round", "round", "round", "test", "evaluate"]
+        assert alive == [False]
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1]])
+    def test_run_queries_without_the_private_split(self, monkeypatch, seeds):
+        """Every cell's private split is dead when the first node is queried,
+        in a run and in a batch of seeds as ablate makes; the public and test
+        splits, which later stages read, are alive."""
+        refs, alive = [], []
+        real_build, real_collect = fedkd.cli.build_data, fedkd.protocol.collect_logits
+
+        def build(*args):
+            data = real_build(*args)
+            refs.extend(weakref.ref(ds) for ds in data[:3])
+            return data
+
+        def collect(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return real_collect(*args, **kwargs)
+
+        monkeypatch.setattr(fedkd.cli, "build_data", build)
+        monkeypatch.setattr(fedkd.protocol, "collect_logits", collect)
+        cfg = parse_dict(tiny_doc())
+        results = execute_fedkd_batch([(cfg, seed) for seed in seeds])
+        assert not any(isinstance(r, Exception) for r in results)
+        assert alive == [[False, True, True] * len(seeds)] * len(seeds)
 
 
 class TestDistillTask:
@@ -1179,11 +1263,9 @@ def test_readme_quick_start_beats_the_standalone_nodes(tmp_path):
 def test_readme_library_use_runs():
     """The README's "Library use" block runs as written, and its distilled
     model beats the mean standalone node."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     ns = {}
     with contextlib.redirect_stdout(io.StringIO()):
-        exec(compile(code, "README.md", "exec"), ns)
+        exec(compile(readme_library_example(), "README.md", "exec"), ns)
     assert ns["result"].metrics["central"] > ns["result"].metrics["standalone_mean"]
 
 

@@ -25,7 +25,7 @@ from fedkd.errors import ConfigurationError, FormatError, ValidationError
 from fedkd.numkit import RandomStream
 from fedkd.protocol import TrainConfig
 
-from conftest import rarest_positive_label, reference_gaussian_task, run_centralized
+from conftest import rarest_positive_label, reference_gaussian_task, run_centralized, subset
 
 # Monte-Carlo references computed from the generative/partition models alone,
 # before this implementation existed (100-seed draws of the raw proportions):
@@ -318,7 +318,7 @@ class TestProfile:
 
     def test_profile_of_matches_subset(self):
         ds = balanced_single(10, 3)
-        assert profile_of(ds.subset(np.arange(5))).sum() == 5
+        assert profile_of(subset(ds, np.arange(5))).sum() == 5
 
     def test_multi_label_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
@@ -326,7 +326,7 @@ class TestProfile:
         profiles = profile(ds, plan)
         assert profiles[1].tolist() == [0, 0]
         for counts, idx in zip(profiles, plan.assignments):  # the two counts agree
-            assert profile_of(ds.subset(idx)).tolist() == counts.tolist()
+            assert profile_of(subset(ds, idx)).tolist() == counts.tolist()
 
     def test_profile_of_an_empty_set_is_all_zero(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
@@ -342,7 +342,7 @@ class TestProfile:
         counts = profile(ds, plan)
         assert counts.shape == (7, 3) and counts.dtype == np.int64
         for k, idx in enumerate(plan.assignments):
-            node = profile_of(ds.subset(idx))
+            node = profile_of(subset(ds, idx))
             assert node.dtype == np.int64
             assert counts[k].tolist() == node.tolist()
 

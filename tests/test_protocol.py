@@ -61,7 +61,7 @@ from fedkd.protocol import (
     train_supervised,
 )
 
-from conftest import mixed, run_centralized, same_bits
+from conftest import mixed, run_centralized, same_bits, subset
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ class TestTrainLocals:
         handles = _train_cells([(train, plan.assignments)], NODE_CFG, [0])[0]
         for h in handles:
             if h.model is not None:
-                assert evaluate_single(h.model, train.subset(h.rows)) >= 0.90
+                assert evaluate_single(h.model, subset(train, h.rows)) >= 0.90
 
     def test_empty_shard_yields_no_model(self):
         train, _, _, _ = make_fixture()
@@ -367,7 +367,7 @@ class TestRunFedkd:
             if algorithm == "fedkd":
                 run_fedkd(base_run(plan, node_cfg=node_cfg), train, public, test)
             else:
-                run_fedavg(train, test, plan, node_cfg, rounds=2, seed=0)
+                run_fedavg(train, plan, node_cfg, rounds=2, seed=0)
         assert str(exc.value) == "need input and output dims, each >= 1, got [2, 4, 0]"
         assert calls == []
 
@@ -443,6 +443,30 @@ class TestRunFedkd:
                   train, public, test)
         assert len(refs) == plan.num_nodes and alive == [0]
 
+    def test_the_joined_split_is_freed_before_the_query(self, monkeypatch):
+        """Under labeled_public the joined [private; public] split dies once
+        the nodes have trained, so no query runs beside it."""
+        train, test, public, plan = make_fixture()
+        sizes, refs, alive = [], [], []
+        real_lockstep, real_collect = fedkd.protocol.train_lockstep, fedkd.protocol.collect_logits
+
+        def lockstep(models, data, *args, **kwargs):
+            for ds in {id(ds): ds for ds in data}.values():
+                sizes.append(ds.n)
+                refs.append(weakref.ref(ds))
+            return real_lockstep(models, data, *args, **kwargs)
+
+        def collect(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            return real_collect(*args, **kwargs)
+
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", lockstep)
+        monkeypatch.setattr(fedkd.protocol, "collect_logits", collect)
+        run_fedkd(base_run(plan, node_cfg=TrainConfig([8], epochs=1),
+                           distill_cfg=DistillConfig(steps=10), labeled_public=True),
+                  train, public, test)
+        assert sizes == [train.n + public.n] and alive == [0]
+
     def test_all_empty_rejected(self):
         _, test, public, _ = make_fixture()
         empty = Dataset(np.zeros((0, 16)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 4)
@@ -493,7 +517,7 @@ class TestRunFedkdBatch:
             bad = (Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4), public, test)
             bad[0].features[7, 2] = np.nan
         else:  # the healthy cell's student dims: one distill stack
-            bad = (train, public.subset(np.arange(32)), test)
+            bad = (train, subset(public, np.arange(32)), test)
         good, failed = fedkd.protocol.run_fedkd_batch([(run, train, public, test), (run, *bad)])
         assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
         with pytest.raises(Exception) as exc:
@@ -590,45 +614,57 @@ class TestStage:
 class TestRunFedavg:
     def test_one_round_one_node_is_centralized_training(self):
         train, test, _, _ = make_fixture()
-        res = run_fedavg(train, test, whole_plan(train), NODE_CFG, rounds=1, seed=0)
+        res = run_fedavg(train, whole_plan(train), NODE_CFG, rounds=1, seed=0)
         central_model, central_acc = run_centralized(train, test, NODE_CFG, 0)
         assert params_equal(res.model, central_model)
-        assert res.metrics["central"] == central_acc
+        assert evaluate_single(res.model, test) == central_acc
 
     def test_reaches_near_centralized_accuracy(self):
         train, test, _, plan = make_fixture()
         cfg = TrainConfig([32], epochs=3, batch_size=32, lr_start=0.05)
-        res = run_fedavg(train, test, plan, cfg, rounds=10, seed=0)
+        res = run_fedavg(train, plan, cfg, rounds=10, seed=0)
         _, central_acc = run_centralized(train, test, NODE_CFG, 0)
-        assert res.metrics["central"] >= central_acc - 0.03
+        assert evaluate_single(res.model, test) >= central_acc - 0.03
 
     def test_ledger_matches_closed_form(self):
-        train, test, _, plan = make_fixture()
+        train, _, _, plan = make_fixture()
         cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
-        res = run_fedavg(train, test, plan, cfg, rounds=4, seed=0)
+        res = run_fedavg(train, plan, cfg, rounds=4, seed=0)
         p = res.model.parameter_count()
         active = sum(1 for a in plan.assignments if len(a) > 0)
         assert res.ledger.total() == 4 * active * 2 * 8 * p
         assert res.ledger.total("params_down") == res.ledger.total("params_up")
 
     def test_ledger_linear_in_rounds(self):
-        train, test, _, plan = make_fixture()
+        train, _, _, plan = make_fixture()
         cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
-        one = run_fedavg(train, test, plan, cfg, rounds=1, seed=0)
-        three = run_fedavg(train, test, plan, cfg, rounds=3, seed=0)
+        one = run_fedavg(train, plan, cfg, rounds=1, seed=0)
+        three = run_fedavg(train, plan, cfg, rounds=3, seed=0)
         assert three.ledger.total() == 3 * one.ledger.total()
 
     def test_empty_shards_skipped(self):
-        train, test, _, _ = make_fixture()
+        train = subset(make_fixture()[0], np.arange(300))  # the plan covers it exactly once
         plan = PartitionPlan([np.arange(300), np.array([], dtype=int)], 1.0)
         cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
-        res = run_fedavg(train, test, plan, cfg, rounds=2, seed=0)
+        res = run_fedavg(train, plan, cfg, rounds=2, seed=0)
         assert {r[1] for r in res.ledger.rows()} == {0}
 
     def test_zero_rounds_rejected(self):
-        train, test, _, plan = make_fixture()
+        train, _, _, plan = make_fixture()
         with pytest.raises(ConfigurationError):
-            run_fedavg(train, test, plan, NODE_CFG, rounds=0, seed=0)
+            run_fedavg(train, plan, NODE_CFG, rounds=0, seed=0)
+
+    def test_a_plan_that_does_not_cover_the_data_once_is_rejected(self):
+        """Row 8 goes to nodes 0 and 3 and row 3 to no node: run_fedavg
+        rejects the plan before any training, with run_fedkd's message."""
+        train, test, public, _ = make_fixture()
+        plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
+                              np.arange(1, 1200, 100), np.arange(2, 600, 3)], 1.0)
+        message = "^assignments must cover the dataset exactly once$"
+        with pytest.raises(ValidationError, match=message):
+            run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            run_fedkd(base_run(plan), train, public, test)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +690,7 @@ class TestTrainSupervised:
 
     def test_batch_size_clamped_to_dataset(self):
         train, _, _, _ = make_fixture()
-        small = train.subset(np.arange(10))
+        small = subset(train, np.arange(10))
         cfg = TrainConfig([], epochs=2, batch_size=32)
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         out = train_supervised(model.copy(), small, cfg, RandomStream(0, (46,)))
@@ -662,7 +698,7 @@ class TestTrainSupervised:
 
     def test_deterministic_given_streams(self):
         train, _, _, _ = make_fixture()
-        shard = train.subset(np.arange(100))
+        shard = subset(train, np.arange(100))
         cfg = TrainConfig([8], epochs=3, batch_size=16)
         outs = []
         for _ in range(2):
@@ -722,7 +758,7 @@ class TestFusedTrainingStep:
     @pytest.mark.parametrize("resume", [None, (4, 1)])  # (rounds, round_index)
     def test_bit_identical_to_the_public_per_step_chain(self, task, resume):
         if task == SINGLE_LABEL:
-            ds = make_fixture()[0].subset(np.arange(0, 1200, 8))  # all four classes
+            ds = subset(make_fixture()[0], np.arange(0, 1200, 8))  # all four classes
         else:
             ds = multi_label_fixture()
         cfg = TrainConfig([12, 8], epochs=3, batch_size=16, lr_start=0.1,
@@ -741,7 +777,7 @@ class TestFusedTrainingStep:
         # batches of 20 leave a tail of 7 (single-label) or 10 (multi-label)
         # rows; every 8th row spans all four classes
         if task == SINGLE_LABEL:
-            ds = make_fixture()[0].subset(np.arange(0, 1176, 8))
+            ds = subset(make_fixture()[0], np.arange(0, 1176, 8))
         else:
             ds = multi_label_fixture()
         cfg = TrainConfig([12], epochs=4, batch_size=20, lr_start=0.2)
@@ -755,13 +791,13 @@ class TestFusedTrainingStep:
         cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=1e300)
         model = init_mlp([16, 8, 4], RandomStream(0, (45,)))
         with pytest.raises(DivergenceError, match="node training diverged on node 3") as exc:
-            train_supervised(model, train.subset(np.arange(64)), cfg,
+            train_supervised(model, subset(train, np.arange(64)), cfg,
                              RandomStream(0, (46,)), node_id=3)
         assert (exc.value.phase, exc.value.node_id) == ("node training", 3)
 
     def test_non_finite_features_rejected_on_entry(self):
         train, _, _, _ = make_fixture()
-        bad = train.subset(np.arange(32))
+        bad = subset(train, np.arange(32))
         bad.features[5, 2] = np.nan
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         with pytest.raises(ValueError, match="features"):
@@ -790,13 +826,13 @@ class TestLockstepTrainer:
         single = make_fixture()[0]
         multi = multi_label_fixture(n=150)
         return [
-            single.subset(np.arange(0, 1200, 8)),
-            single.subset(np.arange(3, 1200, 13)),
-            single.subset(np.arange(5, 1200, 120)),  # 10 rows
+            subset(single, np.arange(0, 1200, 8)),
+            subset(single, np.arange(3, 1200, 13)),
+            subset(single, np.arange(5, 1200, 120)),  # 10 rows
             multi,
-            single.subset(np.arange(1, 1200, 10)),
-            multi.subset(np.arange(60)),
-            multi.subset(np.arange(60, 130)),
+            subset(single, np.arange(1, 1200, 10)),
+            subset(multi, np.arange(60)),
+            subset(multi, np.arange(60, 130)),
         ]
 
     def test_mixed_stacks_match_the_oracle_bit_for_bit(self):
@@ -825,20 +861,24 @@ class TestLockstepTrainer:
         assert handles[1].model is None
         for k in (0, 2, 3):  # the oracle trains on a copy of the node's rows
             model = init_mlp([16, 8, 4], RandomStream(5, (fedkd.protocol.STREAM_INIT, k)))
-            ref = reference_train(model, train.subset(rows[k]), cfg,
+            ref = reference_train(model, subset(train, rows[k]), cfg,
                                   RandomStream(5, (fedkd.protocol.STREAM_BATCH, k, 0)))
             assert bits_equal(handles[k].model, ref), f"node {k}"
 
     def test_fedavg_matches_a_per_round_oracle_loop(self):
-        train, test, _, _ = make_fixture()
+        train = make_fixture()[0]
+        # uneven shards, one empty and one below the batch size; node 3 gets
+        # every row the others leave, so the plan covers the data once
+        taken = np.concatenate([np.arange(0, 1200, 4), np.arange(1, 1200, 100)])
         plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
-                              np.arange(1, 1200, 100), np.arange(2, 600, 3)], 1.0)
+                              np.arange(1, 1200, 100), np.setdiff1d(np.arange(1200), taken)],
+                             1.0)
         cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1,
                           weight_decay=1e-3)
         rounds = 3
-        res = run_fedavg(train, test, plan, cfg, rounds=rounds, seed=4)
+        res = run_fedavg(train, plan, cfg, rounds=rounds, seed=4)
 
-        shards = [train.subset(a) for a in plan.assignments]
+        shards = [subset(train, a) for a in plan.assignments]
         active = [k for k, s in enumerate(shards) if s.n]
         sizes = np.array([shards[k].n for k in active], dtype=np.float64)
         coef = sizes / sizes.sum()
@@ -856,7 +896,7 @@ class TestLockstepTrainer:
         model = init_mlp([16, 4], RandomStream(0, (45,)))
         cfg = TrainConfig([], epochs=1)
         with pytest.raises(ConfigurationError, match="empty dataset"):
-            train_lockstep([model], [train.subset([])], cfg, [RandomStream(0, (46,))])
+            train_lockstep([model], [subset(train, [])], cfg, [RandomStream(0, (46,))])
         with pytest.raises(ConfigurationError, match="one entry per model"):
             train_lockstep([model], [train], cfg, [RandomStream(0, (46,))] * 2)
 
@@ -879,7 +919,7 @@ class TestLockstepTrainer:
 def joined(private: Dataset, rows: np.ndarray, public: Dataset) -> Dataset:
     """A node's labeled_public training set as a copy: its private rows, then
     every public row."""
-    shard = private.subset(rows)
+    shard = subset(private, rows)
     return Dataset(np.concatenate([shard.features, public.features]),
                    np.concatenate([shard.labels, public.labels]), shard.task, shard.num_classes)
 
@@ -904,7 +944,7 @@ class TestIndexRows:
                 rounds=resume[0], round_index=resume[1], **kw)
 
         indexed = train(data, rows=rows)
-        copied = train([ds.subset(idx) for ds, idx in zip(data, rows)])
+        copied = train([subset(ds, idx) for ds, idx in zip(data, rows)])
         for k in range(len(rows)):
             assert bits_equal(indexed[k], copied[k]), f"node {k}"
 
@@ -946,19 +986,24 @@ class TestIndexRows:
 
     @pytest.mark.parametrize("labeled_public", [False, True])
     def test_no_run_copies_a_shard(self, monkeypatch, labeled_public):
+        """No run builds a dataset of its own but the one joined split per
+        data group under labeled_public: a copied shard would be one more."""
         train, test, public, plan = make_fixture()
+        built = []
 
-        def no_copy(self, indices):
-            raise AssertionError("a shard was copied")
+        def counting(self, _real=Dataset.__post_init__):
+            built.append(self.n)
+            _real(self)
 
-        monkeypatch.setattr(Dataset, "subset", no_copy)
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
         run = base_run(plan, node_cfg=TrainConfig([8], epochs=1),
                        distill_cfg=DistillConfig(steps=10), labeled_public=labeled_public)
         run_fedkd(run, train, public, test)
         results = fedkd.protocol.run_fedkd_batch(
             [(run, train, public, test), (dataclasses.replace(run, seed=1), train, public, test)])
         assert not any(isinstance(r, Exception) for r in results)
-        run_fedavg(train, test, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
+        run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
+        assert built == ([train.n + public.n] * 2 if labeled_public else [])
 
     def test_features_are_checked_once_per_split(self, monkeypatch):
         """run_fedavg checks its private features once, not once per round;
@@ -971,7 +1016,7 @@ class TestIndexRows:
             return _real(a, name, *args, **kwargs)
 
         monkeypatch.setattr(fedkd.protocol, "check_matrix", counting)
-        run_fedavg(train, test, plan, TrainConfig([8], epochs=1), rounds=3, seed=0)
+        run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=3, seed=0)
         assert checked == ["features"]
         del checked[:]
         other = PartitionPlan(plan.assignments[::-1], 1.0)
@@ -1016,7 +1061,7 @@ class TestIndexRows:
 
 def twenty_node_shards():
     train, _, _, plan = make_fixture(seed=2, nodes=20, alpha=0.3)
-    return [train.subset(a) for a in plan.assignments]
+    return [subset(train, a) for a in plan.assignments]
 
 
 SCHED_CFG = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1)
@@ -1070,7 +1115,7 @@ class TestSchedulingDeterminism:
         bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         for k in (1, 3):  # features at 1e100 overflow the first updates
             bad.features[plan.assignments[k]] *= 1e100
-        shards = [bad.subset(a) for a in plan.assignments]  # one stack
+        shards = [subset(bad, a) for a in plan.assignments]  # one stack
         cfg = TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1)
 
         (failed,) = _train_cells([(bad, plan.assignments)], cfg, [0])
@@ -1090,5 +1135,5 @@ class TestSchedulingDeterminism:
             assert bits_equal(out[k], alone), f"node {k}"
 
         with pytest.raises(DivergenceError, match="node training diverged on node 1") as exc:
-            run_fedavg(bad, test, plan, cfg, rounds=1, seed=0)
+            run_fedavg(bad, plan, cfg, rounds=1, seed=0)
         assert exc.value.node_id == 1

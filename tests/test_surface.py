@@ -12,6 +12,8 @@ import pytest
 
 import fedkd
 
+from conftest import readme_library_example
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,9 +30,7 @@ def test_every_spanned_function_resolves(module, name):
 
 
 def readme_library_imports() -> list[str]:
-    readme = (ROOT / "README.md").read_text()
-    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    return [alias.name for node in ast.walk(ast.parse(code))
+    return [alias.name for node in ast.walk(ast.parse(readme_library_example()))
             if isinstance(node, ast.ImportFrom) and node.module == "fedkd"
             for alias in node.names]
 
