@@ -310,10 +310,12 @@ def parse_dict(doc: dict) -> ExperimentConfig:
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, no read permission, ...
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -9,7 +9,6 @@ tasks. Datasets are immutable after construction.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,6 @@ __all__ = [
     "load_csv",
     "dirichlet_partition",
     "profile",
-    "plan_to_json",
 ]
 
 
@@ -269,16 +267,3 @@ def profile(ds: Dataset, plan: PartitionPlan) -> np.ndarray:
 def profile_of(ds: Dataset) -> np.ndarray:
     """[C] class counts of a whole dataset (a node's actual training set)."""
     return _class_counts(ds, slice(None))
-
-
-# ---------------------------------------------------------------------------
-# plan serialization
-
-
-def plan_to_json(plan: PartitionPlan) -> str:
-    doc = {
-        "alpha": plan.alpha,
-        "seed": plan.seed,
-        "assignments": [a.tolist() for a in plan.assignments],
-    }
-    return json.dumps(doc, sort_keys=True)

@@ -2,9 +2,16 @@
 the end-to-end tests, runners over seed lists, centralized training on the
 pooled data, the per-step oracle of distillation with its row-wise KL loss,
 the per-row rule of a multi-label row's partition class, the block-list
-formula of a synthetic split, a copy of a dataset's rows, the README's
-library example, and the arrays and bit comparison of the fast-path tests."""
+formula of a synthetic split, a copy of a dataset's rows, a config file and
+a small CSV task written out, the README's quick-start config and library
+example, a runner of ``python`` in a fresh interpreter, and the arrays and
+bit comparison of the fast-path tests."""
 import copy
+import csv
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +143,67 @@ def subset(ds: Dataset, indices) -> Dataset:
     return Dataset(ds.features[idx], ds.labels[idx], ds.task, ds.num_classes)
 
 
-def readme_library_example() -> str:
-    """The Python block under "## Library use" in the README, cut out as CI
-    cuts it."""
-    fence = "`" * 3
+FENCE = "`" * 3
+
+
+def readme_config() -> dict:
+    """The README's first JSON block: the quick start's config."""
     readme = (ROOT / "README.md").read_text()
-    return readme.split("## Library use", 1)[1].split(fence + "python\n", 1)[1].split(fence, 1)[0]
+    return json.loads(readme.split(FENCE + "json\n", 1)[1].split(FENCE, 1)[0])
+
+
+def readme_library_example() -> str:
+    """The Python block under "## Library use" in the README."""
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library use", 1)[1].split(FENCE + "python\n", 1)[1].split(FENCE, 1)[0]
+
+
+def run_python(*args, env=None, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter, outside pytest's warning
+    capture, with PYTHONPATH=src and the variables of ``env`` added to the
+    environment: the completed process, its output captured as text."""
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        env={**os.environ, **(env or {}), "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, cwd=cwd,
+    )
+
+
+def write_config(tmp_path, doc, name="cfg.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def write_csv_task(tmp_path, multi=False):
+    """Two separable 2-d blobs as CSV splits; multi adds a masked second label.
+    Every split holds both values of each label, and multi marks every tenth
+    row's second label unknown (-1)."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, n in (("private", 80), ("public", 80), ("test", 40)):
+        rows = []
+        for i in range(n):
+            y = i % 2
+            x0 = (3.0 if y else -3.0) + rng.normal(0, 0.3)
+            x1 = (3.0 if i % 4 < 2 else -3.0) + rng.normal(0, 0.3)
+            if multi:
+                b = 1 if x1 > 0 else 0
+                if i % 10 == 9:
+                    b = -1
+                rows.append([f"{x0:.5f}", f"{x1:.5f}", y, b])
+            else:
+                rows.append([f"{x0:.5f}", f"{x1:.5f}", y])
+        p = tmp_path / f"{split}.csv"
+        with p.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x0", "x1", "a", "b"] if multi else ["x0", "x1", "y"])
+            w.writerows(rows)
+        paths[split] = str(p)
+    task = {"kind": "csv", "task_type": "multi_label" if multi else "single_label",
+            "num_classes": 2, "feature_cols": ["x0", "x1"],
+            "label_cols": ["a", "b"] if multi else ["y"], **paths}
+    return task
 
 
 def reference_distill(model, x, teacher, cfg, rs, task):

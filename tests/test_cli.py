@@ -6,9 +6,6 @@ import importlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -41,7 +38,8 @@ from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
 from fedkd.protocol import FedKdRun, TrainConfig, _central_metrics, run_fedavg, run_fedkd
 
-from conftest import readme_library_example, reference_distill
+from conftest import (readme_config, readme_library_example, reference_distill, run_python,
+                      write_config, write_csv_task)
 
 DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
@@ -61,12 +59,6 @@ def tiny_doc(**over):
 
 def bits(model):
     return model.flat.view("i8").tolist()
-
-
-def write_config(tmp_path, doc, name="cfg.json"):
-    p = tmp_path / name
-    p.write_text(json.dumps(doc))
-    return p
 
 
 class TestParsing:
@@ -184,6 +176,7 @@ class TestRunArtifacts:
         cfg = parse_dict(tiny_doc())
         rd = cmd_run(cfg, tmp_path, seed=0, force=False)
         trace = execute_fedkd(cfg, 0).trace
+        assert len(trace) == cfg.distill.steps
         assert (rd / "trace.jsonl").read_text() == "".join(
             json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
 
@@ -360,35 +353,6 @@ class TestReport:
         assert rows == [["fedkd", "1", "accuracy", "0.9000"], ["fedkd", "1", "mean_auc", "0.7000"]]
 
 
-def write_csv_task(tmp_path, multi=False):
-    """Two separable 2-d blobs as CSV splits; multi adds a masked second label."""
-    rng = np.random.default_rng(0)
-    paths = {}
-    for split, n in (("private", 80), ("public", 80), ("test", 40)):
-        rows = []
-        for i in range(n):
-            y = i % 2
-            x0 = (3.0 if y else -3.0) + rng.normal(0, 0.3)
-            x1 = (3.0 if i % 4 < 2 else -3.0) + rng.normal(0, 0.3)
-            if multi:
-                b = 1 if x1 > 0 else 0
-                if i % 10 == 9:
-                    b = -1
-                rows.append([f"{x0:.5f}", f"{x1:.5f}", y, b])
-            else:
-                rows.append([f"{x0:.5f}", f"{x1:.5f}", y])
-        p = tmp_path / f"{split}.csv"
-        with p.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x0", "x1", "a", "b"] if multi else ["x0", "x1", "y"])
-            w.writerows(rows)
-        paths[split] = str(p)
-    task = {"kind": "csv", "task_type": "multi_label" if multi else "single_label",
-            "num_classes": 2, "feature_cols": ["x0", "x1"],
-            "label_cols": ["a", "b"] if multi else ["y"], **paths}
-    return task
-
-
 class TestCsvTasks:
     def test_single_label_end_to_end(self, tmp_path):
         doc = tiny_doc(num_nodes=2,
@@ -414,9 +378,16 @@ class TestMainExitCodes:
         p = write_config(tmp_path, tiny_doc())
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
-    def test_missing_config_is_config_error(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == 2
+    def test_missing_config_is_config_error(self, tmp_path, capsys):
+        """A config path that is absent, or a directory, exits 2 on one line
+        naming the path."""
+        path = tmp_path / "cfg.json"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: config file not found: {path}\n"
+        path.mkdir()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {path}: Is a directory\n")
 
     def test_invalid_config_is_config_error(self, tmp_path):
         p = write_config(tmp_path, tiny_doc(alpha=0))
@@ -657,12 +628,8 @@ def test_non_finite_query_prints_one_stderr_line(tmp_path):
     stderr ahead of the one-line runtime error."""
     doc = tiny_doc(num_nodes=2, node={"hidden_dims": [16], "epochs": 1, "batch_size": 1000})
     doc["task"]["cov_scale"] = 1e300
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-m", "fedkd.cli", "run", "--config", str(write_config(tmp_path, doc)),
-         "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-    )
+    out = run_python("-m", "fedkd.cli", "run", "--config", write_config(tmp_path, doc),
+                     "--out", tmp_path / "o")
     assert out.returncode == 3
     assert out.stderr == "runtime error: querying node 0: logits: non-finite entries\n"
 
@@ -681,15 +648,11 @@ def test_overflowing_value_prints_one_line_naming_it(tmp_path, key, message):
     *section, field = key.split(".")
     (doc[section[0]] if section else doc)[field] = 1e308
     sweep = {"param": "gamma", "values": [None, 1.0], "seeds": [0, 1]}
-    src = Path(__file__).resolve().parent.parent / "src"
 
     def cli(command, doc):
-        return subprocess.run(
-            [sys.executable, "-m", "fedkd.cli", command, "--config",
-             str(write_config(tmp_path, doc, f"{command}.json")),
-             "--out", str(tmp_path / command)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-        )
+        return run_python("-m", "fedkd.cli", command, "--config",
+                          write_config(tmp_path, doc, f"{command}.json"),
+                          "--out", tmp_path / command)
 
     run = cli("run", doc)
     assert (run.returncode, run.stderr) == (3, f"runtime error: {message}\n")
@@ -717,12 +680,8 @@ def test_finite_but_huge_value_reaches_training(tmp_path, over, message):
     README gives, outside pytest's warning capture, and leaves no run
     directory."""
     doc = tiny_doc(seed=1, **over)
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
-         "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-    )
+    out = run_python("-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
+                     "--config", write_config(tmp_path, doc), "--out", tmp_path / "o")
     assert (out.returncode, out.stderr) == (3, f"runtime error: {message}\n")
     assert not (tmp_path / "o").exists()
 
@@ -730,12 +689,8 @@ def test_finite_but_huge_value_reaches_training(tmp_path, over, message):
 def test_import_leaves_scipy_unloaded():
     """The package runs on numpy alone; a cold `import fedkd.cli` pulls in no
     scipy even where scipy is installed."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", "import fedkd.cli, sys; print('scipy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    out = run_python("-c", "import fedkd.cli, sys; print('scipy' in sys.modules)")
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
@@ -743,14 +698,11 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path, command):
     """No command imports numpy.ma (np.unique does, lazily): it costs every
     run about 1.25 MiB of RSS and a few ms."""
     doc = tiny_doc(sweep={"param": "gamma", "values": [None, 1.0], "seeds": [0]})
-    src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys; from fedkd.cli import main; "
               "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
-    out = subprocess.run(
-        [sys.executable, "-c", script, command, "--config", str(write_config(tmp_path, doc)),
-         "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
-    )
+    out = run_python("-c", script, command, "--config", write_config(tmp_path, doc),
+                     "--out", tmp_path / "o")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
@@ -1252,9 +1204,7 @@ class TestFailedRunLeavesNoRunDirectory:
 def test_readme_quick_start_beats_the_standalone_nodes(tmp_path):
     """The README's first JSON config parses and runs, and the distilled
     model beats the mean standalone node, as the README says it does."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-    cfg = parse_dict(json.loads(block))
+    cfg = parse_dict(readme_config())
     rd = cmd_run(cfg, tmp_path, seed=cfg.seed, force=False)
     metrics = json.loads((rd / "metrics.json").read_text())
     assert metrics["central"] > metrics["standalone_mean"]

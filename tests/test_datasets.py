@@ -1,5 +1,4 @@
 """Dataset construction, CSV ingestion, Dirichlet partitioning, profiling."""
-import json
 import re
 
 import numpy as np
@@ -16,7 +15,6 @@ from fedkd.datasets import (
     dirichlet_partition,
     gen_gaussian_task,
     load_csv,
-    plan_to_json,
     profile,
     profile_of,
 )
@@ -349,15 +347,3 @@ class TestProfile:
     def test_a_partition_of_an_empty_set(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
         assert profile(ds, PartitionPlan([], alpha=1.0)).shape == (0, 3)
-
-
-class TestPlanJson:
-    def test_round_trip(self):
-        ds = balanced_single(20, 2)
-        plan = dirichlet_partition(ds, 3, 0.7, RandomStream(5, (1,)))
-        plan.seed = 5
-        doc = json.loads(plan_to_json(plan))
-        assert doc["alpha"] == plan.alpha and doc["seed"] == 5
-        assert len(doc["assignments"]) == len(plan.assignments)
-        for a, b in zip(doc["assignments"], plan.assignments):
-            assert a == b.tolist()
