@@ -670,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FedKdError, OSError, MemoryError) as exc:
+    except (FedKdError, OSError, MemoryError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

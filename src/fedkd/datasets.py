@@ -75,7 +75,6 @@ class PartitionPlan:
 
     assignments: list[np.ndarray]
     alpha: float
-    seed: int | None = None
 
     def __post_init__(self):
         self.assignments = [np.asarray(a, dtype=np.int64) for a in self.assignments]
@@ -246,7 +245,7 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
         edges[-1] = idx.size  # guard against rounding shortfall
         owner[idx] = np.repeat(np.arange(num_nodes), np.diff(edges, prepend=0))
     parts = [np.flatnonzero(owner == k) for k in range(num_nodes)]
-    return PartitionPlan(parts, alpha=float(alpha), seed=rs.seed)
+    return PartitionPlan(parts, alpha=float(alpha))
 
 
 def _class_counts(ds: Dataset, rows) -> np.ndarray:

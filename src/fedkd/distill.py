@@ -33,6 +33,7 @@ from .numkit import (
     RandomStream,
     SgdJob,
     check_matrix,
+    check_sgd_schedule,
     cosine_lr,
     mlp_forward,
     train_sgd,
@@ -78,11 +79,7 @@ class DistillConfig:
             raise ConfigurationError("steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if not self.lr_start >= self.lr_end >= 0:
-            raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
-                                     f"{self.lr_start} and lr_end={self.lr_end}")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
         if self.loss_mode not in (LOGIT_L2, KL):
             raise ConfigurationError(f"unknown loss_mode {self.loss_mode!r}")
         if not self.tau > 0:

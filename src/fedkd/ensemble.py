@@ -36,7 +36,6 @@ __all__ = [
     "quantize_array",
     "laplace_sample",
     "ensemble",
-    "float_payload_bytes",
     "packed_payload_bytes",
     "quant_level_bits",
 ]
@@ -253,18 +252,14 @@ def ensemble(
 
 
 # ---------------------------------------------------------------------------
-# payload sizes, the one source of logit bytes: float64 logits at 8 bytes each
-# (the ledger), and a bit-packed upload at ceil(log2(S+1)) bits per logit
-# (``packed_logits_bytes``), a computed size: no encoder builds that upload
+# the size of a bit-packed upload at ceil(log2(S+1)) bits per logit
+# (``packed_logits_bytes``), a computed size: no encoder builds that upload,
+# and the ledger bills the float64 logits sent at their ``nbytes``
 
 
 def quant_level_bits(scale: int) -> int:
     """Bits per quantized logit: enough for the S+1 grid levels."""
     return max(1, math.ceil(math.log2(scale + 1)))
-
-
-def float_payload_bytes(rows: int, cols: int) -> int:
-    return rows * cols * 8
 
 
 def packed_payload_bytes(rows: int, cols: int, scale: int) -> int:

@@ -41,13 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, ValidationError
+from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
 
 __all__ = [
     "RandomStream",
     "CosineSchedule",
     "MlpModel",
     "check_matrix",
+    "check_sgd_schedule",
     "init_mlp",
     "mlp_parameter_count",
     "mlp_forward",
@@ -143,6 +144,15 @@ class CosineSchedule:
             raise RangeError("total_steps must be >= 1")
         if not (self.lr_start >= self.lr_end >= 0.0):
             raise RangeError("require lr_start >= lr_end >= 0")
+
+
+def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> None:
+    """The range check of every config that sets an SGD schedule."""
+    if not lr_start >= lr_end >= 0:
+        raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
+                                 f"{lr_start} and lr_end={lr_end}")
+    if weight_decay < 0:
+        raise ConfigurationError("weight_decay must be >= 0")
 
 
 def cosine_lr(schedule: CosineSchedule, step: int) -> float:
@@ -365,9 +375,11 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
 def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 0.0) -> MlpModel:
     """theta <- theta - lr * (grad + weight_decay * theta), one in-place update
     of ``model.flat``; returns model. Without decay the update is ``theta -
-    lr * grad``, bit-identical to adding 0 * theta when theta is finite."""
-    if lr < 0 or weight_decay < 0:
-        raise RangeError("lr and weight_decay must be >= 0")
+    lr * grad``, bit-identical to adding 0 * theta when theta is finite.
+
+    The step checks neither ``lr`` nor ``weight_decay``: :func:`train_sgd`
+    passes rates of a :class:`CosineSchedule`, which is checked when built,
+    and decays from a config checked by :func:`check_sgd_schedule`."""
     p = model.flat
     if weight_decay:
         p -= lr * (grads.flat + weight_decay * p)

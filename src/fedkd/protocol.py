@@ -21,11 +21,10 @@ it: each node permutes its own shard from its own stream, and its slice of
 every stacked call is the call it would make alone, so a node trains to the
 same bits alone, in any stack and in any order.
 
-Ledger convention: an entry's bytes are its payload at 8 bytes per float64
-(a node's logits, its separately gathered max-abs scalar, or a model's P
-parameters), from the formulas :func:`~fedkd.ensemble.float_payload_bytes`
-and :func:`param_payload_bytes`; no addressing is billed, so totals match the
-plain bytes-per-value arithmetic.
+Ledger convention: an entry's bytes are the ``nbytes`` of the float64 array
+it sends (a node's logits once per query repeat, its separately gathered
+max-abs scalar, or a model's ``flat`` parameter vector); no addressing is
+billed, so totals match the plain bytes-per-value arithmetic.
 """
 from __future__ import annotations
 
@@ -56,7 +55,6 @@ from .ensemble import (
     PER_CLASS,
     WeightTable,
     ensemble,
-    float_payload_bytes,
     importance_weights,
     packed_payload_bytes,
 )
@@ -75,6 +73,7 @@ from .numkit import (
     SgdJob,
     _forward_trace,
     check_matrix,
+    check_sgd_schedule,
     init_mlp,
     train_sgd,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "run_fedkd",
     "run_fedkd_batch",
     "run_fedavg",
-    "param_payload_bytes",
 ]
 
 
@@ -146,10 +144,6 @@ def ledger_report(ledger: BandwidthLedger) -> dict:
     }
 
 
-def param_payload_bytes(model: MlpModel) -> int:
-    return 8 * model.parameter_count()
-
-
 # ---------------------------------------------------------------------------
 # local supervised training
 
@@ -170,11 +164,7 @@ class TrainConfig:
             raise ConfigurationError("hidden_dims entries must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be >= 1")
-        if not self.lr_start >= self.lr_end >= 0:
-            raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
-                                     f"{self.lr_start} and lr_end={self.lr_end}")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
 
 
 def _dims(ds: Dataset, hidden_dims: list[int]) -> list[int]:
@@ -382,7 +372,7 @@ def collect_logits(
             raise ValidationError(f"querying node {h.node_id}: {err}") from None
         blocks.append(block)
         if ledger is not None:
-            ledger.add("logits_up", h.node_id, repeats * float_payload_bytes(*block.shape))
+            ledger.add("logits_up", h.node_id, repeats * block.logits.nbytes)
     return blocks
 
 
@@ -443,7 +433,7 @@ def _teacher(run: FedKdRun, handles, profiles, public: Dataset):
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
     for b in blocks:
-        ledger.add("scalar_max_up", b.node_id, 8)
+        ledger.add("scalar_max_up", b.node_id, np.float64(b.local_max_abs).nbytes)
 
     weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
     teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
@@ -621,8 +611,8 @@ def run_fedavg(
 
     Each round every non-empty node downloads the global parameters, runs
     cfg.epochs local epochs continuing a cosine schedule spanning all rounds,
-    and uploads; the server takes the shard-size-weighted mean. Both transfer
-    directions are billed at 8 bytes per parameter. A plan that does not
+    and uploads; the server takes the shard-size-weighted mean. Each transfer
+    is billed at the ``flat.nbytes`` of the model sent. A plan that does not
     cover ``private`` exactly once is a ValidationError, as in run_fedkd.
     """
     if rounds < 1:
@@ -636,7 +626,6 @@ def run_fedavg(
 
     global_model = init_mlp(_dims(private, node_cfg.hidden_dims),
                             RandomStream(seed, (STREAM_INIT, 0)))
-    pbytes = param_payload_bytes(global_model)
     ledger = BandwidthLedger()
     check_matrix(private.features, "features")  # once, not once per round
 
@@ -652,9 +641,9 @@ def run_fedavg(
         )
         if None in locals_:
             raise DivergenceError("node training", active[locals_.index(None)])
-        for k in active:
-            ledger.add("params_down", k, pbytes)
-            ledger.add("params_up", k, pbytes)
+        for k, m in zip(active, locals_):
+            ledger.add("params_down", k, global_model.flat.nbytes)
+            ledger.add("params_up", k, m.flat.nbytes)
         global_model.flat[:] = sum(c * m.flat for c, m in zip(coef, locals_))
 
     metrics = {

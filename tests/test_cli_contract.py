@@ -12,10 +12,14 @@ DIVERGED = "DivergenceError: distillation diverged on the central model: non-fin
 
 
 def test_readme_library_example_runs_clean(tmp_path):
+    """The README's "Library use" block runs as written, and its distilled
+    model beats the mean standalone node, the first two values it prints."""
     example = tmp_path / "example.py"
     example.write_text(readme_library_example())
     out = run_python("-W", "error::RuntimeWarning", example, cwd=tmp_path)
     assert (out.returncode, out.stderr) == (0, "")
+    central, standalone_mean = map(float, out.stdout.splitlines()[0].split())
+    assert central > standalone_mean
 
 
 def cli(*args, env=None):
@@ -44,8 +48,9 @@ def test_readme_quick_start_writes_the_same_bytes_under_one_blas_thread(tmp_path
     and sweep (effective labels, positive-count profiles, sigmoid
     distillation): every command exits 0 with nothing on stderr, under
     OPENBLAS_NUM_THREADS=1 and under the default, and both write the same
-    bytes, metrics.json's timestamp aside. The variable is set here only; it
-    is no program knob."""
+    bytes, metrics.json's timestamp aside. The quick start's distilled
+    model beats the mean standalone node, as the README says. The variable
+    is set here only; it is no program knob."""
     doc = readme_config()
     cfg = write_config(tmp_path, doc)
     public = write_config(tmp_path, {**doc, "labeled_public": True}, "public.json")
@@ -75,6 +80,8 @@ def test_readme_quick_start_writes_the_same_bytes_under_one_blas_thread(tmp_path
     assert {name for name in files if name.startswith(run + "/")} == {
         f"{run}/{name}" for name in ("config.json", "ledger.csv", "metrics.json", "trace.jsonl")}
     assert len(files[f"{run}/trace.jsonl"].splitlines()) == doc["distill"]["steps"] == 1500
+    metrics = json.loads(files[f"{run}/metrics.json"])
+    assert metrics["central"] > metrics["standalone_mean"]
     rows = list(csv.DictReader(files["ablation.csv"].decode().splitlines()))
     assert [r["error"] for r in rows] == [""] * 4 + [DIVERGED] * 2
     (public_config,) = [v for k, v in files.items() if k.startswith("public/fedkd-")

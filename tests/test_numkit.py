@@ -216,12 +216,6 @@ class TestSgd:
                                grads.weights + grads.biases):
             assert np.array_equal(new, old - 0.1 * (g + 0.01 * old))
 
-    def test_negative_lr_rejected(self):
-        model = make_model([2, 2])
-        grads = MlpModel([2, 2], [np.zeros((2, 2))], [np.zeros((1, 2))])
-        with pytest.raises(RangeError):
-            sgd_step(model, grads, -0.1)
-
     # values of a [2, 3, 1] model: signed zeros, any finite magnitude, mixed signs
     _params = st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False,
                        allow_infinity=False)), min_size=13, max_size=13)

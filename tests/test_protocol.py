@@ -53,7 +53,6 @@ from fedkd.protocol import (
     collect_logits,
     ledger_report,
     masked_bce_grad,
-    param_payload_bytes,
     run_fedavg,
     run_fedkd,
     softmax_xent_grad,
@@ -665,17 +664,6 @@ class TestRunFedavg:
             run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
         with pytest.raises(ValidationError, match=message):
             run_fedkd(base_run(plan), train, public, test)
-
-
-# ---------------------------------------------------------------------------
-# parameter wire frames
-
-
-class TestParamFrames:
-    def test_payload_is_eight_bytes_per_parameter(self):
-        model = init_mlp([5, 7, 3], RandomStream(0, (907,)))
-        assert param_payload_bytes(model) == 8 * model.parameter_count()
-        assert model.flat.nbytes == param_payload_bytes(model)
 
 
 # ---------------------------------------------------------------------------
