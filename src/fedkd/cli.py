@@ -373,13 +373,12 @@ def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
         ) / math.sqrt(t.dim)
         spec = GaussianTaskSpec(num_classes=t.num_classes, dim=t.dim, per_class_count=per_class,
                                 class_means=means, cov_scale=t.cov_scale, domain_shift=shift)
-        ds = gen_gaussian_task(spec, RandomStream(seed, (tag,)))
-        # a finite sum has only finite terms, and it needs no [N, d] mask
-        if np.isfinite(ds.features.sum()) or np.isfinite(ds.features).all():
-            return ds
-        key = ("class_sep" if not np.isfinite(means).all()
-               else "domain_shift" if not np.isfinite(means + spec.domain_shift).all()
-               else "cov_scale")
+        try:
+            return gen_gaussian_task(spec, RandomStream(seed, (tag,)))
+        except ValidationError:  # the Dataset's non-finite features
+            key = ("class_sep" if not np.isfinite(means).all()
+                   else "domain_shift" if not np.isfinite(means + spec.domain_shift).all()
+                   else "cov_scale")
     raise ValidationError(f"task.{key} {getattr(t, key)!r} makes the {name} features non-finite")
 
 
@@ -602,7 +601,7 @@ def _load_metrics(path: Path) -> dict:
     central, ledger = doc.get("central"), doc.get("ledger")
     total = ledger.get("total_bytes") if isinstance(ledger, dict) else None
     if (type(central) not in (int, float) or type(total) is not int
-            or abs(central) > sys.float_info.max or abs(total) > sys.float_info.max):
+            or not abs(central) <= sys.float_info.max or not abs(total) <= sys.float_info.max):
         raise FormatError(f"{path}: needs a numeric 'central' and an integer "
                           f"'ledger.total_bytes', both in the float range")
     if not all(isinstance(doc.get(k, ""), str) for k in ("algorithm", "metric")):

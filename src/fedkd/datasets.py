@@ -4,7 +4,7 @@ profiles: a [K, C] int64 count array per partition, a [C] one per dataset.
 
 Labels are an (N, 1) int array of class indices for single-label tasks, or an
 (N, C) array over {-1, 0, 1} (unknown / negative / positive) for multi-label
-tasks. Datasets are immutable after construction.
+tasks. Datasets have finite features and are immutable after construction.
 """
 from __future__ import annotations
 
@@ -46,6 +46,8 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValidationError("features must be 2-D")
+        if not np.isfinite(self.features).all():
+            raise ValidationError("features: non-finite entries")
         n = self.features.shape[0]
         if self.task == SINGLE_LABEL:
             if self.labels.shape != (n, 1):
@@ -74,7 +76,6 @@ class PartitionPlan:
     """Disjoint index lists into a parent dataset, one per node."""
 
     assignments: list[np.ndarray]
-    alpha: float
 
     def __post_init__(self):
         self.assignments = [np.asarray(a, dtype=np.int64) for a in self.assignments]
@@ -245,7 +246,7 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
         edges[-1] = idx.size  # guard against rounding shortfall
         owner[idx] = np.repeat(np.arange(num_nodes), np.diff(edges, prepend=0))
     parts = [np.flatnonzero(owner == k) for k in range(num_nodes)]
-    return PartitionPlan(parts, alpha=float(alpha))
+    return PartitionPlan(parts)
 
 
 def _class_counts(ds: Dataset, rows) -> np.ndarray:

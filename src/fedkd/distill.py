@@ -107,14 +107,11 @@ def softmax_tau(z: np.ndarray, tau: float = 1.0) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
+    """Overflow-safe logistic function: 1 / (1 + e^-z) for z >= 0, and
+    e^z / (1 + e^z) otherwise, so exp only sees -|z|."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _kl_terms(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:

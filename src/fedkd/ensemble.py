@@ -129,39 +129,28 @@ def global_max_abs(blocks: list[LogitBlock]) -> float:
     return max(b.local_max_abs for b in blocks)
 
 
-def _overflows(z_max: float, scale: int) -> bool:
-    """Whether S*z for some |z| <= z_max is past the float range."""
-    return not math.isfinite(scale * float(z_max))
-
-
-def _levels(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Unchecked grid levels ceil(S*z / (2*z_max)), clamped to ceil(S/2): at
-    z = z_max the quotient can round to just above S/2, whose ceiling is a
-    level past the grid. Where S*z_max overflows, the levels are
-    ceil(z/z_max * S/2), clamped to floor(S/2). Written into ``out`` (a new
-    array if None)."""
+def _quantize(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked grid values of ``z``, written into ``out`` (a new array if
+    None): the level ceil(S*z / (2*z_max)), clamped to ceil(S/2) since at
+    z = z_max the quotient can round to just above S/2, times the step
+    2*z_max/S. Where S*z_max overflows, the level is ceil(z/z_max * S/2),
+    clamped to floor(S/2), over S/2 and then times z_max."""
     out = np.empty(np.shape(z)) if out is None else out
-    if _overflows(z_max, scale):
+    wide = not math.isfinite(scale * float(z_max))  # S*z for some |z| <= z_max overflows
+    if wide:
         np.divide(z, z_max, out=out)
         out *= scale / 2
-        top = scale // 2
     else:
         np.multiply(scale, z, out=out)
         out /= 2.0 * z_max
-        top = -(-scale // 2)
     np.ceil(out, out=out)
-    return _clamp(np.minimum, out, float(top))
-
-
-def _grid_values(levels: np.ndarray, z_max: float, scale: int) -> np.ndarray:
-    """The grid values of float ``levels``, in place: times the step 2*z_max/S,
-    or where S*z_max overflows, over S/2 and then times z_max."""
-    if _overflows(z_max, scale):
-        levels /= scale / 2
-        levels *= z_max
+    _clamp(np.minimum, out, float(scale // 2 if wide else -(-scale // 2)))
+    if wide:
+        out /= scale / 2
+        out *= z_max
     else:
-        levels *= 2.0 * z_max / scale
-    return levels
+        out *= 2.0 * z_max / scale
+    return out
 
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
@@ -173,7 +162,7 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.size and np.max(np.abs(z)) > z_max:
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
-    return _grid_values(_levels(z, z_max, scale), z_max, scale)
+    return _quantize(z, z_max, scale)
 
 
 def laplace_sample(gamma: float, rs: RandomStream, size=None):
@@ -234,8 +223,7 @@ def ensemble(
         for b in blocks:
             q = b.logits
             if z_max > 0:
-                q = _grid_values(_levels(q, z_max, cfg.quant_scale, out=buf), z_max,
-                                 cfg.quant_scale)
+                q = _quantize(q, z_max, cfg.quant_scale, out=buf)
             if weighted:
                 q = _rowwise(np.multiply, q, weights.omega[b.node_id][None, :], buf)
             elif divide_first:

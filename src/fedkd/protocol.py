@@ -219,7 +219,7 @@ def train_lockstep(
     shard, the rows ``rows[k]`` of ``data[k]`` (all rows without ``rows``; no
     shard is copied), and batch stream ``streams[k]``, on copies of the
     models. A model whose layer dims are not its data's (:func:`_dims`) is a
-    DimensionError; the callers check each split's finiteness once.
+    DimensionError.
 
     A node runs ``cfg.epochs`` epochs of ``steps`` steps in all. Its cosine
     horizon is ``rounds * steps`` and this call starts at step ``round_index
@@ -274,10 +274,8 @@ def train_supervised(
     node_id: int | None = None,
 ) -> MlpModel:
     """One node's :func:`train_lockstep` on all rows of ``ds``: SGD with a
-    cosine schedule on a copy of model. Non-finite features are a
-    ValidationError; a non-finite result raises DivergenceError naming
-    ``node_id``."""
-    check_matrix(ds.features, "features")
+    cosine schedule on a copy of model. A non-finite result raises
+    DivergenceError naming ``node_id``."""
     (out,) = train_lockstep([model], [ds], cfg, [batch_rs], rounds=rounds, round_index=round_index)
     if out is None:
         raise DivergenceError("node training", node_id)
@@ -498,15 +496,17 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
 
 
 def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
-    """:func:`run_fedkd` for every (run, private, public, test) cell, as five
-    :func:`_stage` lists: each cell's shards and profiles, node handles,
-    teacher, student and result. One :func:`train_lockstep` call trains the
-    nodes of all cells that share a node config, the teacher is built per
-    cell, one stacked :func:`distill` call trains the students of all cells
-    that share student dims, label type and distill config, and evaluation
-    is per cell. Without ``keep_trace`` (a sweep, which writes no trace)
-    distillation computes no per-step loss and every result's ``trace`` is
-    None; nothing else changes.
+    """:func:`run_fedkd` for every (run, private, public, test) cell, as six
+    :func:`_stage` lists: each cell's untrained student (built first, so one
+    that cannot be built fails before any training), shards and profiles,
+    node handles, teacher, trained student and result. One
+    :func:`train_lockstep` call trains the nodes of all cells that share a
+    node config, the teacher is built per cell, one stacked :func:`distill`
+    call trains the students of all cells that share student dims, label
+    type and distill config, and evaluation is per cell. Without
+    ``keep_trace`` (a sweep, which writes no trace) distillation computes no
+    per-step loss and every result's ``trace`` is None; nothing else
+    changes.
 
     Returns the last list: each cell's result, or the exception run_fedkd
     raises for it; a cell given as an exception comes back as itself. A
@@ -516,6 +516,11 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     each cell's private set and training split once the nodes have trained;
     a split the caller still holds stays alive.
     """
+    def student(i):
+        run, _, public, _ = cells[i]
+        return init_mlp(_dims(public, run.central_hidden_dims),
+                        RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
+
     def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
         run, private, public, _ = cells[i]
         split, rows, profiles = private, run.plan.assignments, profile(private, run.plan)
@@ -527,11 +532,11 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
                             private.task, private.num_classes)
             rows = [np.concatenate([a, np.arange(private.n, split.n)]) for a in rows]
             profiles = profiles + profile_of(public)
-        check_matrix(split.features, "features")  # once per split, so every stack gets valid jobs
         return split, rows, profiles
 
+    students = _stage(cells, lambda group: [student(i) for i in group])
     # cells that split the same data the same way share one split and its rows
-    data = _stage(cells, lambda group: [split_rows_and_profiles(group[0])] * len(group),
+    data = _stage(students, lambda group: [split_rows_and_profiles(group[0])] * len(group),
                   lambda i: (id(cells[i][1]), id(cells[i][0].plan), cells[i][0].labeled_public,
                              id(cells[i][2])))
     handles = _stage(data, lambda group: _train_cells([data[i][:2] for i in group],
@@ -546,14 +551,10 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], profiles[i],
                                                        cells[i][2]) for i in group])
 
-    def student_dims(i):
-        return _dims(cells[i][2], cells[i][0].central_hidden_dims)
-
     def distill_cells(group):
         cfg, task = cells[group[0]][0].distill_cfg, cells[group[0]][2].task
         pairs = distill(
-            [init_mlp(student_dims(i), RandomStream(cells[i][0].seed, (STREAM_DISTILL_INIT,)))
-             for i in group],
+            [students[i] for i in group],
             [cells[i][2].features for i in group],
             [teachers[i][0] for i in group],
             cfg,
@@ -563,13 +564,13 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
         )
         return [DivergenceError("distillation") if pair is None else pair for pair in pairs]
 
-    students = _stage(teachers, distill_cells,
-                      lambda i: (student_dims(i), cells[i][2].task, cells[i][0].distill_cfg))
+    distilled = _stage(teachers, distill_cells, lambda i: (
+        students[i].layer_dims, cells[i][2].task, cells[i][0].distill_cfg))
 
     def evaluate(i):
         run, _, public, test = cells[i]
         teacher, weights, senders, ledger = teachers[i]
-        central, trace = students[i]
+        central, trace = distilled[i]
         standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
                       for h in handles[i]]
         present = [v for v in standalone if v is not None]
@@ -588,7 +589,7 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
             )
         return FedKdResult(central, handles[i], teacher, weights, metrics, ledger, trace)
 
-    return _stage(students, lambda group: [evaluate(i) for i in group])
+    return _stage(distilled, lambda group: [evaluate(i) for i in group])
 
 
 @dataclass
@@ -627,7 +628,6 @@ def run_fedavg(
     global_model = init_mlp(_dims(private, node_cfg.hidden_dims),
                             RandomStream(seed, (STREAM_INIT, 0)))
     ledger = BandwidthLedger()
-    check_matrix(private.features, "features")  # once, not once per round
 
     for r in range(rounds):
         locals_ = train_lockstep(

@@ -424,13 +424,14 @@ class TestMainExitCodes:
         b"[]",
         b'{"central": "a", "ledger": {"total_bytes": 1}}',
         b'{"central": true, "ledger": {"total_bytes": 1}}',
+        b'{"central": NaN, "ledger": {"total_bytes": 1}}',
         b'{"central": 0.5, "ledger": {"total_bytes": 1.5}}',
         b'{"central": 0.5, "ledger": {"total_bytes": 1' + b"0" * 400 + b"}}",
         b'{"central": 0.5, "ledger": {"total_bytes": 1}, "algorithm": [1]}',
         b"\xff\xfe{",
         b"[" * 100_000 + b"]" * 100_000,
-    ], ids=["not_json", "empty", "array", "str_central", "bool_central", "float_bytes",
-            "huge_bytes", "list_algorithm", "not_utf8", "too_deep"])
+    ], ids=["not_json", "empty", "array", "str_central", "bool_central", "nan_central",
+            "float_bytes", "huge_bytes", "list_algorithm", "not_utf8", "too_deep"])
     def test_report_over_a_bad_metrics_file_is_a_one_line_format_error(self, tmp_path,
                                                                       capsys, content):
         path = tmp_path / "x" / "metrics.json"
@@ -1225,6 +1226,21 @@ class TestFailedRunLeavesNoRunDirectory:
         assert err.startswith(("runtime error: array is too big",
                                "runtime error: Maximum allowed dimension exceeded"))
         assert not out.exists() or not any(out.iterdir())
+
+    def test_a_student_that_cannot_be_built_fails_before_any_training(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        calls = []
+        for name in ("train_lockstep", "collect_logits"):
+            def counting(*args, _real=getattr(fedkd.protocol, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(fedkd.protocol, name, counting)
+        p = write_config(tmp_path, tiny_doc(central_hidden_dims=[10**18]))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("runtime error: array is too big")
+        assert calls == []
 
 
 def test_every_ledger_row_bills_the_nbytes_of_the_array_sent(tmp_path, monkeypatch):

@@ -295,17 +295,17 @@ class TestDirichletPartition:
 class TestProfile:
     def test_single_label_counts(self):
         ds = Dataset(np.zeros((3, 1)), np.array([[0], [0], [1]]), SINGLE_LABEL, 2)
-        plan = PartitionPlan([np.array([0, 1, 2])], alpha=1.0)
+        plan = PartitionPlan([np.array([0, 1, 2])])
         assert profile(ds, plan)[0].tolist() == [2, 1]
 
     def test_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[0], [1]]), SINGLE_LABEL, 2)
-        plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)], alpha=1.0)
+        plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)])
         assert profile(ds, plan)[1].tolist() == [0, 0]
 
     def test_multi_label_counts_only_positives(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
-        plan = PartitionPlan([np.array([0, 1])], alpha=1.0)
+        plan = PartitionPlan([np.array([0, 1])])
         assert profile(ds, plan)[0].tolist() == [1, 1]
 
     def test_profiles_sum_to_partition_sizes(self):
@@ -320,7 +320,7 @@ class TestProfile:
 
     def test_multi_label_empty_node_all_zero(self):
         ds = Dataset(np.zeros((2, 1)), np.array([[1, -1], [0, 1]]), MULTI_LABEL, 2)
-        plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)], alpha=1.0)
+        plan = PartitionPlan([np.array([0, 1]), np.array([], dtype=int)])
         profiles = profile(ds, plan)
         assert profiles[1].tolist() == [0, 0]
         for counts, idx in zip(profiles, plan.assignments):  # the two counts agree
@@ -346,4 +346,4 @@ class TestProfile:
 
     def test_a_partition_of_an_empty_set(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 3)
-        assert profile(ds, PartitionPlan([], alpha=1.0)).shape == (0, 3)
+        assert profile(ds, PartitionPlan([])).shape == (0, 3)

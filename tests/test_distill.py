@@ -29,7 +29,7 @@ from fedkd.numkit import (
     mlp_forward,
 )
 
-from conftest import kl_loss, reference_distill
+from conftest import SPECIALS, kl_loss, mixed, reference_distill, same_bits
 
 
 class TestSoftmaxTau:
@@ -83,7 +83,28 @@ class TestSoftmaxRows:
         assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
+def old_sigmoid(z):
+    """sigmoid as two boolean-mask passes, one per sign of z."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_the_masked_form(self, seed):
+        """Both signs of zero, infinity and NaN, +-DBL_MAX, subnormals and the
+        exp overflow edges give the masked form's bits, with no warning (the
+        suite turns a RuntimeWarning into an error)."""
+        z = mixed(seed, (10, 64, 4))
+        edges = np.r_[SPECIALS, -np.nan, 709.0, -709.0, 710.0, -710.0, 745.0, -746.0]
+        z.flat[:edges.size] = edges
+        assert same_bits(sigmoid(z), old_sigmoid(z))
+
     def test_zero_gives_half(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedkd.ensemble import (
     _TINY,
-    _levels,
+    _quantize,
     EnsembleConfig,
     LogitBlock,
     PER_CLASS,
@@ -250,7 +250,8 @@ class TestLaplace:
 
 
 def old_levels(z, z_max, scale):
-    """_levels with the scalar clamp it had before the blocked one."""
+    """The quantizer's grid levels, with the scalar clamp it had before the
+    blocked one."""
     out = np.empty(np.shape(z))
     if not math.isfinite(scale * float(z_max)):
         np.divide(z, z_max, out=out)
@@ -262,6 +263,17 @@ def old_levels(z, z_max, scale):
         top = -(-scale // 2)
     np.ceil(out, out=out)
     return np.minimum(out, top, out=out)
+
+
+def old_grid_values(levels, z_max, scale):
+    """The grid values of old_levels, in place, as a second function once
+    computed them: it decided the overflow branch again."""
+    if not math.isfinite(scale * float(z_max)):
+        levels /= scale / 2
+        levels *= z_max
+    else:
+        levels *= 2.0 * z_max / scale
+    return levels
 
 
 def old_laplace(gamma, u):
@@ -278,14 +290,28 @@ class TestFastPathBits:
            z_max=st.sampled_from([1.0, 0.6480681684638473, 3e5, 1e300, DBL_MAX / 4, DBL_MAX]),
            scale=st.sampled_from([2, 3, 200, 255, 10**6]),
            seed=st.integers(0, 2**20))
-    def test_levels_normal_and_overflow_branch(self, size, cols, z_max, scale, seed):
+    def test_quantize_normal_and_overflow_branch(self, size, cols, z_max, scale, seed):
+        """_quantize against the old two-function quantizer (levels, then
+        grid values), bit for bit, into a new array and into ``out``."""
         rng = np.random.default_rng(seed)
         z = rng.uniform(-1.0, 1.0, (max(size // cols, 1), cols)) * z_max
         edge = rng.random(z.shape) < 0.2  # the grid's ends, signed zeros, non-finite
-        z[edge] = rng.choice([z_max, -z_max, np.nextafter(z_max, 0.0), 0.0, -0.0,
-                              np.inf, -np.inf, np.nan], int(edge.sum()))
-        with np.errstate(invalid="ignore"):
-            assert same_bits(_levels(z, z_max, scale), old_levels(z, z_max, scale))
+        z[edge] = rng.choice([z_max, -z_max, np.nextafter(z_max, 0.0), 0.0, -0.0, DBL_MAX,
+                              -DBL_MAX, np.inf, -np.inf, np.nan, -np.nan], int(edge.sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = old_grid_values(old_levels(z, z_max, scale), z_max, scale)
+            assert same_bits(_quantize(z, z_max, scale), want)
+            out = np.empty_like(z)
+            assert _quantize(z, z_max, scale, out=out) is out
+        assert same_bits(out, want)
+
+    @pytest.mark.parametrize("z_max, scale", [(1.0, 200), (3.0, 7), (DBL_MAX, 2), (1e300, 10**9)],
+                             ids=["normal", "normal_odd", "overflow_dbl_max", "overflow_scale"])
+    def test_quantize_special_values(self, z_max, scale):
+        z = np.r_[SPECIALS, -np.nan, z_max, -z_max].reshape(1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = old_grid_values(old_levels(z, z_max, scale), z_max, scale)
+            assert same_bits(_quantize(z, z_max, scale), want)
 
     @settings(max_examples=30, deadline=None)
     @given(size=st.sampled_from([1, 5, _BLOCK, _BLOCK + 1, 3 * _BLOCK]),
@@ -318,7 +344,7 @@ class TestFastPathBits:
 
     def test_empty_input(self):
         assert laplace_sample(1.0, RandomStream(0, (5,)), size=(0, 3)).shape == (0, 3)
-        assert _levels(np.empty((0, 3)), 1.0, 200).shape == (0, 3)
+        assert _quantize(np.empty((0, 3)), 1.0, 200).shape == (0, 3)
 
     def test_all_negative_zero_block_reports_positive_zero(self):
         assert math.copysign(1.0, LogitBlock(0, np.full((2, 3), -0.0)).local_max_abs) == 1.0

@@ -88,7 +88,7 @@ NODE_CFG = TrainConfig([32], epochs=30, batch_size=32, lr_start=0.05)
 
 
 def whole_plan(ds):
-    return PartitionPlan([np.arange(ds.n)], 1.0)
+    return PartitionPlan([np.arange(ds.n)])
 
 
 def base_run(plan, seed=0, **overrides):
@@ -349,7 +349,8 @@ class TestRunFedkd:
     @pytest.mark.parametrize("algorithm", ["fedkd", "fedavg"])
     def test_a_dataset_with_no_classes_fails_before_training(self, monkeypatch, algorithm):
         """The zero-width output layer is rejected as the first model is
-        built, so no node ever trains."""
+        built (a fedkd run's student, a fedavg run's global model), so no node
+        ever trains."""
         rs = RandomStream(0, (905,))
         train, public, test = (Dataset(rs.gauss((n, 2)), np.zeros((n, 0)), MULTI_LABEL, 0)
                                for n in (40, 40, 20))
@@ -364,10 +365,12 @@ class TestRunFedkd:
         node_cfg = TrainConfig([4], epochs=1)
         with pytest.raises(DimensionError) as exc:
             if algorithm == "fedkd":
-                run_fedkd(base_run(plan, node_cfg=node_cfg), train, public, test)
+                run_fedkd(base_run(plan, node_cfg=node_cfg, central_hidden_dims=[3]), train,
+                          public, test)
             else:
                 run_fedavg(train, plan, node_cfg, rounds=2, seed=0)
-        assert str(exc.value) == "need input and output dims, each >= 1, got [2, 4, 0]"
+        hidden = 3 if algorithm == "fedkd" else 4
+        assert str(exc.value) == f"need input and output dims, each >= 1, got [2, {hidden}, 0]"
         assert calls == []
 
     def test_ledger_has_one_scalar_and_one_matrix_per_node(self):
@@ -391,9 +394,7 @@ class TestRunFedkd:
 
     def test_empty_shard_reported_as_none(self):
         train, test, public, _ = make_fixture()
-        plan = PartitionPlan(
-            [np.arange(600), np.array([], dtype=int), np.arange(600, train.n)], 1.0
-        )
+        plan = PartitionPlan([np.arange(600), np.array([], dtype=int), np.arange(600, train.n)])
         res = run_fedkd(base_run(plan), train, public, test)
         assert res.metrics["standalone"][1] is None
         assert {r[1] for r in res.ledger.rows()} == {0, 2}
@@ -469,7 +470,7 @@ class TestRunFedkd:
     def test_all_empty_rejected(self):
         _, test, public, _ = make_fixture()
         empty = Dataset(np.zeros((0, 16)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 4)
-        plan = PartitionPlan([np.array([], dtype=int)], 1.0)
+        plan = PartitionPlan([np.array([], dtype=int)])
         with pytest.raises(ConfigurationError):
             run_fedkd(base_run(plan), empty, public, test)
 
@@ -503,24 +504,27 @@ class TestRunFedkdBatch:
             assert result.ledger.rows() == alone.ledger.rows()
             assert result.trace == alone.trace
 
-    @pytest.mark.parametrize("fault", ["non_finite_private", "public_below_the_batch"])
+    @pytest.mark.parametrize("fault", ["plan_past_the_split", "public_below_the_batch",
+                                       "unbuildable_student"])
     def test_an_input_a_stacked_call_rejects_fails_only_its_cell(self, fault):
-        """An input that train_lockstep or distill would reject for the whole
-        stack is checked in its cell's own stage: the healthy cell keeps its
-        own result, and the other gets the error its own run raises."""
+        """An input that would fail a call the healthy cell shares (node
+        training, distillation, or a data stage whose data it shares) is
+        checked in its cell's own stage: the healthy cell keeps its own
+        result, and the other gets the error its own run raises."""
         train, test, public, _ = make_fixture()
-        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
         run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16),
                        distill_cfg=DistillConfig(steps=20, batch_size=64))
-        if fault == "non_finite_private":  # the healthy cell's node config: one node stack
-            bad = (Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4), public, test)
-            bad[0].features[7, 2] = np.nan
-        else:  # the healthy cell's student dims: one distill stack
-            bad = (train, subset(public, np.arange(32)), test)
-        good, failed = fedkd.protocol.run_fedkd_batch([(run, train, public, test), (run, *bad)])
+        if fault == "plan_past_the_split":  # the healthy cell's node config: one node stack
+            bad = (run, subset(train, np.arange(600)), public, test)
+        elif fault == "public_below_the_batch":  # the healthy cell's student dims: one distill stack
+            bad = (run, train, subset(public, np.arange(32)), test)
+        else:  # the healthy cell's data: one data stage
+            bad = (dataclasses.replace(run, central_hidden_dims=[10**18]), train, public, test)
+        good, failed = fedkd.protocol.run_fedkd_batch([(run, train, public, test), bad])
         assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
         with pytest.raises(Exception) as exc:
-            run_fedkd(run, *bad)
+            run_fedkd(*bad)
         assert type(failed) is type(exc.value) and str(failed) == str(exc.value)
 
     def test_a_diverging_node_fails_only_its_cell(self, monkeypatch):
@@ -528,7 +532,7 @@ class TestRunFedkdBatch:
         healthy cell gets its own result and the other the error its own run
         raises."""
         train, test, public, _ = make_fixture()
-        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
         bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         bad.features[np.arange(3, 1200, 5)] *= 1e100  # node 3's shard overflows
         run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1),
@@ -643,7 +647,7 @@ class TestRunFedavg:
 
     def test_empty_shards_skipped(self):
         train = subset(make_fixture()[0], np.arange(300))  # the plan covers it exactly once
-        plan = PartitionPlan([np.arange(300), np.array([], dtype=int)], 1.0)
+        plan = PartitionPlan([np.arange(300), np.array([], dtype=int)])
         cfg = TrainConfig([32], epochs=1, batch_size=32, lr_start=0.05)
         res = run_fedavg(train, plan, cfg, rounds=2, seed=0)
         assert {r[1] for r in res.ledger.rows()} == {0}
@@ -658,7 +662,7 @@ class TestRunFedavg:
         rejects the plan before any training, with run_fedkd's message."""
         train, test, public, _ = make_fixture()
         plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
-                              np.arange(1, 1200, 100), np.arange(2, 600, 3)], 1.0)
+                              np.arange(1, 1200, 100), np.arange(2, 600, 3)])
         message = "^assignments must cover the dataset exactly once$"
         with pytest.raises(ValidationError, match=message):
             run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
@@ -784,12 +788,14 @@ class TestFusedTrainingStep:
         assert (exc.value.phase, exc.value.node_id) == ("node training", 3)
 
     def test_non_finite_features_rejected_on_entry(self):
+        """A trainer gets its features from a Dataset, which rejects a
+        non-finite one when it is built, so no trainer checks them again."""
         train, _, _, _ = make_fixture()
-        bad = subset(train, np.arange(32))
-        bad.features[5, 2] = np.nan
-        model = init_mlp([16, 4], RandomStream(0, (45,)))
-        with pytest.raises(ValueError, match="features"):
-            train_supervised(model, bad, TrainConfig([], epochs=1), RandomStream(0, (46,)))
+        for value in (np.nan, -np.nan, np.inf, -np.inf):
+            features = train.features[:32].copy()
+            features[5, 2] = value
+            with pytest.raises(ValidationError, match="^features: non-finite entries$"):
+                Dataset(features, train.labels[:32], SINGLE_LABEL, 4)
 
     def test_feature_width_checked_on_entry(self):
         train, _, _, _ = make_fixture()
@@ -859,8 +865,7 @@ class TestLockstepTrainer:
         # every row the others leave, so the plan covers the data once
         taken = np.concatenate([np.arange(0, 1200, 4), np.arange(1, 1200, 100)])
         plan = PartitionPlan([np.arange(0, 1200, 4), np.array([], dtype=int),
-                              np.arange(1, 1200, 100), np.setdiff1d(np.arange(1200), taken)],
-                             1.0)
+                              np.arange(1, 1200, 100), np.setdiff1d(np.arange(1200), taken)])
         cfg = TrainConfig([8], epochs=2, batch_size=16, lr_start=0.1,
                           weight_decay=1e-3)
         rounds = 3
@@ -943,7 +948,7 @@ class TestIndexRows:
         the public rows. The profiles count the joined shards."""
         train, test, public, _ = make_fixture()
         plan = PartitionPlan([np.arange(0, 1200, 2), np.array([], dtype=int),
-                              np.arange(1, 1200, 2)], 1.0)
+                              np.arange(1, 1200, 2)])
         cfg = TrainConfig([8], epochs=1, batch_size=32, lr_start=0.1)
         res = run_fedkd(base_run(plan, node_cfg=cfg, distill_cfg=DistillConfig(steps=10),
                                  labeled_public=True), train, public, test)
@@ -994,25 +999,31 @@ class TestIndexRows:
         assert built == ([train.n + public.n] * 2 if labeled_public else [])
 
     def test_features_are_checked_once_per_split(self, monkeypatch):
-        """run_fedavg checks its private features once, not once per round;
-        a batch checks each distinct split once, however many cells share it."""
+        """A split's features are checked once, when its Dataset is built:
+        neither run_fedavg's rounds nor a batch's cells check them again. The
+        only matrices the protocol checks are the public features it queries
+        and each teacher."""
         train, test, public, plan = make_fixture()
         checked = []
 
         def counting(a, name="matrix", *args, _real=fedkd.protocol.check_matrix, **kwargs):
-            checked.extend([name] if name == "features" else [])
+            checked.append(name)
             return _real(a, name, *args, **kwargs)
 
+        def built(self, _real=Dataset.__post_init__):
+            checked.append("Dataset")
+            return _real(self)
+
         monkeypatch.setattr(fedkd.protocol, "check_matrix", counting)
+        monkeypatch.setattr(Dataset, "__post_init__", built)
         run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=3, seed=0)
-        assert checked == ["features"]
-        del checked[:]
-        other = PartitionPlan(plan.assignments[::-1], 1.0)
+        assert checked == []
+        other = PartitionPlan(plan.assignments[::-1])
         short = dict(node_cfg=TrainConfig([8], epochs=1), distill_cfg=DistillConfig(steps=10))
         fedkd.protocol.run_fedkd_batch([(base_run(plan, seed=s, **short), train, public, test)
                                         for s in (0, 1, 2)]
                                        + [(base_run(other, **short), train, public, test)])
-        assert checked == ["features"] * 2
+        assert checked == ["public features", "teacher logits"] * 4
 
     def test_labeled_public_training_holds_one_public_copy_not_k(self, monkeypatch):
         """With K = 8 nodes on a public set nine times the private split, the
@@ -1099,7 +1110,7 @@ class TestSchedulingDeterminism:
         for each and the other nodes' own models, and a run's error names
         the lowest, node 1."""
         train, test, _, _ = make_fixture()
-        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)], 1.0)
+        plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
         bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         for k in (1, 3):  # features at 1e100 overflow the first updates
             bad.features[plan.assignments[k]] *= 1e100

@@ -2,7 +2,8 @@
 tracer wraps (``SPANNED`` in perfbench/spans.py, read with ``ast`` and not
 imported) and every name the README's library example imports. Trimming one
 of them breaks the traced benchmark or the README, so it fails here first.
-The package root exports the README's names and no others."""
+The package root exports the README's names and no others. Every other
+function and class in the package has a caller in it."""
 import ast
 import importlib
 import types
@@ -45,3 +46,27 @@ def test_package_root_exports_exactly_the_readme_names():
     public = {n for n, v in vars(fedkd).items() if not n.startswith("_")
               and not isinstance(v, types.ModuleType)}
     assert public == set(readme_library_imports())
+
+
+def test_every_function_and_class_has_a_caller_or_a_pin():
+    """Each function or class defined in src/fedkd (methods included, dunders
+    aside) is read by name somewhere in src/fedkd, or is pinned: spanned by
+    the benchmark, imported by the README library example, or imported by
+    the acceptance tests, a method of an imported class included where they
+    call it. Anything else is dead code. ``__all__`` holds strings, so it
+    counts as no caller."""
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))]
+    nodes = [n for t in trees for n in ast.walk(t)]
+    defined = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+               and not n.name.startswith("__")}
+    read = ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    acceptance = list(ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())))
+    imported = {a.name for n in acceptance if isinstance(n, ast.ImportFrom)
+                and n.module.startswith("fedkd") for a in n.names}
+    called = {n.attr for n in acceptance if isinstance(n, ast.Attribute)}
+    methods = {f.name for c in nodes if isinstance(c, ast.ClassDef) and c.name in imported
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    pinned = ({name for _, name in spanned()} | set(readme_library_imports()) | imported
+              | (methods & called))
+    assert sorted(defined - read - pinned) == []
