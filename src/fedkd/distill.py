@@ -28,13 +28,11 @@ import numpy as np
 from .datasets import Dataset, MULTI_LABEL, SINGLE_LABEL
 from .errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from .numkit import (
-    CosineSchedule,
     MlpModel,
-    RandomStream,
     SgdJob,
     check_matrix,
     check_sgd_schedule,
-    cosine_lr,
+    cosine_rates,
     mlp_forward,
     train_sgd,
 )
@@ -193,9 +191,10 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
             keep_trace: bool = True):
     """Run cfg.steps SGD steps against frozen teacher logits of ``task`` labels;
     returns the trained copy of ``model`` and its per-step trace of loss and
-    rate. Without ``keep_trace`` the trace is None, and no step computes the
-    loss or the log of the teacher's distribution, which only the trace
-    reads; the gradient, and so the model, keeps its bits.
+    of the rate the step's update used, read from the one rate table every
+    job trains on. Without ``keep_trace`` the trace is None, and no step
+    computes the loss or the log of the teacher's distribution, which only
+    the trace reads; the gradient, and so the model, keeps its bits.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher targets are indexed by the
@@ -217,7 +216,7 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
     if not len(models) == len(features) == len(teacher_logits) == len(streams):
         raise ConfigurationError("distill needs one feature matrix, teacher and stream per model")
     dims = models[0].layer_dims
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
+    rates = cosine_rates(cfg.lr_start, cfg.lr_end, cfg.steps, 0, cfg.steps)
     jobs = []
     for student, x, teacher, stream in zip(models, features, teacher_logits, streams):
         if student.layer_dims != dims:
@@ -231,17 +230,15 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
             raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
             targets = _teacher_targets(teacher, cfg, task, loss=keep_trace)
-        jobs.append(SgdJob(student, x, targets, stream, cfg.steps, sched,
-                           weight_decay=cfg.weight_decay))
+        jobs.append(SgdJob(student, x, targets, stream, rates, cfg.weight_decay))
     traces = [[] for _ in jobs] if keep_trace else [None] * len(jobs)
 
     def dlogits(z, batches):  # every job runs cfg.steps steps, so z stacks them all, in order
         gz, s = _distill_grad(z, batches, cfg, task)
         if keep_trace:
             step = len(traces[0])
-            lr = cosine_lr(sched, step)
             for trace, loss in zip(traces, _distill_losses(s, batches, cfg, task)):
-                trace.append({"step": step, "loss": loss, "lr": lr})
+                trace.append({"step": step, "loss": loss, "lr": rates[step]})
         return gz
 
     trained = train_sgd(dims, cfg.batch_size, jobs, dlogits)

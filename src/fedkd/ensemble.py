@@ -160,7 +160,7 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     if scale < 2:
         raise RangeError("quantization scale must be >= 2")
     z = np.asarray(z, dtype=np.float64)
-    if z.size and np.max(np.abs(z)) > z_max:
+    if z.size and not np.max(np.abs(z)) <= z_max:  # NaN fails the test too
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
     return _quantize(z, z_max, scale)
 

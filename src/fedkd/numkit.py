@@ -10,9 +10,12 @@ The forward and backward kernels run one model, or a stack of K models whose
 ``[K, P]`` parameter matrix holds one ``flat`` per row, in the same calls.
 :func:`train_sgd` is the package's one SGD loop: node training, FedAvg
 rounds and distillation all run through it, and only the loss gradient they
-pass in differs. Nothing here keeps shared mutable state: a RandomStream
-advances only itself, and :func:`sgd_step` updates the model it is given, in
-place, as one vector update.
+pass in differs. Each job reads its rates from a table :func:`cosine_rates`
+computed before the loop; a schedule is range-checked once, when its config
+is built (:func:`check_sgd_schedule`), never per step. Nothing here keeps
+shared mutable state: a RandomStream advances only itself, and
+:func:`sgd_step` updates the model it is given, in place, as one vector
+update.
 
 Hot elementwise passes stay on numpy's contiguous fast loops, with every
 output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
@@ -41,20 +44,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
+from .errors import ConfigurationError, DimensionError, ValidationError
 
 __all__ = [
     "RandomStream",
-    "CosineSchedule",
     "MlpModel",
     "check_matrix",
     "check_sgd_schedule",
+    "cosine_rates",
     "init_mlp",
-    "mlp_parameter_count",
     "mlp_forward",
     "mlp_backward",
     "sgd_step",
-    "cosine_lr",
     "SgdJob",
     "train_sgd",
 ]
@@ -131,21 +132,6 @@ def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None, *
 # schedules
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
-    """Cosine annealing from lr_start down to lr_end over total_steps."""
-
-    lr_start: float
-    lr_end: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise RangeError("total_steps must be >= 1")
-        if not (self.lr_start >= self.lr_end >= 0.0):
-            raise RangeError("require lr_start >= lr_end >= 0")
-
-
 def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> None:
     """The range check of every config that sets an SGD schedule."""
     if not lr_start >= lr_end >= 0:
@@ -155,12 +141,15 @@ def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> N
         raise ConfigurationError("weight_decay must be >= 0")
 
 
-def cosine_lr(schedule: CosineSchedule, step: int) -> float:
-    """Learning rate at an integer step in [0, total_steps]."""
-    if not 0 <= step <= schedule.total_steps:
-        raise RangeError(f"step {step} outside [0, {schedule.total_steps}]")
-    span = schedule.lr_start - schedule.lr_end
-    return schedule.lr_end + 0.5 * span * (1.0 + math.cos(math.pi * step / schedule.total_steps))
+def cosine_rates(lr_start: float, lr_end: float, total_steps: int, start: int,
+                 count: int) -> list[float]:
+    """The rates of steps ``start`` to ``start + count - 1`` of a cosine
+    annealing from lr_start down to lr_end over total_steps. Unchecked: the
+    schedule was checked by :func:`check_sgd_schedule` when its config was
+    built, and the caller keeps the steps in [0, total_steps]."""
+    span = lr_start - lr_end
+    return [lr_end + 0.5 * span * (1.0 + math.cos(math.pi * step / total_steps))
+            for step in range(start, start + count)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +215,7 @@ class MlpModel:
         return self.layer_dims[-1]
 
     def parameter_count(self) -> int:
-        return mlp_parameter_count(self.layer_dims)
+        return self.flat.size
 
     @classmethod
     def aliasing(cls, layer_dims: list[int], flat: np.ndarray) -> "MlpModel":
@@ -240,11 +229,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(list(self.layer_dims), self.weights, self.biases)
-
-
-def mlp_parameter_count(layer_dims: list[int]) -> int:
-    """Weights and biases of an MLP with ``layer_dims``: the length of its ``flat``."""
-    return sum((fi + 1) * fo for fi, fo in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def init_mlp(layer_dims: list[int], rs: RandomStream) -> MlpModel:
@@ -378,8 +362,8 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 
     lr * grad``, bit-identical to adding 0 * theta when theta is finite.
 
     The step checks neither ``lr`` nor ``weight_decay``: :func:`train_sgd`
-    passes rates of a :class:`CosineSchedule`, which is checked when built,
-    and decays from a config checked by :func:`check_sgd_schedule`."""
+    passes each job's rate table and decay, both from a config checked by
+    :func:`check_sgd_schedule` when it was built."""
     p = model.flat
     if weight_decay:
         p -= lr * (grads.flat + weight_decay * p)
@@ -394,18 +378,16 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 
 
 @dataclass(frozen=True)
 class SgdJob:
-    """One model's part of a :func:`train_sgd` call: ``steps`` steps on the
-    rows of ``x`` and of each ``targets`` array given by the index array
-    ``rows`` (None: all rows), at the rates of ``schedule`` from step
-    ``offset`` on."""
+    """One model's part of a :func:`train_sgd` call: one step per entry of
+    ``rates``, at that rate, on the rows of ``x`` and of each ``targets``
+    array given by the index array ``rows`` (None: all rows). Jobs may share
+    one rate table (:func:`cosine_rates`)."""
 
     model: MlpModel
     x: np.ndarray
     targets: tuple[np.ndarray, ...]
     stream: RandomStream
-    steps: int
-    schedule: CosineSchedule
-    offset: int = 0
+    rates: list[float]
     weight_decay: float = 0.0
     rows: np.ndarray | None = None
 
@@ -422,15 +404,15 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     and of every target array into reused [K, b, ...] buffers, takes the
     gradient w.r.t. the [K, b, C] logits z from ``dlogits(z, target_batches)``
     (it may overwrite z), runs one stacked backward pass, then one sgd_step
-    per job at its rate for step ``offset + step``, read from a table built
-    before the loop for each distinct (schedule, offset), as long as its
-    longest job. Jobs are held longest first, so the ones still training are
-    a prefix of the [K, P] parameter matrix; a job's slice of each stacked
-    call is the call it would make alone, so a stack changes none of its bits.
+    per job at the entry of its rate table for that step. Jobs are held
+    longest first, so the ones still training are a prefix of the [K, P]
+    parameter matrix; a job's slice of each stacked call is the call it would
+    make alone, so a stack changes none of its bits.
     """
     count = len(jobs)
-    order = sorted(range(count), key=lambda i: -jobs[i].steps)  # stable: ties keep job order
+    order = sorted(range(count), key=lambda i: -len(jobs[i].rates))  # stable: ties keep job order
     held = [jobs[i] for i in order]
+    steps = [len(job.rates) for job in held]
     params = np.stack([job.model.flat for job in held])
     grads = np.empty_like(params)
     xb = np.empty((count, b, dims[0]))
@@ -438,13 +420,8 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream, job.rows,
               job.x.shape[0] if job.rows is None else len(job.rows), None]
              for r, job in enumerate(held)]
-    rates = {}  # (schedule, offset) -> its rate per step; a key's first job is its longest
-    for job in held:
-        if (job.schedule, job.offset) not in rates:
-            rates[job.schedule, job.offset] = [cosine_lr(job.schedule, job.offset + step)
-                                               for step in range(job.steps)]
     updates = [(MlpModel.aliasing(dims, params[r]), MlpModel.aliasing(dims, grads[r]),
-                rates[job.schedule, job.offset], job.weight_decay)
+                job.rates, job.weight_decay)
                for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
@@ -454,9 +431,9 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     active = count
     weights, biases, out, xs, ts = prefix(active)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite model comes back as None
-        for step in range(held[0].steps):
-            if held[active - 1].steps == step:  # the shortest jobs are done: shrink the prefix
-                while held[active - 1].steps == step:
+        for step in range(steps[0]):
+            if steps[active - 1] == step:  # the shortest jobs are done: shrink the prefix
+                while steps[active - 1] == step:
                     active -= 1
                 weights, biases, out, xs, ts = prefix(active)
             for feed in feeds[:active]:
@@ -470,8 +447,8 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                     a.take(batch, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
             acts = _forward_trace(weights, biases, xs)
             _backprop(weights, acts, dlogits(acts[-1], ts), out)
-            for model, g, table, wd in updates[:active]:
-                sgd_step(model, g, table[step], wd)
+            for model, g, rates, wd in updates[:active]:
+                sgd_step(model, g, rates[step], wd)
 
     finite = np.isfinite(params).all(axis=1)
     row = {i: r for r, i in enumerate(order)}

@@ -67,13 +67,13 @@ from .errors import (
     ValidationError,
 )
 from .numkit import (
-    CosineSchedule,
     MlpModel,
     RandomStream,
     SgdJob,
     _forward_trace,
     check_matrix,
     check_sgd_schedule,
+    cosine_rates,
     init_mlp,
     train_sgd,
 )
@@ -223,8 +223,11 @@ def train_lockstep(
 
     A node runs ``cfg.epochs`` epochs of ``steps`` steps in all. Its cosine
     horizon is ``rounds * steps`` and this call starts at step ``round_index
-    * steps``, so round-based training resumes mid-schedule. Nodes that share
-    a label type and batch size ``min(batch_size, n)`` are the jobs of one
+    * steps``, so round-based training resumes mid-schedule; a
+    ``round_index`` outside [0, rounds) is a RangeError. The call computes
+    one rate table (:func:`~fedkd.numkit.cosine_rates`) per distinct step
+    count, which every node of that count shares. Nodes that share a label
+    type and batch size ``min(batch_size, n)`` are the jobs of one
     :func:`~fedkd.numkit.train_sgd` call, on softmax or masked sigmoid
     cross-entropy. A model whose parameters end non-finite comes back as None,
     as from train_sgd, and the others are unaffected; the caller names the
@@ -234,8 +237,11 @@ def train_lockstep(
     rows = [None] * count if rows is None else rows
     if any(len(v) != count for v in (data, streams, rows)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
+    if not 0 <= round_index < rounds:
+        raise RangeError(f"round_index {round_index} outside [0, {rounds})")
 
     stacks: dict[tuple, list[int]] = {}
+    tables: dict[int, list[float]] = {}  # step count -> its rate table
     jobs = []
     for k, (model, ds, idx) in enumerate(zip(models, data, rows)):
         dims = _dims(ds, cfg.hidden_dims)
@@ -250,9 +256,11 @@ def train_lockstep(
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
         b = min(cfg.batch_size, n)
         steps = cfg.epochs * (n // b)
-        sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
-        jobs.append(SgdJob(model, ds.features, (y,), streams[k], steps, sched,
-                           round_index * steps, cfg.weight_decay, idx))
+        if steps not in tables:
+            tables[steps] = cosine_rates(cfg.lr_start, cfg.lr_end, rounds * steps,
+                                         round_index * steps, steps)
+        jobs.append(SgdJob(model, ds.features, (y,), streams[k], tables[steps],
+                           cfg.weight_decay, idx))
         stacks.setdefault((ds.task, b, *dims), []).append(k)
 
     trained = {}
@@ -341,6 +349,8 @@ def collect_logits(
     public_features = check_matrix(public_features, "public features")
     if repeats < 1:
         raise ConfigurationError("repeats must be >= 1")
+    if noise_scale < 0:
+        raise ConfigurationError("query_noise must be >= 0")
     rows, cols = public_features.shape
     blocks = []
     for h in handles:
@@ -435,11 +445,8 @@ def _teacher(run: FedKdRun, handles, profiles, public: Dataset):
 
     weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
     teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
-    # distill's checks, made here per cell so a stacked distill call gets only valid jobs
+    # distill's check, made here per cell so a stacked distill call gets only valid jobs
     teacher = check_matrix(teacher, "teacher logits")
-    if run.distill_cfg.batch_size > public.n:
-        raise ConfigurationError(f"batch_size {run.distill_cfg.batch_size} exceeds public set "
-                                 f"size {public.n}")
     return teacher, weights, len(blocks), ledger
 
 
@@ -497,9 +504,10 @@ def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -
 
 def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     """:func:`run_fedkd` for every (run, private, public, test) cell, as six
-    :func:`_stage` lists: each cell's untrained student (built first, so one
-    that cannot be built fails before any training), shards and profiles,
-    node handles, teacher, trained student and result. One
+    :func:`_stage` lists: each cell's untrained student (built first, then
+    checked against the distill batch, so neither a student that cannot be
+    built nor a batch past the public set costs any training), shards
+    and profiles, node handles, teacher, trained student and result. One
     :func:`train_lockstep` call trains the nodes of all cells that share a
     node config, the teacher is built per cell, one stacked :func:`distill`
     call trains the students of all cells that share student dims, label
@@ -516,10 +524,14 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     each cell's private set and training split once the nodes have trained;
     a split the caller still holds stays alive.
     """
-    def student(i):
+    def student(i):  # and distill's batch check, so an oversized batch costs no training
         run, _, public, _ = cells[i]
-        return init_mlp(_dims(public, run.central_hidden_dims),
-                        RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
+        model = init_mlp(_dims(public, run.central_hidden_dims),
+                         RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
+        if run.distill_cfg.batch_size > public.n:
+            raise ConfigurationError(f"batch_size {run.distill_cfg.batch_size} exceeds public "
+                                     f"set size {public.n}")
+        return model
 
     def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
         run, private, public, _ = cells[i]

@@ -9,6 +9,7 @@ bit comparison of the fast-path tests."""
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,10 +26,8 @@ from fedkd.cli import (
 from fedkd.datasets import SINGLE_LABEL, Dataset
 from fedkd.distill import KL, distill_loss_grad, softmax_tau
 from fedkd.numkit import (
-    CosineSchedule,
     MlpModel,
     RandomStream,
-    cosine_lr,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -208,8 +207,8 @@ def write_csv_task(tmp_path, multi=False):
 
 def reference_distill(model, x, teacher, cfg, rs, task):
     """distill as the per-step chain of checked public calls with a copying
-    SGD update; the single-label KL loss is summed row by row with kl_loss."""
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, cfg.steps)
+    SGD update; the single-label KL loss is summed row by row with kl_loss.
+    Each step's rate is the cosine schedule's, computed here inline."""
     per_epoch = x.shape[0] // cfg.batch_size
     trace, step = [], 0
     while step < cfg.steps:
@@ -223,7 +222,8 @@ def reference_distill(model, x, teacher, cfg, rs, task):
             if cfg.loss_mode == KL and task == SINGLE_LABEL:
                 p, q = softmax_tau(teacher[idx], cfg.tau), softmax_tau(z, cfg.tau)
                 loss = (cfg.tau ** 2 / len(idx)) * sum(kl_loss(p[i], q[i]) for i in range(len(idx)))
-            lr = cosine_lr(sched, step)
+            lr = cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
+                1.0 + math.cos(math.pi * step / cfg.steps))
             model = copying_sgd(model, mlp_backward(model, x[idx], gz), lr, cfg.weight_decay)
             trace.append({"step": step, "loss": loss, "lr": lr})
             step += 1

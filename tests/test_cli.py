@@ -1242,6 +1242,26 @@ class TestFailedRunLeavesNoRunDirectory:
         assert err.startswith("runtime error: array is too big")
         assert calls == []
 
+    def test_a_distill_batch_past_the_public_set_fails_before_any_training(self, tmp_path,
+                                                                           capsys, monkeypatch):
+        """A CSV task's public size is known only once its file is read: the
+        batch is checked where each cell's student is built, so no node
+        trains and no node is queried."""
+        calls = []
+        for name in ("train_lockstep", "collect_logits"):
+            def counting(*args, _real=getattr(fedkd.protocol, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(fedkd.protocol, name, counting)
+        doc = tiny_doc(task=write_csv_task(tmp_path), distill={"steps": 60, "batch_size": 64})
+        public = Path(doc["task"]["public"])
+        public.write_text("".join(public.read_text().splitlines(keepends=True)[:31]))
+        assert main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: batch_size 64 exceeds public set size 30\n")
+        assert calls == []
+
 
 def test_every_ledger_row_bills_the_nbytes_of_the_array_sent(tmp_path, monkeypatch):
     """ledger.csv, row by row, against the arrays caught on their way out: a

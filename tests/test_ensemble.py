@@ -152,6 +152,11 @@ class TestQuantize:
         with pytest.raises(RangeError):
             quantize_array(np.array([[0.2, -1.01]]), 1.0, 4)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -np.nan])
+    def test_non_finite_entry_rejected(self, value):
+        with pytest.raises(RangeError, match="exceeds z_max"):
+            quantize_array(np.array([[value, 0.5]]), 1.0, 200)
+
     def test_bad_scale_rejected(self):
         with pytest.raises(RangeError):
             quantize_array(np.array([[0.1]]), 1.0, 1)

@@ -1,4 +1,4 @@
-"""Numeric kernel: streams, cosine schedule, MLP forward/backward, SGD."""
+"""Numeric kernel: streams, cosine rate tables, MLP forward/backward, SGD."""
 import dataclasses
 import math
 import re
@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fedkd.numkit
-from fedkd.errors import DimensionError, FedKdError, RangeError, ValidationError
+import fedkd.protocol
+from fedkd.datasets import SINGLE_LABEL, Dataset
+from fedkd.errors import DimensionError, FedKdError, ValidationError
 from fedkd.numkit import (
-    CosineSchedule,
     MlpModel,
     RandomStream,
     SgdJob,
     check_matrix,
-    cosine_lr,
+    cosine_rates,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
     train_sgd,
 )
+from fedkd.protocol import TrainConfig, softmax_xent_grad, train_lockstep
 
 from conftest import SPECIALS, mixed, same_bits
 
@@ -88,25 +90,22 @@ class TestRandomStream:
 
 class TestCosineSchedule:
     def test_endpoints_exact(self):
-        sched = CosineSchedule(0.0025, 0.001, 100)
-        assert cosine_lr(sched, 0) == 0.0025
-        assert cosine_lr(sched, 100) == pytest.approx(0.001, abs=1e-18)
+        rates = cosine_rates(0.0025, 0.001, 100, 0, 101)
+        assert rates[0] == 0.0025
+        assert rates[100] == pytest.approx(0.001, abs=1e-18)
 
     def test_midpoint_is_arithmetic_mean(self):
-        sched = CosineSchedule(0.0025, 0.001, 100)
-        assert cosine_lr(sched, 50) == pytest.approx(0.00175, rel=1e-12)
+        assert cosine_rates(0.0025, 0.001, 100, 50, 1) == [pytest.approx(0.00175, rel=1e-12)]
 
     def test_monotone_non_increasing(self):
-        sched = CosineSchedule(0.1, 0.001, 333)
-        vals = [cosine_lr(sched, s) for s in range(334)]
+        vals = cosine_rates(0.1, 0.001, 333, 0, 334)
+        assert len(vals) == 334
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_step_out_of_range(self):
-        sched = CosineSchedule(0.1, 0.0, 10)
-        with pytest.raises(RangeError):
-            cosine_lr(sched, 11)
-        with pytest.raises(RangeError):
-            cosine_lr(sched, -1)
+    @pytest.mark.parametrize("start, count", [(0, 0), (0, 7), (3, 4), (5, 6), (10, 1), (11, 0)])
+    def test_a_window_is_a_slice_of_the_whole_table(self, start, count):
+        whole = cosine_rates(0.1, 0.001, 11, 0, 11)
+        assert cosine_rates(0.1, 0.001, 11, start, count) == whole[start : start + count]
 
 
 class TestForward:
@@ -417,7 +416,7 @@ class TestElementwiseFastPaths:
     def test_forward_trace_stacked(self, stack, seed):
         k, rows, cols = stack
         dims = [cols, 9, 4]
-        params = mixed(seed, (k, fedkd.numkit.mlp_parameter_count(dims)), special_share=0.05)
+        params = mixed(seed, (k, make_model(dims).parameter_count()), special_share=0.05)
         weights, biases = fedkd.numkit._layer_views(dims, params)
         x = mixed(seed + 1, (k, rows, cols), special_share=0.05)
         with np.errstate(all="ignore"):
@@ -445,6 +444,12 @@ SGD_SPEC = [(40, 13, 0.1, 0, 0.0), (23, 7, 0.05, 2, 1e-3), (24, 12, 0.2, 0, 0.0)
             (16, 2, 0.1, 5, 1e-2)]
 
 
+def sgd_schedule(k, scale=1.0):
+    """(lr_start, lr_end, total steps, first step) of job k's cosine schedule."""
+    n, steps, lr, offset, wd = SGD_SPEC[k]
+    return scale * lr, 0.01 * lr, offset + steps, offset
+
+
 def sgd_jobs(lr_scale=(1.0, 1.0, 1.0, 1.0)):
     """Fresh jobs (their streams unused) of one layout with two target arrays:
     per-row teacher logits and a per-row weight."""
@@ -453,9 +458,8 @@ def sgd_jobs(lr_scale=(1.0, 1.0, 1.0, 1.0)):
     for k, ((n, steps, lr, offset, wd), scale) in enumerate(zip(SGD_SPEC, lr_scale)):
         x = data.gauss((n, SGD_DIMS[0]))
         targets = (data.gauss((n, SGD_DIMS[-1])), 0.5 + data.uniform(n))
-        sched = CosineSchedule(scale * lr, 0.01 * lr, offset + steps)
         jobs.append(SgdJob(make_model(SGD_DIMS, k), x, targets, RandomStream(3, (71, k)),
-                           steps, sched, offset, wd))
+                           cosine_rates(*sgd_schedule(k, scale), steps), wd))
     return jobs
 
 
@@ -465,17 +469,21 @@ def weighted_l2_dlogits(z, targets):
     return (2.0 / z.shape[-2]) * w[..., None] * (z - t)
 
 
-def reference_sgd(job, b, dlogits):
-    """One job as the per-step chain of checked public calls."""
+def reference_sgd(job, b, dlogits, schedule):
+    """One job as the per-step chain of checked public calls, at the rates of
+    ``schedule`` (lr_start, lr_end, total steps, first step), computed here
+    inline."""
+    lr_start, lr_end, total, offset = schedule
     model, x = job.model.copy(), job.x
     per_epoch = x.shape[0] // b
-    for step in range(job.steps):
+    for step in range(len(job.rates)):
         j = step % per_epoch
         if j == 0:
             perm = job.stream.permutation(x.shape[0])
         idx = perm[j * b : (j + 1) * b]
         gz = dlogits(mlp_forward(model, x[idx]), tuple(t[idx] for t in job.targets))
-        lr = cosine_lr(job.schedule, job.offset + step)
+        lr = lr_end + 0.5 * (lr_start - lr_end) * (
+            1.0 + math.cos(math.pi * (offset + step) / total))
         model = sgd_step(model, mlp_backward(model, x[idx], gz), lr, job.weight_decay)
     return model
 
@@ -498,7 +506,7 @@ class TestTrainSgd:
         before = [job.model.copy() for job in jobs]
         out = train_sgd(SGD_DIMS, SGD_B, jobs, weighted_l2_dlogits)
         for k, job in enumerate(sgd_jobs()):
-            ref = reference_sgd(job, SGD_B, weighted_l2_dlogits)
+            ref = reference_sgd(job, SGD_B, weighted_l2_dlogits, sgd_schedule(k))
             assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
             assert np.array_equal(bits(jobs[k].model), bits(before[k]))  # inputs untouched
 
@@ -515,32 +523,50 @@ class TestTrainSgd:
         assert shapes == [((k, SGD_B, 3), (k, SGD_B, 3), (k, SGD_B)) for k in live]
 
     def test_jobs_sharing_a_schedule_get_the_bits_they_get_alone(self):
-        """Jobs 0, 2 and 3 share one (schedule, offset), job 1 has its own: each
-        step computes one rate per pair still training, and every job keeps
-        the bits of its lone call and of the per-step oracle."""
-        shared = CosineSchedule(0.1, 0.001, 20)
+        """Nodes 0 and 2 of one train_lockstep call (a FedAvg resume, round 1
+        of 3) run 20 steps, nodes 1 and 3 run 10 and 8: the call computes one
+        rate table per step count, the nodes of equal count share one list,
+        and every node keeps the bits of its lone call and of the per-step
+        oracle."""
+        data = RandomStream(3, (74,))
+        shards = [Dataset(data.gauss((n, SGD_DIMS[0])), data.integers(3, (n, 1)), SINGLE_LABEL, 3)
+                  for n in (40, 23, 40, 16)]
+        cfg = TrainConfig(SGD_DIMS[1:-1], epochs=2, batch_size=SGD_B, lr_start=0.1,
+                          lr_end=0.001, weight_decay=1e-3)
+        models = [make_model(SGD_DIMS, k) for k in range(len(shards))]
 
-        def jobs():
-            return [dataclasses.replace(job, schedule=shared, offset=0) if k != 1 else job
-                    for k, job in enumerate(sgd_jobs())]
+        def streams():
+            return [RandomStream(3, (75, k)) for k in range(len(shards))]
 
-        calls = []
+        tables, jobs = [], []
 
-        def counting_lr(schedule, step):
-            calls.append((schedule, step))
-            return cosine_lr(schedule, step)
+        def counting_rates(*args, _real=fedkd.protocol.cosine_rates):
+            tables.append(_real(*args))
+            return tables[-1]
+
+        def capturing(dims, b, stack, dlogits, _real=fedkd.protocol.train_sgd):
+            jobs.extend(stack)
+            return _real(dims, b, stack, dlogits)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fedkd.numkit, "cosine_lr", counting_lr)
-            out = train_sgd(SGD_DIMS, SGD_B, jobs(), weighted_l2_dlogits)
-        steps = max(job.steps for job in jobs())
-        assert len(calls) == sum(len({(job.schedule, job.offset) for job in jobs()
-                                      if job.steps > step}) for step in range(steps))
-        for k, job in enumerate(jobs()):
-            (alone,) = train_sgd(SGD_DIMS, SGD_B, [job], weighted_l2_dlogits)
-            assert np.array_equal(bits(out[k]), bits(alone)), f"job {k}"
-            ref = reference_sgd(jobs()[k], SGD_B, weighted_l2_dlogits)
-            assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
+            mp.setattr(fedkd.protocol, "cosine_rates", counting_rates)
+            mp.setattr(fedkd.protocol, "train_sgd", capturing)
+            out = train_lockstep(models, shards, cfg, streams(), rounds=3, round_index=1)
+        assert [len(t) for t in tables] == [20, 10, 8]
+        assert [job.rates for job in jobs] == [tables[0], tables[1], tables[0], tables[2]]
+        assert jobs[0].rates is jobs[2].rates is tables[0]
+
+        def xent(z, targets):
+            return softmax_xent_grad(z, targets[0])[1]
+
+        for k, job in enumerate(jobs):
+            (alone,) = train_lockstep([models[k]], [shards[k]], cfg, [streams()[k]],
+                                      rounds=3, round_index=1)
+            assert np.array_equal(bits(out[k]), bits(alone)), f"node {k}"
+            steps = len(job.rates)
+            ref = reference_sgd(dataclasses.replace(job, stream=streams()[k]), SGD_B, xent,
+                                (0.1, 0.001, 3 * steps, steps))
+            assert np.array_equal(bits(out[k]), bits(ref)), f"node {k}"
 
     def test_index_rows_give_the_bits_of_copied_rows(self):
         """Each job trains on index rows into one shared matrix (unsorted,
@@ -555,8 +581,8 @@ class TestTrainSgd:
         def jobs(on_rows):
             return [SgdJob(make_model(SGD_DIMS, k), x if on_rows else x[idx],
                            targets if on_rows else tuple(t[idx] for t in targets),
-                           RandomStream(3, (73, k)), steps, CosineSchedule(0.1, 0.001, 12),
-                           1, 1e-3, idx if on_rows else None)
+                           RandomStream(3, (73, k)), cosine_rates(0.1, 0.001, 12, 1, steps),
+                           1e-3, idx if on_rows else None)
                     for k, (idx, steps) in enumerate(zip(picks, (11, 6, 9, 3)))]
 
         indexed, copied = jobs(True), jobs(False)

@@ -1,6 +1,7 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
 import dataclasses
 import importlib
+import math
 import pkgutil
 import re
 import tracemalloc
@@ -34,10 +35,8 @@ from fedkd.errors import (
     ValidationError,
 )
 from fedkd.numkit import (
-    CosineSchedule,
     MlpModel,
     RandomStream,
-    cosine_lr,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -298,6 +297,12 @@ class TestCollectLogits:
         with pytest.raises(ConfigurationError):
             collect_logits(self.make_handles(1), np.zeros((4, 16)), repeats=0)
 
+    def test_negative_query_noise_rejected(self):
+        handles = self.make_handles(2)
+        with pytest.raises(ConfigurationError, match="^query_noise must be >= 0$"):
+            collect_logits(handles, np.zeros((4, 16)), repeats=2, noise_scale=-0.5)
+        assert [h.query_rows for h in handles] == [0, 0]
+
     def test_public_matrix_is_checked_once(self, monkeypatch):
         calls = []
         for mod in (fedkd.protocol, fedkd.numkit):
@@ -466,6 +471,13 @@ class TestRunFedkd:
                            distill_cfg=DistillConfig(steps=10), labeled_public=True),
                   train, public, test)
         assert sizes == [train.n + public.n] and alive == [0]
+
+    def test_negative_query_noise_rejected(self):
+        train, test, public, plan = make_fixture()
+        run = base_run(plan, repeats=2, query_noise=-0.5,
+                       node_cfg=TrainConfig([8], epochs=1, batch_size=64))
+        with pytest.raises(ConfigurationError, match="^query_noise must be >= 0$"):
+            run_fedkd(run, train, public, test)
 
     def test_all_empty_rejected(self):
         _, test, public, _ = make_fixture()
@@ -711,11 +723,10 @@ def reference_train(model, ds, cfg, batch_rs, rounds=1, round_index=0):
     """train_supervised as the per-step chain of checked public calls, with a
     copying SGD update: the oracle for the fused, in-place trainer. Round
     ``round_index`` of ``rounds`` runs its steps on one cosine horizon over
-    all rounds."""
+    all rounds; each step's rate is computed here inline."""
     b = min(cfg.batch_size, ds.n)
     per_epoch = ds.n // b
     steps = cfg.epochs * per_epoch
-    sched = CosineSchedule(cfg.lr_start, cfg.lr_end, rounds * steps)
     step = round_index * steps
     for _ in range(cfg.epochs):
         order = batch_rs.permutation(ds.n)
@@ -728,7 +739,9 @@ def reference_train(model, ds, cfg, batch_rs, rounds=1, round_index=0):
             else:
                 _, gz = masked_bce_grad(z, ds.labels[idx])
             g = mlp_backward(model, x, gz)
-            lr, wd = cosine_lr(sched, step), cfg.weight_decay
+            lr = cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
+                1.0 + math.cos(math.pi * step / (rounds * steps)))
+            wd = cfg.weight_decay
             model = MlpModel(
                 model.layer_dims,
                 [w - lr * (gw + wd * w) for w, gw in zip(model.weights, g.weights)],
@@ -892,6 +905,21 @@ class TestLockstepTrainer:
             train_lockstep([model], [subset(train, [])], cfg, [RandomStream(0, (46,))])
         with pytest.raises(ConfigurationError, match="one entry per model"):
             train_lockstep([model], [train], cfg, [RandomStream(0, (46,))] * 2)
+
+    @pytest.mark.parametrize("rounds, round_index", [(3, 3), (3, 8), (3, -1), (0, 0)])
+    def test_round_index_outside_the_rounds_is_a_range_error(self, monkeypatch, rounds,
+                                                             round_index):
+        """The schedule's steps are range-checked once, on entry, before any
+        rate table is built or any step is taken."""
+        calls = []
+        monkeypatch.setattr(fedkd.protocol, "cosine_rates", lambda *a: calls.append(a))
+        monkeypatch.setattr(fedkd.protocol, "train_sgd", lambda *a: calls.append(a))
+        train = make_fixture()[0]
+        model = init_mlp([16, 4], RandomStream(0, (45,)))
+        with pytest.raises(RangeError, match=rf"^round_index {round_index} outside \[0, {rounds}\)$"):
+            train_lockstep([model], [subset(train, np.arange(32))], TrainConfig([], epochs=1),
+                           [RandomStream(0, (46,))], rounds=rounds, round_index=round_index)
+        assert calls == []
 
     def test_model_dims_must_match_the_data(self):
         train = make_fixture()[0]  # 16 features, 4 classes
