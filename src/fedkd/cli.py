@@ -42,9 +42,8 @@ from .datasets import (
     CsvSchema,
     Dataset,
     GaussianTaskSpec,
-    MULTI_LABEL,
     PartitionPlan,
-    SINGLE_LABEL,
+    check_partition,
     dirichlet_partition,
     gen_gaussian_task,
     load_csv,
@@ -252,11 +251,7 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
             raise ConfigurationError("task.cov_scale must be >= 0")
     elif kind == "csv":
         task = _build(CsvTask, raw, where)
-        if task.task_type not in (SINGLE_LABEL, MULTI_LABEL):
-            raise ConfigurationError(f"unknown task.task_type {task.task_type!r}")
-        if task.num_classes < 1:
-            raise ConfigurationError("task.num_classes must be >= 1")
-        _csv_schema(task)  # its column checks, made at parse time
+        _csv_schema(task)  # its checks, made at parse time
     else:
         raise ConfigurationError("task.kind must be 'synthetic' or 'csv'")
     return task
@@ -288,23 +283,12 @@ def parse_dict(doc: dict) -> ExperimentConfig:
             raise ConfigurationError("sweep.seeds must be >= 0")
     if cfg.seed < 0:
         raise ConfigurationError("seed must be >= 0")
-    if cfg.num_nodes < 1:
-        raise ConfigurationError("num_nodes must be >= 1")
-    if cfg.alpha <= 0:
-        raise ConfigurationError("alpha must be > 0")
-    if cfg.repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
-    if cfg.query_noise < 0:
-        raise ConfigurationError("query_noise must be >= 0")
+    check_partition(cfg.num_nodes, cfg.alpha)  # the library's own checks, made at parse time
+    _fedkd_run(cfg, cfg.seed, PartitionPlan([]))
     if cfg.rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
-    if any(h < 1 for h in cfg.central_hidden_dims):
-        raise ConfigurationError("central_hidden_dims entries must be >= 1")
-    if isinstance(cfg.task, SyntheticTask):  # a CSV public set is sized by distill
-        public = cfg.task.num_classes * cfg.task.public_per_class
-        if cfg.distill.batch_size > public:
-            raise ConfigurationError(f"distill.batch_size {cfg.distill.batch_size} exceeds "
-                                     f"the public set size {public}")
+    if isinstance(cfg.task, SyntheticTask):  # a CSV public set is checked once it is read
+        cfg.distill.check_batch(cfg.task.num_classes * cfg.task.public_per_class)
     return cfg
 
 
@@ -383,9 +367,13 @@ def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
 
 
 def _plan(cfg: ExperimentConfig, private: Dataset, seed: int) -> PartitionPlan:
-    return dirichlet_partition(
-        private, cfg.num_nodes, cfg.alpha, RandomStream(seed, (STREAM_PARTITION,))
-    )
+    return dirichlet_partition(private, cfg.num_nodes, cfg.alpha,
+                               RandomStream(seed, (STREAM_PARTITION,)))
+
+
+def _fedkd_run(cfg: ExperimentConfig, seed: int, plan: PartitionPlan) -> FedKdRun:
+    return FedKdRun(plan, cfg.node, cfg.ensemble, cfg.distill, cfg.central_hidden_dims, seed,
+                    cfg.repeats, cfg.query_noise, cfg.labeled_public)
 
 
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
@@ -407,17 +395,8 @@ def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     training."""
     def build(group):
         private, public, test, plan = build_data(*cells[group[0]])
-        return [(FedKdRun(
-            plan=plan,
-            node_cfg=cfg.node,
-            ensemble_cfg=cfg.ensemble,
-            distill_cfg=cfg.distill,
-            central_hidden_dims=cfg.central_hidden_dims,
-            seed=seed,
-            repeats=cfg.repeats,
-            query_noise=cfg.query_noise,
-            labeled_public=cfg.labeled_public,
-        ), private, public, test) for cfg, seed in (cells[i] for i in group)]
+        return [(_fedkd_run(cfg, seed, plan), private, public, test)
+                for cfg, seed in (cells[i] for i in group)]
 
     def data_key(i):
         cfg, seed = cells[i]

@@ -29,6 +29,7 @@ __all__ = [
     "CsvSchema",
     "gen_gaussian_task",
     "load_csv",
+    "check_partition",
     "dirichlet_partition",
     "profile",
 ]
@@ -53,7 +54,7 @@ class Dataset:
             if self.labels.shape != (n, 1):
                 raise ValidationError(f"single-label labels must be (N, 1), got {self.labels.shape}")
             if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-                raise ValidationError("label out of range [0, C)")
+                raise ValidationError(f"label out of range [0, {self.num_classes})")
         elif self.task == MULTI_LABEL:
             if self.labels.shape != (n, self.num_classes):
                 raise ValidationError(f"multi-label labels must be (N, C), got {self.labels.shape}")
@@ -152,6 +153,8 @@ class CsvSchema:
     def __post_init__(self):
         if self.task not in (SINGLE_LABEL, MULTI_LABEL):
             raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.num_classes < 1:
+            raise ConfigurationError("num_classes must be >= 1")
         if self.task == SINGLE_LABEL and len(self.label_cols) != 1:
             raise ConfigurationError("single-label schema needs exactly one label column")
         if self.task == MULTI_LABEL and len(self.label_cols) != self.num_classes:
@@ -159,12 +162,10 @@ class CsvSchema:
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
-    """Read a UTF-8, header-first CSV into a Dataset.
-
-    Parse failures raise FormatError naming the 1-based data row; a NaN or
-    infinite feature or label value, or a label value outside the schema's
-    range, raises ValidationError naming the row.
-    """
+    """Read a UTF-8, header-first CSV into a Dataset. A parse failure is a
+    FormatError naming the 1-based data row; a NaN, infinite or non-integer
+    label, or a row that fails a Dataset check (sought row by row only once
+    the whole table has failed), is a ValidationError naming the row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -183,27 +184,21 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
 
     features = np.asarray(feats, dtype=np.float64).reshape(len(feats), len(schema.feature_cols))
     raw = np.asarray(labs, dtype=np.float64).reshape(len(labs), len(schema.label_cols))
-    for what, values in (("feature", features), ("label", raw)):
-        bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad_rows.size:
-            raise ValidationError(f"{path}: row {int(bad_rows[0]) + 1}: non-finite {what} value")
-    if raw.size and not np.array_equal(raw, np.round(raw)):
-        bad = int(np.argwhere(raw != np.round(raw))[0][0]) + 1
-        raise ValidationError(f"{path}: row {bad}: non-integer label value")
+    # the two label checks the int cast would otherwise hide
+    for what, bad in (("non-finite", ~np.isfinite(raw)), ("non-integer", raw != np.round(raw))):
+        if bad.any():
+            raise ValidationError(f"{path}: row {int(np.argwhere(bad)[0][0]) + 1}: "
+                                  f"{what} label value")
     labels = raw.astype(np.int64)
-
-    if schema.task == SINGLE_LABEL and labels.size:
-        bad_rows = np.where((labels[:, 0] < 0) | (labels[:, 0] >= schema.num_classes))[0]
-        if bad_rows.size:
-            r = int(bad_rows[0]) + 1
-            raise ValidationError(
-                f"{path}: row {r}: label {labels[bad_rows[0], 0]} outside [0, {schema.num_classes})"
-            )
-    if schema.task == MULTI_LABEL and labels.size:
-        bad_rows = np.where(~np.isin(labels, (-1, 0, 1)).all(axis=1))[0]
-        if bad_rows.size:
-            raise ValidationError(f"{path}: row {int(bad_rows[0]) + 1}: multi-label entry not in {{-1,0,1}}")
-    return Dataset(features, labels, schema.task, schema.num_classes)
+    try:
+        return Dataset(features, labels, schema.task, schema.num_classes)
+    except ValidationError:
+        for r in range(len(labels)):
+            try:
+                Dataset(features[r : r + 1], labels[r : r + 1], schema.task, schema.num_classes)
+            except ValidationError as err:
+                raise ValidationError(f"{path}: row {r + 1}: {err}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +218,21 @@ def _effective_labels(ds: Dataset) -> np.ndarray:
     return np.column_stack([rank, np.full(ds.n, ds.n)]).argmin(axis=1)
 
 
+def check_partition(num_nodes: int, alpha: float) -> None:
+    """The data-free range check of :func:`dirichlet_partition`'s arguments."""
+    if num_nodes < 1:
+        raise ConfigurationError("num_nodes must be >= 1")
+    if not 0 < alpha < np.inf:
+        raise ConfigurationError("alpha must be > 0 and finite")
+
+
 def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStream) -> PartitionPlan:
     """Class-wise Dirichlet split: for each class, proportions over nodes are
     drawn from Dirichlet(alpha * 1_K) and the class's (shuffled) indices are
     cut at the cumulative boundaries. Smaller alpha -> more skew. Multi-label
     datasets are bucketed by their rarest positive class first.
     """
-    if num_nodes < 1:
-        raise ConfigurationError("need at least one node")
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be > 0")
+    check_partition(num_nodes, alpha)
     if num_nodes > ds.n:
         raise ConfigurationError(f"cannot split {ds.n} samples across {num_nodes} nodes")
 

@@ -85,6 +85,11 @@ class DistillConfig:
         if self.loss_mode == KL and math.isinf(self.tau):
             raise ConfigurationError("kl loss needs a finite tau")
 
+    def check_batch(self, rows: int) -> None:
+        """The batch against the ``rows`` of the public set it is drawn from."""
+        if self.batch_size > rows:
+            raise ConfigurationError(f"batch_size {self.batch_size} exceeds public set size {rows}")
+
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction, computed in (and returning) z.
@@ -226,8 +231,7 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
         n = x.shape[0]
         if teacher.shape[0] != n:
             raise DimensionError("teacher logits and features row counts differ")
-        if cfg.batch_size > n:
-            raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds public set size {n}")
+        cfg.check_batch(n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
             targets = _teacher_targets(teacher, cfg, task, loss=keep_trace)
         jobs.append(SgdJob(student, x, targets, stream, rates, cfg.weight_decay))

@@ -81,7 +81,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.quant_scale is not None and self.quant_scale < 2:
             raise ConfigurationError("quant_scale must be >= 2 (or None to disable)")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ConfigurationError("gamma must be > 0 (or None to disable)")
         if self.weight_mode not in (PER_CLASS, UNIFORM):
             raise ConfigurationError(f"unknown weight_mode {self.weight_mode!r}")
@@ -172,7 +172,7 @@ def laplace_sample(gamma: float, rs: RandomStream, size=None):
     The u = +-0.5 endpoint (probability ~2^-53) is clamped so outputs stay
     finite.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise RangeError("gamma must be > 0")
     u = rs.uniform(size) - 0.5
     mag = 1.0 - 2.0 * np.abs(u)

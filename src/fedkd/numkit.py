@@ -137,7 +137,7 @@ def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> N
     if not lr_start >= lr_end >= 0:
         raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
                                  f"{lr_start} and lr_end={lr_end}")
-    if weight_decay < 0:
+    if not weight_decay >= 0:
         raise ConfigurationError("weight_decay must be >= 0")
 
 

@@ -333,6 +333,13 @@ def _train_cells(cells: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainC
     return out
 
 
+def _check_query(repeats: int, query_noise: float) -> None:
+    if repeats < 1:
+        raise ConfigurationError("repeats must be >= 1")
+    if not query_noise >= 0:
+        raise ConfigurationError("query_noise must be >= 0")
+
+
 def collect_logits(
     handles: list[NodeHandle],
     public_features: np.ndarray,
@@ -347,10 +354,7 @@ def collect_logits(
     that is not finite, or a noisy copy of the features that is not, is a
     ValidationError naming its node."""
     public_features = check_matrix(public_features, "public features")
-    if repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
-    if noise_scale < 0:
-        raise ConfigurationError("query_noise must be >= 0")
+    _check_query(repeats, noise_scale)
     rows, cols = public_features.shape
     blocks = []
     for h in handles:
@@ -390,7 +394,9 @@ def collect_logits(
 
 @dataclass
 class FedKdRun:
-    """Everything one aggregation run needs besides the data itself."""
+    """Everything one aggregation run needs besides the data itself. It checks
+    its own fields when built (``repeats`` >= 1, ``query_noise`` >= 0, each
+    ``central_hidden_dims`` entry >= 1), so an invalid run trains no node."""
 
     plan: PartitionPlan
     node_cfg: TrainConfig
@@ -401,6 +407,11 @@ class FedKdRun:
     repeats: int = 1
     query_noise: float = 0.0  # 0: every query pass sees the clean features
     labeled_public: bool = False
+
+    def __post_init__(self):
+        _check_query(self.repeats, self.query_noise)
+        if any(h < 1 for h in self.central_hidden_dims):
+            raise ConfigurationError("central_hidden_dims entries must be >= 1")
 
 
 @dataclass
@@ -528,9 +539,7 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
         run, _, public, _ = cells[i]
         model = init_mlp(_dims(public, run.central_hidden_dims),
                          RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
-        if run.distill_cfg.batch_size > public.n:
-            raise ConfigurationError(f"batch_size {run.distill_cfg.batch_size} exceeds public "
-                                     f"set size {public.n}")
+        run.distill_cfg.check_batch(public.n)
         return model
 
     def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it

@@ -32,6 +32,7 @@ from fedkd.cli import (
 )
 import fedkd.cli
 import fedkd.protocol
+from fedkd.datasets import CsvSchema, Dataset, PartitionPlan, dirichlet_partition
 from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
 from fedkd.ensemble import PER_CLASS, EnsembleConfig
 from fedkd.errors import ConfigurationError
@@ -472,7 +473,7 @@ class TestMainExitCodes:
         assert err.startswith("runtime error: distillation diverged on the central model")
 
     @pytest.mark.parametrize("case, message", [
-        ("csv_nan", "private.csv: row 3: non-finite feature value"),
+        ("csv_nan", "private.csv: row 3: features: non-finite entries"),
         ("gamma", "teacher logits: non-finite entries"),
         ("cov_scale", "querying node 0: logits: non-finite entries"),
     ])
@@ -525,7 +526,7 @@ class TestMainExitCodes:
         assert main([command, "--config", str(write_config(tmp_path, doc)),
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            f"runtime error: {path}: row {row}: non-finite feature value\n")
+            f"runtime error: {path}: row {row}: features: non-finite entries\n")
         assert not out.exists() or not any(out.iterdir())
 
     def test_non_finite_csv_feature_is_an_error_row_per_sweep_cell(self, tmp_path):
@@ -537,7 +538,7 @@ class TestMainExitCodes:
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader((out / "ablation.csv").open()))
         assert [r["error"] for r in rows] == [
-            f"ValidationError: {path}: row 9: non-finite feature value"] * 2
+            f"ValidationError: {path}: row 9: features: non-finite entries"] * 2
 
     @pytest.mark.parametrize("over, key", [
         ({"distill": [1]}, "'distill' must be an object"),
@@ -1304,6 +1305,25 @@ def test_every_ledger_row_bills_the_nbytes_of_the_array_sent(tmp_path, monkeypat
         for frame in (("params_down", down.flat.nbytes), ("params_up", up.flat.nbytes))]
 
 
+def owner_run(**over):
+    """A FedKdRun of default fields but ``over``."""
+    fields = dict(plan=PartitionPlan([]), node_cfg=TrainConfig(), ensemble_cfg=EnsembleConfig(),
+                  distill_cfg=DistillConfig(), central_hidden_dims=[64], seed=0)
+    return FedKdRun(**{**fields, **over})
+
+
+def owner_distill(batch_size, rows, dims):
+    """distill of a ``dims`` student on ``rows`` public rows."""
+    return distill(init_mlp(dims, RandomStream(0, (1,))), np.zeros((rows, dims[0])),
+                   np.zeros((rows, dims[-1])), DistillConfig(batch_size=batch_size),
+                   RandomStream(0, (2,)))
+
+
+def owner_partition(num_nodes, alpha):
+    ds = Dataset(np.zeros((4, 1)), np.zeros((4, 1)), "single_label", 2)
+    return dirichlet_partition(ds, num_nodes, alpha, RandomStream(0, (1,)))
+
+
 class TestParseTimeChecks:
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -1321,7 +1341,7 @@ class TestParseTimeChecks:
         p = write_config(tmp_path, tiny_doc(distill={"steps": 60, "batch_size": 121}))
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "config error: distill.batch_size 121 exceeds the public set size 120\n")
+            "config error: batch_size 121 exceeds public set size 120\n")
         assert no_training == []
 
     @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
@@ -1342,7 +1362,7 @@ class TestParseTimeChecks:
                        "label_cols": []}
         p = write_config(tmp_path, doc)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "config error: task.num_classes must be >= 1\n"
+        assert capsys.readouterr().err == "config error: num_classes must be >= 1\n"
         assert no_training == []
 
     @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
@@ -1363,7 +1383,7 @@ class TestParseTimeChecks:
     def test_too_small_d0_cell_gets_its_error_row_without_training(self, tmp_path, no_training):
         (row,) = _ablate_rows(tmp_path, "d0", 30)  # 30 public rows, distill batches of 32
         assert row["error"] == (
-            "ConfigurationError: distill.batch_size 32 exceeds the public set size 30")
+            "ConfigurationError: batch_size 32 exceeds public set size 30")
         assert no_training == []
 
     @pytest.mark.parametrize("section, over", [
@@ -1376,6 +1396,43 @@ class TestParseTimeChecks:
     def test_constructor_errors_name_their_section(self, section, over):
         with pytest.raises(ConfigurationError, match=rf"\(in {section}\)$"):
             parse_dict(tiny_doc(**over))
+
+    @pytest.mark.parametrize("over, csv_task, owner", [
+        ({"num_nodes": 0}, None, lambda: owner_partition(0, 1.0)),
+        ({"alpha": 0.0}, None, lambda: owner_partition(2, 0.0)),
+        ({"repeats": 0}, None, lambda: owner_run(repeats=0)),
+        ({"query_noise": -0.5}, None, lambda: owner_run(query_noise=-0.5)),
+        ({"central_hidden_dims": [0]}, None, lambda: owner_run(central_hidden_dims=[0])),
+        ({"distill": {"steps": 60, "batch_size": 121}}, None,
+         lambda: owner_distill(121, 120, [8, 16, 3])),
+        ({"distill": {"steps": 60, "batch_size": 81}}, {},
+         lambda: owner_distill(81, 80, [2, 16, 2])),
+        ({}, {"task_type": "weird"}, lambda: CsvSchema(["x0", "x1"], ["y"], "weird", 2)),
+        ({}, {"task_type": "multi_label", "num_classes": 0, "label_cols": []},
+         lambda: CsvSchema(["x0", "x1"], [], "multi_label", 0)),
+    ], ids=["num_nodes", "alpha", "repeats", "query_noise", "central_hidden_dims",
+            "synthetic_batch", "csv_batch", "csv_task_type", "csv_num_classes"])
+    def test_the_cli_prints_its_owners_message(self, tmp_path, capsys, no_training, over,
+                                               csv_task, owner):
+        """Each fact the CLI and the library both check has one raise site,
+        so the CLI's config error is the owner's own error. A bad non-swept
+        key makes ``ablate`` exit 2 with no ablation.csv, except a CSV batch:
+        its public set is checked once it is read, which fails only rows."""
+        with pytest.raises(ConfigurationError) as exc:
+            owner()
+        doc = tiny_doc(**over)
+        if csv_task is not None:
+            doc["task"] = {**write_csv_task(tmp_path), **csv_task}
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        if csv_task != {}:  # every case but the CSV batch
+            doc["sweep"] = {"param": "gamma", "values": [None], "seeds": [0]}
+            assert main(["ablate", "--config", str(write_config(tmp_path, doc)),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {exc.value}\n"
+            assert not (out / "ablation.csv").exists()
+        assert no_training == []
 
 
 def test_overflowing_model_evaluation_is_a_one_line_runtime_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedkd.datasets
+
 from fedkd.datasets import (
     Dataset,
     CsvSchema,
@@ -130,15 +132,44 @@ class TestLoadCsv:
             load_csv(p, self.SCHEMA)
 
     @pytest.mark.parametrize("row, what", [
-        ("nan,1,0", "feature"), ("1,-inf,0", "feature"), ("1,1,inf", "label"),
-        ("1,1,nan", "label")])
+        ("nan,1,0", "features: non-finite entries"), ("1,-inf,0", "features: non-finite entries"),
+        ("1,1,inf", "non-finite label value"), ("1,1,nan", "non-finite label value")])
     def test_non_finite_value_names_row(self, tmp_path, row, what):
         """Rejected at load, with no numpy warning from the label cast."""
         p = tmp_path / "d.csv"
         p.write_text(f"f0,f1,label\n1,1,0\n2,2,1\n{row}\n")
-        with pytest.raises(ValidationError,
-                           match=f"^{re.escape(str(p))}: row 3: non-finite {what} value$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}: row 3: {what}$"):
             load_csv(p, self.SCHEMA)
+
+    @pytest.mark.parametrize("schema, rows, message", [
+        (SCHEMA, "1,1,0\n1,1,3\nnan,1,0\n", "row 2: label out of range [0, 3)"),
+        (SCHEMA, "1,1,0\ninf,1,9\n", "row 2: features: non-finite entries"),
+        (CsvSchema(["f0", "f1"], ["c0"], MULTI_LABEL, 1), "1,1,1\n1,1,-1\n2,nan,0\n1,1,2\n",
+         "row 3: features: non-finite entries"),
+        (CsvSchema(["f0", "f1"], ["c0"], MULTI_LABEL, 1), "1,1,1\n1,1,2\n",
+         "row 2: multi-label entries must be in {-1, 0, 1}"),
+    ])
+    def test_a_dataset_check_names_the_first_row_that_fails_it(self, tmp_path, schema, rows,
+                                                               message):
+        """load_csv leaves features and label values to Dataset's one check,
+        and names the first row that fails it, with Dataset's message."""
+        p = tmp_path / "d.csv"
+        p.write_text(f"f0,f1,{schema.label_cols[0]}\n{rows}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            load_csv(p, schema)
+
+    def test_a_valid_table_is_checked_by_one_dataset(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(Dataset):
+            def __post_init__(self):
+                built.append(len(self.features))
+                super().__post_init__()
+
+        monkeypatch.setattr(fedkd.datasets, "Dataset", Counted)
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,label\n0.5,1.25,0\n-1.0,0.0,2\n")
+        assert load_csv(p, self.SCHEMA).n == 2 and built == [2]
 
     def test_multi_label_entries_validated(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -263,6 +294,12 @@ class TestDirichletPartition:
         ds = balanced_single(5, 2)
         with pytest.raises(ConfigurationError):
             dirichlet_partition(ds, 2, 0.0, RandomStream(0, (1,)))
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_nan_or_infinite_alpha_rejected(self, alpha):
+        """Named by the argument check, not left to fail inside numpy."""
+        with pytest.raises(ConfigurationError, match="^alpha must be > 0 and finite$"):
+            dirichlet_partition(balanced_single(5, 2), 3, alpha, RandomStream(0, (1,)))
 
     def test_multi_label_partition_covers_dataset(self):
         labels = np.array([

@@ -434,6 +434,12 @@ class TestEnsemble:
             EnsembleConfig(weight_mode="weird")
         assert EnsembleConfig(weight_mode=UNIFORM).gamma == 1.0
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ConfigurationError, match="^gamma must be > 0"):
+            EnsembleConfig(gamma=math.nan)
+        with pytest.raises(RangeError, match="^gamma must be > 0$"):
+            laplace_sample(math.nan, RandomStream(0, (9,)))
+
 
 def list_then_sum(blocks, weights, cfg, rs):
     """The ensemble as first written: quantize every block into a list, then

@@ -474,10 +474,29 @@ class TestRunFedkd:
 
     def test_negative_query_noise_rejected(self):
         train, test, public, plan = make_fixture()
-        run = base_run(plan, repeats=2, query_noise=-0.5,
-                       node_cfg=TrainConfig([8], epochs=1, batch_size=64))
         with pytest.raises(ConfigurationError, match="^query_noise must be >= 0$"):
+            run = base_run(plan, repeats=2, query_noise=-0.5,
+                           node_cfg=TrainConfig([8], epochs=1, batch_size=64))
             run_fedkd(run, train, public, test)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"repeats": 0}, "repeats must be >= 1"),
+        ({"query_noise": -0.5, "repeats": 2}, "query_noise must be >= 0"),
+        ({"query_noise": math.nan}, "query_noise must be >= 0"),
+        ({"central_hidden_dims": [8, 0]}, "central_hidden_dims entries must be >= 1"),
+    ])
+    def test_an_invalid_run_fails_when_built_before_any_node_trains(self, monkeypatch, bad,
+                                                                     message):
+        """FedKdRun checks its own fields, so a library run_fedkd with a bad
+        one never reaches node training."""
+        calls = []
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", lambda *a, **k: calls.append(1))
+        train, test, public, plan = make_fixture()
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            base_run(plan, **bad)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_fedkd(base_run(plan, **bad), train, public, test)
+        assert calls == []
 
     def test_all_empty_rejected(self):
         _, test, public, _ = make_fixture()
@@ -691,6 +710,12 @@ class TestTrainSupervised:
         for hidden in ([0], [8, -1]):
             with pytest.raises(ConfigurationError, match="hidden_dims"):
                 TrainConfig(hidden_dims=hidden)
+
+    @pytest.mark.parametrize("config", [TrainConfig, DistillConfig])
+    def test_nan_weight_decay_rejected(self, config):
+        """The schedule check both configs share rejects NaN, not only < 0."""
+        with pytest.raises(ConfigurationError, match="^weight_decay must be >= 0$"):
+            config(weight_decay=math.nan)
 
     def test_batch_size_clamped_to_dataset(self):
         train, _, _, _ = make_fixture()

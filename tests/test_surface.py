@@ -3,7 +3,8 @@ tracer wraps (``SPANNED`` in perfbench/spans.py, read with ``ast`` and not
 imported) and every name the README's library example imports. Trimming one
 of them breaks the traced benchmark or the README, so it fails here first.
 The package root exports the README's names and no others. Every other
-function and class in the package has a caller in it."""
+function and class in the package has a caller in it, and every name a
+module imports is read there."""
 import ast
 import importlib
 import types
@@ -70,3 +71,17 @@ def test_every_function_and_class_has_a_caller_or_a_pin():
     pinned = ({name for _, name in spanned()} | set(readme_library_imports()) | imported
               | (methods & called))
     assert sorted(defined - read - pinned) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (ROOT / "src" / "fedkd").glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_every_imported_name_is_read(path):
+    """No linter runs on the package, so dead imports are caught here: every
+    name a module imports is read in that module. The package root's
+    re-exports are pinned by the README test above instead."""
+    tree = ast.parse((ROOT / "src" / "fedkd" / path).read_text())
+    imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", "")
+                != "__future__" for a in n.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - read) == []
