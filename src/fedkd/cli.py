@@ -76,21 +76,6 @@ SWEEP_FIELDS = {"gamma": "ensemble.gamma", "S": "ensemble.quant_scale",
                 "R": "repeats"}
 SWEEP_AXES = tuple(SWEEP_FIELDS)
 
-__all__ = [
-    "ExperimentConfig",
-    "parse_config",
-    "config_to_dict",
-    "config_digest",
-    "build_data",
-    "execute_fedkd",
-    "execute_fedkd_batch",
-    "cmd_run",
-    "cmd_fedavg",
-    "cmd_ablate",
-    "cmd_report",
-    "main",
-]
-
 
 @dataclass
 class SyntheticTask:
@@ -270,6 +255,13 @@ _TOP_LEVEL = {
 }
 
 
+def _check_seeds(key: str, seeds: list[int]) -> None:
+    """The one seed check, for the config's ``seed``, its ``sweep.seeds`` and
+    the ``--seed`` flag; the message names the key the seeds came from."""
+    if min(seeds) < 0:
+        raise ConfigurationError(f"{key} must be >= 0")
+
+
 def parse_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw config mapping and fill defaults. Every failure is a
     ConfigurationError, so a bad config exits 2."""
@@ -279,10 +271,8 @@ def parse_dict(doc: dict) -> ExperimentConfig:
             raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
         if not cfg.sweep.values or not cfg.sweep.seeds:
             raise ConfigurationError("sweep.values and sweep.seeds must be non-empty")
-        if min(cfg.sweep.seeds) < 0:
-            raise ConfigurationError("sweep.seeds must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigurationError("seed must be >= 0")
+        _check_seeds("sweep.seeds", cfg.sweep.seeds)
+    _check_seeds("seed", [cfg.seed])
     check_partition(cfg.num_nodes, cfg.alpha)  # the library's own checks, made at parse time
     _fedkd_run(cfg, cfg.seed, PartitionPlan([]))
     if cfg.rounds < 1:
@@ -641,8 +631,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ablate(cfg, out, args.force)
             return 0
         seed = cfg.seed if args.seed is None else args.seed
-        if seed < 0:
-            raise ConfigurationError("--seed must be >= 0")
+        _check_seeds("--seed", [seed])
         (cmd_run if args.command == "run" else cmd_fedavg)(cfg, out, seed, args.force)
         return 0
     except ConfigurationError as exc:

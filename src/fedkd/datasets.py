@@ -20,20 +20,6 @@ from .numkit import RandomStream
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
 
-__all__ = [
-    "SINGLE_LABEL",
-    "MULTI_LABEL",
-    "Dataset",
-    "PartitionPlan",
-    "GaussianTaskSpec",
-    "CsvSchema",
-    "gen_gaussian_task",
-    "load_csv",
-    "check_partition",
-    "dirichlet_partition",
-    "profile",
-]
-
 
 @dataclass
 class Dataset:
@@ -162,12 +148,13 @@ class CsvSchema:
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
-    """Read a UTF-8, header-first CSV into a Dataset. A parse failure is a
+    """Read a UTF-8, header-first CSV into a Dataset; a leading byte-order
+    mark, as spreadsheet exports write, is dropped. A parse failure is a
     FormatError naming the 1-based data row; a NaN, infinite or non-integer
     label, or a row that fails a Dataset check (sought row by row only once
     the whole table has failed), is a ValidationError naming the row."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise FormatError(f"{path}: empty file, expected a header row")

@@ -46,21 +46,6 @@ _P_FLOOR = 1e-12  # probabilities are clamped to [_P_FLOOR, 1] inside logs
 def _safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.clip(p, _P_FLOOR, 1.0))
 
-__all__ = [
-    "LOGIT_L2",
-    "KL",
-    "DistillConfig",
-    "softmax_tau",
-    "sigmoid",
-    "binary_kl_loss",
-    "distill_loss_grad",
-    "distill",
-    "evaluate_single",
-    "mann_whitney_auc",
-    "MultiLabelEval",
-    "evaluate_multi",
-]
-
 
 @dataclass
 class DistillConfig:

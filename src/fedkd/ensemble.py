@@ -25,21 +25,6 @@ UNIFORM = "uniform"
 _TINY = np.finfo(np.float64).tiny
 _DBL_MAX = np.finfo(np.float64).max
 
-__all__ = [
-    "PER_CLASS",
-    "UNIFORM",
-    "LogitBlock",
-    "EnsembleConfig",
-    "WeightTable",
-    "importance_weights",
-    "global_max_abs",
-    "quantize_array",
-    "laplace_sample",
-    "ensemble",
-    "packed_payload_bytes",
-    "quant_level_bits",
-]
-
 
 @dataclass
 class LogitBlock:
@@ -165,8 +150,9 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     return _quantize(z, z_max, scale)
 
 
-def laplace_sample(gamma: float, rs: RandomStream, size=None):
-    """Inverse-CDF sample(s) from Laplace(0, 1/gamma).
+def laplace_sample(gamma: float, rs: RandomStream, size) -> np.ndarray:
+    """Inverse-CDF samples from Laplace(0, 1/gamma), as an array of shape
+    ``size``.
 
     With u uniform in (-0.5, 0.5): -(1/gamma) * sign(u) * ln(1 - 2|u|).
     The u = +-0.5 endpoint (probability ~2^-53) is clamped so outputs stay
@@ -175,11 +161,8 @@ def laplace_sample(gamma: float, rs: RandomStream, size=None):
     if not gamma > 0:
         raise RangeError("gamma must be > 0")
     u = rs.uniform(size) - 0.5
-    mag = 1.0 - 2.0 * np.abs(u)
-    mag = (_clamp(np.maximum, mag, _TINY) if isinstance(mag, np.ndarray)
-           else np.maximum(mag, _TINY))
-    x = -(1.0 / gamma) * np.sign(u) * np.log(mag)
-    return float(x) if size is None else x
+    mag = _clamp(np.maximum, 1.0 - 2.0 * np.abs(u), _TINY)
+    return -(1.0 / gamma) * np.sign(u) * np.log(mag)
 
 
 def ensemble(

@@ -46,20 +46,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, ValidationError
 
-__all__ = [
-    "RandomStream",
-    "MlpModel",
-    "check_matrix",
-    "check_sgd_schedule",
-    "cosine_rates",
-    "init_mlp",
-    "mlp_forward",
-    "mlp_backward",
-    "sgd_step",
-    "SgdJob",
-    "train_sgd",
-]
-
 
 # ---------------------------------------------------------------------------
 # random streams
@@ -71,12 +57,10 @@ class RandomStream:
     Identical (seed, stream_id) pairs replay the identical sample sequence, so
     per-node or per-phase parallelism cannot perturb results as long as each
     consumer owns its own stream. ``stream_id`` is a tuple of small integers
-    (node index, phase tag, ...); a bare int is accepted for convenience.
+    (node index, phase tag, ...).
     """
 
-    def __init__(self, seed: int, stream_id: int | tuple[int, ...] = ()):
-        if isinstance(stream_id, int):
-            stream_id = (stream_id,)
+    def __init__(self, seed: int, stream_id: tuple[int, ...]):
         self.seed = int(seed)
         self.stream_id = tuple(int(i) for i in stream_id)
         self._gen = np.random.Generator(

@@ -88,25 +88,6 @@ STREAM_DISTILL_BATCH = 6
 
 PHASES = ("scalar_max_up", "logits_up", "params_up", "params_down")
 
-__all__ = [
-    "PHASES",
-    "BandwidthLedger",
-    "ledger_report",
-    "TrainConfig",
-    "NodeHandle",
-    "FedKdRun",
-    "FedKdResult",
-    "FedAvgResult",
-    "softmax_xent_grad",
-    "masked_bce_grad",
-    "train_lockstep",
-    "train_supervised",
-    "collect_logits",
-    "run_fedkd",
-    "run_fedkd_batch",
-    "run_fedavg",
-]
-
 
 class BandwidthLedger:
     """Append-only record of every frame sent, one (phase, node_id, bytes)

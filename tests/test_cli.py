@@ -558,6 +558,22 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize("command, over, flag, key", [
+        ("run", {"seed": -1}, [], "seed"),
+        ("ablate", {"sweep": {"param": "S", "values": [50], "seeds": [0, -1]}}, [], "sweep.seeds"),
+        ("run", {}, ["--seed", "-1"], "--seed"),
+        ("fedavg", {}, ["--seed", "-1"], "--seed"),
+    ])
+    def test_negative_seed_is_one_config_error_line(self, tmp_path, capsys, command, over, flag,
+                                                    key):
+        """A negative seed, from the config, its sweep or the flag, exits 2 on
+        one line naming its key, and writes nothing."""
+        p = write_config(tmp_path, tiny_doc(**over))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be >= 0\n"
+        assert not out.exists()
+
     def test_fedavg_subcommand(self, tmp_path):
         p = write_config(tmp_path, tiny_doc())
         assert main(["fedavg", "--config", str(p), "--out", str(tmp_path / "o")]) == 0

@@ -107,6 +107,15 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, [[0.5, 1.25], [-1.0, 0.0], [3.5, -2.25]])
         np.testing.assert_array_equal(ds.labels, [[0], [2], [1]])
 
+    def test_byte_order_mark_loads_like_the_plain_file(self, tmp_path):
+        text = "f0,f1,label\n0.5,1.25,0\n-1.0,0.0,2\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        a, b = load_csv(plain, self.SCHEMA), load_csv(bom, self.SCHEMA)
+        np.testing.assert_array_equal(b.features, a.features)
+        np.testing.assert_array_equal(b.labels, a.labels)
+
     def test_empty_data_section_gives_n_zero(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1,label\n")

@@ -2,9 +2,10 @@
 tracer wraps (``SPANNED`` in perfbench/spans.py, read with ``ast`` and not
 imported) and every name the README's library example imports. Trimming one
 of them breaks the traced benchmark or the README, so it fails here first.
-The package root exports the README's names and no others. Every other
-function and class in the package has a caller in it, and every name a
-module imports is read there."""
+The package root exports the README's names and no others. A public name
+is one without a leading underscore; no module restates its names in an
+``__all__`` list. Every other function and class in the package has a
+caller in it, and every name a module imports is read there."""
 import ast
 import importlib
 import types
@@ -54,7 +55,7 @@ def test_every_function_and_class_has_a_caller_or_a_pin():
     aside) is read by name somewhere in src/fedkd, or is pinned: spanned by
     the benchmark, imported by the README library example, or imported by
     the acceptance tests, a method of an imported class included where they
-    call it. Anything else is dead code. ``__all__`` holds strings, so it
+    call it. Anything else is dead code. A name written only as a string
     counts as no caller."""
     trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))]
     nodes = [n for t in trees for n in ast.walk(t)]
@@ -71,6 +72,14 @@ def test_every_function_and_class_has_a_caller_or_a_pin():
     pinned = ({name for _, name in spanned()} | set(readme_library_imports()) | imported
               | (methods & called))
     assert sorted(defined - read - pinned) == []
+
+
+def test_no_module_lists_its_names_in_all():
+    """The leading underscore is the one statement of what is public."""
+    listed = [p.name for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))
+              for n in ast.walk(ast.parse(p.read_text()))
+              if isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)]
+    assert listed == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in (ROOT / "src" / "fedkd").glob("*.py")
