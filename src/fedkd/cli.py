@@ -33,7 +33,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,21 +107,32 @@ class SweepSection:
     seeds: list[int]
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(FedKdRun):
+    """A parsed config is its run: a FedKdRun plus the task, its partition,
+    the seed, FedAvg's rounds and a sweep, with every parse-time check."""
+
     task: SyntheticTask | CsvTask
     num_nodes: int = 5
     alpha: float = 1.0
     seed: int = 0
-    node: TrainConfig = field(default_factory=TrainConfig)
-    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    distill: DistillConfig = field(default_factory=DistillConfig)
-    central_hidden_dims: list[int] = field(default_factory=lambda: [64])
-    repeats: int = 1
-    query_noise: float = 0.0
-    labeled_public: bool = False
     rounds: int = 30
     sweep: SweepSection | None = None
+
+    def __post_init__(self):
+        if self.sweep is not None:
+            if self.sweep.param not in SWEEP_AXES:
+                raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
+            if not self.sweep.values or not self.sweep.seeds:
+                raise ConfigurationError("sweep.values and sweep.seeds must be non-empty")
+            _check_seeds("sweep.seeds", self.sweep.seeds)
+        _check_seeds("seed", [self.seed])
+        check_partition(self.num_nodes, self.alpha)  # the library's own checks
+        super().__post_init__()
+        if self.rounds < 1:
+            raise ConfigurationError("rounds must be >= 1")
+        if isinstance(self.task, SyntheticTask):  # a CSV public set is checked once it is read
+            self.distill.check_batch(self.task.num_classes * self.task.public_per_class)
 
 
 # Field coercers: each takes (value, key path) and returns the typed value or
@@ -197,8 +208,8 @@ _COERCE = {
 def _build(cls, raw, where: str, special: dict | None = None):
     """Construct section ``cls`` from a raw mapping, coercing each key by its
     field annotation (or by ``special``); unknown, missing and wrong-typed keys
-    are ConfigurationErrors that name the key, and one that the constructor's
-    checks raise names the section as a suffix: ``... (in node)``."""
+    are ConfigurationErrors that name the key. A section's own checks name it
+    as a suffix, ``... (in node)``; the top level's name their keys."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where!r} must be an object")
     fields = cls.__dataclass_fields__
@@ -217,6 +228,8 @@ def _build(cls, raw, where: str, special: dict | None = None):
     try:
         return cls(**kwargs)
     except ConfigurationError as exc:
+        if where == "config":
+            raise
         raise ConfigurationError(f"{exc} (in {where})") from None
 
 
@@ -265,21 +278,7 @@ def _check_seeds(key: str, seeds: list[int]) -> None:
 def parse_dict(doc: dict) -> ExperimentConfig:
     """Validate a raw config mapping and fill defaults. Every failure is a
     ConfigurationError, so a bad config exits 2."""
-    cfg = _build(ExperimentConfig, doc, "config", _TOP_LEVEL)
-    if cfg.sweep is not None:
-        if cfg.sweep.param not in SWEEP_AXES:
-            raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
-        if not cfg.sweep.values or not cfg.sweep.seeds:
-            raise ConfigurationError("sweep.values and sweep.seeds must be non-empty")
-        _check_seeds("sweep.seeds", cfg.sweep.seeds)
-    _check_seeds("seed", [cfg.seed])
-    check_partition(cfg.num_nodes, cfg.alpha)  # the library's own checks, made at parse time
-    _fedkd_run(cfg, cfg.seed, PartitionPlan([]))
-    if cfg.rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
-    if isinstance(cfg.task, SyntheticTask):  # a CSV public set is checked once it is read
-        cfg.distill.check_batch(cfg.task.num_classes * cfg.task.public_per_class)
-    return cfg
+    return _build(ExperimentConfig, doc, "config", _TOP_LEVEL)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -361,11 +360,6 @@ def _plan(cfg: ExperimentConfig, private: Dataset, seed: int) -> PartitionPlan:
                                RandomStream(seed, (STREAM_PARTITION,)))
 
 
-def _fedkd_run(cfg: ExperimentConfig, seed: int, plan: PartitionPlan) -> FedKdRun:
-    return FedKdRun(plan, cfg.node, cfg.ensemble, cfg.distill, cfg.central_hidden_dims, seed,
-                    cfg.repeats, cfg.query_noise, cfg.labeled_public)
-
-
 def execute_fedkd(cfg: ExperimentConfig, seed: int):
     (result,) = execute_fedkd_batch([(cfg, seed)])
     if isinstance(result, Exception):
@@ -383,10 +377,9 @@ def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     straight into the batch, bound to no name here, so the batch holds the
     only reference to each private split and can drop it after node
     training."""
-    def build(group):
-        private, public, test, plan = build_data(*cells[group[0]])
-        return [(_fedkd_run(cfg, seed, plan), private, public, test)
-                for cfg, seed in (cells[i] for i in group)]
+    def build(group):  # each cell's config is its run
+        data = build_data(*cells[group[0]])
+        return [(*data, *cells[i]) for i in group]
 
     def data_key(i):
         cfg, seed = cells[i]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ValidationError
+from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +126,21 @@ def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> N
 
 
 def cosine_rates(lr_start: float, lr_end: float, total_steps: int, start: int,
-                 count: int) -> list[float]:
+                 count: int) -> np.ndarray:
     """The rates of steps ``start`` to ``start + count - 1`` of a cosine
-    annealing from lr_start down to lr_end over total_steps. Unchecked: the
-    schedule was checked by :func:`check_sgd_schedule` when its config was
-    built, and the caller keeps the steps in [0, total_steps]."""
+    annealing from lr_start down to lr_end over total_steps, by ``math.cos``,
+    in a table allocated in one call, so a count no table holds is a
+    RangeError at once. Unchecked otherwise: the schedule was checked by
+    :func:`check_sgd_schedule` when its config was built, and the caller
+    keeps the steps in [0, total_steps]."""
+    try:
+        rates = np.empty(count)
+    except (ValueError, MemoryError) as err:  # past numpy's size limit, or the memory's
+        raise RangeError(f"no rate table holds {count} steps: {err}") from None
     span = lr_start - lr_end
-    return [lr_end + 0.5 * span * (1.0 + math.cos(math.pi * step / total_steps))
-            for step in range(start, start + count)]
+    for i in range(count):
+        rates[i] = lr_end + 0.5 * span * (1.0 + math.cos(math.pi * (start + i) / total_steps))
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +378,7 @@ class SgdJob:
     x: np.ndarray
     targets: tuple[np.ndarray, ...]
     stream: RandomStream
-    rates: list[float]
+    rates: np.ndarray
     weight_decay: float = 0.0
     rows: np.ndarray | None = None
 

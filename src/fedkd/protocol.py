@@ -222,7 +222,7 @@ def train_lockstep(
         raise RangeError(f"round_index {round_index} outside [0, {rounds})")
 
     stacks: dict[tuple, list[int]] = {}
-    tables: dict[int, list[float]] = {}  # step count -> its rate table
+    tables: dict[int, np.ndarray] = {}  # step count -> its rate table
     jobs = []
     for k, (model, ds, idx) in enumerate(zip(models, data, rows)):
         dims = _dims(ds, cfg.hidden_dims)
@@ -375,16 +375,16 @@ def collect_logits(
 
 @dataclass
 class FedKdRun:
-    """Everything one aggregation run needs besides the data itself. It checks
-    its own fields when built (``repeats`` >= 1, ``query_noise`` >= 0, each
-    ``central_hidden_dims`` entry >= 1), so an invalid run trains no node."""
+    """The knobs of one aggregation run, named and defaulted as the config
+    keys that set them (the CLI's config extends it); the data, plan and seed
+    are :func:`run_fedkd`'s arguments. It checks its own fields when built
+    (``repeats`` >= 1, ``query_noise`` >= 0, each ``central_hidden_dims``
+    entry >= 1), so an invalid run trains no node."""
 
-    plan: PartitionPlan
-    node_cfg: TrainConfig
-    ensemble_cfg: EnsembleConfig
-    distill_cfg: DistillConfig
-    central_hidden_dims: list[int]
-    seed: int
+    node: TrainConfig = field(default_factory=TrainConfig)
+    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
+    distill: DistillConfig = field(default_factory=DistillConfig)
+    central_hidden_dims: list[int] = field(default_factory=lambda: [64])
     repeats: int = 1
     query_noise: float = 0.0  # 0: every query pass sees the clean features
     labeled_public: bool = False
@@ -422,21 +422,20 @@ def _central_metrics(model: MlpModel, test: Dataset) -> dict:
             "central": _evaluate(model, test, "the central model")}
 
 
-def _teacher(run: FedKdRun, handles, profiles, public: Dataset):
+def _teacher(run: FedKdRun, seed: int, handles, profiles, public: Dataset):
     """(teacher, weights, block count, ledger) from one query of every trained
     node; the logit blocks die on return, so none is held through
     distillation. The weight mode is decided here: a uniform ensemble gets no
     weight table."""
     ledger = BandwidthLedger()
-    blocks = collect_logits(handles, public.features, run.repeats, run.query_noise, run.seed,
-                            ledger)
+    blocks = collect_logits(handles, public.features, run.repeats, run.query_noise, seed, ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
     for b in blocks:
         ledger.add("scalar_max_up", b.node_id, np.float64(b.local_max_abs).nbytes)
 
-    weights = importance_weights(profiles) if run.ensemble_cfg.weight_mode == PER_CLASS else None
-    teacher = ensemble(blocks, weights, run.ensemble_cfg, RandomStream(run.seed, (STREAM_NOISE,)))
+    weights = importance_weights(profiles) if run.ensemble.weight_mode == PER_CLASS else None
+    teacher = ensemble(blocks, weights, run.ensemble, RandomStream(seed, (STREAM_NOISE,)))
     # distill's check, made here per cell so a stacked distill call gets only valid jobs
     teacher = check_matrix(teacher, "teacher logits")
     return teacher, weights, len(blocks), ledger
@@ -478,28 +477,29 @@ def _stage(prev: list, call, key=None) -> list:
     return out
 
 
-def run_fedkd(run: FedKdRun, private: Dataset, public: Dataset, test: Dataset) -> FedKdResult:
-    """Local training, one-shot weighted/quantized/noisy logit aggregation,
-    then offline distillation into a fresh central model: a
-    :func:`run_fedkd_batch` of one.
+def run_fedkd(private: Dataset, public: Dataset, test: Dataset, plan: PartitionPlan,
+              run: FedKdRun, seed: int) -> FedKdResult:
+    """Local training on the ``plan`` shards of ``private``, one-shot
+    weighted/quantized/noisy logit aggregation, then offline distillation
+    into a fresh central model, all keyed by ``seed``: a :func:`run_fedkd_batch` of one.
 
     Only the public features are queried and distilled on. When
     ``labeled_public`` is set, the public set also joins every node's
     training rows through one joined [private; public] split, and profiles
     count the joined rows, since weights reflect the data actually trained on.
     """
-    (result,) = run_fedkd_batch([(run, private, public, test)])
+    (result,) = run_fedkd_batch([(private, public, test, plan, run, seed)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
-    """:func:`run_fedkd` for every (run, private, public, test) cell, as six
-    :func:`_stage` lists: each cell's untrained student (built first, then
-    checked against the distill batch, so neither a student that cannot be
-    built nor a batch past the public set costs any training), shards
-    and profiles, node handles, teacher, trained student and result. One
+    """:func:`run_fedkd` for every (private, public, test, plan, run, seed)
+    cell, as six :func:`_stage` lists: each cell's untrained student (built
+    first, then checked against the distill batch, so neither a student that
+    cannot be built nor a batch past the public set costs any training),
+    shards and profiles, node handles, teacher, trained student and result. One
     :func:`train_lockstep` call trains the nodes of all cells that share a
     node config, the teacher is built per cell, one stacked :func:`distill`
     call trains the students of all cells that share student dims, label
@@ -517,15 +517,15 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     a split the caller still holds stays alive.
     """
     def student(i):  # and distill's batch check, so an oversized batch costs no training
-        run, _, public, _ = cells[i]
+        _, public, _, _, run, seed = cells[i]
         model = init_mlp(_dims(public, run.central_hidden_dims),
-                         RandomStream(run.seed, (STREAM_DISTILL_INIT,)))
-        run.distill_cfg.check_batch(public.n)
+                         RandomStream(seed, (STREAM_DISTILL_INIT,)))
+        run.distill.check_batch(public.n)
         return model
 
     def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
-        run, private, public, _ = cells[i]
-        split, rows, profiles = private, run.plan.assignments, profile(private, run.plan)
+        private, public, _, plan, run, _ = cells[i]
+        split, rows, profiles = private, plan.assignments, profile(private, plan)
         if run.labeled_public:
             if (public.task, public.num_classes) != (private.task, private.num_classes):
                 raise ConfigurationError("cannot join a public set of a different task")
@@ -539,38 +539,38 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     students = _stage(cells, lambda group: [student(i) for i in group])
     # cells that split the same data the same way share one split and its rows
     data = _stage(students, lambda group: [split_rows_and_profiles(group[0])] * len(group),
-                  lambda i: (id(cells[i][1]), id(cells[i][0].plan), cells[i][0].labeled_public,
-                             id(cells[i][2])))
+                  lambda i: (id(cells[i][0]), id(cells[i][3]), cells[i][4].labeled_public,
+                             id(cells[i][1])))
     handles = _stage(data, lambda group: _train_cells([data[i][:2] for i in group],
-                                                      cells[group[0]][0].node_cfg,
-                                                      [cells[i][0].seed for i in group]),
-                     lambda i: cells[i][0].node_cfg)
+                                                      cells[group[0]][4].node,
+                                                      [cells[i][5] for i in group]),
+                     lambda i: cells[i][4].node)
     # the node stage was the last reader of every split and private set: the
     # batch drops them here, so it holds none through the query
-    cells = [c if isinstance(c, Exception) else (c[0], None, *c[2:]) for c in cells]
+    cells = [c if isinstance(c, Exception) else (None, *c[1:]) for c in cells]
     profiles = [d if isinstance(d, Exception) else d[2] for d in data]
     del data
-    teachers = _stage(handles, lambda group: [_teacher(cells[i][0], handles[i], profiles[i],
-                                                       cells[i][2]) for i in group])
+    teachers = _stage(handles, lambda group: [_teacher(cells[i][4], cells[i][5], handles[i],
+                                                       profiles[i], cells[i][1]) for i in group])
 
     def distill_cells(group):
-        cfg, task = cells[group[0]][0].distill_cfg, cells[group[0]][2].task
+        cfg, task = cells[group[0]][4].distill, cells[group[0]][1].task
         pairs = distill(
             [students[i] for i in group],
-            [cells[i][2].features for i in group],
+            [cells[i][1].features for i in group],
             [teachers[i][0] for i in group],
             cfg,
-            [RandomStream(cells[i][0].seed, (STREAM_DISTILL_BATCH,)) for i in group],
+            [RandomStream(cells[i][5], (STREAM_DISTILL_BATCH,)) for i in group],
             task=task,
             keep_trace=keep_trace,
         )
         return [DivergenceError("distillation") if pair is None else pair for pair in pairs]
 
     distilled = _stage(teachers, distill_cells, lambda i: (
-        students[i].layer_dims, cells[i][2].task, cells[i][0].distill_cfg))
+        students[i].layer_dims, cells[i][1].task, cells[i][4].distill))
 
     def evaluate(i):
-        run, _, public, test = cells[i]
+        _, public, test, plan, run, _ = cells[i]
         teacher, weights, senders, ledger = teachers[i]
         central, trace = distilled[i]
         standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
@@ -580,15 +580,14 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
             **_central_metrics(central, test),
             "standalone": standalone,
             "standalone_mean": float(np.mean(present)),
-            "num_nodes": run.plan.num_nodes,
+            "num_nodes": plan.num_nodes,
             "public_rows": int(public.features.shape[0]),
             "repeats": run.repeats,
             "query_rows": [h.query_rows for h in handles[i]],
         }
-        if run.ensemble_cfg.quant_scale is not None:
+        if run.ensemble.quant_scale is not None:
             metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
-                *teacher.shape, run.ensemble_cfg.quant_scale
-            )
+                *teacher.shape, run.ensemble.quant_scale)
         return FedKdResult(central, handles[i], teacher, weights, metrics, ledger, trace)
 
     return _stage(distilled, lambda group: [evaluate(i) for i in group])

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import re
 import tempfile
 import weakref
 from pathlib import Path
@@ -32,9 +33,9 @@ from fedkd.cli import (
 )
 import fedkd.cli
 import fedkd.protocol
-from fedkd.datasets import CsvSchema, Dataset, PartitionPlan, dirichlet_partition
+from fedkd.datasets import CsvSchema, Dataset, dirichlet_partition
 from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
-from fedkd.ensemble import PER_CLASS, EnsembleConfig
+from fedkd.ensemble import PER_CLASS
 from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
 from fedkd.protocol import FedKdRun, TrainConfig, _central_metrics, run_fedavg, run_fedkd
@@ -1178,9 +1179,8 @@ class TestDistillTask:
         cli_student = execute_fedkd(cfg, 0).central_model
         private, public, test, plan = build_data(cfg, 0)
         distill_cfg = DistillConfig(steps=60, batch_size=32, loss_mode=KL, tau=2.0)
-        run = FedKdRun(plan, TrainConfig([16], epochs=5), EnsembleConfig(), distill_cfg,
-                       central_hidden_dims=[64], seed=0)
-        result = run_fedkd(run, private, public, test)
+        run = FedKdRun(TrainConfig([16], epochs=5), distill=distill_cfg)
+        result = run_fedkd(private, public, test, plan, run, 0)
         assert bits(result.central_model) == bits(cli_student)
 
         student = init_mlp([2, 64, 2], RandomStream(0, (fedkd.protocol.STREAM_DISTILL_INIT,)))
@@ -1242,6 +1242,28 @@ class TestFailedRunLeavesNoRunDirectory:
         assert err.count("\n") == 1
         assert err.startswith(("runtime error: array is too big",
                                "runtime error: Maximum allowed dimension exceeded"))
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, key", [
+        ("run", "node.epochs"),
+        ("run", "distill.steps"),
+        ("fedavg", "node.epochs"),
+    ])
+    def test_a_step_count_no_rate_table_holds_is_a_one_line_runtime_error(self, tmp_path, capsys,
+                                                                          command, key):
+        """1e300 is an integral number, so the config takes it as a step
+        count; its rate table is allocated in one call, which fails at once,
+        instead of growing until memory runs out."""
+        doc = tiny_doc()
+        section, name = key.split(".")
+        doc[section][name] = 1e300
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(r"runtime error: no rate table holds \d{301,} steps: "
+                            r"Maximum allowed dimension exceeded\n", err)
         assert not out.exists() or not any(out.iterdir())
 
     def test_a_student_that_cannot_be_built_fails_before_any_training(self, tmp_path, capsys,
@@ -1319,13 +1341,6 @@ def test_every_ledger_row_bills_the_nbytes_of_the_array_sent(tmp_path, monkeypat
     assert [(phase, nbytes) for phase, _, nbytes in rows] == [
         frame for sent in rounds for down, up in sent
         for frame in (("params_down", down.flat.nbytes), ("params_up", up.flat.nbytes))]
-
-
-def owner_run(**over):
-    """A FedKdRun of default fields but ``over``."""
-    fields = dict(plan=PartitionPlan([]), node_cfg=TrainConfig(), ensemble_cfg=EnsembleConfig(),
-                  distill_cfg=DistillConfig(), central_hidden_dims=[64], seed=0)
-    return FedKdRun(**{**fields, **over})
 
 
 def owner_distill(batch_size, rows, dims):
@@ -1416,9 +1431,9 @@ class TestParseTimeChecks:
     @pytest.mark.parametrize("over, csv_task, owner", [
         ({"num_nodes": 0}, None, lambda: owner_partition(0, 1.0)),
         ({"alpha": 0.0}, None, lambda: owner_partition(2, 0.0)),
-        ({"repeats": 0}, None, lambda: owner_run(repeats=0)),
-        ({"query_noise": -0.5}, None, lambda: owner_run(query_noise=-0.5)),
-        ({"central_hidden_dims": [0]}, None, lambda: owner_run(central_hidden_dims=[0])),
+        ({"repeats": 0}, None, lambda: FedKdRun(repeats=0)),
+        ({"query_noise": -0.5}, None, lambda: FedKdRun(query_noise=-0.5)),
+        ({"central_hidden_dims": [0]}, None, lambda: FedKdRun(central_hidden_dims=[0])),
         ({"distill": {"steps": 60, "batch_size": 121}}, None,
          lambda: owner_distill(121, 120, [8, 16, 3])),
         ({"distill": {"steps": 60, "batch_size": 81}}, {},

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fedkd.numkit
 import fedkd.protocol
 from fedkd.datasets import SINGLE_LABEL, Dataset
-from fedkd.errors import DimensionError, FedKdError, ValidationError
+from fedkd.errors import DimensionError, FedKdError, RangeError, ValidationError
 from fedkd.numkit import (
     MlpModel,
     RandomStream,
@@ -95,7 +95,8 @@ class TestCosineSchedule:
         assert rates[100] == pytest.approx(0.001, abs=1e-18)
 
     def test_midpoint_is_arithmetic_mean(self):
-        assert cosine_rates(0.0025, 0.001, 100, 50, 1) == [pytest.approx(0.00175, rel=1e-12)]
+        assert cosine_rates(0.0025, 0.001, 100, 50, 1).tolist() == [
+            pytest.approx(0.00175, rel=1e-12)]
 
     def test_monotone_non_increasing(self):
         vals = cosine_rates(0.1, 0.001, 333, 0, 334)
@@ -105,7 +106,22 @@ class TestCosineSchedule:
     @pytest.mark.parametrize("start, count", [(0, 0), (0, 7), (3, 4), (5, 6), (10, 1), (11, 0)])
     def test_a_window_is_a_slice_of_the_whole_table(self, start, count):
         whole = cosine_rates(0.1, 0.001, 11, 0, 11)
-        assert cosine_rates(0.1, 0.001, 11, start, count) == whole[start : start + count]
+        window = cosine_rates(0.1, 0.001, 11, start, count)
+        assert window.tolist() == whole[start : start + count].tolist()
+
+    def test_each_rate_has_the_bits_of_the_math_cos_formula(self):
+        """A trace's ``lr`` column is written from this table, so each rate
+        keeps the bits of the scalar ``math.cos`` formula."""
+        expected = [0.02 + 0.5 * (0.1 - 0.02) * (1.0 + math.cos(math.pi * step / 97))
+                    for step in range(13, 13 + 50)]
+        assert cosine_rates(0.1, 0.02, 97, 13, 50).tolist() == expected
+
+    @pytest.mark.parametrize("count", [2**62, 10**300])
+    def test_a_count_no_table_holds_is_a_range_error(self, count):
+        """The table is allocated in one call, so such a count fails before
+        any rate is computed rather than growing a list until memory runs out."""
+        with pytest.raises(RangeError, match=f"^no rate table holds {count} steps: "):
+            cosine_rates(0.1, 0.0, count, 0, count)
 
 
 class TestForward:

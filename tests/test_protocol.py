@@ -90,14 +90,11 @@ def whole_plan(ds):
     return PartitionPlan([np.arange(ds.n)])
 
 
-def base_run(plan, seed=0, **overrides):
+def base_run(**overrides):
     kw = dict(
-        plan=plan,
-        node_cfg=NODE_CFG,
-        ensemble_cfg=EnsembleConfig(),
-        distill_cfg=DistillConfig(steps=300, batch_size=64, lr_start=0.05),
+        node=NODE_CFG,
+        distill=DistillConfig(steps=300, batch_size=64, lr_start=0.05),
         central_hidden_dims=[32],
-        seed=seed,
     )
     kw.update(overrides)
     return FedKdRun(**kw)
@@ -324,19 +321,17 @@ class TestCollectLogits:
 class TestRunFedkd:
     def test_single_node_matches_centralized_training_exactly(self):
         train, test, public, _ = make_fixture()
-        run = base_run(whole_plan(train))
-        res = run_fedkd(run, train, public, test)
+        res = run_fedkd(train, public, test, whole_plan(train), base_run(), 0)
         central_model, _ = run_centralized(train, test, NODE_CFG, 0)
         assert params_equal(res.handles[0].model, central_model)
 
     def test_single_teacher_student_agreement(self):
         train, test, public, _ = make_fixture()
         run = base_run(
-            whole_plan(train),
-            ensemble_cfg=EnsembleConfig(quant_scale=None, gamma=None),
-            distill_cfg=DistillConfig(steps=1500, batch_size=64, lr_start=0.05),
+            ensemble=EnsembleConfig(quant_scale=None, gamma=None),
+            distill=DistillConfig(steps=1500, batch_size=64, lr_start=0.05),
         )
-        res = run_fedkd(run, train, public, test)
+        res = run_fedkd(train, public, test, whole_plan(train), run, 0)
         student = mlp_forward(res.central_model, public.features).argmax(1)
         assert (student == res.teacher_logits.argmax(1)).mean() >= 0.95
 
@@ -346,10 +341,9 @@ class TestRunFedkd:
         train, public, test = (Dataset(rs.gauss((n, 3)), np.zeros((n, 0)), MULTI_LABEL, 0)
                                for n in (40, 40, 20))
         plan = dirichlet_partition(train, 2, 1.0, RandomStream(0, (904,)))
-        run = base_run(plan, labeled_public=labeled_public,
-                       distill_cfg=DistillConfig(steps=5, batch_size=8))
+        run = base_run(labeled_public=labeled_public, distill=DistillConfig(steps=5, batch_size=8))
         with pytest.raises(FedKdError):
-            run_fedkd(run, train, public, test)
+            run_fedkd(train, public, test, plan, run, 0)
 
     @pytest.mark.parametrize("algorithm", ["fedkd", "fedavg"])
     def test_a_dataset_with_no_classes_fails_before_training(self, monkeypatch, algorithm):
@@ -370,8 +364,8 @@ class TestRunFedkd:
         node_cfg = TrainConfig([4], epochs=1)
         with pytest.raises(DimensionError) as exc:
             if algorithm == "fedkd":
-                run_fedkd(base_run(plan, node_cfg=node_cfg, central_hidden_dims=[3]), train,
-                          public, test)
+                run_fedkd(train, public, test, plan,
+                          base_run(node=node_cfg, central_hidden_dims=[3]), 0)
             else:
                 run_fedavg(train, plan, node_cfg, rounds=2, seed=0)
         hidden = 3 if algorithm == "fedkd" else 4
@@ -380,7 +374,7 @@ class TestRunFedkd:
 
     def test_ledger_has_one_scalar_and_one_matrix_per_node(self):
         train, test, public, plan = make_fixture()
-        res = run_fedkd(base_run(plan), train, public, test)
+        res = run_fedkd(train, public, test, plan, base_run(), 0)
         rows = res.ledger.rows()
         active = [h.node_id for h in res.handles if h.model is not None]
         for k in active:
@@ -390,29 +384,29 @@ class TestRunFedkd:
 
     def test_ledger_ignores_distillation_length(self):
         train, test, public, plan = make_fixture()
-        short = run_fedkd(base_run(plan, distill_cfg=DistillConfig(steps=50, batch_size=64)),
-                          train, public, test)
-        long = run_fedkd(base_run(plan, distill_cfg=DistillConfig(steps=200, batch_size=64)),
-                         train, public, test)
+        short = run_fedkd(train, public, test, plan,
+                          base_run(distill=DistillConfig(steps=50, batch_size=64)), 0)
+        long = run_fedkd(train, public, test, plan,
+                         base_run(distill=DistillConfig(steps=200, batch_size=64)), 0)
         assert short.ledger.rows() == long.ledger.rows()
         assert short.metrics["query_rows"] == long.metrics["query_rows"]
 
     def test_empty_shard_reported_as_none(self):
         train, test, public, _ = make_fixture()
         plan = PartitionPlan([np.arange(600), np.array([], dtype=int), np.arange(600, train.n)])
-        res = run_fedkd(base_run(plan), train, public, test)
+        res = run_fedkd(train, public, test, plan, base_run(), 0)
         assert res.metrics["standalone"][1] is None
         assert {r[1] for r in res.ledger.rows()} == {0, 2}
 
     def test_uniform_mode_skips_weight_table(self):
         train, test, public, plan = make_fixture()
-        res = run_fedkd(base_run(plan, ensemble_cfg=EnsembleConfig(weight_mode=UNIFORM)),
-                        train, public, test)
+        res = run_fedkd(train, public, test, plan,
+                        base_run(ensemble=EnsembleConfig(weight_mode=UNIFORM)), 0)
         assert res.weights is None
 
     def test_metrics_shape(self):
         train, test, public, plan = make_fixture()
-        res = run_fedkd(base_run(plan), train, public, test)
+        res = run_fedkd(train, public, test, plan, base_run(), 0)
         m = res.metrics
         assert m["metric"] == "accuracy"
         assert 0.0 <= m["central"] <= 1.0
@@ -422,7 +416,7 @@ class TestRunFedkd:
 
     def test_labeled_public_joins_training_shards(self):
         train, test, public, plan = make_fixture()
-        res = run_fedkd(base_run(plan, labeled_public=True), train, public, test)
+        res = run_fedkd(train, public, test, plan, base_run(labeled_public=True), 0)
         for h in res.handles:
             assert len(h.rows) >= public.n
         # weights now count the shared rows, so every class column is defined
@@ -444,8 +438,8 @@ class TestRunFedkd:
 
         monkeypatch.setattr(fedkd.protocol, "collect_logits", collect)
         monkeypatch.setattr(fedkd.protocol, "distill", distill)
-        run_fedkd(base_run(plan, distill_cfg=DistillConfig(steps=20, batch_size=64)),
-                  train, public, test)
+        run_fedkd(train, public, test, plan,
+                  base_run(distill=DistillConfig(steps=20, batch_size=64)), 0)
         assert len(refs) == plan.num_nodes and alive == [0]
 
     def test_the_joined_split_is_freed_before_the_query(self, monkeypatch):
@@ -467,17 +461,17 @@ class TestRunFedkd:
 
         monkeypatch.setattr(fedkd.protocol, "train_lockstep", lockstep)
         monkeypatch.setattr(fedkd.protocol, "collect_logits", collect)
-        run_fedkd(base_run(plan, node_cfg=TrainConfig([8], epochs=1),
-                           distill_cfg=DistillConfig(steps=10), labeled_public=True),
-                  train, public, test)
+        run_fedkd(train, public, test, plan,
+                  base_run(node=TrainConfig([8], epochs=1), distill=DistillConfig(steps=10),
+                           labeled_public=True), 0)
         assert sizes == [train.n + public.n] and alive == [0]
 
     def test_negative_query_noise_rejected(self):
         train, test, public, plan = make_fixture()
         with pytest.raises(ConfigurationError, match="^query_noise must be >= 0$"):
-            run = base_run(plan, repeats=2, query_noise=-0.5,
-                           node_cfg=TrainConfig([8], epochs=1, batch_size=64))
-            run_fedkd(run, train, public, test)
+            run = base_run(repeats=2, query_noise=-0.5,
+                           node=TrainConfig([8], epochs=1, batch_size=64))
+            run_fedkd(train, public, test, plan, run, 0)
 
     @pytest.mark.parametrize("bad, message", [
         ({"repeats": 0}, "repeats must be >= 1"),
@@ -493,9 +487,9 @@ class TestRunFedkd:
         monkeypatch.setattr(fedkd.protocol, "train_lockstep", lambda *a, **k: calls.append(1))
         train, test, public, plan = make_fixture()
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            base_run(plan, **bad)
+            base_run(**bad)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            run_fedkd(base_run(plan, **bad), train, public, test)
+            run_fedkd(train, public, test, plan, base_run(**bad), 0)
         assert calls == []
 
     def test_all_empty_rejected(self):
@@ -503,7 +497,7 @@ class TestRunFedkd:
         empty = Dataset(np.zeros((0, 16)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 4)
         plan = PartitionPlan([np.array([], dtype=int)])
         with pytest.raises(ConfigurationError):
-            run_fedkd(base_run(plan), empty, public, test)
+            run_fedkd(empty, public, test, plan, base_run(), 0)
 
 
 class TestRunFedkdBatch:
@@ -514,19 +508,18 @@ class TestRunFedkdBatch:
         train, test, public, plan = make_fixture()
         short = DistillConfig(steps=40, batch_size=64, lr_start=0.05)
         node = TrainConfig([32], epochs=5, batch_size=32, lr_start=0.05)
-        runs = [
-            base_run(plan, distill_cfg=short, node_cfg=node),
-            base_run(plan, seed=1, distill_cfg=short, node_cfg=node),
-            base_run(plan, distill_cfg=short, node_cfg=node,
-                     ensemble_cfg=EnsembleConfig(weight_mode=UNIFORM)),
-            base_run(plan, distill_cfg=short, node_cfg=node, labeled_public=True),
-            base_run(plan, distill_cfg=DistillConfig(steps=30, batch_size=32), node_cfg=node),
-            base_run(plan, distill_cfg=short, node_cfg=TrainConfig([8], epochs=3)),
-            base_run(plan, distill_cfg=short, node_cfg=node, central_hidden_dims=[16]),
-        ]
-        results = fedkd.protocol.run_fedkd_batch([(run, train, public, test) for run in runs])
-        for run, result in zip(runs, results):
-            alone = run_fedkd(run, train, public, test)
+        cells = [(train, public, test, plan, run, seed) for run, seed in [
+            (base_run(distill=short, node=node), 0),
+            (base_run(distill=short, node=node), 1),
+            (base_run(distill=short, node=node, ensemble=EnsembleConfig(weight_mode=UNIFORM)), 0),
+            (base_run(distill=short, node=node, labeled_public=True), 0),
+            (base_run(distill=DistillConfig(steps=30, batch_size=32), node=node), 0),
+            (base_run(distill=short, node=TrainConfig([8], epochs=3)), 0),
+            (base_run(distill=short, node=node, central_hidden_dims=[16]), 0),
+        ]]
+        results = fedkd.protocol.run_fedkd_batch(cells)
+        for cell, result in zip(cells, results):
+            alone = run_fedkd(*cell)
             assert params_equal(result.central_model, alone.central_model)
             for h, a in zip(result.handles, alone.handles):
                 assert params_equal(h.model, a.model)
@@ -544,16 +537,18 @@ class TestRunFedkdBatch:
         result, and the other gets the error its own run raises."""
         train, test, public, _ = make_fixture()
         plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
-        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16),
-                       distill_cfg=DistillConfig(steps=20, batch_size=64))
+        run = base_run(node=TrainConfig([8], epochs=1, batch_size=16),
+                       distill=DistillConfig(steps=20, batch_size=64))
+        cell = (train, public, test, plan, run, 0)
         if fault == "plan_past_the_split":  # the healthy cell's node config: one node stack
-            bad = (run, subset(train, np.arange(600)), public, test)
+            bad = (subset(train, np.arange(600)), public, test, plan, run, 0)
         elif fault == "public_below_the_batch":  # the healthy cell's student dims: one distill stack
-            bad = (run, train, subset(public, np.arange(32)), test)
+            bad = (train, subset(public, np.arange(32)), test, plan, run, 0)
         else:  # the healthy cell's data: one data stage
-            bad = (dataclasses.replace(run, central_hidden_dims=[10**18]), train, public, test)
-        good, failed = fedkd.protocol.run_fedkd_batch([(run, train, public, test), bad])
-        assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
+            bad = (train, public, test, plan, dataclasses.replace(run, central_hidden_dims=[10**18]),
+                   0)
+        good, failed = fedkd.protocol.run_fedkd_batch([cell, bad])
+        assert params_equal(good.central_model, run_fedkd(*cell).central_model)
         with pytest.raises(Exception) as exc:
             run_fedkd(*bad)
         assert type(failed) is type(exc.value) and str(failed) == str(exc.value)
@@ -566,8 +561,8 @@ class TestRunFedkdBatch:
         plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
         bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 4)
         bad.features[np.arange(3, 1200, 5)] *= 1e100  # node 3's shard overflows
-        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1),
-                       distill_cfg=DistillConfig(steps=20, batch_size=64))
+        run = base_run(node=TrainConfig([8], epochs=1, batch_size=16, lr_start=0.1),
+                       distill=DistillConfig(steps=20, batch_size=64))
         calls = []
 
         def counting(models, *args, _real=train_lockstep, **kwargs):
@@ -576,12 +571,13 @@ class TestRunFedkdBatch:
 
         monkeypatch.setattr(fedkd.protocol, "train_lockstep", counting)
         good, failed = fedkd.protocol.run_fedkd_batch(
-            [(run, train, public, test), (run, bad, public, test)])
+            [(train, public, test, plan, run, 0), (bad, public, test, plan, run, 0)])
         monkeypatch.undo()
         assert calls == [10]
-        assert params_equal(good.central_model, run_fedkd(run, train, public, test).central_model)
+        assert params_equal(good.central_model,
+                            run_fedkd(train, public, test, plan, run, 0).central_model)
         with pytest.raises(DivergenceError) as exc:
-            run_fedkd(run, bad, public, test)
+            run_fedkd(bad, public, test, plan, run, 0)
         assert isinstance(failed, DivergenceError)
         assert str(failed) == str(exc.value) == (
             "node training diverged on node 3: non-finite parameters")
@@ -698,7 +694,7 @@ class TestRunFedavg:
         with pytest.raises(ValidationError, match=message):
             run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
         with pytest.raises(ValidationError, match=message):
-            run_fedkd(base_run(plan), train, public, test)
+            run_fedkd(train, public, test, plan, base_run(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,8 +999,9 @@ class TestIndexRows:
         plan = PartitionPlan([np.arange(0, 1200, 2), np.array([], dtype=int),
                               np.arange(1, 1200, 2)])
         cfg = TrainConfig([8], epochs=1, batch_size=32, lr_start=0.1)
-        res = run_fedkd(base_run(plan, node_cfg=cfg, distill_cfg=DistillConfig(steps=10),
-                                 labeled_public=True), train, public, test)
+        res = run_fedkd(train, public, test, plan,
+                        base_run(node=cfg, distill=DistillConfig(steps=10), labeled_public=True),
+                        0)
         shards = [joined(train, a, public) for a in plan.assignments]
         for k, (h, a, shard) in enumerate(zip(res.handles, plan.assignments, shards)):
             assert np.array_equal(h.rows, np.concatenate([a, train.n + np.arange(public.n)]))
@@ -1020,7 +1017,7 @@ class TestIndexRows:
         public = multi_label_fixture(n=80)
         with pytest.raises(ConfigurationError,
                            match="^cannot join a public set of a different task$"):
-            run_fedkd(base_run(plan, labeled_public=True), train, public, test)
+            run_fedkd(train, public, test, plan, base_run(labeled_public=True), 0)
 
     def test_rows_outside_the_data_are_rejected(self):
         train = make_fixture()[0]
@@ -1042,11 +1039,11 @@ class TestIndexRows:
             _real(self)
 
         monkeypatch.setattr(Dataset, "__post_init__", counting)
-        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1),
-                       distill_cfg=DistillConfig(steps=10), labeled_public=labeled_public)
-        run_fedkd(run, train, public, test)
+        run = base_run(node=TrainConfig([8], epochs=1),
+                       distill=DistillConfig(steps=10), labeled_public=labeled_public)
+        run_fedkd(train, public, test, plan, run, 0)
         results = fedkd.protocol.run_fedkd_batch(
-            [(run, train, public, test), (dataclasses.replace(run, seed=1), train, public, test)])
+            [(train, public, test, plan, run, 0), (train, public, test, plan, run, 1)])
         assert not any(isinstance(r, Exception) for r in results)
         run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
         assert built == ([train.n + public.n] * 2 if labeled_public else [])
@@ -1072,10 +1069,9 @@ class TestIndexRows:
         run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=3, seed=0)
         assert checked == []
         other = PartitionPlan(plan.assignments[::-1])
-        short = dict(node_cfg=TrainConfig([8], epochs=1), distill_cfg=DistillConfig(steps=10))
-        fedkd.protocol.run_fedkd_batch([(base_run(plan, seed=s, **short), train, public, test)
-                                        for s in (0, 1, 2)]
-                                       + [(base_run(other, **short), train, public, test)])
+        run = base_run(node=TrainConfig([8], epochs=1), distill=DistillConfig(steps=10))
+        fedkd.protocol.run_fedkd_batch([(train, public, test, p, run, s)
+                                        for p, s in ((plan, 0), (plan, 1), (plan, 2), (other, 0))])
         assert checked == ["public features", "teacher logits"] * 4
 
     def test_labeled_public_training_holds_one_public_copy_not_k(self, monkeypatch):
@@ -1096,11 +1092,11 @@ class TestIndexRows:
             return out
 
         monkeypatch.setattr(fedkd.protocol, "train_lockstep", traced)
-        run = base_run(plan, node_cfg=TrainConfig([8], epochs=1, batch_size=64),
-                       distill_cfg=DistillConfig(steps=5), labeled_public=True)
+        run = base_run(node=TrainConfig([8], epochs=1, batch_size=64),
+                       distill=DistillConfig(steps=5), labeled_public=True)
         tracemalloc.start()
         try:
-            run_fedkd(run, train, public, test)
+            run_fedkd(train, public, test, plan, run, 0)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1 and peaks[0] < 2 * public.features.nbytes, (

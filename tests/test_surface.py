@@ -5,7 +5,8 @@ of them breaks the traced benchmark or the README, so it fails here first.
 The package root exports the README's names and no others. A public name
 is one without a leading underscore; no module restates its names in an
 ``__all__`` list. Every other function and class in the package has a
-caller in it, and every name a module imports is read there."""
+caller in it, and every name a module imports is read there. The random
+streams' purpose tags are distinct across modules."""
 import ast
 import importlib
 import types
@@ -52,17 +53,23 @@ def test_package_root_exports_exactly_the_readme_names():
 
 def test_every_function_and_class_has_a_caller_or_a_pin():
     """Each function or class defined in src/fedkd (methods included, dunders
-    aside) is read by name somewhere in src/fedkd, or is pinned: spanned by
-    the benchmark, imported by the README library example, or imported by
-    the acceptance tests, a method of an imported class included where they
-    call it. Anything else is dead code. A name written only as a string
-    counts as no caller."""
+    aside) is read by name somewhere in src/fedkd outside the bodies of the
+    definitions of that name, or is pinned: spanned by the benchmark,
+    imported by the README library example, or imported by the acceptance
+    tests, a method of an imported class included where they call it.
+    Anything else is dead code. A name written only as a string counts as no
+    caller, and so does a read inside its own definition: a recursive call,
+    or a method such as ``integers`` that reads ``self._gen.integers``."""
     trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))]
     nodes = [n for t in trees for n in ast.walk(t)]
-    defined = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-               and not n.name.startswith("__")}
-    read = ({n.id for n in nodes if isinstance(n, ast.Name)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    defs = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    defined = {n.name for n in defs if not n.name.startswith("__")}
+    own = {}  # name -> ids of the nodes inside a definition of that name
+    for d in defs:
+        own.setdefault(d.name, set()).update(map(id, ast.walk(d)))
+    names = [(n.id if isinstance(n, ast.Name) else n.attr, id(n)) for n in nodes
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    read = {name for name, node in names if node not in own.get(name, ())}
     acceptance = list(ast.walk(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())))
     imported = {a.name for n in acceptance if isinstance(n, ast.ImportFrom)
                 and n.module.startswith("fedkd") for a in n.names}
@@ -94,3 +101,14 @@ def test_every_imported_name_is_read(path):
                 != "__future__" for a in n.names}
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def test_stream_tags_are_distinct():
+    """Every random draw comes from a stream keyed by (seed, tag, ...), so the
+    determinism contract needs each purpose tag, data generation's in
+    fedkd.cli and the protocol's, to name one purpose only."""
+    tags = {f"{module}.{name}": value for module in ("cli", "protocol")
+            for name, value in vars(importlib.import_module(f"fedkd.{module}")).items()
+            if name.startswith("STREAM_")}
+    assert len(tags) == 11
+    assert len(set(tags.values())) == len(tags), tags
