@@ -2,7 +2,7 @@
 config digest + seed, ablation sweeps over one declared parameter, and a
 plain-text comparison report.
 
-Config layout (JSON; unknown keys anywhere are rejected):
+Config layout (JSON; unknown or repeated keys anywhere are rejected):
 
     {
       "seed": 0,
@@ -88,16 +88,21 @@ class SyntheticTask:
     class_sep: float = 4.0
     domain_shift: float = 1.0
 
+    def __post_init__(self):
+        if self.num_classes < 2 or self.dim < 1:
+            raise ConfigurationError("num_classes >= 2 and dim >= 1 required")
+        for key in ("train_per_class", "test_per_class", "public_per_class"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+        if self.cov_scale < 0:
+            raise ConfigurationError("cov_scale must be >= 0")
 
-@dataclass
-class CsvTask:
+
+@dataclass(kw_only=True)
+class CsvTask(CsvSchema):  # the schema plus the file of each split
     private: str
     public: str
     test: str
-    task_type: str
-    num_classes: int
-    feature_cols: list[str]
-    label_cols: list[str]
 
 
 @dataclass
@@ -105,6 +110,13 @@ class SweepSection:
     param: str
     values: list
     seeds: list[int]
+
+    def __post_init__(self):
+        if self.param not in SWEEP_AXES:
+            raise ConfigurationError(f"param must be one of {SWEEP_AXES}")
+        if not self.values or not self.seeds:
+            raise ConfigurationError("values and seeds must be non-empty")
+        _check_seeds("seeds", self.seeds)
 
 
 @dataclass(kw_only=True)
@@ -120,12 +132,6 @@ class ExperimentConfig(FedKdRun):
     sweep: SweepSection | None = None
 
     def __post_init__(self):
-        if self.sweep is not None:
-            if self.sweep.param not in SWEEP_AXES:
-                raise ConfigurationError(f"sweep.param must be one of {SWEEP_AXES}")
-            if not self.sweep.values or not self.sweep.seeds:
-                raise ConfigurationError("sweep.values and sweep.seeds must be non-empty")
-            _check_seeds("sweep.seeds", self.sweep.seeds)
         _check_seeds("seed", [self.seed])
         check_partition(self.num_nodes, self.alpha)  # the library's own checks
         super().__post_init__()
@@ -238,25 +244,9 @@ def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
         raise ConfigurationError("config needs a 'task' object")
     raw = dict(raw)
     kind = raw.pop("kind", None)
-    if kind == "synthetic":
-        task = _build(SyntheticTask, raw, where)
-        if task.num_classes < 2 or task.dim < 1:
-            raise ConfigurationError("task.num_classes >= 2 and task.dim >= 1 required")
-        for key in ("train_per_class", "test_per_class", "public_per_class"):
-            if getattr(task, key) < 1:
-                raise ConfigurationError(f"task.{key} must be >= 1")
-        if task.cov_scale < 0:
-            raise ConfigurationError("task.cov_scale must be >= 0")
-    elif kind == "csv":
-        task = _build(CsvTask, raw, where)
-        _csv_schema(task)  # its checks, made at parse time
-    else:
+    if kind not in ("synthetic", "csv"):  # compared by ==, so even a list kind is a config error
         raise ConfigurationError("task.kind must be 'synthetic' or 'csv'")
-    return task
-
-
-def _csv_schema(t: CsvTask) -> CsvSchema:
-    return CsvSchema(t.feature_cols, t.label_cols, t.task_type, t.num_classes)
+    return _build(SyntheticTask if kind == "synthetic" else CsvTask, raw, where)
 
 
 _TOP_LEVEL = {
@@ -281,10 +271,19 @@ def parse_dict(doc: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, doc, "config", _TOP_LEVEL)
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}  # json.loads alone would keep the last of two equal keys
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigurationError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, no read permission, ...
@@ -333,7 +332,7 @@ def _split(cfg: ExperimentConfig, seed: int, name: str) -> Dataset:
     task key at fault."""
     t = cfg.task
     if isinstance(t, CsvTask):
-        return load_csv(getattr(t, name), _csv_schema(t))
+        return load_csv(getattr(t, name), t)
     per_class, shift, tag = {
         "private": (t.train_per_class, None, STREAM_PRIVATE),
         "public": (t.public_per_class, np.full(t.dim, t.domain_shift / math.sqrt(t.dim)),
@@ -572,9 +571,9 @@ def _load_metrics(path: Path) -> dict:
 
 
 def cmd_report(out: Path) -> str:
-    """Aggregate every run directory under ``out`` into a comparison table,
-    one row per (algorithm, metric)."""
-    docs = [_load_metrics(p) for p in sorted(out.glob("*/metrics.json"))]
+    """Aggregate every run directory under ``out``, but no dot-named temporary
+    sibling of one, into a comparison table, one row per (algorithm, metric)."""
+    docs = [_load_metrics(p) for p in sorted(out.glob("[!.]*/metrics.json"))]
     if not docs:
         raise ConfigurationError(f"no run directories with metrics.json under {out}")
     groups: dict[tuple[str, str], list[dict]] = {}

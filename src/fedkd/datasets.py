@@ -133,17 +133,17 @@ def gen_gaussian_task(spec: GaussianTaskSpec, rs: RandomStream) -> Dataset:
 class CsvSchema:
     feature_cols: list[str]
     label_cols: list[str]
-    task: str
+    task_type: str
     num_classes: int
 
     def __post_init__(self):
-        if self.task not in (SINGLE_LABEL, MULTI_LABEL):
-            raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.task_type not in (SINGLE_LABEL, MULTI_LABEL):
+            raise ConfigurationError(f"unknown task_type {self.task_type!r}")
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be >= 1")
-        if self.task == SINGLE_LABEL and len(self.label_cols) != 1:
+        if self.task_type == SINGLE_LABEL and len(self.label_cols) != 1:
             raise ConfigurationError("single-label schema needs exactly one label column")
-        if self.task == MULTI_LABEL and len(self.label_cols) != self.num_classes:
+        if self.task_type == MULTI_LABEL and len(self.label_cols) != self.num_classes:
             raise ConfigurationError("multi-label schema needs one label column per class")
 
 
@@ -178,11 +178,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
                                   f"{what} label value")
     labels = raw.astype(np.int64)
     try:
-        return Dataset(features, labels, schema.task, schema.num_classes)
+        return Dataset(features, labels, schema.task_type, schema.num_classes)
     except ValidationError:
         for r in range(len(labels)):
             try:
-                Dataset(features[r : r + 1], labels[r : r + 1], schema.task, schema.num_classes)
+                Dataset(features[r : r + 1], labels[r : r + 1], schema.task_type, schema.num_classes)
             except ValidationError as err:
                 raise ValidationError(f"{path}: row {r + 1}: {err}") from None
         raise

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shutil
 import tempfile
 import weakref
 from pathlib import Path
@@ -33,7 +34,7 @@ from fedkd.cli import (
 )
 import fedkd.cli
 import fedkd.protocol
-from fedkd.datasets import CsvSchema, Dataset, dirichlet_partition
+from fedkd.datasets import CsvSchema, Dataset, dirichlet_partition, load_csv
 from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
 from fedkd.ensemble import PER_CLASS
 from fedkd.errors import ConfigurationError
@@ -339,6 +340,32 @@ class TestReport:
         assert body["fedkd"].split()[1] == "2"
         assert body["fedavg"].split()[1] == "1"
 
+    def test_a_forced_rerun_cut_before_its_last_delete_still_reports_one_run(
+            self, tmp_path, monkeypatch, capsys):
+        """--force moves the earlier run to a dot-named sibling and deletes it
+        last; cut off before that delete, the sibling stays behind, and report
+        reads only the run directory."""
+        p = write_config(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        rmtree = shutil.rmtree
+
+        def cut_at_the_old_run(path, *args, **kwargs):
+            if Path(path).suffix == ".old":
+                raise KeyboardInterrupt
+            rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(fedkd.cli.shutil, "rmtree", cut_at_the_old_run)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(p), "--out", str(out), "--force"])
+        monkeypatch.undo()
+        (old,) = out.glob(".*.old")
+        assert (old / "metrics.json").exists()
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row.split()[:2] == ["fedkd", "1"]
+
     def test_empty_out_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             cmd_report(tmp_path)
@@ -364,6 +391,17 @@ class TestCsvTasks:
         metrics = json.loads((rd / "metrics.json").read_text())
         assert metrics["metric"] == "accuracy"
         assert metrics["central"] >= 0.9
+
+    def test_a_csv_task_is_the_schema_load_csv_reads(self, tmp_path):
+        """CsvTask adds only its three files to CsvSchema, and its config keys
+        are the schema's fields, so a config round-trips key for key."""
+        doc = tiny_doc(task=write_csv_task(tmp_path))
+        cfg = parse_dict(doc)
+        assert isinstance(cfg.task, CsvSchema)
+        assert (CsvTask.__dataclass_fields__.keys() - CsvSchema.__dataclass_fields__.keys()
+                == {"private", "public", "test"})
+        assert load_csv(cfg.task.public, cfg.task).n == 80
+        assert config_to_dict(cfg)["task"] == doc["task"]
 
     def test_multi_label_reports_mean_auc(self, tmp_path):
         doc = tiny_doc(num_nodes=2)
@@ -559,20 +597,59 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--seed", "-1"]) == 2
 
-    @pytest.mark.parametrize("command, over, flag, key", [
-        ("run", {"seed": -1}, [], "seed"),
-        ("ablate", {"sweep": {"param": "S", "values": [50], "seeds": [0, -1]}}, [], "sweep.seeds"),
-        ("run", {}, ["--seed", "-1"], "--seed"),
-        ("fedavg", {}, ["--seed", "-1"], "--seed"),
-    ])
+    @pytest.mark.parametrize("command, over, flag, message", [
+        ("run", {"seed": -1}, [], "seed must be >= 0"),
+        ("ablate", {"sweep": {"param": "S", "values": [50], "seeds": [0, -1]}}, [],
+         "seeds must be >= 0 (in sweep)"),
+        ("run", {}, ["--seed", "-1"], "--seed must be >= 0"),
+        ("fedavg", {}, ["--seed", "-1"], "--seed must be >= 0"),
+    ], ids=["seed", "sweep.seeds", "run_flag", "fedavg_flag"])
     def test_negative_seed_is_one_config_error_line(self, tmp_path, capsys, command, over, flag,
-                                                    key):
+                                                    message):
         """A negative seed, from the config, its sweep or the flag, exits 2 on
-        one line naming its key, and writes nothing."""
+        one line naming its key (and the sweep's section), and writes nothing."""
         p = write_config(tmp_path, tiny_doc(**over))
         out = tmp_path / "o"
         assert main([command, "--config", str(p), "--out", str(out), *flag]) == 2
-        assert capsys.readouterr().err == f"config error: {key} must be >= 0\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 0, "seed": 5}', "repeated key 'seed'"),
+        ('{"node": {"epochs": 5, "epochs": 6}}', "repeated key 'epochs'"),
+    ], ids=["top_level", "in_node"])
+    def test_a_repeated_key_is_one_config_error_line(self, tmp_path, capsys, text, message):
+        """json.loads alone keeps the last of two equal keys; a config names
+        the repeated key at any depth, exits 2 and writes nothing."""
+        doc = json.dumps(tiny_doc())
+        p = tmp_path / "cfg.json"
+        p.write_text(doc[:-1] + ", " + text[1:-1] + "}")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["array_root", "zero_rounds", "headerless_csv"])
+    def test_a_contract_branch_exits_on_one_line_and_writes_nothing(self, tmp_path, capsys,
+                                                                     case):
+        """A JSON array as the config, zero FedAvg rounds, and a CSV split with
+        no header row (an empty file): each exits with its code on one exact
+        stderr line and leaves no run directory."""
+        command, doc = "run", tiny_doc()
+        if case == "array_root":
+            doc, code, err = [], 2, "config error: config root must be a JSON object\n"
+        elif case == "zero_rounds":
+            command, doc["rounds"] = "fedavg", 0
+            code, err = 2, "config error: rounds must be >= 1\n"
+        else:
+            doc["task"] = write_csv_task(tmp_path)
+            Path(doc["task"]["private"]).write_text("")
+            code = 3
+            err = f"runtime error: {doc['task']['private']}: empty file, expected a header row\n"
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
     def test_fedavg_subcommand(self, tmp_path):
@@ -1382,7 +1459,7 @@ class TestParseTimeChecks:
         doc["task"]["cov_scale"] = -1.0
         p = write_config(tmp_path, doc)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "config error: task.cov_scale must be >= 0\n"
+        assert capsys.readouterr().err == "config error: cov_scale must be >= 0 (in task)\n"
         assert no_training == []
 
     @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
@@ -1393,13 +1470,14 @@ class TestParseTimeChecks:
                        "label_cols": []}
         p = write_config(tmp_path, doc)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "config error: num_classes must be >= 1\n"
+        assert capsys.readouterr().err == "config error: num_classes must be >= 1 (in task)\n"
         assert no_training == []
 
     @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
     @pytest.mark.parametrize("multi, over, message", [
-        (False, {"label_cols": ["y", "y"]}, "single-label schema needs exactly one label column"),
-        (True, {"num_classes": 3}, "multi-label schema needs one label column per class"),
+        (False, {"label_cols": ["y", "y"]},
+         "single-label schema needs exactly one label column (in task)"),
+        (True, {"num_classes": 3}, "multi-label schema needs one label column per class (in task)"),
     ], ids=["single_label", "multi_label"])
     def test_a_csv_schema_error_exits_2_before_training(self, tmp_path, capsys, no_training,
                                                         command, multi, over, message):
@@ -1417,16 +1495,30 @@ class TestParseTimeChecks:
             "ConfigurationError: batch_size 32 exceeds public set size 30")
         assert no_training == []
 
-    @pytest.mark.parametrize("section, over", [
-        ("node", {"node": {"hidden_dims": [16], "lr_start": 0.01, "lr_end": 0.05}}),
-        ("node", {"node": {"batch_size": 0}}),
-        ("distill", {"distill": {"steps": 0}}),
-        ("distill", {"distill": {"loss_mode": "kl"}}),
-        ("ensemble", {"ensemble": {"quant_scale": 1}}),
-    ])
-    def test_constructor_errors_name_their_section(self, section, over):
-        with pytest.raises(ConfigurationError, match=rf"\(in {section}\)$"):
+    @pytest.mark.parametrize("section, over, message", [
+        ("node", {"node": {"hidden_dims": [16], "lr_start": 0.01, "lr_end": 0.05}},
+         "require lr_start >= lr_end >= 0, got lr_start=0.01 and lr_end=0.05"),
+        ("node", {"node": {"batch_size": 0}}, "epochs and batch_size must be >= 1"),
+        ("distill", {"distill": {"steps": 0}}, "steps must be >= 1"),
+        ("distill", {"distill": {"loss_mode": "kl"}}, "kl loss needs a finite tau"),
+        ("ensemble", {"ensemble": {"quant_scale": 1}},
+         "quant_scale must be >= 2 (or None to disable)"),
+        ("task", {"task": {**CSV_DOC["task"], "task_type": "weird"}},
+         "unknown task_type 'weird'"),
+        ("task", {"task": {**CSV_DOC["task"], "task_type": "multi_label", "num_classes": 0,
+                           "label_cols": []}}, "num_classes must be >= 1"),
+        ("task", {"task": {"kind": "synthetic", "dim": 0}},
+         "num_classes >= 2 and dim >= 1 required"),
+        ("sweep", {"sweep": {"param": "beta", "values": [1.0], "seeds": [0]}},
+         f"param must be one of {SWEEP_AXES}"),
+    ], ids=["node_rates", "node_batch", "distill_steps", "distill_tau", "ensemble_scale",
+            "csv_task_type", "csv_num_classes", "synthetic_dim", "sweep_param"])
+    def test_constructor_errors_name_their_section(self, section, over, message):
+        """A section's own check gives its message with the section appended;
+        a CSV task's checks are its CsvSchema's, made at parse time."""
+        with pytest.raises(ConfigurationError) as exc:
             parse_dict(tiny_doc(**over))
+        assert str(exc.value) == f"{message} (in {section})"
 
     @pytest.mark.parametrize("over, csv_task, owner", [
         ({"num_nodes": 0}, None, lambda: owner_partition(0, 1.0)),
@@ -1438,11 +1530,8 @@ class TestParseTimeChecks:
          lambda: owner_distill(121, 120, [8, 16, 3])),
         ({"distill": {"steps": 60, "batch_size": 81}}, {},
          lambda: owner_distill(81, 80, [2, 16, 2])),
-        ({}, {"task_type": "weird"}, lambda: CsvSchema(["x0", "x1"], ["y"], "weird", 2)),
-        ({}, {"task_type": "multi_label", "num_classes": 0, "label_cols": []},
-         lambda: CsvSchema(["x0", "x1"], [], "multi_label", 0)),
     ], ids=["num_nodes", "alpha", "repeats", "query_noise", "central_hidden_dims",
-            "synthetic_batch", "csv_batch", "csv_task_type", "csv_num_classes"])
+            "synthetic_batch", "csv_batch"])
     def test_the_cli_prints_its_owners_message(self, tmp_path, capsys, no_training, over,
                                                csv_task, owner):
         """Each fact the CLI and the library both check has one raise site,
