@@ -240,8 +240,8 @@ def _build(cls, raw, where: str, special: dict | None = None):
 
 
 def _parse_task(raw, where: str) -> SyntheticTask | CsvTask:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config needs a 'task' object")
+    if not isinstance(raw, dict):  # _build's own "'task' must be an object"
+        return _build(SyntheticTask, raw, where)
     raw = dict(raw)
     kind = raw.pop("kind", None)
     if kind not in ("synthetic", "csv"):  # compared by ==, so even a list kind is a config error
@@ -290,8 +290,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config root must be a JSON object")
     return parse_dict(doc)
 
 

@@ -30,11 +30,18 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValidationError("features must be 2-D")
         if not np.isfinite(self.features).all():
             raise ValidationError("features: non-finite entries")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":  # never truncated: a label must be an exact int
+            if not np.isfinite(labels).all():
+                raise ValidationError("non-finite label value")
+            if (labels != np.round(labels)).any():
+                raise ValidationError("non-integer label value")
+            labels = labels.clip(-2, max(self.num_classes, 2))  # int64-safe; out of range stays out
+        self.labels = np.asarray(labels, dtype=np.int64)
         n = self.features.shape[0]
         if self.task == SINGLE_LABEL:
             if self.labels.shape != (n, 1):
@@ -97,7 +104,7 @@ class GaussianTaskSpec:
 
     def __post_init__(self):
         if self.num_classes < 2 or self.dim < 1:
-            raise ConfigurationError("need num_classes >= 2 and dim >= 1")
+            raise ConfigurationError("num_classes >= 2 and dim >= 1 required")
         self.class_means = np.asarray(self.class_means, dtype=np.float64)
         if self.class_means.shape != (self.num_classes, self.dim):
             raise ConfigurationError(
@@ -149,34 +156,32 @@ class CsvSchema:
 
 def load_csv(path: str | Path, schema: CsvSchema) -> Dataset:
     """Read a UTF-8, header-first CSV into a Dataset; a leading byte-order
-    mark, as spreadsheet exports write, is dropped. A parse failure is a
-    FormatError naming the 1-based data row; a NaN, infinite or non-integer
-    label, or a row that fails a Dataset check (sought row by row only once
-    the whole table has failed), is a ValidationError naming the row."""
+    mark, as spreadsheet exports write, and blank lines are skipped. A parse
+    failure or a row whose field count is not the header's is a FormatError,
+    and a row that fails a Dataset check (sought row by row only once the
+    whole table has failed) a ValidationError, each naming the 1-based row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise FormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in schema.feature_cols + schema.label_cols if c not in reader.fieldnames]
+        col = {name: i for i, name in enumerate(header)}  # of two equal names, the last wins
+        missing = [c for c in schema.feature_cols + schema.label_cols if c not in col]
         if missing:
             raise FormatError(f"{path}: missing columns {missing}")
         feats, labs = [], []
-        for rownum, row in enumerate(reader, start=1):
+        for rownum, row in enumerate(filter(None, reader), start=1):
             try:
-                feats.append([float(row[c]) for c in schema.feature_cols])
-                labs.append([float(row[c]) for c in schema.label_cols])
-            except (TypeError, ValueError) as exc:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                feats.append([float(row[col[c]]) for c in schema.feature_cols])
+                labs.append([float(row[col[c]]) for c in schema.label_cols])
+            except ValueError as exc:
                 raise FormatError(f"{path}: row {rownum}: {exc}") from exc
 
     features = np.asarray(feats, dtype=np.float64).reshape(len(feats), len(schema.feature_cols))
-    raw = np.asarray(labs, dtype=np.float64).reshape(len(labs), len(schema.label_cols))
-    # the two label checks the int cast would otherwise hide
-    for what, bad in (("non-finite", ~np.isfinite(raw)), ("non-integer", raw != np.round(raw))):
-        if bad.any():
-            raise ValidationError(f"{path}: row {int(np.argwhere(bad)[0][0]) + 1}: "
-                                  f"{what} label value")
-    labels = raw.astype(np.int64)
+    labels = np.asarray(labs, dtype=np.float64).reshape(len(labs), len(schema.label_cols))
     try:
         return Dataset(features, labels, schema.task_type, schema.num_classes)
     except ValidationError:

@@ -243,8 +243,10 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
 
 
 def _test_logits(model: MlpModel, ds: Dataset) -> np.ndarray:
-    """The model's logits on ``ds``; a model that overflows there gives no
-    metric, but an EvaluationError instead of numpy warnings."""
+    """The model's logits on ``ds``; an empty set, or a model that overflows
+    there, gives no metric but an EvaluationError instead of numpy warnings."""
+    if ds.n == 0:
+        raise EvaluationError("empty evaluation set")
     with np.errstate(over="ignore", invalid="ignore"):
         logits = mlp_forward(model, ds.features)
     if not np.isfinite(logits).all():
@@ -256,10 +258,7 @@ def evaluate_single(model: MlpModel, ds: Dataset) -> float:
     """Top-1 accuracy; argmax ties go to the lowest class index."""
     if ds.task != SINGLE_LABEL:
         raise ConfigurationError("evaluate_single needs a single-label dataset")
-    if ds.n == 0:
-        raise EvaluationError("empty evaluation set")
-    logits = _test_logits(model, ds)
-    pred = logits.argmax(axis=1)
+    pred = _test_logits(model, ds).argmax(axis=1)
     return float((pred == ds.labels[:, 0]).mean())
 
 
@@ -302,8 +301,6 @@ def evaluate_multi(model: MlpModel, ds: Dataset) -> MultiLabelEval:
     """Per-class AUC and the mean over classes with both label values present."""
     if ds.task != MULTI_LABEL:
         raise ConfigurationError("evaluate_multi needs a multi-label dataset")
-    if ds.n == 0:
-        raise EvaluationError("empty evaluation set")
     logits = _test_logits(model, ds)
     per_class = np.full(ds.num_classes, np.nan)
     for c in range(ds.num_classes):

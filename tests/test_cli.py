@@ -629,15 +629,18 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["array_root", "zero_rounds", "headerless_csv"])
+    @pytest.mark.parametrize("case", ["array_root", "array_task", "zero_rounds",
+                                      "headerless_csv"])
     def test_a_contract_branch_exits_on_one_line_and_writes_nothing(self, tmp_path, capsys,
                                                                      case):
-        """A JSON array as the config, zero FedAvg rounds, and a CSV split with
-        no header row (an empty file): each exits with its code on one exact
-        stderr line and leaves no run directory."""
+        """A JSON array as the config or as its task, zero FedAvg rounds, and a
+        CSV split with no header row (an empty file): each exits with its code
+        on one exact stderr line and leaves no run directory."""
         command, doc = "run", tiny_doc()
         if case == "array_root":
-            doc, code, err = [], 2, "config error: config root must be a JSON object\n"
+            doc, code, err = [], 2, "config error: 'config' must be an object\n"
+        elif case == "array_task":
+            doc["task"], code, err = [], 2, "config error: 'task' must be an object\n"
         elif case == "zero_rounds":
             command, doc["rounds"] = "fedavg", 0
             code, err = 2, "config error: rounds must be >= 1\n"
@@ -778,6 +781,27 @@ def test_finite_but_huge_value_reaches_training(tmp_path, over, message):
     out = run_python("-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
                      "--config", write_config(tmp_path, doc), "--out", tmp_path / "o")
     assert (out.returncode, out.stderr) == (3, f"runtime error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1.0,1.0,1e30", "row 3: label out of range [0, 2)"),
+    ("1.0,1.0,0,9", "row 3: 4 fields, the header has 3"),
+])
+def test_a_bad_csv_row_prints_one_line_naming_it(tmp_path, line, message):
+    """A label far past the int64 range casts with no numpy warning, and a row
+    with an extra field is not cut to the header's width: under -W
+    error::RuntimeWarning, run exits 3 on one line naming the file and row,
+    and leaves no run directory."""
+    doc = tiny_doc(num_nodes=2)
+    doc["task"] = write_csv_task(tmp_path)
+    path = Path(doc["task"]["private"])
+    lines = path.read_text().splitlines()
+    lines[3] = line
+    path.write_text("\n".join(lines) + "\n")
+    out = run_python("-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
+                     "--config", write_config(tmp_path, doc), "--out", tmp_path / "o")
+    assert (out.returncode, out.stderr) == (3, f"runtime error: {path}: {message}\n")
     assert not (tmp_path / "o").exists()
 
 

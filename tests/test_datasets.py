@@ -97,6 +97,25 @@ class TestGaussianTask:
         np.testing.assert_allclose(b.features.mean(0) - a.features.mean(0), [5.0, 0.0], atol=1e-9)
 
 
+class TestLabelValues:
+    @pytest.mark.parametrize("task, num_classes, value, message", [
+        (SINGLE_LABEL, 3, 0.5, "non-integer label value"),
+        (SINGLE_LABEL, 3, np.nan, "non-finite label value"),
+        (SINGLE_LABEL, 3, 1e30, "label out of range [0, 3)"),
+        (SINGLE_LABEL, 3, -1e30, "label out of range [0, 3)"),
+        (MULTI_LABEL, 1, 0.5, "non-integer label value"),
+        (MULTI_LABEL, 1, np.nan, "non-finite label value"),
+        (MULTI_LABEL, 1, 1e30, "multi-label entries must be in {-1, 0, 1}"),
+        (MULTI_LABEL, 1, 2.0, "multi-label entries must be in {-1, 0, 1}"),
+        (MULTI_LABEL, 1, -2.0, "multi-label entries must be in {-1, 0, 1}"),
+    ])
+    def test_a_float_label_must_be_an_int_in_range(self, task, num_classes, value, message):
+        """A float label is checked, never truncated; one far out of range
+        reaches the range check with no numpy warning from the int cast."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((1, 1)), np.array([[value]]), task, num_classes)
+
+
 class TestLoadCsv:
     SCHEMA = CsvSchema(["f0", "f1"], ["label"], SINGLE_LABEL, 3)
 
@@ -150,8 +169,28 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}: row 3: {what}$"):
             load_csv(p, self.SCHEMA)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,2,0,9\n", "row 1: 4 fields, the header has 3"),  # an unquoted comma in one field
+        ("1,2,0\n1,2\n", "row 2: 2 fields, the header has 3"),
+    ], ids=["extra_field", "short_row"])
+    def test_a_row_needs_the_headers_field_count(self, tmp_path, rows, message):
+        p = tmp_path / "d.csv"
+        p.write_text(f"f0,f1,label\n{rows}")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            load_csv(p, self.SCHEMA)
+
+    def test_of_two_equal_header_names_the_last_wins(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,label,f1,label\n0.5,9,1.25,2\n")
+        ds = load_csv(p, self.SCHEMA)
+        assert ds.features.tolist() == [[0.5, 1.25]] and ds.labels.tolist() == [[2]]
+
     @pytest.mark.parametrize("schema, rows, message", [
         (SCHEMA, "1,1,0\n1,1,3\nnan,1,0\n", "row 2: label out of range [0, 3)"),
+        (SCHEMA, "1,1,0\nnan,1,0\n1,1,nan\n", "row 2: features: non-finite entries"),
+        (SCHEMA, "1,1,0\n2,2,1\n1,1,1e30\n", "row 3: label out of range [0, 3)"),
+        (SCHEMA, "1,1,0\n2,2,1\n1,1,-1e19\n", "row 3: label out of range [0, 3)"),
+        (SCHEMA, "\n1,1,0\n\n1,1,5\n", "row 2: label out of range [0, 3)"),  # blank lines skipped
         (SCHEMA, "1,1,0\ninf,1,9\n", "row 2: features: non-finite entries"),
         (CsvSchema(["f0", "f1"], ["c0"], MULTI_LABEL, 1), "1,1,1\n1,1,-1\n2,nan,0\n1,1,2\n",
          "row 3: features: non-finite entries"),
@@ -161,7 +200,8 @@ class TestLoadCsv:
     def test_a_dataset_check_names_the_first_row_that_fails_it(self, tmp_path, schema, rows,
                                                                message):
         """load_csv leaves features and label values to Dataset's one check,
-        and names the first row that fails it, with Dataset's message."""
+        and names the first row that fails it, with Dataset's message; a
+        label past the int64 range casts with no numpy warning."""
         p = tmp_path / "d.csv"
         p.write_text(f"f0,f1,{schema.label_cols[0]}\n{rows}")
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{p}: {message}')}$"):

@@ -448,7 +448,7 @@ class TestEvaluateSingle:
 
     def test_empty_set_rejected(self):
         ds = Dataset(np.zeros((0, 2)), np.zeros((0, 1), dtype=int), SINGLE_LABEL, 2)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="^empty evaluation set$"):
             evaluate_single(identity_model(2), ds)
 
 
@@ -534,6 +534,11 @@ class TestEvaluateMulti:
         out = evaluate_multi(identity_model(2), Dataset(feats, labels, MULTI_LABEL, 2))
         assert np.isnan(out.per_class[1])
         assert out.mean_auc == pytest.approx(out.per_class[0])
+
+    def test_empty_set_rejected(self):
+        ds = Dataset(np.zeros((0, 2)), np.zeros((0, 2), dtype=int), MULTI_LABEL, 2)
+        with pytest.raises(EvaluationError, match="^empty evaluation set$"):
+            evaluate_multi(identity_model(2), ds)
 
     def test_no_valid_class_rejected(self):
         feats = np.array([[0.9, 0.5]])
