@@ -53,6 +53,7 @@ from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, FedKdError, FormatError, ValidationError
 from .numkit import RandomStream
 from .protocol import (
+    FedKdCell,
     FedKdRun,
     TrainConfig,
     _central_metrics,
@@ -367,7 +368,7 @@ def execute_fedkd(cfg: ExperimentConfig, seed: int):
 def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     """Every (config, seed) cell's fedkd run in two stages (see
     :func:`~fedkd.protocol._stage`): one build_data per distinct task,
-    num_nodes, alpha and seed, then one
+    num_nodes, alpha and seed, giving each of its cells a FedKdCell, then one
     :func:`~fedkd.protocol.run_fedkd_batch` (``keep_trace`` passed on) over
     every cell that built. Returns each cell's result or its exception; a
     cell given as an exception comes back as itself. The built list goes
@@ -375,8 +376,8 @@ def execute_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     only reference to each private split and can drop it after node
     training."""
     def build(group):  # each cell's config is its run
-        data = build_data(*cells[group[0]])
-        return [(*data, *cells[i]) for i in group]
+        private, public, test, plan = build_data(*cells[group[0]])
+        return [FedKdCell(private, public, test, plan, *cells[i]) for i in group]
 
     def data_key(i):
         cfg, seed = cells[i]
@@ -403,9 +404,11 @@ def execute_fedavg(cfg: ExperimentConfig, seed: int):
 
 
 def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm: str) -> Path:
-    """The run's directory, checked for a collision before any work is done;
-    it is created only once the run has succeeded."""
+    """The run's directory, checked before any work: a file at or above it, or
+    a run there without ``force``, is a collision. Made once the run succeeds."""
     rd = out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}"
+    if not (found := next(p for p in (rd, *rd.parents) if p.exists())).is_dir():
+        raise ConfigurationError(f"{found} is not a directory")
     if rd.exists() and not force:
         raise ConfigurationError(f"run directory {rd} exists (use --force to overwrite)")
     return rd
@@ -515,8 +518,9 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
         raise ConfigurationError("ablate needs a 'sweep' section in the config")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ablation.csv"
-    if path.exists() and not force:
-        raise ConfigurationError(f"{path} exists (use --force to overwrite)")
+    if path.is_dir() or path.exists() and not force:
+        raise ConfigurationError(f"{path} is a directory" if path.is_dir()
+                                 else f"{path} exists (use --force to overwrite)")
     values, seeds = cfg.sweep.values, cfg.sweep.seeds
     grid = [(value, seed) for value in values for seed in seeds]  # in row order
 

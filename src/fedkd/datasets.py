@@ -35,12 +35,15 @@ class Dataset:
         if not np.isfinite(self.features).all():
             raise ValidationError("features: non-finite entries")
         labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biuf":
+            raise ValidationError(f"labels must be bool, int or float, got {labels.dtype}")
         if labels.dtype.kind == "f":  # never truncated: a label must be an exact int
             if not np.isfinite(labels).all():
                 raise ValidationError("non-finite label value")
             if (labels != np.round(labels)).any():
                 raise ValidationError("non-integer label value")
-            labels = labels.clip(-2, max(self.num_classes, 2))  # int64-safe; out of range stays out
+        if labels.dtype.kind in "fu":  # int64-safe; out of range stays out
+            labels = labels.clip(-2, max(self.num_classes, 2))
         self.labels = np.asarray(labels, dtype=np.int64)
         n = self.features.shape[0]
         if self.task == SINGLE_LABEL:

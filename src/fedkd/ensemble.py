@@ -221,17 +221,3 @@ def ensemble(
         acc += laplace_sample(cfg.gamma, rs, size=shape)
     return acc
 
-
-# ---------------------------------------------------------------------------
-# the size of a bit-packed upload at ceil(log2(S+1)) bits per logit
-# (``packed_logits_bytes``), a computed size: no encoder builds that upload,
-# and the ledger bills the float64 logits sent at their ``nbytes``
-
-
-def quant_level_bits(scale: int) -> int:
-    """Bits per quantized logit: enough for the S+1 grid levels."""
-    return max(1, math.ceil(math.log2(scale + 1)))
-
-
-def packed_payload_bytes(rows: int, cols: int, scale: int) -> int:
-    return (rows * cols * quant_level_bits(scale) + 7) // 8

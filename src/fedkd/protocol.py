@@ -29,6 +29,7 @@ billed, so totals match the plain bytes-per-value arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .ensemble import (
     WeightTable,
     ensemble,
     importance_weights,
-    packed_payload_bytes,
 )
 from .errors import (
     ConfigurationError,
@@ -287,7 +287,7 @@ class NodeHandle:
     query_rows: int = 0
 
 
-def _train_cells(cells: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainConfig,
+def _train_cells(runs: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainConfig,
                  seeds: list[int]) -> list:
     """Train every non-empty shard of several runs independently, with run c
     at ``seeds[c]``; a run is its split and each node's row indices into it.
@@ -295,19 +295,19 @@ def _train_cells(cells: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainC
     Each run gets its node handles, or a DivergenceError naming its lowest
     diverged node. An empty shard yields a handle with no model, so its zero
     profile drops it from the ensemble."""
-    live = [(c, k) for c, (_, shards) in enumerate(cells) for k, idx in enumerate(shards)
-            if len(idx)]
+    live = [(c, k, split, idx) for c, (split, shards) in enumerate(runs)
+            for k, idx in enumerate(shards) if len(idx)]
     models = train_lockstep(
-        [init_mlp(_dims(cells[c][0], node_cfg.hidden_dims),
-                  RandomStream(seeds[c], (STREAM_INIT, k))) for c, k in live],
-        [cells[c][0] for c, k in live],
+        [init_mlp(_dims(split, node_cfg.hidden_dims), RandomStream(seeds[c], (STREAM_INIT, k)))
+         for c, k, split, _ in live],
+        [split for _, _, split, _ in live],
         node_cfg,
-        [RandomStream(seeds[c], (STREAM_BATCH, k, 0)) for c, k in live],
-        rows=[cells[c][1][k] for c, k in live],
+        [RandomStream(seeds[c], (STREAM_BATCH, k, 0)) for c, k, _, _ in live],
+        rows=[idx for _, _, _, idx in live],
     )
-    trained = dict(zip(live, models))
+    trained = {(c, k): model for (c, k, _, _), model in zip(live, models)}
     out = []
-    for c, (_, shards) in enumerate(cells):
+    for c, (_, shards) in enumerate(runs):
         handles = [NodeHandle(k, idx, trained.get((c, k))) for k, idx in enumerate(shards)]
         diverged = [h.node_id for h in handles if h.model is None and len(h.rows)]
         out.append(DivergenceError("node training", diverged[0]) if diverged else handles)
@@ -395,6 +395,17 @@ class FedKdRun:
             raise ConfigurationError("central_hidden_dims entries must be >= 1")
 
 
+class FedKdCell(NamedTuple):
+    """A :func:`run_fedkd_batch` cell: :func:`run_fedkd`'s arguments, by name and in order."""
+
+    private: Dataset
+    public: Dataset
+    test: Dataset
+    plan: PartitionPlan
+    run: FedKdRun
+    seed: int
+
+
 @dataclass
 class FedKdResult:
     central_model: MlpModel
@@ -422,23 +433,24 @@ def _central_metrics(model: MlpModel, test: Dataset) -> dict:
             "central": _evaluate(model, test, "the central model")}
 
 
-def _teacher(run: FedKdRun, seed: int, handles, profiles, public: Dataset):
-    """(teacher, weights, block count, ledger) from one query of every trained
-    node; the logit blocks die on return, so none is held through
+def _teacher(cell: FedKdCell, handles: list[NodeHandle], profiles: np.ndarray):
+    """(teacher, weights, ledger) from one query of every trained node of
+    ``cell``; the logit blocks die on return, so none is held through
     distillation. The weight mode is decided here: a uniform ensemble gets no
     weight table."""
     ledger = BandwidthLedger()
-    blocks = collect_logits(handles, public.features, run.repeats, run.query_noise, seed, ledger)
+    blocks = collect_logits(handles, cell.public.features, cell.run.repeats,
+                            cell.run.query_noise, cell.seed, ledger)
     if not blocks:
         raise ConfigurationError("every shard was empty; nothing to aggregate")
     for b in blocks:
         ledger.add("scalar_max_up", b.node_id, np.float64(b.local_max_abs).nbytes)
 
-    weights = importance_weights(profiles) if run.ensemble.weight_mode == PER_CLASS else None
-    teacher = ensemble(blocks, weights, run.ensemble, RandomStream(seed, (STREAM_NOISE,)))
+    weights = importance_weights(profiles) if cell.run.ensemble.weight_mode == PER_CLASS else None
+    teacher = ensemble(blocks, weights, cell.run.ensemble, RandomStream(cell.seed, (STREAM_NOISE,)))
     # distill's check, made here per cell so a stacked distill call gets only valid jobs
     teacher = check_matrix(teacher, "teacher logits")
-    return teacher, weights, len(blocks), ledger
+    return teacher, weights, ledger
 
 
 def _grouped(members: list[int], key) -> list[list[int]]:
@@ -488,25 +500,26 @@ def run_fedkd(private: Dataset, public: Dataset, test: Dataset, plan: PartitionP
     training rows through one joined [private; public] split, and profiles
     count the joined rows, since weights reflect the data actually trained on.
     """
-    (result,) = run_fedkd_batch([(private, public, test, plan, run, seed)])
+    (result,) = run_fedkd_batch([FedKdCell(private, public, test, plan, run, seed)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
-    """:func:`run_fedkd` for every (private, public, test, plan, run, seed)
-    cell, as six :func:`_stage` lists: each cell's untrained student (built
-    first, then checked against the distill batch, so neither a student that
-    cannot be built nor a batch past the public set costs any training),
-    shards and profiles, node handles, teacher, trained student and result. One
-    :func:`train_lockstep` call trains the nodes of all cells that share a
-    node config, the teacher is built per cell, one stacked :func:`distill`
-    call trains the students of all cells that share student dims, label
-    type and distill config, and evaluation is per cell. Without
-    ``keep_trace`` (a sweep, which writes no trace) distillation computes no
-    per-step loss and every result's ``trace`` is None; nothing else
-    changes.
+def run_fedkd_batch(cells: list[FedKdCell], *, keep_trace: bool = True) -> list:
+    """:func:`run_fedkd` for every :class:`FedKdCell`, as a chain of
+    :func:`_stage` lists: each cell's untrained student (built first, then
+    checked against the distill batch, so neither a student that cannot be
+    built nor a batch past the public set costs any training), split, rows
+    and profiles, node handles, teacher, trained student and result. Cells
+    on the same private, plan and public objects (by identity) and
+    ``labeled_public`` share one split. One :func:`train_lockstep` call
+    trains the nodes of all cells that share a node config, the teacher is
+    built per cell, one stacked :func:`distill` call trains the students
+    of all cells that share student dims, label type and distill config,
+    and evaluation is per cell. Without ``keep_trace`` (a sweep, which
+    writes no trace) distillation computes no per-step loss and every
+    result's ``trace`` is None; nothing else changes.
 
     Returns the last list: each cell's result, or the exception run_fedkd
     raises for it; a cell given as an exception comes back as itself. A
@@ -516,17 +529,16 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
     each cell's private set and training split once the nodes have trained;
     a split the caller still holds stays alive.
     """
-    def student(i):  # and distill's batch check, so an oversized batch costs no training
-        _, public, _, _, run, seed = cells[i]
-        model = init_mlp(_dims(public, run.central_hidden_dims),
-                         RandomStream(seed, (STREAM_DISTILL_INIT,)))
-        run.distill.check_batch(public.n)
+    def student(c: FedKdCell):  # and distill's batch check, so an oversized batch costs no training
+        model = init_mlp(_dims(c.public, c.run.central_hidden_dims),
+                         RandomStream(c.seed, (STREAM_DISTILL_INIT,)))
+        c.run.distill.check_batch(c.public.n)
         return model
 
-    def split_rows_and_profiles(i):  # the split the cell's nodes train on, their rows into it
-        private, public, _, plan, run, _ = cells[i]
-        split, rows, profiles = private, plan.assignments, profile(private, plan)
-        if run.labeled_public:
+    def split_rows_and_profiles(c: FedKdCell):  # the split the nodes train on, their rows into it
+        private, public = c.private, c.public
+        split, rows, profiles = private, c.plan.assignments, profile(private, c.plan)
+        if c.run.labeled_public:
             if (public.task, public.num_classes) != (private.task, private.num_classes):
                 raise ConfigurationError("cannot join a public set of a different task")
             split = Dataset(np.concatenate([private.features, public.features]),
@@ -536,58 +548,52 @@ def run_fedkd_batch(cells: list, *, keep_trace: bool = True) -> list:
             profiles = profiles + profile_of(public)
         return split, rows, profiles
 
-    students = _stage(cells, lambda group: [student(i) for i in group])
-    # cells that split the same data the same way share one split and its rows
-    data = _stage(students, lambda group: [split_rows_and_profiles(group[0])] * len(group),
-                  lambda i: (id(cells[i][0]), id(cells[i][3]), cells[i][4].labeled_public,
-                             id(cells[i][1])))
-    handles = _stage(data, lambda group: _train_cells([data[i][:2] for i in group],
-                                                      cells[group[0]][4].node,
-                                                      [cells[i][5] for i in group]),
-                     lambda i: cells[i][4].node)
+    def train_nodes(group):
+        runs = [(split, rows) for split, rows, _ in (data[i] for i in group)]
+        return _train_cells(runs, cells[group[0]].run.node, [cells[i].seed for i in group])
+
+    students = _stage(cells, lambda group: [student(cells[i]) for i in group])
+    data = _stage(students, lambda group: [split_rows_and_profiles(cells[group[0]])] * len(group),
+                  lambda i: (id(cells[i].private), id(cells[i].plan), cells[i].run.labeled_public,
+                             id(cells[i].public)))
+    handles = _stage(data, train_nodes, lambda i: cells[i].run.node)
     # the node stage was the last reader of every split and private set: the
     # batch drops them here, so it holds none through the query
-    cells = [c if isinstance(c, Exception) else (None, *c[1:]) for c in cells]
-    profiles = [d if isinstance(d, Exception) else d[2] for d in data]
+    cells = [c if isinstance(c, Exception) else c._replace(private=None) for c in cells]
+    profiles = _stage(data, lambda group: [counts for _, _, counts in (data[i] for i in group)])
     del data
-    teachers = _stage(handles, lambda group: [_teacher(cells[i][4], cells[i][5], handles[i],
-                                                       profiles[i], cells[i][1]) for i in group])
+    teachers = _stage(handles, lambda group: [_teacher(cells[i], handles[i], profiles[i])
+                                              for i in group])
 
     def distill_cells(group):
-        cfg, task = cells[group[0]][4].distill, cells[group[0]][1].task
         pairs = distill(
             [students[i] for i in group],
-            [cells[i][1].features for i in group],
-            [teachers[i][0] for i in group],
-            cfg,
-            [RandomStream(cells[i][5], (STREAM_DISTILL_BATCH,)) for i in group],
-            task=task,
+            [cells[i].public.features for i in group],
+            [teacher for teacher, _, _ in (teachers[i] for i in group)],
+            cells[group[0]].run.distill,
+            [RandomStream(cells[i].seed, (STREAM_DISTILL_BATCH,)) for i in group],
+            task=cells[group[0]].public.task,
             keep_trace=keep_trace,
         )
         return [DivergenceError("distillation") if pair is None else pair for pair in pairs]
 
     distilled = _stage(teachers, distill_cells, lambda i: (
-        students[i].layer_dims, cells[i][1].task, cells[i][4].distill))
+        students[i].layer_dims, cells[i].public.task, cells[i].run.distill))
 
     def evaluate(i):
-        _, public, test, plan, run, _ = cells[i]
-        teacher, weights, senders, ledger = teachers[i]
-        central, trace = distilled[i]
-        standalone = [None if h.model is None else _evaluate(h.model, test, f"node {h.node_id}")
+        c, (teacher, weights, ledger), (central, trace) = cells[i], teachers[i], distilled[i]
+        standalone = [None if h.model is None else _evaluate(h.model, c.test, f"node {h.node_id}")
                       for h in handles[i]]
         present = [v for v in standalone if v is not None]
         metrics = {
-            **_central_metrics(central, test),
+            **_central_metrics(central, c.test),
             "standalone": standalone,
             "standalone_mean": float(np.mean(present)),
-            "num_nodes": plan.num_nodes,
-            "public_rows": int(public.features.shape[0]),
-            "repeats": run.repeats,
+            "num_nodes": c.plan.num_nodes,
+            "public_rows": int(c.public.features.shape[0]),
+            "repeats": c.run.repeats,
             "query_rows": [h.query_rows for h in handles[i]],
         }
-        if run.ensemble.quant_scale is not None:
-            metrics["packed_logits_bytes"] = senders * run.repeats * packed_payload_bytes(
-                *teacher.shape, run.ensemble.quant_scale)
         return FedKdResult(central, handles[i], teacher, weights, metrics, ledger, trace)
 
     return _stage(distilled, lambda group: [evaluate(i) for i in group])

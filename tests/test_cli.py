@@ -165,6 +165,7 @@ class TestRunArtifacts:
         assert metrics["metric"] == "accuracy"
         assert 0.0 <= metrics["central"] <= 1.0
         assert metrics["ledger"]["total_bytes"] > 0
+        assert not [k for k in metrics if "bytes" in k]  # every byte count is a ledger frame's
         assert "timestamp" in metrics
         with (rd / "ledger.csv").open() as fh:
             rows = list(csv.reader(fh))
@@ -438,6 +439,40 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(p), "--out", out]) == 0
         assert main(["run", "--config", str(p), "--out", out]) == 2
         assert main(["run", "--config", str(p), "--out", out, "--force"]) == 0
+
+    @pytest.mark.parametrize("case", ["file_at_run_dir", "out_is_a_file", "out_under_a_file",
+                                      "fedavg_out_is_a_file", "directory_at_ablation_csv"])
+    def test_an_output_path_collision_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, case):
+        """A file where the run directory goes (under --force too), at --out
+        or above it, and a directory where ablation.csv goes (under --force
+        too): each exits 2 on one line before any split is built, and
+        nothing is written."""
+        def no_data(*args):
+            raise AssertionError("a split was built")
+
+        monkeypatch.setattr(fedkd.cli, "build_data", no_data)
+        monkeypatch.setattr(fedkd.cli, "_split", no_data)
+        doc = tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]})
+        p, out = write_config(tmp_path, doc), tmp_path / "o"
+        command, flags, blocker, err = "run", [], out, "is not a directory"
+        if case == "file_at_run_dir":
+            flags, blocker = ["--force"], out / f"fedkd-{config_digest(parse_dict(doc))[:12]}-s0"
+        elif case == "out_under_a_file":
+            out = out / "runs"
+        elif case == "fedavg_out_is_a_file":
+            command = "fedavg"
+        elif case == "directory_at_ablation_csv":
+            command, flags, blocker, err = "ablate", ["--force"], out / "ablation.csv", "is a directory"
+        if blocker == out / "ablation.csv":
+            blocker.mkdir(parents=True)
+        else:
+            blocker.parent.mkdir(exist_ok=True)
+            blocker.write_text("not a run")
+        before = {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")}
+        assert main([command, "--config", str(p), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {blocker} {err}\n"
+        assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
 
     def test_seed_flag_overrides_config(self, tmp_path):
         p = write_config(tmp_path, tiny_doc(seed=0))

@@ -115,6 +115,25 @@ class TestLabelValues:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Dataset(np.zeros((1, 1)), np.array([[value]]), task, num_classes)
 
+    @pytest.mark.parametrize("task, num_classes, message", [
+        (SINGLE_LABEL, 3, "label out of range [0, 3)"),
+        (MULTI_LABEL, 1, "multi-label entries must be in {-1, 0, 1}"),
+    ])
+    def test_an_unsigned_label_past_int64_is_out_of_range(self, task, num_classes, message):
+        """2**64 - 1 is out of range, not wrapped to -1, which a multi-label
+        task would take as "unknown"."""
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(np.zeros((1, 1)), np.array([[2**64 - 1]], dtype=np.uint64), task, num_classes)
+        small = Dataset(np.zeros((1, 1)), np.array([[2]], dtype=np.uint8), SINGLE_LABEL, 3)
+        assert small.labels.dtype == np.int64 and small.labels.tolist() == [[2]]
+
+    @pytest.mark.parametrize("labels", [np.array([[1 + 0j]]), np.array([["1"]]),
+                                        np.array([[1]], dtype=object)])
+    def test_a_label_dtype_other_than_bool_int_or_float_is_rejected(self, labels):
+        with pytest.raises(ValidationError,
+                           match=f"^labels must be bool, int or float, got {labels.dtype}$"):
+            Dataset(np.zeros((1, 1)), labels, SINGLE_LABEL, 3)
+
 
 class TestLoadCsv:
     SCHEMA = CsvSchema(["f0", "f1"], ["label"], SINGLE_LABEL, 3)

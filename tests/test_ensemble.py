@@ -1,4 +1,4 @@
-"""Importance weights, quantizer, Laplace noise, ensemble, payload sizes."""
+"""Importance weights, quantizer, Laplace noise, ensemble."""
 import importlib
 import math
 import tracemalloc
@@ -19,8 +19,6 @@ from fedkd.ensemble import (
     global_max_abs,
     importance_weights,
     laplace_sample,
-    packed_payload_bytes,
-    quant_level_bits,
     quantize_array,
 )
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
@@ -515,14 +513,3 @@ class TestStreamedEnsemble:
 
         assert abs(peak(20) - peak(4)) < blocks[0].logits.nbytes
 
-
-class TestWireFrames:
-    def test_payload_byte_formulas(self):
-        assert quant_level_bits(200) == 8  # 201 levels
-        assert quant_level_bits(255) == 8
-        assert quant_level_bits(256) == 9
-        assert packed_payload_bytes(1000, 10, 200) == math.ceil(1000 * 10 * 8 / 8)
-        assert packed_payload_bytes(3, 3, 2) == math.ceil(9 * 2 / 8)
-
-    def test_packed_beats_float_for_small_scales(self):
-        assert packed_payload_bytes(1000, 10, 200) < np.zeros((1000, 10)).nbytes

@@ -1,6 +1,7 @@
 """Cost ledger, local training, logit collection, and the three full runs."""
 import dataclasses
 import importlib
+import inspect
 import math
 import pkgutil
 import re
@@ -46,6 +47,7 @@ from fedkd.protocol import (
     _train_cells,
     _xent_dlogits,
     BandwidthLedger,
+    FedKdCell,
     FedKdRun,
     NodeHandle,
     TrainConfig,
@@ -412,7 +414,7 @@ class TestRunFedkd:
         assert 0.0 <= m["central"] <= 1.0
         assert m["num_nodes"] == 5
         assert m["public_rows"] == public.n
-        assert m["packed_logits_bytes"] < res.ledger.total("logits_up")
+        assert not [k for k in m if "bytes" in k]  # every byte count is a ledger frame's
 
     def test_labeled_public_joins_training_shards(self):
         train, test, public, plan = make_fixture()
@@ -504,11 +506,38 @@ class TestRunFedkdBatch:
     """Cells of one batch share the stacked calls their configs allow; each
     result is its own run_fedkd's, bit for bit."""
 
+    def test_a_cell_is_run_fedkds_arguments_by_name_and_in_order(self):
+        assert FedKdCell._fields == tuple(inspect.signature(run_fedkd).parameters)
+
+    @pytest.mark.parametrize("field", ["private", "public"])
+    def test_the_data_stage_shares_by_identity_not_by_value(self, monkeypatch, field):
+        """Under labeled_public, two cells on the same objects build one joined
+        split; on an equal but distinct Dataset they build two, with equal
+        results."""
+        train, test, public, plan = make_fixture()
+        run = base_run(node=TrainConfig([8], epochs=1), distill=DistillConfig(steps=10),
+                       labeled_public=True)
+        cell = FedKdCell(train, public, test, plan, run, 0)
+        twin = cell._replace(**{field: dataclasses.replace(getattr(cell, field))})
+        built = []
+
+        def counting(self, _real=Dataset.__post_init__):
+            built.append(self.n)
+            _real(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        same = fedkd.protocol.run_fedkd_batch([cell, cell])
+        assert built == [train.n + public.n]
+        apart = fedkd.protocol.run_fedkd_batch([cell, twin])
+        assert built == [train.n + public.n] * 3
+        for result in same + apart:
+            assert params_equal(result.central_model, same[0].central_model)
+
     def test_mixed_cells_match_their_own_runs(self):
         train, test, public, plan = make_fixture()
         short = DistillConfig(steps=40, batch_size=64, lr_start=0.05)
         node = TrainConfig([32], epochs=5, batch_size=32, lr_start=0.05)
-        cells = [(train, public, test, plan, run, seed) for run, seed in [
+        cells = [FedKdCell(train, public, test, plan, run, seed) for run, seed in [
             (base_run(distill=short, node=node), 0),
             (base_run(distill=short, node=node), 1),
             (base_run(distill=short, node=node, ensemble=EnsembleConfig(weight_mode=UNIFORM)), 0),
@@ -539,14 +568,13 @@ class TestRunFedkdBatch:
         plan = PartitionPlan([np.arange(k, 1200, 5) for k in range(5)])
         run = base_run(node=TrainConfig([8], epochs=1, batch_size=16),
                        distill=DistillConfig(steps=20, batch_size=64))
-        cell = (train, public, test, plan, run, 0)
+        cell = FedKdCell(train, public, test, plan, run, 0)
         if fault == "plan_past_the_split":  # the healthy cell's node config: one node stack
-            bad = (subset(train, np.arange(600)), public, test, plan, run, 0)
+            bad = cell._replace(private=subset(train, np.arange(600)))
         elif fault == "public_below_the_batch":  # the healthy cell's student dims: one distill stack
-            bad = (train, subset(public, np.arange(32)), test, plan, run, 0)
+            bad = cell._replace(public=subset(public, np.arange(32)))
         else:  # the healthy cell's data: one data stage
-            bad = (train, public, test, plan, dataclasses.replace(run, central_hidden_dims=[10**18]),
-                   0)
+            bad = cell._replace(run=dataclasses.replace(run, central_hidden_dims=[10**18]))
         good, failed = fedkd.protocol.run_fedkd_batch([cell, bad])
         assert params_equal(good.central_model, run_fedkd(*cell).central_model)
         with pytest.raises(Exception) as exc:
@@ -570,8 +598,8 @@ class TestRunFedkdBatch:
             return _real(models, *args, **kwargs)
 
         monkeypatch.setattr(fedkd.protocol, "train_lockstep", counting)
-        good, failed = fedkd.protocol.run_fedkd_batch(
-            [(train, public, test, plan, run, 0), (bad, public, test, plan, run, 0)])
+        cell = FedKdCell(train, public, test, plan, run, 0)
+        good, failed = fedkd.protocol.run_fedkd_batch([cell, cell._replace(private=bad)])
         monkeypatch.undo()
         assert calls == [10]
         assert params_equal(good.central_model,
@@ -1042,8 +1070,8 @@ class TestIndexRows:
         run = base_run(node=TrainConfig([8], epochs=1),
                        distill=DistillConfig(steps=10), labeled_public=labeled_public)
         run_fedkd(train, public, test, plan, run, 0)
-        results = fedkd.protocol.run_fedkd_batch(
-            [(train, public, test, plan, run, 0), (train, public, test, plan, run, 1)])
+        cell = FedKdCell(train, public, test, plan, run, 0)
+        results = fedkd.protocol.run_fedkd_batch([cell, cell._replace(seed=1)])
         assert not any(isinstance(r, Exception) for r in results)
         run_fedavg(train, plan, TrainConfig([8], epochs=1), rounds=2, seed=0)
         assert built == ([train.n + public.n] * 2 if labeled_public else [])
@@ -1070,8 +1098,8 @@ class TestIndexRows:
         assert checked == []
         other = PartitionPlan(plan.assignments[::-1])
         run = base_run(node=TrainConfig([8], epochs=1), distill=DistillConfig(steps=10))
-        fedkd.protocol.run_fedkd_batch([(train, public, test, p, run, s)
-                                        for p, s in ((plan, 0), (plan, 1), (plan, 2), (other, 0))])
+        fedkd.protocol.run_fedkd_batch([FedKdCell(train, public, test, p, run, s) for p, s in
+                                        ((plan, 0), (plan, 1), (plan, 2), (other, 0))])
         assert checked == ["public features", "teacher logits"] * 4
 
     def test_labeled_public_training_holds_one_public_copy_not_k(self, monkeypatch):
