@@ -403,15 +403,21 @@ def execute_fedavg(cfg: ExperimentConfig, seed: int):
 # subcommands
 
 
+def _claim(path: Path, force: bool, directory: bool) -> Path:
+    """Claim ``path``, a subcommand's output directory or file, before any work. Config errors:
+    a file above it (a link to nothing counts as one), the other kind at it (``force`` too),
+    and an existing one without ``force``."""
+    found = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if found.is_dir() != (expected := directory or found != path):
+        raise ConfigurationError(f"{found} is {'not ' if expected else ''}a directory")
+    if found == path and not force:
+        raise ConfigurationError(f"{path} exists (use --force to overwrite)")
+    return path
+
+
 def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm: str) -> Path:
-    """The run's directory, checked before any work: a file at or above it, or
-    a run there without ``force``, is a collision. Made once the run succeeds."""
-    rd = out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}"
-    if not (found := next(p for p in (rd, *rd.parents) if p.exists())).is_dir():
-        raise ConfigurationError(f"{found} is not a directory")
-    if rd.exists() and not force:
-        raise ConfigurationError(f"run directory {rd} exists (use --force to overwrite)")
-    return rd
+    """The run's directory, claimed before any work and made once the run succeeds."""
+    return _claim(out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}", force, directory=True)
 
 
 def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
@@ -516,13 +522,8 @@ def _row_fields(outcome) -> dict:
 def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
     if cfg.sweep is None:
         raise ConfigurationError("ablate needs a 'sweep' section in the config")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "ablation.csv"
-    if path.is_dir() or path.exists() and not force:
-        raise ConfigurationError(f"{path} is a directory" if path.is_dir()
-                                 else f"{path} exists (use --force to overwrite)")
-    values, seeds = cfg.sweep.values, cfg.sweep.seeds
-    grid = [(value, seed) for value in values for seed in seeds]  # in row order
+    path = _claim(out / "ablation.csv", force, directory=False)
+    grid = [(v, s) for v in cfg.sweep.values for s in cfg.sweep.seeds]  # in row order
 
     def parse(group):  # one value's seeds; a value that fails to parse is their error
         cell = _sweep_cell(cfg, grid[group[0]][0])
@@ -530,16 +531,15 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
 
     # keyed by value index: 1, 1.0 and true compare equal but parse differently;
     # one batch over every cell, reduced to its rows (which hold no trace)
-    outcomes = execute_fedkd_batch(_stage(grid, parse, lambda i: i // len(seeds)),
+    outcomes = execute_fedkd_batch(_stage(grid, parse, lambda i: i // len(cfg.sweep.seeds)),
                                    keep_trace=False)
-    rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value,
-             "seed": seed, "accuracy": "", "bandwidth": "", "error": "", **_row_fields(outcome)}
-            for (value, seed), outcome in zip(grid, outcomes)]
+    rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value, "seed": seed,
+             **_row_fields(outcome)} for (value, seed), outcome in zip(grid, outcomes)]
+    out.mkdir(parents=True, exist_ok=True)  # only now: a refused sweep or failed batch leaves none
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # moved into place once written
     try:
         with tmp.open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["param", "value", "seed", "accuracy",
-                                               "bandwidth", "error"])
+            w = csv.DictWriter(fh, ["param", "value", "seed", "accuracy", "bandwidth", "error"])
             w.writeheader()
             w.writerows(rows)
         os.replace(tmp, path)

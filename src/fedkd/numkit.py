@@ -317,18 +317,17 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 
 def _backprop(weights: list[np.ndarray], acts: list[np.ndarray], grad_logits: np.ndarray,
-              out: MlpModel) -> MlpModel:
+              grad_weights: list[np.ndarray], grad_biases: list[np.ndarray]) -> None:
     """Chain grad_logits back through the activations of one forward trace,
-    overwriting ``out``; stacked operands as in :func:`_forward_trace`, with
-    ``out`` then over the ``[K, P]`` gradient matrix."""
+    overwriting the gradient views ``grad_weights``/``grad_biases`` (a
+    :func:`_layer_views` pair); stacked operands as in :func:`_forward_trace`."""
     delta = grad_logits
     for i in range(len(weights) - 1, -1, -1):
-        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=out.weights[i])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=out.biases[i])
+        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grad_weights[i])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_biases[i])
         if i > 0:
             delta = delta @ np.swapaxes(weights[i], -1, -2)
             delta *= acts[i] > 0.0  # ReLU subgradient: 0 at exactly 0
-    return out
 
 
 def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) -> MlpModel:
@@ -344,7 +343,8 @@ def mlp_backward(model: MlpModel, batch: np.ndarray, grad_logits: np.ndarray) ->
         raise DimensionError(f"grad_logits has {grad_logits.shape[0]} rows, batch {batch.shape[0]}")
     acts = _forward_trace(model.weights, model.biases, batch)
     grads = MlpModel.aliasing(model.layer_dims, np.empty_like(model.flat))
-    return _backprop(model.weights, acts, grad_logits, grads)
+    _backprop(model.weights, acts, grad_logits, grads.weights, grads.biases)
+    return grads
 
 
 def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 0.0) -> MlpModel:
@@ -416,17 +416,17 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
-        return (*_layer_views(dims, params[:k]), MlpModel.aliasing(dims, grads[:k]),
+        return (*_layer_views(dims, params[:k]), *_layer_views(dims, grads[:k]),
                 xb[:k], tuple(t[:k] for t in tbs))
 
     active = count
-    weights, biases, out, xs, ts = prefix(active)
+    weights, biases, grad_weights, grad_biases, xs, ts = prefix(active)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite model comes back as None
         for step in range(steps[0]):
             if steps[active - 1] == step:  # the shortest jobs are done: shrink the prefix
                 while steps[active - 1] == step:
                     active -= 1
-                weights, biases, out, xs, ts = prefix(active)
+                weights, biases, grad_weights, grad_biases, xs, ts = prefix(active)
             for feed in feeds[:active]:
                 arrays, bufs, rs, rows, n, perm = feed
                 j = step % (n // b)
@@ -437,7 +437,7 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                 for a, buf in zip(arrays, bufs):
                     a.take(batch, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
             acts = _forward_trace(weights, biases, xs)
-            _backprop(weights, acts, dlogits(acts[-1], ts), out)
+            _backprop(weights, acts, dlogits(acts[-1], ts), grad_weights, grad_biases)
             for model, g, rates, wd in updates[:active]:
                 sgd_step(model, g, rates[step], wd)
 

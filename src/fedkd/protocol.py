@@ -329,9 +329,9 @@ def collect_logits(
     seed: int = 0,
     ledger: BandwidthLedger | None = None,
 ) -> list[LogitBlock]:
-    """One logit block per trained node; repeats > 1 averages that many passes
-    over Gaussian-perturbed copies of the public features (no noise at
-    ``noise_scale`` 0) and bills repeats times the upstream bytes. A block
+    """One logit block per trained node: the mean of ``repeats`` passes, each
+    over its own Gaussian-perturbed copy of the public features, the first
+    pass too (clean at ``noise_scale`` 0), billed repeats times. A block
     that is not finite, or a noisy copy of the features that is not, is a
     ValidationError naming its node."""
     public_features = check_matrix(public_features, "public features")
@@ -386,7 +386,7 @@ class FedKdRun:
     distill: DistillConfig = field(default_factory=DistillConfig)
     central_hidden_dims: list[int] = field(default_factory=lambda: [64])
     repeats: int = 1
-    query_noise: float = 0.0  # 0: every query pass sees the clean features
+    query_noise: float = 0.0  # feature noise on every query pass, the first too; 0: none
     labeled_public: bool = False
 
     def __post_init__(self):

@@ -440,39 +440,88 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(p), "--out", out]) == 2
         assert main(["run", "--config", str(p), "--out", out, "--force"]) == 0
 
-    @pytest.mark.parametrize("case", ["file_at_run_dir", "out_is_a_file", "out_under_a_file",
-                                      "fedavg_out_is_a_file", "directory_at_ablation_csv"])
-    def test_an_output_path_collision_exits_2_before_any_work(self, tmp_path, capsys,
-                                                              monkeypatch, case):
-        """A file where the run directory goes (under --force too), at --out
-        or above it, and a directory where ablation.csv goes (under --force
-        too): each exits 2 on one line before any split is built, and
-        nothing is written."""
+    @staticmethod
+    def _no_data(monkeypatch):
         def no_data(*args):
             raise AssertionError("a split was built")
 
         monkeypatch.setattr(fedkd.cli, "build_data", no_data)
         monkeypatch.setattr(fedkd.cli, "_split", no_data)
+
+    @staticmethod
+    def _files(root):  # every path under root, with a file's bytes
+        return {f: f.is_file() and f.read_bytes() for f in root.rglob("*")}
+
+    @pytest.mark.parametrize("case", ["file_at_run_dir", "out_is_a_file", "out_under_a_file",
+                                      "fedavg_out_is_a_file", "ablate_out_is_a_file",
+                                      "ablate_out_under_a_file", "directory_at_ablation_csv",
+                                      "out_is_a_dangling_link"])
+    def test_an_output_path_collision_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, case):
+        """A file where the run directory goes (under --force too), a file at
+        --out or above it under every subcommand, a directory where
+        ablation.csv goes (under --force too), and a link to nothing at --out,
+        which no directory can be made through: each exits 2 on one line
+        before any split is built, and nothing is written."""
+        self._no_data(monkeypatch)
         doc = tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]})
         p, out = write_config(tmp_path, doc), tmp_path / "o"
         command, flags, blocker, err = "run", [], out, "is not a directory"
+        if case.startswith(("fedavg", "ablate")):
+            command = case.split("_")[0]
         if case == "file_at_run_dir":
             flags, blocker = ["--force"], out / f"fedkd-{config_digest(parse_dict(doc))[:12]}-s0"
-        elif case == "out_under_a_file":
+        elif case.endswith("out_under_a_file"):
             out = out / "runs"
-        elif case == "fedavg_out_is_a_file":
-            command = "fedavg"
         elif case == "directory_at_ablation_csv":
             command, flags, blocker, err = "ablate", ["--force"], out / "ablation.csv", "is a directory"
         if blocker == out / "ablation.csv":
             blocker.mkdir(parents=True)
+        elif case == "out_is_a_dangling_link":
+            blocker.symlink_to(tmp_path / "nowhere")
         else:
             blocker.parent.mkdir(exist_ok=True)
             blocker.write_text("not a run")
-        before = {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")}
+        before = self._files(tmp_path)
         assert main([command, "--config", str(p), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"config error: {blocker} {err}\n"
-        assert {f: f.is_file() and f.read_bytes() for f in tmp_path.rglob("*")} == before
+        assert self._files(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+    def test_an_existing_output_without_force_is_one_exact_line(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        """A run directory, or ablation.csv, already in place and no --force:
+        exit 2 with the one wording every subcommand shares, before any split
+        is built, and the old output untouched."""
+        self._no_data(monkeypatch)
+        doc = tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]})
+        p, out = write_config(tmp_path, doc), tmp_path / "o"
+        if command == "ablate":
+            (target := out / "ablation.csv").parent.mkdir()
+            target.write_text("the earlier sweep")
+        else:
+            algorithm = "fedkd" if command == "run" else command
+            (target := out / f"{algorithm}-{config_digest(parse_dict(doc))[:12]}-s0").mkdir(
+                parents=True)
+            (target / "metrics.json").write_text("the earlier run")
+        before = self._files(tmp_path)
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {target} exists (use --force to overwrite)\n")
+        assert self._files(tmp_path) == before
+
+    def test_an_ablate_whose_batch_fails_leaves_no_out_directory(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """ablate makes --out only once its rows are ready to write."""
+        def failing_batch(*args, **kwargs):
+            raise MemoryError("no room for the batch")
+
+        monkeypatch.setattr(fedkd.cli, "execute_fedkd_batch", failing_batch)
+        p = write_config(tmp_path, tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]}))
+        out = tmp_path / "o" / "sweep"
+        assert main(["ablate", "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: no room for the batch\n"
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         p = write_config(tmp_path, tiny_doc(seed=0))

@@ -326,10 +326,11 @@ class TestModel:
         assert np.array_equal(stack[1], before[1] - 0.5)
         assert np.array_equal(stack[[0, 2]], before[[0, 2]])  # other rows untouched
         # over a whole [K, P] stack, [K, fi, fo] / [K, 1, fo] views of the same rows
-        stacked = MlpModel.aliasing(dims, stack)
-        assert stacked.weights[1].shape == (3, 4, 2) and stacked.biases[0].shape == (3, 1, 4)
-        assert np.array_equal(stacked.weights[1][1], model.weights[1])
-        assert all(np.shares_memory(a, stack) for a in stacked.weights + stacked.biases)
+        weights, biases = fedkd.numkit._layer_views(dims, stack)
+        assert weights[1].shape == (3, 4, 2) and biases[0].shape == (3, 1, 4)
+        assert np.array_equal(weights[1][1], model.weights[1])
+        assert np.array_equal(biases[0][1], model.biases[0])
+        assert all(np.shares_memory(a, stack) for a in weights + biases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """The names other code reaches fedkd through: every function the benchmark's
-tracer wraps (``SPANNED`` in perfbench/spans.py, read with ``ast`` and not
-imported) and every name the README's library example imports. Trimming one
-of them breaks the traced benchmark or the README, so it fails here first.
+tracer wraps (``SPANNED`` in perfbench/spans.py), every other fedkd name the
+benchmark reads (in perfbench/child.py and spans.py), both read with ``ast``
+and not imported, and every name the README's library example imports.
+Trimming or reshaping one of them breaks the benchmark or the README, so it
+fails here first.
 The package root exports the README's names and no others. A public name
 is one without a leading underscore; no module restates its names in an
 ``__all__`` list. Every other function and class in the package has a
 caller in it, and every name a module imports is read there. The random
 streams' purpose tags are distinct across modules."""
 import ast
+import functools
 import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedkd
+from fedkd.cli import build_data, parse_dict
+from fedkd.datasets import PartitionPlan
 
 from conftest import readme_library_example
 
@@ -31,6 +37,59 @@ def spanned() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module, name", spanned())
 def test_every_spanned_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"fedkd.{module}"), name, None))
+
+
+def _fedkd_attr(node) -> str | None:
+    """``modules["fedkd.<module>"].<name>`` as ``"<module>.<name>"``, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript)
+            and isinstance(key := node.value.slice, ast.Constant)
+            and str(key.value).startswith("fedkd.")):
+        return f"{key.value.removeprefix('fedkd.')}.{node.attr}"
+    return None
+
+
+def perfbench_reads() -> list[str]:
+    """The dotted fedkd names the benchmark reads besides ``SPANNED``:
+    ``cli.<name>`` in child.py, and ``modules["fedkd.<module>"].<name>`` in
+    spans.py with each attribute read on a variable that name is bound to."""
+    child = ast.walk(ast.parse((ROOT / "perfbench" / "child.py").read_text()))
+    names = {f"cli.{n.attr}" for n in child if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "cli"
+             and not n.attr.startswith("__")}
+    spans = list(ast.walk(ast.parse((ROOT / "perfbench" / "spans.py").read_text())))
+    names |= {name for n in spans if (name := _fedkd_attr(n))}
+    bound = {t.id: name for n in spans if isinstance(n, ast.Assign)
+             and (name := _fedkd_attr(n.value)) for t in n.targets if isinstance(t, ast.Name)}
+    names |= {f"{bound[n.value.id]}.{n.attr}" for n in spans if isinstance(n, ast.Attribute)
+              and isinstance(n.value, ast.Name) and n.value.id in bound}
+    return sorted(names)
+
+
+def test_perfbench_reads_cover_the_names_it_is_known_to_read():
+    """The ``ast`` search above finds what the benchmark is known to read,
+    so the resolve test below is not vacuous."""
+    assert set(perfbench_reads()) >= {"cli.parse_config", "cli.main", "cli.build_data",
+                                      "protocol.BandwidthLedger.add"}
+
+
+@pytest.mark.parametrize("dotted", perfbench_reads())
+def test_every_name_perfbench_reads_resolves(dotted):
+    module, *attrs = dotted.split(".")
+    assert callable(functools.reduce(getattr, attrs, importlib.import_module(f"fedkd.{module}")))
+
+
+def test_build_data_returns_the_plan_perfbench_reads_last():
+    """perfbench/child.py reads the shard sizes from
+    ``build_data(cfg, seed)[3].assignments``: four items, the last a plan
+    that covers the private split exactly once. A refactor that builds the
+    splits another way must keep this or change the benchmark with it."""
+    doc = {"task": {"kind": "synthetic", "num_classes": 3, "dim": 4, "train_per_class": 10,
+                    "test_per_class": 5, "public_per_class": 30}, "num_nodes": 4}
+    data = build_data(parse_dict(doc), 0)
+    assert len(data) == 4
+    private, plan = data[0], data[3]
+    assert isinstance(plan, PartitionPlan) and len(plan.assignments) == 4
+    assert np.array_equal(np.sort(np.concatenate(plan.assignments)), np.arange(private.n))
 
 
 def readme_library_imports() -> list[str]:
