@@ -25,6 +25,7 @@ Config layout (JSON; unknown or repeated keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -420,20 +421,30 @@ def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm
     return _claim(out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}", force, directory=True)
 
 
+@contextlib.contextmanager
+def _made_dirs(path: Path):
+    """Make the directory ``path`` and its missing parents; if the block raises, remove
+    the topmost one made and all beneath it, so a failed write leaves no tree behind."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
+
+
 def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
                          metrics: dict, ledger, trace) -> None:
     """Write the run's files into a temporary sibling of ``rd``, then move it
-    into place, so a failure leaves neither a partial run directory nor the
-    sibling. An existing ``rd`` (under --force) is moved aside first, since a
-    non-empty directory cannot be replaced, and deleted after."""
+    into place, so a failure leaves no partial run directory, no sibling and
+    no directory it made. An existing ``rd`` (under --force) is moved aside
+    first, since a non-empty directory cannot be replaced, and deleted after."""
     tmp = rd.with_name(f".{rd.name}.{os.getpid()}.tmp")  # no live process owns a stale one
     shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    try:
+    with _made_dirs(tmp):
         _write_run_files(tmp, cfg, seed, algorithm, metrics, ledger, trace)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
     if rd.exists():
         old = tmp.with_suffix(".old")
         os.replace(rd, old)
@@ -535,17 +546,17 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
                                    keep_trace=False)
     rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value, "seed": seed,
              **_row_fields(outcome)} for (value, seed), outcome in zip(grid, outcomes)]
-    out.mkdir(parents=True, exist_ok=True)  # only now: a refused sweep or failed batch leaves none
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # moved into place once written
-    try:
-        with tmp.open("w", newline="") as fh:
-            w = csv.DictWriter(fh, ["param", "value", "seed", "accuracy", "bandwidth", "error"])
-            w.writeheader()
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _made_dirs(out):  # only now: a refused sweep or failed batch leaves none
+        try:
+            with tmp.open("w", newline="") as fh:
+                w = csv.DictWriter(fh, ["param", "value", "seed", "accuracy", "bandwidth", "error"])
+                w.writeheader()
+                w.writerows(rows)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     print(f"ablation sweep ({len(rows)} cells) written to {path}")
     return path
 

@@ -30,6 +30,7 @@ from .errors import ConfigurationError, DimensionError, DivergenceError, Evaluat
 from .numkit import (
     MlpModel,
     SgdJob,
+    _BLOCK,
     check_matrix,
     check_sgd_schedule,
     cosine_rates,
@@ -243,12 +244,17 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
 
 
 def _test_logits(model: MlpModel, ds: Dataset) -> np.ndarray:
-    """The model's logits on ``ds``; an empty set, or a model that overflows
-    there, gives no metric but an EvaluationError instead of numpy warnings."""
+    """The model's logits on ``ds``, forwarded in row blocks whose widest activation
+    holds about ``_BLOCK`` floats. A block's matmul may differ from a one-shot forward
+    in the last bits; only argmax and ranks are read. An empty set, or a model that
+    overflows there, gives no metric but an EvaluationError instead of numpy warnings."""
     if ds.n == 0:
         raise EvaluationError("empty evaluation set")
+    rows = max(1, _BLOCK // max(model.layer_dims))
+    logits = np.empty((ds.n, model.output_dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = mlp_forward(model, ds.features)
+        for i in range(0, ds.n, rows):
+            logits[i : i + rows] = mlp_forward(model, ds.features[i : i + rows])
     if not np.isfinite(logits).all():
         raise EvaluationError("non-finite model logits on the evaluation set")
     return logits

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, _clamp, _rowwise, check_matrix
+from .numkit import RandomStream, _rowwise, check_matrix
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -129,7 +129,7 @@ def _quantize(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = 
         np.multiply(scale, z, out=out)
         out /= 2.0 * z_max
     np.ceil(out, out=out)
-    _clamp(np.minimum, out, float(scale // 2 if wide else -(-scale // 2)))
+    np.minimum(out, float(scale // 2 if wide else -(-scale // 2)), out=out)
     if wide:
         out /= scale / 2
         out *= z_max
@@ -161,8 +161,8 @@ def laplace_sample(gamma: float, rs: RandomStream, size) -> np.ndarray:
     if not gamma > 0:
         raise RangeError("gamma must be > 0")
     u = rs.uniform(size) - 0.5
-    mag = _clamp(np.maximum, 1.0 - 2.0 * np.abs(u), _TINY)
-    return -(1.0 / gamma) * np.sign(u) * np.log(mag)
+    mag = np.asarray(1.0 - 2.0 * np.abs(u))  # 0-d for a scalar draw, which takes no out=
+    return -(1.0 / gamma) * np.sign(u) * np.log(np.maximum(mag, _TINY, out=mag))
 
 
 def ensemble(

@@ -21,21 +21,20 @@ Hot elementwise passes stay on numpy's contiguous fast loops, with every
 output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
 excluded):
 
-* No scalar operand to ``maximum``/``minimum``/``clip`` on a hot path. numpy
-  runs ``np.maximum(h, 0.0)`` 3-4x slower than the same call against an
-  array of zeros, so ReLU (:func:`_relu`) and the quantizer and Laplace
-  clamps (:func:`_clamp`) take their constant from a block of copies, in
-  ``_BLOCK``-element chunks. A [20, 32, 64] ReLU drops from 16 to 4-5 us,
-  the [50000, 64] one from 1.42 to 0.70 ms.
+* No scalar operand to ReLU's ``maximum``. numpy runs ``np.maximum(h, 0.0)``
+  3-4x slower than the same call against an array of zeros, so
+  :func:`_relu` takes its zeros from a block of copies, in ``_BLOCK``-element
+  chunks. A [20, 32, 64] ReLU drops from 16 to 4-5 us, the [50000, 64] one
+  from 1.42 to 0.70 ms. At the quantizer's and Laplace draw's shapes the
+  scalar clamp is the faster call.
 * Bias plus ReLU in row blocks for big forwards. A 2-D forward (the public
-  query, test evaluation) larger than one block adds its bias to blocks of
-  about ``_BLOCK`` elements against a tiled bias block, rather than as one
-  short broadcast loop per row, and applies the ReLU to each block while it
-  is in cache:
+  query) larger than one block adds its bias to blocks of about ``_BLOCK``
+  elements against a tiled bias block, rather than as one short broadcast
+  loop per row, and applies the ReLU to each block while it is in cache:
   from 2.04 to 0.82 ms per [50000, 64] layer, and from 0.22 to 0.06 ms for
   the [50000, 10] bias add. The ensemble's per-class weight multiply takes
-  the same :func:`_rowwise` path. Only these epilogues are blocked; a matmul
-  is never row-chunked, since that changes its last bits.
+  the same :func:`_rowwise` path. No kernel here row-chunks a matmul, since
+  that can change its last bits (test evaluation does: it reads only ranks).
 """
 from __future__ import annotations
 
@@ -238,29 +237,15 @@ _ZEROS = np.zeros(_BLOCK)
 _ZEROS.flags.writeable = False
 
 
-def _blockwise(op, a: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``op(a, c, out=a)`` for the constant c that fills ``block``: the
-    C-contiguous ``a`` is taken in ``block``-sized chunks, each against the
-    leading part of ``block``, so every call is a contiguous array-array
-    loop. Each element meets the same c, so the bits are those of the
-    scalar call. Returns ``a``."""
-    flat = a.reshape(-1)  # a view, as ``a`` is C-contiguous
-    n = block.size
-    for i in range(0, flat.size, n):
-        part = flat[i : i + n]
-        op(part, block[: part.size], out=part)
-    return a
-
-
 def _relu(a: np.ndarray) -> np.ndarray:
-    """``np.maximum(a, 0.0, out=a)`` on a C-contiguous array, against zeros."""
-    return _blockwise(np.maximum, a, _ZEROS)
-
-
-def _clamp(op, a: np.ndarray, value: float) -> np.ndarray:
-    """``op(a, value, out=a)`` (``np.maximum`` or ``np.minimum``) on a
-    C-contiguous array, against a block of ``value`` copies."""
-    return _blockwise(op, a, np.full(min(max(a.size, 1), _BLOCK), value))
+    """``np.maximum(a, 0.0, out=a)`` on a C-contiguous array, returned: each
+    ``_BLOCK``-sized chunk against zeros, a contiguous array-array loop with
+    the bits of the scalar call."""
+    flat = a.reshape(-1)  # a view, as ``a`` is C-contiguous
+    for i in range(0, flat.size, _BLOCK):
+        part = flat[i : i + _BLOCK]
+        np.maximum(part, _ZEROS[: part.size], out=part)
+    return a
 
 
 def _rowwise(op, a: np.ndarray, row: np.ndarray, out: np.ndarray, then=None) -> np.ndarray:

@@ -349,7 +349,9 @@ def collect_logits(
                 x = public_features
                 if noise_scale:
                     qrs = RandomStream(seed, (STREAM_QUERY, h.node_id, r))
-                    x = public_features + noise_scale * qrs.gauss(public_features.shape)
+                    x = qrs.gauss(public_features.shape)  # the draw's buffer is the noisy copy
+                    x *= noise_scale
+                    x += public_features
                     if not np.isfinite(x).all():
                         raise ValidationError(f"querying node {h.node_id}: query_noise "
                                               f"{noise_scale!r} makes the public features "

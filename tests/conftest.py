@@ -4,8 +4,8 @@ pooled data, the per-step oracle of distillation with its row-wise KL loss,
 the per-row rule of a multi-label row's partition class, the block-list
 formula of a synthetic split, a copy of a dataset's rows, a config file and
 a small CSV task written out, the README's quick-start config and library
-example, a runner of ``python`` in a fresh interpreter, and the arrays and
-bit comparison of the fast-path tests."""
+example, a runner of ``python`` in a fresh interpreter, the arrays and bit
+comparison of the fast-path tests, and the traced memory peak of a call."""
 import copy
 import csv
 import json
@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,3 +249,13 @@ def mixed(seed: int, shape, special_share: float = 0.3) -> np.ndarray:
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and bit patterns: signbit and NaN payload included."""
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory tracemalloc traces while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

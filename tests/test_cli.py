@@ -187,8 +187,8 @@ class TestRunArtifacts:
     def test_failure_while_writing_leaves_no_partial_directory(self, tmp_path, monkeypatch,
                                                               capsys, forced):
         """A write that fails after some files are out leaves the out directory
-        as it was: no new run directory, no temporary sibling, and under
-        --force the earlier run's files untouched."""
+        as it was: no new run directory, no temporary sibling, under --force
+        the earlier run's files untouched, and without it no --out at all."""
         p = write_config(tmp_path, tiny_doc())
         out = tmp_path / "o"
         if forced:
@@ -208,8 +208,11 @@ class TestRunArtifacts:
         args = ["run", "--config", str(p), "--out", str(out)] + ["--force"] * forced
         assert main(args) == 3
         assert capsys.readouterr().err == "runtime error: disk full\n"
-        assert contents() == before
-        assert len(list(out.iterdir())) == forced
+        if forced:
+            assert contents() == before
+            assert len(list(out.iterdir())) == 1
+        else:
+            assert not out.exists()  # the run made it, so the failed write took it away
 
     def test_forced_rerun_replaces_the_directory(self, tmp_path):
         cfg = parse_dict(tiny_doc())
@@ -523,6 +526,30 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == "runtime error: no room for the batch\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize("command", ["run", "fedavg", "ablate"])
+    def test_a_failed_write_removes_only_the_directories_it_made(self, tmp_path, capsys,
+                                                                 monkeypatch, command, existed):
+        """A write that raises after all the work: an --out the call made, with
+        the parents it made, is gone; an --out that existed stays, its contents
+        untouched."""
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        if command == "ablate":
+            monkeypatch.setattr(csv.DictWriter, "writerows", fail)
+        else:
+            monkeypatch.setattr(fedkd.cli, "_write_run_files", fail)
+        p = write_config(tmp_path, tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]}))
+        out = tmp_path / "new2" / "runs"
+        if existed:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("an earlier file")
+        before = self._files(tmp_path)
+        assert main([command, "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: disk full\n"
+        assert self._files(tmp_path) == before
+
     def test_seed_flag_overrides_config(self, tmp_path):
         p = write_config(tmp_path, tiny_doc(seed=0))
         out = tmp_path / "o"
@@ -650,7 +677,7 @@ class TestMainExitCodes:
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             f"runtime error: {path}: row {row}: features: non-finite entries\n")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_non_finite_csv_feature_is_an_error_row_per_sweep_cell(self, tmp_path):
         doc, path = self.csv_doc_with(tmp_path, "public", "nan", 9,
@@ -1400,7 +1427,7 @@ class TestFailedRunLeavesNoRunDirectory:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(message)
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     # numpy refuses these sizes with a ValueError before it allocates anything
     @pytest.mark.parametrize("command, key, value", [
@@ -1427,7 +1454,7 @@ class TestFailedRunLeavesNoRunDirectory:
         assert err.count("\n") == 1
         assert err.startswith(("runtime error: array is too big",
                                "runtime error: Maximum allowed dimension exceeded"))
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("run", "node.epochs"),
@@ -1449,7 +1476,7 @@ class TestFailedRunLeavesNoRunDirectory:
         assert err.count("\n") == 1
         assert re.fullmatch(r"runtime error: no rate table holds \d{301,} steps: "
                             r"Maximum allowed dimension exceeded\n", err)
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_a_student_that_cannot_be_built_fails_before_any_training(self, tmp_path, capsys,
                                                                       monkeypatch):

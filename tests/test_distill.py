@@ -1,4 +1,5 @@
 """Activations, distillation losses, the offline trainer, and evaluation."""
+import importlib
 import math
 import warnings
 
@@ -23,13 +24,16 @@ from fedkd.distill import (
 )
 from fedkd.errors import ConfigurationError, DimensionError, DivergenceError, EvaluationError
 from fedkd.numkit import (
+    _BLOCK,
     MlpModel,
     RandomStream,
     init_mlp,
     mlp_forward,
 )
 
-from conftest import SPECIALS, kl_loss, mixed, reference_distill, same_bits
+from conftest import SPECIALS, kl_loss, mixed, reference_distill, same_bits, traced_peak
+
+DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
 
 class TestSoftmaxTau:
@@ -545,3 +549,84 @@ class TestEvaluateMulti:
         labels = np.array([[1, -1]])
         with pytest.raises(EvaluationError):
             evaluate_multi(identity_model(2), Dataset(feats, labels, MULTI_LABEL, 2))
+
+
+# ---------------------------------------------------------------------------
+# evaluation in row blocks
+
+WIDE, NARROW = [16, 256, 10], [5, 8, 3]
+
+
+def block_rows(dims):
+    """The rows of one evaluation block: its widest activation holds about _BLOCK floats."""
+    return _BLOCK // max(dims)
+
+
+def auc_or_nan(scores, labels):
+    try:
+        return mann_whitney_auc(scores, labels)
+    except EvaluationError:
+        return math.nan
+
+
+class TestBlockedEvaluation:
+    """Test metrics forward in blocks of rows sized by the model's widest
+    layer, and equal the metrics of one one-shot mlp_forward."""
+
+    @pytest.mark.parametrize("dims", [WIDE, NARROW], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("edge", ["1", "block-1", "block", "block+1", "3block+7"])
+    def test_metrics_equal_the_one_shot_forward(self, monkeypatch, dims, edge):
+        rows = block_rows(dims)
+        n = {"1": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1,
+             "3block+7": 3 * rows + 7}[edge]
+        rs = RandomStream(0, (60, n))
+        model, x, c = init_mlp(dims, rs.child(0)), rs.gauss((n, dims[0])), dims[-1]
+        logits = mlp_forward(model, x)
+        forwards = []
+
+        def forward(model, batch, _real=mlp_forward):
+            forwards.append(len(batch))
+            return _real(model, batch)
+
+        monkeypatch.setattr(DISTILL_MODULE, "mlp_forward", forward)
+        single = Dataset(x, rs.integers(c, (n, 1)), SINGLE_LABEL, c)
+        assert evaluate_single(model, single) == float(
+            (logits.argmax(axis=1) == single.labels[:, 0]).mean())
+        assert forwards == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+
+        multi = Dataset(x, rs.integers(3, (n, c)) - 1, MULTI_LABEL, c)
+        want = np.array([auc_or_nan(logits[:, k], multi.labels[:, k]) for k in range(c)])
+        if np.isnan(want).all():  # one row has no positive-negative pair
+            with pytest.raises(EvaluationError, match="^no class had both positives and negatives$"):
+                evaluate_multi(model, multi)
+        else:
+            assert np.array_equal(evaluate_multi(model, multi).per_class, want, equal_nan=True)
+
+    def test_peak_memory_is_bounded_by_the_model_not_the_test_set(self):
+        """A [16, 256, 10] model on 20,000 rows: a one-shot forward holds a
+        [20000, 256] activation (41 MB); the blocked one stays below a quarter
+        of it."""
+        rs = RandomStream(1, (61,))
+        model = init_mlp(WIDE, rs.child(0))
+        ds = Dataset(rs.gauss((20000, 16)), rs.integers(10, (20000, 1)), SINGLE_LABEL, 10)
+        assert traced_peak(lambda: evaluate_single(model, ds)) < 20000 * 256 * 8 / 4
+
+    @pytest.mark.parametrize("n", [1, 3 * block_rows(WIDE) + 7])
+    def test_errors_keep_their_messages(self, n):
+        """Wrong width, an overflow in the last row only, and an empty set,
+        each with its one message and no numpy warning."""
+        rs = RandomStream(2, (62,))
+        model = init_mlp(WIDE, rs.child(0))
+        labels = np.zeros((n, 1), dtype=int)
+        with pytest.raises(DimensionError, match="^batch: expected 16 columns, got 15$"):
+            evaluate_single(model, Dataset(np.ones((n, 15)), labels, SINGLE_LABEL, 10))
+        x = np.zeros((n, 16))
+        x[-1] = 1e300
+        model.flat *= 1e10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match="^non-finite model logits on the evaluation set$"):
+                evaluate_single(model, Dataset(x, labels, SINGLE_LABEL, 10))
+        with pytest.raises(EvaluationError, match="^empty evaluation set$"):
+            evaluate_single(model, Dataset(np.zeros((0, 16)), labels[:0], SINGLE_LABEL, 10))

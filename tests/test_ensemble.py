@@ -1,7 +1,6 @@
 """Importance weights, quantizer, Laplace noise, ensemble."""
 import importlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from fedkd.ensemble import (
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
 from fedkd.numkit import _BLOCK, RandomStream, check_matrix
 
-from conftest import DBL_MAX, SPECIALS, mixed, same_bits
+from conftest import DBL_MAX, SPECIALS, mixed, same_bits, traced_peak
 
 
 def block(node_id, values):
@@ -237,6 +236,16 @@ class TestLaplace:
         out = laplace_sample(1.0, _StubStream(np.array([0.0, 1.0 - 1e-17])), size=2)
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("size", [None, ()])
+    def test_a_scalar_draw_is_clamped_too(self, size):
+        """u = -0.5 drawn as a scalar gives the clamped value, not -inf; any
+        other scalar draw gives the array formula's bits."""
+        assert laplace_sample(1.0, _StubStream(0.0), size) == laplace_sample(
+            1.0, _StubStream([0.0]), 1)[0]
+        rs, again = RandomStream(5, (7,)), RandomStream(5, (7,))
+        assert same_bits(np.asarray(laplace_sample(2.0, rs, size)),
+                         old_laplace(2.0, np.asarray(again.uniform(size)) - 0.5))
+
     def test_gamma_two_exactly_halves_gamma_one(self):
         a = laplace_sample(1.0, RandomStream(3, (7,)), size=1000)
         b = laplace_sample(2.0, RandomStream(3, (7,)), size=1000)
@@ -285,7 +294,7 @@ def old_laplace(gamma, u):
 
 
 class TestFastPathBits:
-    """The blocked clamps give the bits of the scalar calls they replace."""
+    """The quantizer and the Laplace draw give the bits of the formulas they replace."""
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([1, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]),
@@ -504,12 +513,7 @@ class TestStreamedEnsemble:
         cfg = EnsembleConfig(quant_scale=200, gamma=1.0)
 
         def peak(k):
-            tracemalloc.start()
-            try:
-                ensemble(blocks[:k], weights, cfg, RandomStream(0, (4,)))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: ensemble(blocks[:k], weights, cfg, RandomStream(0, (4,))))
 
         assert abs(peak(20) - peak(4)) < blocks[0].logits.nbytes
 

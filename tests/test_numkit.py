@@ -25,7 +25,7 @@ from fedkd.numkit import (
 )
 from fedkd.protocol import TrainConfig, softmax_xent_grad, train_lockstep
 
-from conftest import SPECIALS, mixed, same_bits
+from conftest import mixed, same_bits
 
 
 def naive_forward(model, batch):
@@ -388,22 +388,10 @@ class TestElementwiseFastPaths:
         want = np.maximum(a, 0.0)
         assert same_bits(fedkd.numkit._relu(a), want)
 
-    @settings(max_examples=40, deadline=None)
-    @given(size=st.sampled_from([1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]),
-           lead=st.sampled_from([(), (3,), (2, 5)]),
-           op=st.sampled_from([np.maximum, np.minimum]),
-           value=st.one_of(st.sampled_from(SPECIALS.tolist()), st.floats(-1e3, 1e3)),
-           seed=st.integers(0, 2**20))
-    def test_clamp(self, size, lead, op, value, seed):
-        a = mixed(seed, (*lead, size))
-        want = op(a, value)
-        assert same_bits(fedkd.numkit._clamp(op, a, value), want)
-
     @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0, 4)])
     def test_empty_arrays(self, shape):
         a = np.empty(shape)
         assert fedkd.numkit._relu(a).shape == shape
-        assert fedkd.numkit._clamp(np.minimum, a, 1.0).shape == shape
 
     @settings(max_examples=30, deadline=None)
     @given(shape=block_rows(), seed=st.integers(0, 2**20))

@@ -50,6 +50,7 @@ from fedkd.protocol import (
     FedKdCell,
     FedKdRun,
     NodeHandle,
+    STREAM_QUERY,
     TrainConfig,
     collect_logits,
     ledger_report,
@@ -61,7 +62,7 @@ from fedkd.protocol import (
     train_supervised,
 )
 
-from conftest import mixed, run_centralized, same_bits, subset
+from conftest import mixed, run_centralized, same_bits, subset, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +315,33 @@ class TestCollectLogits:
     def test_public_width_must_match_every_model(self):
         with pytest.raises(DimensionError, match="expected 16 columns, got 8"):
             collect_logits(self.make_handles(2), np.zeros((10, 8)))
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-3, 0.5, 7.0, 1e300])
+    def test_noisy_copy_has_the_bits_of_features_plus_scaled_noise(self, monkeypatch, scale):
+        """Each noisy pass forwards exactly public + scale * gauss, the draw of
+        its (node, pass) stream, over features of mixed magnitudes."""
+        public = mixed(7, (40, 16), special_share=0.0)
+        seen = []
+
+        def forward(weights, biases, x, _real=fedkd.protocol._forward_trace):
+            seen.append(x.copy())
+            return _real(weights, biases, np.zeros_like(x))  # finite logits at any scale
+
+        monkeypatch.setattr(fedkd.protocol, "_forward_trace", forward)
+        collect_logits(self.make_handles(2), public, repeats=2, noise_scale=scale, seed=5)
+        want = [public + scale * RandomStream(5, (STREAM_QUERY, i, r)).gauss(public.shape)
+                for i in range(2) for r in range(2)]
+        assert len(seen) == 4 and all(same_bits(a, b) for a, b in zip(seen, want))
+
+    def test_a_noisy_pass_holds_one_copy_of_the_public_features(self):
+        """The noisy copy is built in the draw's buffer: with two noisy passes
+        the traced peak stays below two public copies (a narrow model keeps
+        its activations small beside them)."""
+        public = RandomStream(6, (907,)).gauss((20000, 64))
+        handles = [NodeHandle(0, np.arange(0), init_mlp([64, 2, 2], RandomStream(6, (908,))))]
+        peak = traced_peak(lambda: collect_logits(handles, public, repeats=2, noise_scale=0.5,
+                                                  seed=1))
+        assert peak < 2 * public.nbytes, (peak, public.nbytes)
 
 
 # ---------------------------------------------------------------------------
