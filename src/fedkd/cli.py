@@ -58,6 +58,7 @@ from .protocol import (
     FedKdRun,
     TrainConfig,
     _central_metrics,
+    _check_count,
     _stage,
     ledger_report,
     run_fedavg,
@@ -137,8 +138,7 @@ class ExperimentConfig(FedKdRun):
         _check_seeds("seed", [self.seed])
         check_partition(self.num_nodes, self.alpha)  # the library's own checks
         super().__post_init__()
-        if self.rounds < 1:
-            raise ConfigurationError("rounds must be >= 1")
+        _check_count("rounds", self.rounds)
         if isinstance(self.task, SyntheticTask):  # a CSV public set is checked once it is read
             self.distill.check_batch(self.task.num_classes * self.task.public_per_class)
 

@@ -103,12 +103,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _kl_terms(p: np.ndarray, q: np.ndarray, log_p: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise p * log(p / q) with 0*log(0) taken as 0; ``log_p`` is
-    _safe_log(p) when the caller already has it."""
-    if log_p is None:
-        log_p = _safe_log(p)
-    return np.where(p > 0, p * (log_p - _safe_log(q)), 0.0)
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Elementwise p * log(p / q) with 0*log(0) taken as 0."""
+    return np.where(p > 0, p * (_safe_log(p) - _safe_log(q)), 0.0)
 
 
 def binary_kl_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -118,50 +115,46 @@ def binary_kl_loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _kl_terms(p, q) + _kl_terms(1.0 - p, 1.0 - q)
 
 
-def _teacher_targets(teacher: np.ndarray, cfg: DistillConfig, task: str, *,
-                     loss: bool = True) -> tuple[np.ndarray, ...]:
-    """Per-row teacher inputs of the gradient: the logits (``logit_l2``), the
-    tempered softmax (single-label ``kl``) or tempered sigmoid (multi-label);
-    with ``loss``, the single-label softmax's safe log follows, which only
-    the loss reads."""
+def _teacher_target(teacher: np.ndarray, cfg: DistillConfig, task: str) -> np.ndarray:
+    """Per-row teacher input of the gradient: the logits (``logit_l2``), the
+    tempered softmax (single-label ``kl``) or tempered sigmoid (multi-label)."""
     if task not in (SINGLE_LABEL, MULTI_LABEL):
         raise ConfigurationError(f"unknown task {task!r}")
     if cfg.loss_mode == LOGIT_L2:
-        return (teacher,)
+        return teacher
     if task == SINGLE_LABEL:
-        p = softmax_tau(teacher, cfg.tau)
-        return (p, _safe_log(p)) if loss else (p,)
-    return (sigmoid(teacher / cfg.tau),)
+        return softmax_tau(teacher, cfg.tau)
+    return sigmoid(teacher / cfg.tau)
 
 
-def _distill_grad(student: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
+def _distill_grad(student: np.ndarray, target: np.ndarray, cfg: DistillConfig,
                   task: str) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked gradient w.r.t. a [J, b, C] stack of student logits, against
-    the matching rows of _teacher_targets, and the student side ``s`` the loss
+    the matching rows of _teacher_target, and the student side ``s`` the loss
     reads: the gradient is (2/b)·d with s = d = student - teacher for
     ``logit_l2``, and (tau/b)·(q - p) with s = q, the student's tempered
     softmax or sigmoid, for ``kl``. The trainer's kernel."""
     b = student.shape[-2]
     if cfg.loss_mode == LOGIT_L2:
-        d = student - targets[0]
+        d = student - target
         return (2.0 / b) * d, d
     q = softmax_tau(student, cfg.tau) if task == SINGLE_LABEL else sigmoid(student / cfg.tau)
-    return (cfg.tau / b) * (q - targets[0]), q
+    return (cfg.tau / b) * (q - target), q
 
 
-def _distill_losses(s: np.ndarray, targets: tuple[np.ndarray, ...], cfg: DistillConfig,
+def _distill_losses(s: np.ndarray, target: np.ndarray, cfg: DistillConfig,
                     task: str) -> list[float]:
-    """Each job's batch loss from _distill_grad's ``s`` and the full
-    _teacher_targets rows, summed over its own slice as a lone job's is."""
+    """Each job's batch loss from _distill_grad's ``s`` and the same rows of
+    _teacher_target, summed over its own slice as a lone job's is."""
     b = s.shape[-2]
     if cfg.loss_mode == LOGIT_L2:
         return [float(sq.sum() / b) for sq in s * s]
     scale = cfg.tau * cfg.tau / b
     if task == SINGLE_LABEL:
         # per-row KL sums added left to right, as a Python sum over the rows does
-        rows = _kl_terms(targets[0], s, targets[1]).sum(axis=-1)
+        rows = _kl_terms(target, s).sum(axis=-1)
         return [scale * sum(r.tolist()) for r in rows]
-    return [scale * float(t.sum()) for t in binary_kl_loss(targets[0], s)]
+    return [scale * float(t.sum()) for t in binary_kl_loss(target, s)]
 
 
 def distill_loss_grad(
@@ -172,9 +165,9 @@ def distill_loss_grad(
     teacher = check_matrix(teacher, "teacher logits")
     if student.shape != teacher.shape:
         raise DimensionError("student and teacher logit shapes differ")
-    targets = tuple(t[None] for t in _teacher_targets(teacher, cfg, task))
-    grad, s = _distill_grad(student[None], targets, cfg, task)
-    (loss,) = _distill_losses(s, targets, cfg, task)
+    target = _teacher_target(teacher, cfg, task)[None]
+    grad, s = _distill_grad(student[None], target, cfg, task)
+    (loss,) = _distill_losses(s, target, cfg, task)
     return loss, grad[0]
 
 
@@ -184,8 +177,8 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
     returns the trained copy of ``model`` and its per-step trace of loss and
     of the rate the step's update used, read from the one rate table every
     job trains on. Without ``keep_trace`` the trace is None, and no step
-    computes the loss or the log of the teacher's distribution, which only
-    the trace reads; the gradient, and so the model, keeps its bits.
+    computes the loss, which only the trace reads; the gradient, and so the
+    model, keeps its bits.
 
     Batches are consecutive slices of a fresh permutation each epoch; a
     trailing partial batch is dropped. Teacher targets are indexed by the
@@ -219,19 +212,19 @@ def distill(model, features, teacher_logits, cfg: DistillConfig, rs, *, task: st
             raise DimensionError("teacher logits and features row counts differ")
         cfg.check_batch(n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite target diverges instead
-            targets = _teacher_targets(teacher, cfg, task, loss=keep_trace)
-        jobs.append(SgdJob(student, x, targets, stream, rates, cfg.weight_decay))
+            target = _teacher_target(teacher, cfg, task)
+        jobs.append(SgdJob(student, x, target, stream, rates, np.arange(n)))
     traces = [[] for _ in jobs] if keep_trace else [None] * len(jobs)
 
-    def dlogits(z, batches):  # every job runs cfg.steps steps, so z stacks them all, in order
-        gz, s = _distill_grad(z, batches, cfg, task)
+    def dlogits(z, batch):  # every job runs cfg.steps steps, so z stacks them all, in order
+        gz, s = _distill_grad(z, batch, cfg, task)
         if keep_trace:
             step = len(traces[0])
-            for trace, loss in zip(traces, _distill_losses(s, batches, cfg, task)):
+            for trace, loss in zip(traces, _distill_losses(s, batch, cfg, task)):
                 trace.append({"step": step, "loss": loss, "lr": rates[step]})
         return gz
 
-    trained = train_sgd(dims, cfg.batch_size, jobs, dlogits)
+    trained = train_sgd(dims, cfg.batch_size, jobs, dlogits, cfg.weight_decay)
     if not single:
         return [None if m is None else (m, t) for m, t in zip(trained, traces)]
     if trained[0] is None:

@@ -10,12 +10,13 @@ The forward and backward kernels run one model, or a stack of K models whose
 ``[K, P]`` parameter matrix holds one ``flat`` per row, in the same calls.
 :func:`train_sgd` is the package's one SGD loop: node training, FedAvg
 rounds and distillation all run through it, and only the loss gradient they
-pass in differs. Each job reads its rates from a table :func:`cosine_rates`
-computed before the loop; a schedule is range-checked once, when its config
-is built (:func:`check_sgd_schedule`), never per step. Nothing here keeps
-shared mutable state: a RandomStream advances only itself, and
-:func:`sgd_step` updates the model it is given, in place, as one vector
-update.
+pass in differs. A call holds what its stack shares (dims, batch size, loss,
+weight decay), and each :class:`SgdJob` its own data, rows, stream and rate
+table (:func:`cosine_rates`, computed before the loop); a schedule is
+range-checked once, when its config is built (:func:`check_sgd_schedule`),
+never per step. Nothing here keeps shared mutable state: a RandomStream
+advances only itself, and :func:`sgd_step` updates the model it is given,
+in place, as one vector update.
 
 Hot elementwise passes stay on numpy's contiguous fast loops, with every
 output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
@@ -338,8 +339,8 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 
     lr * grad``, bit-identical to adding 0 * theta when theta is finite.
 
     The step checks neither ``lr`` nor ``weight_decay``: :func:`train_sgd`
-    passes each job's rate table and decay, both from a config checked by
-    :func:`check_sgd_schedule` when it was built."""
+    passes each job's rate table and its stack's decay, both from a config
+    checked by :func:`check_sgd_schedule` when it was built."""
     p = model.flat
     if weight_decay:
         p -= lr * (grads.flat + weight_decay * p)
@@ -355,35 +356,35 @@ def sgd_step(model: MlpModel, grads: MlpModel, lr: float, weight_decay: float = 
 @dataclass(frozen=True)
 class SgdJob:
     """One model's part of a :func:`train_sgd` call: one step per entry of
-    ``rates``, at that rate, on the rows of ``x`` and of each ``targets``
-    array given by the index array ``rows`` (None: all rows). Jobs may share
-    one rate table (:func:`cosine_rates`)."""
+    ``rates``, at that rate, on the rows of ``x`` and of ``target`` that the
+    index array ``rows`` names. Jobs may share one rate table
+    (:func:`cosine_rates`); what a stack shares is the call's."""
 
     model: MlpModel
     x: np.ndarray
-    targets: tuple[np.ndarray, ...]
+    target: np.ndarray
     stream: RandomStream
     rates: np.ndarray
-    weight_decay: float = 0.0
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
 
-def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpModel | None]:
+def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits,
+              weight_decay: float) -> list[MlpModel | None]:
     """Minibatch SGD for every job in lockstep, on copies of their models
     (layer dims ``dims``); returns the trained models in job order, with None
     in place of each model whose parameters end non-finite.
 
     A job's batches are consecutive b-row slices of a fresh permutation of
-    its rows per epoch from its own stream, the remainder dropped; it may stop
-    mid-epoch; a job on index ``rows`` maps each permutation through them, so
-    it trains as on a copy of those rows. Each step gathers the rows of ``x``
-    and of every target array into reused [K, b, ...] buffers, takes the
-    gradient w.r.t. the [K, b, C] logits z from ``dlogits(z, target_batches)``
-    (it may overwrite z), runs one stacked backward pass, then one sgd_step
-    per job at the entry of its rate table for that step. Jobs are held
-    longest first, so the ones still training are a prefix of the [K, P]
-    parameter matrix; a job's slice of each stacked call is the call it would
-    make alone, so a stack changes none of its bits.
+    its ``rows`` per epoch from its own stream, the remainder dropped; it may
+    stop mid-epoch, and it trains as on a copy of those rows. Each step
+    gathers the rows of ``x`` and of ``target`` into reused [K, b, ...]
+    buffers, takes the gradient w.r.t. the [K, b, C] logits z from
+    ``dlogits(z, target_batch)`` (it may overwrite z), runs one stacked
+    backward pass, then one sgd_step per job at the entry of its rate table
+    for that step, with the stack's ``weight_decay``. Jobs are held longest
+    first, so the ones still training are a prefix of the [K, P] parameter
+    matrix; a job's slice of each stacked call is the call it would make
+    alone, so a stack changes none of its bits.
     """
     count = len(jobs)
     order = sorted(range(count), key=lambda i: -len(jobs[i].rates))  # stable: ties keep job order
@@ -392,17 +393,14 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
     params = np.stack([job.model.flat for job in held])
     grads = np.empty_like(params)
     xb = np.empty((count, b, dims[0]))
-    tbs = [np.empty((count, b, *t.shape[1:]), t.dtype) for t in held[0].targets]
-    feeds = [[(job.x, *job.targets), (xb[r], *(t[r] for t in tbs)), job.stream, job.rows,
-              job.x.shape[0] if job.rows is None else len(job.rows), None]
+    tb = np.empty((count, b, *held[0].target.shape[1:]), held[0].target.dtype)
+    feeds = [[job.x, job.target, xb[r], tb[r], job.stream, job.rows, None]
              for r, job in enumerate(held)]
-    updates = [(MlpModel.aliasing(dims, params[r]), MlpModel.aliasing(dims, grads[r]),
-                job.rates, job.weight_decay)
+    updates = [(MlpModel.aliasing(dims, params[r]), MlpModel.aliasing(dims, grads[r]), job.rates)
                for r, job in enumerate(held)]
 
     def prefix(k):  # the stacked operands of the first k jobs
-        return (*_layer_views(dims, params[:k]), *_layer_views(dims, grads[:k]),
-                xb[:k], tuple(t[:k] for t in tbs))
+        return (*_layer_views(dims, params[:k]), *_layer_views(dims, grads[:k]), xb[:k], tb[:k])
 
     active = count
     weights, biases, grad_weights, grad_biases, xs, ts = prefix(active)
@@ -413,18 +411,17 @@ def train_sgd(dims: list[int], b: int, jobs: list[SgdJob], dlogits) -> list[MlpM
                     active -= 1
                 weights, biases, grad_weights, grad_biases, xs, ts = prefix(active)
             for feed in feeds[:active]:
-                arrays, bufs, rs, rows, n, perm = feed
-                j = step % (n // b)
+                x, target, x_buf, t_buf, rs, rows, perm = feed
+                j = step % (len(rows) // b)
                 if j == 0:
-                    perm = rs.permutation(n)
-                    feed[-1] = perm = perm if rows is None else rows.take(perm)
+                    feed[-1] = perm = rows.take(rs.permutation(len(rows)))
                 batch = perm[j * b : (j + 1) * b]
-                for a, buf in zip(arrays, bufs):
-                    a.take(batch, 0, buf, "clip")  # rows are in range; "clip" skips a buffered copy
+                x.take(batch, 0, x_buf, "clip")  # rows are in range; "clip" skips a buffered copy
+                target.take(batch, 0, t_buf, "clip")
             acts = _forward_trace(weights, biases, xs)
             _backprop(weights, acts, dlogits(acts[-1], ts), grad_weights, grad_biases)
-            for model, g, rates, wd in updates[:active]:
-                sgd_step(model, g, rates[step], wd)
+            for model, g, rates in updates[:active]:
+                sgd_step(model, g, rates[step], weight_decay)
 
     finite = np.isfinite(params).all(axis=1)
     row = {i: r for r, i in enumerate(order)}

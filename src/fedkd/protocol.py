@@ -215,7 +215,7 @@ def train_lockstep(
     diverged node.
     """
     count = len(models)
-    rows = [None] * count if rows is None else rows
+    rows = [np.arange(ds.n) for ds in data] if rows is None else rows
     if any(len(v) != count for v in (data, streams, rows)):
         raise ConfigurationError("train_lockstep needs one entry per model in every list")
     if not 0 <= round_index < rounds:
@@ -229,10 +229,10 @@ def train_lockstep(
         if model.layer_dims != dims:
             raise DimensionError(f"model layer dims {model.layer_dims} differ from the "
                                  f"data's {dims}")
-        n = ds.n if idx is None else len(idx)
+        n = len(idx)
         if n == 0:
             raise ConfigurationError("cannot train on an empty dataset")
-        if idx is not None and not 0 <= idx.min() <= idx.max() < ds.n:  # gathered unchecked
+        if not 0 <= idx.min() <= idx.max() < ds.n:  # gathered unchecked
             raise ValidationError(f"shard rows outside the data's {ds.n} rows")
         y = ds.labels[:, 0] if ds.task == SINGLE_LABEL else ds.labels
         b = min(cfg.batch_size, n)
@@ -240,15 +240,15 @@ def train_lockstep(
         if steps not in tables:
             tables[steps] = cosine_rates(cfg.lr_start, cfg.lr_end, rounds * steps,
                                          round_index * steps, steps)
-        jobs.append(SgdJob(model, ds.features, (y,), streams[k], tables[steps],
-                           cfg.weight_decay, idx))
+        jobs.append(SgdJob(model, ds.features, y, streams[k], tables[steps], idx))
         stacks.setdefault((ds.task, b, *dims), []).append(k)
 
     trained = {}
     for (task, b, *dims), members in stacks.items():
-        dlogits = ((lambda z, t: _xent_dlogits(_softmax_rows(z), t[0])) if task == SINGLE_LABEL
-                   else (lambda z, t: _bce_dlogits(sigmoid(z), t[0])))
-        trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members], dlogits)))
+        dlogits = ((lambda z, y: _xent_dlogits(_softmax_rows(z), y)) if task == SINGLE_LABEL
+                   else (lambda z, y: _bce_dlogits(sigmoid(z), y)))
+        trained.update(zip(members, train_sgd(dims, b, [jobs[k] for k in members], dlogits,
+                                              cfg.weight_decay)))
     return [trained[k] for k in range(count)]
 
 
@@ -314,9 +314,17 @@ def _train_cells(runs: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainCo
     return out
 
 
+def _check_count(key: str, count: int) -> None:
+    """A count of rounds or query passes: >= 1, and below 2**53, so that the
+    float64 cosine position and query mean that divide by it hold it exactly."""
+    if count < 1:
+        raise ConfigurationError(f"{key} must be >= 1")
+    if count >= 2**53:
+        raise ConfigurationError(f"{key} must be < 2**53")
+
+
 def _check_query(repeats: int, query_noise: float) -> None:
-    if repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
+    _check_count("repeats", repeats)
     if not query_noise >= 0:
         raise ConfigurationError("query_noise must be >= 0")
 
@@ -380,7 +388,7 @@ class FedKdRun:
     """The knobs of one aggregation run, named and defaulted as the config
     keys that set them (the CLI's config extends it); the data, plan and seed
     are :func:`run_fedkd`'s arguments. It checks its own fields when built
-    (``repeats`` >= 1, ``query_noise`` >= 0, each ``central_hidden_dims``
+    (``repeats`` in [1, 2**53), ``query_noise`` >= 0, each ``central_hidden_dims``
     entry >= 1), so an invalid run trains no node."""
 
     node: TrainConfig = field(default_factory=TrainConfig)
@@ -625,8 +633,7 @@ def run_fedavg(
     is billed at the ``flat.nbytes`` of the model sent. A plan that does not
     cover ``private`` exactly once is a ValidationError, as in run_fedkd.
     """
-    if rounds < 1:
-        raise ConfigurationError("rounds must be >= 1")
+    _check_count("rounds", rounds)
     plan.validate_for(private)
     active = [k for k, a in enumerate(plan.assignments) if len(a)]
     if not active:

@@ -1,11 +1,14 @@
 """Shared test helpers: the small 4-class Gaussian benchmark config used by
 the end-to-end tests, runners over seed lists, centralized training on the
-pooled data, the per-step oracle of distillation with its row-wise KL loss,
-the per-row rule of a multi-label row's partition class, the block-list
-formula of a synthetic split, a copy of a dataset's rows, a config file and
-a small CSV task written out, the README's quick-start config and library
-example, a runner of ``python`` in a fresh interpreter, the arrays and bit
-comparison of the fast-path tests, and the traced memory peak of a call."""
+pooled data, the per-step oracles of node training and distillation (the
+latter with its row-wise KL loss), the forward pass, quantizer and Laplace
+draw as they were before their fast paths, the data-to-student oracle of a
+whole run built from them, the per-row rule of a multi-label row's partition
+class, the block-list formula of a synthetic split, a copy of a dataset's
+rows, a config file and a small CSV task written out, the README's
+quick-start config and library example, a runner of ``python`` in a fresh
+interpreter, the arrays and bit comparison of the fast-path tests, and the
+traced memory peak of a call."""
 import copy
 import csv
 import json
@@ -26,6 +29,7 @@ from fedkd.cli import (
 )
 from fedkd.datasets import SINGLE_LABEL, Dataset
 from fedkd.distill import KL, distill_loss_grad, softmax_tau
+from fedkd.ensemble import _TINY, PER_CLASS
 from fedkd.numkit import (
     MlpModel,
     RandomStream,
@@ -33,7 +37,19 @@ from fedkd.numkit import (
     mlp_backward,
     mlp_forward,
 )
-from fedkd.protocol import STREAM_BATCH, STREAM_INIT, _dims, _evaluate, train_supervised
+from fedkd.protocol import (
+    STREAM_BATCH,
+    STREAM_DISTILL_BATCH,
+    STREAM_DISTILL_INIT,
+    STREAM_INIT,
+    STREAM_NOISE,
+    STREAM_QUERY,
+    _dims,
+    _evaluate,
+    masked_bce_grad,
+    softmax_xent_grad,
+    train_supervised,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -229,6 +245,136 @@ def reference_distill(model, x, teacher, cfg, rs, task):
             trace.append({"step": step, "loss": loss, "lr": lr})
             step += 1
     return model, trace
+
+
+def reference_train(model, ds, cfg, batch_rs, rounds=1, round_index=0):
+    """train_supervised as the per-step chain of checked public calls, with a
+    copying SGD update: the oracle for the fused, in-place trainer. Round
+    ``round_index`` of ``rounds`` runs its steps on one cosine horizon over
+    all rounds; each step's rate is computed here inline."""
+    b = min(cfg.batch_size, ds.n)
+    per_epoch = ds.n // b
+    steps = cfg.epochs * per_epoch
+    step = round_index * steps
+    for _ in range(cfg.epochs):
+        order = batch_rs.permutation(ds.n)
+        for j in range(per_epoch):
+            idx = order[j * b : (j + 1) * b]
+            x = ds.features[idx]
+            z = mlp_forward(model, x)
+            if ds.task == SINGLE_LABEL:
+                _, gz = softmax_xent_grad(z, ds.labels[idx, 0])
+            else:
+                _, gz = masked_bce_grad(z, ds.labels[idx])
+            g = mlp_backward(model, x, gz)
+            lr = cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
+                1.0 + math.cos(math.pi * step / (rounds * steps)))
+            wd = cfg.weight_decay
+            model = MlpModel(
+                model.layer_dims,
+                [w - lr * (gw + wd * w) for w, gw in zip(model.weights, g.weights)],
+                [b_ - lr * (gb + wd * b_) for b_, gb in zip(model.biases, g.biases)],
+            )
+            step += 1
+    return model
+
+
+def old_forward_trace(weights, biases, batch):
+    """The forward pass with the broadcast bias add and scalar ReLU."""
+    acts, h = [batch], batch
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w
+        h += b
+        if i != len(weights) - 1:
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
+
+
+def old_levels(z, z_max, scale):
+    """The quantizer's grid levels, with the scalar clamp it had before the
+    blocked one."""
+    out = np.empty(np.shape(z))
+    if not math.isfinite(scale * float(z_max)):
+        np.divide(z, z_max, out=out)
+        out *= scale / 2
+        top = scale // 2
+    else:
+        np.multiply(scale, z, out=out)
+        out /= 2.0 * z_max
+        top = -(-scale // 2)
+    np.ceil(out, out=out)
+    return np.minimum(out, top, out=out)
+
+
+def old_grid_values(levels, z_max, scale):
+    """The grid values of old_levels, in place, as a second function once
+    computed them: it decided the overflow branch again."""
+    if not math.isfinite(scale * float(z_max)):
+        levels /= scale / 2
+        levels *= z_max
+    else:
+        levels *= 2.0 * z_max / scale
+    return levels
+
+
+def old_laplace(gamma, u):
+    """laplace_sample's formula with the scalar floor."""
+    return -(1.0 / gamma) * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), _TINY))
+
+
+def reference_fedkd(private, public, plan, run, seed):
+    """run_fedkd from data to student as a chain of oracles on the run's own
+    streams: each node by reference_train on a copy of its rows, each query
+    pass by old_forward_trace, the fold by old_levels/old_grid_values with
+    the per-class weights computed inline, the noise by old_laplace, and the
+    student by reference_distill. Returns (teacher logits, central model,
+    trace)."""
+    split, rows = private, plan.assignments
+    if run.labeled_public:  # the public rows join every node's shard
+        split = Dataset(np.concatenate([private.features, public.features]),
+                        np.concatenate([private.labels, public.labels]),
+                        private.task, private.num_classes)
+        rows = [np.concatenate([a, np.arange(private.n, split.n)]) for a in rows]
+    blocks, counts = {}, []
+    for k, idx in enumerate(rows):
+        shard = subset(split, idx)
+        counts.append(np.bincount(shard.labels[:, 0], minlength=shard.num_classes)
+                      if shard.task == SINGLE_LABEL else (shard.labels == 1).sum(axis=0))
+        if not shard.n:
+            continue
+        model = reference_train(init_mlp(_dims(split, run.node.hidden_dims),
+                                         RandomStream(seed, (STREAM_INIT, k))),
+                                shard, run.node, RandomStream(seed, (STREAM_BATCH, k, 0)))
+        passes = []
+        for r in range(run.repeats):
+            x = public.features
+            if run.query_noise:
+                x = x + run.query_noise * RandomStream(seed, (STREAM_QUERY, k, r)).gauss(x.shape)
+            passes.append(old_forward_trace(model.weights, model.biases, x)[-1])
+        blocks[k] = sum(passes[1:], passes[0]) / run.repeats
+
+    counts = np.array(counts)
+    col = counts.sum(axis=0)
+    omega = np.where(col > 0, counts / np.maximum(col, 1), 1.0 / len(rows))
+    scale, z_max = run.ensemble.quant_scale, max(np.abs(z).max() for z in blocks.values())
+    folded = []
+    for k, z in blocks.items():
+        if scale is not None:
+            z = old_grid_values(old_levels(z, z_max, scale), z_max, scale)
+        folded.append(z * omega[k] if run.ensemble.weight_mode == PER_CLASS else z)
+    teacher = sum(folded, np.zeros(folded[0].shape))  # from +0.0, as the fold starts
+    if run.ensemble.weight_mode != PER_CLASS:
+        teacher = teacher / len(folded)
+    if run.ensemble.gamma is not None:
+        u = RandomStream(seed, (STREAM_NOISE,)).uniform(teacher.shape) - 0.5
+        teacher = teacher + old_laplace(run.ensemble.gamma, u)
+
+    student = init_mlp(_dims(public, run.central_hidden_dims),
+                       RandomStream(seed, (STREAM_DISTILL_INIT,)))
+    central, trace = reference_distill(student, public.features, teacher, run.distill,
+                                       RandomStream(seed, (STREAM_DISTILL_BATCH,)), public.task)
+    return teacher, central, trace
 
 
 DBL_MAX = np.finfo(np.float64).max

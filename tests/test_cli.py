@@ -1478,6 +1478,28 @@ class TestFailedRunLeavesNoRunDirectory:
                             r"Maximum allowed dimension exceeded\n", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [1e300, 2**63, 2**64, 10**30],
+                             ids=["1e300", "2**63", "2**64", "10**30"])
+    @pytest.mark.parametrize("command, key", [("fedavg", "rounds"), ("run", "repeats")])
+    def test_a_count_float64_cannot_hold_is_a_one_line_config_error(self, tmp_path, capsys,
+                                                                     command, key, value):
+        """A count of rounds or query passes at or above 2**53 would loop
+        until killed: the config rejects it by name, before any work."""
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tiny_doc(**{key: value}))),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be < 2**53\n"
+        assert not out.exists()
+
+    def test_a_repeats_sweep_value_float64_cannot_hold_is_its_own_error_row(self, tmp_path):
+        cfg = parse_dict(tiny_doc(sweep={"param": "R", "values": [1e300, 1], "seeds": [0]}))
+        big, one = csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open())
+        assert (big["value"], big["error"]) == ("1e+300",
+                                                "ConfigurationError: repeats must be < 2**53")
+        assert big["accuracy"] == big["bandwidth"] == ""
+        result = execute_fedkd(parse_dict(tiny_doc()), 0)
+        assert (one["error"], one["accuracy"]) == ("", f"{result.metrics['central']:.6f}")
+
     def test_a_student_that_cannot_be_built_fails_before_any_training(self, tmp_path, capsys,
                                                                       monkeypatch):
         calls = []
@@ -1789,7 +1811,8 @@ def test_quantizing_near_the_float_limit_prints_one_stderr_line(tmp_path, capsys
 # values that only blow up numerically, a runtime error (exit 3).
 OUT_OF_RANGE = [
     (("num_nodes",), 0), (("alpha",), 0.0), (("seed",), -1), (("repeats",), 0),
-    (("query_noise",), -0.5), (("rounds",), 0), (("central_hidden_dims",), [0]),
+    (("query_noise",), -0.5), (("rounds",), 0), (("rounds",), 2**63), (("repeats",), 10**30),
+    (("central_hidden_dims",), [0]),
     (("task", "num_classes"), 1), (("task", "dim"), 0), (("task", "train_per_class"), 0),
     (("task", "public_per_class"), 0), (("task", "cov_scale"), 1e300),
     (("node", "epochs"), 0), (("node", "batch_size"), 0), (("node", "lr_end"), 1.0),

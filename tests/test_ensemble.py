@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedkd.ensemble import (
-    _TINY,
     _quantize,
     EnsembleConfig,
     LogitBlock,
@@ -23,7 +22,8 @@ from fedkd.ensemble import (
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
 from fedkd.numkit import _BLOCK, RandomStream, check_matrix
 
-from conftest import DBL_MAX, SPECIALS, mixed, same_bits, traced_peak
+from conftest import (DBL_MAX, SPECIALS, mixed, old_grid_values, old_laplace, old_levels,
+                      same_bits, traced_peak)
 
 
 def block(node_id, values):
@@ -259,38 +259,6 @@ class TestLaplace:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(RangeError):
             laplace_sample(0.0, RandomStream(0, (9,)), size=1)
-
-
-def old_levels(z, z_max, scale):
-    """The quantizer's grid levels, with the scalar clamp it had before the
-    blocked one."""
-    out = np.empty(np.shape(z))
-    if not math.isfinite(scale * float(z_max)):
-        np.divide(z, z_max, out=out)
-        out *= scale / 2
-        top = scale // 2
-    else:
-        np.multiply(scale, z, out=out)
-        out /= 2.0 * z_max
-        top = -(-scale // 2)
-    np.ceil(out, out=out)
-    return np.minimum(out, top, out=out)
-
-
-def old_grid_values(levels, z_max, scale):
-    """The grid values of old_levels, in place, as a second function once
-    computed them: it decided the overflow branch again."""
-    if not math.isfinite(scale * float(z_max)):
-        levels /= scale / 2
-        levels *= z_max
-    else:
-        levels *= 2.0 * z_max / scale
-    return levels
-
-
-def old_laplace(gamma, u):
-    """laplace_sample's formula with the scalar floor."""
-    return -(1.0 / gamma) * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), _TINY))
 
 
 class TestFastPathBits:

@@ -25,7 +25,7 @@ from fedkd.numkit import (
 )
 from fedkd.protocol import TrainConfig, softmax_xent_grad, train_lockstep
 
-from conftest import mixed, same_bits
+from conftest import mixed, old_forward_trace, same_bits
 
 
 def naive_forward(model, batch):
@@ -353,18 +353,6 @@ def block_rows(draw, max_cols=70):
 stacks = st.tuples(st.integers(1, 5), st.integers(1, 40), st.integers(1, 70))
 
 
-def old_forward_trace(weights, biases, batch):
-    """The forward pass with the broadcast bias add and scalar ReLU."""
-    acts, h = [batch], batch
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w
-        h += b
-        if i != len(weights) - 1:
-            np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    return acts
-
-
 class TestElementwiseFastPaths:
     """Each blocked pass gives the bits of the scalar or broadcast call it
     replaces, on non-finite, signed-zero and near-overflow values."""
@@ -442,54 +430,53 @@ class TestCheckMatrix:
 
 SGD_DIMS = [5, 7, 3]
 SGD_B = 4
-# (rows, steps, lr_start, offset, weight decay) at 4 rows per batch: 13 steps
-# of 10 per epoch and 7 of 5 end mid-epoch, 12 of 6 at an epoch boundary, 2 of
-# 4 inside the first epoch
-SGD_SPEC = [(40, 13, 0.1, 0, 0.0), (23, 7, 0.05, 2, 1e-3), (24, 12, 0.2, 0, 0.0),
-            (16, 2, 0.1, 5, 1e-2)]
+SGD_WD = 1e-3  # every call's one weight decay
+# (rows, steps, lr_start, offset) at 4 rows per batch: 13 steps of 10 per
+# epoch and 7 of 5 end mid-epoch, 12 of 6 at an epoch boundary, 2 of 4 inside
+# the first epoch
+SGD_SPEC = [(40, 13, 0.1, 0), (23, 7, 0.05, 2), (24, 12, 0.2, 0), (16, 2, 0.1, 5)]
 
 
 def sgd_schedule(k, scale=1.0):
     """(lr_start, lr_end, total steps, first step) of job k's cosine schedule."""
-    n, steps, lr, offset, wd = SGD_SPEC[k]
+    n, steps, lr, offset = SGD_SPEC[k]
     return scale * lr, 0.01 * lr, offset + steps, offset
 
 
 def sgd_jobs(lr_scale=(1.0, 1.0, 1.0, 1.0)):
-    """Fresh jobs (their streams unused) of one layout with two target arrays:
-    per-row teacher logits and a per-row weight."""
+    """Fresh jobs (their streams unused), each on all its rows by index, with
+    per-row teacher logits as its target."""
     data = RandomStream(3, (70,))
     jobs = []
-    for k, ((n, steps, lr, offset, wd), scale) in enumerate(zip(SGD_SPEC, lr_scale)):
+    for k, ((n, steps, lr, offset), scale) in enumerate(zip(SGD_SPEC, lr_scale)):
         x = data.gauss((n, SGD_DIMS[0]))
-        targets = (data.gauss((n, SGD_DIMS[-1])), 0.5 + data.uniform(n))
-        jobs.append(SgdJob(make_model(SGD_DIMS, k), x, targets, RandomStream(3, (71, k)),
-                           cosine_rates(*sgd_schedule(k, scale), steps), wd))
+        target = data.gauss((n, SGD_DIMS[-1]))
+        jobs.append(SgdJob(make_model(SGD_DIMS, k), x, target, RandomStream(3, (71, k)),
+                           cosine_rates(*sgd_schedule(k, scale), steps), np.arange(n)))
     return jobs
 
 
-def weighted_l2_dlogits(z, targets):
-    """Logit gradient of (1/b) sum_i w_i ||z_i - t_i||^2, for a stack or one model."""
-    t, w = targets
-    return (2.0 / z.shape[-2]) * w[..., None] * (z - t)
+def l2_dlogits(z, t):
+    """Logit gradient of (1/b) sum_i ||z_i - t_i||^2, for a stack or one model."""
+    return (2.0 / z.shape[-2]) * (z - t)
 
 
-def reference_sgd(job, b, dlogits, schedule):
-    """One job as the per-step chain of checked public calls, at the rates of
-    ``schedule`` (lr_start, lr_end, total steps, first step), computed here
-    inline."""
+def reference_sgd(job, b, dlogits, schedule, weight_decay=SGD_WD):
+    """One job as the per-step chain of checked public calls on a copy of its
+    rows, at the rates of ``schedule`` (lr_start, lr_end, total steps, first
+    step), computed here inline."""
     lr_start, lr_end, total, offset = schedule
-    model, x = job.model.copy(), job.x
+    model, x, target = job.model.copy(), job.x[job.rows], job.target[job.rows]
     per_epoch = x.shape[0] // b
     for step in range(len(job.rates)):
         j = step % per_epoch
         if j == 0:
             perm = job.stream.permutation(x.shape[0])
         idx = perm[j * b : (j + 1) * b]
-        gz = dlogits(mlp_forward(model, x[idx]), tuple(t[idx] for t in job.targets))
+        gz = dlogits(mlp_forward(model, x[idx]), target[idx])
         lr = lr_end + 0.5 * (lr_start - lr_end) * (
             1.0 + math.cos(math.pi * (offset + step) / total))
-        model = sgd_step(model, mlp_backward(model, x[idx], gz), lr, job.weight_decay)
+        model = sgd_step(model, mlp_backward(model, x[idx], gz), lr, weight_decay)
     return model
 
 
@@ -499,33 +486,33 @@ def bits(model):
 
 class TestTrainSgd:
     def test_a_stack_gives_every_job_the_bits_it_gets_alone(self):
-        stacked = train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), weighted_l2_dlogits)
-        reversed_ = train_sgd(SGD_DIMS, SGD_B, sgd_jobs()[::-1], weighted_l2_dlogits)[::-1]
+        stacked = train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), l2_dlogits, SGD_WD)
+        reversed_ = train_sgd(SGD_DIMS, SGD_B, sgd_jobs()[::-1], l2_dlogits, SGD_WD)[::-1]
         for k in range(len(SGD_SPEC)):
-            (alone,) = train_sgd(SGD_DIMS, SGD_B, [sgd_jobs()[k]], weighted_l2_dlogits)
+            (alone,) = train_sgd(SGD_DIMS, SGD_B, [sgd_jobs()[k]], l2_dlogits, SGD_WD)
             assert np.array_equal(bits(stacked[k]), bits(alone)), f"job {k}"
             assert np.array_equal(bits(reversed_[k]), bits(alone)), f"job {k}"
 
     def test_every_job_follows_the_per_step_oracle(self):
         jobs = sgd_jobs()
         before = [job.model.copy() for job in jobs]
-        out = train_sgd(SGD_DIMS, SGD_B, jobs, weighted_l2_dlogits)
+        out = train_sgd(SGD_DIMS, SGD_B, jobs, l2_dlogits, SGD_WD)
         for k, job in enumerate(sgd_jobs()):
-            ref = reference_sgd(job, SGD_B, weighted_l2_dlogits, sgd_schedule(k))
+            ref = reference_sgd(job, SGD_B, l2_dlogits, sgd_schedule(k))
             assert np.array_equal(bits(out[k]), bits(ref)), f"job {k}"
             assert np.array_equal(bits(jobs[k].model), bits(before[k]))  # inputs untouched
 
     def test_dlogits_sees_only_the_jobs_still_training(self):
         shapes = []
 
-        def recording(z, targets):
-            shapes.append((z.shape, targets[0].shape, targets[1].shape))
-            return weighted_l2_dlogits(z, targets)
+        def recording(z, target):
+            shapes.append((z.shape, target.shape))
+            return l2_dlogits(z, target)
 
-        train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), recording)
+        train_sgd(SGD_DIMS, SGD_B, sgd_jobs(), recording, SGD_WD)
         steps = [spec[1] for spec in SGD_SPEC]
         live = [sum(n > step for n in steps) for step in range(max(steps))]
-        assert shapes == [((k, SGD_B, 3), (k, SGD_B, 3), (k, SGD_B)) for k in live]
+        assert shapes == [((k, SGD_B, 3), (k, SGD_B, 3)) for k in live]
 
     def test_jobs_sharing_a_schedule_get_the_bits_they_get_alone(self):
         """Nodes 0 and 2 of one train_lockstep call (a FedAvg resume, round 1
@@ -543,15 +530,16 @@ class TestTrainSgd:
         def streams():
             return [RandomStream(3, (75, k)) for k in range(len(shards))]
 
-        tables, jobs = [], []
+        tables, jobs, decays = [], [], []
 
         def counting_rates(*args, _real=fedkd.protocol.cosine_rates):
             tables.append(_real(*args))
             return tables[-1]
 
-        def capturing(dims, b, stack, dlogits, _real=fedkd.protocol.train_sgd):
+        def capturing(dims, b, stack, dlogits, weight_decay, _real=fedkd.protocol.train_sgd):
             jobs.extend(stack)
-            return _real(dims, b, stack, dlogits)
+            decays.append(weight_decay)
+            return _real(dims, b, stack, dlogits, weight_decay)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fedkd.protocol, "cosine_rates", counting_rates)
@@ -560,9 +548,10 @@ class TestTrainSgd:
         assert [len(t) for t in tables] == [20, 10, 8]
         assert [job.rates for job in jobs] == [tables[0], tables[1], tables[0], tables[2]]
         assert jobs[0].rates is jobs[2].rates is tables[0]
+        assert decays == [cfg.weight_decay]  # one stack, one decay
 
-        def xent(z, targets):
-            return softmax_xent_grad(z, targets[0])[1]
+        def xent(z, y):
+            return softmax_xent_grad(z, y)[1]
 
         for k, job in enumerate(jobs):
             (alone,) = train_lockstep([models[k]], [shards[k]], cfg, [streams()[k]],
@@ -570,7 +559,7 @@ class TestTrainSgd:
             assert np.array_equal(bits(out[k]), bits(alone)), f"node {k}"
             steps = len(job.rates)
             ref = reference_sgd(dataclasses.replace(job, stream=streams()[k]), SGD_B, xent,
-                                (0.1, 0.001, 3 * steps, steps))
+                                (0.1, 0.001, 3 * steps, steps), cfg.weight_decay)
             assert np.array_equal(bits(out[k]), bits(ref)), f"node {k}"
 
     def test_index_rows_give_the_bits_of_copied_rows(self):
@@ -579,20 +568,20 @@ class TestTrainSgd:
         stream, of the same job on a copy of those rows."""
         data = RandomStream(3, (72,))
         x = data.gauss((60, SGD_DIMS[0]))
-        targets = (data.gauss((60, SGD_DIMS[-1])), 0.5 + data.uniform(60))
+        target = data.gauss((60, SGD_DIMS[-1]))
         picks = [np.arange(59, 19, -1), np.array([5, 5, 9, 1, 40, 33, 12, 7]),
                  np.arange(0, 60, 3), np.arange(SGD_B)]
 
         def jobs(on_rows):
             return [SgdJob(make_model(SGD_DIMS, k), x if on_rows else x[idx],
-                           targets if on_rows else tuple(t[idx] for t in targets),
-                           RandomStream(3, (73, k)), cosine_rates(0.1, 0.001, 12, 1, steps),
-                           1e-3, idx if on_rows else None)
+                           target if on_rows else target[idx], RandomStream(3, (73, k)),
+                           cosine_rates(0.1, 0.001, 12, 1, steps),
+                           idx if on_rows else np.arange(len(idx)))
                     for k, (idx, steps) in enumerate(zip(picks, (11, 6, 9, 3)))]
 
         indexed, copied = jobs(True), jobs(False)
-        out = train_sgd(SGD_DIMS, SGD_B, indexed, weighted_l2_dlogits)
-        ref = train_sgd(SGD_DIMS, SGD_B, copied, weighted_l2_dlogits)
+        out = train_sgd(SGD_DIMS, SGD_B, indexed, l2_dlogits, SGD_WD)
+        ref = train_sgd(SGD_DIMS, SGD_B, copied, l2_dlogits, SGD_WD)
         for k in range(len(picks)):
             assert np.array_equal(bits(out[k]), bits(ref[k])), f"job {k}"
             assert indexed[k].stream.uniform() == copied[k].stream.uniform()
@@ -603,9 +592,9 @@ class TestTrainSgd:
         def jobs():  # fresh streams per call
             return sgd_jobs(lr_scale=(1.0, 1e300, 1.0, 1e300))
 
-        out = train_sgd(SGD_DIMS, SGD_B, jobs(), weighted_l2_dlogits)
+        out = train_sgd(SGD_DIMS, SGD_B, jobs(), l2_dlogits, SGD_WD)
         assert [m is None for m in out] == [False, True, False, True]
         for k in (0, 2):
-            (alone,) = train_sgd(SGD_DIMS, SGD_B, [jobs()[k]], weighted_l2_dlogits)
+            (alone,) = train_sgd(SGD_DIMS, SGD_B, [jobs()[k]], l2_dlogits, SGD_WD)
             assert np.array_equal(bits(out[k]), bits(alone)), f"job {k}"
-        assert train_sgd(SGD_DIMS, SGD_B, [jobs()[1]], weighted_l2_dlogits) == [None]
+        assert train_sgd(SGD_DIMS, SGD_B, [jobs()[1]], l2_dlogits, SGD_WD) == [None]

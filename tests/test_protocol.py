@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fedkd.numkit
 import fedkd.protocol
+from fedkd.cli import build_data, parse_dict
 
 from fedkd.datasets import (
     Dataset,
@@ -39,7 +40,6 @@ from fedkd.numkit import (
     MlpModel,
     RandomStream,
     init_mlp,
-    mlp_backward,
     mlp_forward,
 )
 from fedkd.protocol import (
@@ -62,7 +62,8 @@ from fedkd.protocol import (
     train_supervised,
 )
 
-from conftest import mixed, run_centralized, same_bits, subset, traced_peak
+from conftest import (mixed, reference_fedkd, reference_train, run_centralized, same_bits,
+                      subset, traced_peak, write_csv_task)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,18 @@ class TestCollectLogits:
         with pytest.raises(ConfigurationError):
             collect_logits(self.make_handles(1), np.zeros((4, 16)), repeats=0)
 
+    @pytest.mark.parametrize("repeats", [2**53, 2**63, 10**30])
+    def test_repeats_float64_cannot_hold_rejected_before_any_query(self, repeats):
+        handles = self.make_handles(1)
+        with pytest.raises(ConfigurationError, match=r"^repeats must be < 2\*\*53$"):
+            collect_logits(handles, np.zeros((4, 16)), repeats=repeats)
+        assert handles[0].query_rows == 0
+
+    def test_the_largest_count_float64_holds_passes(self):
+        """2**53 - 1 is a count float64 holds exactly; it passes the check
+        (and is never run here)."""
+        fedkd.protocol._check_count("repeats", 2**53 - 1)
+
     def test_negative_query_noise_rejected(self):
         handles = self.make_handles(2)
         with pytest.raises(ConfigurationError, match="^query_noise must be >= 0$"):
@@ -505,6 +518,7 @@ class TestRunFedkd:
 
     @pytest.mark.parametrize("bad, message", [
         ({"repeats": 0}, "repeats must be >= 1"),
+        ({"repeats": 2**53}, "repeats must be < 2**53"),
         ({"query_noise": -0.5, "repeats": 2}, "query_noise must be >= 0"),
         ({"query_noise": math.nan}, "query_noise must be >= 0"),
         ({"central_hidden_dims": [8, 0]}, "central_hidden_dims entries must be >= 1"),
@@ -740,6 +754,15 @@ class TestRunFedavg:
         with pytest.raises(ConfigurationError):
             run_fedavg(train, plan, NODE_CFG, rounds=0, seed=0)
 
+    @pytest.mark.parametrize("rounds", [2**53, 2**63, 10**30])
+    def test_rounds_float64_cannot_hold_rejected_before_any_training(self, monkeypatch, rounds):
+        calls = []
+        monkeypatch.setattr(fedkd.protocol, "train_lockstep", lambda *a, **k: calls.append(1))
+        train, _, _, plan = make_fixture()
+        with pytest.raises(ConfigurationError, match=r"^rounds must be < 2\*\*53$"):
+            run_fedavg(train, plan, NODE_CFG, rounds=rounds, seed=0)
+        assert calls == []
+
     def test_a_plan_that_does_not_cover_the_data_once_is_rejected(self):
         """Row 8 goes to nodes 0 and 3 and row 3 to no node: run_fedavg
         rejects the plan before any training, with run_fedkd's message."""
@@ -794,38 +817,6 @@ class TestTrainSupervised:
         cfg = TrainConfig([32], epochs=10, batch_size=32)
         out = train_supervised(model.copy(), train, cfg, RandomStream(2, (46,)))
         assert evaluate_single(out, test) > before
-
-
-def reference_train(model, ds, cfg, batch_rs, rounds=1, round_index=0):
-    """train_supervised as the per-step chain of checked public calls, with a
-    copying SGD update: the oracle for the fused, in-place trainer. Round
-    ``round_index`` of ``rounds`` runs its steps on one cosine horizon over
-    all rounds; each step's rate is computed here inline."""
-    b = min(cfg.batch_size, ds.n)
-    per_epoch = ds.n // b
-    steps = cfg.epochs * per_epoch
-    step = round_index * steps
-    for _ in range(cfg.epochs):
-        order = batch_rs.permutation(ds.n)
-        for j in range(per_epoch):
-            idx = order[j * b : (j + 1) * b]
-            x = ds.features[idx]
-            z = mlp_forward(model, x)
-            if ds.task == SINGLE_LABEL:
-                _, gz = softmax_xent_grad(z, ds.labels[idx, 0])
-            else:
-                _, gz = masked_bce_grad(z, ds.labels[idx])
-            g = mlp_backward(model, x, gz)
-            lr = cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
-                1.0 + math.cos(math.pi * step / (rounds * steps)))
-            wd = cfg.weight_decay
-            model = MlpModel(
-                model.layer_dims,
-                [w - lr * (gw + wd * w) for w, gw in zip(model.weights, g.weights)],
-                [b_ - lr * (gb + wd * b_) for b_, gb in zip(model.biases, g.biases)],
-            )
-            step += 1
-    return model
 
 
 def multi_label_fixture(seed=0, n=150, dim=16, classes=4):
@@ -1157,6 +1148,56 @@ class TestIndexRows:
             tracemalloc.stop()
         assert len(peaks) == 1 and peaks[0] < 2 * public.features.nbytes, (
             peaks, public.features.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# a whole run against the chain of oracles
+
+# pairwise over weight mode, S, gamma and loss: every pair of two knobs' values
+# is in some case; the knobs after those four ride along on one case each
+ORACLE_CASES = {
+    "per_class-S200-gamma1-l2-labeled_public": ("per_class", 200, 1.0, "logit_l2",
+                                                {"labeled_public": True}),
+    "per_class-off-off-kl-repeats": ("per_class", None, None, "kl",
+                                     {"repeats": 2, "query_noise": 0.1}),
+    "uniform-S200-off-kl": ("uniform", 200, None, "kl", {}),
+    "uniform-off-gamma1-kl": ("uniform", None, 1.0, "kl", {}),
+    "uniform-off-off-l2": ("uniform", None, None, "logit_l2", {}),
+    "multi_label_csv": ("per_class", 200, 1.0, "kl", {"multi": True}),
+}
+
+
+class TestEndToEndOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_run_fedkd_matches_the_chain_of_oracles(self, tmp_path, case):
+        """teacher_logits, the central model and the trace of run_fedkd are
+        the bits of conftest.reference_fedkd, which shares no trainer, query,
+        quantizer or noise kernel with the package."""
+        weight_mode, scale, gamma, loss, extra = ORACLE_CASES[case]
+        extra = dict(extra)
+        doc = {
+            "task": {"kind": "synthetic", "num_classes": 3, "dim": 6, "train_per_class": 30,
+                     "test_per_class": 10, "public_per_class": 30},
+            "num_nodes": 3, "alpha": 0.5,
+            "node": {"hidden_dims": [8], "epochs": 3, "batch_size": 16, "lr_start": 0.1,
+                     "weight_decay": 1e-3},
+            "ensemble": {"quant_scale": scale, "gamma": gamma, "weight_mode": weight_mode},
+            "distill": {"steps": 40, "batch_size": 16, "lr_start": 0.05, "weight_decay": 1e-3,
+                        "loss_mode": loss, **({"tau": 2.0} if loss == "kl" else {})},
+            "central_hidden_dims": [8],
+        }
+        if extra.pop("multi", False):
+            doc["task"] = write_csv_task(tmp_path, multi=True)
+        doc.update(extra)
+        run = parse_dict(doc)
+        private, public, test, plan = build_data(run, 0)
+        result = run_fedkd(private, public, test, plan, run, 0)
+        teacher, central, trace = reference_fedkd(private, public, plan, run, 0)
+        assert same_bits(result.teacher_logits, teacher)
+        assert bits_equal(result.central_model, central)
+        assert len(result.trace) == run.distill.steps
+        assert [(r["step"], float.hex(r["loss"]), float.hex(r["lr"])) for r in result.trace] == [
+            (r["step"], float.hex(r["loss"]), float.hex(r["lr"])) for r in trace]
 
 
 # ---------------------------------------------------------------------------
