@@ -4,10 +4,12 @@ noisy ensemble of per-node logit blocks.
 
 The quantizer follows the closed form Q(z) = ceil(S*z / (2*z_max)) * 2*z_max/S,
 with the level clamped to ceil(S/2) against rounding at z = z_max, so the
-emitted grid has at most S+1 distinct levels on [-z_max, z_max] and the
-per-value error is bounded by 2*z_max/S. Where S*z_max overflows, the level
-is ceil(z/z_max * S/2), clamped to floor(S/2), and its value level/(S/2) *
-z_max, so no step of the arithmetic can overflow.
+emitted grid has at most S+1 distinct levels on [-z_max, z_max]. The
+per-value error is at most 2*z_max/S, times 1 + (S+1)/2**52 for the rounding
+of the level. One range rule holds where values come in: a logit block's
+max |z| is below 2**960 and S below 2**53. Then S*z stays below 2**1013,
+and any sum of blocks, each at most z_max*(1 + 1/S), stays finite, so
+neither the quantizer nor the fold can overflow.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ PER_CLASS = "per_class"
 UNIFORM = "uniform"
 
 _TINY = np.finfo(np.float64).tiny
-_DBL_MAX = np.finfo(np.float64).max
+Z_LIMIT, S_LIMIT = 2.0**960, 2**53  # the range rule: |z| < Z_LIMIT, S < S_LIMIT
 
 
 @dataclass
@@ -47,6 +49,8 @@ class LogitBlock:
             raise ValidationError("logits: non-finite entries")
         self.logits = logits
         self.local_max_abs = float(max(abs(hi), abs(lo)))
+        if self.local_max_abs >= Z_LIMIT:
+            raise ValidationError("logits: max |z| must be < 2**960")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,8 +68,8 @@ class EnsembleConfig:
     weight_mode: str = PER_CLASS
 
     def __post_init__(self):
-        if self.quant_scale is not None and self.quant_scale < 2:
-            raise ConfigurationError("quant_scale must be >= 2 (or None to disable)")
+        if self.quant_scale is not None and not 2 <= self.quant_scale < S_LIMIT:
+            raise ConfigurationError("quant_scale must be in [2, 2**53) (or None to disable)")
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigurationError("gamma must be > 0 (or None to disable)")
         if self.weight_mode not in (PER_CLASS, UNIFORM):
@@ -118,32 +122,22 @@ def _quantize(z: np.ndarray, z_max: float, scale: int, out: np.ndarray | None = 
     """Unchecked grid values of ``z``, written into ``out`` (a new array if
     None): the level ceil(S*z / (2*z_max)), clamped to ceil(S/2) since at
     z = z_max the quotient can round to just above S/2, times the step
-    2*z_max/S. Where S*z_max overflows, the level is ceil(z/z_max * S/2),
-    clamped to floor(S/2), over S/2 and then times z_max."""
+    2*z_max/S. The range rule keeps every step finite."""
     out = np.empty(np.shape(z)) if out is None else out
-    wide = not math.isfinite(scale * float(z_max))  # S*z for some |z| <= z_max overflows
-    if wide:
-        np.divide(z, z_max, out=out)
-        out *= scale / 2
-    else:
-        np.multiply(scale, z, out=out)
-        out /= 2.0 * z_max
+    np.multiply(scale, z, out=out)
+    out /= 2.0 * z_max
     np.ceil(out, out=out)
-    np.minimum(out, float(scale // 2 if wide else -(-scale // 2)), out=out)
-    if wide:
-        out /= scale / 2
-        out *= z_max
-    else:
-        out *= 2.0 * z_max / scale
+    np.minimum(out, float(-(-scale // 2)), out=out)
+    out *= 2.0 * z_max / scale
     return out
 
 
 def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     """Snap every logit to the uniform grid defined by z_max and scale."""
-    if not z_max > 0:
-        raise RangeError("z_max must be > 0")
-    if scale < 2:
-        raise RangeError("quantization scale must be >= 2")
+    if not 0 < z_max < Z_LIMIT:
+        raise RangeError("z_max must be in (0, 2**960)")
+    if not 2 <= scale < S_LIMIT:
+        raise RangeError("quantization scale must be in [2, 2**53)")
     z = np.asarray(z, dtype=np.float64)
     if z.size and not np.max(np.abs(z)) <= z_max:  # NaN fails the test too
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
@@ -193,29 +187,18 @@ def ensemble(
         raise DimensionError("weight table class count does not match blocks")
 
     # The uniform mean sums the blocks, then divides, so the no-op
-    # configuration is exactly the mean. Where 2K times the largest value
-    # summed (a logit, or a grid value of at most z_max*(1 + 1/S)) overflows,
-    # each block is divided by K first; only the last rounding of that sum can
-    # then pass the float range, and the mean is clamped back into it.
-    k = len(blocks)
-    top = max(b.local_max_abs for b in blocks) * (1 + 1 / cfg.quant_scale if z_max else 1)
-    divide_first = not weighted and not math.isfinite(2 * k * top)
+    # configuration is exactly the mean.
     acc = np.zeros(shape)
     buf = np.empty(shape)
-    with np.errstate(over="ignore"):  # only a divided-first sum can, and it is clamped below
-        for b in blocks:
-            q = b.logits
-            if z_max > 0:
-                q = _quantize(q, z_max, cfg.quant_scale, out=buf)
-            if weighted:
-                q = _rowwise(np.multiply, q, weights.omega[b.node_id][None, :], buf)
-            elif divide_first:
-                q = np.divide(q, k, out=buf)
-            acc += q
-    if divide_first:
-        np.clip(acc, -_DBL_MAX, _DBL_MAX, out=acc)
-    elif not weighted:
-        acc /= k
+    for b in blocks:
+        q = b.logits
+        if z_max > 0:
+            q = _quantize(q, z_max, cfg.quant_scale, out=buf)
+        if weighted:
+            q = _rowwise(np.multiply, q, weights.omega[b.node_id][None, :], buf)
+        acc += q
+    if not weighted:
+        acc /= len(blocks)
 
     if cfg.gamma is not None:
         acc += laplace_sample(cfg.gamma, rs, size=shape)

@@ -340,8 +340,8 @@ def collect_logits(
     """One logit block per trained node: the mean of ``repeats`` passes, each
     over its own Gaussian-perturbed copy of the public features, the first
     pass too (clean at ``noise_scale`` 0), billed repeats times. A block
-    that is not finite, or a noisy copy of the features that is not, is a
-    ValidationError naming its node."""
+    that is not finite or reaches 2**960, or a noisy copy of the features
+    that is not finite, is a ValidationError naming its node."""
     public_features = check_matrix(public_features, "public features")
     _check_query(repeats, noise_scale)
     rows, cols = public_features.shape

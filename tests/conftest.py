@@ -5,10 +5,10 @@ latter with its row-wise KL loss), the forward pass, quantizer and Laplace
 draw as they were before their fast paths, the data-to-student oracle of a
 whole run built from them, the per-row rule of a multi-label row's partition
 class, the block-list formula of a synthetic split, a copy of a dataset's
-rows, a config file and a small CSV task written out, the README's
-quick-start config and library example, a runner of ``python`` in a fresh
-interpreter, the arrays and bit comparison of the fast-path tests, and the
-traced memory peak of a call."""
+rows, a config file and a small CSV task written out, a CSV file's rows
+read through a closed file, the README's quick-start config and library
+example, a runner of ``python`` in a fresh interpreter, the arrays and bit
+comparison of the fast-path tests, and the traced memory peak of a call."""
 import copy
 import csv
 import json
@@ -183,6 +183,13 @@ def run_python(*args, env=None, cwd=None) -> subprocess.CompletedProcess:
         env={**os.environ, **(env or {}), "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, cwd=cwd,
     )
+
+
+def read_rows(path) -> list[dict]:
+    """The rows of a CSV file with a header (an ablation.csv or ledger.csv)
+    as dicts, read through a file closed before the rows are returned."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(tmp_path, doc, name="cfg.json"):

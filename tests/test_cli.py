@@ -41,7 +41,7 @@ from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
 from fedkd.protocol import FedKdRun, TrainConfig, _central_metrics, run_fedavg, run_fedkd
 
-from conftest import reference_distill, run_python, write_config, write_csv_task
+from conftest import read_rows, reference_distill, run_python, write_config, write_csv_task
 
 DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
@@ -249,7 +249,7 @@ class TestRunArtifacts:
         assert metrics["algorithm"] == "fedavg"
         assert metrics["trace_path"] is None
         assert not (rd / "trace.jsonl").exists()
-        phases = {r[0] for r in list(csv.reader((rd / "ledger.csv").open()))[1:]}
+        phases = {r["phase"] for r in read_rows(rd / "ledger.csv")}
         assert phases == {"params_down", "params_up"}
 
     def test_fedkd_and_fedavg_share_an_out_dir(self, tmp_path):
@@ -264,7 +264,7 @@ class TestAblate:
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, 1.0],
                                          "seeds": [0, 1]}))
         path = cmd_ablate(cfg, tmp_path, force=False)
-        rows = list(csv.DictReader(path.open()))
+        rows = read_rows(path)
         assert len(rows) == 4
         assert [r["value"] for r in rows] == ["off", "off", "1.0", "1.0"]
         assert all(r["param"] == "gamma" for r in rows)
@@ -275,7 +275,7 @@ class TestAblate:
     def test_failing_cell_keeps_its_row(self, tmp_path):
         cfg = parse_dict(tiny_doc(sweep={"param": "K", "values": [2, 100000],
                                          "seeds": [0]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert len(rows) == 2
         assert rows[0]["error"] == "" and rows[0]["accuracy"] != ""
         assert rows[1]["error"] != "" and rows[1]["accuracy"] == ""
@@ -284,7 +284,7 @@ class TestAblate:
         cfg = parse_dict(tiny_doc(node={"hidden_dims": [16], "epochs": 5, "lr_start": 50},
                                   sweep={"param": "S", "values": [50], "seeds": [0]}))
         path = cmd_ablate(cfg, tmp_path, force=False)
-        rows = list(csv.DictReader(path.open()))
+        rows = read_rows(path)
         assert rows[0]["error"].startswith("DivergenceError: distillation diverged")
         assert rows[0]["accuracy"] == ""
 
@@ -294,7 +294,7 @@ class TestAblate:
                        "test": "x.csv", "task_type": "single_label",
                        "num_classes": 2, "feature_cols": ["a"], "label_cols": ["y"]}
         cfg = parse_dict(doc)
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert all("synthetic" in r["error"] for r in rows)
 
     def test_existing_csv_guarded(self, tmp_path):
@@ -686,7 +686,7 @@ class TestMainExitCodes:
         out = tmp_path / "o"
         assert main(["ablate", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "ablation.csv").open()))
+        rows = read_rows(out / "ablation.csv")
         assert [r["error"] for r in rows] == [
             f"ValidationError: {path}: row 9: features: non-finite entries"] * 2
 
@@ -870,7 +870,7 @@ def test_overflowing_value_prints_one_line_naming_it(tmp_path, key, message):
         (0, "") if key == "query_noise" else (3, f"runtime error: {message}\n"))
     ablate = cli("ablate", {**doc, "sweep": sweep})
     assert (ablate.returncode, ablate.stderr) == (0, "")
-    rows = list(csv.DictReader((tmp_path / "ablate" / "ablation.csv").open()))
+    rows = read_rows(tmp_path / "ablate" / "ablation.csv")
     assert [r["error"] for r in rows if r["seed"] == "0"] == [f"ValidationError: {message}"] * 2
     assert all(r["error"] for r in rows)  # at seed 1 the class means may stay finite
 
@@ -878,16 +878,16 @@ def test_overflowing_value_prints_one_line_naming_it(tmp_path, key, message):
 @pytest.mark.parametrize("over, message", [
     ({"task": {**tiny_doc()["task"], "class_sep": 1e308}},
      "node training diverged on node 1: non-finite parameters"),
-    ({"query_noise": 1e300, "repeats": 2},
+    ({"query_noise": 1e280, "repeats": 2},
      "distillation diverged on the central model: non-finite parameters"),
 ])
 def test_finite_but_huge_value_reaches_training(tmp_path, over, message):
     """A value too large for training but not for the features is not named
     by its key: at seed 1, class means of 1e308 stay finite and a node
-    diverges, and a query noise of 1e300 averaged over two passes stays
-    finite and the student diverges. run exits 3 with the one line the
-    README gives, outside pytest's warning capture, and leaves no run
-    directory."""
+    diverges, and a query noise of 1e280 averaged over two passes gives
+    logits below 2**960 and the student diverges. run exits 3 with the one
+    line the README gives, outside pytest's warning capture, and leaves no
+    run directory."""
     doc = tiny_doc(seed=1, **over)
     out = run_python("-W", "error::RuntimeWarning", "-m", "fedkd.cli", "run",
                      "--config", write_config(tmp_path, doc), "--out", tmp_path / "o")
@@ -949,7 +949,7 @@ SWEEP_EDITS = {
 
 def _ablate_rows(tmp_path, param, value, seed=1):
     cfg = parse_dict(tiny_doc(sweep={"param": param, "values": [value], "seeds": [seed]}))
-    return list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+    return read_rows(cmd_ablate(cfg, tmp_path, force=False))
 
 
 class TestSweepCells:
@@ -1009,7 +1009,7 @@ class TestSweepBatch:
                        **({"tau": 2.0} if loss == KL else {})}
         cfg = parse_dict(tiny_doc(distill=distill_doc,
                                   sweep={"param": param, "values": values, "seeds": [0, 3]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert [(r["value"], r["seed"]) for r in rows] == [
             ("off" if v is None else str(v), s) for v in values for s in ("0", "3")]
 
@@ -1061,7 +1061,7 @@ class TestSweepBatch:
         assert all(lines[0] == header for lines in per_seed)
         assert rows == [line for pair in zip(*(lines[1:] for lines in per_seed))
                         for line in pair]
-        errors = [r["error"] for r in csv.DictReader(both.open(newline=""))]
+        errors = [r["error"] for r in read_rows(both)]
         assert errors[4] == errors[5] and errors[4].startswith("ConfigurationError: ")
         if node_lr > 1:
             assert all(e.startswith("DivergenceError: node training") for e in errors[:4])
@@ -1080,7 +1080,7 @@ class TestSweepBatch:
     def test_only_the_failing_cells_get_an_error_row(self, tmp_path, gamma, error):
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, gamma],
                                          "seeds": [0, 3]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert [r["error"] for r in rows] == ["", "", error, error]
         assert all(r["accuracy"] == r["bandwidth"] == "" for r in rows[2:])
         for row, seed in zip(rows[:2], (0, 3)):
@@ -1105,7 +1105,7 @@ class TestSweepBatch:
 
         monkeypatch.setattr(fedkd.protocol, "distill", recording)
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": values, "seeds": [0, 3]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         monkeypatch.setattr(fedkd.protocol, "distill", real)
 
         failed = []
@@ -1156,7 +1156,7 @@ class TestSweepBatch:
         calls = self.count_stacked_calls(monkeypatch)
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, 1.0, 0.5],
                                          "seeds": [0, 1]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert len(rows) == 6 and all(r["error"] == "" for r in rows)
         assert calls == [("train_lockstep", 18), ("distill", 6)]
 
@@ -1225,14 +1225,14 @@ class TestSweepStages:
 
         monkeypatch.setattr(fedkd.cli, "build_data", counting)
         cfg = parse_dict(tiny_doc(sweep={"param": param, "values": values, "seeds": [0, 3]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert len(rows) == 2 * len(values) and all(r["error"] == "" for r in rows)
         assert len(calls) == builds
         assert all(calls.count(c) == 1 for c in calls)
 
     def test_each_invalid_value_fails_only_its_own_rows(self, tmp_path):
         cfg = parse_dict(tiny_doc(sweep={"param": "K", "values": [0, 2, 0], "seeds": [0, 3]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert [(r["value"], r["seed"]) for r in rows] == [
             (v, s) for v in ("0", "2", "0") for s in ("0", "3")]
         for row in rows[:2] + rows[4:]:
@@ -1248,7 +1248,7 @@ class TestSweepStages:
         """1 == 1.0 == true in Python, but true is no node count."""
         cfg = parse_dict(tiny_doc(sweep={"param": "K", "values": [1, True, 1.0],
                                          "seeds": [0]}))
-        rows = list(csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open()))
+        rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert [r["error"] for r in rows] == [
             "", "ConfigurationError: num_nodes must be an integer", ""]
         result = execute_fedkd(parse_dict(tiny_doc(num_nodes=1)), 0)
@@ -1281,8 +1281,8 @@ class TestSweepKeepsNoTrace:
         if multi:
             doc["task"] = write_csv_task(tmp_path, multi=True)
         sweep = {"param": "gamma", "values": [None, 1.0], "seeds": [0, 1]}
-        rows = list(csv.DictReader(
-            cmd_ablate(parse_dict({**doc, "sweep": sweep}), tmp_path / "sweep", force=False).open()))
+        rows = read_rows(
+            cmd_ablate(parse_dict({**doc, "sweep": sweep}), tmp_path / "sweep", force=False))
         assert len(rows) == 4 and all(r["error"] == "" for r in rows)
         assert calls == []
 
@@ -1493,7 +1493,7 @@ class TestFailedRunLeavesNoRunDirectory:
 
     def test_a_repeats_sweep_value_float64_cannot_hold_is_its_own_error_row(self, tmp_path):
         cfg = parse_dict(tiny_doc(sweep={"param": "R", "values": [1e300, 1], "seeds": [0]}))
-        big, one = csv.DictReader(cmd_ablate(cfg, tmp_path, force=False).open())
+        big, one = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert (big["value"], big["error"]) == ("1e+300",
                                                 "ConfigurationError: repeats must be < 2**53")
         assert big["accuracy"] == big["bandwidth"] == ""
@@ -1659,7 +1659,7 @@ class TestParseTimeChecks:
         ("distill", {"distill": {"steps": 0}}, "steps must be >= 1"),
         ("distill", {"distill": {"loss_mode": "kl"}}, "kl loss needs a finite tau"),
         ("ensemble", {"ensemble": {"quant_scale": 1}},
-         "quant_scale must be >= 2 (or None to disable)"),
+         "quant_scale must be in [2, 2**53) (or None to disable)"),
         ("task", {"task": {**CSV_DOC["task"], "task_type": "weird"}},
          "unknown task_type 'weird'"),
         ("task", {"task": {**CSV_DOC["task"], "task_type": "multi_label", "num_classes": 0,
@@ -1712,11 +1712,27 @@ class TestParseTimeChecks:
         assert no_training == []
 
 
+def one_feature_task(tmp_path, splits):
+    """A single-label CSV task of one feature ``x`` and two classes, each
+    split written from its (x, y) rows."""
+    task = {"kind": "csv", "task_type": "single_label", "num_classes": 2,
+            "feature_cols": ["x"], "label_cols": ["y"]}
+    for split, rows in splits.items():
+        path = tmp_path / f"{split}.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{y}\n" for x, y in rows))
+        task[split] = str(path)
+    return task
+
+
+LINEAR_PRIVATE = [(0.5, 0), (0.6, 1), (0.4, 0), (0.7, 1)]
+
+
 def test_overflowing_model_evaluation_is_a_one_line_runtime_error(tmp_path, capsys):
-    """Found by the fuzz below: a node trained at lr 1e300 stays finite, so
-    the student distilled from it does too, but its test logits overflow."""
+    """Found by the fuzz below: a node trained at lr 1e200 stays finite and
+    answers below 2**960, so the student distilled from it stays finite
+    too, but its test logits overflow."""
     doc = tiny_doc(num_nodes=1, node={"hidden_dims": [], "epochs": 1, "batch_size": 1,
-                                      "lr_start": 1e300},
+                                      "lr_start": 1e200},
                    distill={"steps": 1, "batch_size": 1}, central_hidden_dims=[2],
                    ensemble={"quant_scale": None, "gamma": None})
     doc["task"].update(num_classes=2, dim=1, train_per_class=1, test_per_class=1,
@@ -1729,19 +1745,14 @@ def test_overflowing_model_evaluation_is_a_one_line_runtime_error(tmp_path, caps
 
 
 def test_overflowing_node_evaluation_names_the_node(tmp_path, capsys):
-    """A node trained at lr 1e300 answers the all-zero public rows with finite
-    logits, so the query and distillation pass, but its logits on the far-out
-    test rows overflow: the one stderr line says which model it was."""
-    task = {"kind": "csv", "task_type": "single_label", "num_classes": 2,
-            "feature_cols": ["x"], "label_cols": ["y"]}
-    splits = {"private": [(1.0, 0)], "public": [(0.0, 0), (0.0, 1)],
-              "test": [(1e10, 0), (1e10, 1)]}
-    for split, rows in splits.items():
-        path = tmp_path / f"{split}.csv"
-        path.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows))
-        task[split] = str(path)
+    """A node trained at lr 1e250 answers the all-zero public rows with its
+    bias, below 2**960, so the query and distillation pass, but its logits
+    on the far-out test rows overflow: the one stderr line says which model
+    it was."""
+    task = one_feature_task(tmp_path, {"private": [(1.0, 0)], "public": [(0.0, 0), (0.0, 1)],
+                                       "test": [(1e100, 0), (1e100, 1)]})
     doc = tiny_doc(task=task, num_nodes=1, central_hidden_dims=[],
-                   node={"hidden_dims": [], "epochs": 1, "batch_size": 1, "lr_start": 1e300},
+                   node={"hidden_dims": [], "epochs": 1, "batch_size": 1, "lr_start": 1e250},
                    distill={"steps": 1, "batch_size": 1},
                    ensemble={"quant_scale": None, "gamma": None})
     p = write_config(tmp_path, doc)
@@ -1751,19 +1762,13 @@ def test_overflowing_node_evaluation_names_the_node(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_uniform_ensemble_past_the_float_range_runs(tmp_path, capsys):
-    """Two linear nodes answer the public row at 1e308 with logits whose sum
-    overflows; the uniform ensemble averages them to a finite teacher with no
-    numpy warning, so the run succeeds (it failed on "teacher logits:
-    non-finite entries" when the blocks were summed before dividing)."""
-    task = {"kind": "csv", "task_type": "single_label", "num_classes": 2,
-            "feature_cols": ["x"], "label_cols": ["y"]}
-    splits = {"private": [(0.5, 0), (0.6, 1), (0.4, 0), (0.7, 1)],
-              "public": [(1e308, 0), (-1e308, 1)], "test": [(0.5, 0), (0.6, 1)]}
-    for split, rows in splits.items():
-        path = tmp_path / f"{split}.csv"
-        path.write_text("x,y\n" + "".join(f"{x!r},{y}\n" for x, y in rows))
-        task[split] = str(path)
+def test_uniform_ensemble_near_the_range_limit_runs(tmp_path, capsys):
+    """Two linear nodes answer the public rows at 1e288 with logits near the
+    range rule's 2**960; the uniform ensemble sums and averages them to a
+    finite teacher with no numpy warning, so the run succeeds."""
+    task = one_feature_task(tmp_path, {"private": LINEAR_PRIVATE,
+                                       "public": [(1e288, 0), (-1e288, 1)],
+                                       "test": [(0.5, 0), (0.6, 1)]})
     doc = tiny_doc(task=task, num_nodes=2, alpha=100.0, seed=0, central_hidden_dims=[],
                    node={"hidden_dims": [], "epochs": 1, "batch_size": 1, "lr_start": 0.0},
                    distill={"steps": 1, "batch_size": 1, "lr_start": 0.0, "loss_mode": "kl",
@@ -1772,11 +1777,10 @@ def test_uniform_ensemble_past_the_float_range_runs(tmp_path, capsys):
     cfg = parse_dict(doc)
     result = execute_fedkd(cfg, 0)
     assert len(result.handles) == 2 and all(h.model is not None for h in result.handles)
-    public = np.array([[1e308], [-1e308]])
+    public = np.array([[1e288], [-1e288]])
     z = [mlp_forward(h.model, public) for h in result.handles]
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(z[0] + z[1]).all()
-    assert np.array_equal(result.teacher_logits, z[0] / 2 + z[1] / 2)
+    assert 2.0**955 < max(np.abs(z[0]).max(), np.abs(z[1]).max()) < 2.0**960
+    assert np.array_equal(result.teacher_logits, (z[0] + z[1]) / 2)
     p = write_config(tmp_path, doc)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
@@ -1796,15 +1800,68 @@ def test_overflowing_public_query_names_the_node(tmp_path, capsys):
         "runtime error: querying node 0: logits: non-finite entries\n")
 
 
-def test_quantizing_near_the_float_limit_prints_one_stderr_line(tmp_path, capsys):
-    """A node trained at lr 1e305 answers with logits so large that S*z_max
-    overflows; the teacher is still quantized to finite values without a
-    numpy warning, so the run fails on one line, in distillation."""
-    doc = tiny_doc(num_nodes=1, node={"hidden_dims": [], "epochs": 5, "lr_start": 1e305})
+def test_quantizing_near_the_range_limit_prints_one_stderr_line(tmp_path, capsys):
+    """A node trained at lr 1e288 answers with logits just below 2**960, and
+    S is the largest the rule accepts, so S*z_max is near 2**1013; the
+    teacher is still quantized to finite values without a numpy warning, so
+    the run fails on one line, in distillation."""
+    doc = tiny_doc(num_nodes=1, node={"hidden_dims": [], "epochs": 5, "lr_start": 1e288},
+                   ensemble={"quant_scale": 2**53 - 1, "gamma": 1.0})
     p = write_config(tmp_path, doc)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
         "runtime error: distillation diverged on the central model: non-finite parameters\n")
+
+
+SCALE_RULE = "quant_scale must be in [2, 2**53) (or None to disable)"
+LOGIT_RULE = "logits: max |z| must be < 2**960"
+
+
+class TestRangeRule:
+    """Inputs past the range rule (logits below 2**960, S below 2**53), each
+    run in a fresh interpreter outside pytest's warning filters, so a numpy
+    warning would reach stderr: the exit code the CLI contract gives, one
+    stderr line, and no run directory."""
+
+    @staticmethod
+    def cli(tmp_path, command, doc):
+        return run_python("-m", "fedkd.cli", command, "--config", write_config(tmp_path, doc),
+                          "--out", tmp_path / "o")
+
+    def test_a_scale_of_2_53_is_a_config_error_in_its_section(self, tmp_path):
+        out = self.cli(tmp_path, "run", tiny_doc(ensemble={"quant_scale": 2**53}))
+        assert (out.returncode, out.stderr) == (2, f"config error: {SCALE_RULE} (in ensemble)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_an_s_sweep_value_of_2_53_is_its_own_error_row(self, tmp_path):
+        doc = tiny_doc(sweep={"param": "S", "values": [2**53, 50], "seeds": [0]})
+        out = self.cli(tmp_path, "ablate", doc)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["ablation.csv"]
+        big, fifty = read_rows(tmp_path / "o" / "ablation.csv")
+        assert (big["error"], big["accuracy"], big["bandwidth"]) == (
+            f"ConfigurationError: {SCALE_RULE} (in ensemble)", "", "")
+        assert fifty["error"] == ""
+
+    @pytest.mark.parametrize("case", ["linear_csv", "readme_query_noise"])
+    def test_logits_reaching_2_960_are_a_runtime_error_naming_the_node(self, tmp_path, case):
+        """A linear node answers public rows at 1e300 with logits past the
+        rule; so does a node queried with the README's noise of 1e300, whose
+        mean over two passes is finite, at seed 1."""
+        if case == "linear_csv":
+            task = one_feature_task(tmp_path, {"private": LINEAR_PRIVATE,
+                                               "public": [(1e300, 0), (-1e300, 1)],
+                                               "test": [(0.5, 0), (0.6, 1)]})
+            doc = tiny_doc(task=task, num_nodes=1, central_hidden_dims=[],
+                           node={"hidden_dims": [], "epochs": 1, "batch_size": 1,
+                                 "lr_start": 0.0},
+                           distill={"steps": 1, "batch_size": 1})
+        else:
+            doc = tiny_doc(seed=1, query_noise=1e300, repeats=2)
+        out = self.cli(tmp_path, "run", doc)
+        assert (out.returncode, out.stderr) == (
+            3, f"runtime error: querying node 0: {LOGIT_RULE}\n")
+        assert not (tmp_path / "o").exists()
 
 
 # One field set out of its range: each is a config error (exit 2) or, for
@@ -1817,7 +1874,8 @@ OUT_OF_RANGE = [
     (("task", "public_per_class"), 0), (("task", "cov_scale"), 1e300),
     (("node", "epochs"), 0), (("node", "batch_size"), 0), (("node", "lr_end"), 1.0),
     (("node", "lr_start"), 1e300), (("node", "hidden_dims"), [0]),
-    (("ensemble", "quant_scale"), 1), (("ensemble", "gamma"), 0.0),
+    (("ensemble", "quant_scale"), 1), (("ensemble", "quant_scale"), 2**53),
+    (("ensemble", "gamma"), 0.0),
     (("ensemble", "gamma"), 1e-320), (("ensemble", "weight_mode"), "loudest"),
     (("distill", "steps"), 0), (("distill", "batch_size"), 10**6), (("distill", "tau"), 0.0),
     (("distill", "lr_start"), 1e300),

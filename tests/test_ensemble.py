@@ -1,6 +1,7 @@
 """Importance weights, quantizer, Laplace noise, ensemble."""
 import importlib
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from fedkd.ensemble import (
     EnsembleConfig,
     LogitBlock,
     PER_CLASS,
+    S_LIMIT,
     UNIFORM,
+    Z_LIMIT,
     WeightTable,
     ensemble,
     global_max_abs,
@@ -23,7 +26,9 @@ from fedkd.errors import ConfigurationError, DimensionError, RangeError, Validat
 from fedkd.numkit import _BLOCK, RandomStream, check_matrix
 
 from conftest import (DBL_MAX, SPECIALS, mixed, old_grid_values, old_laplace, old_levels,
-                      same_bits, traced_peak)
+                      run_python, same_bits, traced_peak)
+
+Z_TOP = np.nextafter(Z_LIMIT, 0.0)  # the largest |logit| and z_max the range rule accepts
 
 
 def block(node_id, values):
@@ -194,7 +199,7 @@ class TestQuantize:
         z_max = 0.6480681684638473
         assert quantize_array(np.array([[z_max]]), z_max, 200)[0, 0] <= z_max
 
-    @given(st.integers(1, 500), st.floats(1e-300, 1e300))
+    @given(st.integers(1, 500), st.floats(1e-300, Z_TOP))
     @settings(max_examples=300, deadline=None)
     def test_a_block_holding_its_max_stays_on_the_grid(self, half, z_max):
         scale = 2 * half
@@ -202,20 +207,66 @@ class TestQuantize:
         q = quantize_array(np.array([[z_max, -z_max]]), z_max, scale)
         assert q.max() <= np.nextafter(z_max, np.inf)
 
-    def test_values_past_the_float_range_over_s_keep_their_level(self):
-        # S*z overflows for |z| > DBL_MAX/S; 5e306 is on the grid of step 1e305
-        q = quantize_array(np.array([[1e307, -1e307, 5e306]]), 1e307, 200)
-        assert q.tolist() == [[1e307, -1e307, 5e306]]
+    def test_values_near_the_range_limit_keep_their_level(self):
+        # S*z is 2**967 at z = z_max = 2**959; z_max/2 is on the grid of step 2**952
+        z_max = 2.0**959
+        q = quantize_array(np.array([[z_max, -z_max, z_max / 2]]), z_max, 256)
+        assert q.tolist() == [[z_max, -z_max, z_max / 2]]
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
-           st.floats(DBL_MAX / 4, DBL_MAX), st.integers(2, 5000))
+           st.floats(Z_LIMIT / 4, Z_TOP), st.integers(2, 5000))
     @settings(max_examples=300, deadline=None)
-    def test_error_bound_near_the_float_limit(self, fracs, z_max, scale):
+    def test_error_bound_near_the_range_limit(self, fracs, z_max, scale):
         z = np.sort(np.array([fracs]) * z_max)
         q = quantize_array(z, z_max, scale)
         assert np.isfinite(q).all()
         assert np.abs(q - z).max() <= z_max / scale * 2.0 * (1 + 1e-12)
         assert (q[:, 1:] >= q[:, :-1]).all()  # np.diff could overflow
+
+
+class TestRangeRule:
+    """z_max below 2**960 and S below 2**53: refused past the rule, and at its
+    largest accepted values finite, with no numpy warning."""
+
+    @pytest.mark.parametrize("z_max, scale, message", [
+        (Z_LIMIT, 200, r"z_max must be in \(0, 2\*\*960\)"),
+        (1e307, 200, r"z_max must be in \(0, 2\*\*960\)"),
+        (1.0, S_LIMIT, r"quantization scale must be in \[2, 2\*\*53\)"),
+        (1.0, 10**30, r"quantization scale must be in \[2, 2\*\*53\)"),
+    ])
+    def test_quantize_array_refuses_a_range_past_the_rule(self, z_max, scale, message):
+        with pytest.raises(RangeError, match=f"^{message}$"):
+            quantize_array(np.zeros((1, 2)), z_max, scale)
+
+    def test_a_block_reaching_the_limit_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^logits: max \|z\| must be < 2\*\*960$"):
+            LogitBlock(0, np.array([[0.0, -Z_LIMIT]]))
+        assert LogitBlock(0, np.array([[0.0, -Z_TOP]])).local_max_abs == Z_TOP
+
+    def test_the_largest_accepted_values_run_without_a_numpy_warning(self):
+        """In a fresh interpreter, outside pytest's warning filters: z_max just
+        below 2**960 with S = 2**53 - 1 quantizes to finite grid values within
+        the bound the module docstring gives, and a uniform ensemble of 64
+        such blocks stays finite."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from fedkd.ensemble import (S_LIMIT, Z_LIMIT, EnsembleConfig, LogitBlock,
+                                        ensemble, quantize_array)
+            from fedkd.numkit import RandomStream
+            z_max, scale = np.nextafter(Z_LIMIT, 0.0), S_LIMIT - 1
+            z = np.linspace(-1.0, 1.0, 1001).reshape(-1, 1) * z_max
+            q = quantize_array(z, z_max, scale)
+            step = 2.0 * z_max / scale
+            assert np.isfinite(q).all()
+            assert (np.abs(q - z) <= step * (1 + (scale + 1) * 2.0**-52)).all()
+            assert (q[1:] >= q[:-1]).all()
+            blocks = [LogitBlock(k, z) for k in range(64)]
+            cfg = EnsembleConfig(quant_scale=scale, gamma=1.0, weight_mode="uniform")
+            assert np.isfinite(ensemble(blocks, None, cfg, RandomStream(0, (1,)))).all()
+            print("ok")
+        """)
+        out = run_python("-c", script)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "ok\n", "")
 
 
 class _StubStream:
@@ -267,10 +318,10 @@ class TestFastPathBits:
     @settings(max_examples=60, deadline=None)
     @given(size=st.sampled_from([1, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]),
            cols=st.sampled_from([1, 10]),
-           z_max=st.sampled_from([1.0, 0.6480681684638473, 3e5, 1e300, DBL_MAX / 4, DBL_MAX]),
-           scale=st.sampled_from([2, 3, 200, 255, 10**6]),
+           z_max=st.sampled_from([1.0, 0.6480681684638473, 3e5, 1e288, Z_LIMIT / 4, Z_TOP]),
+           scale=st.sampled_from([2, 3, 200, 255, 10**6, S_LIMIT - 1]),
            seed=st.integers(0, 2**20))
-    def test_quantize_normal_and_overflow_branch(self, size, cols, z_max, scale, seed):
+    def test_quantize_matches_the_two_function_quantizer(self, size, cols, z_max, scale, seed):
         """_quantize against the old two-function quantizer (levels, then
         grid values), bit for bit, into a new array and into ``out``."""
         rng = np.random.default_rng(seed)
@@ -285,8 +336,9 @@ class TestFastPathBits:
             assert _quantize(z, z_max, scale, out=out) is out
         assert same_bits(out, want)
 
-    @pytest.mark.parametrize("z_max, scale", [(1.0, 200), (3.0, 7), (DBL_MAX, 2), (1e300, 10**9)],
-                             ids=["normal", "normal_odd", "overflow_dbl_max", "overflow_scale"])
+    @pytest.mark.parametrize("z_max, scale",
+                             [(1.0, 200), (3.0, 7), (Z_TOP, 2), (Z_TOP, S_LIMIT - 1)],
+                             ids=["normal", "normal_odd", "limit_z_max", "limit_scale"])
     def test_quantize_special_values(self, z_max, scale):
         z = np.r_[SPECIALS, -np.nan, z_max, -z_max].reshape(1, -1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,6 +366,10 @@ class TestFastPathBits:
         z = mixed(seed, (rows, cols), special_share=0.0 if finite else 0.3)
         if not np.isfinite(z).all():
             with pytest.raises(ValidationError, match="^logits: non-finite entries$"):
+                LogitBlock(0, z)
+            return
+        if np.abs(z).max() >= Z_LIMIT:  # SPECIALS' values near DBL_MAX
+            with pytest.raises(ValidationError, match=r"^logits: max \|z\| must be < 2\*\*960$"):
                 LogitBlock(0, z)
             return
         z[z == 0] = -0.0  # an all-zero block still reports +0.0
@@ -364,21 +420,22 @@ class TestEnsemble:
         mean = np.stack([b.logits for b in blocks]).mean(axis=0)
         assert np.array_equal(out, mean)
 
-    def test_uniform_sum_past_the_float_range_divides_first(self):
-        """Two blocks whose sum overflows still average to their mean, with no
-        RuntimeWarning (the test config turns one into an error)."""
-        blocks = [block(0, [[1e308, -1e308]]), block(1, [[1e308, -1e308]])]
+    def test_uniform_sum_at_the_range_limit_is_the_mean(self):
+        """Two blocks at the largest accepted |z| sum to a finite value and
+        average to their mean, with no RuntimeWarning (the test config turns
+        one into an error)."""
+        blocks = [block(0, [[Z_TOP, -Z_TOP]]), block(1, [[Z_TOP, -Z_TOP]])]
         out = ensemble(blocks, None, no_op_cfg(), RandomStream(0, (1,)))
-        assert np.array_equal(out, [[1e308, -1e308]])
+        assert np.array_equal(out, [[Z_TOP, -Z_TOP]])
 
-    @pytest.mark.parametrize("scale", [None, 2, 3, 201])
-    def test_uniform_blocks_near_dbl_max_stay_finite(self, scale):
-        blocks = [block(k, [[DBL_MAX, -DBL_MAX, 0.5 * DBL_MAX]]) for k in range(3)]
+    @pytest.mark.parametrize("scale", [None, 2, 3, 201, S_LIMIT - 1])
+    def test_uniform_blocks_at_the_range_limit_stay_finite(self, scale):
+        blocks = [block(k, [[Z_TOP, -Z_TOP, 0.5 * Z_TOP]]) for k in range(3)]
         cfg = EnsembleConfig(quant_scale=scale, gamma=None, weight_mode=UNIFORM)
         out = ensemble(blocks, None, cfg, RandomStream(0, (1,)))
         assert np.isfinite(out).all()
-        step = 0.0 if scale is None else 2 * (DBL_MAX / scale)  # |Q(z) - z| <= 2*z_max/S
-        assert (np.abs(out - blocks[0].logits) - step <= 1e-15 * DBL_MAX).all()
+        step = 0.0 if scale is None else 2 * (Z_TOP / scale)  # |Q(z) - z| <= 2*z_max/S
+        assert (np.abs(out - blocks[0].logits) - step <= 1e-15 * Z_TOP).all()
 
     def test_deterministic_per_stream(self):
         cfg = EnsembleConfig(quant_scale=200, gamma=0.5)
@@ -402,6 +459,8 @@ class TestEnsemble:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EnsembleConfig(quant_scale=1)
+        with pytest.raises(ConfigurationError):
+            EnsembleConfig(quant_scale=S_LIMIT)
         with pytest.raises(ConfigurationError):
             EnsembleConfig(gamma=0.0)
         with pytest.raises(ConfigurationError):

@@ -26,7 +26,7 @@ from fedkd.datasets import (
     gen_gaussian_task,
     profile_of,
 )
-from fedkd.distill import DistillConfig, evaluate_single, softmax_tau
+from fedkd.distill import KL, DistillConfig, evaluate_single, softmax_tau
 from fedkd.ensemble import EnsembleConfig, UNIFORM, importance_weights
 from fedkd.errors import (
     ConfigurationError,
@@ -651,6 +651,98 @@ class TestRunFedkdBatch:
         assert isinstance(failed, DivergenceError)
         assert str(failed) == str(exc.value) == (
             "node training diverged on node 3: non-finite parameters")
+
+
+def _invariance_pool():
+    """The pieces a batch's cells are drawn from: a tiny 3-class task, two
+    equal splits and two equal plans as distinct objects, run variants that
+    share one node config, and faults that fail one cell in the data, node
+    or student stage."""
+    rs = RandomStream(0, (910,))
+    means = 3.0 * rs.gauss((3, 4))
+    train, test, public = (
+        gen_gaussian_task(GaussianTaskSpec(3, 4, n, means, 1.0, np.zeros(4)),
+                          RandomStream(0, (911, i)))
+        for i, n in enumerate((40, 10, 30)))
+    plan = dirichlet_partition(train, 3, 1.0, RandomStream(0, (912,)))
+    bad = Dataset(train.features.copy(), train.labels, SINGLE_LABEL, 3)
+    bad.features[next(a for a in plan.assignments if a.size)] *= 1e100  # that node diverges
+    distill = DistillConfig(steps=12, batch_size=16, lr_start=0.05)
+    base = FedKdRun(node=TrainConfig([8], epochs=2, batch_size=8, lr_start=0.05),
+                    distill=distill, central_hidden_dims=[8])
+    runs = [base,
+            dataclasses.replace(base, ensemble=EnsembleConfig(quant_scale=50)),
+            dataclasses.replace(base, ensemble=EnsembleConfig(gamma=None)),
+            dataclasses.replace(base, ensemble=EnsembleConfig(weight_mode=UNIFORM)),
+            dataclasses.replace(base, distill=dataclasses.replace(distill, loss_mode=KL, tau=2.0)),
+            dataclasses.replace(base, labeled_public=True),
+            dataclasses.replace(base, central_hidden_dims=[4])]
+    faults = {"public_below_the_batch": {"public": subset(public, np.arange(8))},
+              "plan_past_the_split": {"private": subset(train, np.arange(60))},
+              "diverging_shard": {"private": bad}}
+    return ([train, dataclasses.replace(train)],
+            [plan, PartitionPlan([a.copy() for a in plan.assignments])],
+            runs, faults, public, test)
+
+
+SPLITS, PLANS, RUNS, FAULTS, INV_PUBLIC, INV_TEST = _invariance_pool()
+
+
+def _cell(key) -> FedKdCell:
+    split, plan, run, seed, fault = key
+    cell = FedKdCell(SPLITS[split], INV_PUBLIC, INV_TEST, PLANS[plan], RUNS[run], seed)
+    return cell._replace(**FAULTS[fault]) if fault else cell
+
+
+@pytest.fixture(scope="class")
+def alone_runs():
+    """Cell key -> run_fedkd of that cell, or the exception it raises; each
+    is computed once, since the pool's objects never change."""
+    return {}
+
+
+@st.composite
+def shuffled_batches(draw):
+    """2-6 cell keys, a cell maybe repeated, at most one with a fault, in a
+    drawn order."""
+    cell = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, len(RUNS) - 1),
+                     st.integers(0, 1), st.none())
+    keys = draw(st.lists(cell, min_size=2, max_size=5))
+    if draw(st.booleans()):
+        keys.append(draw(st.sampled_from(keys)))
+    fault = draw(st.none() | st.sampled_from(sorted(FAULTS)))
+    if fault:
+        i = draw(st.integers(0, len(keys) - 1))
+        keys[i] = keys[i][:4] + (fault,)
+    return draw(st.permutations(keys))
+
+
+class TestBatchInvariance:
+    """Whatever the batch around a cell, and in any order, the cell gets the
+    result, or the error, of its own run_fedkd."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(keys=shuffled_batches())
+    def test_every_cell_of_a_shuffled_batch_matches_its_own_run(self, alone_runs, keys):
+        results = fedkd.protocol.run_fedkd_batch([_cell(key) for key in keys])
+        for key, got in zip(keys, results):
+            if key not in alone_runs:
+                try:
+                    alone_runs[key] = run_fedkd(*_cell(key))
+                except Exception as err:
+                    alone_runs[key] = err
+            want = alone_runs[key]
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), key
+                continue
+            assert params_equal(got.central_model, want.central_model), key
+            assert len(got.handles) == len(want.handles)
+            for h, a in zip(got.handles, want.handles):
+                assert (h.model is None and a.model is None) or params_equal(h.model, a.model)
+            assert np.array_equal(got.teacher_logits, want.teacher_logits), key
+            assert got.metrics == want.metrics, key
+            assert got.ledger.rows() == want.ledger.rows(), key
+            assert got.trace == want.trace, key
 
 
 class TestStage:
