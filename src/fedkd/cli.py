@@ -25,7 +25,6 @@ Config layout (JSON; unknown or repeated keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import datetime
 import hashlib
@@ -421,41 +420,37 @@ def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm
     return _claim(out / f"{algorithm}-{config_digest(cfg)[:12]}-s{seed}", force, directory=True)
 
 
-@contextlib.contextmanager
-def _made_dirs(path: Path):
-    """Make the directory ``path`` and its missing parents; if the block raises, remove
-    the topmost one made and all beneath it, so a failed write leaves no tree behind."""
-    made = [p for p in (path, *path.parents) if not p.exists()]
+def _publish(path: Path, write) -> None:
+    """Put ``path``, the file or directory ``write(tmp)`` builds at a temporary sibling,
+    in place, making its missing parents. An existing ``path`` (claimed under --force)
+    is moved aside to a ``.old`` sibling, the new one moved in, and the old one deleted
+    last. Anything raised before that delete moves the old one back and removes the
+    sibling and the topmost directory made: a failed publish leaves the tree as it was."""
+    def remove(p):  # a file or a directory, if there
+        shutil.rmtree(p) if p.is_dir() else p.unlink(missing_ok=True)
+
+    made = [p for p in path.parents if not p.exists()]
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # no live process owns a stale one
+    old = tmp.with_suffix(".old") if path.exists() else None
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        yield
+        path.parent.mkdir(parents=True, exist_ok=True)
+        remove(tmp)
+        write(tmp)
+        if old:
+            os.replace(path, old)
+        os.replace(tmp, path)
     except BaseException:
-        if made:
-            shutil.rmtree(made[-1], ignore_errors=True)
+        if old and not path.exists():
+            os.replace(old, path)
+        remove(made[-1] if made else tmp)  # the sibling is under any directory made
         raise
-
-
-def _write_run_artifacts(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
-                         metrics: dict, ledger, trace) -> None:
-    """Write the run's files into a temporary sibling of ``rd``, then move it
-    into place, so a failure leaves no partial run directory, no sibling and
-    no directory it made. An existing ``rd`` (under --force) is moved aside
-    first, since a non-empty directory cannot be replaced, and deleted after."""
-    tmp = rd.with_name(f".{rd.name}.{os.getpid()}.tmp")  # no live process owns a stale one
-    shutil.rmtree(tmp, ignore_errors=True)
-    with _made_dirs(tmp):
-        _write_run_files(tmp, cfg, seed, algorithm, metrics, ledger, trace)
-    if rd.exists():
-        old = tmp.with_suffix(".old")
-        os.replace(rd, old)
-        os.replace(tmp, rd)
-        shutil.rmtree(old)
-    else:
-        os.replace(tmp, rd)
+    if old:
+        remove(old)
 
 
 def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
-                     metrics: dict, ledger, trace) -> None:
+                     result, trace) -> None:
+    rd.mkdir()
     resolved = config_to_dict(cfg)
     resolved["seed"] = seed
     (rd / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -463,7 +458,7 @@ def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
     with (rd / "ledger.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["phase", "node_id", "bytes"])
-        w.writerows(ledger.rows())
+        w.writerows(result.ledger.rows())
 
     trace_path = None
     if trace is not None:
@@ -478,9 +473,9 @@ def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
         "config_digest": config_digest(cfg),
         "seed": seed,
         "trace_path": trace_path,
-        "ledger": ledger_report(ledger),
+        "ledger": ledger_report(result.ledger),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        **metrics,
+        **result.metrics,
     }
     (rd / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -488,7 +483,7 @@ def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
 def cmd_run(cfg: ExperimentConfig, out: Path, seed: int, force: bool) -> Path:
     rd = _run_dir(out, cfg, seed, force, "fedkd")
     result = execute_fedkd(cfg, seed)
-    _write_run_artifacts(rd, cfg, seed, "fedkd", result.metrics, result.ledger, result.trace)
+    _publish(rd, lambda tmp: _write_run_files(tmp, cfg, seed, "fedkd", result, result.trace))
     print(f"fedkd run written to {rd}")
     print(f"  central {result.metrics['metric']}: {result.metrics['central']:.4f}"
           f"  (standalone mean {result.metrics['standalone_mean']:.4f})")
@@ -498,7 +493,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path, seed: int, force: bool) -> Path:
 def cmd_fedavg(cfg: ExperimentConfig, out: Path, seed: int, force: bool) -> Path:
     rd = _run_dir(out, cfg, seed, force, "fedavg")
     result = execute_fedavg(cfg, seed)
-    _write_run_artifacts(rd, cfg, seed, "fedavg", result.metrics, result.ledger, None)
+    _publish(rd, lambda tmp: _write_run_files(tmp, cfg, seed, "fedavg", result, None))
     print(f"fedavg run written to {rd}")
     print(f"  global {result.metrics['metric']}: {result.metrics['central']:.4f}")
     return rd
@@ -546,17 +541,14 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, force: bool) -> Path:
                                    keep_trace=False)
     rows = [{"param": cfg.sweep.param, "value": "off" if value is None else value, "seed": seed,
              **_row_fields(outcome)} for (value, seed), outcome in zip(grid, outcomes)]
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # moved into place once written
-    with _made_dirs(out):  # only now: a refused sweep or failed batch leaves none
-        try:
-            with tmp.open("w", newline="") as fh:
-                w = csv.DictWriter(fh, ["param", "value", "seed", "accuracy", "bandwidth", "error"])
-                w.writeheader()
-                w.writerows(rows)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+
+    def write(tmp):
+        with tmp.open("w", newline="") as fh:
+            w = csv.DictWriter(fh, ["param", "value", "seed", "accuracy", "bandwidth", "error"])
+            w.writeheader()
+            w.writerows(rows)
+
+    _publish(path, write)  # only now: a refused sweep or failed batch makes no --out
     print(f"ablation sweep ({len(rows)} cells) written to {path}")
     return path
 

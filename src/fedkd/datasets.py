@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .numkit import RandomStream
+from .numkit import RandomStream, check_ints
 
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
@@ -214,7 +214,8 @@ def _effective_labels(ds: Dataset) -> np.ndarray:
 
 
 def check_partition(num_nodes: int, alpha: float) -> None:
-    """The data-free range check of :func:`dirichlet_partition`'s arguments."""
+    """The data-free check of :func:`dirichlet_partition`'s arguments."""
+    check_ints(num_nodes=num_nodes)
     if num_nodes < 1:
         raise ConfigurationError("num_nodes must be >= 1")
     if not 0 < alpha < np.inf:

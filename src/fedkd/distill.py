@@ -31,6 +31,7 @@ from .numkit import (
     MlpModel,
     SgdJob,
     _BLOCK,
+    check_ints,
     check_matrix,
     check_sgd_schedule,
     cosine_rates,
@@ -59,6 +60,7 @@ class DistillConfig:
     loss_mode: str = LOGIT_L2
 
     def __post_init__(self):
+        check_ints(steps=self.steps, batch_size=self.batch_size)
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if self.batch_size < 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, _rowwise, check_matrix
+from .numkit import RandomStream, _rowwise, check_ints, check_matrix
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -68,8 +68,10 @@ class EnsembleConfig:
     weight_mode: str = PER_CLASS
 
     def __post_init__(self):
-        if self.quant_scale is not None and not 2 <= self.quant_scale < S_LIMIT:
-            raise ConfigurationError("quant_scale must be in [2, 2**53) (or None to disable)")
+        if self.quant_scale is not None:
+            check_ints(quant_scale=self.quant_scale)
+            if not 2 <= self.quant_scale < S_LIMIT:
+                raise ConfigurationError("quant_scale must be in [2, 2**53) (or None to disable)")
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigurationError("gamma must be > 0 (or None to disable)")
         if self.weight_mode not in (PER_CLASS, UNIFORM):
@@ -176,9 +178,13 @@ def ensemble(
     if not blocks:
         raise ConfigurationError("need at least one logit block")
     shape = blocks[0].shape
+    seen = set()  # a weighted block's node_id picks its own row of the weight table
     for b in blocks:
         if b.shape != shape:
             raise DimensionError(f"block {b.node_id} has shape {b.shape}, expected {shape}")
+        if weights is not None and (b.node_id in seen or not 0 <= b.node_id < len(weights.omega)):
+            raise DimensionError(f"block {b.node_id}: node id repeated or not a weight row")
+        seen.add(b.node_id)
     # Each local_max_abs is its block's own max, so no block exceeds z_max: levels
     # are taken unchecked. z_max = 0: quantization off, or all-zero blocks.
     z_max = global_max_abs(blocks) if cfg.quant_scale is not None else 0.0

@@ -113,7 +113,17 @@ def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None, *
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# counts and schedules
+
+
+def check_ints(**counts) -> None:
+    """The one type check of the library's counts: each, or each entry of a list of
+    widths, must be a Python or numpy integer, not a bool, else a ConfigurationError
+    names the field and the value."""
+    for key, value in counts.items():
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigurationError(f"{key}: {v!r} is not an integer")
 
 
 def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> None:

@@ -71,6 +71,7 @@ from .numkit import (
     RandomStream,
     SgdJob,
     _forward_trace,
+    check_ints,
     check_matrix,
     check_sgd_schedule,
     cosine_rates,
@@ -141,6 +142,7 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        check_ints(hidden_dims=self.hidden_dims, epochs=self.epochs, batch_size=self.batch_size)
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError("hidden_dims entries must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
@@ -315,8 +317,9 @@ def _train_cells(runs: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainCo
 
 
 def _check_count(key: str, count: int) -> None:
-    """A count of rounds or query passes: >= 1, and below 2**53, so that the
-    float64 cosine position and query mean that divide by it hold it exactly."""
+    """A count of rounds or query passes: an integer >= 1, and below 2**53, so that
+    the float64 cosine position and query mean that divide by it hold it exactly."""
+    check_ints(**{key: count})
     if count < 1:
         raise ConfigurationError(f"{key} must be >= 1")
     if count >= 2**53:
@@ -401,6 +404,7 @@ class FedKdRun:
 
     def __post_init__(self):
         _check_query(self.repeats, self.query_noise)
+        check_ints(central_hidden_dims=self.central_hidden_dims)
         if any(h < 1 for h in self.central_hidden_dims):
             raise ConfigurationError("central_hidden_dims entries must be >= 1")
 

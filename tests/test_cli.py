@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import tempfile
@@ -547,6 +548,51 @@ class TestMainExitCodes:
             (out / "notes.txt").write_text("an earlier file")
         before = self._files(tmp_path)
         assert main([command, "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: disk full\n"
+        assert self._files(tmp_path) == before
+
+    @pytest.mark.parametrize("command, point, state", [
+        (command, point, state) for command in ("run", "fedavg", "ablate")
+        for point in ("write", "move_aside", "move_in")
+        for state in ("new_out", "existing_out", "forced")
+        if point != "move_aside" or state == "forced"])  # only --force has one to move aside
+    def test_a_failed_publish_leaves_the_tree_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                        command, point, state):
+        """The write, the move of an earlier output aside, or the move of the
+        new one into place fails: exit 3 on one line, and every file and
+        directory under tmp_path as it was, whether the call made --out, found
+        it, or found an earlier output it was told to --force over."""
+        doc = tiny_doc(sweep={"param": "S", "values": [50], "seeds": [0]})
+        p, out = write_config(tmp_path, doc), tmp_path / "new" / "runs"
+        flags = ["--force"] * (state == "forced")
+        if state != "new_out":
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("an earlier file")
+        if state == "forced" and command == "ablate":
+            (out / "ablation.csv").write_text("the earlier sweep\n")
+        elif state == "forced":
+            algorithm = "fedkd" if command == "run" else command
+            (rd := out / f"{algorithm}-{config_digest(parse_dict(doc))[:12]}-s0").mkdir()
+            (rd / "metrics.json").write_text("the earlier run")
+        real_open, real_replace = Path.open, os.replace
+
+        def open_failing(path, mode="r", *args, **kwargs):  # a run's ledger, after its config
+            if "w" in mode and (path.name == "ledger.csv" or path.name.endswith(".tmp")):
+                raise OSError("disk full")
+            return real_open(path, mode, *args, **kwargs)
+
+        def replace_failing(src, dst):  # the move in is the .tmp sibling's, a move back the .old's
+            moved = {".tmp": "move_in", ".old": "move_back"}.get(Path(src).suffix, "move_aside")
+            if moved == point:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        if point == "write":
+            monkeypatch.setattr(Path, "open", open_failing)
+        else:
+            monkeypatch.setattr(os, "replace", replace_failing)
+        before = self._files(tmp_path)
+        assert main([command, "--config", str(p), "--out", str(out), *flags]) == 3
         assert capsys.readouterr().err == "runtime error: disk full\n"
         assert self._files(tmp_path) == before
 

@@ -451,6 +451,20 @@ class TestEnsemble:
             ensemble([block(0, [[1.0]]), block(1, [[1.0, 2.0]])], None, no_op_cfg(),
                      RandomStream(0, (1,)))
 
+    @pytest.mark.parametrize("ids, bad", [([0, -1, 2], -1), ([0, 1, 7], 7), ([0, 1, 1], 1)],
+                             ids=["negative", "past_the_table", "repeated"])
+    def test_a_weighted_block_needs_its_own_weight_row(self, ids, bad):
+        """In weighted mode each block's node_id picks a row of the K-row
+        table: an id outside [0, K) or one given twice is a DimensionError
+        naming the node, not the last row, an IndexError or a row counted
+        twice."""
+        table = WeightTable(np.full((3, 2), 1 / 3))
+        blocks = [block(k, [[1.0, 2.0]]) for k in ids]
+        with pytest.raises(DimensionError,
+                           match=rf"^block {bad}: node id repeated or not a weight row$"):
+            ensemble(blocks, table, no_op_cfg(), RandomStream(0, (1,)))
+        ensemble(blocks, None, no_op_cfg(), RandomStream(0, (1,)))  # uniform mode reads no id
+
     def test_all_zero_blocks_skip_scaling(self):
         cfg = EnsembleConfig(quant_scale=8, gamma=None)
         out = ensemble([block(0, np.zeros((3, 2)))], None, cfg, RandomStream(0, (1,)))

@@ -544,6 +544,42 @@ class TestRunFedkd:
             run_fedkd(empty, public, test, plan, base_run(), 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(epochs=2.5), "epochs: 2.5 is not an integer"),
+    (lambda: TrainConfig(batch_size=8.5), "batch_size: 8.5 is not an integer"),
+    (lambda: TrainConfig([8.0]), "hidden_dims: 8.0 is not an integer"),
+    (lambda: TrainConfig([8, "16"]), "hidden_dims: '16' is not an integer"),
+    (lambda: TrainConfig(epochs=True), "epochs: True is not an integer"),
+    (lambda: DistillConfig(steps=10.5), "steps: 10.5 is not an integer"),
+    (lambda: DistillConfig(batch_size=np.float64(64)),
+     f"batch_size: {np.float64(64)!r} is not an integer"),
+    (lambda: FedKdRun(repeats=1.5), "repeats: 1.5 is not an integer"),
+    (lambda: FedKdRun(central_hidden_dims=[None]), "central_hidden_dims: None is not an integer"),
+    (lambda: EnsembleConfig(quant_scale=2.5), "quant_scale: 2.5 is not an integer"),
+    (lambda: EnsembleConfig(quant_scale=np.bool_(True)),
+     f"quant_scale: {np.bool_(True)!r} is not an integer"),
+    (lambda: run_fedavg(*make_fixture()[::3], NODE_CFG, 2.5, 0), "rounds: 2.5 is not an integer"),
+    (lambda: dirichlet_partition(make_fixture()[0], 2.0, 1.0, RandomStream(0, (904,))),
+     "num_nodes: 2.0 is not an integer"),
+], ids=["epochs", "node_batch_size", "hidden_dims", "hidden_dims_str", "epochs_bool", "steps",
+        "distill_batch_size", "repeats", "central_hidden_dims", "quant_scale",
+        "quant_scale_numpy_bool", "rounds", "num_nodes"])
+def test_a_count_that_is_not_an_integer_is_refused_when_given(build, message):
+    """Every library count, and each entry of a list of widths, is refused
+    on entry unless it is a Python or numpy integer: a float (integral too),
+    a string, None or a bool is a ConfigurationError naming the field, never
+    a TypeError from numpy or range once the run has started."""
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = TrainConfig([np.int32(8)], epochs=np.int64(1), batch_size=np.uint8(32))
+    run = FedKdRun(node=cfg, distill=DistillConfig(steps=np.int64(5)), repeats=np.int16(1),
+                   central_hidden_dims=[np.int64(8)], ensemble=EnsembleConfig(np.int64(8)))
+    assert run.node.epochs == 1 and run.ensemble.quant_scale == 8
+
+
 class TestRunFedkdBatch:
     """Cells of one batch share the stacked calls their configs allow; each
     result is its own run_fedkd's, bit for bit."""
