@@ -25,6 +25,7 @@ Config layout (JSON; unknown or repeated keys anywhere are rejected):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -51,13 +52,13 @@ from .datasets import (
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, FedKdError, FormatError, ValidationError
-from .numkit import RandomStream
+from .numkit import RandomStream, check_count
 from .protocol import (
+    COUNT_LIMIT,
     FedKdCell,
     FedKdRun,
     TrainConfig,
     _central_metrics,
-    _check_count,
     _stage,
     ledger_report,
     run_fedavg,
@@ -91,11 +92,9 @@ class SyntheticTask:
     domain_shift: float = 1.0
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.dim < 1:
-            raise ConfigurationError("num_classes >= 2 and dim >= 1 required")
-        for key in ("train_per_class", "test_per_class", "public_per_class"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1")
+        check_count(2, num_classes=self.num_classes)
+        check_count(dim=self.dim, train_per_class=self.train_per_class,
+                    test_per_class=self.test_per_class, public_per_class=self.public_per_class)
         if self.cov_scale < 0:
             raise ConfigurationError("cov_scale must be >= 0")
 
@@ -118,7 +117,8 @@ class SweepSection:
             raise ConfigurationError(f"param must be one of {SWEEP_AXES}")
         if not self.values or not self.seeds:
             raise ConfigurationError("values and seeds must be non-empty")
-        _check_seeds("seeds", self.seeds)
+        for seed in self.seeds:
+            check_count(0, seeds=seed)
 
 
 @dataclass(kw_only=True)
@@ -134,10 +134,10 @@ class ExperimentConfig(FedKdRun):
     sweep: SweepSection | None = None
 
     def __post_init__(self):
-        _check_seeds("seed", [self.seed])
+        check_count(0, seed=self.seed)
         check_partition(self.num_nodes, self.alpha)  # the library's own checks
         super().__post_init__()
-        _check_count("rounds", self.rounds)
+        check_count(1, COUNT_LIMIT, rounds=self.rounds)
         if isinstance(self.task, SyntheticTask):  # a CSV public set is checked once it is read
             self.distill.check_batch(self.task.num_classes * self.task.public_per_class)
 
@@ -257,13 +257,6 @@ _TOP_LEVEL = {
     "distill": lambda raw, where: _build(DistillConfig, raw, where, {"tau": _parse_tau}),
     "sweep": lambda raw, where: None if raw is None else _build(SweepSection, raw, where),
 }
-
-
-def _check_seeds(key: str, seeds: list[int]) -> None:
-    """The one seed check, for the config's ``seed``, its ``sweep.seeds`` and
-    the ``--seed`` flag; the message names the key the seeds came from."""
-    if min(seeds) < 0:
-        raise ConfigurationError(f"{key} must be >= 0")
 
 
 def parse_dict(doc: dict) -> ExperimentConfig:
@@ -423,9 +416,10 @@ def _run_dir(out: Path, cfg: ExperimentConfig, seed: int, force: bool, algorithm
 def _publish(path: Path, write) -> None:
     """Put ``path``, the file or directory ``write(tmp)`` builds at a temporary sibling,
     in place, making its missing parents. An existing ``path`` (claimed under --force)
-    is moved aside to a ``.old`` sibling, the new one moved in, and the old one deleted
-    last. Anything raised before that delete moves the old one back and removes the
-    sibling and the topmost directory made: a failed publish leaves the tree as it was."""
+    is moved aside to a ``.old`` sibling and the new one moved in. Anything raised until
+    then moves the old one back and removes the sibling and the topmost directory made:
+    a failed publish leaves the tree as it was. The old one is deleted last, best-effort:
+    a failed delete leaves that dot-named sibling, which ``report`` skips."""
     def remove(p):  # a file or a directory, if there
         shutil.rmtree(p) if p.is_dir() else p.unlink(missing_ok=True)
 
@@ -445,7 +439,8 @@ def _publish(path: Path, write) -> None:
         remove(made[-1] if made else tmp)  # the sibling is under any directory made
         raise
     if old:
-        remove(old)
+        with contextlib.suppress(OSError):
+            remove(old)
 
 
 def _write_run_files(rd: Path, cfg: ExperimentConfig, seed: int, algorithm: str,
@@ -628,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_ablate(cfg, out, args.force)
             return 0
         seed = cfg.seed if args.seed is None else args.seed
-        _check_seeds("--seed", [seed])
+        check_count(0, **{"--seed": seed})
         (cmd_run if args.command == "run" else cmd_fedavg)(cfg, out, seed, args.force)
         return 0
     except ConfigurationError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .numkit import RandomStream, check_ints
+from .numkit import RandomStream, check_count
 
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
@@ -106,8 +106,9 @@ class GaussianTaskSpec:
     domain_shift: np.ndarray | None = None  # length d; default zero
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.dim < 1:
-            raise ConfigurationError("num_classes >= 2 and dim >= 1 required")
+        check_count(2, num_classes=self.num_classes)
+        check_count(dim=self.dim)
+        check_count(0, per_class_count=self.per_class_count)  # 0: a split with no rows
         self.class_means = np.asarray(self.class_means, dtype=np.float64)
         if self.class_means.shape != (self.num_classes, self.dim):
             raise ConfigurationError(
@@ -149,8 +150,7 @@ class CsvSchema:
     def __post_init__(self):
         if self.task_type not in (SINGLE_LABEL, MULTI_LABEL):
             raise ConfigurationError(f"unknown task_type {self.task_type!r}")
-        if self.num_classes < 1:
-            raise ConfigurationError("num_classes must be >= 1")
+        check_count(num_classes=self.num_classes)
         if self.task_type == SINGLE_LABEL and len(self.label_cols) != 1:
             raise ConfigurationError("single-label schema needs exactly one label column")
         if self.task_type == MULTI_LABEL and len(self.label_cols) != self.num_classes:
@@ -215,9 +215,7 @@ def _effective_labels(ds: Dataset) -> np.ndarray:
 
 def check_partition(num_nodes: int, alpha: float) -> None:
     """The data-free check of :func:`dirichlet_partition`'s arguments."""
-    check_ints(num_nodes=num_nodes)
-    if num_nodes < 1:
-        raise ConfigurationError("num_nodes must be >= 1")
+    check_count(num_nodes=num_nodes)
     if not 0 < alpha < np.inf:
         raise ConfigurationError("alpha must be > 0 and finite")
 

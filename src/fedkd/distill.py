@@ -31,7 +31,7 @@ from .numkit import (
     MlpModel,
     SgdJob,
     _BLOCK,
-    check_ints,
+    check_count,
     check_matrix,
     check_sgd_schedule,
     cosine_rates,
@@ -60,11 +60,7 @@ class DistillConfig:
     loss_mode: str = LOGIT_L2
 
     def __post_init__(self):
-        check_ints(steps=self.steps, batch_size=self.batch_size)
-        if self.steps < 1:
-            raise ConfigurationError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        check_count(steps=self.steps, batch_size=self.batch_size)
         check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
         if self.loss_mode not in (LOGIT_L2, KL):
             raise ConfigurationError(f"unknown loss_mode {self.loss_mode!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, _rowwise, check_ints, check_matrix
+from .numkit import RandomStream, _rowwise, check_count, check_matrix
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -41,6 +41,7 @@ class LogitBlock:
     local_max_abs: float = field(init=False)  # the actual max of |logits|
 
     def __post_init__(self):
+        check_count(0, node_id=self.node_id)
         # one max and one min give both the finiteness check (NaN propagates
         # through either) and max |logits|, with no temporary array
         logits = check_matrix(self.logits, "logits", finite=False)
@@ -69,9 +70,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.quant_scale is not None:
-            check_ints(quant_scale=self.quant_scale)
-            if not 2 <= self.quant_scale < S_LIMIT:
-                raise ConfigurationError("quant_scale must be in [2, 2**53) (or None to disable)")
+            check_count(2, S_LIMIT, quant_scale=self.quant_scale)
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigurationError("gamma must be > 0 (or None to disable)")
         if self.weight_mode not in (PER_CLASS, UNIFORM):
@@ -138,8 +137,7 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     """Snap every logit to the uniform grid defined by z_max and scale."""
     if not 0 < z_max < Z_LIMIT:
         raise RangeError("z_max must be in (0, 2**960)")
-    if not 2 <= scale < S_LIMIT:
-        raise RangeError("quantization scale must be in [2, 2**53)")
+    check_count(2, S_LIMIT, scale=scale)
     z = np.asarray(z, dtype=np.float64)
     if z.size and not np.max(np.abs(z)) <= z_max:  # NaN fails the test too
         raise RangeError(f"|z| exceeds z_max={z_max} (stale z_max?)")
@@ -182,7 +180,7 @@ def ensemble(
     for b in blocks:
         if b.shape != shape:
             raise DimensionError(f"block {b.node_id} has shape {b.shape}, expected {shape}")
-        if weights is not None and (b.node_id in seen or not 0 <= b.node_id < len(weights.omega)):
+        if weights is not None and (b.node_id in seen or b.node_id >= len(weights.omega)):
             raise DimensionError(f"block {b.node_id}: node id repeated or not a weight row")
         seen.add(b.node_id)
     # Each local_max_abs is its block's own max, so no block exceeds z_max: levels

@@ -14,9 +14,10 @@ pass in differs. A call holds what its stack shares (dims, batch size, loss,
 weight decay), and each :class:`SgdJob` its own data, rows, stream and rate
 table (:func:`cosine_rates`, computed before the loop); a schedule is
 range-checked once, when its config is built (:func:`check_sgd_schedule`),
-never per step. Nothing here keeps shared mutable state: a RandomStream
-advances only itself, and :func:`sgd_step` updates the model it is given,
-in place, as one vector update.
+never per step; so is every count, width, seed and stream id, by the one
+integer rule, :func:`check_count`. Nothing here keeps shared mutable state:
+a RandomStream advances only itself, and :func:`sgd_step` updates the model
+it is given, in place, as one vector update.
 
 Hot elementwise passes stay on numpy's contiguous fast loops, with every
 output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
@@ -56,11 +57,12 @@ class RandomStream:
 
     Identical (seed, stream_id) pairs replay the identical sample sequence, so
     per-node or per-phase parallelism cannot perturb results as long as each
-    consumer owns its own stream. ``stream_id`` is a tuple of small integers
-    (node index, phase tag, ...).
+    consumer owns its own stream. ``stream_id`` is a tuple of integers (node
+    index, phase tag, ...); it and the seed are >= 0 and never truncated.
     """
 
     def __init__(self, seed: int, stream_id: tuple[int, ...]):
+        check_count(0, seed=seed, **{f"stream_id[{i}]": s for i, s in enumerate(stream_id)})
         self.seed = int(seed)
         self.stream_id = tuple(int(i) for i in stream_id)
         self._gen = np.random.Generator(
@@ -116,14 +118,25 @@ def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None, *
 # counts and schedules
 
 
-def check_ints(**counts) -> None:
-    """The one type check of the library's counts: each, or each entry of a list of
-    widths, must be a Python or numpy integer, not a bool, else a ConfigurationError
-    names the field and the value."""
-    for key, value in counts.items():
-        for v in value if isinstance(value, (list, tuple)) else [value]:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigurationError(f"{key}: {v!r} is not an integer")
+def check_count(low: int = 1, high: int | None = None, **values) -> None:
+    """The package's one integer rule, for every count, width, seed and id: each
+    value is a Python or numpy integer, not a bool, in [low, high) (``high`` a
+    power of two, or None), else a ConfigurationError names the field."""
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{key}: {value!r} is not an integer")
+        if value < low or high is not None and value >= high:
+            bound = f">= {low}" if value < low else f"< 2**{high.bit_length() - 1}"
+            raise ConfigurationError(f"{key} must be {bound}")
+
+
+def check_widths(**lists) -> None:
+    """Hidden-layer widths: each value a list or tuple of integers >= 1, each
+    entry checked by :func:`check_count` under its index (``hidden_dims[0]``)."""
+    for key, widths in lists.items():
+        if not isinstance(widths, (list, tuple)):
+            raise ConfigurationError(f"{key}: {widths!r} is not a list of integers")
+        check_count(**{f"{key}[{i}]": w for i, w in enumerate(widths)})
 
 
 def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> None:

@@ -71,9 +71,10 @@ from .numkit import (
     RandomStream,
     SgdJob,
     _forward_trace,
-    check_ints,
+    check_count,
     check_matrix,
     check_sgd_schedule,
+    check_widths,
     cosine_rates,
     init_mlp,
     train_sgd,
@@ -88,6 +89,10 @@ STREAM_DISTILL_INIT = 5
 STREAM_DISTILL_BATCH = 6
 
 PHASES = ("scalar_max_up", "logits_up", "params_up", "params_down")
+
+# rounds and query passes stay below 2**53, so the float64 cosine position and
+# query mean that divide by a count hold it exactly
+COUNT_LIMIT = 2**53
 
 
 class BandwidthLedger:
@@ -142,11 +147,8 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        check_ints(hidden_dims=self.hidden_dims, epochs=self.epochs, batch_size=self.batch_size)
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigurationError("hidden_dims entries must be >= 1")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
+        check_widths(hidden_dims=self.hidden_dims)
+        check_count(epochs=self.epochs, batch_size=self.batch_size)
         check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
 
 
@@ -316,18 +318,8 @@ def _train_cells(runs: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainCo
     return out
 
 
-def _check_count(key: str, count: int) -> None:
-    """A count of rounds or query passes: an integer >= 1, and below 2**53, so that
-    the float64 cosine position and query mean that divide by it hold it exactly."""
-    check_ints(**{key: count})
-    if count < 1:
-        raise ConfigurationError(f"{key} must be >= 1")
-    if count >= 2**53:
-        raise ConfigurationError(f"{key} must be < 2**53")
-
-
 def _check_query(repeats: int, query_noise: float) -> None:
-    _check_count("repeats", repeats)
+    check_count(1, COUNT_LIMIT, repeats=repeats)
     if not query_noise >= 0:
         raise ConfigurationError("query_noise must be >= 0")
 
@@ -404,9 +396,7 @@ class FedKdRun:
 
     def __post_init__(self):
         _check_query(self.repeats, self.query_noise)
-        check_ints(central_hidden_dims=self.central_hidden_dims)
-        if any(h < 1 for h in self.central_hidden_dims):
-            raise ConfigurationError("central_hidden_dims entries must be >= 1")
+        check_widths(central_hidden_dims=self.central_hidden_dims)
 
 
 class FedKdCell(NamedTuple):
@@ -637,7 +627,7 @@ def run_fedavg(
     is billed at the ``flat.nbytes`` of the model sent. A plan that does not
     cover ``private`` exactly once is a ValidationError, as in run_fedkd.
     """
-    _check_count("rounds", rounds)
+    check_count(1, COUNT_LIMIT, rounds=rounds)
     plan.validate_for(private)
     active = [k for k, a in enumerate(plan.assignments) if len(a)]
     if not active:

@@ -160,7 +160,7 @@ class TestQuantize:
             quantize_array(np.array([[value, 0.5]]), 1.0, 200)
 
     def test_bad_scale_rejected(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ConfigurationError, match="^scale must be >= 2$"):
             quantize_array(np.array([[0.1]]), 1.0, 1)
         with pytest.raises(RangeError):
             quantize_array(np.array([[0.1]]), 0.0, 4)
@@ -231,12 +231,16 @@ class TestRangeRule:
     @pytest.mark.parametrize("z_max, scale, message", [
         (Z_LIMIT, 200, r"z_max must be in \(0, 2\*\*960\)"),
         (1e307, 200, r"z_max must be in \(0, 2\*\*960\)"),
-        (1.0, S_LIMIT, r"quantization scale must be in \[2, 2\*\*53\)"),
-        (1.0, 10**30, r"quantization scale must be in \[2, 2\*\*53\)"),
     ])
     def test_quantize_array_refuses_a_range_past_the_rule(self, z_max, scale, message):
         with pytest.raises(RangeError, match=f"^{message}$"):
             quantize_array(np.zeros((1, 2)), z_max, scale)
+
+    @pytest.mark.parametrize("scale", [S_LIMIT, 10**30])
+    def test_quantize_array_refuses_a_scale_past_the_rule(self, scale):
+        """S is a count: numkit.check_count refuses it, as it does quant_scale."""
+        with pytest.raises(ConfigurationError, match=r"^scale must be < 2\*\*53$"):
+            quantize_array(np.zeros((1, 2)), 1.0, scale)
 
     def test_a_block_reaching_the_limit_is_refused(self):
         with pytest.raises(ValidationError, match=r"^logits: max \|z\| must be < 2\*\*960$"):
@@ -451,13 +455,13 @@ class TestEnsemble:
             ensemble([block(0, [[1.0]]), block(1, [[1.0, 2.0]])], None, no_op_cfg(),
                      RandomStream(0, (1,)))
 
-    @pytest.mark.parametrize("ids, bad", [([0, -1, 2], -1), ([0, 1, 7], 7), ([0, 1, 1], 1)],
-                             ids=["negative", "past_the_table", "repeated"])
+    @pytest.mark.parametrize("ids, bad", [([0, 1, 7], 7), ([0, 1, 1], 1)],
+                             ids=["past_the_table", "repeated"])
     def test_a_weighted_block_needs_its_own_weight_row(self, ids, bad):
         """In weighted mode each block's node_id picks a row of the K-row
-        table: an id outside [0, K) or one given twice is a DimensionError
-        naming the node, not the last row, an IndexError or a row counted
-        twice."""
+        table: an id at or past K or one given twice is a DimensionError
+        naming the node, not an IndexError or a row counted twice. A
+        negative id never gets here: LogitBlock refuses it."""
         table = WeightTable(np.full((3, 2), 1 / 3))
         blocks = [block(k, [[1.0, 2.0]]) for k in ids]
         with pytest.raises(DimensionError,

@@ -17,6 +17,7 @@ import fedkd.protocol
 from fedkd.cli import build_data, parse_dict
 
 from fedkd.datasets import (
+    CsvSchema,
     Dataset,
     GaussianTaskSpec,
     MULTI_LABEL,
@@ -27,7 +28,15 @@ from fedkd.datasets import (
     profile_of,
 )
 from fedkd.distill import KL, DistillConfig, evaluate_single, softmax_tau
-from fedkd.ensemble import EnsembleConfig, UNIFORM, importance_weights
+from fedkd.ensemble import (
+    EnsembleConfig,
+    LogitBlock,
+    UNIFORM,
+    WeightTable,
+    ensemble,
+    importance_weights,
+    quantize_array,
+)
 from fedkd.errors import (
     ConfigurationError,
     DimensionError,
@@ -308,7 +317,7 @@ class TestCollectLogits:
     def test_the_largest_count_float64_holds_passes(self):
         """2**53 - 1 is a count float64 holds exactly; it passes the check
         (and is never run here)."""
-        fedkd.protocol._check_count("repeats", 2**53 - 1)
+        assert FedKdRun(repeats=2**53 - 1).repeats == 2**53 - 1
 
     def test_negative_query_noise_rejected(self):
         handles = self.make_handles(2)
@@ -521,7 +530,7 @@ class TestRunFedkd:
         ({"repeats": 2**53}, "repeats must be < 2**53"),
         ({"query_noise": -0.5, "repeats": 2}, "query_noise must be >= 0"),
         ({"query_noise": math.nan}, "query_noise must be >= 0"),
-        ({"central_hidden_dims": [8, 0]}, "central_hidden_dims entries must be >= 1"),
+        ({"central_hidden_dims": [8, 0]}, "central_hidden_dims[1] must be >= 1"),
     ])
     def test_an_invalid_run_fails_when_built_before_any_node_trains(self, monkeypatch, bad,
                                                                      message):
@@ -547,28 +556,43 @@ class TestRunFedkd:
 @pytest.mark.parametrize("build, message", [
     (lambda: TrainConfig(epochs=2.5), "epochs: 2.5 is not an integer"),
     (lambda: TrainConfig(batch_size=8.5), "batch_size: 8.5 is not an integer"),
-    (lambda: TrainConfig([8.0]), "hidden_dims: 8.0 is not an integer"),
-    (lambda: TrainConfig([8, "16"]), "hidden_dims: '16' is not an integer"),
+    (lambda: TrainConfig([8.0]), "hidden_dims[0]: 8.0 is not an integer"),
+    (lambda: TrainConfig([8, "16"]), "hidden_dims[1]: '16' is not an integer"),
+    (lambda: TrainConfig(hidden_dims=8), "hidden_dims: 8 is not a list of integers"),
     (lambda: TrainConfig(epochs=True), "epochs: True is not an integer"),
     (lambda: DistillConfig(steps=10.5), "steps: 10.5 is not an integer"),
     (lambda: DistillConfig(batch_size=np.float64(64)),
      f"batch_size: {np.float64(64)!r} is not an integer"),
     (lambda: FedKdRun(repeats=1.5), "repeats: 1.5 is not an integer"),
-    (lambda: FedKdRun(central_hidden_dims=[None]), "central_hidden_dims: None is not an integer"),
+    (lambda: FedKdRun(central_hidden_dims=[None]),
+     "central_hidden_dims[0]: None is not an integer"),
+    (lambda: FedKdRun(central_hidden_dims=8), "central_hidden_dims: 8 is not a list of integers"),
     (lambda: EnsembleConfig(quant_scale=2.5), "quant_scale: 2.5 is not an integer"),
     (lambda: EnsembleConfig(quant_scale=np.bool_(True)),
      f"quant_scale: {np.bool_(True)!r} is not an integer"),
     (lambda: run_fedavg(*make_fixture()[::3], NODE_CFG, 2.5, 0), "rounds: 2.5 is not an integer"),
     (lambda: dirichlet_partition(make_fixture()[0], 2.0, 1.0, RandomStream(0, (904,))),
      "num_nodes: 2.0 is not an integer"),
-], ids=["epochs", "node_batch_size", "hidden_dims", "hidden_dims_str", "epochs_bool", "steps",
-        "distill_batch_size", "repeats", "central_hidden_dims", "quant_scale",
-        "quant_scale_numpy_bool", "rounds", "num_nodes"])
+    (lambda: ensemble([LogitBlock(1.5, np.zeros((1, 2)))], WeightTable(np.full((3, 2), 1 / 3)),
+                      EnsembleConfig(), RandomStream(0, (1,))), "node_id: 1.5 is not an integer"),
+    (lambda: LogitBlock(-1, np.zeros((1, 2))), "node_id must be >= 0"),
+    (lambda: GaussianTaskSpec(2, 3, 2.5, np.zeros((2, 3))), "per_class_count: 2.5 is not an integer"),
+    (lambda: CsvSchema(["x"], ["y"], SINGLE_LABEL, 1.5), "num_classes: 1.5 is not an integer"),
+    (lambda: quantize_array(np.zeros((1, 2)), 1.0, 2.5), "scale: 2.5 is not an integer"),
+    (lambda: RandomStream(0.7, (1,)), "seed: 0.7 is not an integer"),
+    (lambda: RandomStream(True, (1,)), "seed: True is not an integer"),
+    (lambda: RandomStream(0, (1.9,)), "stream_id[0]: 1.9 is not an integer"),
+], ids=["epochs", "node_batch_size", "hidden_dims", "hidden_dims_str", "hidden_dims_int",
+        "epochs_bool", "steps", "distill_batch_size", "repeats", "central_hidden_dims",
+        "central_hidden_dims_int", "quant_scale", "quant_scale_numpy_bool", "rounds", "num_nodes",
+        "weighted_node_id", "negative_node_id", "per_class_count", "csv_num_classes",
+        "quantize_scale", "seed", "seed_bool", "stream_id"])
 def test_a_count_that_is_not_an_integer_is_refused_when_given(build, message):
-    """Every library count, and each entry of a list of widths, is refused
-    on entry unless it is a Python or numpy integer: a float (integral too),
-    a string, None or a bool is a ConfigurationError naming the field, never
-    a TypeError from numpy or range once the run has started."""
+    """Every library count, seed, stream id and node id, and each entry of a
+    list of widths, is refused on entry unless it is a Python or numpy
+    integer in range: a float (integral too), a string, None or a bool is a
+    ConfigurationError naming the field, never a TypeError or IndexError once
+    the run has started, and a float seed or id is never truncated."""
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         build()
 
@@ -578,6 +602,12 @@ def test_numpy_integer_counts_are_accepted():
     run = FedKdRun(node=cfg, distill=DistillConfig(steps=np.int64(5)), repeats=np.int16(1),
                    central_hidden_dims=[np.int64(8)], ensemble=EnsembleConfig(np.int64(8)))
     assert run.node.epochs == 1 and run.ensemble.quant_scale == 8
+    rs = RandomStream(np.int64(3), (np.uint8(1), np.int32(2)))
+    assert np.array_equal(rs.uniform(4), RandomStream(3, (1, 2)).uniform(4))
+    blocks = [LogitBlock(np.int64(k), np.full((1, 2), float(k))) for k in range(2)]
+    table = WeightTable(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    out = ensemble(blocks, table, EnsembleConfig(None, None), RandomStream(0, (1,)))
+    assert np.array_equal(out, [[0.0, 1.0]])
 
 
 class TestRunFedkdBatch:

@@ -8,7 +8,8 @@ The package root exports the README's names and no others. A public name
 is one without a leading underscore; no module restates its names in an
 ``__all__`` list. Every other function and class in the package has a
 caller in it, and every name a module imports is read there. The random
-streams' purpose tags are distinct across modules."""
+streams' purpose tags are distinct across modules, and the integer type
+test is written once, in ``numkit.check_count``."""
 import ast
 import functools
 import importlib
@@ -171,3 +172,23 @@ def test_stream_tags_are_distinct():
             if name.startswith("STREAM_")}
     assert len(tags) == 11
     assert len(set(tags.values())) == len(tags), tags
+
+
+def _integer_type_tests(tree: ast.AST) -> list[ast.Call]:
+    """Every ``isinstance(..., (int, np.integer))``: an isinstance call whose
+    type argument names numpy's ``integer``."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "isinstance" and len(n.args) == 2
+            and any(isinstance(a, ast.Attribute) and a.attr == "integer"
+                    for a in ast.walk(n.args[1]))]
+
+
+def test_one_function_makes_the_integer_type_test():
+    """``numkit.check_count`` is the package's one integer rule, so the type
+    test it makes appears nowhere else: no module grows its own copy."""
+    found = {p.name: len(_integer_type_tests(ast.parse(p.read_text())))
+             for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))}
+    (check_count,) = [n for n in ast.parse((ROOT / "src" / "fedkd" / "numkit.py").read_text()).body
+                      if isinstance(n, ast.FunctionDef) and n.name == "check_count"]
+    assert {name: n for name, n in found.items() if n} == {"numkit.py": 1}
+    assert len(_integer_type_tests(check_count)) == 1
