@@ -52,7 +52,7 @@ from .datasets import (
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, FedKdError, FormatError, ValidationError
-from .numkit import RandomStream, check_count
+from .numkit import RandomStream, check_count, check_real
 from .protocol import (
     COUNT_LIMIT,
     FedKdCell,
@@ -95,8 +95,9 @@ class SyntheticTask:
         check_count(2, num_classes=self.num_classes)
         check_count(dim=self.dim, train_per_class=self.train_per_class,
                     test_per_class=self.test_per_class, public_per_class=self.public_per_class)
-        if self.cov_scale < 0:
-            raise ConfigurationError("cov_scale must be >= 0")
+        (self.cov_scale,) = check_real(cov_scale=self.cov_scale)  # GaussianTaskSpec's rule
+        self.class_sep, self.domain_shift = check_real(
+            -math.inf, class_sep=self.class_sep, domain_shift=self.domain_shift)
 
 
 @dataclass(kw_only=True)
@@ -104,6 +105,12 @@ class CsvTask(CsvSchema):  # the schema plus the file of each split
     private: str
     public: str
     test: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("private", "public", "test"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigurationError(f"{key}: {getattr(self, key)!r} is not a string")
 
 
 @dataclass
@@ -115,8 +122,8 @@ class SweepSection:
     def __post_init__(self):
         if self.param not in SWEEP_AXES:
             raise ConfigurationError(f"param must be one of {SWEEP_AXES}")
-        if not self.values or not self.seeds:
-            raise ConfigurationError("values and seeds must be non-empty")
+        if not all(isinstance(v, list) and v for v in (self.values, self.seeds)):
+            raise ConfigurationError("values and seeds must be non-empty lists")
         for seed in self.seeds:
             check_count(0, seeds=seed)
 
@@ -135,86 +142,29 @@ class ExperimentConfig(FedKdRun):
 
     def __post_init__(self):
         check_count(0, seed=self.seed)
-        check_partition(self.num_nodes, self.alpha)  # the library's own checks
+        self.alpha = check_partition(self.num_nodes, self.alpha)  # the library's own checks
         super().__post_init__()
         check_count(1, COUNT_LIMIT, rounds=self.rounds)
         if isinstance(self.task, SyntheticTask):  # a CSV public set is checked once it is read
             self.distill.check_batch(self.task.num_classes * self.task.public_per_class)
 
 
-# Field coercers: each takes (value, key path) and returns the typed value or
-# raises a ConfigurationError naming the key.
-
-
-def _as_int(value, where: str) -> int:
-    """A JSON integer; an integral float such as 5.0 is accepted too."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer")
+def _from_json(kind: str, value):
+    """The JSON spellings a field of annotation ``kind`` reads: an integral float
+    such as 5.0 is an int in an integer field or list, and null or "off" is None
+    in an optional field. Any other value goes to the dataclass, which checks it."""
+    if kind.endswith(" | None") and (value is None or value == "off"):
+        return None
+    if kind == "list[int]" and isinstance(value, list):
+        return [_from_json("int", v) for v in value]
+    if kind.startswith("int") and isinstance(value, float) and value.is_integer():
+        return int(value)
     return value
-
-
-def _as_float(value, where: str) -> float:
-    # the bound also rejects NaN and JSON integers too large for a float
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigurationError(f"{where} must be a finite number")
-    return float(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{where} must be true or false")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{where} must be a string")
-    return value
-
-
-def _list_of(item):
-    def coerce(value, where: str) -> list:
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{where} must be a list")
-        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    return coerce
-
-
-def _off_or(kind):
-    """null / "off" disable a knob; any other value must pass ``kind``."""
-    def coerce(value, where: str):
-        return None if value is None or value == "off" else kind(value, where)
-    return coerce
-
-
-def _parse_tau(value, where: str) -> float:
-    if value is None or value == "inf" or value == math.inf:
-        return math.inf
-    try:
-        return _as_float(value, where)
-    except ConfigurationError:
-        raise ConfigurationError(f'{where} must be a number or "inf"') from None
-
-
-_COERCE = {
-    "int": _as_int,
-    "float": _as_float,
-    "bool": _as_bool,
-    "str": _as_str,
-    "list": _list_of(lambda v, where: v),  # sweep values; each cell checks its own
-    "list[int]": _list_of(_as_int),
-    "list[str]": _list_of(_as_str),
-    "int | None": _off_or(_as_int),
-    "float | None": _off_or(_as_float),
-}
 
 
 def _build(cls, raw, where: str, special: dict | None = None):
-    """Construct section ``cls`` from a raw mapping, coercing each key by its
-    field annotation (or by ``special``); unknown, missing and wrong-typed keys
+    """Construct section ``cls`` from a raw mapping, each key read by its field
+    annotation's JSON spellings (or by ``special``); unknown and missing keys
     are ConfigurationErrors that name the key. A section's own checks name it
     as a suffix, ``... (in node)``; the top level's name their keys."""
     if not isinstance(raw, dict):
@@ -226,8 +176,8 @@ def _build(cls, raw, where: str, special: dict | None = None):
         if key not in fields:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
         path = key if where == "config" else f"{where}.{key}"
-        coerce = special[key] if key in special else _COERCE[fields[key].type]
-        kwargs[key] = coerce(value, path)
+        kwargs[key] = (special[key](value, path) if key in special
+                       else _from_json(fields[key].type, value))
     missing = [k for k, f in fields.items() if k not in kwargs
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -254,7 +204,8 @@ _TOP_LEVEL = {
     "task": _parse_task,
     "node": lambda raw, where: _build(TrainConfig, raw, where),
     "ensemble": lambda raw, where: _build(EnsembleConfig, raw, where),
-    "distill": lambda raw, where: _build(DistillConfig, raw, where, {"tau": _parse_tau}),
+    "distill": lambda raw, where: _build(DistillConfig, raw, where, {
+        "tau": lambda value, path: math.inf if value is None or value == "inf" else value}),
     "sweep": lambda raw, where: None if raw is None else _build(SweepSection, raw, where),
 }
 
@@ -502,8 +453,9 @@ def _sweep_cell(cfg: ExperimentConfig, value) -> ExperimentConfig:
         if not isinstance(cfg.task, SyntheticTask):
             raise ConfigurationError("d0 sweep requires a synthetic task")
         c = cfg.task.num_classes
-        value = _as_int(value, "d0")
-        if value < c or value % c:
+        value = _from_json("int", value)
+        check_count(d0=value)
+        if value % c:
             raise ConfigurationError(f"d0 sweep value {value} must be a positive multiple of {c}")
         value //= c
     doc = config_to_dict(cfg)

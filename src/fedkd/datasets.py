@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .numkit import RandomStream, check_count
+from .numkit import RandomStream, check_count, check_real
 
 SINGLE_LABEL = "single_label"
 MULTI_LABEL = "multi_label"
@@ -109,6 +109,7 @@ class GaussianTaskSpec:
         check_count(2, num_classes=self.num_classes)
         check_count(dim=self.dim)
         check_count(0, per_class_count=self.per_class_count)  # 0: a split with no rows
+        (self.cov_scale,) = check_real(cov_scale=self.cov_scale)
         self.class_means = np.asarray(self.class_means, dtype=np.float64)
         if self.class_means.shape != (self.num_classes, self.dim):
             raise ConfigurationError(
@@ -151,6 +152,9 @@ class CsvSchema:
         if self.task_type not in (SINGLE_LABEL, MULTI_LABEL):
             raise ConfigurationError(f"unknown task_type {self.task_type!r}")
         check_count(num_classes=self.num_classes)
+        for key, cols in (("feature_cols", self.feature_cols), ("label_cols", self.label_cols)):
+            if not isinstance(cols, (list, tuple)) or not all(isinstance(c, str) for c in cols):
+                raise ConfigurationError(f"{key}: {cols!r} is not a list of strings")
         if self.task_type == SINGLE_LABEL and len(self.label_cols) != 1:
             raise ConfigurationError("single-label schema needs exactly one label column")
         if self.task_type == MULTI_LABEL and len(self.label_cols) != self.num_classes:
@@ -213,11 +217,10 @@ def _effective_labels(ds: Dataset) -> np.ndarray:
     return np.column_stack([rank, np.full(ds.n, ds.n)]).argmin(axis=1)
 
 
-def check_partition(num_nodes: int, alpha: float) -> None:
-    """The data-free check of :func:`dirichlet_partition`'s arguments."""
+def check_partition(num_nodes: int, alpha: float) -> float:
+    """The data-free check of :func:`dirichlet_partition`'s arguments; returns alpha as a float."""
     check_count(num_nodes=num_nodes)
-    if not 0 < alpha < np.inf:
-        raise ConfigurationError("alpha must be > 0 and finite")
+    return check_real(above=True, alpha=alpha)[0]
 
 
 def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStream) -> PartitionPlan:
@@ -226,7 +229,7 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
     cut at the cumulative boundaries. Smaller alpha -> more skew. Multi-label
     datasets are bucketed by their rarest positive class first.
     """
-    check_partition(num_nodes, alpha)
+    alpha = check_partition(num_nodes, alpha)
     if num_nodes > ds.n:
         raise ConfigurationError(f"cannot split {ds.n} samples across {num_nodes} nodes")
 
@@ -235,7 +238,7 @@ def dirichlet_partition(ds: Dataset, num_nodes: int, alpha: float, rs: RandomStr
     for c in np.flatnonzero(np.bincount(eff)):  # the classes present, ascending
         idx = np.flatnonzero(eff == c)
         idx = idx[rs.permutation(idx.size)]
-        p = rs.dirichlet(np.full(num_nodes, float(alpha)))
+        p = rs.dirichlet(np.full(num_nodes, alpha))
         edges = np.floor(np.cumsum(p) * idx.size).astype(np.int64)
         edges[-1] = idx.size  # guard against rounding shortfall
         owner[idx] = np.repeat(np.arange(num_nodes), np.diff(edges, prepend=0))

@@ -33,6 +33,7 @@ from .numkit import (
     _BLOCK,
     check_count,
     check_matrix,
+    check_real,
     check_sgd_schedule,
     cosine_rates,
     mlp_forward,
@@ -61,11 +62,11 @@ class DistillConfig:
 
     def __post_init__(self):
         check_count(steps=self.steps, batch_size=self.batch_size)
-        check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
+        self.lr_start, self.lr_end, self.weight_decay = check_sgd_schedule(
+            self.lr_start, self.lr_end, self.weight_decay)
         if self.loss_mode not in (LOGIT_L2, KL):
             raise ConfigurationError(f"unknown loss_mode {self.loss_mode!r}")
-        if not self.tau > 0:
-            raise ConfigurationError("tau must be > 0")
+        (self.tau,) = check_real(above=True, inf=True, tau=self.tau)
         if self.loss_mode == KL and math.isinf(self.tau):
             raise ConfigurationError("kl loss needs a finite tau")
 

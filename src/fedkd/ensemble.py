@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, _rowwise, check_count, check_matrix
+from .numkit import RandomStream, _rowwise, check_count, check_matrix, check_real
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -71,8 +71,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.quant_scale is not None:
             check_count(2, S_LIMIT, quant_scale=self.quant_scale)
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigurationError("gamma must be > 0 (or None to disable)")
+        if self.gamma is not None:
+            (self.gamma,) = check_real(above=True, gamma=self.gamma)
         if self.weight_mode not in (PER_CLASS, UNIFORM):
             raise ConfigurationError(f"unknown weight_mode {self.weight_mode!r}")
 

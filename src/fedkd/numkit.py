@@ -15,7 +15,8 @@ weight decay), and each :class:`SgdJob` its own data, rows, stream and rate
 table (:func:`cosine_rates`, computed before the loop); a schedule is
 range-checked once, when its config is built (:func:`check_sgd_schedule`),
 never per step; so is every count, width, seed and stream id, by the one
-integer rule, :func:`check_count`. Nothing here keeps shared mutable state:
+integer rule, :func:`check_count`, and every rate, scale and noise level, by
+the one real-number rule, :func:`check_real`. Nothing here keeps shared mutable state:
 a RandomStream advances only itself, and :func:`sgd_step` updates the model
 it is given, in place, as one vector update.
 
@@ -41,6 +42,7 @@ excluded):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +141,40 @@ def check_widths(**lists) -> None:
         check_count(**{f"{key}[{i}]": w for i, w in enumerate(widths)})
 
 
-def check_sgd_schedule(lr_start: float, lr_end: float, weight_decay: float) -> None:
-    """The range check of every config that sets an SGD schedule."""
+def check_real(low: float = 0.0, *, above: bool = False, inf: bool = False,
+               **values) -> list[float]:
+    """The package's one real-number rule, for every rate, scale and noise
+    level: each value is a Python or numpy real, not a bool, at or above
+    ``low`` (above it if ``above``; NaN is neither), and finite or, where
+    ``inf`` allows it, +inf. Returns the values as floats, in order; anything
+    else is a ConfigurationError naming the field ("and finite" when a
+    non-finite value breaks a finite field's rule)."""
+    reals = []
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{key}: {value!r} is not a real number")
+        try:
+            real = float(value)
+        except OverflowError:  # an integer past the float range
+            real = math.inf if value > 0 else -math.inf
+        if not ((real > low if above else real >= low)
+                and (math.isfinite(real) or inf and real == math.inf)):
+            rule = [f"{'>' if above else '>='} {low:g}"] if low > -math.inf else []
+            rule += [] if inf or math.isfinite(real) else ["finite"]
+            raise ConfigurationError(f"{key} must be {' and '.join(rule)}")
+        reals.append(real)
+    return reals
+
+
+def check_sgd_schedule(lr_start: float, lr_end: float,
+                       weight_decay: float) -> tuple[float, float, float]:
+    """The rule of every config that sets an SGD schedule: real rates with
+    lr_start >= lr_end >= 0 and a weight decay >= 0, returned as floats."""
+    lr_start, lr_end = check_real(-math.inf, lr_start=lr_start, lr_end=lr_end)
     if not lr_start >= lr_end >= 0:
         raise ConfigurationError(f"require lr_start >= lr_end >= 0, got lr_start="
                                  f"{lr_start} and lr_end={lr_end}")
-    if not weight_decay >= 0:
-        raise ConfigurationError("weight_decay must be >= 0")
+    return lr_start, lr_end, *check_real(weight_decay=weight_decay)
 
 
 def cosine_rates(lr_start: float, lr_end: float, total_steps: int, start: int,

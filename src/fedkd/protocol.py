@@ -73,6 +73,7 @@ from .numkit import (
     _forward_trace,
     check_count,
     check_matrix,
+    check_real,
     check_sgd_schedule,
     check_widths,
     cosine_rates,
@@ -149,7 +150,8 @@ class TrainConfig:
     def __post_init__(self):
         check_widths(hidden_dims=self.hidden_dims)
         check_count(epochs=self.epochs, batch_size=self.batch_size)
-        check_sgd_schedule(self.lr_start, self.lr_end, self.weight_decay)
+        self.lr_start, self.lr_end, self.weight_decay = check_sgd_schedule(
+            self.lr_start, self.lr_end, self.weight_decay)
 
 
 def _dims(ds: Dataset, hidden_dims: list[int]) -> list[int]:
@@ -318,10 +320,9 @@ def _train_cells(runs: list[tuple[Dataset, list[np.ndarray]]], node_cfg: TrainCo
     return out
 
 
-def _check_query(repeats: int, query_noise: float) -> None:
+def _check_query(repeats: int, query_noise: float) -> float:
     check_count(1, COUNT_LIMIT, repeats=repeats)
-    if not query_noise >= 0:
-        raise ConfigurationError("query_noise must be >= 0")
+    return check_real(query_noise=query_noise)[0]
 
 
 def collect_logits(
@@ -383,8 +384,9 @@ class FedKdRun:
     """The knobs of one aggregation run, named and defaulted as the config
     keys that set them (the CLI's config extends it); the data, plan and seed
     are :func:`run_fedkd`'s arguments. It checks its own fields when built
-    (``repeats`` in [1, 2**53), ``query_noise`` >= 0, each ``central_hidden_dims``
-    entry >= 1), so an invalid run trains no node."""
+    (``repeats`` in [1, 2**53), ``query_noise`` a finite real >= 0, each
+    ``central_hidden_dims`` entry >= 1, ``labeled_public`` a bool), so an
+    invalid run trains no node."""
 
     node: TrainConfig = field(default_factory=TrainConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
@@ -395,8 +397,10 @@ class FedKdRun:
     labeled_public: bool = False
 
     def __post_init__(self):
-        _check_query(self.repeats, self.query_noise)
+        self.query_noise = _check_query(self.repeats, self.query_noise)
         check_widths(central_hidden_dims=self.central_hidden_dims)
+        if not isinstance(self.labeled_public, bool):
+            raise ConfigurationError(f"labeled_public: {self.labeled_public!r} is not a bool")
 
 
 class FedKdCell(NamedTuple):

@@ -135,6 +135,38 @@ class TestParsing:
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
 
+    def test_json_spellings_keep_the_config_and_its_digest(self):
+        """Every real field spelled as a JSON integer, every integer field as an
+        integral float, and the off and inf spellings parse to the config, and
+        the digest, they gave when the CLI had its own coercer per type."""
+        doc = {
+            "seed": 3.0, "num_nodes": 4.0, "alpha": 1, "repeats": 2.0, "query_noise": 0,
+            "labeled_public": False, "rounds": 5.0, "central_hidden_dims": [16.0],
+            "task": {"kind": "synthetic", "num_classes": 3.0, "dim": 8.0, "train_per_class": 20.0,
+                     "test_per_class": 10.0, "public_per_class": 10.0, "cov_scale": 1,
+                     "class_sep": 4, "domain_shift": 1},
+            "node": {"hidden_dims": [16.0, 8.0], "epochs": 2.0, "batch_size": 8.0,
+                     "lr_start": 1, "lr_end": 0, "weight_decay": 0},
+            "ensemble": {"quant_scale": "off", "gamma": None, "weight_mode": "per_class"},
+            "distill": {"steps": 10.0, "batch_size": 8.0, "lr_start": 1, "lr_end": 0,
+                        "weight_decay": 0, "tau": "inf", "loss_mode": "logit_l2"},
+            "sweep": {"param": "gamma", "values": [1, None], "seeds": [0.0, 1.0]},
+        }
+        cfg = parse_dict(doc)
+        assert json.dumps(config_to_dict(cfg), sort_keys=True) == (
+            '{"alpha": 1.0, "central_hidden_dims": [16], "distill": {"batch_size": 8, '
+            '"loss_mode": "logit_l2", "lr_end": 0.0, "lr_start": 1.0, "steps": 10, "tau": "inf", '
+            '"weight_decay": 0.0}, "ensemble": {"gamma": null, "quant_scale": null, '
+            '"weight_mode": "per_class"}, "labeled_public": false, "node": {"batch_size": 8, '
+            '"epochs": 2, "hidden_dims": [16, 8], "lr_end": 0.0, "lr_start": 1.0, '
+            '"weight_decay": 0.0}, "num_nodes": 4, "query_noise": 0.0, "repeats": 2, "rounds": 5, '
+            '"seed": 3, "sweep": {"param": "gamma", "seeds": [0, 1], "values": [1, null]}, '
+            '"task": {"class_sep": 4.0, "cov_scale": 1.0, "dim": 8, "domain_shift": 1.0, '
+            '"kind": "synthetic", "num_classes": 3, "public_per_class": 10, "test_per_class": 10, '
+            '"train_per_class": 20}}')
+        assert config_digest(cfg) == (
+            "f554d6e1a6a813932de36d911d31b140828cd9d441b2ca538dcaa674384583a1")
+
     def test_parse_config_reads_json_file(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, tiny_doc(seed=5)))
         assert cfg.seed == 5
@@ -763,18 +795,32 @@ class TestMainExitCodes:
         assert [r["error"] for r in rows] == [
             f"ValidationError: {path}: row 9: features: non-finite entries"] * 2
 
-    @pytest.mark.parametrize("over, key", [
+    @pytest.mark.parametrize("over, message", [
         ({"distill": [1]}, "'distill' must be an object"),
-        ({"num_nodes": "abc"}, "num_nodes must be an integer"),
-        ({"task": {"kind": "synthetic", "num_classes": "4"}}, "task.num_classes must be an integer"),
-        ({"central_hidden_dims": 5}, "central_hidden_dims must be a list"),
-    ])
-    def test_wrong_typed_field_is_a_one_line_config_error(self, tmp_path, capsys, over, key):
+        ({"num_nodes": "abc"}, "num_nodes: 'abc' is not an integer"),
+        ({"task": {"kind": "synthetic", "num_classes": "4"}},
+         "num_classes: '4' is not an integer (in task)"),
+        ({"central_hidden_dims": 5}, "central_hidden_dims: 5 is not a list of integers"),
+        ({"labeled_public": "no"}, "labeled_public: 'no' is not a bool"),
+        ({"ensemble": {"gamma": "x"}}, "gamma: 'x' is not a real number (in ensemble)"),
+        ({"distill": {"tau": [2]}}, "tau: [2] is not a real number (in distill)"),
+        ({"task": {"kind": "synthetic", "class_sep": "x"}},
+         "class_sep: 'x' is not a real number (in task)"),
+        ({"sweep": {"param": "gamma", "values": 1.0, "seeds": [0]}},
+         "values and seeds must be non-empty lists (in sweep)"),
+        ({"task": {"kind": "csv", "feature_cols": "x", "label_cols": ["y"], "num_classes": 2,
+                   "task_type": "single_label", "private": "a", "public": "b", "test": "c"}},
+         "feature_cols: 'x' is not a list of strings (in task)"),
+        ({"task": {"kind": "csv", "feature_cols": ["x"], "label_cols": ["y"], "num_classes": 2,
+                   "task_type": "single_label", "private": 1, "public": "b", "test": "c"}},
+         "private: 1 is not a string (in task)"),
+    ], ids=["section", "num_nodes", "num_classes", "central_hidden_dims", "labeled_public",
+            "gamma", "tau", "class_sep", "sweep_values", "feature_cols", "csv_path"])
+    def test_wrong_typed_field_is_a_one_line_config_error(self, tmp_path, capsys, over, message):
+        """The section's dataclass names the key, and the section as a suffix."""
         p = write_config(tmp_path, tiny_doc(**over))
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"config error: {key}")
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_negative_seed_flag_is_config_error(self, tmp_path):
         p = write_config(tmp_path, tiny_doc())
@@ -1323,7 +1369,7 @@ class TestSweepStages:
                                          "seeds": [0]}))
         rows = read_rows(cmd_ablate(cfg, tmp_path, force=False))
         assert [r["error"] for r in rows] == [
-            "", "ConfigurationError: num_nodes must be an integer", ""]
+            "", "ConfigurationError: num_nodes: True is not an integer", ""]
         result = execute_fedkd(parse_dict(tiny_doc(num_nodes=1)), 0)
         for row in (rows[0], rows[2]):
             assert row["accuracy"] == f"{result.metrics['central']:.6f}"

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fedkd.numkit
 import fedkd.protocol
-from fedkd.cli import build_data, parse_dict
+from fedkd.cli import SyntheticTask, build_data, parse_dict
 
 from fedkd.datasets import (
     CsvSchema,
@@ -529,7 +529,7 @@ class TestRunFedkd:
         ({"repeats": 0}, "repeats must be >= 1"),
         ({"repeats": 2**53}, "repeats must be < 2**53"),
         ({"query_noise": -0.5, "repeats": 2}, "query_noise must be >= 0"),
-        ({"query_noise": math.nan}, "query_noise must be >= 0"),
+        ({"query_noise": math.nan}, "query_noise must be >= 0 and finite"),
         ({"central_hidden_dims": [8, 0]}, "central_hidden_dims[1] must be >= 1"),
     ])
     def test_an_invalid_run_fails_when_built_before_any_node_trains(self, monkeypatch, bad,
@@ -608,6 +608,46 @@ def test_numpy_integer_counts_are_accepted():
     table = WeightTable(np.array([[1.0, 0.0], [0.0, 1.0]]))
     out = ensemble(blocks, table, EnsembleConfig(None, None), RandomStream(0, (1,)))
     assert np.array_equal(out, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(lr_start="x"), "lr_start: 'x' is not a real number"),
+    (lambda: TrainConfig(lr_start=math.inf), "lr_start must be finite"),
+    (lambda: DistillConfig(tau="x"), "tau: 'x' is not a real number"),
+    (lambda: DistillConfig(weight_decay=True), "weight_decay: True is not a real number"),
+    (lambda: EnsembleConfig(gamma="x"), "gamma: 'x' is not a real number"),
+    (lambda: EnsembleConfig(gamma=math.inf), "gamma must be > 0 and finite"),
+    (lambda: FedKdRun(query_noise="x"), "query_noise: 'x' is not a real number"),
+    (lambda: FedKdRun(labeled_public="no"), "labeled_public: 'no' is not a bool"),
+    (lambda: dirichlet_partition(make_fixture()[0], 2, "x", RandomStream(0, (904,))),
+     "alpha: 'x' is not a real number"),
+    (lambda: dirichlet_partition(make_fixture()[0], 2, True, RandomStream(0, (904,))),
+     "alpha: True is not a real number"),
+    (lambda: GaussianTaskSpec(2, 3, 4, np.zeros((2, 3)), cov_scale=-1.0), "cov_scale must be >= 0"),
+    (lambda: GaussianTaskSpec(2, 3, 4, np.zeros((2, 3)), cov_scale="x"),
+     "cov_scale: 'x' is not a real number"),
+    (lambda: SyntheticTask(class_sep="x"), "class_sep: 'x' is not a real number"),
+    (lambda: CsvSchema(["a"], "y", SINGLE_LABEL, 2), "label_cols: 'y' is not a list of strings"),
+], ids=["lr_start", "lr_start_inf", "tau", "weight_decay_bool", "gamma", "gamma_inf",
+        "query_noise", "labeled_public", "alpha", "alpha_bool", "cov_scale", "cov_scale_str",
+        "class_sep", "label_cols"])
+def test_a_value_of_the_wrong_type_or_range_is_refused_when_given(build, message):
+    """Every library real is a Python or numpy real, not a bool or NaN, in its
+    field's range; ``labeled_public`` is a bool and a schema's columns a list
+    of strings. Anything else is a ConfigurationError naming the field when
+    the value is given, never a TypeError, a numpy error or a truthy string
+    read as a flag once the run has started."""
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_real_field_stores_a_float():
+    """An integer or numpy real passes the rule and is kept as a Python float,
+    as a parsed config spells it."""
+    cfg = TrainConfig(lr_start=1, lr_end=np.float32(0.5), weight_decay=np.int64(0))
+    assert [(type(v), v) for v in (cfg.lr_start, cfg.lr_end, cfg.weight_decay)] == [
+        (float, 1.0), (float, 0.5), (float, 0.0)]
+    assert type(DistillConfig(tau=4).tau) is float and EnsembleConfig(gamma=2).gamma == 2.0
 
 
 class TestRunFedkdBatch:
@@ -947,7 +987,7 @@ class TestTrainSupervised:
     @pytest.mark.parametrize("config", [TrainConfig, DistillConfig])
     def test_nan_weight_decay_rejected(self, config):
         """The schedule check both configs share rejects NaN, not only < 0."""
-        with pytest.raises(ConfigurationError, match="^weight_decay must be >= 0$"):
+        with pytest.raises(ConfigurationError, match="^weight_decay must be >= 0 and finite$"):
             config(weight_decay=math.nan)
 
     def test_batch_size_clamped_to_dataset(self):

@@ -174,21 +174,31 @@ def test_stream_tags_are_distinct():
     assert len(set(tags.values())) == len(tags), tags
 
 
-def _integer_type_tests(tree: ast.AST) -> list[ast.Call]:
-    """Every ``isinstance(..., (int, np.integer))``: an isinstance call whose
-    type argument names numpy's ``integer``."""
+def _type_tests(tree: ast.AST, attr: str) -> list[ast.Call]:
+    """Every isinstance call whose type argument names the attribute ``attr``:
+    numpy's ``integer`` for the integer rule, ``numbers.Real`` for the real one."""
     return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Name) and n.func.id == "isinstance" and len(n.args) == 2
-            and any(isinstance(a, ast.Attribute) and a.attr == "integer"
+            and any(isinstance(a, ast.Attribute) and a.attr == attr
                     for a in ast.walk(n.args[1]))]
 
 
-def test_one_function_makes_the_integer_type_test():
-    """``numkit.check_count`` is the package's one integer rule, so the type
-    test it makes appears nowhere else: no module grows its own copy."""
-    found = {p.name: len(_integer_type_tests(ast.parse(p.read_text())))
+@pytest.mark.parametrize("attr, rule", [("integer", "check_count"), ("Real", "check_real")])
+def test_one_function_makes_each_number_type_test(attr, rule):
+    """``numkit.check_count`` is the package's one integer rule and
+    ``numkit.check_real`` its one real-number rule, so the type test each
+    makes appears nowhere else: no module grows its own copy."""
+    found = {p.name: len(_type_tests(ast.parse(p.read_text()), attr))
              for p in sorted((ROOT / "src" / "fedkd").glob("*.py"))}
-    (check_count,) = [n for n in ast.parse((ROOT / "src" / "fedkd" / "numkit.py").read_text()).body
-                      if isinstance(n, ast.FunctionDef) and n.name == "check_count"]
+    (fn,) = [n for n in ast.parse((ROOT / "src" / "fedkd" / "numkit.py").read_text()).body
+             if isinstance(n, ast.FunctionDef) and n.name == rule]
     assert {name: n for name, n in found.items() if n} == {"numkit.py": 1}
-    assert len(_integer_type_tests(check_count)) == 1
+    assert len(_type_tests(fn, attr)) == 1
+
+
+def test_the_cli_defines_no_coercer():
+    """Config values are checked by their dataclasses; the CLI only rewrites
+    JSON spellings, so it defines no ``_as_*`` type coercer of its own."""
+    tree = ast.parse((ROOT / "src" / "fedkd" / "cli.py").read_text())
+    assert not [n.name for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name.startswith("_as_")]
