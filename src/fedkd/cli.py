@@ -52,7 +52,7 @@ from .datasets import (
 from .distill import DistillConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigurationError, FedKdError, FormatError, ValidationError
-from .numkit import RandomStream, check_count, check_real
+from .numkit import RandomStream, check_count, check_real, one_blas_thread
 from .protocol import (
     COUNT_LIMIT,
     FedKdCell,
@@ -565,25 +565,26 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
     args = ap.parse_args(argv)
 
-    try:
-        out = Path(args.out)
-        if args.command == "report":
-            cmd_report(out)
+    with one_blas_thread():  # results do not depend on it; see the README
+        try:
+            out = Path(args.out)
+            if args.command == "report":
+                cmd_report(out)
+                return 0
+            cfg = parse_config(args.config)
+            if args.command == "ablate":
+                cmd_ablate(cfg, out, args.force)
+                return 0
+            seed = cfg.seed if args.seed is None else args.seed
+            check_count(0, **{"--seed": seed})
+            (cmd_run if args.command == "run" else cmd_fedavg)(cfg, out, seed, args.force)
             return 0
-        cfg = parse_config(args.config)
-        if args.command == "ablate":
-            cmd_ablate(cfg, out, args.force)
-            return 0
-        seed = cfg.seed if args.seed is None else args.seed
-        check_count(0, **{"--seed": seed})
-        (cmd_run if args.command == "run" else cmd_fedavg)(cfg, out, seed, args.force)
-        return 0
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (FedKdError, OSError, MemoryError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+        except ConfigurationError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (FedKdError, OSError, MemoryError, ValueError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ class EnsembleConfig:
             check_count(2, S_LIMIT, quant_scale=self.quant_scale)
         if self.gamma is not None:
             (self.gamma,) = check_real(above=True, gamma=self.gamma)
+            _check_noise(self.gamma, ConfigurationError)
         if self.weight_mode not in (PER_CLASS, UNIFORM):
             raise ConfigurationError(f"unknown weight_mode {self.weight_mode!r}")
 
@@ -144,6 +145,13 @@ def quantize_array(z: np.ndarray, z_max: float, scale: int) -> np.ndarray:
     return _quantize(z, z_max, scale)
 
 
+def _check_noise(gamma: float, error: type) -> None:
+    """A ``gamma`` > 0 whose largest draw, (1/gamma) * -ln(_TINY) at the
+    endpoint clamp, overflows (below about 3.94e-306) is an ``error``."""
+    if math.isinf(1.0 / float(gamma) * math.log(_TINY)):
+        raise error(f"gamma {gamma!r} is too small: its Laplace noise overflows")
+
+
 def laplace_sample(gamma: float, rs: RandomStream, size) -> np.ndarray:
     """Inverse-CDF samples from Laplace(0, 1/gamma), as an array of shape
     ``size``.
@@ -154,6 +162,7 @@ def laplace_sample(gamma: float, rs: RandomStream, size) -> np.ndarray:
     """
     if not gamma > 0:
         raise RangeError("gamma must be > 0")
+    _check_noise(gamma, RangeError)
     u = rs.uniform(size) - 0.5
     mag = np.asarray(1.0 - 2.0 * np.abs(u))  # 0-d for a scalar draw, which takes no out=
     return -(1.0 / gamma) * np.sign(u) * np.log(np.maximum(mag, _TINY, out=mag))

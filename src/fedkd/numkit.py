@@ -17,32 +17,37 @@ range-checked once, when its config is built (:func:`check_sgd_schedule`),
 never per step; so is every count, width, seed and stream id, by the one
 integer rule, :func:`check_count`, and every rate, scale and noise level, by
 the one real-number rule, :func:`check_real`. Nothing here keeps shared mutable state:
-a RandomStream advances only itself, and :func:`sgd_step` updates the model
-it is given, in place, as one vector update.
+a RandomStream advances only itself, :func:`sgd_step` updates the model it
+is given, in place, as one vector update, and :func:`one_blas_thread` sets
+the process's BLAS thread count only for its block.
 
 Hot elementwise passes stay on numpy's contiguous fast loops, with every
-output bit unchanged (timings: numpy 2.4 on a 2-core AMD EPYC, copy time
-excluded):
+output bit unchanged (timings: numpy 2.4 on a 2-vCPU Intel Xeon, best of 7,
+copy time excluded):
 
 * No scalar operand to ReLU's ``maximum``. numpy runs ``np.maximum(h, 0.0)``
-  3-4x slower than the same call against an array of zeros, so
-  :func:`_relu` takes its zeros from a block of copies, in ``_BLOCK``-element
-  chunks. A [20, 32, 64] ReLU drops from 16 to 4-5 us, the [50000, 64] one
-  from 1.42 to 0.70 ms. At the quantizer's and Laplace draw's shapes the
-  scalar clamp is the faster call.
+  slower than the same call against an array of zeros, so :func:`_relu`
+  takes its zeros from a block of copies, in ``_BLOCK``-element chunks. A
+  [20, 32, 64] ReLU drops from 14 to 10 us, the [50000, 64] one from 1.49 to
+  1.17 ms. At the quantizer's and Laplace draw's shapes the scalar clamp is
+  the faster call.
 * Bias plus ReLU in row blocks for big forwards. A 2-D forward (the public
   query) larger than one block adds its bias to blocks of about ``_BLOCK``
   elements against a tiled bias block, rather than as one short broadcast
   loop per row, and applies the ReLU to each block while it is in cache:
-  from 2.04 to 0.82 ms per [50000, 64] layer, and from 0.22 to 0.06 ms for
+  from 3.1 to 2.1 ms per [50000, 64] layer, and from 0.44 to 0.26 ms for
   the [50000, 10] bias add. The ensemble's per-class weight multiply takes
   the same :func:`_rowwise` path. No kernel here row-chunks a matmul, since
   that can change its last bits (test evaluation does: it reads only ranks).
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +119,43 @@ def check_matrix(a: np.ndarray, name: str = "matrix", cols: int | None = None, *
     if finite and a.size and not np.isfinite(a).all():
         raise ValidationError(f"{name}: non-finite entries")
     return a
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, looked up
+    once in the libraries mapped into this process; None without one."""
+    try:
+        with open("/proc/self/maps") as fh:  # Linux only; a path is all after 5 fields
+            libs = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # e.g. "<path> (deleted)": replaced on disk since it was mapped
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(handle, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Numpy's OpenBLAS on one thread for the block, its thread count restored
+    on any exit; yields whether it pinned: False without OpenBLAS."""
+    get, put = _openblas() or (lambda: None, lambda count: None)
+    before = get()
+    put(1)
+    try:
+        yield before is not None
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +375,47 @@ def _add_bias(h: np.ndarray, b: np.ndarray, relu: bool) -> None:
 
 
 def _forward_trace(weights: list[np.ndarray], biases: list[np.ndarray],
-                   batch: np.ndarray) -> list[np.ndarray]:
+                   batch: np.ndarray, out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Unchecked forward pass keeping post-activation values per layer for
     backprop. ``weights``/``biases`` are one model's arrays and ``batch`` is
     (rows, in), or they are ``[K, fi, fo]``/``[K, 1, fo]`` stacks and
-    ``batch`` is (K, rows, in): each model's slice is the same BLAS call."""
+    ``batch`` is (K, rows, in): each model's slice is the same BLAS call.
+    Layer i writes into the C-contiguous buffer ``out[i]`` if given."""
     acts = [batch]
     h = batch
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w
+        h = h @ w if out is None else np.matmul(h, w, out=out[i])
         _add_bias(h, b, relu=i != last)
         acts.append(h)
     return acts
+
+
+def _split_forward(weights: list[np.ndarray], biases: list[np.ndarray], batch: np.ndarray,
+                   hidden: list[np.ndarray]) -> np.ndarray:
+    """The logits of :func:`_forward_trace` in a new array, as two row halves
+    into the hidden-layer buffers ``hidden``: the first half on a worker
+    thread under this thread's numpy error state, its error raised here.
+    Halves below 2**14 rows can change a matmul's bits (protocol.SPLIT_ROWS)."""
+    outs = [*hidden, np.empty((batch.shape[0], biases[-1].shape[-1]))]
+    mid, state, failed = batch.shape[0] // 2, np.geterr(), []
+
+    def first_half():
+        try:
+            with np.errstate(**state):  # a new thread starts from numpy's defaults
+                _forward_trace(weights, biases, batch[:mid], [o[:mid] for o in outs])
+        except BaseException as err:
+            failed.append(err)
+
+    worker = threading.Thread(target=first_half)
+    worker.start()
+    try:
+        _forward_trace(weights, biases, batch[mid:], [o[mid:] for o in outs])
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return outs[-1]
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:

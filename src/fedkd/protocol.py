@@ -71,6 +71,7 @@ from .numkit import (
     RandomStream,
     SgdJob,
     _forward_trace,
+    _split_forward,
     check_count,
     check_matrix,
     check_real,
@@ -78,6 +79,7 @@ from .numkit import (
     check_widths,
     cosine_rates,
     init_mlp,
+    one_blas_thread,
     train_sgd,
 )
 
@@ -90,6 +92,10 @@ STREAM_DISTILL_INIT = 5
 STREAM_DISTILL_BATCH = 6
 
 PHASES = ("scalar_max_up", "logits_up", "params_up", "params_down")
+
+# a query pass runs as two row halves, one on a second thread, when each half
+# has this many rows; smaller halves can change the last bits of a matmul
+SPLIT_ROWS = 2**14
 
 # rounds and query passes stay below 2**53, so the float64 cosine position and
 # query mean that divide by a count hold it exactly
@@ -337,18 +343,25 @@ def collect_logits(
     over its own Gaussian-perturbed copy of the public features, the first
     pass too (clean at ``noise_scale`` 0), billed repeats times. A block
     that is not finite or reaches 2**960, or a noisy copy of the features
-    that is not finite, is a ValidationError naming its node."""
+    that is not finite, is a ValidationError naming its node. The query runs
+    under :func:`~fedkd.numkit.one_blas_thread`; while it pins, a pass of
+    ``2 * SPLIT_ROWS`` rows or more is split (:func:`~fedkd.numkit._split_forward`)."""
     public_features = check_matrix(public_features, "public features")
     _check_query(repeats, noise_scale)
     rows, cols = public_features.shape
-    blocks = []
-    for h in handles:
-        if h.model is None:
-            continue
-        if h.model.input_dim != cols:
-            raise DimensionError(f"public features: expected {h.model.input_dim} columns, got {cols}")
-        acc = None
-        with np.errstate(over="ignore", invalid="ignore"):  # LogitBlock rejects non-finite
+    blocks, hidden = [], {}  # hidden widths -> a split pass's hidden-layer buffers
+    # no overflow warnings: LogitBlock rejects non-finite logits
+    with one_blas_thread() as pinned, np.errstate(over="ignore", invalid="ignore"):
+        split = pinned and rows // 2 >= SPLIT_ROWS
+        for h in handles:
+            if h.model is None:
+                continue
+            if h.model.input_dim != cols:
+                raise DimensionError(f"public features: expected {h.model.input_dim} columns, got {cols}")
+            widths = tuple(h.model.layer_dims[1:-1])
+            if split and widths not in hidden:
+                hidden[widths] = [np.empty((rows, w)) for w in widths]
+            acc = None
             for r in range(repeats):
                 x = public_features
                 if noise_scale:
@@ -360,18 +373,19 @@ def collect_logits(
                         raise ValidationError(f"querying node {h.node_id}: query_noise "
                                               f"{noise_scale!r} makes the public features "
                                               f"non-finite")
-                z = _forward_trace(h.model.weights, h.model.biases, x)[-1]
+                z = (_split_forward(h.model.weights, h.model.biases, x, hidden[widths]) if split
+                     else _forward_trace(h.model.weights, h.model.biases, x)[-1])
                 h.query_rows += rows
                 acc = z if acc is None else acc + z
             if repeats > 1:
                 acc /= repeats  # acc is this node's own sum of forward outputs
-        try:
-            block = LogitBlock(h.node_id, acc)
-        except ValidationError as err:
-            raise ValidationError(f"querying node {h.node_id}: {err}") from None
-        blocks.append(block)
-        if ledger is not None:
-            ledger.add("logits_up", h.node_id, repeats * block.logits.nbytes)
+            try:
+                block = LogitBlock(h.node_id, acc)
+            except ValidationError as err:
+                raise ValidationError(f"querying node {h.node_id}: {err}") from None
+            blocks.append(block)
+            if ledger is not None:
+                ledger.add("logits_up", h.node_id, repeats * block.logits.nbytes)
     return blocks
 
 

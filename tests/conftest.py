@@ -8,7 +8,8 @@ class, the block-list formula of a synthetic split, a copy of a dataset's
 rows, a config file and a small CSV task written out, a CSV file's rows
 read through a closed file, the README's quick-start config and library
 example, a runner of ``python`` in a fresh interpreter, the arrays and bit
-comparison of the fast-path tests, and the traced memory peak of a call."""
+comparison of the fast-path tests, the traced memory peak of a call, and the
+mark of a test that needs numpy's OpenBLAS."""
 import copy
 import csv
 import json
@@ -20,6 +21,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedkd.cli import (
     ExperimentConfig,
@@ -33,6 +35,7 @@ from fedkd.ensemble import _TINY, PER_CLASS
 from fedkd.numkit import (
     MlpModel,
     RandomStream,
+    _openblas,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -384,7 +387,12 @@ def reference_fedkd(private, public, plan, run, seed):
     return teacher, central, trace
 
 
+needs_openblas = pytest.mark.skipif(_openblas() is None,
+                                    reason="numpy loaded no OpenBLAS, so nothing pins")
+
 DBL_MAX = np.finfo(np.float64).max
+# the least gamma whose largest Laplace draw, (1/gamma) * -ln(tiny), is finite
+GAMMA_MIN = float.fromhex("0x1.6232bdd7abcd3p-1015")
 # signed zeros, infinities, NaN, values near DBL_MAX and subnormals
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, DBL_MAX, -DBL_MAX,
                      np.nextafter(DBL_MAX, 0.0), -DBL_MAX / 3, 5e-324, -5e-324])

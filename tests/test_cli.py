@@ -34,6 +34,7 @@ from fedkd.cli import (
     parse_dict,
 )
 import fedkd.cli
+import fedkd.numkit
 import fedkd.protocol
 from fedkd.datasets import CsvSchema, Dataset, dirichlet_partition, load_csv
 from fedkd.distill import KL, LOGIT_L2, DistillConfig, distill
@@ -42,7 +43,8 @@ from fedkd.errors import ConfigurationError
 from fedkd.numkit import RandomStream, init_mlp, mlp_forward
 from fedkd.protocol import FedKdRun, TrainConfig, _central_metrics, run_fedavg, run_fedkd
 
-from conftest import read_rows, reference_distill, run_python, write_config, write_csv_task
+from conftest import (GAMMA_MIN, needs_openblas, read_rows, reference_distill, run_python,
+                      write_config, write_csv_task)
 
 DISTILL_MODULE = importlib.import_module("fedkd.distill")  # `distill` above is its function
 
@@ -729,7 +731,6 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("case, message", [
         ("csv_nan", "private.csv: row 3: features: non-finite entries"),
-        ("gamma", "teacher logits: non-finite entries"),
         ("cov_scale", "querying node 0: logits: non-finite entries"),
     ])
     def test_non_finite_data_is_a_one_line_runtime_error(self, tmp_path, capsys, case, message):
@@ -741,9 +742,6 @@ class TestMainExitCodes:
             lines[3] = "nan," + lines[3].split(",", 1)[1]
             private.write_text("\n".join(lines) + "\n")
             message = f"{tmp_path / message}"  # load_csv names the file by its path
-        elif case == "gamma":
-            # Laplace noise at scale 1e320 overflows the teacher logits
-            doc = tiny_doc(num_nodes=2, ensemble={"gamma": 1e-320})
         else:
             # one SGD step on 1e300-scale features leaves finite but huge
             # weights, so the public query overflows
@@ -753,6 +751,41 @@ class TestMainExitCodes:
         p = write_config(tmp_path, doc)
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+    @pytest.mark.parametrize("gamma, code, message", [
+        (1e-310, 2, "config error: gamma 1e-310 is too small: its Laplace noise overflows "
+                    "(in ensemble)"),
+        (GAMMA_MIN, 3, "runtime error: distillation diverged on the central model: "
+                       "non-finite parameters"),
+    ], ids=["subnormal", "smallest_accepted"])
+    def test_a_gamma_is_refused_exactly_where_its_noise_overflows(self, tmp_path, capsys,
+                                                                  gamma, code, message):
+        """A gamma whose Laplace noise can overflow, a subnormal one among them,
+        is a config error naming it before any training. At the smallest
+        gamma accepted every draw is finite, and the student diverges on the
+        huge teacher."""
+        p = write_config(tmp_path, tiny_doc(num_nodes=2, ensemble={"gamma": gamma}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == message + "\n"
+
+    @needs_openblas
+    @pytest.mark.parametrize("over, code", [
+        ({}, 0), ({"num_nodes": 0}, 2), ({"node": {"hidden_dims": [16], "lr_start": 50}}, 3)],
+        ids=["exit_0", "exit_2", "exit_3"])
+    def test_main_runs_on_one_blas_thread_and_restores_the_count(self, tmp_path, monkeypatch,
+                                                                 over, code):
+        """main runs its command with OpenBLAS on one thread, and leaves the
+        count as it found it on exit 0, 2 and 3."""
+        get, put = fedkd.numkit._openblas()
+        before, seen, real = get(), [], fedkd.cli.parse_config
+        monkeypatch.setattr(fedkd.cli, "parse_config", lambda path: seen.append(get()) or real(path))
+        put(2)
+        try:
+            p = write_config(tmp_path, tiny_doc(**over))
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == code
+            assert (seen, get()) == ([1], 2)
+        finally:
+            put(before)
 
     @staticmethod
     def csv_doc_with(tmp_path, split, value, row, **over):
@@ -1116,6 +1149,9 @@ BATCH_EDITS = {
 }
 
 
+GAMMA_1E320 = "gamma 1e-320 is too small: its Laplace noise overflows (in ensemble)"
+
+
 class TestSweepBatch:
     """A sweep's cells, at every seed, run as one staged batch; every row and
     student is the one the cell's own run gives."""
@@ -1160,8 +1196,8 @@ class TestSweepBatch:
                                                            node_lr):
         """ablation.csv of one batch over seeds 0 and 3 is byte for byte the
         rows of a one-seed ablate per seed, interleaved value by value; error
-        rows included: an invalid value per axis, the gamma 1e-320 teacher
-        and 1e-300 divergence, and, at node lr 1e300, node divergence."""
+        rows included: an invalid value per axis, the gamma 1e-320 noise
+        overflow and 1e-300 divergence, and, at node lr 1e300, node divergence."""
         values = [*BATCH_EDITS[param][0], INVALID_VALUES[param]]
         if param == "gamma":
             values += [1e-320, 1e-300]
@@ -1187,14 +1223,14 @@ class TestSweepBatch:
             return
         assert errors[:4] == [""] * 4
         if param == "gamma":
-            assert errors[6:8] == ["ValidationError: teacher logits: non-finite entries"] * 2
+            assert errors[6:8] == [f"ConfigurationError: {GAMMA_1E320}"] * 2
             if loss == LOGIT_L2:
                 assert all(e.startswith("DivergenceError: distillation") for e in errors[8:])
 
     @pytest.mark.parametrize("gamma, error", [
         (1e-300, "DivergenceError: distillation diverged on the central model: "
                  "non-finite parameters"),
-        (1e-320, "ValidationError: teacher logits: non-finite entries"),
+        (1e-320, f"ConfigurationError: {GAMMA_1E320}"),
     ])
     def test_only_the_failing_cells_get_an_error_row(self, tmp_path, gamma, error):
         cfg = parse_dict(tiny_doc(sweep={"param": "gamma", "values": [None, gamma],
@@ -1251,8 +1287,9 @@ class TestSweepBatch:
         assert calls == [[10, True]]
 
     def test_a_rejected_teacher_leaves_the_distill_stack_whole(self, tmp_path, monkeypatch):
-        """The gamma 1e-320 teacher fails its own cell's teacher stage, so the
-        eight healthy students of both seeds distill in one call that returns."""
+        """The gamma 1e-320 cell's ensemble config is refused, as its noise
+        would overflow the teacher, so the eight healthy students of both
+        seeds distill in one call that returns."""
         calls = self.distill_calls_of_gamma_sweep(tmp_path, monkeypatch,
                                                   [None, 1.0, 1e-320, 2.0, 0.5])
         assert calls == [[8, True]]

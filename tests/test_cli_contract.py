@@ -1,7 +1,8 @@
 """The README's examples as a user runs them: each in a fresh interpreter,
 outside pytest's warning capture, with a numpy RuntimeWarning made an error.
 The quick start's commands also write the same bytes under one BLAS thread
-as under the default."""
+as under the default, and so does its run through the library, where only
+the public query pins BLAS to one thread."""
 import csv
 import json
 
@@ -93,3 +94,31 @@ def test_readme_quick_start_writes_the_same_bytes_under_one_blas_thread(tmp_path
     rows = list(csv.DictReader(files["multi/ablation.csv"].decode().splitlines()))
     assert [r["error"] for r in rows] == [""] * 4
     assert sides[0] == sides[1]
+
+
+LIBRARY_RUN = """
+import hashlib, json, sys
+from fedkd import run_fedkd
+from fedkd.cli import build_data, parse_config
+cfg = parse_config(sys.argv[1])
+result = run_fedkd(*build_data(cfg, cfg.seed), cfg, cfg.seed)
+digest = hashlib.sha256(json.dumps([result.metrics, result.trace]).encode())
+for a in (result.teacher_logits, result.central_model.flat,
+          *(h.model.flat for h in result.handles if h.model is not None)):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_readme_quick_start_through_the_library_gives_the_same_bits_under_one_blas_thread(
+        tmp_path):
+    """The CLI runs every command on one BLAS thread, so the test above
+    compares one pinned thread with another. A library caller keeps its own
+    BLAS setting outside the query: run_fedkd on the quick start's config
+    gives the same node models, teacher, student, metrics and trace under
+    OPENBLAS_NUM_THREADS=1 as under the default."""
+    cfg = write_config(tmp_path, readme_config())
+    outs = [run_python("-W", "error::RuntimeWarning", "-c", LIBRARY_RUN, cfg, env=env)
+            for env in ({"OPENBLAS_NUM_THREADS": "1"}, None)]
+    assert [(o.returncode, o.stderr) for o in outs] == [(0, "")] * 2
+    assert outs[0].stdout == outs[1].stdout and len(outs[0].stdout) == 65

@@ -1,6 +1,7 @@
 """Importance weights, quantizer, Laplace noise, ensemble."""
 import importlib
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -25,7 +26,7 @@ from fedkd.ensemble import (
 from fedkd.errors import ConfigurationError, DimensionError, RangeError, ValidationError
 from fedkd.numkit import _BLOCK, RandomStream, check_matrix
 
-from conftest import (DBL_MAX, SPECIALS, mixed, old_grid_values, old_laplace, old_levels,
+from conftest import (DBL_MAX, GAMMA_MIN, SPECIALS, mixed, old_grid_values, old_laplace, old_levels,
                       run_python, same_bits, traced_peak)
 
 Z_TOP = np.nextafter(Z_LIMIT, 0.0)  # the largest |logit| and z_max the range rule accepts
@@ -490,6 +491,25 @@ class TestEnsemble:
             EnsembleConfig(gamma=math.nan)
         with pytest.raises(RangeError, match="^gamma must be > 0$"):
             laplace_sample(math.nan, RandomStream(0, (9,)), size=1)
+
+    @pytest.mark.parametrize("gamma", [1e-310, 5e-324, 1e-306, float(np.nextafter(GAMMA_MIN, 0))])
+    def test_a_gamma_whose_noise_overflows_is_refused_by_name(self, gamma):
+        """A gamma > 0 whose largest Laplace draw overflows, a subnormal one
+        among them, is refused by the config and by the draw, naming it."""
+        message = f"^gamma {re.escape(repr(gamma))} is too small: its Laplace noise overflows$"
+        with pytest.raises(ConfigurationError, match=message):
+            EnsembleConfig(gamma=gamma)
+        with pytest.raises(RangeError, match=message):
+            laplace_sample(gamma, RandomStream(0, (9,)), size=1)
+
+    def test_the_smallest_accepted_gamma_draws_finite_noise(self):
+        """At GAMMA_MIN the endpoint draws are -DBL_MAX and +DBL_MAX themselves,
+        and every other draw is the formula's, finite."""
+        assert EnsembleConfig(gamma=GAMMA_MIN).gamma == GAMMA_MIN
+        u = np.array([0.0, 1.0, 0.25, 1.0 - 2.0**-53])
+        out = laplace_sample(GAMMA_MIN, _StubStream(u), size=4)
+        assert out[:2].tolist() == [-DBL_MAX, DBL_MAX]
+        assert same_bits(out, old_laplace(GAMMA_MIN, u - 0.5)) and np.isfinite(out).all()
 
 
 def list_then_sum(blocks, weights, cfg, rs):

@@ -1,7 +1,9 @@
 """Numeric kernel: streams, cosine rate tables, MLP forward/backward, SGD."""
 import dataclasses
+import io
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -20,12 +22,13 @@ from fedkd.numkit import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    one_blas_thread,
     sgd_step,
     train_sgd,
 )
 from fedkd.protocol import TrainConfig, softmax_xent_grad, train_lockstep
 
-from conftest import mixed, old_forward_trace, same_bits
+from conftest import mixed, needs_openblas, old_forward_trace, same_bits
 
 
 def naive_forward(model, batch):
@@ -598,3 +601,69 @@ class TestTrainSgd:
             (alone,) = train_sgd(SGD_DIMS, SGD_B, [jobs()[k]], l2_dlogits, SGD_WD)
             assert np.array_equal(bits(out[k]), bits(alone)), f"job {k}"
         assert train_sgd(SGD_DIMS, SGD_B, [jobs()[1]], l2_dlogits, SGD_WD) == [None]
+
+
+@needs_openblas
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's (get, set) calls, with the count at 2 for the test and
+        put back after it."""
+        get, put = fedkd.numkit._openblas()
+        before = get()
+        put(2)
+        yield get, put
+        put(before)
+
+    def test_pins_nests_and_restores(self, blas):
+        get, _ = blas
+        with one_blas_thread() as pinned:
+            assert pinned and get() == 1
+            with one_blas_thread() as again:
+                assert again and get() == 1
+            assert get() == 1
+        assert get() == 2
+
+    def test_restores_on_an_exception(self, blas):
+        get, _ = blas
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                raise KeyError("inside")
+        assert get() == 2
+
+    def test_pins_nothing_without_openblas(self, blas, monkeypatch):
+        get, _ = blas
+        monkeypatch.setattr(fedkd.numkit, "_openblas", lambda: None)
+        with one_blas_thread() as pinned:
+            assert pinned is False and get() == 2
+        assert get() == 2
+
+
+def test_the_openblas_lookup_reads_paths_with_spaces_and_skips_unloadable_ones(monkeypatch):
+    """A mapped path is everything after the maps line's fifth field, spaces
+    included; a library that cannot be loaded (replaced on disk since it was
+    mapped) is skipped, and a library without the thread calls is passed over."""
+    lines = ["7f00-7f01 r-xp 00000000 08:01 42 /srv/my env/libopenblas64_.so\n",
+             "7f02-7f03 r-xp 00000000 08:01 43 /old/libopenblas.so (deleted)\n",
+             "7f04-7f05 r-xp 00000000 08:01 44 /lib/libopenblas_other.so\n",
+             "7f06-7f07 r--p 00000000 08:01 45 /lib/libm.so.6\n"]
+    get, put = (lambda: 1), (lambda count: None)
+    handles = {"/srv/my env/libopenblas64_.so": types.SimpleNamespace(
+                   openblas_get_num_threads64_=get, openblas_set_num_threads64_=put),
+               "/lib/libopenblas_other.so": types.SimpleNamespace()}
+    opened = []
+
+    def load(path):
+        opened.append(path)
+        if path not in handles:
+            raise OSError(f"{path}: cannot open shared object file")
+        return handles[path]
+
+    monkeypatch.setattr(fedkd.numkit, "open", lambda path: io.StringIO("".join(lines)),
+                        raising=False)
+    monkeypatch.setattr(fedkd.numkit.ctypes, "CDLL", load)
+    assert fedkd.numkit._openblas.__wrapped__() == (get, put)
+    assert opened == ["/lib/libopenblas_other.so", "/old/libopenblas.so (deleted)",
+                      "/srv/my env/libopenblas64_.so"]
+    monkeypatch.setattr(fedkd.numkit, "open", lambda path: io.StringIO(""), raising=False)
+    assert fedkd.numkit._openblas.__wrapped__() is None

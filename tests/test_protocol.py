@@ -5,6 +5,7 @@ import inspect
 import math
 import pkgutil
 import re
+import threading
 import tracemalloc
 import weakref
 
@@ -71,8 +72,9 @@ from fedkd.protocol import (
     train_supervised,
 )
 
-from conftest import (mixed, reference_fedkd, reference_train, run_centralized, same_bits,
-                      subset, traced_peak, write_csv_task)
+from conftest import (mixed, needs_openblas, old_forward_trace, reference_fedkd,
+                      reference_train, run_centralized, run_python, same_bits, subset,
+                      traced_peak, write_csv_task)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +366,102 @@ class TestCollectLogits:
         peak = traced_peak(lambda: collect_logits(handles, public, repeats=2, noise_scale=0.5,
                                                   seed=1))
         assert peak < 2 * public.nbytes, (peak, public.nbytes)
+
+
+OVERFLOWING_QUERY = """
+import numpy as np
+from fedkd.errors import ValidationError
+from fedkd.numkit import RandomStream, init_mlp
+from fedkd.protocol import NodeHandle, collect_logits
+handles = [NodeHandle(k, np.arange(0), init_mlp([32, 64, 10], RandomStream(1, (k,))))
+           for k in range(2)]
+handles[1].model.flat *= 1e200
+try:
+    collect_logits(handles, RandomStream(2, (0,)).gauss((50000, 32)))
+except ValidationError as err:
+    print(err)
+"""
+
+
+class TestSplitQuery:
+    """While OpenBLAS is pinned to one thread, a query pass of 2**15 rows
+    (twice protocol.SPLIT_ROWS) or more runs as two row halves on two
+    threads, with the bits of one pass."""
+
+    @staticmethod
+    def handles(dims):
+        return [NodeHandle(k, np.arange(0), init_mlp(dims, RandomStream(11, (930, k))))
+                for k in range(2)]
+
+    @staticmethod
+    def reference(h, public, repeats, noise):
+        """A node's block by old_forward_trace: the mean of its passes."""
+        passes = []
+        for r in range(repeats):
+            x = public
+            if noise:
+                x = public + noise * RandomStream(4, (STREAM_QUERY, h.node_id, r)).gauss(x.shape)
+            passes.append(old_forward_trace(h.model.weights, h.model.biases, x)[-1])
+        return sum(passes[1:], passes[0]) / repeats
+
+    @staticmethod
+    def count_splits(monkeypatch) -> list:
+        calls, real = [], fedkd.protocol._split_forward
+        monkeypatch.setattr(fedkd.protocol, "_split_forward",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @needs_openblas
+    @pytest.mark.parametrize("rows", [2**15, 50_000])  # 2 * SPLIT_ROWS: the least that splits
+    @pytest.mark.parametrize("dims", [[32, 64, 10], [32, 64, 32, 10]])
+    @pytest.mark.parametrize("repeats, noise", [(1, 0.0), (2, 0.0), (1, 0.5), (2, 0.5)])
+    def test_split_passes_have_the_bits_of_one_pass(self, monkeypatch, rows, dims, repeats,
+                                                    noise):
+        public = RandomStream(12, (931,)).gauss((rows, 32))
+        handles, splits = self.handles(dims), self.count_splits(monkeypatch)
+        blocks = collect_logits(handles, public, repeats, noise, seed=4)
+        assert len(splits) == 2 * repeats
+        for h, block in zip(handles, blocks):
+            assert same_bits(block.logits, self.reference(h, public, repeats, noise))
+
+    @pytest.mark.parametrize("pinned, rows", [
+        (False, 50_000), pytest.param(True, 2**15 - 1, marks=needs_openblas)])
+    def test_no_split_without_the_pin_or_below_two_halves_of_split_rows(
+            self, monkeypatch, pinned, rows):
+        if not pinned:
+            monkeypatch.setattr(fedkd.numkit, "_openblas", lambda: None)
+        public = RandomStream(12, (932,)).gauss((rows, 32))
+        handles, splits = self.handles([32, 64, 10]), self.count_splits(monkeypatch)
+        blocks = collect_logits(handles, public)
+        assert splits == []
+        for h, block in zip(handles, blocks):
+            assert same_bits(block.logits, self.reference(h, public, 1, 0.0))
+
+    @needs_openblas
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_in_either_half_reaches_the_caller(self, monkeypatch, failing):
+        """The error of either half is raised from collect_logits, and the
+        worker thread has ended by then."""
+        caller, real = threading.get_ident(), fedkd.numkit._forward_trace
+
+        def forward(weights, biases, batch, out=None):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise MemoryError(failing)
+            return real(weights, biases, batch, out)
+
+        monkeypatch.setattr(fedkd.numkit, "_forward_trace", forward)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=f"^{failing}$"):
+            collect_logits(self.handles([32, 64, 10]), np.zeros((2**15, 32)))
+        assert threading.active_count() == threads
+
+    def test_an_overflowing_node_is_named_with_no_warning(self):
+        """A node whose weights are scaled by 1e200 overflows in both halves:
+        a fresh interpreter with numpy warnings made errors gets the
+        ValidationError naming it, and nothing on stderr."""
+        out = run_python("-W", "error::RuntimeWarning", "-c", OVERFLOWING_QUERY)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == "querying node 1: logits: non-finite entries\n"
 
 
 # ---------------------------------------------------------------------------
