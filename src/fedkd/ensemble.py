@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, RangeError, ValidationError
-from .numkit import RandomStream, _rowwise, check_count, check_matrix, check_real
+from .numkit import _BLOCK, RandomStream, check_count, check_matrix, check_real
 
 PER_CLASS = "per_class"
 UNIFORM = "uniform"
@@ -178,9 +178,11 @@ def ensemble(
     Laplace draw per (sample, class) cell. The blocks are weighted if and only
     if ``weights`` is given; without it they are averaged.
 
-    Blocks fold into one accumulator in list (node) order through one reused
-    buffer, so memory does not grow with the block count; no block is written.
-    The noise is drawn row-major from the given stream after the fold.
+    Blocks fold into one accumulator in list (node) order, in row blocks of
+    about ``_BLOCK`` cells through one buffer of one row block, so working
+    memory grows with neither the block count nor the rows; no block is
+    written. The noise is drawn row-major from the given stream after the
+    fold, one draw per row block: the bits of one draw of the full shape.
     """
     if not blocks:
         raise ConfigurationError("need at least one logit block")
@@ -201,19 +203,21 @@ def ensemble(
 
     # The uniform mean sums the blocks, then divides, so the no-op
     # configuration is exactly the mean.
-    acc = np.zeros(shape)
-    buf = np.empty(shape)
+    step = max(1, _BLOCK // max(1, shape[1]))
+    acc, buf = np.zeros(shape), np.empty((min(step, shape[0]), shape[1]))
     for b in blocks:
-        q = b.logits
-        if z_max > 0:
-            q = _quantize(q, z_max, cfg.quant_scale, out=buf)
-        if weighted:
-            q = _rowwise(np.multiply, q, weights.omega[b.node_id][None, :], buf)
-        acc += q
+        omega = np.tile(weights.omega[b.node_id], (len(buf), 1)) if weighted else None
+        for i in range(0, shape[0], step):
+            q, part = b.logits[i : i + step], buf[: min(step, shape[0] - i)]
+            if z_max > 0:
+                q = _quantize(q, z_max, cfg.quant_scale, out=part)
+            if weighted:
+                q = np.multiply(q, omega[: len(q)], out=part)
+            acc[i : i + step] += q
     if not weighted:
         acc /= len(blocks)
 
     if cfg.gamma is not None:
-        acc += laplace_sample(cfg.gamma, rs, size=shape)
+        for i in range(0, shape[0], step):
+            acc[i : i + step] += laplace_sample(cfg.gamma, rs, size=acc[i : i + step].shape)
     return acc
-

@@ -16,10 +16,10 @@ table (:func:`cosine_rates`, computed before the loop); a schedule is
 range-checked once, when its config is built (:func:`check_sgd_schedule`),
 never per step; so is every count, width, seed and stream id, by the one
 integer rule, :func:`check_count`, and every rate, scale and noise level, by
-the one real-number rule, :func:`check_real`. Nothing here keeps shared mutable state:
-a RandomStream advances only itself, :func:`sgd_step` updates the model it
-is given, in place, as one vector update, and :func:`one_blas_thread` sets
-the process's BLAS thread count only for its block.
+the one real-number rule, :func:`check_real`. The one shared mutable state here
+is the depth of :func:`one_blas_thread`'s pin, under a lock: a RandomStream
+advances only itself, and :func:`sgd_step` updates the model it is given, in
+place, as one vector update.
 
 Hot elementwise passes stay on numpy's contiguous fast loops, with every
 output bit unchanged (timings: numpy 2.4 on a 2-vCPU Intel Xeon, best of 7,
@@ -36,9 +36,14 @@ copy time excluded):
   elements against a tiled bias block, rather than as one short broadcast
   loop per row, and applies the ReLU to each block while it is in cache:
   from 3.1 to 2.1 ms per [50000, 64] layer, and from 0.44 to 0.26 ms for
-  the [50000, 10] bias add. The ensemble's per-class weight multiply takes
-  the same :func:`_rowwise` path. No kernel here row-chunks a matmul, since
-  that can change its last bits (test evaluation does: it reads only ranks).
+  the [50000, 10] bias add. The ensemble's per-class weight multiply tiles its
+  weight row the same way. A matmul keeping its bits is row-chunked only at
+  multiples of 16 rows, in chunks of :func:`_chunk_floor` rows or more: each
+  layer's rows*fi*fo at least 2**20 (OpenBLAS's SkylakeX dgemm takes a
+  small-matrix kernel, with other last bits, at M*N*K <= 100**3), and never
+  below 2**12 rows. A cut at a multiple of every kernel's row unroll (4 on
+  Haswell, 16 on SkylakeX) gives each row the kernel path of one pass. Test
+  evaluation chunks freely: it reads only ranks.
 """
 from __future__ import annotations
 
@@ -145,17 +150,24 @@ def _openblas():
     return None
 
 
+_PIN, _pins = threading.Lock(), [0, None]  # the pin's lock, depth and saved count
+
+
 @contextmanager
 def one_blas_thread():
-    """Numpy's OpenBLAS on one thread for the block, its thread count restored
-    on any exit; yields whether it pinned: False without OpenBLAS."""
+    """Numpy's OpenBLAS on one thread while any thread is in a block: counted, so the
+    last exit (any exit) restores the count the first entry saved; yields whether it pinned."""
     get, put = _openblas() or (lambda: None, lambda count: None)
-    before = get()
-    put(1)
+    with _PIN:
+        _pins[:] = _pins[0] + 1, _pins[1] if _pins[0] else get()
+        put(1)
     try:
-        yield before is not None
+        yield _openblas() is not None
     finally:
-        put(before)
+        with _PIN:
+            _pins[0] -= 1
+            if not _pins[0]:
+                put(_pins[1])
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +361,11 @@ def _rowwise(op, a: np.ndarray, row: np.ndarray, out: np.ndarray, then=None) -> 
     than as one short broadcast loop per row; ``then(block)`` runs on each
     written block of ``out`` while it is in cache. Each element meets the
     same operands, so the bits are those of the broadcast call. An array of
-    one block or less takes the broadcast call itself: its tile would be a
-    fresh allocation as large as the array, which costs more than it saves."""
+    one block or less takes the row itself, whose tile would cost more than it
+    saves; a ``row`` of several rows is a tile already, a block or ``a`` long."""
     n, cols = a.shape
     rows = max(1, _BLOCK // max(1, cols))
-    tile = np.tile(row, (rows, 1)) if n > rows else row  # row[:k] is row itself
+    tile = np.tile(row, (rows, 1)) if n > rows and len(row) == 1 else row
     for i in range(0, n, rows):
         part = out[i : i + rows]
         op(a[i : i + rows], tile[: part.shape[0]], out=part)
@@ -391,31 +403,44 @@ def _forward_trace(weights: list[np.ndarray], biases: list[np.ndarray],
     return acts
 
 
+def _chunk_floor(weights: list[np.ndarray]) -> int:
+    """The fewest rows of a row chunk of one model's forward (the module's chunk rule)."""
+    return max(2**12, -(-2**20 // (16 * min(w.size for w in weights))) * 16)
+
+
 def _split_forward(weights: list[np.ndarray], biases: list[np.ndarray], batch: np.ndarray,
-                   hidden: list[np.ndarray]) -> np.ndarray:
-    """The logits of :func:`_forward_trace` in a new array, as two row halves
-    into the hidden-layer buffers ``hidden``: the first half on a worker
-    thread under this thread's numpy error state, its error raised here.
-    Halves below 2**14 rows can change a matmul's bits (protocol.SPLIT_ROWS)."""
-    outs = [*hidden, np.empty((batch.shape[0], biases[-1].shape[-1]))]
-    mid, state, failed = batch.shape[0] // 2, np.geterr(), []
+                   least: int) -> np.ndarray:
+    """The logits of :func:`_forward_trace` in a new array, as 2n near-equal row chunks
+    cut at multiples of 16, of ``least`` rows or more (:func:`_chunk_floor`): n on a worker
+    thread under this thread's numpy error state, its error raised here, n on this one;
+    hidden buffers of one chunk per half and bias tiles of one per pass, whatever the rows."""
+    rows, out = batch.shape[0], np.empty((batch.shape[0], biases[-1].shape[-1]))
+    n, state, failed = max(1, rows // 2 // least), np.geterr(), []
+    cuts = [rows * i // (2 * n) // 16 * 16 for i in range(2 * n)] + [rows]
+    size = max(np.diff(cuts))
+    bufs = [[np.empty((size, w.shape[-1])) for w in weights[:-1]] for _ in "ab"]
+    tiles = [np.tile(b, (min(size, max(1, _BLOCK // b.shape[-1])), 1)) for b in biases]
+
+    def half(k):  # chunks k*n to k*n + n - 1, through bufs[k]
+        for a, b in zip(cuts[k * n : k * n + n], cuts[k * n + 1 :]):
+            _forward_trace(weights, tiles, batch[a:b], [*(h[: b - a] for h in bufs[k]), out[a:b]])
 
     def first_half():
         try:
             with np.errstate(**state):  # a new thread starts from numpy's defaults
-                _forward_trace(weights, biases, batch[:mid], [o[:mid] for o in outs])
+                half(0)
         except BaseException as err:
             failed.append(err)
 
     worker = threading.Thread(target=first_half)
     worker.start()
     try:
-        _forward_trace(weights, biases, batch[mid:], [o[mid:] for o in outs])
+        half(1)
     finally:
         worker.join()
     if failed:
         raise failed[0]
-    return outs[-1]
+    return out
 
 
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:

@@ -70,6 +70,7 @@ from .numkit import (
     MlpModel,
     RandomStream,
     SgdJob,
+    _chunk_floor,
     _forward_trace,
     _split_forward,
     check_count,
@@ -94,7 +95,7 @@ STREAM_DISTILL_BATCH = 6
 PHASES = ("scalar_max_up", "logits_up", "params_up", "params_down")
 
 # a query pass runs as two row halves, one on a second thread, when each half
-# has this many rows; smaller halves can change the last bits of a matmul
+# has this many rows and its model's chunk floor (numkit._chunk_floor)
 SPLIT_ROWS = 2**14
 
 # rounds and query passes stay below 2**53, so the float64 cosine position and
@@ -344,23 +345,22 @@ def collect_logits(
     pass too (clean at ``noise_scale`` 0), billed repeats times. A block
     that is not finite or reaches 2**960, or a noisy copy of the features
     that is not finite, is a ValidationError naming its node. The query runs
-    under :func:`~fedkd.numkit.one_blas_thread`; while it pins, a pass of
-    ``2 * SPLIT_ROWS`` rows or more is split (:func:`~fedkd.numkit._split_forward`)."""
+    under :func:`~fedkd.numkit.one_blas_thread`; while it pins, a pass whose halves each
+    hold ``SPLIT_ROWS`` rows and the model's chunk floor is split into row chunks on two
+    threads (:func:`~fedkd.numkit._split_forward`), with the bits of one pass."""
     public_features = check_matrix(public_features, "public features")
     _check_query(repeats, noise_scale)
     rows, cols = public_features.shape
-    blocks, hidden = [], {}  # hidden widths -> a split pass's hidden-layer buffers
+    blocks = []
     # no overflow warnings: LogitBlock rejects non-finite logits
     with one_blas_thread() as pinned, np.errstate(over="ignore", invalid="ignore"):
-        split = pinned and rows // 2 >= SPLIT_ROWS
         for h in handles:
             if h.model is None:
                 continue
             if h.model.input_dim != cols:
                 raise DimensionError(f"public features: expected {h.model.input_dim} columns, got {cols}")
-            widths = tuple(h.model.layer_dims[1:-1])
-            if split and widths not in hidden:
-                hidden[widths] = [np.empty((rows, w)) for w in widths]
+            least = _chunk_floor(h.model.weights)
+            split = pinned and rows // 2 >= max(SPLIT_ROWS, least)
             acc = None
             for r in range(repeats):
                 x = public_features
@@ -373,7 +373,7 @@ def collect_logits(
                         raise ValidationError(f"querying node {h.node_id}: query_noise "
                                               f"{noise_scale!r} makes the public features "
                                               f"non-finite")
-                z = (_split_forward(h.model.weights, h.model.biases, x, hidden[widths]) if split
+                z = (_split_forward(h.model.weights, h.model.biases, x, least) if split
                      else _forward_trace(h.model.weights, h.model.biases, x)[-1])
                 h.query_rows += rows
                 acc = z if acc is None else acc + z

@@ -571,6 +571,24 @@ class TestStreamedEnsemble:
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
         assert [b.logits.tobytes() for b in blocks] == before  # no block is written
 
+    @pytest.mark.parametrize("cols, blocks, ragged", [(10, 3, 17), (7, 2, 5), (10, 2, 0),
+                                                      (_BLOCK + 3, 3, 0)])
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "uniform"])
+    @pytest.mark.parametrize("quant_scale", [200, None], ids=["quantized", "unquantized"])
+    def test_row_blocks_keep_the_bits_of_one_full_shape_noise_draw(self, cols, blocks, ragged,
+                                                                  weighted, quant_scale):
+        """The fold and the noise run in row blocks of _BLOCK // cols rows (one
+        row when a row is wider): over several row blocks, with a ragged last
+        block or none, the result has the bits of the whole-array fold plus one
+        laplace_sample of the full shape."""
+        rows = blocks * max(1, _BLOCK // cols) + ragged
+        rs = RandomStream(3, (940,))
+        logits = [LogitBlock(k, 4.0 * rs.gauss((rows, cols))) for k in (0, 2, 3)]
+        weights = importance_weights(1 + rs.integers(50, (4, cols))) if weighted else None
+        cfg = EnsembleConfig(quant_scale=quant_scale, gamma=0.5)
+        out = ensemble(logits, weights, cfg, RandomStream(7, (4,)))
+        assert same_bits(out, list_then_sum(logits, weights, cfg, RandomStream(7, (4,))))
+
     def test_peak_memory_does_not_grow_with_the_block_count(self):
         rs = RandomStream(0, (7,))
         blocks = [LogitBlock(k, rs.gauss((20000, 10))) for k in range(20)]

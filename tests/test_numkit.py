@@ -3,6 +3,8 @@ import dataclasses
 import io
 import math
 import re
+import sys
+import threading
 import types
 
 import numpy as np
@@ -26,7 +28,8 @@ from fedkd.numkit import (
     sgd_step,
     train_sgd,
 )
-from fedkd.protocol import TrainConfig, softmax_xent_grad, train_lockstep
+from fedkd.protocol import (NodeHandle, TrainConfig, collect_logits, softmax_xent_grad,
+                            train_lockstep)
 
 from conftest import mixed, needs_openblas, old_forward_trace, same_bits
 
@@ -629,6 +632,88 @@ class TestOneBlasThread:
         with pytest.raises(KeyError):
             with one_blas_thread():
                 raise KeyError("inside")
+        assert get() == 2
+
+    def test_overlapping_pins_on_two_threads_end_at_the_starting_count(self, blas):
+        """Thread A pins, then this thread does, then A leaves: the count stays
+        1 until this thread leaves too, and then it is the starting 2."""
+        get, _ = blas
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+        def a():
+            with one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        worker = threading.Thread(target=a)
+        worker.start()
+        try:
+            assert a_in.wait(10)
+            with one_blas_thread():
+                b_in.set()
+                assert a_out.wait(10)
+                assert get() == 1
+        finally:
+            b_in.set()
+            worker.join(10)
+        assert not worker.is_alive() and get() == 2
+
+    def test_many_threads_pinning_at_once_lose_no_count(self, blas):
+        """Eight threads each enter and leave the pin 200 times, switching
+        every microsecond: the depth ends at 0 and the count at the starting 2,
+        which a lost update of the depth or the saved count would break."""
+        get, _ = blas
+
+        def pin_often():
+            for _ in range(200):
+                with one_blas_thread():
+                    assert get() == 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pin_often) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert fedkd.numkit._pins[0] == 0 and get() == 2
+
+    def test_a_split_pass_runs_on_one_blas_thread(self, blas, monkeypatch):
+        """Every chunk of a split query pass, on either thread, runs while
+        OpenBLAS reads 1 thread, though a pin another thread held when the
+        query began ends before the first chunk."""
+        get, _ = blas
+        held, release, left = threading.Event(), threading.Event(), threading.Event()
+        seen, real = [], fedkd.numkit._forward_trace
+
+        def forward(weights, biases, x, out=None):
+            release.set()
+            assert left.wait(10)
+            seen.append(get())
+            return real(weights, biases, x, out)
+
+        def other():
+            with one_blas_thread():
+                held.set()
+                release.wait(10)
+            left.set()
+
+        monkeypatch.setattr(fedkd.numkit, "_forward_trace", forward)
+        worker = threading.Thread(target=other)
+        worker.start()
+        try:
+            assert held.wait(10)
+            handles = [NodeHandle(0, np.arange(0), init_mlp([32, 64, 10], RandomStream(1, (5,))))]
+            collect_logits(handles, np.zeros((2**15, 32)))
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive() and len(seen) >= 2 and set(seen) == {1}
         assert get() == 2
 
     def test_pins_nothing_without_openblas(self, blas, monkeypatch):

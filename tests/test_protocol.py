@@ -51,6 +51,7 @@ from fedkd.numkit import (
     RandomStream,
     init_mlp,
     mlp_forward,
+    one_blas_thread,
 )
 from fedkd.protocol import (
     _stage,
@@ -436,6 +437,96 @@ class TestSplitQuery:
         assert splits == []
         for h, block in zip(handles, blocks):
             assert same_bits(block.logits, self.reference(h, public, 1, 0.0))
+
+    @staticmethod
+    def floor(dims) -> int:
+        """The chunk floor: every layer's rows*fi*fo at least 2**20, never below
+        2**12 rows, rounded up to a multiple of 16."""
+        return max(2**12, -(-2**20 // (16 * min(fi * fo for fi, fo in zip(dims, dims[1:])))) * 16)
+
+    def pinned_reference(self, h, public):
+        """A node's one-pass block under the pin, as collect_logits runs it: on
+        Haswell-family kernels a two-thread OpenBLAS dgemm can differ from a
+        one-thread one in the last bits."""
+        with one_blas_thread():
+            return self.reference(h, public, 1, 0.0)
+
+    @staticmethod
+    def count_chunks(monkeypatch, public) -> list:
+        """(first row, rows) of every _forward_trace call of a split pass over
+        ``public``, from either thread, in row order."""
+        chunks, real = [], fedkd.numkit._forward_trace
+
+        def forward(weights, biases, x, out=None):
+            chunks.append(((x.ctypes.data - public.ctypes.data) // public.strides[0], len(x)))
+            return real(weights, biases, x, out)
+
+        monkeypatch.setattr(fedkd.numkit, "_forward_trace", forward)
+        return chunks
+
+    @pytest.mark.parametrize("dims, rows", [([8, 16, 2], 2**15), ([8, 16, 2], 50_000),
+                                            ([32, 16, 3], 2**15)])
+    def test_a_narrow_layer_keeps_the_bits_of_one_pass(self, dims, rows):
+        """A layer whose halves would run OpenBLAS's small-matrix kernel
+        (rows*fi*fo <= 100**3 on SkylakeX) keeps the bits of one pass: its
+        halves fall below the chunk floor, so the pass is not split."""
+        public = RandomStream(12, (933,)).gauss((rows, dims[0]))
+        handles = self.handles(dims)
+        for h, block in zip(handles, collect_logits(handles, public)):
+            assert same_bits(block.logits, self.pinned_reference(h, public))
+
+    @needs_openblas
+    def test_a_long_pass_runs_as_near_equal_chunks_cut_at_multiples_of_16(self, monkeypatch):
+        """50,000 rows of [32, 64, 10] (floor 2**12) run as 6 chunks per half,
+        each starting at a multiple of 16 and 4160 or 4176 rows long, with the
+        bits of one pass."""
+        public = RandomStream(12, (934,)).gauss((50_000, 32))
+        handles, chunks = self.handles([32, 64, 10]), self.count_chunks(monkeypatch, public)
+        blocks = collect_logits(handles, public)
+        for node in (sorted(chunks)[0::2], sorted(chunks)[1::2]):  # two nodes: each chunk twice
+            starts, lengths = zip(*node)
+            assert len(node) == 12 and set(lengths) == {4160, 4176}
+            assert all(a % 16 == 0 and a + n == b for a, n, b in zip(starts, lengths, starts[1:]))
+            assert starts[0] == 0 and starts[-1] + lengths[-1] == 50_000
+        for h, block in zip(handles, blocks):
+            assert same_bits(block.logits, self.pinned_reference(h, public))
+
+    @needs_openblas
+    @pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
+    @pytest.mark.parametrize("dims", [[32, 64, 10], [8, 16, 2], [32, 16, 3]])
+    def test_a_pass_splits_from_two_halves_of_the_split_rows_or_the_floor(
+            self, monkeypatch, dims, below):
+        """The split starts at 2 * max(SPLIT_ROWS, floor) rows: 2**15 for
+        [32, 64, 10], 2**16 for [8, 16, 2] and 43,712 for [32, 16, 3]; every
+        chunk has the floor's rows or more, and the bits are those of one pass."""
+        rows = 2 * max(fedkd.protocol.SPLIT_ROWS, self.floor(dims)) - below
+        public = RandomStream(12, (935,)).gauss((rows, dims[0]))
+        handles, splits = self.handles(dims), self.count_splits(monkeypatch)
+        chunks = self.count_chunks(monkeypatch, public)
+        blocks = collect_logits(handles, public)
+        assert len(splits) == (0 if below else 2)
+        assert chunks == [] if below else min(n for _, n in chunks) >= self.floor(dims)
+        for h, block in zip(handles, blocks):
+            assert same_bits(block.logits, self.pinned_reference(h, public))
+
+    @needs_openblas
+    def test_the_teacher_stage_works_in_memory_that_does_not_grow_with_the_rows(self):
+        """collect_logits plus ensemble for 4 nodes of [32, 64, 10]: above the
+        live blocks, the traced peak stays below one teacher, two chunks of
+        hidden rows (one per thread) and 1 MiB, at 50,000 rows and at twice
+        that, where the chunks are the same, of 4176 rows at most. Hidden
+        buffers of half a pass each, or a fold through a buffer of the full
+        shape, break it."""
+        handles = [NodeHandle(k, np.arange(0), init_mlp([32, 64, 10], RandomStream(11, (936, k))))
+                   for k in range(4)]
+        weights = importance_weights(1 + RandomStream(11, (937,)).integers(50, (4, 10)))
+        chunks = 2 * 4176 * 64 * 8
+        for rows in (50_000, 100_000):
+            public = RandomStream(12, (938,)).gauss((rows, 32))
+            teacher = rows * 10 * 8
+            peak = traced_peak(lambda: ensemble(collect_logits(handles, public), weights,
+                                                EnsembleConfig(), RandomStream(0, (4,))))
+            assert peak - 4 * teacher < teacher + chunks + 2**20, (rows, peak)
 
     @needs_openblas
     @pytest.mark.parametrize("failing", ["worker", "caller"])
